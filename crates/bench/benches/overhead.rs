@@ -12,15 +12,12 @@
 //! The shape expectation: the three configurations are within a few percent
 //! of each other.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use bench::bench_server;
 use kvs::wd::{build_watchdog, WdOptions};
-use wdog_core::context::baseline::BaselineContextTable;
 use wdog_core::prelude::*;
 
 fn kvs_set_roundtrips(c: &mut Criterion) {
@@ -95,142 +92,6 @@ fn kvs_set_roundtrips(c: &mut Criterion) {
     group.finish();
 }
 
-fn ctx_fields(i: u64) -> Vec<(String, CtxValue)> {
-    vec![
-        ("path".to_owned(), CtxValue::Str("wal/segment-7".to_owned())),
-        ("len".to_owned(), CtxValue::U64(i)),
-    ]
-}
-
-/// The hook→context hot path, single-threaded: one component publishing
-/// with nobody else on the table. The sharded slot handle must be no
-/// slower than the baseline single-lock table here — sharding may not tax
-/// the uncontended case.
-fn context_publish_single(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ctx_publish_single");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(500));
-
-    {
-        let table = BaselineContextTable::new(RealClock::shared());
-        let mut i = 0u64;
-        group.bench_function("baseline_lock", |b| {
-            b.iter(|| {
-                i += 1;
-                table.publish(black_box("flush"), ctx_fields(i));
-            })
-        });
-    }
-    {
-        let table = ContextTable::new(RealClock::shared());
-        let slot = table.register("flush");
-        let mut i = 0u64;
-        group.bench_function("sharded_slot", |b| {
-            b.iter(|| {
-                i += 1;
-                black_box(&slot).publish(ctx_fields(i));
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The contended shape the sharding exists for: several main-program
-/// threads publishing into *their own* contexts while one checker thread
-/// reads snapshots. On the baseline table every publish serializes on the
-/// table-wide write lock; on the sharded table only same-slot access
-/// contends, so the measured writer should be markedly faster.
-fn context_publish_contended(c: &mut Criterion) {
-    const WRITERS: usize = 3; // background writers; the bench thread is one more
-
-    let mut group = c.benchmark_group("ctx_publish_contended");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(500));
-
-    // Baseline: background writers + checker reader on the single lock.
-    {
-        let table = BaselineContextTable::new(RealClock::shared());
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for w in 0..WRITERS {
-            let table = Arc::clone(&table);
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                let key = format!("writer-{w}");
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    i += 1;
-                    table.publish(&key, ctx_fields(i));
-                }
-            }));
-        }
-        {
-            let table = Arc::clone(&table);
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    black_box(table.read("writer-0"));
-                }
-            }));
-        }
-        let mut i = 0u64;
-        group.bench_function("baseline_lock", |b| {
-            b.iter(|| {
-                i += 1;
-                table.publish(black_box("measured"), ctx_fields(i));
-            })
-        });
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    // Sharded: the same traffic, each writer on its own slot.
-    {
-        let table = ContextTable::new(RealClock::shared());
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for w in 0..WRITERS {
-            let slot = table.register(&format!("writer-{w}"));
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    i += 1;
-                    slot.publish(ctx_fields(i));
-                }
-            }));
-        }
-        {
-            let reader = table.reader();
-            let stop = Arc::clone(&stop);
-            handles.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    black_box(reader.read("writer-0"));
-                }
-            }));
-        }
-        let slot = table.register("measured");
-        let mut i = 0u64;
-        group.bench_function("sharded_slot", |b| {
-            b.iter(|| {
-                i += 1;
-                slot.publish(ctx_fields(i));
-            })
-        });
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-    group.finish();
-}
-
 /// Telemetry-plane overhead on the hook hot path: firing a site with no
 /// registry attached (the guard is one relaxed atomic load) vs. an armed
 /// registry (count every fire, time one in 64). The two must stay within a
@@ -275,11 +136,5 @@ fn hook_fire_telemetry(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    kvs_set_roundtrips,
-    context_publish_single,
-    context_publish_contended,
-    hook_fire_telemetry
-);
+criterion_group!(benches, kvs_set_roundtrips, hook_fire_telemetry);
 criterion_main!(benches);

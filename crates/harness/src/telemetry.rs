@@ -191,7 +191,7 @@ pub struct BenchGuard {
 }
 
 /// When the zero-alloc fire path dipped under ~70 ns, a pure percentage
-/// budget became noise-dominated: the armed lane `fetch_add` plus amortized
+/// budget became noise-dominated: the armed counter `fetch_add` plus amortized
 /// sampling costs ~10 ns absolute, which swings 9–23% of the baseline from
 /// run to run on a shared machine. The guard therefore also passes whenever
 /// the absolute on−off delta stays under this floor — the same shape as the

@@ -21,9 +21,6 @@ use crate::namenode::NAMENODE_ADDR;
 /// hand-written disk checkers (legacy + enhanced) are the `probes` family.
 pub use wdog_target::{Families, WdOptions};
 
-/// Back-compat alias for the old per-target options name.
-pub type DnWdOptions = WdOptions;
-
 /// miniblock's tuned defaults: DataNode-scale intervals (a block store
 /// reacts in hundreds of milliseconds, not seconds).
 pub fn default_dn_options() -> WdOptions {
@@ -179,7 +176,7 @@ pub fn op_table(dn: &DataNode) -> OpTable {
 /// generations of the hand-written disk checker.
 pub fn build_watchdog(
     dn: &DataNode,
-    opts: &DnWdOptions,
+    opts: &WdOptions,
 ) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
     let clock: SharedClock = Arc::clone(&dn.shared().clock);
     let mut builder = WatchdogDriver::builder()
@@ -301,7 +298,7 @@ mod tests {
         )
         .unwrap();
         let recorder = wdog_core::TraceRecorder::new(RealClock::shared());
-        let opts = DnWdOptions {
+        let opts = WdOptions {
             trace: Some(std::sync::Arc::clone(&recorder)),
             ..default_dn_options()
         };
@@ -332,7 +329,7 @@ mod tests {
         .unwrap();
         let (mut driver, _) = build_watchdog(
             &dn,
-            &DnWdOptions {
+            &WdOptions {
                 interval: Duration::from_millis(50),
                 ..default_dn_options()
             },
@@ -367,7 +364,7 @@ mod tests {
         .unwrap();
         let (mut driver, _) = build_watchdog(
             &dn,
-            &DnWdOptions {
+            &WdOptions {
                 interval: Duration::from_millis(50),
                 checker_timeout: Duration::from_millis(400),
                 families: Families::only("mimic"), // generated mimics only

@@ -27,7 +27,7 @@ use wdog_core::prelude::*;
 
 use crate::heartbeat::HeartbeatProber;
 use crate::quorum::{follower_addr, Cluster, ClusterConfig, LEADER_ADDR};
-use crate::wd::{build_watchdog, default_zk_options, ZkWdOptions};
+use crate::wd::{build_watchdog, default_zk_options, WdOptions};
 
 /// Scenario tunables.
 #[derive(Debug, Clone)]
@@ -113,7 +113,7 @@ impl Bug2201 {
         // Watchdog.
         let (mut driver, _plan) = build_watchdog(
             &cluster,
-            &ZkWdOptions {
+            &WdOptions {
                 interval: opts.checker_interval,
                 checker_timeout: opts.checker_timeout,
                 ..default_zk_options()

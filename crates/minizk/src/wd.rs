@@ -40,9 +40,6 @@ const PROBE_FILE_CAP: usize = 64 * 1024;
 /// minizk's historical tuning lives in [`default_zk_options`].
 pub use wdog_target::{Families, WdOptions};
 
-/// Back-compat alias for the old per-target options name.
-pub type ZkWdOptions = WdOptions;
-
 /// minizk's tuned defaults: ZooKeeper-scale intervals (seconds, not
 /// hundreds of milliseconds) and a context-age cap so snapshot contexts go
 /// stale after a completed sync (stale means "do not probe").
@@ -283,7 +280,7 @@ pub fn op_table(cluster: &Cluster) -> OpTable {
 /// probe and signal families.
 pub fn build_watchdog(
     cluster: &Cluster,
-    opts: &ZkWdOptions,
+    opts: &WdOptions,
 ) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
     let clock: SharedClock = Arc::clone(&cluster.shared().clock);
     let mut builder = WatchdogDriver::builder()
@@ -429,7 +426,7 @@ mod tests {
         let cluster = Cluster::for_tests();
         let clock: SharedClock = Arc::clone(&cluster.shared().clock);
         let recorder = TraceRecorder::new(clock);
-        let opts = ZkWdOptions {
+        let opts = WdOptions {
             trace: Some(Arc::clone(&recorder)),
             ..default_zk_options()
         };
@@ -461,7 +458,7 @@ mod tests {
         for i in 0..5 {
             cluster.create(&format!("/app/n{i}"), b"x").unwrap();
         }
-        let opts = ZkWdOptions {
+        let opts = WdOptions {
             interval: Duration::from_millis(50),
             ..default_zk_options()
         };

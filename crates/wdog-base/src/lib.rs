@@ -8,16 +8,12 @@
 //! - [`ids`]: cheap, copyable identifiers used across crates.
 //! - [`error`]: the workspace-wide error vocabulary.
 //! - [`rng`]: deterministic, seedable random number helpers.
-//! - [`histogram`]: a fixed-memory latency histogram used by benchmarks and
-//!   experiment harnesses.
 
 pub mod checksum;
 pub mod clock;
 pub mod error;
-pub mod histogram;
 pub mod ids;
 pub mod join;
-pub mod lane;
 pub mod queue;
 pub mod rng;
 pub mod sync;
@@ -28,9 +24,7 @@ pub use clock::{
     VirtualClock, Waiter,
 };
 pub use error::{BaseError, BaseResult};
-pub use histogram::Histogram;
 pub use ids::{CheckerId, ComponentId, NodeId, OpId};
 pub use join::{join_all_timeout, join_timeout};
-pub use lane::{thread_lane, thread_stripe, LaneCounter};
 pub use queue::ClockedQueue;
 pub use sync::{ClockedMutex, ClockedMutexGuard};

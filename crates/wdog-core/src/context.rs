@@ -15,24 +15,19 @@
 //! mechanism (§5.1): a checker mutating its snapshot can never corrupt the
 //! main program's data.
 //!
-//! # Sharded, striped layout
+//! # One lock per slot
 //!
 //! Contexts are stored as pre-registered, index-addressed [`ContextSlot`]s.
 //! A hook site calls [`ContextTable::register`] once when it is created and
 //! caches the returned `Arc<ContextSlot>`; every subsequent publish locks
-//! only that slot — no key hashing, no table-wide lock. Within a slot,
-//! writers are **striped**: each program thread publishes through its own
-//! lane-selected stripe (its own small mutex plus a flat field vector
-//! upserted in place), so several threads firing the same site do not
-//! contend either, and the steady-state publish allocates nothing. Checkers
-//! read via [`ContextSlot::snapshot`], which copies each stripe under its
-//! short lock, merges fields by publish sequence (latest writer wins), and
-//! validates the whole copy against the slot version seqlock-style. The
-//! string-keyed [`ContextTable::publish`]/[`ContextTable::read`] API is
-//! preserved as a convenience path that resolves the slot through a
-//! read-mostly index map. The original single `RwLock<HashMap>` design is
-//! retained in [`baseline`] purely so the overhead benchmark can measure the
-//! sharded layout against it.
+//! only that slot — no key hashing, no table-wide lock — and upserts its
+//! fields in place in a flat vector, so the steady-state publish allocates
+//! nothing. Checkers read via [`ContextSlot::snapshot`], which clones the
+//! fields under the same lock: an exact point-in-time view. One mutex is
+//! enough because every hook site but one is fired by a single dedicated
+//! loop thread (DESIGN §5.6 has the census and the numbers). The
+//! string-keyed [`ContextTable::publish`]/[`ContextTable::read`] API resolves
+//! the slot through a read-mostly index map.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,65 +156,42 @@ impl ContextSnapshot {
     }
 }
 
-/// Number of write stripes per slot. Power of two; writers pick a stripe by
-/// thread lane, so program threads publishing into the same slot take
-/// different stripe locks and never contend in the common case.
-const SLOT_STRIPES: usize = 8;
-
-/// Mutable stripe contents, guarded by the per-stripe mutex.
+/// Mutable slot contents, guarded by the slot mutex.
 ///
 /// Fields live in a flat vector upserted by linear scan: slots hold a
-/// handful of fields, and after the first publish from a thread the steady
-/// state re-publishes the same names — the scan replaces values in place
-/// with **zero allocation** (key `String`s are allocated exactly once).
-/// Each field carries the publish sequence that last wrote it, so snapshots
-/// can merge stripes into a single latest-writer-wins view.
-/// One published field with the publish sequence that wrote it.
-type SeqField = (String, CtxValue, u64);
-
+/// handful of fields, and after the first publish the steady state
+/// re-publishes the same names — the scan replaces values in place with
+/// **zero allocation** (key `String`s are allocated exactly once).
 #[derive(Debug, Default)]
-struct StripeState {
-    fields: Vec<SeqField>,
+struct SlotState {
+    fields: Vec<(String, CtxValue)>,
     updated_at: Duration,
-    /// Sequence of the last publish into this stripe (0 = never).
-    last_seq: u64,
 }
 
-/// One write stripe: its own small mutex plus the state behind it.
-#[derive(Debug, Default)]
-struct Stripe {
-    state: Mutex<StripeState>,
-}
-
-/// One pre-registered context slot, striped for concurrent writers.
+/// One pre-registered context slot.
 ///
 /// Hook sites hold an `Arc<ContextSlot>` resolved once at site creation, so
 /// the publish hot path is: one relaxed enable check (in the hook), one
-/// *uncontended* per-stripe mutex, one in-place field upsert. The `version`
-/// counter is the slot-wide publish sequence; it doubles as the "ever
-/// published" flag (0 = registered but empty) and is readable without any
-/// lock. Checker-side snapshots merge the stripes per field by publish
-/// sequence and validate the copy against `version` seqlock-style, retrying
-/// while publishes land mid-read.
+/// mutex, one in-place field upsert. `version` counts completed publishes; it
+/// is only written under the lock, doubles as the "ever published" flag
+/// (0 = registered but empty) and is readable without the lock.
 pub struct ContextSlot {
     key: String,
     id: usize,
     clock: SharedClock,
     version: AtomicU64,
-    stripes: [Stripe; SLOT_STRIPES],
+    state: Mutex<SlotState>,
 }
 
-/// An open publish into one slot stripe, created by
-/// [`ContextSlot::begin_publish`].
+/// An open publish into one slot, created by [`ContextSlot::begin_publish`].
 ///
-/// Holds the stripe lock; [`PublishGuard::set`] upserts fields in place with
+/// Holds the slot lock; [`PublishGuard::set`] upserts fields in place with
 /// no allocation once the field exists. Dropping the guard completes the
-/// publish: it stamps the stripe's freshness and bumps the slot version.
+/// publish: it stamps the slot's freshness and bumps the slot version.
 /// This is the zero-alloc path `HookSite::fire` writes through.
 pub struct PublishGuard<'a> {
     slot: &'a ContextSlot,
-    state: parking_lot::MutexGuard<'a, StripeState>,
-    seq: u64,
+    state: parking_lot::MutexGuard<'a, SlotState>,
 }
 
 impl PublishGuard<'_> {
@@ -227,29 +199,9 @@ impl PublishGuard<'_> {
     #[inline]
     pub fn set(&mut self, name: &str, value: impl Into<CtxValue>) -> &mut Self {
         let value = value.into();
-        let seq = self.seq;
-        match self.state.fields.iter_mut().find(|(k, _, _)| k == name) {
-            Some((_, v, s)) => {
-                *v = value;
-                *s = seq;
-            }
-            None => self.state.fields.push((name.to_owned(), value, seq)),
-        }
-        self
-    }
-
-    /// Sets one field from an owned key, avoiding the copy [`set`] would
-    /// make on first insert. Used by the `Vec`-based compatibility path.
-    ///
-    /// [`set`]: PublishGuard::set
-    pub fn set_owned(&mut self, name: String, value: CtxValue) -> &mut Self {
-        let seq = self.seq;
-        match self.state.fields.iter_mut().find(|(k, _, _)| *k == name) {
-            Some((_, v, s)) => {
-                *v = value;
-                *s = seq;
-            }
-            None => self.state.fields.push((name, value, seq)),
+        match self.state.fields.iter_mut().find(|(k, _)| k == name) {
+            Some((_, v)) => *v = value,
+            None => self.state.fields.push((name.to_owned(), value)),
         }
         self
     }
@@ -258,7 +210,9 @@ impl PublishGuard<'_> {
 impl Drop for PublishGuard<'_> {
     fn drop(&mut self) {
         self.state.updated_at = self.slot.clock.now();
-        self.state.last_seq = self.seq;
+        // Release pairs with the Acquire in `version()`: a lock-free reader
+        // that sees the bump also sees a slot whose snapshot is ready.
+        self.slot.version.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -266,7 +220,6 @@ impl std::fmt::Debug for PublishGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PublishGuard")
             .field("key", &self.slot.key)
-            .field("seq", &self.seq)
             .finish()
     }
 }
@@ -278,7 +231,7 @@ impl ContextSlot {
             id,
             clock,
             version: AtomicU64::new(0),
-            stripes: std::array::from_fn(|_| Stripe::default()),
+            state: Mutex::new(SlotState::default()),
         }
     }
 
@@ -292,102 +245,36 @@ impl ContextSlot {
         self.id
     }
 
-    /// Opens a publish on this thread's stripe and returns the write guard.
-    ///
-    /// The slot version (publish sequence) is claimed under the stripe lock,
-    /// so sequences within one stripe are monotone in lock order and a
-    /// snapshot's per-field merge across stripes is a true linearization.
+    /// Opens a publish and returns the write guard; the publish becomes
+    /// visible, as a whole, when the guard drops.
     #[inline]
     pub fn begin_publish(&self) -> PublishGuard<'_> {
-        let stripe = &self.stripes[wdog_base::lane::thread_stripe(SLOT_STRIPES)];
-        let state = stripe.state.lock();
-        let seq = self.version.fetch_add(1, Ordering::AcqRel) + 1;
         PublishGuard {
             slot: self,
-            state,
-            seq,
+            state: self.state.lock(),
         }
-    }
-
-    /// Publishes fields, replacing same-named fields and bumping the slot
-    /// version. `Vec`-building compatibility path; hot code publishes
-    /// through [`ContextSlot::begin_publish`] (or a hook-site fire guard)
-    /// instead.
-    pub fn publish(&self, fields: Vec<(String, CtxValue)>) {
-        let mut guard = self.begin_publish();
-        for (k, v) in fields {
-            guard.set_owned(k, v);
-        }
-    }
-
-    /// Copies every stripe once; returns per-stripe (fields, updated_at).
-    fn copy_stripes(&self) -> Vec<(Vec<SeqField>, Duration)> {
-        let mut parts = Vec::with_capacity(SLOT_STRIPES);
-        for stripe in &self.stripes {
-            let state = stripe.state.lock();
-            if state.last_seq == 0 {
-                continue;
-            }
-            parts.push((state.fields.clone(), state.updated_at));
-        }
-        parts
     }
 
     /// Reads a deep copy, or `None` if nothing was ever published.
     ///
-    /// Stripes are copied one short lock at a time and merged per field by
-    /// publish sequence (latest writer wins). The copy is validated against
-    /// the slot version seqlock-style: if a publish landed while the stripes
-    /// were being walked, the read retries, so a quiescent slot always
-    /// yields an exact point-in-time view. Under a sustained publish storm
-    /// the final attempt is accepted as-is — each *individual* publish is
-    /// still atomic (its stripe was copied under the stripe lock); only
-    /// cross-stripe simultaneity is relaxed, which concurrent publishing
-    /// makes unobservable anyway.
+    /// The copy is taken under the slot lock, so it is an exact
+    /// point-in-time view: every field and the version belong to the same
+    /// completed publish history.
     pub fn snapshot(&self) -> Option<ContextSnapshot> {
-        if self.version.load(Ordering::Acquire) == 0 {
+        if !self.is_ready() {
             return None;
         }
         let now = self.clock.now();
-        const SEQLOCK_RETRIES: usize = 3;
-        let mut attempt = 0;
-        let (parts, version) = loop {
-            let before = self.version.load(Ordering::Acquire);
-            let parts = self.copy_stripes();
-            let after = self.version.load(Ordering::Acquire);
-            attempt += 1;
-            if before == after || attempt > SEQLOCK_RETRIES {
-                break (parts, after);
-            }
-        };
-        if parts.is_empty() {
-            // Version was claimed but no stripe has completed a publish yet;
-            // the slot is not observable until the first guard drops.
-            return None;
-        }
-        let mut updated_at = Duration::ZERO;
-        let mut winners: HashMap<String, (CtxValue, u64)> = HashMap::new();
-        for (stripe_fields, stripe_updated) in parts {
-            updated_at = updated_at.max(stripe_updated);
-            for (k, v, seq) in stripe_fields {
-                match winners.get(&k) {
-                    Some((_, cur)) if *cur >= seq => {}
-                    _ => {
-                        winners.insert(k, (v, seq));
-                    }
-                }
-            }
-        }
-        let fields: HashMap<String, CtxValue> =
-            winners.into_iter().map(|(k, (v, _))| (k, v)).collect();
+        let state = self.state.lock();
         Some(ContextSnapshot {
-            fields,
-            version,
-            age: now.saturating_sub(updated_at),
+            fields: state.fields.iter().cloned().collect(),
+            version: self.version(),
+            age: now.saturating_sub(state.updated_at),
         })
     }
 
-    /// Returns the current version without locking (0 = never published).
+    /// Returns the number of completed publishes without locking (0 = never
+    /// published).
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
@@ -459,7 +346,16 @@ impl ContextTable {
     /// the slot version. String-keyed convenience path; hot code should
     /// publish through a registered [`ContextSlot`] instead.
     pub fn publish(&self, key: &str, fields: Vec<(String, CtxValue)>) {
-        self.register(key).publish(fields);
+        let slot = self.register(key);
+        let mut publish = slot.begin_publish();
+        for (name, value) in fields {
+            publish.set(&name, value);
+        }
+    }
+
+    /// Sums the completed publishes over every slot.
+    pub(crate) fn publish_count(&self) -> u64 {
+        self.index.read().values().map(|s| s.version()).sum()
     }
 
     /// Reads a deep copy of a slot, or `None` if it was never published.
@@ -523,68 +419,6 @@ impl ContextReader {
 impl std::fmt::Debug for ContextReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("ContextReader")
-    }
-}
-
-pub mod baseline {
-    //! The pre-sharding context table: one `RwLock<HashMap>` for everything.
-    //!
-    //! Every publish from any component serializes on the same write lock
-    //! and re-hashes its key. Kept only as the comparison point for
-    //! `bench/benches/overhead.rs`; production code uses the sharded
-    //! [`ContextTable`](super::ContextTable).
-
-    use super::*;
-
-    #[derive(Debug, Clone, Default)]
-    struct Slot {
-        fields: HashMap<String, CtxValue>,
-        version: u64,
-        updated_at: Duration,
-    }
-
-    /// Single-lock context table retained for benchmarking.
-    pub struct BaselineContextTable {
-        clock: SharedClock,
-        slots: RwLock<HashMap<String, Slot>>,
-    }
-
-    impl BaselineContextTable {
-        /// Creates an empty table on the given clock.
-        pub fn new(clock: SharedClock) -> Arc<Self> {
-            Arc::new(Self {
-                clock,
-                slots: RwLock::new(HashMap::new()),
-            })
-        }
-
-        /// Publishes fields under the table-wide write lock.
-        pub fn publish(&self, key: &str, fields: Vec<(String, CtxValue)>) {
-            let now = self.clock.now();
-            let mut slots = self.slots.write();
-            let slot = slots.entry(key.to_owned()).or_default();
-            for (k, v) in fields {
-                slot.fields.insert(k, v);
-            }
-            slot.version += 1;
-            slot.updated_at = now;
-        }
-
-        /// Reads a deep copy under the table-wide read lock.
-        pub fn read(&self, key: &str) -> Option<ContextSnapshot> {
-            let now = self.clock.now();
-            let slots = self.slots.read();
-            slots.get(key).map(|s| ContextSnapshot {
-                fields: s.fields.clone(),
-                version: s.version,
-                age: now.saturating_sub(s.updated_at),
-            })
-        }
-
-        /// Returns `true` if the slot exists.
-        pub fn is_ready(&self, key: &str) -> bool {
-            self.slots.read().contains_key(key)
-        }
     }
 }
 
@@ -711,7 +545,7 @@ mod tests {
     fn slot_handle_publish_is_visible_through_string_reads() {
         let table = ContextTable::new(VirtualClock::shared());
         let slot = table.register("k");
-        slot.publish(vec![("a".into(), CtxValue::U64(9))]);
+        slot.begin_publish().set("a", 9u64);
         assert!(table.is_ready("k"));
         assert_eq!(table.read("k").unwrap().get("a").unwrap().as_u64(), Some(9));
         assert_eq!(slot.snapshot().unwrap().version, 1);
@@ -725,7 +559,7 @@ mod tests {
             for slot in &slots {
                 scope.spawn(move || {
                     for i in 0..1000u64 {
-                        slot.publish(vec![("i".into(), CtxValue::U64(i))]);
+                        slot.begin_publish().set("i", i);
                     }
                 });
             }
@@ -735,20 +569,6 @@ mod tests {
             assert_eq!(snap.version, 1000);
             assert_eq!(snap.get("i").unwrap().as_u64(), Some(999));
         }
-    }
-
-    #[test]
-    fn baseline_table_matches_sharded_semantics() {
-        let sharded = ContextTable::new(VirtualClock::shared());
-        let base = baseline::BaselineContextTable::new(VirtualClock::shared());
-        for t in [0u64, 1, 2] {
-            sharded.publish("k", vec![("t".into(), CtxValue::U64(t))]);
-            base.publish("k", vec![("t".into(), CtxValue::U64(t))]);
-        }
-        let (s, b) = (sharded.read("k").unwrap(), base.read("k").unwrap());
-        assert_eq!(s.version, b.version);
-        assert_eq!(s.get("t"), b.get("t"));
-        assert!(base.is_ready("k") && sharded.is_ready("k"));
     }
 
     #[test]

@@ -1104,12 +1104,6 @@ fn scheduler_loop(mut ctx: SchedulerCtx) {
         }
         ctx.stats.rounds.fetch_add(1, Ordering::Relaxed);
         round += 1;
-        // Epoch tick: fold lane-buffered hook-fire deltas into the shared
-        // registry cells once per round, so exported metrics lag the
-        // zero-contention hot path by at most one scheduling interval.
-        if let Some(t) = &ctx.telemetry {
-            t.flush_epoch();
-        }
     }
     // Release every executor thread: a waiter wait is not woken by channel
     // drop, so shutdown must close the signals explicitly.

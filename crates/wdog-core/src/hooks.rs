@@ -13,31 +13,28 @@
 //! 2. **Cheap**: when the watchdog is disabled a hook is one relaxed atomic
 //!    load — [`HookSite::fire`] returns `None` and the field expressions are
 //!    never evaluated. An enabled fire writes through a [`FireGuard`]
-//!    straight into the site's context stripe: no closure, no `Vec`, no
-//!    field-map allocation. Experiment E5 and `wdog-load` measure this.
+//!    straight into the site's context slot: no closure, no `Vec`, no
+//!    field-map allocation. Experiment E5 and `wdog-bench` measure this.
 //!
 //! # The armed path
 //!
-//! With telemetry attached, each fire additionally costs one *uncontended*
-//! relaxed `fetch_add` on a lane-striped fire buffer
-//! ([`wdog_telemetry::FireLanes`]), and every 64th fire per lane times its
-//! own publish. Nothing shared is touched per fire; the driver folds the
-//! lane deltas into the registry's counters and histograms on an epoch tick
-//! (and every snapshot flushes first), so `hook_fires_total`/`hook_fire_ns`
-//! stay exact while the hot path stays allocation- and contention-free.
+//! With telemetry attached, each fire additionally costs one relaxed
+//! `fetch_add` on the site's `hook_fires_total` counter — a registry handle
+//! resolved once, on the first armed fire — and every 64th fire of the site
+//! times its own publish into `hook_fire_ns`. Both cells are the ones
+//! snapshots read, so exported values are exact and never lag.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use wdog_base::lane::LaneCounter;
-use wdog_telemetry::{FireLanes, LaneFlusher, TelemetryRegistry};
+use wdog_telemetry::{AtomicHistogram, Counter, TelemetryRegistry};
 
 use crate::context::{ContextSlot, ContextTable, CtxValue, PublishGuard};
 use crate::trace::TraceRecorder;
 
-/// Fires between timed fires: every 64th enabled fire *per lane* measures
-/// its own publish latency, so sampling overhead stays off the steady-state
+/// Fires between timed fires: every 64th armed fire of a site measures its
+/// own publish latency, so sampling overhead stays off the steady-state
 /// path.
 const FIRE_SAMPLE_MASK: u64 = 63;
 
@@ -65,11 +62,12 @@ struct HookTrace {
     recorder: Mutex<Option<Arc<TraceRecorder>>>,
 }
 
-/// Per-site fire lanes, resolved lazily on the first armed fire. The
-/// matching [`LaneFlusher`] is registered with the registry as an epoch
-/// source at the same moment.
+/// Per-site registry handles, resolved lazily on the first armed fire.
 struct SiteStats {
-    lanes: Arc<FireLanes>,
+    /// `hook_fires_total`; its pre-increment value is the sampling clock.
+    fires: Counter,
+    /// `hook_fire_ns`, fed by the sampled fires.
+    fire_ns: AtomicHistogram,
 }
 
 /// Shared hook infrastructure for one instrumented program.
@@ -80,7 +78,6 @@ struct SiteStats {
 pub struct Hooks {
     table: Arc<ContextTable>,
     enabled: Arc<AtomicBool>,
-    fired: Arc<LaneCounter>,
     telemetry: Arc<HookTelemetry>,
     trace: Arc<HookTrace>,
 }
@@ -91,7 +88,6 @@ impl Hooks {
         Self {
             table,
             enabled: Arc::new(AtomicBool::new(true)),
-            fired: Arc::new(LaneCounter::new()),
             telemetry: Arc::new(HookTelemetry::default()),
             trace: Arc::new(HookTrace::default()),
         }
@@ -144,9 +140,11 @@ impl Hooks {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Returns how many hook firings actually published state.
+    /// Returns how many publishes have completed in the table these hooks
+    /// write to (the sum of its slot versions): one per enabled fire, plus
+    /// any direct [`ContextTable::publish`].
     pub fn fired_count(&self) -> u64 {
-        self.fired.sum()
+        self.table.publish_count()
     }
 
     /// Creates a hook site that publishes into the context slot `key`.
@@ -201,7 +199,7 @@ impl std::fmt::Debug for Hooks {
 pub struct HookSite {
     slot: Arc<ContextSlot>,
     hooks: Hooks,
-    /// Lazily resolved fire lanes; shared by clones of this site.
+    /// Lazily resolved registry handles; shared by clones of this site.
     stats: Arc<OnceLock<SiteStats>>,
 }
 
@@ -212,7 +210,7 @@ impl HookSite {
     /// `if let Some(mut fire) = site.fire()` idiom (what [`wd_hook!`]
     /// expands to) the field expressions are never evaluated, so a disabled
     /// hook still costs one relaxed load. An open [`FireGuard`] writes each
-    /// field straight into the site's context stripe and completes the
+    /// field straight into the site's context slot and completes the
     /// publish when dropped.
     ///
     /// [`wd_hook!`]: crate::wd_hook
@@ -224,9 +222,8 @@ impl HookSite {
         let mut timing = None;
         if self.hooks.telemetry.armed.load(Ordering::Relaxed) {
             if let Some(stats) = self.stats() {
-                let n = stats.lanes.fire();
-                if n & FIRE_SAMPLE_MASK == 0 {
-                    timing = Some((std::time::Instant::now(), Arc::clone(&stats.lanes)));
+                if stats.fires.inc_and_fetch_prev() & FIRE_SAMPLE_MASK == 0 {
+                    timing = Some((std::time::Instant::now(), &stats.fire_ns));
                 }
             }
         }
@@ -244,7 +241,6 @@ impl HookSite {
         }
         Some(FireGuard {
             publish: Some(self.slot.begin_publish()),
-            fired: &self.hooks.fired,
             timing,
             capture,
         })
@@ -259,8 +255,7 @@ impl HookSite {
         }
     }
 
-    /// Resolves the per-site fire lanes, registering their epoch flusher
-    /// with the attached registry on first use.
+    /// Resolves the per-site registry handles on first use.
     fn stats(&self) -> Option<&SiteStats> {
         if let Some(stats) = self.stats.get() {
             return Some(stats);
@@ -268,16 +263,10 @@ impl HookSite {
         // Armed flag may win the race against the registry store; fire
         // uninstrumented until the registry is visible.
         let registry = self.hooks.telemetry.registry.lock().clone()?;
-        let lanes = Arc::new(FireLanes::new());
-        let flusher = LaneFlusher::new(
-            Arc::clone(&lanes),
-            registry.counter("hook_fires_total", self.key()),
-            registry.histogram("hook_fire_ns", self.key()),
-        );
-        if self.stats.set(SiteStats { lanes }).is_ok() {
-            registry.register_epoch_source(Arc::new(flusher));
-        }
-        self.stats.get()
+        Some(self.stats.get_or_init(|| SiteStats {
+            fires: registry.counter("hook_fires_total", self.key()),
+            fire_ns: registry.histogram("hook_fire_ns", self.key()),
+        }))
     }
 
     /// Returns the context key this site publishes to.
@@ -307,9 +296,8 @@ struct TraceCapture {
     fields: Vec<(String, CtxValue)>,
 }
 
-/// An open hook fire: writes fields directly into the site's context stripe
-/// and completes the publish (version bump, freshness stamp, fire
-/// accounting) when dropped.
+/// An open hook fire: writes fields directly into the site's context slot
+/// and completes the publish (version bump, freshness stamp) when dropped.
 ///
 /// Created by [`HookSite::fire`]; the zero-alloc replacement for the old
 /// closure-built `Vec<(String, CtxValue)>` fire shape.
@@ -317,8 +305,7 @@ pub struct FireGuard<'a> {
     /// `Some` until drop; taken there so the publish completes before the
     /// sampled timing is recorded (the sample covers the whole publish).
     publish: Option<PublishGuard<'a>>,
-    fired: &'a LaneCounter,
-    timing: Option<(std::time::Instant, Arc<FireLanes>)>,
+    timing: Option<(std::time::Instant, &'a AtomicHistogram)>,
     /// `Some` while a trace recorder is armed: field clones to journal.
     capture: Option<TraceCapture>,
 }
@@ -342,9 +329,8 @@ impl FireGuard<'_> {
 impl Drop for FireGuard<'_> {
     fn drop(&mut self) {
         drop(self.publish.take());
-        self.fired.add(1);
-        if let Some((t0, lanes)) = self.timing.take() {
-            lanes.record_ns(t0.elapsed().as_nanos() as u64);
+        if let Some((t0, fire_ns)) = self.timing.take() {
+            fire_ns.record(t0.elapsed().as_nanos() as u64);
         }
         // Journal after the publish completed so the event order matches
         // what a checker could actually have observed.
@@ -468,12 +454,10 @@ mod tests {
             a.fire_kv("x", i);
         }
         b.fire_kv("y", true);
-        // The snapshot flushes the epoch lanes first, so the shared cells
-        // are exact without an explicit driver tick.
         let snap = registry.snapshot();
         assert_eq!(snap.counter("hook_fires_total", "site_a"), Some(70));
         assert_eq!(snap.counter("hook_fires_total", "site_b"), Some(1));
-        // Lane fires 0 and 64 are sampled; the rest skip timing.
+        // Site fires 0 and 64 are sampled; the rest skip timing.
         let h = snap.histogram("hook_fire_ns", "site_a").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(hooks.fired_count(), 72);

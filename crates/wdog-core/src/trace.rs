@@ -12,15 +12,15 @@
 //! [`Hooks::attach_trace`](crate::hooks::Hooks::attach_trace), the armed
 //! flag flips only after the recorder is stored, and a *disarmed* hook fire
 //! still costs exactly one extra relaxed atomic load. An armed fire clones
-//! its fields into a lane-striped, bounded buffer — recording is a test-time
-//! mode, so the armed path may allocate; the production path may not.
+//! its fields into one bounded, mutex-guarded buffer — recording is a
+//! test-time mode, so the armed path may allocate; the production path may
+//! not.
 //!
-//! Events are stamped with a global sequence number and the recorder
+//! Events are stamped with their position in the journal and the recorder
 //! clock's current (virtual) time. Under the deterministic simulation
 //! substrate the drained journal is fully reproducible, which is what makes
 //! mined invariants and the emitted checker corpus byte-stable.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -29,13 +29,9 @@ use wdog_base::clock::SharedClock;
 
 use crate::context::CtxValue;
 
-/// Number of buffer lanes. Threads pick a lane by thread stripe, so
-/// concurrent program threads recording events do not contend on one lock.
-const TRACE_LANES: usize = 8;
-
-/// Default per-lane event capacity; past it events are counted as dropped
-/// rather than grown unboundedly (the buffer is bounded by construction).
-const DEFAULT_LANE_CAPACITY: usize = 1 << 16;
+/// Default event capacity; past it events are counted as dropped rather
+/// than grown unboundedly (the buffer is bounded by construction).
+const DEFAULT_CAPACITY: usize = 1 << 19;
 
 /// What one trace event records.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,7 +55,7 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// A bounded, lane-striped journal of publishes and op executions.
+/// A bounded journal of publishes and op executions.
 ///
 /// Created around the program's clock (use the sim clock for deterministic
 /// journals), attached to the program's [`Hooks`](crate::hooks::Hooks) and
@@ -67,27 +63,32 @@ pub struct TraceEvent {
 /// workload of interest has run.
 pub struct TraceRecorder {
     clock: SharedClock,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    lane_capacity: usize,
-    lanes: [Mutex<Vec<TraceEvent>>; TRACE_LANES],
+    capacity: usize,
+    journal: Mutex<Journal>,
+}
+
+#[derive(Default)]
+struct Journal {
+    events: Vec<TraceEvent>,
+    /// Sequence of the last journaled event; survives drains.
+    seq: u64,
+    dropped: u64,
 }
 
 impl TraceRecorder {
     /// Creates a recorder stamping events with `clock`, with the default
-    /// per-lane capacity.
+    /// capacity.
     pub fn new(clock: SharedClock) -> Arc<Self> {
-        Self::with_capacity(clock, DEFAULT_LANE_CAPACITY)
+        Self::with_capacity(clock, DEFAULT_CAPACITY)
     }
 
-    /// Creates a recorder with an explicit per-lane event capacity.
-    pub fn with_capacity(clock: SharedClock, lane_capacity: usize) -> Arc<Self> {
+    /// Creates a recorder buffering at most `capacity` events between
+    /// drains.
+    pub fn with_capacity(clock: SharedClock, capacity: usize) -> Arc<Self> {
         Arc::new(Self {
             clock,
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            lane_capacity,
-            lanes: std::array::from_fn(|_| Mutex::new(Vec::new())),
+            capacity,
+            journal: Mutex::new(Journal::default()),
         })
     }
 
@@ -108,16 +109,14 @@ impl TraceRecorder {
     }
 
     fn record(&self, key: &str, kind: TraceEventKind) {
-        let lane = &self.lanes[wdog_base::lane::thread_stripe(TRACE_LANES)];
-        let mut events = lane.lock();
-        if events.len() >= self.lane_capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut journal = self.journal.lock();
+        if journal.events.len() >= self.capacity {
+            journal.dropped += 1;
             return;
         }
-        // The sequence is claimed under the lane lock so drained events sort
-        // into a true record order.
-        let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
-        events.push(TraceEvent {
+        journal.seq += 1;
+        let seq = journal.seq;
+        journal.events.push(TraceEvent {
             seq,
             at_us: self.clock.now().as_micros() as u64,
             key: key.to_owned(),
@@ -125,24 +124,19 @@ impl TraceRecorder {
         });
     }
 
-    /// Removes and returns every journaled event, sorted by sequence.
+    /// Removes and returns every journaled event, in sequence order.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut all = Vec::new();
-        for lane in &self.lanes {
-            all.append(&mut lane.lock());
-        }
-        all.sort_by_key(|e| e.seq);
-        all
+        std::mem::take(&mut self.journal.lock().events)
     }
 
-    /// Returns how many events were discarded because a lane was full.
+    /// Returns how many events were discarded because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.journal.lock().dropped
     }
 
     /// Returns how many events are currently buffered.
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| l.lock().len()).sum()
+        self.journal.lock().events.len()
     }
 
     /// Returns `true` if no events are buffered.
@@ -195,14 +189,34 @@ mod tests {
     }
 
     #[test]
-    fn bounded_lanes_count_drops_instead_of_growing() {
+    fn bounded_buffer_counts_drops_instead_of_growing() {
         let rec = TraceRecorder::with_capacity(VirtualClock::shared(), 2);
         for i in 0..5u64 {
             rec.record_publish("k", vec![("i".into(), CtxValue::U64(i))]);
         }
-        // One thread = one lane, so capacity 2 admits 2 events.
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped(), 3);
+    }
+
+    #[test]
+    fn a_workload_that_fit_the_eight_lanes_drops_nothing() {
+        // The recorder used to be eight lanes of 1 << 16 events, one lane
+        // per thread: eight threads could journal 1 << 16 events each.
+        let rec = TraceRecorder::new(VirtualClock::shared());
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..1 << 16 {
+                        rec.record_op("k", "op", true);
+                    }
+                });
+            }
+        });
+        assert_eq!(rec.dropped(), 0);
+        assert_eq!(rec.len(), 8 << 16);
+        // The buffer is still bounded: the next event is counted, not kept.
+        rec.record_op("k", "op", true);
+        assert_eq!(rec.dropped(), 1);
     }
 
     #[test]

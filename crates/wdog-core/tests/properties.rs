@@ -1,4 +1,4 @@
-//! Property tests for the sharded context table (paper §3.1 / §5.1).
+//! Property tests for the context table (paper §3.1 / §5.1).
 //!
 //! Three invariants the watchdog's correctness rests on, checked over
 //! random operation sequences rather than hand-picked cases:
@@ -9,9 +9,8 @@
 //! 2. **One-way flow / snapshot isolation** — a checker mutating its
 //!    [`ContextSnapshot`] (a deep copy) can never alter what the table or
 //!    any later reader sees.
-//! 3. **Baseline equivalence** — the sharded table is observationally
-//!    identical to the pre-sharding single-lock [`baseline`] table on any
-//!    sequential publish/read sequence.
+//! 3. **Model equivalence** — the table is observationally identical to a
+//!    plain `HashMap` model on any sequential publish/read sequence.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,7 +19,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use wdog_base::clock::VirtualClock;
-use wdog_core::context::{baseline::BaselineContextTable, ContextTable, CtxValue};
+use wdog_core::context::{ContextTable, CtxValue};
 
 const KEYS: [&str; 4] = ["flush", "compact", "replicate", "scan"];
 const FIELDS: [&str; 3] = ["path", "len", "seq"];
@@ -115,28 +114,29 @@ proptest! {
     }
 
     #[test]
-    fn sharded_table_is_observationally_equal_to_baseline(ops in ops()) {
-        let sharded = ContextTable::new(VirtualClock::shared());
-        let base = BaselineContextTable::new(VirtualClock::shared());
+    fn table_is_observationally_equal_to_a_map_model(ops in ops()) {
+        let table = ContextTable::new(VirtualClock::shared());
+        // Model: key → (fields, number of publishes).
+        let mut model: HashMap<usize, (HashMap<String, CtxValue>, u64)> = HashMap::new();
         for op in &ops {
             match *op {
                 Op::Publish { key, field, value } => {
-                    let fields =
-                        vec![(FIELDS[field].to_owned(), CtxValue::U64(value))];
-                    sharded.publish(KEYS[key], fields.clone());
-                    base.publish(KEYS[key], fields);
+                    table.publish(
+                        KEYS[key],
+                        vec![(FIELDS[field].to_owned(), CtxValue::U64(value))],
+                    );
+                    let (fields, version) = model.entry(key).or_default();
+                    fields.insert(FIELDS[field].to_owned(), CtxValue::U64(value));
+                    *version += 1;
                 }
                 Op::Read { key } => {
-                    let (s, b) = (sharded.read(KEYS[key]), base.read(KEYS[key]));
-                    prop_assert_eq!(s.is_some(), b.is_some());
-                    if let (Some(s), Some(b)) = (s, b) {
-                        prop_assert_eq!(s.version, b.version);
-                        prop_assert_eq!(s.fields, b.fields);
+                    let (got, want) = (table.read(KEYS[key]), model.get(&key));
+                    prop_assert_eq!(got.is_some(), want.is_some());
+                    if let (Some(got), Some((fields, version))) = (got, want) {
+                        prop_assert_eq!(got.version, *version);
+                        prop_assert_eq!(&got.fields, fields);
                     }
-                    prop_assert_eq!(
-                        sharded.is_ready(KEYS[key]),
-                        base.is_ready(KEYS[key])
-                    );
+                    prop_assert_eq!(table.is_ready(KEYS[key]), want.is_some());
                 }
             }
         }
@@ -149,7 +149,7 @@ proptest! {
     ) {
         // Every (thread, slot) pair publishes `per_thread` times; slots are
         // disjoint per thread, so each slot's final version must equal
-        // exactly its own publish count — no lost updates across shards.
+        // exactly its own publish count — no lost updates across slots.
         let table = ContextTable::new(VirtualClock::shared());
         let slots: Vec<_> = (0..threads)
             .map(|t| table.register(&format!("slot-{t}")))
@@ -159,7 +159,7 @@ proptest! {
                 let slot = Arc::clone(slot);
                 scope.spawn(move || {
                     for i in 0..per_thread {
-                        slot.publish(vec![("i".into(), CtxValue::U64(i as u64))]);
+                        slot.begin_publish().set("i", i as u64);
                     }
                 });
             }

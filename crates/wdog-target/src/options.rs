@@ -1,11 +1,6 @@
-//! The shared watchdog options type.
-//!
-//! Every target used to carry its own near-identical options struct
-//! (`kvs::wd::WdOptions`, `minizk::wd::ZkWdOptions`,
-//! `miniblock::wd::DnWdOptions`). They are unified here: one tuning surface
-//! plus a [`Families`] toggle set; targets express their historical defaults
-//! through [`WatchdogTarget::default_options`](crate::WatchdogTarget) and
-//! re-export the old names as aliases.
+//! The shared watchdog options type: one tuning surface plus a [`Families`]
+//! toggle set. Targets express their tuned defaults through
+//! [`WatchdogTarget::default_options`](crate::WatchdogTarget).
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -29,7 +29,6 @@
 
 pub mod chaos;
 mod detect;
-pub mod epoch;
 mod flight;
 mod metrics;
 mod registry;
@@ -37,7 +36,6 @@ mod snapshot;
 
 pub use chaos::ChaosMetrics;
 pub use detect::{DetectionSample, DetectionTracker};
-pub use epoch::{EpochSource, FireLanes, LaneFlusher, FIRE_LANES};
 pub use flight::{FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAP};
 pub use metrics::{AtomicHistogram, Counter, Gauge, HistogramSummary};
 pub use registry::{

@@ -10,9 +10,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of histogram buckets: value `v` lands in bucket
-/// `floor(log2(v + 1))`, so 64 buckets cover the entire `u64` range. This
-/// mirrors `wdog_base::Histogram` so snapshots from either side agree.
-pub(crate) const BUCKETS: usize = 64;
+/// `floor(log2(v + 1))`, so 64 buckets cover the entire `u64` range.
+const BUCKETS: usize = 64;
 
 /// A monotonically increasing counter.
 ///
@@ -99,9 +98,8 @@ impl Default for HistInner {
 
 /// A lock-free log₂-bucketed histogram of `u64` samples.
 ///
-/// The atomic sibling of [`wdog_base::Histogram`]: same bucket function,
-/// same percentile semantics (bucket upper bound clamped to the observed
-/// `[min, max]`), but safe to record into from many threads concurrently.
+/// A percentile is its bucket's upper bound clamped to the observed
+/// `[min, max]`. Safe to record into from many threads concurrently.
 ///
 /// # Examples
 ///
@@ -129,52 +127,6 @@ impl AtomicHistogram {
         (64 - v.saturating_add(1).leading_zeros() as usize)
             .saturating_sub(1)
             .min(BUCKETS - 1)
-    }
-
-    /// Returns the bucket index a value of `v` lands in; shared with the
-    /// epoch fire buffers so lane-bucketed samples merge loss-free.
-    #[inline]
-    pub(crate) fn bucket_of(v: u64) -> usize {
-        Self::bucket(v)
-    }
-
-    /// Merges pre-bucketed samples: `deltas[i]` samples in bucket `i`,
-    /// contributing `sum_delta` to the running sum, with candidate extremes
-    /// `min`/`max` (idempotent under `fetch_min`/`fetch_max`, so all-time
-    /// extremes may be re-offered on every merge). Used by the epoch flush.
-    pub(crate) fn merge_buckets(
-        &self,
-        deltas: &[u64; BUCKETS],
-        sum_delta: u64,
-        min: u64,
-        max: u64,
-    ) {
-        let mut n = 0u64;
-        for (bucket, delta) in self.inner.buckets.iter().zip(deltas.iter()) {
-            if *delta > 0 {
-                bucket.fetch_add(*delta, Ordering::Relaxed);
-                n += *delta;
-            }
-        }
-        if n == 0 {
-            return;
-        }
-        self.inner.count.fetch_add(n, Ordering::Relaxed);
-        let mut cur = self.inner.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(sum_delta);
-            match self.inner.sum.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        self.inner.min.fetch_min(min, Ordering::Relaxed);
-        self.inner.max.fetch_max(max, Ordering::Relaxed);
     }
 
     /// Records one sample. Lock-free; callable from any thread.
@@ -342,20 +294,35 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_match_base_histogram_semantics() {
+    fn percentiles_are_bucket_upper_bounds_clamped_to_the_observed_range() {
         let h = AtomicHistogram::new();
-        let mut base = wdog_base::Histogram::new();
         for v in 1..=1000u64 {
             h.record(v);
-            base.record(v);
         }
-        let s = h.summarize();
-        assert_eq!(s.p50, base.percentile(0.50));
-        assert_eq!(s.p95, base.percentile(0.95));
-        assert_eq!(s.p99, base.percentile(0.99));
-        assert_eq!(s.mean, base.mean());
-        assert_eq!(s.min, base.min());
-        assert_eq!(s.max, base.max());
+        // The 500th sample is in bucket 8 (255..=510): its upper bound.
+        // The 950th and 990th are in bucket 9 (511..=1022): clamped to max.
+        assert_eq!(
+            h.summarize(),
+            HistogramSummary {
+                count: 1000,
+                mean: 500,
+                min: 1,
+                max: 1000,
+                p50: 510,
+                p95: 1000,
+                p99: 1000,
+            }
+        );
+    }
+
+    #[test]
+    fn bucket_assignment_is_monotone() {
+        let mut prev = 0;
+        for v in [0u64, 1, 2, 3, 7, 8, 100, 1000, u64::MAX / 2, u64::MAX] {
+            let b = AtomicHistogram::bucket(v);
+            assert!(b >= prev);
+            prev = b;
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::detect::{DetectionSample, DetectionTracker};
-use crate::epoch::EpochSource;
 use crate::flight::{FlightRecorder, DEFAULT_FLIGHT_CAP};
 use crate::metrics::{AtomicHistogram, Counter, Gauge};
 use crate::snapshot::{CounterEntry, GaugeEntry, HistogramEntry, TelemetrySnapshot};
@@ -92,9 +91,6 @@ pub struct TelemetryRegistry {
     shards: Vec<Shard>,
     flight: FlightRecorder,
     detect: DetectionTracker,
-    /// Epoch-buffered recorders (hook fire lanes); flushed each epoch tick
-    /// and before every snapshot so exported cells are never stale.
-    epoch_sources: Mutex<Vec<Arc<dyn EpochSource>>>,
 }
 
 impl TelemetryRegistry {
@@ -110,7 +106,6 @@ impl TelemetryRegistry {
             shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             flight: FlightRecorder::with_capacity(cap),
             detect: DetectionTracker::new(),
-            epoch_sources: Mutex::new(Vec::new()),
         }
     }
 
@@ -156,27 +151,6 @@ impl TelemetryRegistry {
         map.entry((name.to_string(), label.to_string()))
             .or_default()
             .clone()
-    }
-
-    /// Registers an epoch-buffered recorder; its deltas are folded into the
-    /// shared cells on every [`TelemetryRegistry::flush_epoch`].
-    pub fn register_epoch_source(&self, source: Arc<dyn EpochSource>) {
-        self.epoch_sources.lock().push(source);
-    }
-
-    /// Flushes every registered epoch source: hot-path lane buffers fold
-    /// their accumulated deltas into the shared counters and histograms.
-    ///
-    /// The driver ticks this once per scheduling round; [`snapshot`] calls
-    /// it first, so snapshot readers never need to.
-    ///
-    /// [`snapshot`]: TelemetryRegistry::snapshot
-    pub fn flush_epoch(&self) {
-        // Clone out so a slow flush never holds the registration lock.
-        let sources: Vec<Arc<dyn EpochSource>> = self.epoch_sources.lock().clone();
-        for s in &sources {
-            s.flush();
-        }
     }
 
     /// Records a flight-recorder event (no-op while disabled).
@@ -238,7 +212,6 @@ impl TelemetryRegistry {
     /// Exports everything as a serializable, deterministically ordered
     /// snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.flush_epoch();
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();

@@ -143,4 +143,10 @@ cargo test --offline -q
 echo "==> full workspace tests"
 cargo test --offline --workspace -q
 
+# benchmark/ is its own workspace, so nothing above compiles it: an API
+# break under crates/ would otherwise first show when the benchmark runs.
+echo "==> benchmark workspace: build + tests against the current crates"
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "CI OK"

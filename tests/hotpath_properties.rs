@@ -1,14 +1,14 @@
-//! Property-based tests over the armed hot path introduced by the fire-API
-//! redesign: epoch-flushed fire lanes must never lose a count, and the
-//! striped context slot must stay a latest-writer-wins register under any
-//! publish interleaving.
+//! Property-based tests over the armed hot path: the per-site fire counter
+//! must never lose a count, and the context slot must stay a
+//! latest-writer-wins register, read at one point in time, under any publish
+//! interleaving.
 //!
 //! Two shapes per structure: a randomized sequential interleaving driven by
 //! proptest (exact model comparison), and a threaded stress test (weaker
 //! invariants that survive true concurrency).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -27,9 +27,7 @@ enum HookOp {
     Disarm,
     /// Re-enable every site.
     Arm,
-    /// Fold lane deltas into the shared counters mid-run.
-    Flush,
-    /// Take a full snapshot (which itself flushes first).
+    /// Take a full telemetry snapshot.
     Snapshot,
 }
 
@@ -42,7 +40,6 @@ fn hook_op() -> impl Strategy<Value = HookOp> {
         (0..SITES).prop_map(HookOp::Fire),
         Just(HookOp::Disarm),
         Just(HookOp::Arm),
-        Just(HookOp::Flush),
         Just(HookOp::Snapshot),
     ]
 }
@@ -56,13 +53,12 @@ fn publish_op() -> impl Strategy<Value = (usize, u64, bool)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Epoch-flush losslessness: under any interleaving of fire, arm,
-    /// disarm, mid-run flush, and snapshot, the flushed `hook_fires_total`
-    /// counters equal a direct per-site model count of the fires that ran
-    /// while hooks were enabled — the lane buffers neither drop nor double
-    /// a fire, and disarmed fires never leak into the counts.
+    /// Fire-count exactness: under any interleaving of fire, arm, disarm and
+    /// snapshot, the `hook_fires_total` counters equal a direct per-site
+    /// model count of the fires that ran while hooks were enabled — no fire
+    /// is dropped or doubled, and disarmed fires never leak into the counts.
     #[test]
-    fn epoch_flush_loses_no_fires(ops in proptest::collection::vec(hook_op(), 1..120)) {
+    fn fire_counters_lose_no_fires(ops in proptest::collection::vec(hook_op(), 1..120)) {
         let table = ContextTable::new(RealClock::shared());
         let hooks = Hooks::new(table);
         let registry = TelemetryRegistry::shared();
@@ -87,31 +83,27 @@ proptest! {
                     hooks.set_enabled(true);
                     enabled = true;
                 }
-                HookOp::Flush => registry.flush_epoch(),
                 HookOp::Snapshot => {
                     let _ = registry.snapshot();
                 }
             }
         }
 
-        registry.flush_epoch();
         for (i, site) in sites.iter().enumerate() {
             let counted = registry.counter("hook_fires_total", site.key()).get();
             prop_assert_eq!(
                 counted, model[i],
-                "site {} flushed {} fires, model says {}", i, counted, model[i]
+                "site {} counted {} fires, model says {}", i, counted, model[i]
             );
         }
         prop_assert_eq!(hooks.fired_count(), model.iter().sum::<u64>());
     }
 
-    /// Striped-slot read consistency: any sequence of publishes — each on
-    /// its own thread so the writes spread across stripes — merges to
-    /// exactly the per-field latest write. The snapshot's cross-stripe
-    /// merge by publish sequence must behave as a plain last-writer-wins
-    /// map once the slot is quiescent.
+    /// Slot read consistency: any sequence of publishes — each on its own
+    /// thread — reads back as exactly the per-field latest write. The slot
+    /// must behave as a plain last-writer-wins map whichever thread wrote.
     #[test]
-    fn striped_slot_merges_to_latest_writer(ops in proptest::collection::vec(publish_op(), 1..40)) {
+    fn slot_reads_back_the_latest_writer(ops in proptest::collection::vec(publish_op(), 1..40)) {
         let table = ContextTable::new(RealClock::shared());
         let slot = table.register("prop-slot");
 
@@ -119,7 +111,7 @@ proptest! {
         for (i, &(field, value, shared)) in ops.iter().enumerate() {
             let name = format!("f{field}");
             // Each publish on a fresh thread, joined before the next, so
-            // program order fixes the winner while the stripe varies.
+            // program order fixes the winner while the writer varies.
             std::thread::scope(|s| {
                 s.spawn(|| {
                     let mut publish = slot.begin_publish();
@@ -149,12 +141,12 @@ proptest! {
 }
 
 /// Threaded losslessness: worker threads hammer one site while another
-/// thread toggles the enable flag and flushes/snapshots concurrently. The
+/// thread toggles the enable flag and snapshots concurrently. The
 /// interleaving is nondeterministic, so the model is observational: every
-/// fire that returned a guard must appear in the flushed counter — exactly
-/// once — no matter how flushes raced the fires.
+/// fire that returned a guard must appear in the counter — exactly once —
+/// no matter how snapshots raced the fires.
 #[test]
-fn concurrent_fires_flushes_and_toggles_lose_nothing() {
+fn concurrent_fires_snapshots_and_toggles_lose_nothing() {
     const WORKERS: usize = 4;
     const FIRES_PER_WORKER: usize = 20_000;
 
@@ -180,14 +172,13 @@ fn concurrent_fires_flushes_and_toggles_lose_nothing() {
                 mine
             }));
         }
-        // The antagonist: disarm/rearm windows plus concurrent flushes and
-        // snapshots, racing the workers the whole way.
+        // The antagonist: disarm/rearm windows plus concurrent snapshots,
+        // racing the workers the whole way.
         s.spawn(|| {
             let mut on = true;
             while !stop.load(Ordering::Relaxed) {
                 on = !on;
                 hooks.set_enabled(on);
-                registry.flush_epoch();
                 let _ = registry.snapshot();
                 std::thread::yield_now();
             }
@@ -198,11 +189,10 @@ fn concurrent_fires_flushes_and_toggles_lose_nothing() {
         total
     });
 
-    registry.flush_epoch();
     let counted = registry.counter("hook_fires_total", site.key()).get();
     assert_eq!(
         counted, published,
-        "flushed fire count diverged from the fires that actually published"
+        "fire count diverged from the fires that actually published"
     );
     assert_eq!(hooks.fired_count(), published);
 }
@@ -210,8 +200,8 @@ fn concurrent_fires_flushes_and_toggles_lose_nothing() {
 /// Threaded slot consistency: each writer owns a field it publishes with
 /// strictly increasing values while a reader snapshots continuously. Every
 /// snapshot must show (a) a non-decreasing slot version and (b) per-field
-/// values that never run backwards — the seqlock retry plus per-stripe
-/// locking must never expose a torn or stale-after-fresh read.
+/// values that never run backwards — the slot must never expose a torn or
+/// stale-after-fresh read.
 #[test]
 fn concurrent_slot_readers_never_observe_regression() {
     const WRITERS: usize = 3;
@@ -276,4 +266,55 @@ fn concurrent_slot_readers_never_observe_regression() {
         );
     }
     assert_eq!(snap.version, WRITERS as u64 * PUBLISHES);
+}
+
+/// Point-in-time exactness: writers take `n` from a shared counter bumped
+/// *inside* the open fire, so the slot lock orders the bumps and the publish
+/// that sets `n` is the slot's `n + 1`-th. A snapshot that is one coherent
+/// copy therefore always satisfies `n + 1 == version`; one that mixed the
+/// fields of one publish with the version of a later one would not.
+#[test]
+fn concurrent_snapshots_are_exact_points_in_time() {
+    const WRITERS: usize = 3;
+    const FIRES_PER_WRITER: usize = 5_000;
+
+    let table = ContextTable::new(RealClock::shared());
+    let hooks = Hooks::new(Arc::clone(&table));
+    let site = hooks.site("exact-site");
+    let reader = table.reader();
+    let next = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+
+    std::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                s.spawn(|| {
+                    for _ in 0..FIRES_PER_WRITER {
+                        let mut fire = site.fire().expect("hooks stay enabled");
+                        fire.field("n", next.fetch_add(1, Ordering::Relaxed));
+                    }
+                })
+            })
+            .collect();
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                let Some(snap) = reader.read("exact-site") else {
+                    continue;
+                };
+                let n = snap.get("n").and_then(CtxValue::as_u64).expect("n is set");
+                assert_eq!(n + 1, snap.version, "snapshot mixed two publishes");
+            }
+        });
+        for w in writers {
+            w.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+
+    let snap = reader.read("exact-site").expect("site fired");
+    assert_eq!(snap.version, (WRITERS * FIRES_PER_WRITER) as u64);
+    assert_eq!(
+        snap.get("n").and_then(CtxValue::as_u64),
+        Some(snap.version - 1)
+    );
 }
