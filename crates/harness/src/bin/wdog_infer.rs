@@ -21,7 +21,10 @@
 //!
 //! `--require-invariants N` gates on mined invariants per target;
 //! `--require-flips N` gates on previously-missed fault verdicts that the
-//! inferred checkers now detect.
+//! inferred checkers now detect. A recording whose trace recorder dropped
+//! events always fails the run (the artifact's `dropped_events` header
+//! field says how many) and leaves `<out>/inferred.err` behind: a corpus
+//! mined from truncated journals must not pass for a clean one.
 
 use std::time::Duration;
 
@@ -57,6 +60,7 @@ fn main() {
     };
 
     let mut failed = false;
+    let mut truncated = Vec::new();
     for target in cli.targets("kvs") {
         let artifact = match infer::run_pipeline(target.as_ref(), &opts) {
             Ok(a) => a,
@@ -73,6 +77,13 @@ fn main() {
             &artifact,
         );
 
+        if artifact.dropped_events > 0 {
+            truncated.push(format!(
+                "wdog-infer [{}]: trace recorder dropped {} events; corpus mined from truncated journals",
+                target.name(),
+                artifact.dropped_events
+            ));
+        }
         let mined = artifact.inference.mined.invariants.len() as u64;
         if mined < require_invariants {
             eprintln!(
@@ -94,8 +105,14 @@ fn main() {
             failed = true;
         }
     }
+    if !truncated.is_empty() {
+        let text = truncated.join("\n");
+        eprintln!("{text}");
+        harness::write_err_sidecar_under(&out, "inferred", &text);
+        failed = true;
+    }
     if failed {
         std::process::exit(EXIT_GATE);
     }
-    harness::clear_err_sidecar("inferred");
+    harness::clear_err_sidecar_under(&out, "inferred");
 }

@@ -107,6 +107,10 @@ pub struct InferArtifact {
     pub seed: u64,
     /// Recording runs taken.
     pub runs: u64,
+    /// Events the trace recorders dropped across all recording runs. Must
+    /// be zero for the corpus to stand: anything else means the invariants
+    /// below were mined from truncated journals, and `wdog-infer` fails.
+    pub dropped_events: u64,
     /// Mined invariants and emitted specs.
     pub inference: InferenceReport,
     /// Chaos re-scoring ledger; absent when no archive was found.
@@ -125,11 +129,23 @@ pub fn record_journal(
     label: &str,
     record_for: Duration,
 ) -> BaseResult<TraceJournal> {
+    record_with(target, seed, label, record_for, TraceRecorder::new)
+}
+
+/// [`record_journal`] with the recorder built by `recorder` (tests pass a
+/// deliberately small one).
+fn record_with(
+    target: &dyn WatchdogTarget,
+    seed: u64,
+    label: &str,
+    record_for: Duration,
+    recorder: impl FnOnce(wdog_base::clock::SharedClock) -> Arc<TraceRecorder>,
+) -> BaseResult<TraceJournal> {
     let sim = Arc::new(SimClock::new());
     let guard = sim.actor("infer-record").adopt();
     let mut inst = target.start_on(seed, sim)?;
     let clock = inst.clock();
-    let recorder = TraceRecorder::new(Arc::clone(&clock));
+    let recorder = recorder(Arc::clone(&clock));
 
     let base = ChaosOptions::default();
     let mut wd = base.wd.clone();
@@ -184,7 +200,11 @@ pub fn record_journal(
     let mut events = recorder.drain();
     events.retain(|e| e.at_us < deadline_us);
 
-    Ok(TraceJournal::new(target.name(), label, seed, events))
+    // A full buffer drops silently on the hot path; the count travels with
+    // the journal so the pipeline can refuse a truncated corpus.
+    let mut journal = TraceJournal::new(target.name(), label, seed, events);
+    journal.dropped = recorder.dropped();
+    Ok(journal)
 }
 
 /// Records `opts.runs` benign executions with derived seeds.
@@ -309,6 +329,7 @@ pub fn run_pipeline(target: &dyn WatchdogTarget, opts: &InferOptions) -> BaseRes
         target: target.name().to_owned(),
         seed: opts.seed,
         runs: opts.runs,
+        dropped_events: journals.iter().map(|j| j.dropped).sum(),
         inference,
         score,
     })
@@ -404,5 +425,19 @@ mod tests {
             .all(|s| s.id.starts_with("kvs.inferred.")));
         let rendered = render(&artifact);
         assert!(rendered.contains("registered checkers"));
+        assert_eq!(artifact.dropped_events, 0, "default capacity must fit");
+    }
+
+    #[test]
+    fn a_recorder_that_overflows_is_reported_not_hidden() {
+        let journal = record_with(&KvsTarget, 7, "tiny", Duration::from_secs(1), |clock| {
+            TraceRecorder::with_capacity(clock, 16)
+        })
+        .unwrap();
+        assert!(journal.events.len() <= 16);
+        assert!(
+            journal.dropped > 0,
+            "a 16-event buffer cannot hold 1 s of kvs"
+        );
     }
 }

@@ -124,14 +124,23 @@ pub fn write_json_under(dir: &std::path::Path, name: &str, value: &impl serde::S
 /// Removes a stale `results/<name>.err` sidecar after a successful run.
 ///
 /// `.err` files are stderr redirects external runners leave next to the
-/// JSON artifacts when a bin fails. The bins themselves never write them,
-/// so nothing deleted them either — a sidecar from a long-fixed failure
-/// could sit beside a fresh, successful artifact forever. Every artifact
-/// bin calls this on success so a committed sidecar always describes the
-/// *latest* run; CI additionally refuses to pass while any `.err` is
-/// tracked in the repo.
+/// JSON artifacts when a bin fails (only `wdog-infer` writes one itself,
+/// through [`write_err_sidecar_under`]), so nothing deleted them either — a
+/// sidecar from a long-fixed failure could sit beside a fresh, successful
+/// artifact forever. Every artifact bin calls this on success so a
+/// committed sidecar always describes the *latest* run; CI additionally
+/// refuses to pass while any `.err` is tracked in the repo.
 pub fn clear_err_sidecar(name: &str) {
     clear_err_sidecar_under(std::path::Path::new("results"), name);
+}
+
+/// Writes `<dir>/<name>.err`: the mark a failed run leaves beside an
+/// artifact that was archived anyway and must not be trusted.
+pub fn write_err_sidecar_under(dir: &std::path::Path, name: &str, text: &str) {
+    let path = dir.join(format!("{name}.err"));
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
+        eprintln!("warning: cannot write {}: {e}", path.display());
+    }
 }
 
 /// [`clear_err_sidecar`] with the artifact root chosen by the caller.

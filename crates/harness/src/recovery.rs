@@ -263,9 +263,12 @@ pub fn run_recovery_scenario(
     if let Some(guard) = main_guard.take() {
         // Sim teardown: raise every stop flag at the frozen instant, then
         // retire the harness actor so virtual time free-runs while the
-        // blocking joins drain.
+        // blocking joins drain. The coordinator is sealed here too: its
+        // idle wait is untimed, so nothing but this close ends it, and a
+        // run whose last actors all wait untimed is a sim deadlock.
         inst.request_stop();
         driver.request_stop();
+        coordinator.request_stop();
         guard.retire();
     }
     inst.stop_workload();

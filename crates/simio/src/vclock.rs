@@ -19,12 +19,12 @@
 //!    actors spend most wall time asleep therefore executes in the time it
 //!    takes to *do the work*, orders of magnitude faster than real time.
 //!
-//! Threads that never register (the action worker draining a channel, unit
-//! tests poking a clock) are *spectators*: their sleeps and waits do not
-//! hold time. A spectator sleeping on a clock with live actors wakes when
-//! virtual time happens to pass its deadline; with no actors registered at
-//! all, a spectator sleep advances the clock itself so `SimClock` remains
-//! usable as a plain fast virtual clock.
+//! Threads that never register (teardown joins, unit tests poking a clock)
+//! are *spectators*: their sleeps and waits do not hold time. A spectator
+//! sleeping on a clock with live actors wakes when virtual time happens to
+//! pass its deadline; with no actors registered at all, a spectator sleep
+//! advances the clock itself so `SimClock` remains usable as a plain fast
+//! virtual clock.
 //!
 //! If every actor is blocked on an *untimed* wait, no deadline exists to
 //! advance to: the run is genuinely deadlocked, and the core panics with a

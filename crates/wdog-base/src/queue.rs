@@ -8,8 +8,8 @@
 //! try/timeout surface as a bounded channel but parks consumers on the
 //! clock's [`Waiter`](crate::clock::Waiter), so under [`RealClock`]
 //! (crate::clock::RealClock) it behaves like a condvar-backed channel and
-//! under a simulated clock every blocked `pop_timeout` is a first-class
-//! discrete-event wait.
+//! under a simulated clock every blocked `pop`/`pop_timeout` is a
+//! first-class discrete-event wait.
 //!
 //! Handles are cheaply cloneable; any handle may push or pop (MPMC).
 //! Capacity is enforced on push (`Err(value)` when full, like `try_send`),
@@ -85,10 +85,20 @@ impl<T> ClockedQueue<T> {
         self.inner.queue.lock().unwrap().pop_front()
     }
 
+    /// Dequeues, waiting on the clock until an item arrives. Returns `None`
+    /// only once the queue is closed and drained — the idle wait of a
+    /// dedicated consumer, which its producer ends with [`close`](Self::close).
+    pub fn pop(&self) -> Option<T> {
+        self.pop_until(None)
+    }
+
     /// Dequeues, waiting on the clock up to `timeout` for an item. Returns
     /// `None` on timeout or when the queue is closed and drained.
     pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = self.inner.clock.now() + timeout;
+        self.pop_until(Some(self.inner.clock.now() + timeout))
+    }
+
+    fn pop_until(&self, deadline: Option<Duration>) -> Option<T> {
         loop {
             if let Some(v) = self.try_pop() {
                 return Some(v);
@@ -97,11 +107,16 @@ impl<T> ClockedQueue<T> {
                 // Closed: one final drain check to beat a racing push.
                 return self.try_pop();
             }
-            let now = self.inner.clock.now();
-            if now >= deadline {
-                return None;
+            match deadline {
+                None => self.inner.waiter.wait(),
+                Some(deadline) => {
+                    let now = self.inner.clock.now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    self.inner.waiter.wait_timeout(deadline - now);
+                }
             }
-            self.inner.waiter.wait_timeout(deadline - now);
         }
     }
 
@@ -189,5 +204,24 @@ mod tests {
         q.close();
         assert_eq!(t.join().unwrap(), None);
         assert_eq!(q.push(1), Err(1));
+    }
+
+    #[test]
+    fn pop_blocks_until_push_and_ends_on_close() {
+        let q: ClockedQueue<u8> = ClockedQueue::unbounded(&RealClock::shared());
+        let q2 = q.clone();
+        let t = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            while let Some(v) = q2.pop() {
+                got.push(v);
+            }
+            got
+        });
+        q.push(1).unwrap();
+        q.push(2).unwrap();
+        // Items queued before the close are still delivered.
+        q.close();
+        assert_eq!(t.join().unwrap(), vec![1, 2]);
+        assert_eq!(q.pop(), None);
     }
 }

@@ -10,8 +10,15 @@
 //!
 //! Every registered checker gets a **dedicated executor thread**. The
 //! scheduler thread dispatches rounds at the configured
-//! [`SchedulePolicy`] interval and watches for
-//! three failure signatures:
+//! [`SchedulePolicy`] interval and is otherwise **event-driven**: it parks
+//! on one clock [`Waiter`] until the earliest of the round deadline, the
+//! next owed phase dispatch, a busy checker's timeout and a wedged
+//! executor's abandonment deadline, and is woken early only by an executor
+//! posting a result or by `stop`/`request_stop`. Nothing is polled: a
+//! result is collected — and a failure reported — at the instant it lands,
+//! a timeout fires at exactly `dispatch + timeout`, and a driver with
+//! nothing in flight sleeps from one round boundary to the next. It watches
+//! for three failure signatures:
 //!
 //! - a **failed check** — the checker returned
 //!   [`CheckStatus::Fail`];
@@ -41,10 +48,11 @@
 //! whenever the underlying operation completes. Respawns are bounded
 //! ([`MAX_EXECUTOR_RESPAWNS`]) and counted in
 //! [`DriverStats::executor_respawns`]. Similarly, failure reports are handed
-//! to actions through a bounded queue serviced by a dedicated thread, so a
-//! slow action (say, a recovery attempt) can never wedge the scheduler;
-//! overflow is counted in [`DriverStats::reports_dropped`] rather than
-//! blocking detection.
+//! to actions through a bounded [`ClockedQueue`] serviced by the dedicated
+//! `wdog-actions` clock actor, so a slow action (say, a recovery attempt)
+//! can never wedge the scheduler and, under a simulated clock, an action
+//! sees a report at the virtual instant it was emitted; overflow is counted
+//! in [`DriverStats::reports_dropped`] rather than blocking detection.
 //!
 //! For the in-place ablation (experiment E6), [`WatchdogDriver::run_inline_round`]
 //! executes every checker synchronously on the caller's thread — the design
@@ -54,11 +62,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver};
 
 use wdog_base::clock::{spawn_on, SharedClock, Waiter};
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_base::ids::{CheckerId, ComponentId};
+use wdog_base::queue::ClockedQueue;
 use wdog_telemetry::{AtomicHistogram, Counter, TelemetryRegistry};
 
 use crate::action::{Action, LogAction};
@@ -190,6 +199,20 @@ struct Pending {
     factory: Option<CheckerFactory>,
 }
 
+impl Pending {
+    /// Attaches a fresh [`ExecutionProbe`] to `checker`; a `factory` makes
+    /// its executor replaceable (see [`DriverBuilder::respawnable`]).
+    fn new(mut checker: Box<dyn Checker>, factory: Option<CheckerFactory>) -> Self {
+        let probe = ExecutionProbe::new();
+        checker.attach_probe(probe.clone());
+        Self {
+            checker,
+            probe,
+            factory,
+        }
+    }
+}
+
 /// Scheduler→executor dispatch signal.
 ///
 /// Replaces a bounded crossbeam channel with a clock-provided [`Waiter`] so
@@ -226,10 +249,11 @@ impl ExecSignal {
         self.run.store(true, Ordering::Release);
     }
 
-    /// Scheduler side: release the executor thread for good.
+    /// Scheduler side: release the executor thread for good. Like
+    /// [`arm`](Self::arm) it does not wake the thread; the caller follows
+    /// up with one `notify_all` on the shared waiter.
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        self.waiter.notify_all();
     }
 
     /// Executor side: block until the next run token; `false` means closed.
@@ -269,8 +293,39 @@ struct ExecSlot {
     telem: Option<SlotTelemetry>,
 }
 
-/// How often the scheduler polls results and timeouts while sleeping.
-const POLL_QUANTUM: Duration = Duration::from_millis(2);
+impl ExecSlot {
+    /// Whether a wedged executor may still be abandoned and replaced.
+    fn respawnable(&self) -> bool {
+        self.factory.is_some() && self.respawns < MAX_EXECUTOR_RESPAWNS
+    }
+
+    /// The next instant this slot needs the scheduler: its owed phase
+    /// dispatch, its timeout, or — once reported stuck — its abandonment.
+    fn next_event(&self, round_start: Duration) -> Option<Duration> {
+        let owed = (!self.dispatched).then(|| round_start + self.phase);
+        let overdue = self.busy_since.and_then(|since| {
+            if !self.reported_stuck {
+                Some(since + self.timeout)
+            } else {
+                self.respawnable().then(|| since + self.timeout * 2)
+            }
+        });
+        owed.into_iter().chain(overdue).min()
+    }
+}
+
+/// What an executor thread needs from its driver; shared by first spawn
+/// and respawn.
+#[derive(Clone)]
+struct ExecEnv {
+    clock: SharedClock,
+    default_timeout: Duration,
+    /// The one waiter all executors park on; see [`ExecSignal`].
+    dispatch: Arc<dyn Waiter>,
+    /// The scheduler's waiter: notified when a result lands and by
+    /// `stop`/`request_stop`.
+    wake: Arc<dyn Waiter>,
+}
 
 /// Upper bound on executor replacements per checker: a checker that wedges
 /// repeatedly is leaking a thread per respawn, so after this many the driver
@@ -291,6 +346,8 @@ pub struct WatchdogDriver {
     stats: Arc<StatsInner>,
     telemetry: Option<Arc<TelemetryRegistry>>,
     shutdown: Arc<AtomicBool>,
+    /// What the scheduler parks on (see [`ExecEnv::wake`]).
+    wake: Arc<dyn Waiter>,
     scheduler: Option<std::thread::JoinHandle<()>>,
     action_worker: Option<std::thread::JoinHandle<()>>,
 }
@@ -303,6 +360,7 @@ impl WatchdogDriver {
         let board = HealthBoard::new(Arc::clone(&clock), config.health_window);
         Self {
             config,
+            wake: clock.waiter(),
             clock,
             pending: Vec::new(),
             actions: Vec::new(),
@@ -340,49 +398,6 @@ impl WatchdogDriver {
     /// Returns the attached telemetry registry, if any.
     pub fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
         self.telemetry.clone()
-    }
-
-    /// Registers a checker (builder-internal; see [`DriverBuilder::checker`]).
-    ///
-    /// The checker's [`ExecutionProbe`] is attached here.
-    fn register(&mut self, mut checker: Box<dyn Checker>) -> BaseResult<()> {
-        if self.scheduler.is_some() {
-            return Err(BaseError::InvalidState(
-                "cannot register checkers after start".into(),
-            ));
-        }
-        let probe = ExecutionProbe::new();
-        checker.attach_probe(probe.clone());
-        self.pending.push(Pending {
-            checker,
-            probe,
-            factory: None,
-        });
-        Ok(())
-    }
-
-    /// Registers a checker through a factory, enabling executor replacement
-    /// (builder-internal; see [`DriverBuilder::respawnable`]).
-    ///
-    /// When this checker wedges past twice its timeout, the driver abandons
-    /// the executor thread and builds a fresh checker via `factory` (bounded
-    /// by [`MAX_EXECUTOR_RESPAWNS`]), so a single hung probe never
-    /// permanently shrinks watchdog coverage.
-    fn register_respawnable(&mut self, factory: CheckerFactory) -> BaseResult<()> {
-        if self.scheduler.is_some() {
-            return Err(BaseError::InvalidState(
-                "cannot register checkers after start".into(),
-            ));
-        }
-        let mut checker = factory();
-        let probe = ExecutionProbe::new();
-        checker.attach_probe(probe.clone());
-        self.pending.push(Pending {
-            checker,
-            probe,
-            factory: Some(factory),
-        });
-        Ok(())
     }
 
     /// Adds an action invoked for every failure report (builder-internal;
@@ -485,17 +500,17 @@ impl WatchdogDriver {
                 self.pending.swap(i, j);
             }
         }
-        // One waiter shared by every executor: dispatch arms run flags and
-        // wakes the whole batch with a single notify_all.
-        let dispatch_waiter = self.clock.waiter();
+        let env = ExecEnv {
+            clock: Arc::clone(&self.clock),
+            default_timeout: self.config.default_timeout,
+            // One waiter shared by every executor: dispatch arms run flags
+            // and wakes the whole batch with a single notify_all.
+            dispatch: self.clock.waiter(),
+            wake: Arc::clone(&self.wake),
+        };
         let mut slots = Vec::with_capacity(self.pending.len());
         for p in self.pending.drain(..) {
-            let mut slot = spawn_executor(
-                p,
-                self.config.default_timeout,
-                &self.clock,
-                Arc::clone(&dispatch_waiter),
-            );
+            let mut slot = spawn_executor(p, &env);
             slot.phase = self.config.policy.phase_offset(slot.id.as_str());
             slot.telem = self
                 .telemetry
@@ -504,35 +519,32 @@ impl WatchdogDriver {
             slots.push(slot);
         }
 
-        // Actions run on their own thread behind a bounded queue: a slow or
-        // blocking action (a recovery attempt, say) must never stall
+        // Actions run on their own clock actor behind a bounded queue: a
+        // slow or blocking action (a recovery attempt, say) must never stall
         // detection, and a failure storm overflows into a counter instead of
-        // unbounded memory.
-        let (action_tx, action_rx) = bounded::<FailureReport>(ACTION_QUEUE_CAP);
-        let actions = self.actions.clone();
-        self.action_worker = Some(
-            std::thread::Builder::new()
-                .name("wdog-actions".into())
-                .spawn(move || {
-                    while let Ok(report) = action_rx.recv() {
-                        for a in &actions {
-                            a.on_failure(&report);
-                        }
-                    }
-                })
-                .expect("spawn wdog-actions"),
-        );
+        // unbounded memory. The scheduler closes the queue when it exits.
+        let action_queue = ClockedQueue::bounded(&self.clock, ACTION_QUEUE_CAP);
+        let (inbox, actions) = (action_queue.clone(), self.actions.clone());
+        self.action_worker = Some(spawn_on(&self.clock, "wdog-actions", move || {
+            while let Some(report) = inbox.pop() {
+                for a in &actions {
+                    a.on_failure(&report);
+                }
+            }
+        }));
 
         let ctx = SchedulerCtx {
             slots,
-            dispatch_waiter,
-            action_tx,
+            env,
+            action_queue,
             board: Arc::clone(&self.board),
             log: Arc::clone(&self.log),
             stats: Arc::clone(&self.stats),
-            clock: Arc::clone(&self.clock),
             policy: self.config.policy.clone(),
-            default_timeout: self.config.default_timeout,
+            reports_dropped: self
+                .telemetry
+                .as_deref()
+                .map(|reg| reg.counter("reports_dropped_total", "")),
             telemetry: self.telemetry.clone(),
             shutdown: Arc::clone(&self.shutdown),
         };
@@ -542,12 +554,13 @@ impl WatchdogDriver {
         Ok(())
     }
 
-    /// Requests shutdown without blocking: the scheduler exits at its next
-    /// poll and closes every executor. Under a simulated clock this lets a
-    /// harness land the stop flag at an exact virtual instant and only then
-    /// perform the (wall-time) joins via [`WatchdogDriver::stop`].
+    /// Requests shutdown without blocking: the scheduler is woken at once,
+    /// closes every executor and the action queue, and exits. Under a
+    /// simulated clock all of that happens at the virtual instant of the
+    /// call; the (wall-time) joins are left to [`WatchdogDriver::stop`].
     pub fn request_stop(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        self.wake.notify_one();
     }
 
     /// Stops the scheduler and releases idle executor threads.
@@ -557,11 +570,11 @@ impl WatchdogDriver {
     /// ever completes. This mirrors the paper's observation that the driver
     /// can only *abort scheduling* a stuck checker, not unwind it.
     pub fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.request_stop();
         if let Some(handle) = self.scheduler.take() {
             let _ = handle.join();
         }
-        // The scheduler owned the only sender; once it is gone the action
+        // The scheduler closed the action queue on its way out; the action
         // worker drains whatever is queued and exits.
         if let Some(handle) = self.action_worker.take() {
             let _ = handle.join();
@@ -591,12 +604,10 @@ impl std::fmt::Debug for WatchdogDriver {
 
 /// One-shot assembly of a [`WatchdogDriver`] — the only way to build one.
 ///
-/// Replaces the old `new` + `register`/`register_respawnable` + `add_action`
-/// dance (those methods are now private) with a fluent builder that
-/// validates the whole configuration once at [`DriverBuilder::build`]:
-/// duplicate checker ids and a zero scheduling interval are rejected there
-/// instead of surfacing as confusing runtime behaviour, and a started driver
-/// can never grow checkers or actions.
+/// A fluent builder that validates the whole configuration once at
+/// [`DriverBuilder::build`]: duplicate checker ids and a zero scheduling
+/// interval are rejected there instead of surfacing as confusing runtime
+/// behaviour, and a started driver can never grow checkers or actions.
 ///
 /// # Examples
 ///
@@ -654,8 +665,11 @@ impl DriverBuilder {
         self
     }
 
-    /// Adds a respawnable checker via its factory (see
-    /// [`WatchdogDriver::register_respawnable`]).
+    /// Adds a respawnable checker via its factory: when the checker wedges
+    /// past twice its timeout, the driver abandons the executor thread and
+    /// builds a fresh checker from `factory` (bounded by
+    /// [`MAX_EXECUTOR_RESPAWNS`]), so a single hung probe never permanently
+    /// shrinks watchdog coverage.
     pub fn respawnable(mut self, factory: CheckerFactory) -> Self {
         self.factories.push(factory);
         self
@@ -691,10 +705,10 @@ impl DriverBuilder {
             driver.set_telemetry(registry)?;
         }
         for checker in self.checkers {
-            driver.register(checker)?;
+            driver.pending.push(Pending::new(checker, None));
         }
         for factory in self.factories {
-            driver.register_respawnable(factory)?;
+            driver.pending.push(Pending::new(factory(), Some(factory)));
         }
         let mut seen = std::collections::HashSet::new();
         for id in driver.checker_ids() {
@@ -722,12 +736,7 @@ impl std::fmt::Debug for DriverBuilder {
     }
 }
 
-fn spawn_executor(
-    p: Pending,
-    default_timeout: Duration,
-    clock: &SharedClock,
-    waiter: Arc<dyn Waiter>,
-) -> ExecSlot {
+fn spawn_executor(p: Pending, env: &ExecEnv) -> ExecSlot {
     let Pending {
         mut checker,
         probe,
@@ -735,14 +744,15 @@ fn spawn_executor(
     } = p;
     let id = checker.id();
     let component = checker.component();
-    let timeout = checker.timeout().unwrap_or(default_timeout);
-    let signal = ExecSignal::new(waiter);
+    let timeout = checker.timeout().unwrap_or(env.default_timeout);
+    let signal = ExecSignal::new(Arc::clone(&env.dispatch));
     let (result_tx, result_rx) = bounded::<CheckStatus>(1);
+    let wake = Arc::clone(&env.wake);
     let thread_signal = Arc::clone(&signal);
     let thread_probe = probe.clone();
     let thread_component = component.clone();
     let thread_id = id.clone();
-    spawn_on(clock, &format!("wdog-exec-{id}"), move || {
+    spawn_on(&env.clock, &format!("wdog-exec-{id}"), move || {
         while thread_signal.next_run() {
             let outcome =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| checker.check()));
@@ -765,8 +775,9 @@ fn spawn_executor(
             };
             thread_probe.exit();
             if result_tx.send(status).is_err() {
-                break;
+                break; // Abandoned: the slot now belongs to a replacement.
             }
+            wake.notify_one();
         }
     });
     ExecSlot {
@@ -798,15 +809,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 struct SchedulerCtx {
     slots: Vec<ExecSlot>,
-    /// The one waiter all executors park on; see [`ExecSignal`].
-    dispatch_waiter: Arc<dyn Waiter>,
-    action_tx: Sender<FailureReport>,
+    env: ExecEnv,
+    action_queue: ClockedQueue<FailureReport>,
     board: Arc<HealthBoard>,
     log: Arc<LogAction>,
     stats: Arc<StatsInner>,
-    clock: SharedClock,
     policy: SchedulePolicy,
-    default_timeout: Duration,
+    /// `reports_dropped_total`, resolved at `start` like [`SlotTelemetry`].
+    reports_dropped: Option<Counter>,
     telemetry: Option<Arc<TelemetryRegistry>>,
     shutdown: Arc<AtomicBool>,
 }
@@ -830,18 +840,18 @@ impl SchedulerCtx {
         }
         // Actions run on the wdog-actions thread; if its queue is full the
         // report is counted as dropped rather than blocking the scheduler.
-        if self.action_tx.try_send(report).is_err() {
+        if self.action_queue.push(report).is_err() {
             self.stats.reports_dropped.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.telemetry {
-                t.counter("reports_dropped_total", "").inc();
+            if let Some(c) = &self.reports_dropped {
+                c.inc();
             }
         }
     }
 
     /// Drains completed executions and counts their outcomes.
     fn collect_results(&mut self) {
-        let now_ms = self.clock.now_millis();
-        let now = self.clock.now();
+        let now_ms = self.env.clock.now_millis();
+        let now = self.env.clock.now();
         // Gather finished statuses first to avoid borrowing `self` twice.
         let mut finished: Vec<(usize, CheckStatus, Option<u64>)> = Vec::new();
         for (i, slot) in self.slots.iter_mut().enumerate() {
@@ -905,8 +915,8 @@ impl SchedulerCtx {
     /// Reports checkers that have exceeded their execution timeout and
     /// replaces executors wedged past recovery.
     fn detect_stuck(&mut self) {
-        let now = self.clock.now();
-        let now_ms = self.clock.now_millis();
+        let now = self.env.clock.now();
+        let now_ms = self.env.clock.now_millis();
         let mut reports = Vec::new();
         let mut respawned = 0u64;
         for slot in &mut self.slots {
@@ -914,7 +924,7 @@ impl SchedulerCtx {
                 continue;
             };
             let elapsed = now.saturating_sub(since);
-            if elapsed <= slot.timeout {
+            if elapsed < slot.timeout {
                 continue;
             }
             if !slot.reported_stuck {
@@ -952,16 +962,8 @@ impl SchedulerCtx {
             // this component's coverage resumes. The old thread exits on its
             // own when the hung operation completes (its result channel is
             // gone by then).
-            if elapsed > slot.timeout * 2
-                && slot.factory.is_some()
-                && slot.respawns < MAX_EXECUTOR_RESPAWNS
-            {
-                respawn_slot(
-                    slot,
-                    self.default_timeout,
-                    &self.clock,
-                    Arc::clone(&self.dispatch_waiter),
-                );
+            if elapsed >= slot.timeout * 2 && slot.respawnable() {
+                respawn_slot(slot, &self.env);
                 respawned += 1;
                 if let Some(t) = &slot.telem {
                     t.respawns.inc();
@@ -999,7 +1001,7 @@ impl SchedulerCtx {
     /// like the old dispatch-everything-at-round-start. A checker still busy
     /// at its phase time is skipped for the round, as before.
     fn dispatch_due(&mut self, round_start: Duration) {
-        let now = self.clock.now();
+        let now = self.env.clock.now();
         let mut armed = 0usize;
         for slot in &mut self.slots {
             if slot.dispatched || now < round_start + slot.phase {
@@ -1022,23 +1024,30 @@ impl SchedulerCtx {
             }
         }
         if armed > 0 {
-            self.dispatch_waiter.notify_all();
+            self.env.dispatch.notify_all();
         }
     }
 
-    fn any_pending_dispatch(&self) -> bool {
-        self.slots.iter().any(|s| !s.dispatched)
+    fn stopped(&self) -> bool {
+        self.shutdown.load(Ordering::Relaxed)
+    }
+
+    /// Parks the scheduler until `deadline`, the earliest slot event before
+    /// it, a landed result or a stop request — whichever comes first.
+    fn park(&self, round_start: Duration, deadline: Duration) {
+        let wake_at = self
+            .slots
+            .iter()
+            .filter_map(|s| s.next_event(round_start))
+            .fold(deadline, Duration::min);
+        let now = self.env.clock.now();
+        self.env.wake.wait_timeout(wake_at.saturating_sub(now));
     }
 }
 
 /// Abandons a wedged executor and installs a fresh checker in its slot,
 /// preserving identity, phase, and the respawn budget already spent.
-fn respawn_slot(
-    slot: &mut ExecSlot,
-    default_timeout: Duration,
-    clock: &SharedClock,
-    waiter: Arc<dyn Waiter>,
-) {
+fn respawn_slot(slot: &mut ExecSlot, env: &ExecEnv) {
     let Some(factory) = slot.factory.clone() else {
         return;
     };
@@ -1046,19 +1055,8 @@ fn respawn_slot(
     // completes it sees the closed signal (or the dropped result channel)
     // and exits instead of waiting for a dispatch that will never come.
     slot.signal.close();
-    let mut checker = factory();
-    let probe = ExecutionProbe::new();
-    checker.attach_probe(probe.clone());
-    let mut fresh = spawn_executor(
-        Pending {
-            checker,
-            probe,
-            factory: Some(factory),
-        },
-        default_timeout,
-        clock,
-        waiter,
-    );
+    env.dispatch.notify_all();
+    let mut fresh = spawn_executor(Pending::new(factory(), Some(factory)), env);
     fresh.phase = slot.phase;
     fresh.respawns = slot.respawns + 1;
     fresh.dispatched = slot.dispatched;
@@ -1066,38 +1064,23 @@ fn respawn_slot(
     *slot = fresh;
 }
 
-/// Sleep chunk while no checker is running: long enough to keep the idle
-/// scheduler off the CPU, short enough to stay responsive to shutdown.
-const IDLE_QUANTUM: Duration = Duration::from_millis(25);
-
 fn scheduler_loop(mut ctx: SchedulerCtx) {
-    let clock = Arc::clone(&ctx.clock);
-    if !ctx.policy.initial_delay.is_zero() {
-        clock.sleep(ctx.policy.initial_delay);
+    let clock = Arc::clone(&ctx.env.clock);
+    // No slot event can precede the first round, so this parks on the
+    // initial delay alone (and on a stop request).
+    let first_round = clock.now() + ctx.policy.initial_delay;
+    while !ctx.stopped() && clock.now() < first_round {
+        ctx.park(first_round, first_round);
     }
     let mut round: u64 = 0;
-    while !ctx.shutdown.load(Ordering::Relaxed) {
+    while !ctx.stopped() {
         ctx.collect_results();
         let round_start = clock.now();
         ctx.begin_round();
         ctx.dispatch_due(round_start);
         let deadline = round_start + ctx.policy.round_sleep(round);
-        while !ctx.shutdown.load(Ordering::Relaxed) {
-            let now = clock.now();
-            if now >= deadline {
-                break;
-            }
-            // Poll fast while checkers are in flight or phase-delayed
-            // dispatches are still owed; once every executor is idle the
-            // scheduler sleeps in coarse chunks so a quiescent watchdog
-            // costs (almost) nothing (experiment E5).
-            let any_busy = ctx.slots.iter().any(|s| s.busy_since.is_some());
-            let quantum = if any_busy || ctx.any_pending_dispatch() {
-                POLL_QUANTUM
-            } else {
-                IDLE_QUANTUM
-            };
-            clock.sleep(quantum.min(deadline.saturating_sub(now)));
+        while !ctx.stopped() && clock.now() < deadline {
+            ctx.park(round_start, deadline);
             ctx.collect_results();
             ctx.dispatch_due(round_start);
             ctx.detect_stuck();
@@ -1105,11 +1088,13 @@ fn scheduler_loop(mut ctx: SchedulerCtx) {
         ctx.stats.rounds.fetch_add(1, Ordering::Relaxed);
         round += 1;
     }
-    // Release every executor thread: a waiter wait is not woken by channel
-    // drop, so shutdown must close the signals explicitly.
+    // Release every executor thread and the action worker: a waiter wait is
+    // not woken by a drop, so shutdown must close both explicitly.
     for slot in &ctx.slots {
         slot.signal.close();
     }
+    ctx.env.dispatch.notify_all();
+    ctx.action_queue.close();
 }
 
 #[cfg(test)]

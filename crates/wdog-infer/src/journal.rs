@@ -27,6 +27,11 @@ pub struct TraceJournal {
     pub seed: u64,
     /// Drained recorder events, in sequence order.
     pub events: Vec<TraceEvent>,
+    /// Events the recorder discarded because its buffer was full
+    /// ([`TraceRecorder::dropped`](wdog_core::TraceRecorder::dropped)):
+    /// non-zero means `events` is a truncated view of the execution.
+    #[serde(default)]
+    pub dropped: u64,
 }
 
 impl TraceJournal {
@@ -43,6 +48,7 @@ impl TraceJournal {
             label: label.into(),
             seed,
             events,
+            dropped: 0,
         }
     }
 

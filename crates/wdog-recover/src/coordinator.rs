@@ -6,15 +6,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use wdog_base::clock::SharedClock;
 use wdog_base::ids::ComponentId;
+use wdog_base::queue::ClockedQueue;
 use wdog_base::rng::derive_seed;
 
 use wdog_core::prelude::*;
-use wdog_telemetry::TelemetryRegistry;
+use wdog_telemetry::{Counter, TelemetryRegistry};
 
 use crate::incident::{Incident, RecoveryOutcome};
 use crate::policy::RecoveryPolicy;
@@ -28,6 +28,8 @@ pub const RECOVERY_OUTCOME_METRIC: &str = "recovery_outcome_total";
 pub const RECOVERY_RUNG_METRIC: &str = "recovery_rung_total";
 /// Counter of verification re-checks, labeled `pass`/`fail`.
 pub const RECOVERY_VERIFICATION_METRIC: &str = "recovery_verification_total";
+/// Counter of reports dropped because the inbox was full.
+pub const RECOVERY_DROPPED_METRIC: &str = "recovery_reports_dropped_total";
 
 /// Builds a fresh instance of the check that blamed a component, so a
 /// mitigation can be verified by re-dispatching it. Returns `None` when the
@@ -97,17 +99,20 @@ impl RecoveryCoordinatorBuilder {
 
     /// Spawns the coordinator worker and returns the shared handle.
     pub fn start(self) -> Arc<RecoveryCoordinator> {
-        let (tx, rx) = bounded::<FailureReport>(INBOX_CAP);
+        let inbox = ClockedQueue::bounded(&self.clock, INBOX_CAP);
+        let dropped = self
+            .telemetry
+            .as_deref()
+            .map_or_else(Counter::new, |t| t.counter(RECOVERY_DROPPED_METRIC, ""));
         let shared = Arc::new(CoordShared {
             state: Mutex::new(CoordState::default()),
-            dropped: AtomicU64::new(0),
+            dropped,
             pinned_hits: AtomicU64::new(0),
             busy: AtomicBool::new(false),
             backlog_len: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
         });
         let worker = Worker {
-            rx,
+            inbox: inbox.clone(),
             clock: Arc::clone(&self.clock),
             surface: self.surface,
             default_policy: self.default_policy,
@@ -122,7 +127,7 @@ impl RecoveryCoordinatorBuilder {
         let clock = Arc::clone(&self.clock);
         let handle = wdog_base::clock::spawn_on(&clock, "wdog-recover", move || worker.run());
         Arc::new(RecoveryCoordinator {
-            tx,
+            inbox,
             shared,
             clock,
             worker: Mutex::new(Some(handle)),
@@ -140,11 +145,12 @@ struct CoordState {
 
 struct CoordShared {
     state: Mutex<CoordState>,
-    dropped: AtomicU64,
+    /// Inbox overflow; the registry's [`RECOVERY_DROPPED_METRIC`] cell when
+    /// telemetry is attached.
+    dropped: Counter,
     pinned_hits: AtomicU64,
     busy: AtomicBool,
     backlog_len: AtomicUsize,
-    shutdown: AtomicBool,
 }
 
 /// Closed-loop recovery driver (see crate docs for the ladder).
@@ -153,7 +159,7 @@ struct CoordShared {
 /// as an [`Action`]; reports are handed to a dedicated worker thread through
 /// a bounded inbox so recovery work never blocks detection.
 pub struct RecoveryCoordinator {
-    tx: Sender<FailureReport>,
+    inbox: ClockedQueue<FailureReport>,
     shared: Arc<CoordShared>,
     clock: SharedClock,
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -180,7 +186,7 @@ impl RecoveryCoordinator {
 
     /// Returns reports dropped because the inbox was full.
     pub fn dropped_reports(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
+        self.shared.dropped.get()
     }
 
     /// Returns reports ignored because their component is pinned.
@@ -197,7 +203,7 @@ impl RecoveryCoordinator {
 
     /// Returns `true` when no report is queued or being processed.
     pub fn is_idle(&self) -> bool {
-        self.tx.is_empty()
+        self.inbox.is_empty()
             && self.shared.backlog_len.load(Ordering::Relaxed) == 0
             && !self.shared.busy.load(Ordering::Relaxed)
     }
@@ -215,9 +221,18 @@ impl RecoveryCoordinator {
         self.is_idle()
     }
 
-    /// Stops the worker after it finishes the incident in hand.
+    /// Requests shutdown without blocking: the inbox closes, so later
+    /// reports are ignored and the worker exits once it has handled what is
+    /// already queued. Under a simulated clock this seals the coordinator
+    /// at the virtual instant of the call; the join is left to
+    /// [`RecoveryCoordinator::stop`].
+    pub fn request_stop(&self) {
+        self.inbox.close();
+    }
+
+    /// Stops the worker after it finishes the reports already queued.
     pub fn stop(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.request_stop();
         if let Some(handle) = self.worker.lock().take() {
             let _ = handle.join();
         }
@@ -232,17 +247,17 @@ impl Drop for RecoveryCoordinator {
 
 impl Action for RecoveryCoordinator {
     fn on_failure(&self, report: &FailureReport) {
-        if self.shared.shutdown.load(Ordering::Relaxed) {
+        if self.inbox.is_closed() {
             return;
         }
-        if self.tx.try_send(report.clone()).is_err() {
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+        if self.inbox.push(report.clone()).is_err() {
+            self.shared.dropped.inc();
         }
     }
 }
 
 struct Worker {
-    rx: Receiver<FailureReport>,
+    inbox: ClockedQueue<FailureReport>,
     clock: SharedClock,
     surface: RecoverySurface,
     default_policy: RecoveryPolicy,
@@ -264,21 +279,12 @@ impl Worker {
                     .backlog_len
                     .store(self.backlog.len(), Ordering::Relaxed);
                 r
+            } else if let Some(r) = self.inbox.pop() {
+                // Parked on the clock until a report arrived: an incident
+                // opens at the instant its first report was emitted.
+                r
             } else {
-                // Poll the inbox on the clock rather than blocking inside
-                // crossbeam: under a simulated clock this sleep is what
-                // lets virtual time advance past an idle coordinator.
-                match self.rx.try_recv() {
-                    Ok(r) => r,
-                    Err(TryRecvError::Empty) => {
-                        if self.shared.shutdown.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        self.clock.sleep(Duration::from_millis(25));
-                        continue;
-                    }
-                    Err(TryRecvError::Disconnected) => return,
-                }
+                return; // Closed by `request_stop` and drained.
             };
             self.shared.busy.store(true, Ordering::Relaxed);
             self.handle(report);
@@ -482,7 +488,7 @@ impl Worker {
     /// reports for other components are kept for later handling.
     fn coalesce(&mut self, component: &ComponentId) -> u64 {
         let mut absorbed = 0u64;
-        while let Ok(r) = self.rx.try_recv() {
+        while let Some(r) = self.inbox.try_pop() {
             if &r.location.component == component {
                 absorbed += 1;
             } else {
@@ -516,27 +522,15 @@ impl Worker {
         let Some(mut checker) = (self.surface.verifier)(component) else {
             return false;
         };
-        let (tx, rx) = bounded::<bool>(1);
+        let verdict = ClockedQueue::bounded(&self.clock, 1);
+        let tx = verdict.clone();
         wdog_base::clock::spawn_on(&self.clock, "wdog-verify", move || {
             let outcome =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| checker.check()));
-            let pass = matches!(outcome, Ok(s) if s.is_pass());
-            let _ = tx.send(pass);
+            let _ = tx.push(matches!(outcome, Ok(s) if s.is_pass()));
         });
-        let deadline = self.clock.now() + policy.verify_timeout;
-        loop {
-            match rx.try_recv() {
-                Ok(pass) => return pass,
-                Err(TryRecvError::Disconnected) => return false,
-                Err(TryRecvError::Empty) => {}
-            }
-            let now = self.clock.now();
-            if now >= deadline {
-                return false;
-            }
-            self.clock
-                .sleep(Duration::from_millis(5).min(deadline - now));
-        }
+        // Woken the instant the verdict lands; no verdict in time fails.
+        verdict.pop_timeout(policy.verify_timeout).unwrap_or(false)
     }
 
     fn close(&self, incident: Incident) {

@@ -65,6 +65,28 @@ echo "==> wdog-recovery --sim smoke: kvs stuck-task + corruption must verified-r
 cargo run --offline -q -p harness --bin wdog-recovery -- --target kvs --sim \
     --scenarios background-task-stuck,state-corruption --require-verified 2
 
+# Recovery campaigns are pure functions of (target, seed) under --sim: every
+# hop from a checker's verdict to the incident's close is a clock actor, so
+# the whole catalogue on all three targets must serialize byte-identically
+# on consecutive runs. Both runs write to scratch dirs (their telemetry
+# snapshots carry wall-clock samples); the agreed campaigns then refresh
+# the archived results/recovery*.json, which the two-scenario smoke above
+# had just overwritten for kvs.
+echo "==> wdog-recovery --sim --target all: full catalogue twice, campaigns byte-identical"
+rec1="$(mktemp -d)"
+rec2="$(mktemp -d)"
+for d in "$rec1" "$rec2"; do
+    cargo run --offline -q --release -p harness --bin wdog-recovery -- --target all --sim --out "$d"
+done
+for f in recovery recovery-minizk recovery-miniblock; do
+    if ! cmp -s "$rec1/$f.json" "$rec2/$f.json"; then
+        echo "wdog-recovery --sim [$f]: campaigns diverged between consecutive runs — nondeterminism bug"
+        exit 1
+    fi
+    cp "$rec2/$f.json" "results/$f.json"
+done
+rm -rf "$rec1" "$rec2"
+
 echo "==> telemetry smoke: kvs campaign must produce a valid snapshot with a detection"
 cargo run --offline -q --release -p harness --bin wdog-telemetry -- --target kvs \
     --scenarios background-task-stuck --require-detections 1
