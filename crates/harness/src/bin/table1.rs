@@ -1,14 +1,27 @@
 //! Regenerates the paper's Table 1 (experiment E1).
 //!
-//! `--target {kvs|minizk|miniblock|all}` selects which system(s) to
-//! campaign against; the paper-shape check applies to the kvs matrix, the
-//! target the catalogue's expectations were calibrated on.
+//! ```text
+//! table1 [--target {kvs|minizk|miniblock|all}] [--seed N] [--out DIR]
+//! ```
+//!
+//! `--target` selects which system(s) to campaign against; the paper-shape
+//! check applies to the kvs matrix, the target the catalogue's
+//! expectations were calibrated on.
+
+use harness::cli::{CampaignCli, EXIT_GATE};
+
+const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--seed N] [--out DIR]";
 
 fn main() {
+    let cli = CampaignCli::parse("table1", USAGE, &[], &[]);
+    let out = cli.out_dir();
     let mut failed = false;
-    for target in harness::targets_from_cli("table1") {
+    for target in cli.targets("kvs") {
         let registry = wdog_telemetry::TelemetryRegistry::shared();
-        let mut opts = harness::scenario::RunnerOptions::default();
+        let mut opts = harness::scenario::RunnerOptions {
+            seed: cli.seed(),
+            ..Default::default()
+        };
         opts.wd.telemetry = Some(std::sync::Arc::clone(&registry));
         match harness::table1::run(target.as_ref(), &opts) {
             Ok(result) => {
@@ -24,8 +37,13 @@ fn main() {
                         }
                     }
                 }
-                harness::write_json(&harness::result_name("table1", &result.target), &result);
-                harness::telemetry::write_snapshot(
+                harness::write_json_under(
+                    &out,
+                    &harness::result_name("table1", &result.target),
+                    &result,
+                );
+                harness::telemetry::write_snapshot_under(
+                    &out,
                     &format!("telemetry_table1_{}", result.target),
                     &registry.snapshot(),
                 );
@@ -37,7 +55,7 @@ fn main() {
         }
     }
     if failed {
-        std::process::exit(1);
+        std::process::exit(EXIT_GATE);
     }
-    harness::clear_err_sidecar("table1");
+    harness::clear_err_sidecar_under(&out, "table1");
 }

@@ -74,5 +74,5 @@ fn main() {
     if failed {
         std::process::exit(EXIT_GATE);
     }
-    harness::clear_err_sidecar("recovery");
+    harness::clear_err_sidecar_under(&out, "recovery");
 }

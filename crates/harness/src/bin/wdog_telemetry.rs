@@ -4,7 +4,6 @@
 //! wdog-telemetry [--target {kvs|minizk|miniblock|all}] [--out DIR]
 //!                [--scenarios id,id,...]
 //!                [--require-detections N]
-//!                [--bench-guard PCT]
 //! ```
 //!
 //! Replays the target's gray-failure catalogue with a telemetry registry
@@ -16,46 +15,25 @@
 //!
 //! `--require-detections N` exits nonzero unless at least N end-to-end
 //! detection latencies were measured (summed over targets) — the CI smoke
-//! gate. `--bench-guard PCT` skips the campaign and instead measures the
-//! hook-fire hot path with telemetry attached vs. detached, failing if
-//! attached exceeds detached by more than PCT percent.
+//! gate.
 //!
 //! [`TelemetrySnapshot`]: wdog_telemetry::TelemetrySnapshot
 
 use harness::cli::{CampaignCli, EXIT_GATE};
 
 const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--out DIR] \
-     [--scenarios id,id,...] [--require-detections N] [--bench-guard PCT]";
+     [--scenarios id,id,...] [--require-detections N]";
 
 fn main() {
     let cli = CampaignCli::parse(
         "wdog-telemetry",
         USAGE,
-        &["--scenarios", "--require-detections", "--bench-guard"],
+        &["--scenarios", "--require-detections"],
         &[],
     );
     let scenarios = cli.list("--scenarios");
     let require_detections: u64 = cli.parsed("--require-detections", 0);
     let out = cli.out_dir();
-
-    if let Some(pct) = cli.parsed_opt::<f64>("--bench-guard") {
-        let g = harness::telemetry::bench_guard(200_000, 5);
-        let floor = harness::telemetry::BENCH_GUARD_FLOOR_NS;
-        println!(
-            "hook fire: telemetry-off {:.1} ns, telemetry-on {:.1} ns \
-             ({:.1}% / +{:.1} ns overhead; budget {pct}% or {floor} ns absolute)",
-            g.off_ns,
-            g.on_ns,
-            (g.ratio - 1.0) * 100.0,
-            g.on_ns - g.off_ns,
-        );
-        harness::write_json_under(&out, "telemetry_bench_guard", &g);
-        if g.ratio > 1.0 + pct / 100.0 && g.on_ns - g.off_ns > floor {
-            eprintln!("wdog-telemetry: telemetry-on hook fire exceeds the {pct}% budget");
-            std::process::exit(EXIT_GATE);
-        }
-        return;
-    }
 
     let opts = harness::telemetry::campaign_options();
     let mut detections_total = 0u64;

@@ -1,7 +1,7 @@
 //! The shared campaign-binary command line.
 //!
 //! Every campaign binary (`wdog-chaos`, `wdog-recovery`, `wdog-telemetry`,
-//! `wdog-lint`, `wdog-load`) historically hand-rolled the same
+//! `wdog-lint`, `wdog-infer`, `table1`, `table2`) needs the same
 //! `--flag value` / `--flag=value` loop, the same `--target` resolution,
 //! and the same exit-code conventions. [`CampaignCli`] is that loop named
 //! once: a binary declares its flags, parses, and reads typed values —

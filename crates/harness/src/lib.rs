@@ -22,7 +22,6 @@ pub mod cli;
 pub mod fmt;
 pub mod infer;
 pub mod lint;
-pub mod load;
 pub mod recovery;
 pub mod reduction;
 pub mod scenario;
@@ -48,38 +47,6 @@ pub fn select_targets(name: &str) -> Option<Vec<Box<dyn WatchdogTarget>>> {
             Box::new(miniblock::target::DnTarget),
         ]),
         _ => None,
-    }
-}
-
-/// Parses `--target NAME` (default `kvs`) from CLI args; exits with usage
-/// on an unknown name.
-pub fn targets_from_cli(bin: &str) -> Vec<Box<dyn WatchdogTarget>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut name = "kvs".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--target" if i + 1 < args.len() => {
-                name = args[i + 1].clone();
-                i += 2;
-            }
-            other => {
-                if let Some(v) = other.strip_prefix("--target=") {
-                    name = v.to_owned();
-                    i += 1;
-                } else {
-                    eprintln!("usage: {bin} [--target {{kvs|minizk|miniblock|all}}]");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    match select_targets(&name) {
-        Some(t) => t,
-        None => {
-            eprintln!("unknown target {name:?}; expected kvs, minizk, miniblock, or all");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -152,5 +119,24 @@ pub fn clear_err_sidecar_under(dir: &std::path::Path, name: &str) {
     match std::fs::remove_file(&path) {
         Ok(()) => println!("[removed stale error sidecar {}]", path.display()),
         Err(e) => eprintln!("warning: cannot remove {}: {e}", path.display()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn clearing_a_sidecar_leaves_other_directories_alone() {
+        let root = std::env::temp_dir().join(format!("harness-sidecar-{}", std::process::id()));
+        let (archive, scratch) = (root.join("results"), root.join("scratch"));
+        write_err_sidecar_under(&archive, "recovery", "archived run failed");
+        write_err_sidecar_under(&scratch, "recovery", "scratch run failed");
+
+        clear_err_sidecar_under(&scratch, "recovery");
+
+        assert!(!scratch.join("recovery.err").exists());
+        assert!(archive.join("recovery.err").exists());
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

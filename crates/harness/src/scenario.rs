@@ -209,7 +209,7 @@ pub fn run_scenario(
     let mut handler_first: Option<u64> = None;
     let deadline = clock.now() + opts.observe;
     while clock.now() < deadline {
-        std::thread::sleep(Duration::from_millis(50));
+        clock.sleep(Duration::from_millis(50));
         let now_ms = clock.now().saturating_sub(injected_at).as_millis() as u64;
         for (i, d) in extrinsics.iter().enumerate() {
             if extrinsic_first[i].is_none() {

@@ -8,15 +8,8 @@
 //! observability story: per-checker execution latency histograms, per-site
 //! hook fire counts, and measured fault-injection→first-report detection
 //! latencies, all from one campaign run.
-//!
-//! The module also hosts the **bench guard**: a self-contained measurement
-//! of the hook-fire hot path with telemetry attached vs. detached, used by
-//! CI to enforce the overhead budget (attached must stay within a small
-//! factor of detached; the detached path costs one relaxed atomic load).
 
-use std::time::{Duration, Instant};
-
-use serde::{Deserialize, Serialize};
+use std::time::Duration;
 
 use wdog_base::error::BaseResult;
 use wdog_core::prelude::*;
@@ -100,13 +93,8 @@ pub fn validate_snapshot(snap: &TelemetrySnapshot) -> Vec<String> {
     v
 }
 
-/// Writes the snapshot as `results/<name>.json` plus `results/<name>.prom`.
-pub fn write_snapshot(name: &str, snap: &TelemetrySnapshot) {
-    write_snapshot_under(std::path::Path::new("results"), name, snap);
-}
-
-/// [`write_snapshot`] with the artifact root chosen by the caller (the
-/// campaign binaries' `--out` flag).
+/// Writes the snapshot as `<dir>/<name>.json` plus `<dir>/<name>.prom`;
+/// `dir` is the campaign binaries' `--out` artifact root.
 pub fn write_snapshot_under(dir: &std::path::Path, name: &str, snap: &TelemetrySnapshot) {
     crate::write_json_under(dir, name, snap);
     if std::fs::create_dir_all(dir).is_err() {
@@ -178,64 +166,6 @@ pub fn render(target: &str, snap: &TelemetrySnapshot) -> String {
     out
 }
 
-/// One bench-guard measurement: hook-fire cost with telemetry detached vs.
-/// attached, in nanoseconds per fire.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BenchGuard {
-    /// ns/fire with no registry attached (the one-branch path).
-    pub off_ns: f64,
-    /// ns/fire with an attached registry (count every fire, time 1/64).
-    pub on_ns: f64,
-    /// `on_ns / off_ns`.
-    pub ratio: f64,
-}
-
-/// When the zero-alloc fire path dipped under ~70 ns, a pure percentage
-/// budget became noise-dominated: the armed counter `fetch_add` plus amortized
-/// sampling costs ~10 ns absolute, which swings 9–23% of the baseline from
-/// run to run on a shared machine. The guard therefore also passes whenever
-/// the absolute on−off delta stays under this floor — the same shape as the
-/// load guard's p99 jitter floor.
-pub const BENCH_GUARD_FLOOR_NS: f64 = 25.0;
-
-/// Measures the hook-fire hot path with telemetry off and on.
-///
-/// Takes the best of `rounds` rounds for each variant (minimum is the
-/// right statistic for a noise-floor microbenchmark: interference only
-/// ever adds time). Rounds are interleaved off/on so both variants sample
-/// the same noise window instead of the off phase finishing before the on
-/// phase starts.
-pub fn bench_guard(iters: u64, rounds: usize) -> BenchGuard {
-    let per_fire = |hooks: &Hooks, iters: u64| -> f64 {
-        let site = hooks.site("bench.telemetry_guard");
-        let start = Instant::now();
-        for i in 0..iters {
-            wd_hook!(site, { "i" => i });
-        }
-        start.elapsed().as_nanos() as f64 / iters as f64
-    };
-
-    let mut off_ns = f64::INFINITY;
-    let mut on_ns = f64::INFINITY;
-    for _ in 0..rounds {
-        let hooks = Hooks::new(ContextTable::new(RealClock::shared()));
-        off_ns = off_ns.min(per_fire(&hooks, iters));
-
-        let hooks = Hooks::new(ContextTable::new(RealClock::shared()));
-        hooks.attach_telemetry(TelemetryRegistry::shared());
-        on_ns = on_ns.min(per_fire(&hooks, iters));
-    }
-    BenchGuard {
-        off_ns,
-        on_ns,
-        ratio: if off_ns > 0.0 {
-            on_ns / off_ns
-        } else {
-            f64::NAN
-        },
-    }
-}
-
 /// Campaign tuning for the telemetry bin: short rounds so several checking
 /// rounds land inside each observation window.
 pub fn campaign_options() -> RunnerOptions {
@@ -276,12 +206,5 @@ mod tests {
             "stuck reports must be classified: {:?}",
             snap.counters
         );
-    }
-
-    #[test]
-    fn bench_guard_measures_both_variants() {
-        let g = bench_guard(20_000, 3);
-        assert!(g.off_ns > 0.0 && g.on_ns > 0.0);
-        assert!(g.ratio.is_finite());
     }
 }

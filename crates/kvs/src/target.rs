@@ -26,8 +26,8 @@ use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
     catalog_for, spawn_workload_on, ApiProbe, CrashSignal, FaultSurface, LivenessProbe,
-    RecoverySurface, RequestFn, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle,
-    WorkloadObserver, WorkloadProfile,
+    RecoverySurface, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle, WorkloadObserver,
+    WorkloadProfile,
 };
 
 use crate::config::KvsConfig;
@@ -154,32 +154,11 @@ impl TargetInstance for KvsInstance {
         ));
     }
 
-    fn load_surface(&self, _keys: usize) -> Option<RequestFn> {
-        // Same mix as the steady workload; the load plane owns pacing.
-        let client = self.server.client();
-        Some(Arc::new(move |ticket| {
-            let key = format!("wl-key-{}", ticket.key);
-            if ticket.write {
-                match ticket.roll {
-                    0 => client.del(&key),
-                    1 | 2 => client.append(&key, "x"),
-                    _ => client.set(&key, &format!("v{}", ticket.value)),
-                }
-            } else {
-                client.get(&key).map(|_| ())
-            }
-        }))
-    }
-
     fn attach_trace(&self, recorder: &std::sync::Arc<wdog_core::TraceRecorder>) -> bool {
         self.server
             .hooks()
             .attach_trace(std::sync::Arc::clone(recorder));
         true
-    }
-
-    fn set_hooks_enabled(&self, enabled: bool) {
-        self.server.hooks().set_enabled(enabled);
     }
 
     fn workload_counters(&self) -> (u64, u64) {

@@ -28,8 +28,8 @@ use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
     catalog_for, spawn_workload_on, ApiProbe, CrashSignal, FaultSurface, LivenessProbe,
-    RecoverySurface, RequestFn, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle,
-    WorkloadObserver, WorkloadProfile,
+    RecoverySurface, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle, WorkloadObserver,
+    WorkloadProfile,
 };
 
 use crate::datanode::{DataNode, DataNodeConfig};
@@ -176,38 +176,11 @@ impl TargetInstance for DnInstance {
         ));
     }
 
-    fn load_surface(&self, _keys: usize) -> Option<RequestFn> {
-        // Ids assigned by ingest, shared so readers pick real blocks.
-        let written: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let dn = Arc::clone(&self.datanode);
-        Some(Arc::new(move |ticket| {
-            if ticket.write || written.lock().unwrap().is_empty() {
-                let data = format!("block-payload-{}", ticket.value);
-                let id = dn.write_block(data.as_bytes())?;
-                let mut ids = written.lock().unwrap();
-                ids.push(id);
-                if ids.len() > 512 {
-                    ids.remove(0);
-                }
-                Ok(())
-            } else {
-                let ids = written.lock().unwrap();
-                let id = ids[ticket.key % ids.len()];
-                drop(ids);
-                dn.read_block(id).map(|_| ())
-            }
-        }))
-    }
-
     fn attach_trace(&self, recorder: &std::sync::Arc<wdog_core::TraceRecorder>) -> bool {
         self.datanode
             .hooks()
             .attach_trace(std::sync::Arc::clone(recorder));
         true
-    }
-
-    fn set_hooks_enabled(&self, enabled: bool) {
-        self.datanode.hooks().set_enabled(enabled);
     }
 
     fn workload_counters(&self) -> (u64, u64) {

@@ -28,8 +28,8 @@ use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
     catalog_for, spawn_workload_on, ApiProbe, CrashSignal, FaultSurface, LivenessProbe,
-    RecoverySurface, RequestFn, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle,
-    WorkloadObserver, WorkloadProfile,
+    RecoverySurface, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle, WorkloadObserver,
+    WorkloadProfile,
 };
 
 use crate::quorum::{follower_addr, Cluster, ClusterConfig, LEADER_ADDR};
@@ -183,25 +183,6 @@ impl TargetInstance for ZkInstance {
         ));
     }
 
-    fn load_surface(&self, keys: usize) -> Option<RequestFn> {
-        // Pre-create the key space so the hot mix is pure set/get.
-        let _ = self.cluster.create("/wl", b"root");
-        for k in 0..keys.max(1) {
-            let _ = self.cluster.create(&format!("/wl/n{k}"), b"initial");
-        }
-        let cluster = Arc::clone(&self.cluster);
-        Some(Arc::new(move |ticket| {
-            let path = format!("/wl/n{}", ticket.key);
-            if ticket.write {
-                cluster
-                    .set_data(&path, format!("v{}", ticket.value).as_bytes())
-                    .map(|_| ())
-            } else {
-                cluster.get_data(&path).map(|_| ())
-            }
-        }))
-    }
-
     fn attach_trace(&self, recorder: &std::sync::Arc<wdog_core::TraceRecorder>) -> bool {
         self.cluster
             .hooks()
@@ -216,10 +197,6 @@ impl TargetInstance for ZkInstance {
         // never deadlocks waiting on virtual latencies.
         drop(self.cluster.sync_follower(0));
         true
-    }
-
-    fn set_hooks_enabled(&self, enabled: bool) {
-        self.cluster.hooks().set_enabled(enabled);
     }
 
     fn workload_counters(&self) -> (u64, u64) {

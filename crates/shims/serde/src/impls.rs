@@ -153,6 +153,13 @@ impl Deserialize for char {
     }
 }
 
+/// Untyped documents: `serde_json::from_str::<Value>` hands back the tree.
+impl Deserialize for Value {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        Ok(value.clone())
+    }
+}
+
 impl Serialize for () {
     fn to_value(&self) -> Value {
         Value::Null

@@ -37,9 +37,7 @@ pub mod workload;
 
 pub use options::{Families, WdOptions};
 pub use supervise::Supervised;
-pub use workload::{
-    spawn_workload, spawn_workload_on, RequestFn, WorkloadHandle, WorkloadProfile, WorkloadTicket,
-};
+pub use workload::{spawn_workload_on, RequestFn, WorkloadHandle, WorkloadProfile, WorkloadTicket};
 
 /// Re-exported so targets and campaign runners share one recovery contract
 /// without depending on `wdog-recover` directly.
@@ -231,22 +229,6 @@ pub trait TargetInstance: Send {
 
     /// Starts the steady workload; request outcomes go to `observer`.
     fn start_workload(&mut self, profile: &WorkloadProfile, observer: Option<WorkloadObserver>);
-
-    /// The hot client request path for the open-loop load plane
-    /// (`harness::load` / `wdog-load`): the same request mix as the steady
-    /// workload, but returned as a bare closure so the load generator owns
-    /// pacing, threading, and latency accounting. Implementations prepare
-    /// a key space of `keys` entries so every ticket in `[0, keys)` hits a
-    /// real object. `None` when the instance serves no high-rate client
-    /// surface.
-    fn load_surface(&self, _keys: usize) -> Option<RequestFn> {
-        None
-    }
-
-    /// Arms or disarms every hook site on the instance — the load plane's
-    /// disarmed baseline flips this off to measure the bare request path.
-    /// The default does nothing (no hooks to toggle).
-    fn set_hooks_enabled(&self, _enabled: bool) {}
 
     /// Arms trace recording on the instance's hooks: every context publish
     /// is journaled into `recorder` for `wdog-infer` to mine. Returns

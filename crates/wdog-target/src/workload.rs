@@ -4,7 +4,7 @@
 //! and observer-style baselines have outcomes to watch. The request *mix*
 //! is target-specific, but the thread pool, pacing, seeding, and outcome
 //! accounting are not — so targets implement one request closure and
-//! [`spawn_workload`] does the rest.
+//! [`spawn_workload_on`] does the rest.
 //!
 //! Randomness is pre-drawn into a [`WorkloadTicket`] so request closures
 //! stay deterministic given the ticket and need no RNG of their own.
@@ -111,21 +111,6 @@ impl std::fmt::Debug for WorkloadHandle {
     }
 }
 
-/// Starts `profile.threads` request loops on the real clock. See
-/// [`spawn_workload_on`].
-pub fn spawn_workload(
-    profile: &WorkloadProfile,
-    observer: Option<WorkloadObserver>,
-    request: RequestFn,
-) -> WorkloadHandle {
-    spawn_workload_on(
-        &wdog_base::clock::RealClock::shared(),
-        profile,
-        observer,
-        request,
-    )
-}
-
 /// Starts `profile.threads` request loops, each calling `request` with a
 /// deterministically drawn ticket, pacing by `profile.period` on `clock`,
 /// counting outcomes, and reporting each to `observer` when one is
@@ -183,13 +168,15 @@ pub fn spawn_workload_on(
 mod tests {
     use super::*;
     use std::sync::Mutex;
+    use wdog_base::clock::RealClock;
 
     #[test]
     fn workload_counts_and_observes() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
         let observer: WorkloadObserver = Arc::new(move |ok| seen2.lock().unwrap().push(ok));
-        let mut handle = spawn_workload(
+        let mut handle = spawn_workload_on(
+            &RealClock::shared(),
             &WorkloadProfile {
                 threads: 2,
                 period: Duration::from_millis(1),
@@ -214,7 +201,8 @@ mod tests {
 
     #[test]
     fn tickets_stay_in_bounds() {
-        let mut handle = spawn_workload(
+        let mut handle = spawn_workload_on(
+            &RealClock::shared(),
             &WorkloadProfile {
                 threads: 1,
                 period: Duration::from_millis(1),

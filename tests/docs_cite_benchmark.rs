@@ -1,0 +1,105 @@
+//! The docs cite the benchmark contract, and only it.
+//!
+//! `BENCHMARK.json` is the one list of what this repository measures.
+//! Prose that names a layer metric the contract does not have, or a
+//! measuring tool that was deleted in favour of the benchmark, has drifted.
+
+use std::collections::BTreeSet;
+
+const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+
+/// Instruments `benchmark/` superseded; neither docs nor CI may lean on them.
+const RETIRED: [&str; 5] = [
+    "wdog-load",
+    "cargo bench",
+    "--bench-guard",
+    "load_baseline",
+    "results/load",
+];
+
+const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];
+
+fn read(rel: &str) -> String {
+    let path = format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+}
+
+fn per_layer_names() -> BTreeSet<String> {
+    let contract: serde_json::Value =
+        serde_json::from_str(&read("BENCHMARK.json")).expect("BENCHMARK.json parses");
+    contract
+        .as_object()
+        .and_then(|o| o.get("per_layer"))
+        .and_then(|v| v.as_array())
+        .expect("BENCHMARK.json has a per_layer array")
+        .iter()
+        .map(|m| {
+            m.as_object()
+                .and_then(|o| o.get("name"))
+                .and_then(|n| n.as_str())
+                .expect("every per_layer entry has a name")
+                .to_owned()
+        })
+        .collect()
+}
+
+/// The inline-code spans of a markdown text (fenced blocks excluded).
+fn backticked(text: &str) -> Vec<&str> {
+    let mut spans = Vec::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            spans.extend(line.split('`').skip(1).step_by(2));
+        }
+    }
+    spans
+}
+
+#[test]
+fn layer_metrics_named_in_docs_exist_in_the_contract() {
+    let names = per_layer_names();
+    let layers: BTreeSet<&str> = names.iter().filter_map(|n| n.split('.').next()).collect();
+
+    let mut cited = 0;
+    let mut unknown = Vec::new();
+    for doc in DOCS {
+        let text = read(doc);
+        for token in backticked(&text) {
+            let cites_a_layer = token
+                .split_once('.')
+                .is_some_and(|(layer, _)| layers.contains(layer));
+            let is_pattern = token.contains(['*', '<', '{']);
+            let is_file = FILE_SUFFIXES.iter().any(|s| token.ends_with(s));
+            if cites_a_layer && !is_pattern && !is_file {
+                cited += 1;
+                if !names.contains(token) {
+                    unknown.push(format!("{doc}: `{token}`"));
+                }
+            }
+        }
+    }
+    assert!(cited > 0, "the docs cite no layer metric at all");
+    assert!(
+        unknown.is_empty(),
+        "docs name layer metrics BENCHMARK.json does not list: {unknown:#?}"
+    );
+}
+
+#[test]
+fn retired_instruments_are_not_mentioned() {
+    let mut stale = Vec::new();
+    for file in DOCS.into_iter().chain(["scripts/ci.sh"]) {
+        let text = read(file);
+        for word in RETIRED {
+            if text.contains(word) {
+                stale.push(format!("{file}: {word}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "superseded instruments still cited: {stale:#?}"
+    );
+}
