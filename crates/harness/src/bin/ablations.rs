@@ -1,24 +1,14 @@
 //! Runs the E6 design-choice ablations.
+//!
+//! ```text
+//! ablations [--out DIR]
+//! ```
 
 fn main() {
-    match harness::ablations::run() {
-        Ok(result) => {
-            println!("{}", harness::ablations::render(&result));
-            let violations = harness::ablations::shape_violations(&result);
-            if violations.is_empty() {
-                println!("shape check: OK");
-            } else {
-                println!("shape check: VIOLATIONS");
-                for v in violations {
-                    println!("  - {v}");
-                }
-            }
-            harness::write_json("ablations", &result);
-            harness::clear_err_sidecar("ablations");
-        }
-        Err(e) => {
-            eprintln!("ablations failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    harness::single_table(
+        "ablations",
+        harness::ablations::run,
+        harness::ablations::render,
+        (harness::ablations::shape_violations, ""),
+    );
 }

@@ -1,17 +1,14 @@
 //! Regenerates Figures 2-3 (experiment E3b): program logic reduction.
+//!
+//! ```text
+//! reduction [--out DIR]
+//! ```
 
 fn main() {
-    let result = harness::reduction::run();
-    println!("{}", harness::reduction::render(&result));
-    let violations = harness::reduction::shape_violations(&result);
-    if violations.is_empty() {
-        println!("shape check: OK");
-    } else {
-        println!("shape check: VIOLATIONS");
-        for v in violations {
-            println!("  - {v}");
-        }
-    }
-    harness::write_json("reduction", &result);
-    harness::clear_err_sidecar("reduction");
+    harness::single_table(
+        "reduction",
+        || Ok(harness::reduction::run()),
+        harness::reduction::render,
+        (harness::reduction::shape_violations, ""),
+    );
 }

@@ -1,24 +1,17 @@
 //! Reproduces the paper's §4.2 preliminary result (experiment E4).
+//!
+//! ```text
+//! zk2201 [--out DIR]
+//! ```
 
 fn main() {
-    match harness::zk2201::run() {
-        Ok(result) => {
-            println!("{}", harness::zk2201::render(&result));
-            let violations = harness::zk2201::shape_violations(&result);
-            if violations.is_empty() {
-                println!("shape check: OK (gray failure reproduced; watchdog detected; extrinsic detectors stayed green)");
-            } else {
-                println!("shape check: VIOLATIONS");
-                for v in violations {
-                    println!("  - {v}");
-                }
-            }
-            harness::write_json("zk2201", &result);
-            harness::clear_err_sidecar("zk2201");
-        }
-        Err(e) => {
-            eprintln!("zk2201 failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    harness::single_table(
+        "zk2201",
+        harness::zk2201::run,
+        harness::zk2201::render,
+        (
+            harness::zk2201::shape_violations,
+            " (gray failure reproduced; watchdog detected; extrinsic detectors stayed green)",
+        ),
+    );
 }

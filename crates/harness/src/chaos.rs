@@ -42,14 +42,14 @@ use faults::schedule::{compose_schedule, ComposeOptions, FaultSchedule};
 use faults::spec::FaultKind;
 use faults::ArmedFault;
 use faults::Scenario;
-use simio::{KillScope, SimClock};
-use wdog_base::clock::Clock;
+use simio::KillScope;
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_core::report::FailureReport;
 use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
 use wdog_telemetry::ChaosMetrics;
 
 use crate::scenario::RunnerOptions;
+use crate::session::Session;
 
 /// Verdict labels (also the `chaos_verdicts_total` counter labels).
 pub const DETECTED: &str = "detected";
@@ -87,7 +87,7 @@ pub struct ChaosOptions {
     pub max_reproducers: usize,
     /// Telemetry sidecar for latencies and campaign counters.
     pub metrics: Option<ChaosMetrics>,
-    /// Run every schedule on a discrete-event [`SimClock`] instead of the
+    /// Run every schedule on a discrete-event `SimClock` instead of the
     /// real clock: virtual time advances only when every actor is blocked,
     /// so a full warmup + horizon + grace replay costs milliseconds of
     /// wall time and the report is byte-identical by construction.
@@ -96,17 +96,15 @@ pub struct ChaosOptions {
 
 impl Default for ChaosOptions {
     fn default() -> Self {
+        let runner = RunnerOptions::default();
         Self {
             seed: 42,
             schedules: 20,
             compose: ComposeOptions::default(),
-            wd: RunnerOptions::default().wd,
+            wd: runner.wd,
             warmup: Duration::from_millis(500),
             grace: Duration::from_millis(400),
-            workload: WorkloadProfile {
-                period: Duration::from_millis(5),
-                ..WorkloadProfile::default()
-            },
+            workload: runner.workload,
             shrink_budget: 24,
             max_reproducers: 2,
             metrics: None,
@@ -241,6 +239,10 @@ pub struct Reproducer {
     pub shrink_evals: u64,
 }
 
+/// What a schedule's timeline thread shares with the runner: the armed
+/// handle of each fault, and the first injection that was refused.
+type Armed = (Vec<Option<ArmedFault>>, Option<BaseError>);
+
 /// Replays one schedule against a fresh testbed and scores every fault.
 ///
 /// The instance boots from the schedule's own stored seed, so a shrunk or
@@ -252,59 +254,42 @@ pub fn run_schedule(
 ) -> BaseResult<ScheduleOutcome> {
     schedule.validate().map_err(BaseError::InvalidState)?;
 
-    // Sim mode: the harness owns a discrete-event clock and registers
-    // itself as its first actor, so boot, fault arming, and observation
-    // all happen at deterministic virtual instants.
-    let mut main_guard = None;
-    let mut inst = if opts.sim {
-        let sim = Arc::new(SimClock::new());
-        main_guard = Some(sim.actor("chaos-main").adopt());
-        target.start_on(schedule.seed, sim)?
-    } else {
-        target.start(schedule.seed)?
-    };
-    let clock = inst.clock();
-    // The pool excludes crashes, so the crash hook never fires.
-    let injector = inst.injector(Arc::new(|| {}));
-
+    let mut session = Session::boot(target, schedule.seed, opts.sim, "chaos-main")?;
     let mut wd = opts.wd.clone();
     if let Some(m) = &opts.metrics {
         wd.telemetry = Some(Arc::clone(m.registry()));
     }
-    let (mut driver, _plan) = inst.build_watchdog(&wd)?;
-    driver.start()?;
-
-    inst.start_workload(
-        &WorkloadProfile {
-            seed: schedule.seed,
-            ..opts.workload.clone()
-        },
-        None,
-    );
+    session.arm(&wd, &opts.workload, None)?;
+    let clock = Arc::clone(session.clock());
     clock.sleep(opts.warmup);
 
     // The schedule clock starts here; every onset is relative to it.
     let run_start = clock.now();
-    let armed: Arc<Mutex<Vec<Option<ArmedFault>>>> = Arc::new(Mutex::new(
+    // Per-fault armed handles, plus the first injection the target's
+    // injector refused: a fault that never armed must fail the run, not be
+    // scored as a miss and blamed on the watchdog.
+    let armed: Arc<Mutex<Armed>> = Arc::new(Mutex::new((
         (0..schedule.faults.len()).map(|_| None).collect(),
-    ));
+        None,
+    )));
     let specs: Vec<_> = schedule.faults.iter().map(|f| f.spec.clone()).collect();
     let timeline = {
         let armed = Arc::clone(&armed);
-        let injector = injector.clone();
+        let injector = session.injector().clone();
         schedule.timeline().run(Arc::clone(&clock), move |event| {
-            let (op, idx) = match event.label.split_once(':') {
-                Some((op, idx)) => (op, idx),
-                None => return,
+            let Some((op, idx)) = event.label.split_once(':') else {
+                return;
             };
             let Ok(i) = idx.parse::<usize>() else { return };
-            let mut slots = armed.lock().unwrap();
+            let mut guard = armed.lock().unwrap();
+            let (slots, refused) = &mut *guard;
             match op {
-                "arm" => {
-                    if let Ok(a) = injector.inject(&specs[i].kind) {
-                        slots[i] = Some(a);
+                "arm" => match injector.inject(&specs[i].kind) {
+                    Ok(a) => slots[i] = Some(a),
+                    Err(e) => {
+                        refused.get_or_insert(e);
                     }
-                }
+                },
                 "clear" => {
                     if let Some(a) = slots[i].take() {
                         injector.clear(&a);
@@ -317,44 +302,16 @@ pub fn run_schedule(
 
     // Observe through the horizon plus a grace period so the last
     // checking rounds' reports land.
-    let deadline = run_start + schedule.horizon + opts.grace;
-    loop {
-        let now = clock.now();
-        if now >= deadline {
-            break;
-        }
-        clock.sleep((deadline - now).min(Duration::from_millis(50)));
-    }
+    session.sleep_until(run_start + schedule.horizon + opts.grace, || false);
     timeline.join();
 
-    // Teardown: release every surface so wedged threads drain.
-    for a in armed.lock().unwrap().iter().flatten() {
-        injector.clear(a);
+    if let Some(e) = armed.lock().unwrap().1.take() {
+        return Err(e);
     }
-    inst.clear_faults();
-    let reports = if let Some(guard) = main_guard.take() {
-        // Sim teardown: raise every stop flag and seal the report log at
-        // the frozen virtual instant — every loop observes the same stop
-        // time, and no report past the deadline can leak into scoring —
-        // then retire the harness actor so virtual time free-runs while
-        // the blocking joins drain.
-        inst.request_stop();
-        driver.request_stop();
-        let reports = driver.log().reports();
-        guard.retire();
-        inst.stop_workload();
-        driver.stop();
-        inst.teardown();
-        reports
-    } else {
-        inst.stop_workload();
-        driver.stop();
-        let reports = driver.log().reports();
-        inst.teardown();
-        reports
-    };
+    // Until-end faults are still armed; `finish` clears every surface.
+    let reports = session.finish();
     if let Some(m) = &opts.metrics {
-        if let Some((disk, net)) = inst.io_stats() {
+        if let Some((disk, net)) = session.inst().io_stats() {
             for (op, s) in disk.rows() {
                 m.sim_io_disk(op, s.calls, s.faults);
             }

@@ -25,15 +25,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use simio::SimClock;
-use wdog_base::clock::Clock;
 use wdog_base::error::BaseResult;
 use wdog_checkers::InferredSpec;
 use wdog_core::TraceRecorder;
 use wdog_infer::{infer, EmitConfig, InferenceReport, MinerConfig, TraceJournal, SCHEMA};
-use wdog_target::{WatchdogTarget, WorkloadProfile};
+use wdog_target::WatchdogTarget;
 
 use crate::chaos::{self, ChaosOptions, ChaosReport, DETECTED, MISSED};
+use crate::session::Session;
 
 /// Pipeline knobs.
 #[derive(Debug, Clone)]
@@ -119,10 +118,8 @@ pub struct InferArtifact {
 
 /// Records one benign sim execution of `target` and returns its journal.
 ///
-/// The boot follows the chaos sim idiom: the harness adopts an actor on a
-/// fresh [`SimClock`] so boot, workload, and observation all happen at
-/// deterministic virtual instants, and teardown seals at a frozen instant
-/// before the blocking joins drain.
+/// Runs as a sim [`Session`]: boot, workload, and observation all happen at
+/// deterministic virtual instants.
 pub fn record_journal(
     target: &dyn WatchdogTarget,
     seed: u64,
@@ -141,24 +138,14 @@ fn record_with(
     record_for: Duration,
     recorder: impl FnOnce(wdog_base::clock::SharedClock) -> Arc<TraceRecorder>,
 ) -> BaseResult<TraceJournal> {
-    let sim = Arc::new(SimClock::new());
-    let guard = sim.actor("infer-record").adopt();
-    let mut inst = target.start_on(seed, sim)?;
-    let clock = inst.clock();
+    let mut session = Session::boot(target, seed, true, "infer-record")?;
+    let clock = Arc::clone(session.clock());
     let recorder = recorder(Arc::clone(&clock));
 
     let base = ChaosOptions::default();
     let mut wd = base.wd.clone();
     wd.trace = Some(Arc::clone(&recorder));
-    let (mut driver, _plan) = inst.build_watchdog(&wd)?;
-    driver.start()?;
-    inst.start_workload(
-        &WorkloadProfile {
-            seed,
-            ..base.workload.clone()
-        },
-        None,
-    );
+    session.arm(&wd, &base.workload, None)?;
 
     let start = clock.now();
     let deadline = start + record_for;
@@ -168,28 +155,17 @@ fn record_with(
     // journal give orderings and staleness something to hold onto.
     let marks = [start + record_for * 2 / 5, start + record_for * 7 / 10];
     let mut exercised = [false; 2];
-    loop {
+    session.sleep_until(deadline, || {
         let now = clock.now();
-        if now >= deadline {
-            break;
-        }
         for (done, mark) in exercised.iter_mut().zip(marks) {
             if !*done && now >= mark {
-                inst.exercise_auxiliary();
+                session.inst().exercise_auxiliary();
                 *done = true;
             }
         }
-        clock.sleep((deadline - now).min(Duration::from_millis(50)));
-    }
-
-    // Frozen-time teardown: stop flags first, then retire the actor so
-    // virtual time free-runs while the joins drain.
-    inst.request_stop();
-    driver.request_stop();
-    guard.retire();
-    inst.stop_workload();
-    driver.stop();
-    inst.teardown();
+        false
+    });
+    session.finish();
 
     // Keep only the deterministic prefix. Everything before the deadline
     // ran at frozen virtual instants and replays identically under the

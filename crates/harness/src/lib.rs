@@ -25,6 +25,7 @@ pub mod lint;
 pub mod recovery;
 pub mod reduction;
 pub mod scenario;
+pub mod session;
 pub mod table1;
 pub mod table2;
 pub mod telemetry;
@@ -60,16 +61,11 @@ pub fn result_name(experiment: &str, target: &str) -> String {
     }
 }
 
-/// Writes an experiment result as pretty JSON under `results/`.
+/// Writes an experiment result as pretty JSON to `<dir>/<name>.json` (the
+/// campaign binaries' `--out` root).
 ///
 /// Creation failures are reported but non-fatal: printing the table matters
 /// more than archiving it.
-pub fn write_json(name: &str, value: &impl serde::Serialize) {
-    write_json_under(std::path::Path::new("results"), name, value);
-}
-
-/// [`write_json`] with the artifact root chosen by the caller (the
-/// campaign binaries' `--out` flag).
 pub fn write_json_under(dir: &std::path::Path, name: &str, value: &impl serde::Serialize) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
@@ -88,19 +84,6 @@ pub fn write_json_under(dir: &std::path::Path, name: &str, value: &impl serde::S
     }
 }
 
-/// Removes a stale `results/<name>.err` sidecar after a successful run.
-///
-/// `.err` files are stderr redirects external runners leave next to the
-/// JSON artifacts when a bin fails (only `wdog-infer` writes one itself,
-/// through [`write_err_sidecar_under`]), so nothing deleted them either — a
-/// sidecar from a long-fixed failure could sit beside a fresh, successful
-/// artifact forever. Every artifact bin calls this on success so a
-/// committed sidecar always describes the *latest* run; CI additionally
-/// refuses to pass while any `.err` is tracked in the repo.
-pub fn clear_err_sidecar(name: &str) {
-    clear_err_sidecar_under(std::path::Path::new("results"), name);
-}
-
 /// Writes `<dir>/<name>.err`: the mark a failed run leaves beside an
 /// artifact that was archived anyway and must not be trusted.
 pub fn write_err_sidecar_under(dir: &std::path::Path, name: &str, text: &str) {
@@ -110,7 +93,15 @@ pub fn write_err_sidecar_under(dir: &std::path::Path, name: &str, text: &str) {
     }
 }
 
-/// [`clear_err_sidecar`] with the artifact root chosen by the caller.
+/// Removes a stale `<dir>/<name>.err` sidecar after a successful run.
+///
+/// `.err` files are stderr redirects external runners leave next to the
+/// JSON artifacts when a bin fails (only `wdog-infer` writes one itself,
+/// through [`write_err_sidecar_under`]), so nothing deleted them either — a
+/// sidecar from a long-fixed failure could sit beside a fresh, successful
+/// artifact forever. Every artifact bin calls this on success so a
+/// committed sidecar always describes the *latest* run; CI additionally
+/// refuses to pass while any `.err` is tracked in the repo.
 pub fn clear_err_sidecar_under(dir: &std::path::Path, name: &str) {
     let path = dir.join(format!("{name}.err"));
     if !path.exists() {
@@ -120,6 +111,110 @@ pub fn clear_err_sidecar_under(dir: &std::path::Path, name: &str) {
         Ok(()) => println!("[removed stale error sidecar {}]", path.display()),
         Err(e) => eprintln!("warning: cannot remove {}: {e}", path.display()),
     }
+}
+
+/// An experiment's shape check: the violations of a result, and the note
+/// printed after `shape check: OK` when there are none.
+pub type ShapeCheck<'a, R> = (fn(&R) -> Vec<String>, &'a str);
+
+/// What every table binary does with one finished experiment: print the
+/// rendered table, print the shape verdict when the experiment has one, and
+/// archive the raw result as `<out>/<name>.json`. Returns whether the
+/// experiment ran; a failed one is reported on stderr.
+fn emit_table<R: serde::Serialize>(
+    out: &std::path::Path,
+    name: &str,
+    outcome: wdog_base::error::BaseResult<R>,
+    render: fn(&R) -> String,
+    shape: Option<ShapeCheck<'_, R>>,
+) -> bool {
+    let result = match outcome {
+        Ok(result) => result,
+        Err(e) => {
+            eprintln!("{name} failed: {e}");
+            return false;
+        }
+    };
+    println!("{}", render(&result));
+    if let Some((violations, ok_note)) = shape {
+        let violations = violations(&result);
+        if violations.is_empty() {
+            println!("shape check: OK{ok_note}");
+        } else {
+            println!("shape check: VIOLATIONS");
+            for v in violations {
+                println!("  - {v}");
+            }
+        }
+    }
+    write_json_under(out, name, &result);
+    true
+}
+
+/// The whole of a per-target scenario-table binary (`table1`, `table2`): for
+/// every `--target`, run the experiment with a fresh telemetry registry on
+/// its watchdog, [`emit_table`] it as `<bin>[-<target>]`, and archive the
+/// registry as `telemetry_<bin>_<target>`. The shape verdict applies to kvs
+/// only — the target the catalogue's expectations were calibrated on.
+pub fn table_campaign<R: serde::Serialize>(
+    bin: &'static str,
+    run: impl Fn(&dyn WatchdogTarget, &scenario::RunnerOptions) -> wdog_base::error::BaseResult<R>,
+    render: fn(&R) -> String,
+    shape: ShapeCheck<'_, R>,
+) {
+    let usage = "[--target {kvs|minizk|miniblock|all}] [--seed N] [--out DIR]";
+    let cli = cli::CampaignCli::parse(bin, usage, &[], &[]);
+    let out = cli.out_dir();
+    let mut failed = false;
+    for target in cli.targets("kvs") {
+        let name = target.name();
+        let registry = wdog_telemetry::TelemetryRegistry::shared();
+        let mut opts = scenario::RunnerOptions {
+            seed: cli.seed(),
+            ..Default::default()
+        };
+        opts.wd.telemetry = Some(std::sync::Arc::clone(&registry));
+        let ran = emit_table(
+            &out,
+            &result_name(bin, name),
+            run(target.as_ref(), &opts),
+            render,
+            (name == "kvs").then_some(shape),
+        );
+        if ran {
+            telemetry::write_snapshot_under(
+                &out,
+                &format!("telemetry_{bin}_{name}"),
+                &registry.snapshot(),
+            );
+        } else {
+            failed = true;
+        }
+    }
+    close_tables(&out, bin, failed);
+}
+
+/// The whole of a one-subject table binary (`reduction`, `zk2201`,
+/// `ablations`): run, [`emit_table`] as `<out>/<bin>.json`, close.
+pub fn single_table<R: serde::Serialize>(
+    bin: &'static str,
+    run: impl FnOnce() -> wdog_base::error::BaseResult<R>,
+    render: fn(&R) -> String,
+    shape: ShapeCheck<'_, R>,
+) {
+    let cli = cli::CampaignCli::parse(bin, "[--out DIR]", &[], &[]);
+    let out = cli.out_dir();
+    let ran = emit_table(&out, bin, run(), render, Some(shape));
+    close_tables(&out, bin, !ran);
+}
+
+/// Closes a table binary's run: exits [`cli::EXIT_GATE`] if any experiment
+/// failed, otherwise clears the binary's stale `<out>/<bin>.err` sidecar.
+fn close_tables(out: &std::path::Path, bin: &str, failed: bool) {
+    if failed {
+        std::process::exit(cli::EXIT_GATE);
+    }
+    clear_err_sidecar_under(out, bin);
 }
 
 #[cfg(test)]

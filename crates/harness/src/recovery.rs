@@ -23,7 +23,6 @@
 //!   in-process coordinator can only shed or escalate those, and the
 //!   campaign records that honestly.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,7 +30,6 @@ use serde::{Deserialize, Serialize};
 
 use faults::spec::FaultKind;
 use faults::Scenario;
-use simio::SimClock;
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_base::rng::derive_seed;
 use wdog_core::prelude::*;
@@ -40,6 +38,7 @@ use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
 
 use crate::fmt::Table;
 use crate::scenario::RunnerOptions;
+use crate::session::Session;
 
 /// Recovery-campaign knobs.
 #[derive(Debug, Clone)]
@@ -60,7 +59,7 @@ pub struct RecoveryOptions {
     pub workload: WorkloadProfile,
     /// Base seed.
     pub seed: u64,
-    /// Run every scenario on a discrete-event [`SimClock`] instead of the
+    /// Run every scenario on a discrete-event `SimClock` instead of the
     /// real clock: boot, injection, the closed loop's waits, and the
     /// coordinator's pacing all happen at deterministic virtual instants,
     /// so the campaign is load-independent and replays in milliseconds.
@@ -180,27 +179,11 @@ pub fn run_recovery_scenario(
     opts: &RecoveryOptions,
 ) -> BaseResult<ScenarioRecovery> {
     let seed = derive_seed(opts.seed, &scenario.id);
-    // Sim mode mirrors the chaos campaign: the harness registers itself
-    // as the discrete-event clock's first actor, so injection and the
-    // closed loop's waits land at deterministic virtual instants.
-    let mut main_guard = None;
-    let mut inst = if opts.sim {
-        let sim = Arc::new(SimClock::new());
-        main_guard = Some(sim.actor("recovery-main").adopt());
-        target.start_on(seed, sim)?
-    } else {
-        target.start(seed)?
-    };
-    let clock = inst.clock();
-    let surface = inst.recovery_surface().ok_or_else(|| {
+    let mut session = Session::boot(target, seed, opts.sim, "recovery-main")?;
+    let clock = Arc::clone(session.clock());
+    let surface = session.inst().recovery_surface().ok_or_else(|| {
         BaseError::InvalidState(format!("{} exposes no recovery surface", target.name()))
     })?;
-
-    let crashed = Arc::new(AtomicBool::new(false));
-    let crash_flag = Arc::clone(&crashed);
-    let injector = inst.injector(Arc::new(move || {
-        crash_flag.store(true, Ordering::Relaxed);
-    }));
 
     let mut coord_builder = RecoveryCoordinator::builder(Arc::clone(&clock), surface)
         .default_policy(opts.policy.clone())
@@ -209,26 +192,23 @@ pub fn run_recovery_scenario(
         coord_builder = coord_builder.telemetry(Arc::clone(t));
     }
     let coordinator = coord_builder.start();
+    // The coordinator's idle wait is untimed, so under sim nothing but a
+    // close ends it: it is sealed at the stop instant with everything else.
+    session.at_stop({
+        let coordinator = Arc::clone(&coordinator);
+        move || coordinator.request_stop()
+    });
     // Drivers are sealed at build: the coordinator rides in through the
     // options' action list instead of a post-hoc `add_action`.
     let mut wd_opts = opts.wd.clone();
     wd_opts
         .actions
         .push(Arc::clone(&coordinator) as Arc<dyn Action>);
-    let (mut driver, _plan) = inst.build_watchdog(&wd_opts)?;
-    driver.start()?;
-
-    inst.start_workload(
-        &WorkloadProfile {
-            seed,
-            ..opts.workload.clone()
-        },
-        None,
-    );
+    session.arm(&wd_opts, &opts.workload, None)?;
     clock.sleep(opts.warmup);
 
     // Inject, hold, and (for substrate faults) heal the substrate.
-    let armed = injector.inject(&scenario.kind)?;
+    let armed = session.injector().inject(&scenario.kind)?;
     if let Some(t) = &opts.wd.telemetry {
         let at_ms = clock.now_millis();
         t.arm_fault(&scenario.id, at_ms);
@@ -236,43 +216,22 @@ pub fn run_recovery_scenario(
     }
     clock.sleep(opts.fault_hold);
     if harness_clears(&scenario.kind) {
-        injector.clear(&armed);
+        session.injector().clear(&armed);
     }
 
     // Wait for terminal: at least one closed incident and an idle
     // coordinator, bounded by `max_wait`. Crash runs keep generating
     // reports until flap damping pins the blamed components, so idleness
-    // (not silence) is the stop condition. Pacing on the instance clock
-    // keeps the wait virtual under `--sim`.
-    let deadline = clock.now() + opts.max_wait;
-    loop {
-        let incidents = coordinator.incidents();
-        if !incidents.is_empty() && coordinator.is_idle() {
-            break;
-        }
-        let now = clock.now();
-        if now >= deadline {
-            break;
-        }
-        clock.sleep((deadline - now).min(Duration::from_millis(50)));
-    }
+    // (not silence) is the stop condition.
+    session.sleep_until(clock.now() + opts.max_wait, || {
+        !coordinator.incidents().is_empty() && coordinator.is_idle()
+    });
 
-    // Teardown.
-    injector.clear(&armed);
-    inst.clear_faults();
-    if let Some(guard) = main_guard.take() {
-        // Sim teardown: raise every stop flag at the frozen instant, then
-        // retire the harness actor so virtual time free-runs while the
-        // blocking joins drain. The coordinator is sealed here too: its
-        // idle wait is untimed, so nothing but this close ends it, and a
-        // run whose last actors all wait untimed is a sim deadlock.
-        inst.request_stop();
-        driver.request_stop();
-        coordinator.request_stop();
-        guard.retire();
-    }
-    inst.stop_workload();
-    driver.stop();
+    // Whatever is still armed goes with every other surface in `stop`. The
+    // instance's own teardown is left to the session's drop, after the
+    // coordinator's drain: a repair still in flight at `max_wait` must not
+    // find the instance crashed under it.
+    session.stop();
     if let Some(t) = &opts.wd.telemetry {
         t.disarm_fault();
     }
@@ -309,9 +268,8 @@ pub fn run_recovery_scenario(
         pinned: incidents.iter().any(|i| i.pinned) || !coordinator.pinned_components().is_empty(),
         dropped_reports: coordinator.dropped_reports(),
         coordinator_idle: idle,
-        crashed: crashed.load(Ordering::Relaxed),
+        crashed: session.crashed(),
     };
-    inst.teardown();
     Ok(record)
 }
 

@@ -11,18 +11,19 @@
 //! fast, with what failure class, at what localization granularity, and
 //! whether the blame landed in the right place.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use detectors::{Detector, ExternalProbe, HeartbeatDetector, ObserverHub};
-use faults::{ArmedFault, Scenario};
+use faults::Scenario;
 use wdog_base::error::BaseResult;
 use wdog_base::rng::derive_seed;
 use wdog_core::prelude::*;
 use wdog_target::{WatchdogTarget, WdOptions, WorkloadObserver, WorkloadProfile};
+
+use crate::session::Session;
 
 /// What one detector said about one run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -138,60 +139,41 @@ pub fn run_scenario(
         .map(|s| s.id.clone())
         .unwrap_or_else(|| "control".into());
     let seed = derive_seed(opts.seed, &label);
-    let mut inst = target.start(seed)?;
-    let clock = inst.clock();
+    let mut session = Session::boot(target, seed, false, "scenario-main")?;
+    let clock = Arc::clone(session.clock());
 
-    // Fault injection plumbing: the instance wires its own surfaces; the
-    // runner only records whether the crash hook fired.
-    let crashed = Arc::new(AtomicBool::new(false));
-    let crash_flag = Arc::clone(&crashed);
-    let injector = inst.injector(Arc::new(move || {
-        crash_flag.store(true, Ordering::Relaxed);
-    }));
-
-    // The intrinsic watchdog.
-    let (mut driver, _plan) = inst.build_watchdog(&opts.wd)?;
-    driver.start()?;
+    // Steady workload feeding the observer hub; the intrinsic watchdog.
+    let hub = ObserverHub::new(Arc::clone(&clock), Duration::from_secs(2), 8, 0.5);
+    let observer: Option<WorkloadObserver> = opts.extrinsic.then(|| {
+        let hub = hub.clone();
+        Arc::new(move |ok: bool| hub.report(ok)) as WorkloadObserver
+    });
+    session.arm(&opts.wd, &opts.workload, observer)?;
 
     // Extrinsic baselines.
-    let hub = ObserverHub::new(Arc::clone(&clock), Duration::from_secs(2), 8, 0.5);
     let mut extrinsics: Vec<Box<dyn Detector>> = Vec::new();
     if opts.extrinsic {
         extrinsics.push(Box::new(HeartbeatDetector::start(
             Arc::clone(&clock),
             Duration::from_millis(50),
             Duration::from_millis(300),
-            inst.liveness_probe(),
+            session.inst().liveness_probe(),
         )));
         extrinsics.push(Box::new(ExternalProbe::start(
             Arc::clone(&clock),
             Duration::from_millis(100),
             2,
-            inst.api_probe(),
+            session.inst().api_probe(),
         )));
         extrinsics.push(Box::new(hub.clone()));
     }
 
-    // Steady workload feeding the observer hub.
-    let observer: Option<WorkloadObserver> = opts.extrinsic.then(|| {
-        let hub = hub.clone();
-        Arc::new(move |ok: bool| hub.report(ok)) as WorkloadObserver
-    });
-    inst.start_workload(
-        &WorkloadProfile {
-            seed,
-            ..opts.workload.clone()
-        },
-        observer,
-    );
-
     clock.sleep(opts.warmup);
-    let errors_handled_before = inst.errors_handled();
+    let errors_handled_before = session.inst().errors_handled();
 
     // Inject.
-    let mut armed: Option<ArmedFault> = None;
     if let Some(s) = scenario {
-        armed = Some(injector.inject(&s.kind)?);
+        session.injector().inject(&s.kind)?;
     }
     let injected_at = clock.now();
     // Arm end-to-end detection-latency tracking: the first report the
@@ -207,9 +189,7 @@ pub fn run_scenario(
     // Observe.
     let mut extrinsic_first: Vec<Option<(u64, String)>> = vec![None; extrinsics.len()];
     let mut handler_first: Option<u64> = None;
-    let deadline = clock.now() + opts.observe;
-    while clock.now() < deadline {
-        clock.sleep(Duration::from_millis(50));
+    session.sleep_until(injected_at + opts.observe, || {
         let now_ms = clock.now().saturating_sub(injected_at).as_millis() as u64;
         for (i, d) in extrinsics.iter().enumerate() {
             if extrinsic_first[i].is_none() {
@@ -218,18 +198,14 @@ pub fn run_scenario(
                 }
             }
         }
-        if handler_first.is_none() && inst.errors_handled() > errors_handled_before {
+        if handler_first.is_none() && session.inst().errors_handled() > errors_handled_before {
             handler_first = Some(now_ms);
         }
-    }
+        false
+    });
 
-    // Teardown: release everything so wedged threads drain.
-    if let Some(a) = &armed {
-        injector.clear(a);
-    }
-    inst.clear_faults();
-    inst.stop_workload();
-    driver.stop();
+    // Teardown; `stop` clears every fault surface so wedged threads drain.
+    let reports = session.stop();
     if let Some(t) = &opts.wd.telemetry {
         t.disarm_fault();
     }
@@ -238,7 +214,7 @@ pub fn run_scenario(
     }
 
     // Score.
-    let crash_run = crashed.load(Ordering::Relaxed);
+    let crash_run = session.crashed();
     let mut outcomes = Vec::new();
     for (i, d) in extrinsics.iter().enumerate() {
         let first = &extrinsic_first[i];
@@ -275,7 +251,6 @@ pub fn run_scenario(
     // reports in the window (operators see every report, so the most
     // precise, correctly-blamed one is what diagnosis would use).
     let injected_at_ms = injected_at.as_millis() as u64;
-    let reports = driver.log().reports();
     let in_window: Vec<_> = reports
         .iter()
         .filter(|r| r.at_ms >= injected_at_ms || scenario.is_none())
@@ -335,8 +310,7 @@ pub fn run_scenario(
     };
     outcomes.push(wd_outcome);
 
-    let (workload_ok, workload_failed) = inst.workload_counters();
-    inst.teardown();
+    let (workload_ok, workload_failed) = session.inst().workload_counters();
     Ok(ScenarioResult {
         scenario: label,
         expected_class: scenario

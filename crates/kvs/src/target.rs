@@ -111,10 +111,6 @@ pub struct KvsInstance {
 }
 
 impl TargetInstance for KvsInstance {
-    fn clock(&self) -> SharedClock {
-        Arc::clone(&self.clock)
-    }
-
     fn build_watchdog(&self, opts: &WdOptions) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
         crate::wd::build_watchdog(&self.server, opts)
     }
@@ -152,13 +148,6 @@ impl TargetInstance for KvsInstance {
                 }
             }),
         ));
-    }
-
-    fn attach_trace(&self, recorder: &std::sync::Arc<wdog_core::TraceRecorder>) -> bool {
-        self.server
-            .hooks()
-            .attach_trace(std::sync::Arc::clone(recorder));
-        true
     }
 
     fn workload_counters(&self) -> (u64, u64) {
@@ -237,7 +226,7 @@ mod tests {
 
     #[test]
     fn booted_instance_serves_probe_and_liveness() {
-        let mut inst = KvsTarget.start(1).unwrap();
+        let mut inst = KvsTarget.start_on(1, RealClock::shared()).unwrap();
         let probe = inst.api_probe();
         probe().unwrap();
         assert!(inst.liveness_probe()());
@@ -249,7 +238,7 @@ mod tests {
 
     #[test]
     fn workload_runs_through_the_trait() {
-        let mut inst = KvsTarget.start(2).unwrap();
+        let mut inst = KvsTarget.start_on(2, RealClock::shared()).unwrap();
         inst.start_workload(
             &WorkloadProfile {
                 threads: 2,

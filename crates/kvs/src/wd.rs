@@ -32,7 +32,7 @@ use wdog_checkers::signal::{
 };
 use wdog_core::prelude::*;
 
-use wdog_gen::interp::{instantiate, InstantiateOptions, OpTable};
+use wdog_gen::interp::OpTable;
 use wdog_gen::ir::{ArgType, OpKind, ProgramBuilder, ProgramIr};
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
@@ -473,46 +473,14 @@ pub fn build_watchdog(
     server: &KvsServer,
     opts: &WdOptions,
 ) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
-    let clock: SharedClock = Arc::clone(&server.shared().clock);
-    let mut builder = WatchdogDriver::builder()
-        .config(WatchdogConfig {
-            policy: SchedulePolicy::every(opts.interval),
-            default_timeout: opts.checker_timeout,
-            health_window: Duration::from_secs(30),
-            spawn_order_seed: opts.spawn_order_seed,
-        })
-        .clock(Arc::clone(&clock));
-    if let Some(registry) = &opts.telemetry {
-        builder = builder.telemetry(Arc::clone(registry));
-        server.hooks().attach_telemetry(Arc::clone(registry));
-    }
-    if let Some(trace) = &opts.trace {
-        server.hooks().attach_trace(Arc::clone(trace));
-    }
-    for action in &opts.actions {
-        builder = builder.action(Arc::clone(action));
-    }
-
     let plan = generate_kvs_plan(&ReductionConfig::default());
-    if opts.families.mimics {
-        let table = op_table(server);
-        let reader = server.context().reader();
-        let mimics = instantiate(
-            &plan,
-            &table,
-            &reader,
-            &clock,
-            &InstantiateOptions {
-                timeout: Some(opts.checker_timeout),
-                max_context_age: opts.max_context_age,
-                slow_threshold: Some(opts.slow_threshold),
-                trace: opts.trace.clone(),
-            },
-        )?;
-        for c in mimics {
-            builder = builder.checker(Box::new(c));
-        }
-    }
+    let mut builder = wdog_target::watchdog_builder(
+        opts,
+        &server.shared().clock,
+        &server.hooks(),
+        &plan,
+        &op_table(server),
+    )?;
     if opts.families.probes {
         builder = builder.checkers(probe_checkers(server, opts));
     }
@@ -624,6 +592,7 @@ mod tests {
     use crate::config::KvsConfig;
     use simio::disk::SimDisk;
     use wdog_base::clock::RealClock;
+    use wdog_gen::interp::{instantiate, InstantiateOptions};
 
     #[test]
     fn ir_is_well_formed() {

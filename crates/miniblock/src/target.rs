@@ -127,10 +127,6 @@ pub struct DnInstance {
 }
 
 impl TargetInstance for DnInstance {
-    fn clock(&self) -> SharedClock {
-        Arc::clone(&self.clock)
-    }
-
     fn build_watchdog(&self, opts: &WdOptions) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
         crate::wd::build_watchdog(&self.datanode, opts)
     }
@@ -174,13 +170,6 @@ impl TargetInstance for DnInstance {
                 }
             }),
         ));
-    }
-
-    fn attach_trace(&self, recorder: &std::sync::Arc<wdog_core::TraceRecorder>) -> bool {
-        self.datanode
-            .hooks()
-            .attach_trace(std::sync::Arc::clone(recorder));
-        true
     }
 
     fn workload_counters(&self) -> (u64, u64) {
@@ -269,7 +258,7 @@ mod tests {
 
     #[test]
     fn booted_instance_probes_and_serves_workload() {
-        let mut inst = DnTarget.start(4).unwrap();
+        let mut inst = DnTarget.start_on(4, RealClock::shared()).unwrap();
         inst.api_probe()().unwrap();
         assert!(inst.liveness_probe()());
         inst.start_workload(

@@ -8,7 +8,7 @@ use wdog_base::error::BaseResult;
 
 use wdog_core::prelude::*;
 
-use wdog_gen::interp::{instantiate, InstantiateOptions, OpTable};
+use wdog_gen::interp::OpTable;
 use wdog_gen::ir::{ArgType, OpKind, ProgramBuilder, ProgramIr};
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
@@ -179,44 +179,10 @@ pub fn build_watchdog(
     opts: &WdOptions,
 ) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
     let clock: SharedClock = Arc::clone(&dn.shared().clock);
-    let mut builder = WatchdogDriver::builder()
-        .config(WatchdogConfig {
-            policy: SchedulePolicy::every(opts.interval),
-            default_timeout: opts.checker_timeout,
-            health_window: Duration::from_secs(30),
-            spawn_order_seed: opts.spawn_order_seed,
-        })
-        .clock(Arc::clone(&clock));
-    if let Some(registry) = &opts.telemetry {
-        builder = builder.telemetry(Arc::clone(registry));
-        dn.hooks().attach_telemetry(Arc::clone(registry));
-    }
-    if let Some(trace) = &opts.trace {
-        dn.hooks().attach_trace(Arc::clone(trace));
-    }
-    for action in &opts.actions {
-        builder = builder.action(Arc::clone(action));
-    }
     let plan = generate_dn_plan(&ReductionConfig::default());
-    if opts.families.mimics {
-        let table = op_table(dn);
-        let mimics = instantiate(
-            &plan,
-            &table,
-            &dn.context().reader(),
-            &clock,
-            &InstantiateOptions {
-                timeout: Some(opts.checker_timeout),
-                max_context_age: opts.max_context_age,
-                slow_threshold: Some(opts.slow_threshold),
-                trace: opts.trace.clone(),
-            },
-        )?;
-        for c in mimics {
-            builder = builder.checker(Box::new(c));
-        }
-    }
-    builder = builder.checkers(wdog_target::inferred_checkers(opts, &dn.context().reader()));
+    let mut builder =
+        wdog_target::watchdog_builder(opts, &clock, &dn.hooks(), &plan, &op_table(dn))?
+            .checkers(wdog_target::inferred_checkers(opts, &dn.context().reader()));
     if opts.families.probes {
         let store = Arc::new(crate::block::BlockStore::new(
             Arc::clone(dn.store().disk()),

@@ -137,10 +137,6 @@ pub struct ZkInstance {
 }
 
 impl TargetInstance for ZkInstance {
-    fn clock(&self) -> SharedClock {
-        Arc::clone(&self.clock)
-    }
-
     fn build_watchdog(&self, opts: &WdOptions) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
         crate::wd::build_watchdog(&self.cluster, opts)
     }
@@ -181,13 +177,6 @@ impl TargetInstance for ZkInstance {
                 }
             }),
         ));
-    }
-
-    fn attach_trace(&self, recorder: &std::sync::Arc<wdog_core::TraceRecorder>) -> bool {
-        self.cluster
-            .hooks()
-            .attach_trace(std::sync::Arc::clone(recorder));
-        true
     }
 
     fn exercise_auxiliary(&self) -> bool {
@@ -286,7 +275,7 @@ mod tests {
 
     #[test]
     fn booted_instance_probes_and_serves_workload() {
-        let mut inst = ZkTarget.start(3).unwrap();
+        let mut inst = ZkTarget.start_on(3, RealClock::shared()).unwrap();
         inst.api_probe()().unwrap();
         assert!(inst.liveness_probe()());
         inst.start_workload(

@@ -23,7 +23,7 @@ use wdog_checkers::probe::ProbeChecker;
 use wdog_checkers::signal::QueueDepthChecker;
 use wdog_core::prelude::*;
 
-use wdog_gen::interp::{instantiate, InstantiateOptions, OpTable};
+use wdog_gen::interp::OpTable;
 use wdog_gen::ir::{ArgType, OpKind, ProgramBuilder, ProgramIr};
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
@@ -283,48 +283,13 @@ pub fn build_watchdog(
     opts: &WdOptions,
 ) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
     let clock: SharedClock = Arc::clone(&cluster.shared().clock);
-    let mut builder = WatchdogDriver::builder()
-        .config(WatchdogConfig {
-            policy: SchedulePolicy::every(opts.interval),
-            default_timeout: opts.checker_timeout,
-            health_window: Duration::from_secs(30),
-            spawn_order_seed: opts.spawn_order_seed,
-        })
-        .clock(Arc::clone(&clock));
-    if let Some(registry) = &opts.telemetry {
-        builder = builder.telemetry(Arc::clone(registry));
-        cluster.hooks().attach_telemetry(Arc::clone(registry));
-    }
-    if let Some(trace) = &opts.trace {
-        cluster.hooks().attach_trace(Arc::clone(trace));
-    }
-    for action in &opts.actions {
-        builder = builder.action(Arc::clone(action));
-    }
-
     let plan = generate_zk_plan(&ReductionConfig::default());
-    if opts.families.mimics {
-        let table = op_table(cluster);
-        let mimics = instantiate(
-            &plan,
-            &table,
-            &cluster.context().reader(),
-            &clock,
-            &InstantiateOptions {
-                timeout: Some(opts.checker_timeout),
-                max_context_age: opts.max_context_age,
-                slow_threshold: Some(opts.slow_threshold),
-                trace: opts.trace.clone(),
-            },
-        )?;
-        for c in mimics {
-            builder = builder.checker(Box::new(c));
-        }
-    }
-    builder = builder.checkers(wdog_target::inferred_checkers(
-        opts,
-        &cluster.context().reader(),
-    ));
+    let mut builder =
+        wdog_target::watchdog_builder(opts, &clock, &cluster.hooks(), &plan, &op_table(cluster))?
+            .checkers(wdog_target::inferred_checkers(
+                opts,
+                &cluster.context().reader(),
+            ));
 
     if opts.families.probes {
         // Probe checker: a write through the public API.

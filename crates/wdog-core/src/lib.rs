@@ -21,22 +21,23 @@
 //!   kind plus a pinpointed [`report::FaultLocation`] and the captured
 //!   payload, precise enough to expedite diagnosis and reproduction (§1);
 //! - [`status::HealthBoard`] — the definitive, per-component assessment of
-//!   whether the software is still functioning (§2, Table 1);
-//! - [`isolation`] — context replication and I/O redirection so checking
-//!   never perturbs the normal execution (§3.2, "strong isolation").
+//!   whether the software is still functioning (§2, Table 1).
+//!
+//! The "strong isolation" of §3.2 is not a module of its own: contexts are
+//! replicated on read ([`context::ContextSlot::snapshot`] hands checkers a
+//! deep copy), and each target's op table redirects checker I/O to
+//! `__wd_probe` paths beside the real data.
 
 pub mod action;
 pub mod checker;
 pub mod context;
 pub mod driver;
 pub mod hooks;
-pub mod isolation;
 pub mod policy;
 pub mod prelude;
 pub mod report;
 pub mod status;
 pub mod trace;
-pub mod wdt;
 
 pub use action::{Action, CallbackAction, EscalatingAction, ImpactGatedAction, LogAction};
 pub use checker::{CheckStatus, Checker, ExecutionProbe, FnChecker};
@@ -45,9 +46,7 @@ pub use context::{
 };
 pub use driver::{DriverBuilder, DriverStats, WatchdogConfig, WatchdogDriver};
 pub use hooks::{FireGuard, HookSite, Hooks};
-pub use isolation::{Budget, IoRedirect};
 pub use policy::SchedulePolicy;
 pub use report::{FailureKind, FailureReport, FaultLocation};
 pub use status::{ComponentHealth, HealthBoard};
 pub use trace::{TraceEvent, TraceEventKind, TraceRecorder};
-pub use wdt::WatchdogTimer;

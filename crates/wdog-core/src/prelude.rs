@@ -22,13 +22,11 @@ pub use crate::driver::{
     CheckerFactory, DriverBuilder, DriverStats, WatchdogConfig, WatchdogDriver,
 };
 pub use crate::hooks::{FireGuard, HookSite, Hooks};
-pub use crate::isolation::{Budget, IoRedirect};
 pub use crate::policy::SchedulePolicy;
 pub use crate::report::{FailureKind, FailureReport, FaultLocation};
 pub use crate::status::{ComponentHealth, HealthBoard};
 pub use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
 pub use crate::wd_hook;
-pub use crate::wdt::{WatchdogTimer, WdtCounters};
 
 pub use wdog_base::clock::{Clock, RealClock, SharedClock, VirtualClock};
 pub use wdog_base::error::{BaseError, BaseResult};

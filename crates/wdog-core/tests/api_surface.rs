@@ -15,7 +15,6 @@ const GOLDEN: &[&str] = &[
     "AtomicHistogram",
     "BaseError",
     "BaseResult",
-    "Budget",
     "CallbackAction",
     "CheckFailure",
     "CheckStatus",
@@ -50,7 +49,6 @@ const GOLDEN: &[&str] = &[
     "HookSite",
     "Hooks",
     "ImpactGatedAction",
-    "IoRedirect",
     "LogAction",
     "PublishGuard",
     "RealClock",
@@ -67,8 +65,6 @@ const GOLDEN: &[&str] = &[
     "VirtualClock",
     "WatchdogConfig",
     "WatchdogDriver",
-    "WatchdogTimer",
-    "WdtCounters",
     "wd_hook",
 ];
 
@@ -152,5 +148,4 @@ fn prelude_identifiers_resolve() {
     wd_hook!(site, { "n" => 1u64 });
     let _: GateCounters = GateCounters::default();
     let _: RestartCounters = RestartCounters::default();
-    let _: WdtCounters = WdtCounters::default();
 }

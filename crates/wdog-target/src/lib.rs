@@ -19,11 +19,13 @@
 //!   serve workload.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
 
 use wdog_core::prelude::*;
+use wdog_gen::interp::{instantiate, InstantiateOptions, OpTable};
 use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::WatchdogPlan;
 
@@ -42,6 +44,59 @@ pub use workload::{spawn_workload_on, RequestFn, WorkloadHandle, WorkloadProfile
 /// Re-exported so targets and campaign runners share one recovery contract
 /// without depending on `wdog-recover` directly.
 pub use wdog_recover::{RecoverySurface, VerifierFactory};
+
+/// Opens every target's `build_watchdog`: a [`DriverBuilder`] configured
+/// from `opts` (schedule, timeout, spawn-order seed, actions), telemetry and
+/// trace attached to the target's `hooks`, and — when `opts.families.mimics`
+/// — the generated mimic checkers instantiated from `plan` over `op_table`
+/// against the hooks' context table.
+///
+/// The target adds its hand-written families and [`inferred_checkers`] in
+/// its own order, then calls `build()`.
+pub fn watchdog_builder(
+    opts: &WdOptions,
+    clock: &SharedClock,
+    hooks: &Hooks,
+    plan: &WatchdogPlan,
+    op_table: &OpTable,
+) -> BaseResult<DriverBuilder> {
+    let mut builder = WatchdogDriver::builder()
+        .config(WatchdogConfig {
+            policy: SchedulePolicy::every(opts.interval),
+            default_timeout: opts.checker_timeout,
+            health_window: Duration::from_secs(30),
+            spawn_order_seed: opts.spawn_order_seed,
+        })
+        .clock(Arc::clone(clock));
+    if let Some(registry) = &opts.telemetry {
+        builder = builder.telemetry(Arc::clone(registry));
+        hooks.attach_telemetry(Arc::clone(registry));
+    }
+    if let Some(trace) = &opts.trace {
+        hooks.attach_trace(Arc::clone(trace));
+    }
+    for action in &opts.actions {
+        builder = builder.action(Arc::clone(action));
+    }
+    if opts.families.mimics {
+        let mimics = instantiate(
+            plan,
+            op_table,
+            &hooks.table().reader(),
+            clock,
+            &InstantiateOptions {
+                timeout: Some(opts.checker_timeout),
+                max_context_age: opts.max_context_age,
+                slow_threshold: Some(opts.slow_threshold),
+                trace: opts.trace.clone(),
+            },
+        )?;
+        for c in mimics {
+            builder = builder.checker(Box::new(c));
+        }
+    }
+    Ok(builder)
+}
 
 /// Instantiates the inferred checker family from the mined specs riding in
 /// `opts.inferred`.
@@ -201,13 +256,6 @@ pub trait WatchdogTarget: Send + Sync {
         simio::KillHierarchy::single_process(self.name(), &self.components())
     }
 
-    /// Boots one isolated testbed instance seeded with `seed` on the real
-    /// clock. Prefer [`WatchdogTarget::start_on`] when the caller owns the
-    /// clock (simulation, virtual-time tests).
-    fn start(&self, seed: u64) -> BaseResult<Box<dyn TargetInstance>> {
-        self.start_on(seed, wdog_base::clock::RealClock::shared())
-    }
-
     /// Boots one isolated testbed instance seeded with `seed`, with every
     /// background loop, latency model, and substrate paced by `clock`.
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>>;
@@ -215,12 +263,9 @@ pub trait WatchdogTarget: Send + Sync {
 
 /// One booted testbed of a [`WatchdogTarget`].
 pub trait TargetInstance: Send {
-    /// The instance's clock (shared with its simulated I/O).
-    fn clock(&self) -> SharedClock;
-
     /// Assembles the full in-process watchdog — generated plan reduced from
     /// the IR, instantiated over the real-op table, plus the hand-written
-    /// families `opts.families` enables — and starts its driver.
+    /// families `opts.families` enables. The driver is not started.
     fn build_watchdog(&self, opts: &WdOptions) -> BaseResult<(WatchdogDriver, WatchdogPlan)>;
 
     /// A fault injector wired to every surface this instance supports;
@@ -229,14 +274,6 @@ pub trait TargetInstance: Send {
 
     /// Starts the steady workload; request outcomes go to `observer`.
     fn start_workload(&mut self, profile: &WorkloadProfile, observer: Option<WorkloadObserver>);
-
-    /// Arms trace recording on the instance's hooks: every context publish
-    /// is journaled into `recorder` for `wdog-infer` to mine. Returns
-    /// whether the instance supports tracing; the default does nothing and
-    /// reports `false` (no hooks to trace).
-    fn attach_trace(&self, _recorder: &std::sync::Arc<wdog_core::TraceRecorder>) -> bool {
-        false
-    }
 
     /// Fires auxiliary code paths the steady workload never reaches
     /// (follower snapshot syncs, scrub passes, ...), without blocking —
@@ -293,6 +330,7 @@ pub trait TargetInstance: Send {
     fn clear_faults(&self);
 
     /// Stops the system's own threads (replicas, pipelines, servers).
+    /// Idempotent.
     fn teardown(&mut self);
 }
 

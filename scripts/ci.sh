@@ -61,6 +61,17 @@ cargo run --offline -q -p harness --bin wdog-lint -- --target all --deny-drift \
     --deny-unsafe-checker --deny-deadlock-cycle --deny-coverage-regression \
     --deny-real-clock
 
+# Program logic reduction (Figures 2-3) is a pure function of the three
+# targets' IR: the archived table must come out byte for byte.
+echo "==> reduction: regenerates results/reduction.json byte-identically"
+red="$(mktemp -d)"
+cargo run --offline -q -p harness --bin reduction -- --out "$red" >/dev/null
+if ! cmp -s "$red/reduction.json" results/reduction.json; then
+    echo "reduction: output differs from results/reduction.json — the IR or the reducer changed; rerun 'reduction' and commit the table"
+    exit 1
+fi
+rm -rf "$red"
+
 echo "==> wdog-recovery --sim smoke: kvs stuck-task + corruption must verified-recover in virtual time"
 cargo run --offline -q -p harness --bin wdog-recovery -- --target kvs --sim \
     --scenarios background-task-stuck,state-corruption --require-verified 2
