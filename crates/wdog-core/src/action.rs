@@ -156,100 +156,6 @@ pub trait Degradable: Send + Sync {
     fn degrade(&self, component: &ComponentId);
 }
 
-/// Registry counter name for [`EscalatingAction`] inner-action firings.
-pub const ESCALATIONS_METRIC: &str = "escalations_total";
-/// Registry counter name for [`EscalatingAction`] pruned component counters.
-pub const ESCALATION_PRUNED_METRIC: &str = "escalation_counters_pruned_total";
-
-/// Escalates to an inner action only after `threshold` reports for the same
-/// component, suppressing one-off transients.
-///
-/// Counters are pruned: a component with no report inside `window_ms`
-/// (typically the driver's `health_window`) is forgotten, so a long-lived
-/// process blaming many distinct components over time does not accumulate an
-/// unbounded map. Firings and prunes report through the telemetry registry
-/// (metrics [`ESCALATIONS_METRIC`] / [`ESCALATION_PRUNED_METRIC`]) when
-/// built [`EscalatingAction::with_telemetry`].
-pub struct EscalatingAction<A> {
-    threshold: u64,
-    /// Per-component `(reports, last_report_at_ms)`.
-    counts: Mutex<std::collections::HashMap<ComponentId, (u64, u64)>>,
-    window_ms: u64,
-    inner: A,
-    escalations: Counter,
-    pruned: Counter,
-}
-
-/// Default prune window matching `WatchdogConfig::health_window`'s default.
-const DEFAULT_ESCALATION_WINDOW_MS: u64 = 30_000;
-
-impl<A: Action> EscalatingAction<A> {
-    /// Creates an escalator that fires `inner` on every `threshold`-th report
-    /// per component.
-    pub fn new(threshold: u64, inner: A) -> Self {
-        Self {
-            threshold: threshold.max(1),
-            counts: Mutex::new(std::collections::HashMap::new()),
-            window_ms: DEFAULT_ESCALATION_WINDOW_MS,
-            inner,
-            escalations: Counter::new(),
-            pruned: Counter::new(),
-        }
-    }
-
-    /// Sets how long a silent component's counter is retained.
-    pub fn with_window(mut self, window: std::time::Duration) -> Self {
-        self.window_ms = (window.as_millis() as u64).max(1);
-        self
-    }
-
-    /// Routes the firing/prune counters through `registry`.
-    pub fn with_telemetry(mut self, registry: &TelemetryRegistry) -> Self {
-        self.escalations = registry.counter(ESCALATIONS_METRIC, "");
-        self.pruned = registry.counter(ESCALATION_PRUNED_METRIC, "");
-        self
-    }
-
-    /// Returns how many component counters are currently retained.
-    pub fn tracked_components(&self) -> usize {
-        self.counts.lock().len()
-    }
-
-    /// Firing count, exposed for in-crate tests; external consumers read
-    /// [`ESCALATIONS_METRIC`] from the telemetry snapshot.
-    #[cfg(test)]
-    fn escalation_count(&self) -> u64 {
-        self.escalations.get()
-    }
-}
-
-impl<A: Action> Action for EscalatingAction<A> {
-    fn on_failure(&self, report: &FailureReport) {
-        let fire = {
-            let mut counts = self.counts.lock();
-            // Drop components silent for longer than the window; report
-            // timestamps drive the clock so no time source is needed here.
-            let horizon = report.at_ms.saturating_sub(self.window_ms);
-            let before = counts.len();
-            counts.retain(|_, (_, last)| *last >= horizon);
-            let evicted = before - counts.len();
-            if evicted > 0 {
-                self.pruned.add(evicted as u64);
-            }
-            let entry = counts
-                .entry(report.location.component.clone())
-                .or_insert((0, report.at_ms));
-            entry.0 += 1;
-            entry.1 = report.at_ms;
-            entry.0.is_multiple_of(self.threshold)
-        };
-        if fire {
-            self.escalations.inc();
-            self.inner.on_failure(report);
-        }
-    }
-}
-
 /// Gates an inner action behind an impact assessment (paper §5.1).
 ///
 /// "The watchdog detection may also be superfluous if the main program can
@@ -312,43 +218,6 @@ impl Action for ImpactGatedAction {
     }
 }
 
-/// Restarts the failing component via a [`Restartable`] handle.
-pub struct RestartAction {
-    target: Arc<dyn Restartable>,
-    restarts: Counter,
-}
-
-/// Named counters for a [`RestartAction`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RestartCounters {
-    /// Restarts requested so far.
-    pub restarts: u64,
-}
-
-impl RestartAction {
-    /// Creates a restart action delegating to `target`.
-    pub fn new(target: Arc<dyn Restartable>) -> Self {
-        Self {
-            target,
-            restarts: Counter::new(),
-        }
-    }
-
-    /// Returns the restart counters so far.
-    pub fn counters(&self) -> RestartCounters {
-        RestartCounters {
-            restarts: self.restarts.get(),
-        }
-    }
-}
-
-impl Action for RestartAction {
-    fn on_failure(&self, report: &FailureReport) {
-        self.restarts.inc();
-        self.target.restart(&report.location.component);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,10 +226,6 @@ mod tests {
     use wdog_base::ids::CheckerId;
 
     fn report(component: &str) -> FailureReport {
-        report_at(component, 0)
-    }
-
-    fn report_at(component: &str, at_ms: u64) -> FailureReport {
         FailureReport {
             checker: CheckerId::new("c"),
             kind: FailureKind::Error,
@@ -368,7 +233,7 @@ mod tests {
             detail: "d".into(),
             payload: vec![],
             observed_latency_ms: None,
-            at_ms,
+            at_ms: 0,
         }
     }
 
@@ -415,71 +280,6 @@ mod tests {
         a.on_failure(&report("x"));
         a.on_failure(&report("x"));
         assert_eq!(hits.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn escalation_fires_every_threshold_per_component() {
-        let log = LogAction::new();
-        let esc = EscalatingAction::new(3, CallbackActionToLog(Arc::clone(&log)));
-        for _ in 0..7 {
-            esc.on_failure(&report("a"));
-        }
-        // Interleaved component must not share the counter.
-        esc.on_failure(&report("b"));
-        assert_eq!(esc.escalation_count(), 2); // at the 3rd and 6th "a" reports
-        assert_eq!(log.len(), 2);
-    }
-
-    #[test]
-    fn escalation_reports_through_registry() {
-        let registry = TelemetryRegistry::new();
-        let esc = EscalatingAction::new(2, CallbackActionToLog(LogAction::new()))
-            .with_window(std::time::Duration::from_millis(1_000))
-            .with_telemetry(&registry);
-        esc.on_failure(&report_at("a", 0));
-        esc.on_failure(&report_at("a", 10));
-        assert_eq!(registry.counter(ESCALATIONS_METRIC, "").get(), 1);
-        // A report far past the window prunes the stale "a" counter.
-        esc.on_failure(&report_at("b", 10_000));
-        assert_eq!(registry.counter(ESCALATION_PRUNED_METRIC, "").get(), 1);
-    }
-
-    /// Adapter used in tests: forwards into a shared [`LogAction`].
-    struct CallbackActionToLog(Arc<LogAction>);
-
-    impl Action for CallbackActionToLog {
-        fn on_failure(&self, r: &FailureReport) {
-            self.0.on_failure(r);
-        }
-    }
-
-    #[test]
-    fn escalation_counters_are_pruned_outside_window() {
-        let log = LogAction::new();
-        let esc = EscalatingAction::new(3, CallbackActionToLog(Arc::clone(&log)))
-            .with_window(std::time::Duration::from_millis(1_000));
-        // Blame many distinct components across a long run: only those seen
-        // within the last second of report-time may remain tracked.
-        for i in 0..100u64 {
-            esc.on_failure(&report_at(&format!("comp{i}"), i * 500));
-        }
-        assert!(
-            esc.tracked_components() <= 4,
-            "counter map not pruned: {} entries",
-            esc.tracked_components()
-        );
-        // Pruning also resets stale escalation progress: two old reports
-        // separated from a third by more than the window must not fire.
-        let esc2 = EscalatingAction::new(3, CallbackActionToLog(LogAction::new()))
-            .with_window(std::time::Duration::from_millis(1_000));
-        esc2.on_failure(&report_at("a", 0));
-        esc2.on_failure(&report_at("a", 10));
-        esc2.on_failure(&report_at("a", 5_000));
-        assert_eq!(esc2.escalation_count(), 0);
-        // Whereas three inside the window do.
-        esc2.on_failure(&report_at("a", 5_100));
-        esc2.on_failure(&report_at("a", 5_200));
-        assert_eq!(esc2.escalation_count(), 1);
     }
 
     #[test]
@@ -534,20 +334,5 @@ mod tests {
             }
         );
         assert_eq!(log.len(), 1);
-    }
-
-    #[test]
-    fn restart_action_targets_failing_component() {
-        struct Recorder(Mutex<Vec<ComponentId>>);
-        impl Restartable for Recorder {
-            fn restart(&self, c: &ComponentId) {
-                self.0.lock().push(c.clone());
-            }
-        }
-        let rec = Arc::new(Recorder(Mutex::new(vec![])));
-        let action = RestartAction::new(Arc::clone(&rec) as Arc<dyn Restartable>);
-        action.on_failure(&report("kvs.flusher"));
-        assert_eq!(action.counters(), RestartCounters { restarts: 1 });
-        assert_eq!(rec.0.lock()[0], ComponentId::new("kvs.flusher"));
     }
 }

@@ -11,10 +11,9 @@
 //! Every registered checker gets a **dedicated executor thread**. The
 //! scheduler thread dispatches rounds at the configured
 //! [`SchedulePolicy`] interval and is otherwise **event-driven**: it parks
-//! on one clock [`Waiter`] until the earliest of the round deadline, the
-//! next owed phase dispatch, a busy checker's timeout and a wedged
-//! executor's abandonment deadline, and is woken early only by an executor
-//! posting a result or by `stop`/`request_stop`. Nothing is polled: a
+//! on one clock [`Waiter`] until the earlier of the round deadline and a
+//! busy checker's timeout, and is woken early only by an executor posting a
+//! result or by `stop`/`request_stop`. Nothing is polled: a
 //! result is collected — and a failure reported — at the instant it lands,
 //! a timeout fires at exactly `dispatch + timeout`, and a driver with
 //! nothing in flight sleeps from one round boundary to the next. It watches
@@ -34,25 +33,17 @@
 //!   the main program is never affected (isolation, §3.2).
 //!
 //! A checker still busy when the next round begins is simply not
-//! re-dispatched; other checkers proceed independently, so one wedged
-//! component never blinds the watchdog to the rest of the process.
+//! re-dispatched — a hung checker is reported `Stuck` once and runs again
+//! only after the hung call returns; other checkers proceed independently,
+//! so one wedged component never blinds the watchdog to the rest of the
+//! process.
 //!
-//! # Driver self-healing
-//!
-//! A wedged checker permanently consumes its executor thread: the thread is
-//! parked inside the hung operation and cannot be killed. For checkers
-//! registered through [`DriverBuilder::respawnable`] the driver
-//! *abandons* such an executor once the checker has been stuck for twice its
-//! timeout and spawns a fresh executor (and fresh checker instance) in its
-//! place, so coverage of that component resumes while the old thread drains
-//! whenever the underlying operation completes. Respawns are bounded
-//! ([`MAX_EXECUTOR_RESPAWNS`]) and counted in
-//! [`DriverStats::executor_respawns`]. Similarly, failure reports are handed
-//! to actions through a bounded [`ClockedQueue`] serviced by the dedicated
-//! `wdog-actions` clock actor, so a slow action (say, a recovery attempt)
-//! can never wedge the scheduler and, under a simulated clock, an action
-//! sees a report at the virtual instant it was emitted; overflow is counted
-//! in [`DriverStats::reports_dropped`] rather than blocking detection.
+//! Failure reports are handed to actions through a bounded [`ClockedQueue`]
+//! serviced by the dedicated `wdog-actions` clock actor, so a slow action
+//! (say, a recovery attempt) can never wedge the scheduler and, under a
+//! simulated clock, an action sees a report at the virtual instant it was
+//! emitted; overflow is counted in [`DriverStats::reports_dropped`] rather
+//! than blocking detection.
 //!
 //! For the in-place ablation (experiment E6), [`WatchdogDriver::run_inline_round`]
 //! executes every checker synchronously on the caller's thread — the design
@@ -120,8 +111,6 @@ pub struct DriverStats {
     pub timeouts: u64,
     /// Checker panics caught.
     pub panics: u64,
-    /// Wedged executor threads abandoned and replaced.
-    pub executor_respawns: u64,
     /// Failure reports dropped because the action queue was full.
     pub reports_dropped: u64,
     /// Reports evicted from the driver's built-in ring log to honour its
@@ -138,7 +127,6 @@ struct StatsInner {
     not_ready: AtomicU64,
     timeouts: AtomicU64,
     panics: AtomicU64,
-    executor_respawns: AtomicU64,
     reports_dropped: AtomicU64,
 }
 
@@ -152,19 +140,14 @@ impl StatsInner {
             not_ready: self.not_ready.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
-            executor_respawns: self.executor_respawns.load(Ordering::Relaxed),
             reports_dropped: self.reports_dropped.load(Ordering::Relaxed),
             log_evictions: 0,
         }
     }
 }
 
-/// Builds a fresh checker instance for executor respawning.
-pub type CheckerFactory = Arc<dyn Fn() -> Box<dyn Checker> + Send + Sync>;
-
 /// Per-checker telemetry handles, resolved once at `start` so the scheduler
 /// loop records through lock-free atomics only.
-#[derive(Clone)]
 struct SlotTelemetry {
     wall_ms: AtomicHistogram,
     dispatch_delay_ms: AtomicHistogram,
@@ -173,7 +156,6 @@ struct SlotTelemetry {
     not_ready: Counter,
     timeouts: Counter,
     panics: Counter,
-    respawns: Counter,
 }
 
 impl SlotTelemetry {
@@ -187,7 +169,6 @@ impl SlotTelemetry {
             not_ready: registry.counter("checker_not_ready_total", id),
             timeouts: registry.counter("checker_timeout_total", id),
             panics: registry.counter("checker_panic_total", id),
-            respawns: registry.counter("executor_respawn_total", id),
         }
     }
 }
@@ -196,20 +177,14 @@ impl SlotTelemetry {
 struct Pending {
     checker: Box<dyn Checker>,
     probe: ExecutionProbe,
-    factory: Option<CheckerFactory>,
 }
 
 impl Pending {
-    /// Attaches a fresh [`ExecutionProbe`] to `checker`; a `factory` makes
-    /// its executor replaceable (see [`DriverBuilder::respawnable`]).
-    fn new(mut checker: Box<dyn Checker>, factory: Option<CheckerFactory>) -> Self {
+    /// Attaches a fresh [`ExecutionProbe`] to `checker`.
+    fn new(mut checker: Box<dyn Checker>) -> Self {
         let probe = ExecutionProbe::new();
         checker.attach_probe(probe.clone());
-        Self {
-            checker,
-            probe,
-            factory,
-        }
+        Self { checker, probe }
     }
 }
 
@@ -225,7 +200,7 @@ impl Pending {
 /// plain stores, and then issues *one* `notify_all` for the whole batch —
 /// one wakeup drains a slice of due checkers instead of one syscall-grade
 /// notify per checker per round. Executors woken without a run token simply
-/// re-park; the busy-slot gate in [`SchedulerCtx::dispatch_due`] guarantees
+/// re-park; the busy-slot gate in [`SchedulerCtx::dispatch`] guarantees
 /// at most one outstanding run per executor.
 struct ExecSignal {
     waiter: Arc<dyn Waiter>,
@@ -280,43 +255,21 @@ struct ExecSlot {
     result_rx: Receiver<CheckStatus>,
     busy_since: Option<Duration>,
     reported_stuck: bool,
-    /// Rebuilds the checker when its executor must be abandoned; `None`
-    /// keeps the legacy skip-while-busy behaviour.
-    factory: Option<CheckerFactory>,
-    /// Executors abandoned so far for this checker.
-    respawns: u64,
-    /// Dispatch offset within each round (anti-thundering-herd phase).
-    phase: Duration,
-    /// Whether this checker has had its dispatch chance this round.
-    dispatched: bool,
     /// Pre-resolved metric handles; `None` when no registry is attached.
     telem: Option<SlotTelemetry>,
 }
 
 impl ExecSlot {
-    /// Whether a wedged executor may still be abandoned and replaced.
-    fn respawnable(&self) -> bool {
-        self.factory.is_some() && self.respawns < MAX_EXECUTOR_RESPAWNS
-    }
-
-    /// The next instant this slot needs the scheduler: its owed phase
-    /// dispatch, its timeout, or — once reported stuck — its abandonment.
-    fn next_event(&self, round_start: Duration) -> Option<Duration> {
-        let owed = (!self.dispatched).then(|| round_start + self.phase);
-        let overdue = self.busy_since.and_then(|since| {
-            if !self.reported_stuck {
-                Some(since + self.timeout)
-            } else {
-                self.respawnable().then(|| since + self.timeout * 2)
-            }
-        });
-        owed.into_iter().chain(overdue).min()
+    /// The next instant this slot needs the scheduler: the timeout of a
+    /// busy checker not yet reported stuck.
+    fn next_event(&self) -> Option<Duration> {
+        self.busy_since
+            .filter(|_| !self.reported_stuck)
+            .map(|since| since + self.timeout)
     }
 }
 
-/// What an executor thread needs from its driver; shared by first spawn
-/// and respawn.
-#[derive(Clone)]
+/// What an executor thread needs from its driver.
 struct ExecEnv {
     clock: SharedClock,
     default_timeout: Duration,
@@ -326,11 +279,6 @@ struct ExecEnv {
     /// `stop`/`request_stop`.
     wake: Arc<dyn Waiter>,
 }
-
-/// Upper bound on executor replacements per checker: a checker that wedges
-/// repeatedly is leaking a thread per respawn, so after this many the driver
-/// stops replacing it and falls back to skip-while-busy.
-pub const MAX_EXECUTOR_RESPAWNS: u64 = 3;
 
 /// Capacity of the bounded scheduler→action queue.
 const ACTION_QUEUE_CAP: usize = 256;
@@ -511,7 +459,6 @@ impl WatchdogDriver {
         let mut slots = Vec::with_capacity(self.pending.len());
         for p in self.pending.drain(..) {
             let mut slot = spawn_executor(p, &env);
-            slot.phase = self.config.policy.phase_offset(slot.id.as_str());
             slot.telem = self
                 .telemetry
                 .as_deref()
@@ -540,7 +487,7 @@ impl WatchdogDriver {
             board: Arc::clone(&self.board),
             log: Arc::clone(&self.log),
             stats: Arc::clone(&self.stats),
-            policy: self.config.policy.clone(),
+            interval: self.config.policy.interval,
             reports_dropped: self
                 .telemetry
                 .as_deref()
@@ -630,7 +577,6 @@ pub struct DriverBuilder {
     config: WatchdogConfig,
     clock: Option<SharedClock>,
     checkers: Vec<Box<dyn Checker>>,
-    factories: Vec<CheckerFactory>,
     actions: Vec<Arc<dyn Action>>,
     telemetry: Option<Arc<TelemetryRegistry>>,
 }
@@ -665,16 +611,6 @@ impl DriverBuilder {
         self
     }
 
-    /// Adds a respawnable checker via its factory: when the checker wedges
-    /// past twice its timeout, the driver abandons the executor thread and
-    /// builds a fresh checker from `factory` (bounded by
-    /// [`MAX_EXECUTOR_RESPAWNS`]), so a single hung probe never permanently
-    /// shrinks watchdog coverage.
-    pub fn respawnable(mut self, factory: CheckerFactory) -> Self {
-        self.factories.push(factory);
-        self
-    }
-
     /// Adds an action invoked for every failure report.
     pub fn action(mut self, action: Arc<dyn Action>) -> Self {
         self.actions.push(action);
@@ -689,8 +625,7 @@ impl DriverBuilder {
 
     /// Validates the assembled configuration and returns the driver.
     ///
-    /// Errors on a zero scheduling interval or duplicate checker ids
-    /// (respawnable factories are instantiated here, so their ids count).
+    /// Errors on a zero scheduling interval or duplicate checker ids.
     pub fn build(self) -> BaseResult<WatchdogDriver> {
         if self.config.policy.interval.is_zero() {
             return Err(BaseError::InvalidState(
@@ -705,10 +640,7 @@ impl DriverBuilder {
             driver.set_telemetry(registry)?;
         }
         for checker in self.checkers {
-            driver.pending.push(Pending::new(checker, None));
-        }
-        for factory in self.factories {
-            driver.pending.push(Pending::new(factory(), Some(factory)));
+            driver.pending.push(Pending::new(checker));
         }
         let mut seen = std::collections::HashSet::new();
         for id in driver.checker_ids() {
@@ -729,7 +661,6 @@ impl std::fmt::Debug for DriverBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DriverBuilder")
             .field("checkers", &self.checkers.len())
-            .field("factories", &self.factories.len())
             .field("actions", &self.actions.len())
             .field("telemetry", &self.telemetry.is_some())
             .finish()
@@ -737,11 +668,7 @@ impl std::fmt::Debug for DriverBuilder {
 }
 
 fn spawn_executor(p: Pending, env: &ExecEnv) -> ExecSlot {
-    let Pending {
-        mut checker,
-        probe,
-        factory,
-    } = p;
+    let Pending { mut checker, probe } = p;
     let id = checker.id();
     let component = checker.component();
     let timeout = checker.timeout().unwrap_or(env.default_timeout);
@@ -775,7 +702,7 @@ fn spawn_executor(p: Pending, env: &ExecEnv) -> ExecSlot {
             };
             thread_probe.exit();
             if result_tx.send(status).is_err() {
-                break; // Abandoned: the slot now belongs to a replacement.
+                break; // The scheduler exited and dropped the slot.
             }
             wake.notify_one();
         }
@@ -789,10 +716,6 @@ fn spawn_executor(p: Pending, env: &ExecEnv) -> ExecSlot {
         result_rx,
         busy_since: None,
         reported_stuck: false,
-        factory,
-        respawns: 0,
-        phase: Duration::ZERO,
-        dispatched: false,
         telem: None,
     }
 }
@@ -814,7 +737,8 @@ struct SchedulerCtx {
     board: Arc<HealthBoard>,
     log: Arc<LogAction>,
     stats: Arc<StatsInner>,
-    policy: SchedulePolicy,
+    /// Time between the starts of consecutive rounds.
+    interval: Duration,
     /// `reports_dropped_total`, resolved at `start` like [`SlotTelemetry`].
     reports_dropped: Option<Counter>,
     telemetry: Option<Arc<TelemetryRegistry>>,
@@ -912,102 +836,59 @@ impl SchedulerCtx {
         }
     }
 
-    /// Reports checkers that have exceeded their execution timeout and
-    /// replaces executors wedged past recovery.
+    /// Reports, once per episode, checkers that have exceeded their
+    /// execution timeout.
     fn detect_stuck(&mut self) {
         let now = self.env.clock.now();
         let now_ms = self.env.clock.now_millis();
         let mut reports = Vec::new();
-        let mut respawned = 0u64;
         for slot in &mut self.slots {
             let Some(since) = slot.busy_since else {
                 continue;
             };
             let elapsed = now.saturating_sub(since);
-            if elapsed < slot.timeout {
+            if slot.reported_stuck || elapsed < slot.timeout {
                 continue;
             }
-            if !slot.reported_stuck {
-                slot.reported_stuck = true;
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &slot.telem {
-                    t.timeouts.inc();
-                }
-                if let Some(t) = &self.telemetry {
-                    t.flight(
-                        now_ms,
-                        "timeout",
-                        &format!("{} stuck past {}ms", slot.id, slot.timeout.as_millis()),
-                    );
-                }
-                let location = slot.probe.current().unwrap_or_else(|| {
-                    FaultLocation::new(slot.component.clone(), format!("<checker {}>", slot.id))
-                });
-                reports.push(FailureReport {
-                    checker: slot.id.clone(),
-                    kind: FailureKind::Stuck,
-                    location,
-                    detail: format!(
-                        "checker execution exceeded timeout of {} ms",
-                        slot.timeout.as_millis()
-                    ),
-                    payload: Vec::new(),
-                    observed_latency_ms: Some(elapsed.as_millis() as u64),
-                    at_ms: now_ms,
-                });
-                continue;
+            slot.reported_stuck = true;
+            self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+            if let Some(t) = &slot.telem {
+                t.timeouts.inc();
             }
-            // Already reported: once the checker has overstayed twice its
-            // timeout, abandon the wedged executor and spawn a fresh one so
-            // this component's coverage resumes. The old thread exits on its
-            // own when the hung operation completes (its result channel is
-            // gone by then).
-            if elapsed >= slot.timeout * 2 && slot.respawnable() {
-                respawn_slot(slot, &self.env);
-                respawned += 1;
-                if let Some(t) = &slot.telem {
-                    t.respawns.inc();
-                }
-                if let Some(t) = &self.telemetry {
-                    t.flight(
-                        now_ms,
-                        "respawn",
-                        &format!("{} executor abandoned ({} so far)", slot.id, slot.respawns),
-                    );
-                }
+            if let Some(t) = &self.telemetry {
+                t.flight(
+                    now_ms,
+                    "timeout",
+                    &format!("{} stuck past {}ms", slot.id, slot.timeout.as_millis()),
+                );
             }
-        }
-        if respawned > 0 {
-            self.stats
-                .executor_respawns
-                .fetch_add(respawned, Ordering::Relaxed);
+            let location = slot.probe.current().unwrap_or_else(|| {
+                FaultLocation::new(slot.component.clone(), format!("<checker {}>", slot.id))
+            });
+            reports.push(FailureReport {
+                checker: slot.id.clone(),
+                kind: FailureKind::Stuck,
+                location,
+                detail: format!(
+                    "checker execution exceeded timeout of {} ms",
+                    slot.timeout.as_millis()
+                ),
+                payload: Vec::new(),
+                observed_latency_ms: Some(elapsed.as_millis() as u64),
+                at_ms: now_ms,
+            });
         }
         for r in reports {
             self.emit(r);
         }
     }
 
-    /// Resets per-round dispatch flags at the top of a round.
-    fn begin_round(&mut self) {
-        for slot in &mut self.slots {
-            slot.dispatched = false;
-        }
-    }
-
-    /// Dispatches each checker whose phase offset has elapsed this round:
-    /// arms every due slot's run flag, then wakes the executor pool once.
-    ///
-    /// With `phase_frac == 0` every phase is zero and this behaves exactly
-    /// like the old dispatch-everything-at-round-start. A checker still busy
-    /// at its phase time is skipped for the round, as before.
-    fn dispatch_due(&mut self, round_start: Duration) {
+    /// Dispatches every idle checker at the top of a round: arms each run
+    /// flag, then wakes the executor pool once.
+    fn dispatch(&mut self, round_start: Duration) {
         let now = self.env.clock.now();
         let mut armed = 0usize;
         for slot in &mut self.slots {
-            if slot.dispatched || now < round_start + slot.phase {
-                continue;
-            }
-            slot.dispatched = true;
             if slot.busy_since.is_some() {
                 continue; // Still running (possibly stuck); skip this round.
             }
@@ -1016,11 +897,10 @@ impl SchedulerCtx {
             slot.busy_since = Some(now);
             self.stats.runs.fetch_add(1, Ordering::Relaxed);
             if let Some(t) = &slot.telem {
-                // How late past its scheduled (round start + phase) slot
-                // this dispatch actually left, i.e. scheduler lag.
-                let due = round_start + slot.phase;
+                // How late past the round start this dispatch actually
+                // left, i.e. scheduler lag.
                 t.dispatch_delay_ms
-                    .record(now.saturating_sub(due).as_millis() as u64);
+                    .record(now.saturating_sub(round_start).as_millis() as u64);
             }
         }
         if armed > 0 {
@@ -1034,59 +914,30 @@ impl SchedulerCtx {
 
     /// Parks the scheduler until `deadline`, the earliest slot event before
     /// it, a landed result or a stop request — whichever comes first.
-    fn park(&self, round_start: Duration, deadline: Duration) {
+    fn park(&self, deadline: Duration) {
         let wake_at = self
             .slots
             .iter()
-            .filter_map(|s| s.next_event(round_start))
+            .filter_map(ExecSlot::next_event)
             .fold(deadline, Duration::min);
         let now = self.env.clock.now();
         self.env.wake.wait_timeout(wake_at.saturating_sub(now));
     }
 }
 
-/// Abandons a wedged executor and installs a fresh checker in its slot,
-/// preserving identity, phase, and the respawn budget already spent.
-fn respawn_slot(slot: &mut ExecSlot, env: &ExecEnv) {
-    let Some(factory) = slot.factory.clone() else {
-        return;
-    };
-    // Release the wedged thread for good: when its hung operation ever
-    // completes it sees the closed signal (or the dropped result channel)
-    // and exits instead of waiting for a dispatch that will never come.
-    slot.signal.close();
-    env.dispatch.notify_all();
-    let mut fresh = spawn_executor(Pending::new(factory(), Some(factory)), env);
-    fresh.phase = slot.phase;
-    fresh.respawns = slot.respawns + 1;
-    fresh.dispatched = slot.dispatched;
-    fresh.telem = slot.telem.clone();
-    *slot = fresh;
-}
-
 fn scheduler_loop(mut ctx: SchedulerCtx) {
     let clock = Arc::clone(&ctx.env.clock);
-    // No slot event can precede the first round, so this parks on the
-    // initial delay alone (and on a stop request).
-    let first_round = clock.now() + ctx.policy.initial_delay;
-    while !ctx.stopped() && clock.now() < first_round {
-        ctx.park(first_round, first_round);
-    }
-    let mut round: u64 = 0;
     while !ctx.stopped() {
         ctx.collect_results();
         let round_start = clock.now();
-        ctx.begin_round();
-        ctx.dispatch_due(round_start);
-        let deadline = round_start + ctx.policy.round_sleep(round);
+        ctx.dispatch(round_start);
+        let deadline = round_start + ctx.interval;
         while !ctx.stopped() && clock.now() < deadline {
-            ctx.park(round_start, deadline);
+            ctx.park(deadline);
             ctx.collect_results();
-            ctx.dispatch_due(round_start);
             ctx.detect_stuck();
         }
         ctx.stats.rounds.fetch_add(1, Ordering::Relaxed);
-        round += 1;
     }
     // Release every executor thread and the action worker: a waiter wait is
     // not woken by a drop, so shutdown must close both explicitly.
@@ -1216,28 +1067,24 @@ mod tests {
             stuck.location.operation.as_ref().unwrap().as_str(),
             "net::send"
         );
-        // Releasing the gate lets the checker finish; it should be
-        // dispatched again afterwards.
-        let runs_before = d.stats().runs;
         gate.store(false, Ordering::Relaxed);
-        assert!(wait_until(
-            || d.stats().runs > runs_before,
-            Duration::from_secs(5)
-        ));
         d.stop();
     }
 
     #[test]
-    fn stuck_reported_once_per_episode() {
+    fn hung_checker_is_reported_once_skipped_while_busy_and_rerun_after() {
+        let gate = Arc::new(AtomicBool::new(true));
+        let calls = Arc::new(AtomicU64::new(0));
+        let (g, c) = (Arc::clone(&gate), Arc::clone(&calls));
         let mut d = WatchdogDriver::builder()
             .config(fast_config(10, 30))
-            .checker(Box::new(
-                FnChecker::new("hang", "comp", || {
-                    std::thread::sleep(Duration::from_millis(400));
-                    CheckStatus::Pass
-                })
-                .with_timeout(Duration::from_millis(30)),
-            ))
+            .checker(Box::new(FnChecker::new("hang", "a", move || {
+                c.fetch_add(1, Ordering::Relaxed);
+                while g.load(Ordering::Relaxed) {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                CheckStatus::Pass
+            })))
             .build()
             .unwrap();
         d.start().unwrap();
@@ -1245,9 +1092,22 @@ mod tests {
             || d.stats().timeouts >= 1,
             Duration::from_secs(5)
         ));
-        std::thread::sleep(Duration::from_millis(100));
+        // Many rounds (and several timeouts' worth of time) later the hung
+        // checker has neither been dispatched nor reported again.
+        let rounds = d.stats().rounds;
+        assert!(wait_until(
+            || d.stats().rounds >= rounds + 10,
+            Duration::from_secs(5)
+        ));
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(d.stats().timeouts, 1);
+        // Once the hung call returns the checker is dispatched again.
+        gate.store(false, Ordering::Relaxed);
+        assert!(wait_until(
+            || calls.load(Ordering::Relaxed) >= 2,
+            Duration::from_secs(5)
+        ));
         d.stop();
-        // One episode lasting ~400ms must yield exactly one stuck report.
         let stucks = d
             .log()
             .reports()
@@ -1372,111 +1232,6 @@ mod tests {
     }
 
     #[test]
-    fn wedged_executor_is_abandoned_and_replaced() {
-        // First instance wedges forever; every later instance passes and
-        // bumps a counter so we can see the replacement actually running.
-        let instances = Arc::new(AtomicU64::new(0));
-        let fresh_passes = Arc::new(AtomicU64::new(0));
-        let inst2 = Arc::clone(&instances);
-        let fresh2 = Arc::clone(&fresh_passes);
-        let mut d = WatchdogDriver::builder()
-            .config(fast_config(10, 40))
-            .respawnable(Arc::new(move || {
-                let n = inst2.fetch_add(1, Ordering::Relaxed);
-                if n == 0 {
-                    Box::new(FnChecker::new("wedge", "kvs.compaction", || loop {
-                        std::thread::sleep(Duration::from_millis(20));
-                    })) as Box<dyn Checker>
-                } else {
-                    let f = Arc::clone(&fresh2);
-                    Box::new(FnChecker::new("wedge", "kvs.compaction", move || {
-                        f.fetch_add(1, Ordering::Relaxed);
-                        CheckStatus::Pass
-                    }))
-                }
-            }))
-            .checker(Box::new(FnChecker::new("ok", "b", || CheckStatus::Pass)))
-            .build()
-            .unwrap();
-        d.start().unwrap();
-        // The wedge is detected (Stuck report), the executor is replaced,
-        // and the replacement gets dispatched and passes — while the healthy
-        // checker keeps running throughout.
-        assert!(wait_until(
-            || d.stats().timeouts >= 1,
-            Duration::from_secs(5)
-        ));
-        assert!(wait_until(
-            || d.stats().executor_respawns >= 1,
-            Duration::from_secs(5)
-        ));
-        assert!(wait_until(
-            || fresh_passes.load(Ordering::Relaxed) >= 3,
-            Duration::from_secs(5)
-        ));
-        let healthy_passes = d.stats().passes;
-        assert!(wait_until(
-            || d.stats().passes > healthy_passes,
-            Duration::from_secs(5)
-        ));
-        d.stop();
-        assert!(d
-            .log()
-            .reports()
-            .iter()
-            .any(|r| r.kind == FailureKind::Stuck));
-        assert!(instances.load(Ordering::Relaxed) >= 2);
-    }
-
-    #[test]
-    fn executor_respawns_are_bounded() {
-        // Every instance wedges: the driver must give up after the cap
-        // instead of leaking threads forever.
-        let mut d = WatchdogDriver::builder()
-            .config(fast_config(10, 25))
-            .respawnable(Arc::new(|| {
-                Box::new(FnChecker::new("always-wedged", "c", || loop {
-                    std::thread::sleep(Duration::from_millis(10));
-                })) as Box<dyn Checker>
-            }))
-            .build()
-            .unwrap();
-        d.start().unwrap();
-        assert!(wait_until(
-            || d.stats().executor_respawns >= MAX_EXECUTOR_RESPAWNS,
-            Duration::from_secs(10)
-        ));
-        // Give it time to (incorrectly) overshoot, then check the bound.
-        std::thread::sleep(Duration::from_millis(300));
-        d.stop();
-        assert_eq!(d.stats().executor_respawns, MAX_EXECUTOR_RESPAWNS);
-    }
-
-    #[test]
-    fn phase_spread_checkers_all_run() {
-        let config = WatchdogConfig {
-            policy: SchedulePolicy::every(Duration::from_millis(40)).with_phase_spread(0.5),
-            default_timeout: Duration::from_millis(500),
-            health_window: Duration::from_secs(10),
-            spawn_order_seed: None,
-        };
-        let mut builder = WatchdogDriver::builder().config(config);
-        for name in ["a", "b", "c", "d"] {
-            builder = builder.checker(Box::new(FnChecker::new(name, "comp", || CheckStatus::Pass)));
-        }
-        let mut d = builder.build().unwrap();
-        d.start().unwrap();
-        // 4 checkers staggered across the round must each still run every
-        // round: 3 rounds → at least 12 passes.
-        assert!(wait_until(
-            || d.stats().passes >= 12,
-            Duration::from_secs(5)
-        ));
-        d.stop();
-        assert!(d.log().is_empty());
-    }
-
-    #[test]
     fn builder_assembles_and_validates() {
         let driver = WatchdogDriver::builder()
             .config(fast_config(10, 500))
@@ -1485,19 +1240,12 @@ mod tests {
             .checkers(vec![
                 Box::new(FnChecker::new("b", "c", || CheckStatus::Pass)) as Box<dyn Checker>,
             ])
-            .respawnable(Arc::new(|| {
-                Box::new(FnChecker::new("r", "c", || CheckStatus::Pass)) as Box<dyn Checker>
-            }))
             .action(Arc::new(crate::action::CallbackAction::new(|_| {})))
             .build()
             .unwrap();
         assert_eq!(
             driver.checker_ids(),
-            vec![
-                CheckerId::new("a"),
-                CheckerId::new("b"),
-                CheckerId::new("r")
-            ]
+            vec![CheckerId::new("a"), CheckerId::new("b")]
         );
     }
 

@@ -2,103 +2,25 @@
 //!
 //! The paper leaves scheduling to the watchdog driver ("a watchdog driver
 //! will manage checker scheduling and execution", §3.1). The policy here is
-//! deliberately simple — a fixed interval with optional jitter and an initial
-//! delay — because experiment E6 sweeps the interval to show the latency
-//! trade-off, and anything fancier would obscure that relationship.
+//! deliberately a fixed interval and nothing else, because experiment E6
+//! sweeps the interval to show the latency trade-off, and anything fancier
+//! would obscure that relationship.
 
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-/// When and how often checkers run.
+/// How often checkers run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulePolicy {
     /// Time between the starts of consecutive checking rounds.
     pub interval: Duration,
-    /// Fraction of the interval used as deterministic per-round jitter
-    /// (`0.0` disables). Jitter staggers rounds so checkers do not
-    /// synchronize with periodic main-program work.
-    pub jitter_frac: f64,
-    /// Delay before the first round, letting initialization-phase state
-    /// settle (the paper excludes initialization code from checking).
-    pub initial_delay: Duration,
-    /// Context slots older than this make a mimic checker report
-    /// `NotReady` instead of running with stale arguments; `None` disables
-    /// the staleness test.
-    pub max_context_age: Option<Duration>,
-    /// Fraction of the interval over which per-checker dispatch phases are
-    /// spread (`0.0` fires every checker at the top of the round). Spreading
-    /// phases avoids a thundering herd on shared substrates (disk, network)
-    /// when many checkers would otherwise probe in lock-step.
-    #[serde(default)]
-    pub phase_frac: f64,
 }
 
 impl SchedulePolicy {
-    /// A policy checking every `interval` with no jitter and no delay.
+    /// A policy checking every `interval`.
     pub fn every(interval: Duration) -> Self {
-        Self {
-            interval,
-            jitter_frac: 0.0,
-            initial_delay: Duration::ZERO,
-            max_context_age: None,
-            phase_frac: 0.0,
-        }
-    }
-
-    /// Sets the jitter fraction, clamped to `[0, 0.5]`.
-    pub fn with_jitter(mut self, frac: f64) -> Self {
-        self.jitter_frac = frac.clamp(0.0, 0.5);
-        self
-    }
-
-    /// Sets the initial delay.
-    pub fn with_initial_delay(mut self, d: Duration) -> Self {
-        self.initial_delay = d;
-        self
-    }
-
-    /// Sets the maximum tolerated context age.
-    pub fn with_max_context_age(mut self, d: Duration) -> Self {
-        self.max_context_age = Some(d);
-        self
-    }
-
-    /// Sets the phase-spread fraction, clamped to `[0, 0.9]`.
-    pub fn with_phase_spread(mut self, frac: f64) -> Self {
-        self.phase_frac = frac.clamp(0.0, 0.9);
-        self
-    }
-
-    /// Returns the dispatch offset for a checker within each round.
-    ///
-    /// The offset is a pure function of the checker id (FNV-1a hashed to a
-    /// fraction of `interval * phase_frac`), so schedules are stable across
-    /// runs and independent of registration order — the anti-thundering-herd
-    /// stagger costs nothing in reproducibility.
-    pub fn phase_offset(&self, key: &str) -> Duration {
-        if self.phase_frac <= 0.0 {
-            return Duration::ZERO;
-        }
-        let h = wdog_base::rng::derive_seed(0x9e37_79b9_7f4a_7c15, key);
-        // Top 53 bits → uniform fraction in [0, 1).
-        let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-        self.interval.mul_f64(self.phase_frac * frac)
-    }
-
-    /// Returns the sleep before round `round` (0-based), including jitter.
-    ///
-    /// Jitter is deterministic in the round number so runs are reproducible:
-    /// round *n* is offset by `interval * jitter_frac * frac(n * φ)` where φ
-    /// is the golden-ratio conjugate, giving a low-discrepancy stagger.
-    pub fn round_sleep(&self, round: u64) -> Duration {
-        if self.jitter_frac <= 0.0 {
-            return self.interval;
-        }
-        const PHI: f64 = 0.618_033_988_749_894_9;
-        let frac = (round as f64 * PHI).fract();
-        let jitter = self.interval.mul_f64(self.jitter_frac * frac);
-        self.interval + jitter
+        Self { interval }
     }
 }
 
@@ -113,91 +35,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_sets_interval_only() {
+    fn every_sets_the_interval() {
         let p = SchedulePolicy::every(Duration::from_millis(100));
         assert_eq!(p.interval, Duration::from_millis(100));
-        assert_eq!(p.jitter_frac, 0.0);
-        assert_eq!(p.initial_delay, Duration::ZERO);
-        assert!(p.max_context_age.is_none());
-    }
-
-    #[test]
-    fn no_jitter_means_constant_sleep() {
-        let p = SchedulePolicy::every(Duration::from_millis(100));
-        for r in 0..8 {
-            assert_eq!(p.round_sleep(r), Duration::from_millis(100));
-        }
-    }
-
-    #[test]
-    fn jitter_bounded_and_deterministic() {
-        let p = SchedulePolicy::every(Duration::from_millis(100)).with_jitter(0.2);
-        for r in 0..64 {
-            let s = p.round_sleep(r);
-            assert!(s >= Duration::from_millis(100));
-            assert!(s <= Duration::from_millis(120));
-            assert_eq!(s, p.round_sleep(r), "non-deterministic jitter");
-        }
-    }
-
-    #[test]
-    fn jitter_clamped() {
-        let p = SchedulePolicy::every(Duration::from_secs(1)).with_jitter(9.0);
-        assert_eq!(p.jitter_frac, 0.5);
-    }
-
-    #[test]
-    fn zero_phase_spread_means_no_offset() {
-        let p = SchedulePolicy::every(Duration::from_millis(100));
-        assert_eq!(p.phase_offset("kvs.probe.set_get"), Duration::ZERO);
-    }
-
-    #[test]
-    fn phase_offsets_are_stable_bounded_and_spread() {
-        let p = SchedulePolicy::every(Duration::from_millis(100)).with_phase_spread(0.5);
-        let ids = [
-            "kvs.wal_write_record_checker",
-            "kvs.flush_once_checker",
-            "kvs.compact_once_checker",
-            "kvs.probe.set_get",
-            "kvs.signal.memory",
-        ];
-        let offsets: Vec<Duration> = ids.iter().map(|id| p.phase_offset(id)).collect();
-        for (id, off) in ids.iter().zip(&offsets) {
-            assert!(*off < Duration::from_millis(50), "{id}: {off:?}");
-            // Seed-stable: same id, same offset, every time.
-            assert_eq!(*off, p.phase_offset(id));
-        }
-        // Distinct checkers should not all collapse onto one phase.
-        let distinct: std::collections::BTreeSet<Duration> = offsets.iter().copied().collect();
-        assert!(distinct.len() >= 4, "phases collapsed: {offsets:?}");
-    }
-
-    #[test]
-    fn phase_spread_clamped() {
-        let p = SchedulePolicy::every(Duration::from_secs(1)).with_phase_spread(7.0);
-        assert_eq!(p.phase_frac, 0.9);
-    }
-
-    #[test]
-    fn policy_deserializes_without_phase_field() {
-        // Configs written before phase spreading existed must still load.
-        let json = r#"{
-            "interval": {"secs": 1, "nanos": 0},
-            "jitter_frac": 0.0,
-            "initial_delay": {"secs": 0, "nanos": 0},
-            "max_context_age": null
-        }"#;
-        let p: SchedulePolicy = serde_json::from_str(json).unwrap();
-        assert_eq!(p.phase_frac, 0.0);
-    }
-
-    #[test]
-    fn builder_chains() {
-        let p = SchedulePolicy::every(Duration::from_secs(2))
-            .with_initial_delay(Duration::from_secs(5))
-            .with_max_context_age(Duration::from_secs(30));
-        assert_eq!(p.initial_delay, Duration::from_secs(5));
-        assert_eq!(p.max_context_age, Some(Duration::from_secs(30)));
+        assert_eq!(SchedulePolicy::default().interval, Duration::from_secs(1));
     }
 }

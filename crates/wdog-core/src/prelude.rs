@@ -11,16 +11,13 @@
 //! `wdog_recover::prelude` alongside this one.
 
 pub use crate::action::{
-    Action, CallbackAction, Degradable, EscalatingAction, GateCounters, ImpactGatedAction,
-    LogAction, RestartAction, RestartCounters, Restartable,
+    Action, CallbackAction, Degradable, GateCounters, ImpactGatedAction, LogAction, Restartable,
 };
 pub use crate::checker::{CheckFailure, CheckStatus, Checker, ExecutionProbe, FnChecker};
 pub use crate::context::{
     ContextReader, ContextSlot, ContextSnapshot, ContextTable, CtxValue, PublishGuard,
 };
-pub use crate::driver::{
-    CheckerFactory, DriverBuilder, DriverStats, WatchdogConfig, WatchdogDriver,
-};
+pub use crate::driver::{DriverBuilder, DriverStats, WatchdogConfig, WatchdogDriver};
 pub use crate::hooks::{FireGuard, HookSite, Hooks};
 pub use crate::policy::SchedulePolicy;
 pub use crate::report::{FailureKind, FailureReport, FaultLocation};

@@ -19,7 +19,6 @@ const GOLDEN: &[&str] = &[
     "CheckFailure",
     "CheckStatus",
     "Checker",
-    "CheckerFactory",
     "CheckerId",
     "Clock",
     "ComponentHealth",
@@ -34,7 +33,6 @@ const GOLDEN: &[&str] = &[
     "DetectionSample",
     "DriverBuilder",
     "DriverStats",
-    "EscalatingAction",
     "ExecutionProbe",
     "FailureKind",
     "FailureReport",
@@ -52,8 +50,6 @@ const GOLDEN: &[&str] = &[
     "LogAction",
     "PublishGuard",
     "RealClock",
-    "RestartAction",
-    "RestartCounters",
     "Restartable",
     "SchedulePolicy",
     "SharedClock",
@@ -147,5 +143,4 @@ fn prelude_identifiers_resolve() {
     let site: HookSite = hooks.site("k");
     wd_hook!(site, { "n" => 1u64 });
     let _: GateCounters = GateCounters::default();
-    let _: RestartCounters = RestartCounters::default();
 }

@@ -1,7 +1,7 @@
 //! Flight recorder: a fixed-capacity ring of recent runtime events.
 //!
 //! The watchdog plane generates a low-rate event stream (reports, timeouts,
-//! executor respawns, recovery rungs). Keeping the last N of them in memory
+//! recovery rungs). Keeping the last N of them in memory
 //! gives a postmortem the ordered tail of what the runtime saw without any
 //! logging dependency; the ring never grows and records in O(1).
 
@@ -19,8 +19,8 @@ pub const DEFAULT_FLIGHT_CAP: usize = 256;
 pub struct FlightEvent {
     /// Clock timestamp (ms) supplied by the recorder.
     pub at_ms: u64,
-    /// Stable event class label (`report`, `timeout`, `respawn`,
-    /// `incident-open`, `incident-close`, ...).
+    /// Stable event class label (`report`, `timeout`, `incident-open`,
+    /// `incident-close`, ...).
     pub kind: String,
     /// Free-form detail (checker id, component, outcome, ...).
     pub detail: String,
