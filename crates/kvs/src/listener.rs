@@ -40,14 +40,19 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, rx: ClockedQueue<RequestItem>) {
             shared.monitor.alloc(LEAK_BYTES);
         }
         // Hook: publish the live request payload for the indexer mimic op.
+        // Reads carry no value and leave the last write's in place: an
+        // empty one would have the mimic replay a put that corruption
+        // cannot alter.
         let key = req.key().to_owned();
         let value = match &req {
-            Request::Set { value, .. } | Request::Append { value, .. } => value.clone(),
-            _ => String::new(),
+            Request::Set { value, .. } | Request::Append { value, .. } => Some(value.clone()),
+            _ => None,
         };
         if let Some(mut fire) = listener_hook.fire() {
-            fire.field("probe_key", CtxValue::Str(key))
-                .field("probe_val", CtxValue::Str(value));
+            fire.field("probe_key", CtxValue::Str(key));
+            if let Some(value) = value {
+                fire.field("probe_val", CtxValue::Str(value));
+            }
         }
         let resp = handle_request(&shared, req);
         let _ = reply.push(resp);

@@ -1,0 +1,106 @@
+//! Generated mimic checkers actually run, and run on live payloads.
+//!
+//! A mimic that only ever returns `NotReady`, or that replays a payload on
+//! which the mimicked operation cannot fail, is coverage on paper only.
+//! Both sessions below run on the sim clock, so they are exact.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use faults::spec::FaultKind;
+use harness::scenario::RunnerOptions;
+use harness::session::Session;
+use wdog_target::{Families, WatchdogTarget, WorkloadProfile};
+use wdog_telemetry::TelemetryRegistry;
+
+/// Generated mimics that never leave `NotReady` on a fault-free run, and
+/// why. An entry that starts passing fails the test below: delete it.
+const NEVER_READY: &[(&str, &str)] = &[
+    (
+        "minizk.snapshot_sync_loop_checker",
+        "its context is published only while a follower syncs a snapshot, \
+         which a steady single-ensemble workload never triggers",
+    ),
+    (
+        "miniblock.heartbeat_loop_checker",
+        "heartbeat_loop has no hook site, and global dedup kept \
+         heartbeat_send and dropped report_send, so miniblock's one \
+         net-send mimic never gets a context",
+    ),
+];
+
+fn passes_per_mimic(target: &dyn WatchdogTarget) -> Vec<(String, u64)> {
+    let runner = RunnerOptions::default();
+    let registry = TelemetryRegistry::shared();
+    let mut wd = runner.wd.clone();
+    wd.families = Families::only("mimic");
+    wd.telemetry = Some(Arc::clone(&registry));
+    let mut session = Session::boot(target, 42, true, "test-main").unwrap();
+    session.arm(&wd, &runner.workload, None).unwrap();
+    session.clock().sleep(Duration::from_secs(3));
+    let reports = session.finish();
+    assert!(reports.is_empty(), "fault-free run reported {reports:?}");
+    registry
+        .snapshot()
+        .counters
+        .into_iter()
+        .filter(|c| c.name == "checker_pass_total")
+        .map(|c| (c.label, c.value))
+        .collect()
+}
+
+#[test]
+fn every_generated_mimic_passes_at_least_once_on_a_fault_free_run() {
+    let targets: [&dyn WatchdogTarget; 3] = [
+        &kvs::target::KvsTarget,
+        &minizk::target::ZkTarget,
+        &miniblock::target::DnTarget,
+    ];
+    for target in targets {
+        let passes = passes_per_mimic(target);
+        assert!(!passes.is_empty(), "{}: no mimic registered", target.name());
+        for (id, n) in passes {
+            match NEVER_READY.iter().find(|(known, _)| *known == id) {
+                None => assert!(n > 0, "{id} never passed in 3 s of fault-free rounds"),
+                Some((_, why)) => assert_eq!(n, 0, "{id} runs now; it was excused because {why}"),
+            }
+        }
+    }
+}
+
+/// The listener publishes a request's value for the `index_put` mimic to
+/// replay. Reads carry none; if they published an empty one, the mimic
+/// would put and read back `""`, which index corruption cannot alter, and
+/// a read-mostly server would hide the fault from its only index checker.
+#[test]
+fn kvs_index_corruption_under_reads_is_reported_in_the_first_round_after_onset() {
+    let runner = RunnerOptions::default();
+    let reads_only = WorkloadProfile {
+        write_fraction: 0.0,
+        ..runner.workload.clone()
+    };
+    let mut session = Session::boot(&kvs::target::KvsTarget, 42, true, "test-main").unwrap();
+    session.arm(&runner.wd, &reads_only, None).unwrap();
+    let clock = Arc::clone(session.clock());
+    // Mid-round, so "the first round after onset" is unambiguous.
+    clock.sleep(Duration::from_secs(1) + runner.wd.interval / 2);
+    let onset_ms = clock.now_millis();
+    session
+        .injector()
+        .inject(&FaultKind::LogicCorruption {
+            toggle: "kvs.indexer.corrupt".into(),
+        })
+        .unwrap();
+    clock.sleep(runner.wd.interval * 2);
+    let reports = session.finish();
+    let first = reports
+        .iter()
+        .find(|r| r.checker.as_str() == "kvs.listener_loop_checker")
+        .unwrap_or_else(|| panic!("the index mimic stayed green: {reports:?}"));
+    let round_ms = runner.wd.interval.as_millis() as u64;
+    assert!(
+        first.at_ms > onset_ms && first.at_ms <= onset_ms + round_ms,
+        "onset {onset_ms} ms, first report {} ms, round {round_ms} ms",
+        first.at_ms
+    );
+}
