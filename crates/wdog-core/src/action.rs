@@ -4,8 +4,9 @@
 //! restarts their executions and applies an action to the main program
 //! accordingly" (§3.1), and §5.2 argues precise localization enables *cheap
 //! recovery* — replacing corrupted objects or restarting one component
-//! instead of the whole process. Actions here range from logging to
-//! component-scoped restarts through a [`Restartable`] handle.
+//! instead of the whole process. The actions here log, call back and gate
+//! on impact; the component-scoped repairs are `wdog-recover`'s, driven
+//! through the [`Restartable`] and [`Degradable`] handles defined here.
 
 use std::sync::Arc;
 

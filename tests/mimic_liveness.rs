@@ -10,7 +10,7 @@ use std::time::Duration;
 use faults::spec::FaultKind;
 use harness::scenario::RunnerOptions;
 use harness::session::Session;
-use wdog_target::{Families, WatchdogTarget, WorkloadProfile};
+use wdog_target::{Families, WatchdogTarget, WdOptions, WorkloadProfile};
 use wdog_telemetry::TelemetryRegistry;
 
 /// Generated mimics that never leave `NotReady` on a fault-free run, and
@@ -32,9 +32,11 @@ const NEVER_READY: &[(&str, &str)] = &[
 fn passes_per_mimic(target: &dyn WatchdogTarget) -> Vec<(String, u64)> {
     let runner = RunnerOptions::default();
     let registry = TelemetryRegistry::shared();
-    let mut wd = runner.wd.clone();
-    wd.families = Families::only("mimic");
-    wd.telemetry = Some(Arc::clone(&registry));
+    let wd = WdOptions {
+        families: Families::only("mimic"),
+        telemetry: Some(Arc::clone(&registry)),
+        ..runner.wd
+    };
     let mut session = Session::boot(target, 42, true, "test-main").unwrap();
     session.arm(&wd, &runner.workload, None).unwrap();
     session.clock().sleep(Duration::from_secs(3));
