@@ -5,8 +5,8 @@
 //! e.g., replies to pings, sends heartbeat messages, or maintains sessions.
 //! This works fine for fail-stop failures, but it cannot detect complex
 //! gray failures" (§1). [`HeartbeatDetector`] samples a liveness contract —
-//! a closure answering "did the process beat?" — on its own thread and
-//! suspects the target after `suspect_after` without a beat.
+//! a closure answering "did the process beat?" — on its own clock actor
+//! and suspects the target after `suspect_after` without a beat.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use wdog_base::clock::SharedClock;
+use wdog_base::clock::{spawn_on, SharedClock};
 
 use crate::api::{Detector, Verdict};
 
@@ -42,20 +42,17 @@ impl HeartbeatDetector {
         let last_beat = Arc::new(Mutex::new(Some(clock.now())));
         let running = Arc::new(AtomicBool::new(true));
         let thread = {
-            let clock = Arc::clone(&clock);
+            let actor_clock = Arc::clone(&clock);
             let last = Arc::clone(&last_beat);
             let run = Arc::clone(&running);
-            std::thread::Builder::new()
-                .name("heartbeat-fd".into())
-                .spawn(move || {
-                    while run.load(Ordering::Relaxed) {
-                        if beat() {
-                            *last.lock() = Some(clock.now());
-                        }
-                        clock.sleep(interval);
+            spawn_on(&clock, "heartbeat-fd", move || {
+                while run.load(Ordering::Relaxed) {
+                    if beat() {
+                        *last.lock() = Some(actor_clock.now());
                     }
-                })
-                .expect("spawn heartbeat detector")
+                    actor_clock.sleep(interval);
+                }
+            })
         };
         Self {
             clock,

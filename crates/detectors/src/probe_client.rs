@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use wdog_base::clock::SharedClock;
+use wdog_base::clock::{spawn_on, SharedClock};
 use wdog_base::error::BaseResult;
 
 use crate::api::{Detector, Verdict};
@@ -48,25 +48,23 @@ impl ExternalProbe {
             let last = Arc::clone(&last_error);
             let count = Arc::clone(&probes);
             let run = Arc::clone(&running);
-            std::thread::Builder::new()
-                .name("external-probe".into())
-                .spawn(move || {
-                    while run.load(Ordering::Relaxed) {
-                        match probe() {
-                            Ok(()) => {
-                                fails.store(0, Ordering::Relaxed);
-                                *last.lock() = None;
-                            }
-                            Err(e) => {
-                                fails.fetch_add(1, Ordering::Relaxed);
-                                *last.lock() = Some(e.to_string());
-                            }
+            let actor_clock = Arc::clone(&clock);
+            spawn_on(&clock, "external-probe", move || {
+                while run.load(Ordering::Relaxed) {
+                    match probe() {
+                        Ok(()) => {
+                            fails.store(0, Ordering::Relaxed);
+                            *last.lock() = None;
                         }
-                        count.fetch_add(1, Ordering::Relaxed);
-                        clock.sleep(interval);
+                        Err(e) => {
+                            fails.fetch_add(1, Ordering::Relaxed);
+                            *last.lock() = Some(e.to_string());
+                        }
                     }
-                })
-                .expect("spawn external probe")
+                    count.fetch_add(1, Ordering::Relaxed);
+                    actor_clock.sleep(interval);
+                }
+            })
         };
         Self {
             consecutive_failures,

@@ -4,10 +4,13 @@
 //!    synchronized contexts vs. pre-supplied "assumed" contexts on an
 //!    in-memory kvs — reproducing the paper's spurious-report example.
 //! 2. **Detection latency vs. checking interval**: the watchdog's latency
-//!    for a stuck-WAL gray failure as the round interval sweeps.
+//!    for a stuck-WAL gray failure as the round interval sweeps — virtual
+//!    milliseconds, reproducible to the digit like every scenario run.
 //! 3. **Concurrent vs. in-place checking** (§3.1): average client request
 //!    latency when heavyweight checks run concurrently on the watchdog's
-//!    executors vs. in place on the request thread.
+//!    executors vs. in place on the request thread. Wall time is the
+//!    measurand, so this one stays on the real clock and its numbers move
+//!    from run to run.
 //!
 //! (The fourth ablation the design calls out — similar-op dedup and global
 //! reduction — is tabulated by experiment E3b's `no-dedup` rows.)

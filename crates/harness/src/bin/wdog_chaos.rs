@@ -2,20 +2,19 @@
 //!
 //! ```text
 //! wdog-chaos [--target {kvs|minizk|miniblock|all}] [--out DIR]
-//!            [--seed N] [--schedules N] [--sim] [--max-wall-ms N]
+//!            [--seed N] [--schedules N] [--max-wall-ms N]
 //!            [--require-detected N] [--require-clean-benign]
 //!            [--replay FILE]
-//! wdog-chaos --sim --schedules 1000 --target all
-//! wdog-chaos --sim --replay results/chaos/chaos-42-003.kvs.missed.json
+//! wdog-chaos --schedules 1000 --target all
+//! wdog-chaos --replay results/chaos/chaos-42-038.kvs.missed.json
 //! ```
 //!
-//! `--sim` replays every schedule on a discrete-event virtual clock:
-//! warmup, horizon, and grace pass in virtual time, so thousands of
-//! schedules cost seconds of wall clock and the canonical report is
-//! byte-identical across runs by construction — no retry loops, no
-//! agreement protocols. `--max-wall-ms N` makes the per-target campaign
-//! wall time a hard gate (CI pins the sim sweep under the old real-clock
-//! smoke budget).
+//! Every schedule replays on a discrete-event virtual clock: warmup,
+//! horizon, and grace pass in virtual time, so thousands of schedules cost
+//! seconds of wall clock and the canonical report is byte-identical across
+//! runs by construction — no retry loops, no agreement protocols.
+//! `--max-wall-ms N` makes the per-target campaign wall time a hard gate
+//! (CI pins the sweep under the old real-clock smoke budget).
 //!
 //! Campaign mode composes `--schedules` seeded multi-fault schedules from
 //! the target's catalogue, replays each against a live testbed, scores
@@ -45,7 +44,7 @@ use harness::cli::{CampaignCli, EXIT_GATE, EXIT_USAGE};
 use wdog_telemetry::{ChaosMetrics, TelemetryRegistry};
 
 const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--seed N] [--out DIR] [--schedules N] \
-     [--sim] [--max-wall-ms N] [--require-detected N] [--require-clean-benign] [--replay FILE]";
+     [--max-wall-ms N] [--require-detected N] [--require-clean-benign] [--replay FILE]";
 
 /// Writes `value` as pretty JSON under `<out>/chaos/`.
 fn write_chaos_json(out: &Path, name: &str, value: &impl serde::Serialize) {
@@ -67,7 +66,7 @@ fn write_chaos_json(out: &Path, name: &str, value: &impl serde::Serialize) {
     }
 }
 
-fn replay_file(path: &str, sim: bool) -> i32 {
+fn replay_file(path: &str) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -92,11 +91,7 @@ fn replay_file(path: &str, sim: bool) -> i32 {
             return EXIT_USAGE;
         }
     };
-    let opts = ChaosOptions {
-        sim,
-        ..ChaosOptions::default()
-    };
-    match chaos::replay(targets[0].as_ref(), &rep, &opts) {
+    match chaos::replay(targets[0].as_ref(), &rep, &ChaosOptions::default()) {
         Ok((outcome, matches)) => {
             println!(
                 "replayed {} against {}: verdict {:?} (recorded {:?})",
@@ -130,18 +125,17 @@ fn main() {
             "--max-wall-ms",
             "--replay",
         ],
-        &["--sim", "--require-clean-benign"],
+        &["--require-clean-benign"],
     );
     let seed = cli.seed();
     let schedules: u64 = cli.parsed("--schedules", 20);
     let require_detected: u64 = cli.parsed("--require-detected", 0);
     let require_clean_benign = cli.switch("--require-clean-benign");
-    let sim = cli.switch("--sim");
     let max_wall_ms: Option<u64> = cli.parsed_opt("--max-wall-ms");
     let out = cli.out_dir();
 
     if let Some(path) = cli.value("--replay") {
-        std::process::exit(replay_file(path, sim));
+        std::process::exit(replay_file(path));
     }
 
     let mut failed = false;
@@ -151,7 +145,6 @@ fn main() {
             seed,
             schedules,
             metrics: Some(metrics.clone()),
-            sim,
             ..ChaosOptions::default()
         };
         let campaign_start = std::time::Instant::now();
@@ -166,10 +159,9 @@ fn main() {
         let wall_ms = campaign_start.elapsed().as_millis() as u64;
         println!("{}", chaos::render(&report));
         println!(
-            "[{}: {} schedules in {wall_ms} ms wall{}]",
+            "[{}: {} schedules in {wall_ms} ms wall]",
             target.name(),
             report.summary.schedules,
-            if sim { " (sim)" } else { "" },
         );
         if let Some(budget) = max_wall_ms {
             if wall_ms > budget {

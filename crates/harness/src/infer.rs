@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
+use simio::SimClock;
 use wdog_base::error::BaseResult;
 use wdog_checkers::InferredSpec;
 use wdog_core::TraceRecorder;
@@ -138,7 +139,7 @@ fn record_with(
     record_for: Duration,
     recorder: impl FnOnce(wdog_base::clock::SharedClock) -> Arc<TraceRecorder>,
 ) -> BaseResult<TraceJournal> {
-    let mut session = Session::boot(target, seed, true, "infer-record")?;
+    let mut session = Session::boot(target, seed, SimClock::shared(), "infer-record")?;
     let clock = Arc::clone(session.clock());
     let recorder = recorder(Arc::clone(&clock));
 
@@ -215,10 +216,7 @@ pub fn score_against_archive(
         .iter()
         .filter(|o| o.verdict == MISSED)
         .collect();
-    let mut copts = ChaosOptions {
-        sim: true,
-        ..ChaosOptions::default()
-    };
+    let mut copts = ChaosOptions::default();
     copts.wd.inferred = specs.to_vec();
 
     let mut score = InferScore {

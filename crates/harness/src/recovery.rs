@@ -30,6 +30,8 @@ use serde::{Deserialize, Serialize};
 
 use faults::spec::FaultKind;
 use faults::Scenario;
+use simio::SimClock;
+use wdog_base::clock::{RealClock, SharedClock};
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_base::rng::derive_seed;
 use wdog_core::prelude::*;
@@ -59,10 +61,10 @@ pub struct RecoveryOptions {
     pub workload: WorkloadProfile,
     /// Base seed.
     pub seed: u64,
-    /// Run every scenario on a discrete-event `SimClock` instead of the
-    /// real clock: boot, injection, the closed loop's waits, and the
-    /// coordinator's pacing all happen at deterministic virtual instants,
-    /// so the campaign is load-independent and replays in milliseconds.
+    /// Pinned `true`: every scenario runs on a fresh discrete-event
+    /// `SimClock`, so the closed loop's every wait is a deterministic
+    /// virtual instant. The field survives only because `benchmark/` names
+    /// it in a struct literal; it is read once, in [`run_recovery_scenario`].
     pub sim: bool,
 }
 
@@ -79,7 +81,7 @@ impl Default for RecoveryOptions {
             max_wait: Duration::from_secs(12),
             workload: runner.workload,
             seed: 42,
-            sim: false,
+            sim: true,
         }
     }
 }
@@ -179,8 +181,12 @@ pub fn run_recovery_scenario(
     opts: &RecoveryOptions,
 ) -> BaseResult<ScenarioRecovery> {
     let seed = derive_seed(opts.seed, &scenario.id);
-    let mut session = Session::boot(target, seed, opts.sim, "recovery-main")?;
-    let clock = Arc::clone(session.clock());
+    let clock: SharedClock = if opts.sim {
+        SimClock::shared()
+    } else {
+        RealClock::shared()
+    };
+    let mut session = Session::boot(target, seed, Arc::clone(&clock), "recovery-main")?;
     let surface = session.inst().recovery_surface().ok_or_else(|| {
         BaseError::InvalidState(format!("{} exposes no recovery surface", target.name()))
     })?;
@@ -365,33 +371,6 @@ mod tests {
         assert!(!r.crashed, "the process must never restart");
         assert!(r.coordinator_idle, "coordinator must end idle");
         assert!(r.mttr_ms.is_some());
-    }
-
-    #[test]
-    fn sim_mode_recovers_the_stuck_task_deterministically() {
-        let target = KvsTarget;
-        let scenario = target
-            .catalog()
-            .into_iter()
-            .find(|s| s.id == "background-task-stuck")
-            .unwrap();
-        let opts = RecoveryOptions {
-            sim: true,
-            ..quick_opts()
-        };
-        let a = run_recovery_scenario(&target, &scenario, &opts).unwrap();
-        assert_eq!(
-            a.disposition, "verified-recovered",
-            "sim-mode closed loop must still recover the stuck task: {a:?}"
-        );
-        assert!(a.coordinator_idle);
-        // Virtual time makes the whole trip deterministic, MTTR included.
-        let b = run_recovery_scenario(&target, &scenario, &opts).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "sim-mode recovery diverged across same-seed runs"
-        );
     }
 
     #[test]

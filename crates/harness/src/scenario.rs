@@ -10,6 +10,11 @@
 //! observation window and scores what each one said: detected or not, how
 //! fast, with what failure class, at what localization granularity, and
 //! whether the blame landed in the right place.
+//!
+//! Every run is on a fresh [`SimClock`] with the extrinsic detectors as
+//! clock actors beside the target's own threads, so a result — latencies
+//! included, in virtual milliseconds — is a pure function of `(target,
+//! scenario, seed)`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,6 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use detectors::{Detector, ExternalProbe, HeartbeatDetector, ObserverHub};
 use faults::Scenario;
+use simio::SimClock;
 use wdog_base::error::BaseResult;
 use wdog_base::rng::derive_seed;
 use wdog_core::prelude::*;
@@ -139,7 +145,10 @@ pub fn run_scenario(
         .map(|s| s.id.clone())
         .unwrap_or_else(|| "control".into());
     let seed = derive_seed(opts.seed, &label);
-    let mut session = Session::boot(target, seed, false, "scenario-main")?;
+    // Declared before the session so that an early `?` drops it after: the
+    // detectors' joining `Drop` needs the harness actor retired first.
+    let mut extrinsics: Vec<Box<dyn Detector>> = Vec::new();
+    let mut session = Session::boot(target, seed, SimClock::shared(), "scenario-main")?;
     let clock = Arc::clone(session.clock());
 
     // Steady workload feeding the observer hub; the intrinsic watchdog.
@@ -151,7 +160,6 @@ pub fn run_scenario(
     session.arm(&opts.wd, &opts.workload, observer)?;
 
     // Extrinsic baselines.
-    let mut extrinsics: Vec<Box<dyn Detector>> = Vec::new();
     if opts.extrinsic {
         extrinsics.push(Box::new(HeartbeatDetector::start(
             Arc::clone(&clock),
@@ -168,7 +176,11 @@ pub fn run_scenario(
         extrinsics.push(Box::new(hub.clone()));
     }
 
-    clock.sleep(opts.warmup);
+    // The default warmup is a whole number of checking rounds; the seeded
+    // phase keeps the injection from always landing on a round boundary,
+    // where every detection would read 0 ms.
+    let phase = derive_seed(seed, "phase") % (opts.wd.interval.as_nanos() as u64).max(1);
+    clock.sleep(opts.warmup + Duration::from_nanos(phase));
     let errors_handled_before = session.inst().errors_handled();
 
     // Inject.

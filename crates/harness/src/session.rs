@@ -2,32 +2,32 @@
 //!
 //! Every campaign — [`scenario`](crate::scenario), [`chaos`](crate::chaos),
 //! [`recovery`](crate::recovery), [`infer`](crate::infer) — runs the same
-//! protocol around what it measures: pick the clock, boot the target on
-//! it, wire the injector, assemble and start the watchdog, start the
+//! protocol around what it measures: boot the target on the campaign's
+//! clock, wire the injector, assemble and start the watchdog, start the
 //! workload, observe in bounded wakes, then stop everything at one instant
-//! and join. [`Session`] is that protocol, stated once; the campaigns keep
-//! only what is theirs (fault timelines, hold/heal, detector sampling,
-//! scoring).
+//! and join. [`Session`] is that protocol, stated once and the same on
+//! every clock; the campaigns keep only what is theirs (fault timelines,
+//! hold/heal, detector sampling, scoring).
 //!
-//! The teardown order is the part that must not be re-typed. Under a
-//! [`SimClock`] the harness thread is itself an actor, so virtual time is
-//! frozen while it runs: [`Session::stop`] seals the report log and raises
-//! every stop flag at that frozen instant, *then* retires the harness
-//! actor so virtual time free-runs while the blocking joins drain. A join
-//! issued before the retire waits on threads that can never be scheduled;
-//! a party left waiting untimed after it trips the clock's
-//! all-untimed-wait panic. The real clock has no frozen instant: the joins
-//! are the stop, and the log is read after them. [`Session::finish`] is
-//! `stop` plus the instance's own teardown, and [`Drop`] runs it, so an
-//! early `?` anywhere after boot tears down instead of hanging.
+//! The teardown order is the part that must not be re-typed. On a
+//! discrete-event clock the harness thread is itself an actor, so virtual
+//! time is frozen while it runs: [`Session::stop`] raises every stop flag
+//! and seals the report log at that frozen instant, *then* retires the
+//! harness actor so virtual time free-runs while the blocking joins drain.
+//! A join issued before the retire waits on threads that can never be
+//! scheduled; a party left waiting untimed after it trips the clock's
+//! all-untimed-wait panic. On the real clock the actor registration is
+//! inert and the same order is merely a stop request followed by its joins.
+//! [`Session::finish`] is `stop` plus the instance's own teardown, and
+//! [`Drop`] runs it, so an early `?` anywhere after boot tears down instead
+//! of hanging.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use faults::injector::Injector;
-use simio::SimClock;
-use wdog_base::clock::{ActorGuard, RealClock, SharedClock};
+use wdog_base::clock::{ActorGuard, SharedClock};
 use wdog_base::error::BaseResult;
 use wdog_core::prelude::{FailureReport, WatchdogDriver};
 use wdog_target::{TargetInstance, WatchdogTarget, WdOptions, WorkloadObserver, WorkloadProfile};
@@ -38,7 +38,6 @@ const WAKE: Duration = Duration::from_millis(50);
 /// A booted, watched testbed that tears itself down in the right order.
 pub struct Session {
     seed: u64,
-    sim: bool,
     clock: SharedClock,
     /// The harness thread's registration on `clock` (inert on the real
     /// clock); `None` once the session has stopped.
@@ -49,26 +48,21 @@ pub struct Session {
     inst: Box<dyn TargetInstance>,
     injector: Injector,
     crashed: Arc<AtomicBool>,
-    /// Run at the sim stop instant; declared last so that a handle it owns
+    /// Run at the stop instant; declared last so that a handle it owns
     /// to something with a joining `Drop` is released after every join.
     at_stop: Option<Box<dyn Fn()>>,
 }
 
 impl Session {
-    /// Boots `target` from `seed` on a fresh [`SimClock`] (`sim`) or the
-    /// real clock, with the calling thread registered as the clock actor
-    /// `actor`, and wires the fault injector.
+    /// Boots `target` from `seed` on `clock` — a fresh one per session, since
+    /// the run's virtual time starts at its epoch — with the calling thread
+    /// registered as the clock actor `actor`, and wires the fault injector.
     pub fn boot(
         target: &dyn WatchdogTarget,
         seed: u64,
-        sim: bool,
+        clock: SharedClock,
         actor: &str,
     ) -> BaseResult<Self> {
-        let clock = if sim {
-            SimClock::shared()
-        } else {
-            RealClock::shared()
-        };
         let main = clock.actor(actor).adopt();
         let inst = target.start_on(seed, Arc::clone(&clock))?;
         let crashed = Arc::new(AtomicBool::new(false));
@@ -78,7 +72,6 @@ impl Session {
         }));
         Ok(Self {
             seed,
-            sim,
             clock,
             main: Some(main),
             inst,
@@ -109,7 +102,7 @@ impl Session {
         self.crashed.load(Ordering::Relaxed)
     }
 
-    /// Sets the non-blocking stop request to issue at the sim stop instant,
+    /// Sets the non-blocking stop request to issue at the stop instant,
     /// with the instance's and the driver's — for the one party the session
     /// does not own but that would otherwise outwait the run (the recovery
     /// coordinator's untimed inbox wait).
@@ -155,36 +148,31 @@ impl Session {
         }
     }
 
-    /// Stops the workload and the watchdog — everything but the instance's
-    /// own threads, which [`Session::finish`] or `Drop` tear down — and
-    /// returns the driver's reports. Idempotent; later calls return an
-    /// empty log.
+    /// Raises every stop flag at one instant, then joins the workload and
+    /// the watchdog — everything but the instance's own threads, which
+    /// [`Session::finish`] or `Drop` tear down — and returns the driver's
+    /// reports up to that instant. Idempotent; later calls return an empty
+    /// log.
     pub fn stop(&mut self) -> Vec<FailureReport> {
         let Some(main) = self.main.take() else {
             return Vec::new();
         };
         self.inst.clear_faults();
-        let mut reports = Vec::new();
-        if self.sim {
-            // The stop instant: every loop observes the same stop time and
-            // no report past it can leak into scoring.
-            self.inst.request_stop();
-            if let Some(d) = &self.driver {
-                d.request_stop();
-                reports = d.log().reports();
-            }
-            if let Some(hook) = &self.at_stop {
-                hook();
-            }
+        // The stop instant: every loop observes the same stop time and no
+        // report past it can leak into scoring.
+        self.inst.request_stop();
+        let reports = self.driver.as_ref().map_or_else(Vec::new, |d| {
+            d.request_stop();
+            d.log().reports()
+        });
+        if let Some(hook) = &self.at_stop {
+            hook();
         }
         main.retire();
         // Blocking joins, with virtual time free-running.
         self.inst.stop_workload();
         if let Some(d) = &mut self.driver {
             d.stop();
-            if !self.sim {
-                reports = d.log().reports();
-            }
         }
         reports
     }
@@ -213,12 +201,14 @@ mod tests {
     use faults::spec::FaultKind;
     use miniblock::target::DnTarget;
     use minizk::target::ZkTarget;
+    use simio::SimClock;
+    use wdog_base::clock::RealClock;
     use wdog_target::WatchdogTarget;
 
     use super::Session;
     use crate::chaos::{chaos_pool, run_schedule, ChaosOptions};
     use crate::recovery::{run_recovery_scenario, RecoveryOptions};
-    use crate::scenario::RunnerOptions;
+    use crate::scenario::{run_scenario, RunnerOptions};
 
     /// Runs `f` on its own thread and fails if it has not returned within
     /// a minute of wall time — a sim deadlock never returns.
@@ -237,15 +227,23 @@ mod tests {
     }
 
     #[test]
-    fn a_refused_injection_ends_a_sim_recovery_run_with_an_error() {
+    fn a_refused_injection_ends_a_recovery_run_with_an_error() {
         let mut scenario = ZkTarget.catalog().remove(0);
         scenario.kind = toggle_fault();
         let result = within_a_minute(move || {
-            let opts = RecoveryOptions {
-                sim: true,
-                ..RecoveryOptions::default()
-            };
-            run_recovery_scenario(&ZkTarget, &scenario, &opts)
+            run_recovery_scenario(&ZkTarget, &scenario, &RecoveryOptions::default())
+        });
+        assert!(result.is_err(), "the fault never armed: {result:?}");
+    }
+
+    /// The extrinsic detectors are clock actors with a joining `Drop`; the
+    /// error path must retire the harness actor before it drops them.
+    #[test]
+    fn a_refused_injection_ends_a_scenario_run_with_an_error() {
+        let mut scenario = ZkTarget.catalog().remove(0);
+        scenario.kind = toggle_fault();
+        let result = within_a_minute(move || {
+            run_scenario(&ZkTarget, Some(&scenario), &RunnerOptions::default())
         });
         assert!(result.is_err(), "the fault never armed: {result:?}");
     }
@@ -255,29 +253,49 @@ mod tests {
         let pool = chaos_pool(&ZkTarget);
         let mut schedule = compose_schedule(&pool, 42, 0, &ComposeOptions::default()).unwrap();
         schedule.faults[0].spec.kind = toggle_fault();
-        let result = within_a_minute(move || {
-            let opts = ChaosOptions {
-                sim: true,
-                ..ChaosOptions::default()
-            };
-            run_schedule(&ZkTarget, &schedule, &opts)
-        });
+        let result =
+            within_a_minute(move || run_schedule(&ZkTarget, &schedule, &ChaosOptions::default()));
         assert!(
             result.is_err(),
             "scored a fault that never armed: {result:?}"
         );
     }
-    /// Recovery drains its coordinator between `stop` and the teardown: a
-    /// repair still in flight must find the instance's own threads alive.
+
+    /// The teardown contract, the same on either clock: `stop` returns the
+    /// sealed log once and leaves the workload joined; the instance's own
+    /// threads go with `finish`.
     #[test]
-    fn stop_leaves_the_instance_running_until_finish() {
-        let runner = RunnerOptions::default();
-        let mut session = Session::boot(&DnTarget, 7, false, "test-main").unwrap();
-        session.arm(&runner.wd, &runner.workload, None).unwrap();
-        session.stop();
-        assert!(session.inst().liveness_probe()(), "stop tore the node down");
-        session.finish();
-        assert!(!session.inst().liveness_probe()());
+    fn stop_seals_the_log_and_joins_then_finish_tears_down_on_either_clock() {
+        for clock in [SimClock::shared(), RealClock::shared()] {
+            within_a_minute(move || {
+                let runner = RunnerOptions::default();
+                let fault = DnTarget
+                    .catalog()
+                    .into_iter()
+                    .find(|s| s.id == "disk-error")
+                    .unwrap();
+                let mut session = Session::boot(&DnTarget, 7, clock, "test-main").unwrap();
+                session.arm(&runner.wd, &runner.workload, None).unwrap();
+                session.clock().sleep(Duration::from_millis(400));
+                session.injector().inject(&fault.kind).unwrap();
+                session.clock().sleep(Duration::from_millis(600));
+                let stopped_at = session.clock().now_millis();
+
+                let reports = session.stop();
+                assert!(
+                    !reports.is_empty(),
+                    "three rounds of disk errors went unreported"
+                );
+                assert!(reports.iter().all(|r| r.at_ms <= stopped_at), "{reports:?}");
+                assert!(session.stop().is_empty(), "the log is handed over once");
+                let served = session.inst().workload_counters();
+                assert!(served.0 > 0, "the workload never ran");
+
+                session.finish();
+                assert_eq!(session.inst().workload_counters(), served);
+                assert!(!session.inst().liveness_probe()());
+            });
+        }
     }
 
     #[test]
@@ -289,7 +307,6 @@ mod tests {
             .unwrap();
         let run = move || {
             let opts = RecoveryOptions {
-                sim: true,
                 warmup: Duration::from_millis(400),
                 fault_hold: Duration::from_millis(300),
                 max_wait: Duration::ZERO,

@@ -1,4 +1,4 @@
-//! The discrete-event virtual clock behind `wdog-chaos --sim`.
+//! The discrete-event virtual clock every harness campaign runs on.
 //!
 //! [`SimClock`] implements [`wdog_base::Clock`] with time that never flows
 //! on its own. Threads participating in a simulated run register as named

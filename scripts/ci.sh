@@ -9,9 +9,8 @@
 # archived reproducer under tests/chaos_corpus/ must rerun to its recorded
 # verdict (the blind spots chaos found stay pinned until a checker change
 # legitimately flips them — at which point the corpus file is re-recorded).
-# Replays run under --sim: virtual time makes the verdict load-independent,
-# so a replay asserts byte-parity on the first attempt — the old
-# stall-tolerant retry loop is gone because the noise it tolerated is gone.
+# Replays run in virtual time like every campaign here, so the verdict is
+# load-independent and a replay asserts byte-parity on the first attempt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +21,7 @@ replay_corpus() {
         [ -e "$artifact" ] || continue
         found=1
         echo "    replaying $artifact"
-        cargo run --offline -q --release -p harness --bin wdog-chaos -- --sim --replay "$artifact"
+        cargo run --offline -q --release -p harness --bin wdog-chaos -- --replay "$artifact"
     done
     if [ "$found" -eq 0 ]; then
         echo "    (corpus empty — nothing to replay)"
@@ -72,54 +71,105 @@ if ! cmp -s "$red/reduction.json" results/reduction.json; then
 fi
 rm -rf "$red"
 
-echo "==> wdog-recovery --sim smoke: kvs stuck-task + corruption must verified-recover in virtual time"
-cargo run --offline -q -p harness --bin wdog-recovery -- --target kvs --sim \
+# The paper's own tables. Every scenario run is on a fresh SimClock with the
+# extrinsic detectors as clock actors, so Table 1 (E1) and Table 2 (E2) are
+# pure functions of (target, seed), virtual-millisecond latencies included:
+# consecutive runs must agree byte for byte with each other and with the
+# archive. Telemetry sidecars land in the scratch dirs and are not compared
+# (hook fire latencies are wall time by design).
+echo "==> table1 --target all: twice, byte-identical, equal to results/table1*.json"
+t1a="$(mktemp -d)"
+t1b="$(mktemp -d)"
+for d in "$t1a" "$t1b"; do
+    cargo run --offline -q --release -p harness --bin table1 -- --target all --out "$d" >/dev/null
+done
+for f in table1 table1-minizk table1-miniblock; do
+    if ! cmp -s "$t1a/$f.json" "$t1b/$f.json"; then
+        echo "table1 [$f]: results diverged between consecutive runs — nondeterminism bug"
+        exit 1
+    fi
+    if ! cmp -s "$t1b/$f.json" "results/$f.json"; then
+        echo "table1 [$f]: output differs from results/$f.json — rerun 'table1 --target all' and commit the tables with EXPERIMENTS E1"
+        exit 1
+    fi
+done
+rm -rf "$t1a" "$t1b"
+
+# One run only: 3 families x (gray catalogue + 3 bursty control runs) x 3
+# targets is most of this script's scenario time, nearly all of it the
+# bursty control runs' context switching.
+echo "==> table2 --target all: equal to results/table2*.json"
+t2="$(mktemp -d)"
+cargo run --offline -q --release -p harness --bin table2 -- --target all --out "$t2" >/dev/null
+for f in table2 table2-minizk table2-miniblock; do
+    if ! cmp -s "$t2/$f.json" "results/$f.json"; then
+        echo "table2 [$f]: output differs from results/$f.json — rerun 'table2 --target all' and commit the tables with EXPERIMENTS E2"
+        exit 1
+    fi
+done
+rm -rf "$t2"
+
+# E6 is gated on its shape check, not cmp: E6a and E6b reproduce to the
+# digit, but E6c compares request latencies in wall time — its measurand —
+# so results/ablations.json differs in those three numbers on every run.
+echo "==> ablations: shape check"
+abl="$(mktemp -d)"
+abl_out="$(cargo run --offline -q --release -p harness --bin ablations -- --out "$abl")"
+if ! grep -q '^shape check: OK' <<<"$abl_out"; then
+    echo "$abl_out"
+    echo "ablations: E6 shape check did not pass"
+    exit 1
+fi
+rm -rf "$abl"
+
+echo "==> wdog-recovery smoke: kvs stuck-task + corruption must verified-recover"
+cargo run --offline -q -p harness --bin wdog-recovery -- --target kvs \
     --scenarios background-task-stuck,state-corruption --require-verified 2
 
-# Recovery campaigns are pure functions of (target, seed) under --sim: every
+# Recovery campaigns are pure functions of (target, seed): every
 # hop from a checker's verdict to the incident's close is a clock actor, so
 # the whole catalogue on all three targets must serialize byte-identically
 # on consecutive runs. Both runs write to scratch dirs (their telemetry
 # snapshots carry wall-clock samples); the agreed campaigns then refresh
 # the archived results/recovery*.json, which the two-scenario smoke above
 # had just overwritten for kvs.
-echo "==> wdog-recovery --sim --target all: full catalogue twice, campaigns byte-identical"
+echo "==> wdog-recovery --target all: full catalogue twice, campaigns byte-identical"
 rec1="$(mktemp -d)"
 rec2="$(mktemp -d)"
 for d in "$rec1" "$rec2"; do
-    cargo run --offline -q --release -p harness --bin wdog-recovery -- --target all --sim --out "$d"
+    cargo run --offline -q --release -p harness --bin wdog-recovery -- --target all --out "$d"
 done
 for f in recovery recovery-minizk recovery-miniblock; do
     if ! cmp -s "$rec1/$f.json" "$rec2/$f.json"; then
-        echo "wdog-recovery --sim [$f]: campaigns diverged between consecutive runs — nondeterminism bug"
+        echo "wdog-recovery [$f]: campaigns diverged between consecutive runs — nondeterminism bug"
         exit 1
     fi
     cp "$rec2/$f.json" "results/$f.json"
 done
 rm -rf "$rec1" "$rec2"
 
-echo "==> telemetry smoke: kvs campaign must produce a valid snapshot with a detection"
+echo "==> telemetry smoke: kvs campaign (virtual time) must produce a valid snapshot with a detection"
 cargo run --offline -q --release -p harness --bin wdog-telemetry -- --target kvs \
     --scenarios background-task-stuck --require-detections 1
 
-# The chaos gate, in virtual time. The old real-clock smoke ran 50
-# schedules per target and cost 50 x (0.5s warmup + 2.5s horizon + 0.4s
-# grace) = 170s of wall clock each. The sim gate runs 1000 schedules per
-# target — 20x the coverage — and --max-wall-ms 170000 asserts each sweep
-# still comes in under the old 50-schedule budget. Each sweep runs twice
+# The chaos gate. The old real-clock smoke ran 50 schedules per target and
+# cost 50 x (0.5s warmup + 2.5s horizon + 0.4s grace) = 170s of wall clock
+# each. In virtual time the gate runs 1000 schedules per target — 20x the
+# coverage — and --max-wall-ms 170000 asserts each sweep still comes in
+# under the old 50-schedule budget. Each sweep runs twice
 # and the archived reports must agree byte-for-byte on the first attempt:
 # determinism by construction, not by contract.
 for t in kvs minizk miniblock; do
-    echo "==> chaos sim sweep [$t]: 1000 schedules, twice, byte-identical, under the old 50-schedule budget"
+    echo "==> chaos sweep [$t]: 1000 schedules, twice, byte-identical, under the old 50-schedule budget"
     cargo run --offline -q --release -p harness --bin wdog-chaos -- --target "$t" \
-        --seed 42 --schedules 1000 --sim --max-wall-ms 170000 \
+        --seed 42 --schedules 1000 --max-wall-ms 170000 \
         --require-detected 1 --require-clean-benign
     cp "results/chaos/chaos_$t.json" "results/chaos/chaos_$t.run1.json"
     cargo run --offline -q --release -p harness --bin wdog-chaos -- --target "$t" \
-        --seed 42 --schedules 1000 --sim --max-wall-ms 170000 \
+        --seed 42 --schedules 1000 --max-wall-ms 170000 \
         --require-detected 1 --require-clean-benign
     if ! cmp -s "results/chaos/chaos_$t.run1.json" "results/chaos/chaos_$t.json"; then
-        echo "chaos sim sweep [$t]: reports diverged between consecutive runs — nondeterminism bug"
+        echo "chaos sweep [$t]: reports diverged between consecutive runs — nondeterminism bug"
         exit 1
     fi
     rm -f "results/chaos/chaos_$t.run1.json"
@@ -160,7 +210,7 @@ echo "==> tier-1: cargo build --release && cargo test"
 cargo build --release --offline
 cargo test --offline -q
 
-# The root package's real-clock integration tests already ran in tier-1.
+# The root package's integration tests already ran in tier-1.
 echo "==> workspace crate tests"
 cargo test --offline --workspace --exclude watchdogs -q
 

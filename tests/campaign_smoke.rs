@@ -1,8 +1,12 @@
 //! Smoke tests for the experiment harness: one representative scenario per
 //! experiment family, with the paper-shape assertions that the full runs
-//! (`cargo run -p harness --bin ...`) check at scale.
+//! (`cargo run -p harness --bin ...`) check at scale — and the property the
+//! `cmp` gates on those runs rest on: a scenario run is a pure function of
+//! `(target, scenario, seed)`, latencies included.
 
 use std::time::Duration;
+
+use proptest::prelude::*;
 
 use harness::scenario::{run_scenario, RunnerOptions};
 use kvs::target::KvsTarget;
@@ -30,6 +34,35 @@ fn scenario(id: &str) -> faults::Scenario {
         .into_iter()
         .find(|s| s.id == id)
         .unwrap_or_else(|| panic!("unknown scenario {id}"))
+}
+
+fn run_json(id: &str, opts: &RunnerOptions) -> String {
+    let result = run_scenario(&KvsTarget, Some(&scenario(id)), opts).unwrap();
+    serde_json::to_string_pretty(&result).unwrap()
+}
+
+/// `process-crash` is the row where heartbeat, probe and observer all fire;
+/// `partial-disk-stuck` the one only the watchdog sees.
+#[test]
+fn same_seed_scenario_runs_are_byte_identical_first_attempt() {
+    let opts = RunnerOptions::default();
+    for id in ["process-crash", "partial-disk-stuck"] {
+        assert_eq!(run_json(id, &opts), run_json(id, &opts), "{id} diverged");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// As for chaos reports: a scored outcome is a fact about the fault, not
+    /// about the order the checker executors were spawned in.
+    #[test]
+    fn outcome_is_invariant_under_executor_spawn_order(spawn_seed in any::<u64>()) {
+        let mut opts = RunnerOptions::default();
+        let baseline = run_json("partial-disk-stuck", &opts);
+        opts.wd.spawn_order_seed = Some(spawn_seed);
+        prop_assert_eq!(baseline, run_json("partial-disk-stuck", &opts));
+    }
 }
 
 #[test]

@@ -1,17 +1,11 @@
 //! The chaos campaign's central reproducibility contract, now *by
-//! construction*: under `--sim` every schedule replays on a discrete-event
+//! construction*: every schedule replays on a discrete-event
 //! [`SimClock`], where the clock owns all interleaving decisions and time
 //! advances only when every actor is blocked. The same `(target, seed,
 //! schedules)` triple must therefore produce a byte-identical
 //! [`ChaosReport`] on the **first attempt** — there is no retry budget
 //! here, because there is no host-load noise for a retry to absorb. A
 //! divergence in this file is a real nondeterminism bug, full stop.
-//!
-//! (The old real-clock version of this test tolerated one divergence per
-//! pair and demanded two *consecutive* agreements, because a multi-second
-//! host stall could push a benign schedule's probes over a checker
-//! deadline. Virtual time makes verdicts load-independent, so that
-//! hardening is deliberately gone.)
 //!
 //! [`ChaosReport`]: harness::chaos::ChaosReport
 
@@ -24,14 +18,13 @@ use kvs::target::KvsTarget;
 
 /// A small-but-representative campaign: four schedules cover single
 /// faults, an overlapping pair (statistically), and one benign near-miss
-/// (index 3 under the default benign cadence). Sim mode replays the full
-/// warmup + horizon + grace span in milliseconds of wall time.
+/// (index 3 under the default benign cadence). Virtual time replays the
+/// full warmup + horizon + grace span in milliseconds of wall time.
 fn quick_opts() -> ChaosOptions {
     let mut opts = ChaosOptions {
         seed: 1042,
         schedules: 4,
         warmup: Duration::from_millis(400),
-        sim: true,
         ..ChaosOptions::default()
     };
     opts.compose.horizon = Duration::from_millis(1_800);
@@ -110,8 +103,8 @@ proptest! {
     }
 }
 
-/// Every archived reproducer must reach its recorded verdict under
-/// `--sim`: the corpus was minted on the real clock, and the virtual clock
+/// Every archived reproducer must reach its recorded verdict in virtual
+/// time: the corpus was minted on the real clock, and the virtual clock
 /// must tell the same story about each of these schedules, or the sim is
 /// not simulating the system we shipped.
 #[test]
@@ -130,11 +123,8 @@ fn chaos_corpus_replays_to_recorded_verdicts_under_sim() {
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let targets = harness::select_targets(&rep.target)
             .unwrap_or_else(|| panic!("{path:?} names unknown target {:?}", rep.target));
-        let opts = ChaosOptions {
-            sim: true,
-            ..ChaosOptions::default()
-        };
-        let (outcome, matches) = replay(targets[0].as_ref(), &rep, &opts).unwrap();
+        let (outcome, matches) =
+            replay(targets[0].as_ref(), &rep, &ChaosOptions::default()).unwrap();
         assert!(
             matches,
             "{}: sim replay reached {:?}, corpus records {:?}",

@@ -10,6 +10,7 @@ use std::time::Duration;
 use faults::spec::FaultKind;
 use harness::scenario::RunnerOptions;
 use harness::session::Session;
+use simio::SimClock;
 use wdog_target::{Families, WatchdogTarget, WdOptions, WorkloadProfile};
 use wdog_telemetry::TelemetryRegistry;
 
@@ -37,7 +38,7 @@ fn passes_per_mimic(target: &dyn WatchdogTarget) -> Vec<(String, u64)> {
         telemetry: Some(Arc::clone(&registry)),
         ..runner.wd
     };
-    let mut session = Session::boot(target, 42, true, "test-main").unwrap();
+    let mut session = Session::boot(target, 42, SimClock::shared(), "test-main").unwrap();
     session.arm(&wd, &runner.workload, None).unwrap();
     session.clock().sleep(Duration::from_secs(3));
     let reports = session.finish();
@@ -81,7 +82,8 @@ fn kvs_index_corruption_under_reads_is_reported_in_the_first_round_after_onset()
         write_fraction: 0.0,
         ..runner.workload.clone()
     };
-    let mut session = Session::boot(&kvs::target::KvsTarget, 42, true, "test-main").unwrap();
+    let mut session =
+        Session::boot(&kvs::target::KvsTarget, 42, SimClock::shared(), "test-main").unwrap();
     session.arm(&runner.wd, &reads_only, None).unwrap();
     let clock = Arc::clone(session.clock());
     // Mid-round, so "the first round after onset" is unambiguous.

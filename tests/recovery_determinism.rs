@@ -1,4 +1,4 @@
-//! Recovery campaigns are pure functions of `(target, seed)` under `--sim`.
+//! Recovery campaigns are pure functions of `(target, seed)`.
 //!
 //! The whole catalogue of every target runs twice through the closed loop
 //! on the discrete-event clock and the serialized [`RecoveryCampaign`]s —
@@ -10,11 +10,7 @@
 use harness::recovery::{self, RecoveryOptions};
 
 fn campaign_bytes(target: &dyn wdog_target::WatchdogTarget) -> String {
-    let opts = RecoveryOptions {
-        sim: true,
-        ..RecoveryOptions::default()
-    };
-    let campaign = recovery::run(target, None, &opts).expect("campaign runs");
+    let campaign = recovery::run(target, None, &RecoveryOptions::default()).expect("campaign runs");
     assert_eq!(
         campaign.idle_total,
         campaign.scenarios.len() as u64,
