@@ -1,14 +1,21 @@
 //! The recovery coordinator: consumes failure reports, walks the policy
-//! ladder, verifies every mitigation, and keeps the books.
+//! ladder parked on the incident's verifier, and keeps the books.
+//!
+//! One verifier per incident is in flight at a time, launched when none is:
+//! at open, at the end of a window whose verdict was a fail, right after a
+//! restart. The ladder's waits (each back-off, the settle, the verify
+//! timeout) are `pop_timeout`s on its one-slot verdict queue, so a pass
+//! closes the incident at the instant it lands and a verifier still blocked
+//! on the real resource is carried into the restart that frees it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use wdog_base::clock::SharedClock;
+use wdog_base::clock::{SharedClock, Waiter};
 use wdog_base::ids::ComponentId;
 use wdog_base::queue::ClockedQueue;
 use wdog_base::rng::derive_seed;
@@ -108,8 +115,8 @@ impl RecoveryCoordinatorBuilder {
             state: Mutex::new(CoordState::default()),
             dropped,
             pinned_hits: AtomicU64::new(0),
-            busy: AtomicBool::new(false),
-            backlog_len: AtomicUsize::new(0),
+            outstanding: AtomicUsize::new(0),
+            idle: self.clock.waiter(),
         });
         let worker = Worker {
             inbox: inbox.clone(),
@@ -149,8 +156,20 @@ struct CoordShared {
     /// telemetry is attached.
     dropped: Counter,
     pinned_hits: AtomicU64,
-    busy: AtomicBool,
-    backlog_len: AtomicUsize,
+    /// Reports accepted by the inbox and not yet consumed by `handle` or
+    /// `coalesce` — queued, backlogged, or in the worker's hands.
+    outstanding: AtomicUsize,
+    /// Notified when `outstanding` reaches zero.
+    idle: Arc<dyn Waiter>,
+}
+
+impl CoordShared {
+    /// Marks `n` reports consumed, waking `wait_idle` on the last one.
+    fn consumed(&self, n: usize) {
+        if n > 0 && self.outstanding.fetch_sub(n, Ordering::SeqCst) == n {
+            self.idle.notify_all();
+        }
+    }
 }
 
 /// Closed-loop recovery driver (see crate docs for the ladder).
@@ -203,22 +222,21 @@ impl RecoveryCoordinator {
 
     /// Returns `true` when no report is queued or being processed.
     pub fn is_idle(&self) -> bool {
-        self.inbox.is_empty()
-            && self.shared.backlog_len.load(Ordering::Relaxed) == 0
-            && !self.shared.busy.load(Ordering::Relaxed)
+        self.shared.outstanding.load(Ordering::SeqCst) == 0
     }
 
-    /// Polls until the coordinator is idle or `timeout` elapses, pacing on
-    /// the coordinator's clock so the wait is virtual under simulation.
+    /// Parks until the coordinator is idle or `timeout` elapses, on the
+    /// coordinator's clock so the wait is virtual under simulation.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = self.clock.now() + timeout;
-        while self.clock.now() < deadline {
-            if self.is_idle() {
-                return true;
+        while !self.is_idle() {
+            let left = deadline.saturating_sub(self.clock.now());
+            if left.is_zero() {
+                return false;
             }
-            self.clock.sleep(Duration::from_millis(10));
+            self.shared.idle.wait_timeout(left);
         }
-        self.is_idle()
+        true
     }
 
     /// Requests shutdown without blocking: the inbox closes, so later
@@ -250,8 +268,11 @@ impl Action for RecoveryCoordinator {
         if self.inbox.is_closed() {
             return;
         }
+        // Raised before the push so the worker can never lower it first.
+        self.shared.outstanding.fetch_add(1, Ordering::SeqCst);
         if self.inbox.push(report.clone()).is_err() {
             self.shared.dropped.inc();
+            self.shared.consumed(1);
         }
     }
 }
@@ -271,24 +292,22 @@ struct Worker {
     incident_seq: u64,
 }
 
+/// An incident's one verifier in flight (see [`Worker::look`]).
+struct Flight {
+    verdict: ClockedQueue<bool>,
+    /// The incident's restart count at launch: a `Fail` that lands after a
+    /// later restart is stale — it says nothing about that mitigation.
+    restarts: u32,
+}
+
 impl Worker {
     fn run(mut self) {
-        loop {
-            let report = if let Some(r) = self.backlog.pop_front() {
-                self.shared
-                    .backlog_len
-                    .store(self.backlog.len(), Ordering::Relaxed);
-                r
-            } else if let Some(r) = self.inbox.pop() {
-                // Parked on the clock until a report arrived: an incident
-                // opens at the instant its first report was emitted.
-                r
-            } else {
-                return; // Closed by `request_stop` and drained.
-            };
-            self.shared.busy.store(true, Ordering::Relaxed);
+        // Parked on the clock until a report arrives: an incident opens at
+        // the instant its first report was emitted. `None` is the inbox
+        // closed by `request_stop` and drained.
+        while let Some(report) = self.backlog.pop_front().or_else(|| self.inbox.pop()) {
             self.handle(report);
-            self.shared.busy.store(false, Ordering::Relaxed);
+            self.shared.consumed(1);
         }
     }
 
@@ -321,6 +340,21 @@ impl Worker {
                 &format!("{component} blamed by {}", report.checker),
             );
         }
+        let mut incident = Incident {
+            component: component.to_string(),
+            checker: report.checker.to_string(),
+            kind: report.kind.label().to_string(),
+            opened_at_ms,
+            closed_at_ms: opened_at_ms,
+            mttr_ms: 0,
+            reports: 1,
+            retries: 0,
+            restarts: 0,
+            verifications: 0,
+            verified: false,
+            outcome: RecoveryOutcome::Escalated,
+            pinned: false,
+        };
 
         // Flap damping: a component whose incidents keep reopening inside
         // the window is not recovering — pin it degraded instead of cycling
@@ -333,75 +367,38 @@ impl Worker {
             hist.push(opened_at_ms);
             hist.len() as u32 >= policy.flap_threshold
         };
-        if flapping {
+        incident.outcome = if flapping {
             self.rung("pin");
             self.surface.degrade.degrade(&component);
-            self.shared.state.lock().pinned.insert(component.clone());
-            self.close(Incident {
-                component: component.to_string(),
-                checker: report.checker.to_string(),
-                kind: report.kind.label().to_string(),
-                opened_at_ms,
-                closed_at_ms: self.clock.now_millis(),
-                mttr_ms: self.clock.now_millis().saturating_sub(opened_at_ms),
-                reports: 1,
-                retries: 0,
-                restarts: 0,
-                verifications: 0,
-                verified: false,
-                outcome: RecoveryOutcome::Degraded,
-                pinned: true,
-            });
-            return;
-        }
-
-        self.run_ladder(report, component, policy, opened_at_ms);
+            self.shared.state.lock().pinned.insert(component);
+            incident.pinned = true;
+            RecoveryOutcome::Degraded
+        } else {
+            self.run_ladder(&report, &component, &policy, &mut incident)
+        };
+        self.close(incident);
     }
 
+    /// Walks the ladder for one incident and returns its terminal state.
+    /// [`RecoveryOutcome::VerifiedRecovered`] is returned only behind a
+    /// [`Worker::look`] that saw the target's own verifier pass.
     fn run_ladder(
         &mut self,
-        report: FailureReport,
-        component: ComponentId,
-        policy: RecoveryPolicy,
-        opened_at_ms: u64,
-    ) {
+        report: &FailureReport,
+        component: &ComponentId,
+        policy: &RecoveryPolicy,
+        incident: &mut Incident,
+    ) -> RecoveryOutcome {
         self.incident_seq += 1;
         let incident_seed = derive_seed(
             self.seed,
             &format!("{component}#{seq}", seq = self.incident_seq),
         );
-        let mut reports = 1u64;
-        let mut retries = 0u32;
-        let mut restarts = 0u32;
-        let mut verifications = 0u32;
+        let mut flight = None;
 
-        let close = |w: &mut Worker,
-                     outcome: RecoveryOutcome,
-                     verified: bool,
-                     reports: u64,
-                     retries: u32,
-                     restarts: u32,
-                     verifications: u32| {
-            let closed_at_ms = w.clock.now_millis();
-            w.close(Incident {
-                component: component.to_string(),
-                checker: report.checker.to_string(),
-                kind: report.kind.label().to_string(),
-                opened_at_ms,
-                closed_at_ms,
-                mttr_ms: closed_at_ms.saturating_sub(opened_at_ms),
-                reports,
-                retries,
-                restarts,
-                verifications,
-                verified,
-                outcome,
-                pinned: false,
-            });
-        };
-
-        // Rung 1 — retry: wait out a transient. Pointless for corrupted
-        // state or failed assertions, which never heal by themselves.
+        // Rung 1 — retry: wait out a transient, parked on the verifier
+        // launched at open. Pointless for corrupted state or failed
+        // assertions, which never heal by themselves.
         let skip_retry = matches!(
             report.kind,
             FailureKind::Corruption | FailureKind::AssertViolation
@@ -409,85 +406,60 @@ impl Worker {
         if !skip_retry {
             for attempt in 0..policy.max_retries {
                 self.rung("retry");
-                self.clock
-                    .sleep(policy.backoff.delay(attempt, incident_seed));
-                retries += 1;
-                reports += self.coalesce(&component);
-                verifications += 1;
-                if self.verify(&component, &policy) {
-                    close(
-                        self,
-                        RecoveryOutcome::VerifiedRecovered,
-                        true,
-                        reports,
-                        retries,
-                        restarts,
-                        verifications,
-                    );
-                    return;
+                incident.retries += 1;
+                let window = policy.backoff.delay(attempt, incident_seed);
+                if self.look(&mut flight, incident, component, policy, window) {
+                    return RecoveryOutcome::VerifiedRecovered;
                 }
+            }
+            // The last look before mitigating, at the end of the last
+            // back-off. A verifier still blocked is not waited for: it is
+            // carried into the restart, which is what should free it.
+            if incident.retries > 0
+                && flight.is_none()
+                && self.look(&mut flight, incident, component, policy, Duration::ZERO)
+            {
+                return RecoveryOutcome::VerifiedRecovered;
             }
         }
 
-        // Rung 2 — component-scoped restart (§5.2 cheap recovery).
+        // Rung 2 — component-scoped restart (§5.2 cheap recovery): parked
+        // through the settle window, then owed one answer in
+        // `verify_timeout`.
         for _ in 0..policy.max_restarts {
             self.rung("restart");
-            self.surface.restart.restart(&component);
-            restarts += 1;
-            self.clock.sleep(policy.settle);
-            reports += self.coalesce(&component);
-            verifications += 1;
-            if self.verify(&component, &policy) {
-                close(
-                    self,
-                    RecoveryOutcome::VerifiedRecovered,
-                    true,
-                    reports,
-                    retries,
-                    restarts,
-                    verifications,
-                );
-                return;
+            self.surface.restart.restart(component);
+            incident.restarts += 1;
+            if self.look(&mut flight, incident, component, policy, policy.settle)
+                || self.look(&mut flight, incident, component, policy, Duration::ZERO)
+            {
+                return RecoveryOutcome::VerifiedRecovered;
             }
+            // Wedged across a restart and a full verify timeout: abandoned
+            // (its scratch thread exits whenever the check completes).
+            flight = None;
         }
 
         // Rung 3 — degrade: shed the workload, keep the process.
         if policy.allow_degrade {
             self.rung("degrade");
-            self.surface.degrade.degrade(&component);
-            reports += self.coalesce(&component);
-            close(
-                self,
-                RecoveryOutcome::Degraded,
-                false,
-                reports,
-                retries,
-                restarts,
-                verifications,
-            );
-            return;
+            self.surface.degrade.degrade(component);
+            incident.reports += self.coalesce(component);
+            return RecoveryOutcome::Degraded;
         }
 
         // Rung 4 — escalate: nothing helped, hand off.
         self.rung("escalate");
         if let Some(esc) = &self.escalation {
-            esc.on_failure(&report);
+            esc.on_failure(report);
         }
-        close(
-            self,
-            RecoveryOutcome::Escalated,
-            false,
-            reports,
-            retries,
-            restarts,
-            verifications,
-        );
+        RecoveryOutcome::Escalated
     }
 
     /// Absorbs queued reports blaming `component` into the open incident;
     /// reports for other components are kept for later handling.
     fn coalesce(&mut self, component: &ComponentId) -> u64 {
-        let mut absorbed = 0u64;
+        let mut absorbed = 0;
         while let Some(r) = self.inbox.try_pop() {
             if &r.location.component == component {
                 absorbed += 1;
@@ -495,33 +467,63 @@ impl Worker {
                 self.backlog.push_back(r);
             }
         }
-        self.shared
-            .backlog_len
-            .store(self.backlog.len(), Ordering::Relaxed);
-        absorbed
+        self.shared.consumed(absorbed);
+        absorbed as u64
     }
 
-    /// Re-dispatches the blaming check on a scratch thread; `true` only when
-    /// it passes within the policy's verify timeout. A wedged verifier is
-    /// abandoned (the scratch thread exits whenever the check completes) so
-    /// it can never wedge the coordinator — exactly the executor-abandonment
-    /// discipline the driver applies to checkers.
-    fn verify(&self, component: &ComponentId, policy: &RecoveryPolicy) -> bool {
-        let pass = self.verify_inner(component, policy);
-        if let Some(t) = &self.telemetry {
-            t.counter(
-                RECOVERY_VERIFICATION_METRIC,
-                if pass { "pass" } else { "fail" },
-            )
-            .inc();
+    /// Parks up to `window` on the incident's verifier, launching one when
+    /// none is in flight; `true` only when a `Pass` lands, at that instant.
+    /// A `Fail` sleeps out the window — unless it is stale, which is
+    /// discarded for a fresh launch — and a verifier still blocked on the
+    /// real resource stays in flight for the next look. A zero window still
+    /// owes the verification an answer: it parks up to `verify_timeout`.
+    fn look(
+        &mut self,
+        flight: &mut Option<Flight>,
+        incident: &mut Incident,
+        component: &ComponentId,
+        policy: &RecoveryPolicy,
+        window: Duration,
+    ) -> bool {
+        let deadline = self.clock.now() + window;
+        let pass = loop {
+            let Some(f) = flight.take().or_else(|| self.launch(component, incident)) else {
+                break false; // No verifier to ask: fails closed.
+            };
+            let left = deadline.saturating_sub(self.clock.now());
+            let wait = if window.is_zero() {
+                policy.verify_timeout
+            } else {
+                left
+            };
+            let Some(pass) = f.verdict.pop_timeout(wait) else {
+                *flight = Some(f);
+                break false;
+            };
+            if let Some(t) = &self.telemetry {
+                let label = if pass { "pass" } else { "fail" };
+                t.counter(RECOVERY_VERIFICATION_METRIC, label).inc();
+            }
+            if pass || f.restarts == incident.restarts {
+                break pass;
+            }
+        };
+        let left = deadline.saturating_sub(self.clock.now());
+        if !pass && !left.is_zero() {
+            self.clock.sleep(left);
         }
+        incident.reports += self.coalesce(component);
         pass
     }
 
-    fn verify_inner(&self, component: &ComponentId, policy: &RecoveryPolicy) -> bool {
-        let Some(mut checker) = (self.surface.verifier)(component) else {
-            return false;
-        };
+    /// Dispatches a fresh instance of the target's check for `component` on
+    /// a scratch thread that answers on a one-slot queue. The thread exits
+    /// whenever the check completes, so abandoning a wedged verifier never
+    /// wedges the coordinator — the executor-abandonment discipline the
+    /// driver applies to checkers.
+    fn launch(&self, component: &ComponentId, incident: &mut Incident) -> Option<Flight> {
+        let mut checker = (self.surface.verifier)(component)?;
+        incident.verifications += 1;
         let verdict = ClockedQueue::bounded(&self.clock, 1);
         let tx = verdict.clone();
         wdog_base::clock::spawn_on(&self.clock, "wdog-verify", move || {
@@ -529,11 +531,16 @@ impl Worker {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| checker.check()));
             let _ = tx.push(matches!(outcome, Ok(s) if s.is_pass()));
         });
-        // Woken the instant the verdict lands; no verdict in time fails.
-        verdict.pop_timeout(policy.verify_timeout).unwrap_or(false)
+        Some(Flight {
+            verdict,
+            restarts: incident.restarts,
+        })
     }
 
-    fn close(&self, incident: Incident) {
+    fn close(&self, mut incident: Incident) {
+        incident.closed_at_ms = self.clock.now_millis();
+        incident.mttr_ms = incident.closed_at_ms.saturating_sub(incident.opened_at_ms);
+        incident.verified = incident.outcome == RecoveryOutcome::VerifiedRecovered;
         if let Some(t) = &self.telemetry {
             t.histogram(RECOVERY_MTTR_METRIC, &incident.component)
                 .record(incident.mttr_ms);
@@ -557,7 +564,7 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::AtomicBool;
     use wdog_base::clock::RealClock;
     use wdog_base::ids::CheckerId;
 
@@ -651,8 +658,11 @@ mod tests {
 
     #[test]
     fn transient_recovers_on_retry_without_restart() {
-        // Component already healthy again by the first re-check: the retry
-        // rung verifies and closes without touching the restart handle.
+        // Component already healthy again when the incident opens: the
+        // verifier launched at open passes and the retry rung closes without
+        // touching the restart handle. (Until PR 20 this pinned
+        // `mttr_ms >= 20`, the sleep *before* the first look; the ladder now
+        // parks on the verifier, so a pass closes inside the first back-off.)
         let fx = Fixture::new(true, u64::MAX);
         let c = fast_coordinator(&fx);
         c.on_failure(&report("kvs.flusher", FailureKind::Stuck));
@@ -664,8 +674,41 @@ mod tests {
         assert!(i.verified);
         assert_eq!(i.retries, 1);
         assert_eq!(i.restarts, 0);
-        assert!(i.mttr_ms >= 20, "backoff must be reflected in MTTR");
+        assert!(i.mttr_ms < 20, "closed before the first back-off ended");
         assert_eq!(fx.restarts.load(Ordering::Relaxed), 0);
+        c.stop();
+    }
+
+    #[test]
+    fn transient_that_heals_inside_the_first_backoff_closes_at_its_end() {
+        // Unhealthy at open, healed inside the first back-off (here: right
+        // after the look at open has failed): the ladder sleeps out the
+        // 20 ms back-off and the look at its end passes — the back-off is
+        // still reflected in MTTR.
+        let fx = Fixture::new(false, u64::MAX);
+        let (inner, healthy) = (fx.surface().verifier, Arc::clone(&fx.healthy));
+        let surface = RecoverySurface {
+            verifier: Arc::new(move |c: &ComponentId| {
+                let (mut check, healthy) = (inner(c)?, Arc::clone(&healthy));
+                Some(Box::new(FnChecker::new("verify", c.clone(), move || {
+                    let status = check.check();
+                    healthy.store(true, Ordering::Relaxed);
+                    status
+                })) as Box<dyn Checker>)
+            }),
+            ..fx.surface()
+        };
+        let mut policy = RecoveryPolicy::fast();
+        policy.backoff.jitter_frac = 0.0;
+        let c = RecoveryCoordinator::builder(RealClock::shared(), surface)
+            .default_policy(policy)
+            .start();
+        c.on_failure(&report("kvs.flusher", FailureKind::Stuck));
+        assert!(c.wait_idle(Duration::from_secs(5)));
+        let i = &c.incidents()[0];
+        assert_eq!(i.outcome, RecoveryOutcome::VerifiedRecovered);
+        assert_eq!((i.retries, i.restarts, i.verifications), (2, 0, 2));
+        assert!((20..=25).contains(&i.mttr_ms), "mttr {} ms", i.mttr_ms);
         c.stop();
     }
 
@@ -773,9 +816,14 @@ mod tests {
         policy.max_retries = 1;
         policy.max_restarts = 1;
         // Verifier wedges forever: every verification must time out and the
-        // ladder still reach a terminal state quickly.
+        // ladder still reach a terminal state quickly. The one launched at
+        // open is carried up to the first restart's verify timeout; each
+        // later restart abandons at most one more.
+        let launched = Arc::new(AtomicU64::new(0));
+        let l = Arc::clone(&launched);
         let surface = RecoverySurface {
-            verifier: Arc::new(|c: &ComponentId| {
+            verifier: Arc::new(move |c: &ComponentId| {
+                l.fetch_add(1, Ordering::Relaxed);
                 let comp = c.clone();
                 Some(Box::new(FnChecker::new("wedged-verify", comp, || loop {
                     std::thread::sleep(Duration::from_millis(10));
@@ -791,6 +839,10 @@ mod tests {
         assert!(c.wait_idle(Duration::from_secs(5)));
         assert!(t0.elapsed() < Duration::from_secs(3));
         assert_eq!(c.incidents()[0].outcome, RecoveryOutcome::Degraded);
+        assert!(
+            launched.load(Ordering::Relaxed) <= 1 + 1,
+            "1 + max_restarts"
+        );
         c.stop();
     }
 
@@ -808,6 +860,49 @@ mod tests {
         let incidents = c.incidents();
         assert_eq!(incidents.len(), 1, "same-component reports coalesce");
         assert!(incidents[0].reports >= 2);
+        c.stop();
+    }
+
+    #[test]
+    fn is_idle_is_false_while_any_accepted_report_is_unhandled() {
+        // Two reports for two components; each incident's verifier samples
+        // `is_idle()` from its own thread, held at a barrier until the test
+        // has filed both. While the first is verified the second is queued;
+        // while the second is verified it is in the worker's hands.
+        let fx = Fixture::new(true, u64::MAX);
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let handle: Arc<std::sync::OnceLock<Arc<RecoveryCoordinator>>> = Arc::default();
+        let samples: Arc<Mutex<Vec<bool>>> = Arc::default();
+        let (g, h, s) = (Arc::clone(&gate), Arc::clone(&handle), Arc::clone(&samples));
+        let surface = RecoverySurface {
+            verifier: Arc::new(move |c: &ComponentId| {
+                let (g, h, s) = (Arc::clone(&g), Arc::clone(&h), Arc::clone(&s));
+                Some(Box::new(FnChecker::new("gated", c.clone(), move || {
+                    let coordinator = h.get().expect("set before the first report");
+                    s.lock().push(coordinator.is_idle());
+                    g.wait();
+                    s.lock().push(coordinator.is_idle());
+                    CheckStatus::Pass
+                })) as Box<dyn Checker>)
+            }),
+            ..fx.surface()
+        };
+        // A back-off no gate wait can outlast: neither look times out.
+        let mut policy = RecoveryPolicy::fast();
+        policy.backoff.base = Duration::from_secs(30);
+        policy.backoff.max = Duration::from_secs(30);
+        let c = RecoveryCoordinator::builder(RealClock::shared(), surface)
+            .default_policy(policy)
+            .start();
+        assert!(handle.set(Arc::clone(&c)).is_ok());
+        c.on_failure(&report("kvs.flusher", FailureKind::Stuck));
+        c.on_failure(&report("kvs.compaction", FailureKind::Stuck));
+        gate.wait();
+        gate.wait();
+        assert!(c.wait_idle(Duration::from_secs(5)));
+        assert_eq!(samples.lock().as_slice(), &[false; 4]);
+        assert_eq!(c.incidents().len(), 2);
+        assert!(c.is_idle());
         c.stop();
     }
 
@@ -831,7 +926,9 @@ mod tests {
         );
         assert_eq!(snap.counter(RECOVERY_RUNG_METRIC, "retry"), Some(2));
         assert_eq!(snap.counter(RECOVERY_RUNG_METRIC, "restart"), Some(1));
-        assert_eq!(snap.counter(RECOVERY_VERIFICATION_METRIC, "fail"), Some(2));
+        // Verdicts *landed*: the looks at open and at the end of each of the
+        // two back-offs fail (the parent had no look at open, so read 2).
+        assert_eq!(snap.counter(RECOVERY_VERIFICATION_METRIC, "fail"), Some(3));
         assert_eq!(snap.counter(RECOVERY_VERIFICATION_METRIC, "pass"), Some(1));
         let mttr = snap
             .histogram(RECOVERY_MTTR_METRIC, "kvs.compaction")

@@ -10,22 +10,27 @@
 //! a policy ladder:
 //!
 //! 1. **Retry** — wait out a transient with bounded, deterministic-jitter
-//!    exponential backoff, then re-check;
+//!    exponential backoff;
 //! 2. **Restart** — component-scoped restart through
-//!    [`Restartable`](wdog_core::action::Restartable), then re-check;
+//!    [`Restartable`](wdog_core::action::Restartable);
 //! 3. **Degrade** — shed the component's workload through
 //!    [`Degradable`](wdog_core::action::Degradable) so the rest of the
 //!    process keeps running;
 //! 4. **Escalate** — hand off to an operator action; nothing on the ladder
 //!    helped.
 //!
-//! Every rung is **verified**: the coordinator re-dispatches a fresh
-//! instance of the blaming check (via the target's
-//! [`RecoverySurface`]) and only marks the component recovered when the
-//! re-check passes. Chronically flapping components trip a circuit breaker
-//! and are pinned in degraded mode. Each incident records full MTTR
-//! accounting — opened at first blame, closed at its terminal state — so
-//! campaigns can report time-to-repair per failure class.
+//! Recovery is **verified**, and the ladder *parks on* the verification
+//! instead of sleeping and then polling: an incident launches a fresh
+//! instance of the blaming check (via the target's [`RecoverySurface`]) when
+//! it opens and keeps at most one in flight; every back-off, settle and
+//! verify timeout is a bounded wait on that verifier's verdict. Only a pass
+//! from the target's own verifier marks the component recovered — at the
+//! instant it lands — and a fail from a verifier launched before a
+//! mitigation says nothing about that mitigation. Chronically flapping
+//! components trip a circuit breaker and are pinned in degraded mode. Each
+//! incident records full MTTR accounting — opened at first blame, closed at
+//! its terminal state — so campaigns can report time-to-repair per failure
+//! class.
 
 pub mod coordinator;
 pub mod incident;

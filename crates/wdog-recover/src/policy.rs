@@ -55,19 +55,24 @@ impl BackoffPolicy {
 /// How the coordinator treats one component's failures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
-    /// Wait-and-recheck attempts before restarting (transients often clear
-    /// on their own; liveness faults on shared substrates usually do not).
+    /// Back-off windows the incident's verifier is given to pass before the
+    /// component is restarted (transients often clear on their own; liveness
+    /// faults on shared substrates usually do not). A verifier still blocked
+    /// when the last one ends is carried into the restart.
     pub max_retries: u32,
     /// Backoff schedule for the retry rung.
     pub backoff: BackoffPolicy,
     /// Component restarts attempted before degrading.
     pub max_restarts: u32,
-    /// Settle time after a restart before the verification re-check.
+    /// Window after a restart in which a `Fail` is slept out before the
+    /// component is asked again; a `Pass` closes the incident inside it.
     pub settle: Duration,
     /// Whether the degrade rung is permitted for this component.
     pub allow_degrade: bool,
-    /// How long a verification re-check may run before it is abandoned
-    /// (a wedged verifier must not wedge the coordinator).
+    /// How long past the settle window a restart waits for a verdict before
+    /// the verifier is abandoned (a wedged verifier must not wedge the
+    /// coordinator), and how long a look the policy grants no window waits
+    /// for the answer it is owed.
     pub verify_timeout: Duration,
     /// Incidents within [`RecoveryPolicy::flap_window`] that trip the
     /// circuit breaker and pin the component in degraded mode.

@@ -28,6 +28,22 @@ replay_corpus() {
     fi
 }
 
+# Fails when a scenario the committed results/$1 closes as verified-recovered
+# closes as anything else (or is missing) in the fresh campaign file $2.
+recovery_not_downgraded() {
+    git cat-file -e "HEAD:results/$1" 2>/dev/null || return 0
+    git show "HEAD:results/$1" | python3 -c '
+import json, sys
+def dispositions(f):
+    return {s["scenario"]: s["disposition"] for s in json.load(f)["scenarios"]}
+old, new = dispositions(sys.stdin), dispositions(open(sys.argv[1]))
+lost = [f"{k}: {d} -> " + new.get(k, "missing")
+        for k, d in old.items() if d == "verified-recovered" and new.get(k) != d]
+if lost:
+    sys.exit("\n".join(lost))
+' "$2"
+}
+
 if [ "${1:-}" = "--replay" ]; then
     replay_corpus
     echo "REPLAY OK"
@@ -132,7 +148,9 @@ cargo run --offline -q -p harness --bin wdog-recovery -- --target kvs \
 # on consecutive runs. Both runs write to scratch dirs (their telemetry
 # snapshots carry wall-clock samples); the agreed campaigns then refresh
 # the archived results/recovery*.json, which the two-scenario smoke above
-# had just overwritten for kvs.
+# had just overwritten for kvs — unless a scenario the committed archive
+# closes verified-recovered no longer does, which fails here instead of
+# landing in the archive unnoticed.
 echo "==> wdog-recovery --target all: full catalogue twice, campaigns byte-identical"
 rec1="$(mktemp -d)"
 rec2="$(mktemp -d)"
@@ -142,6 +160,10 @@ done
 for f in recovery recovery-minizk recovery-miniblock; do
     if ! cmp -s "$rec1/$f.json" "$rec2/$f.json"; then
         echo "wdog-recovery [$f]: campaigns diverged between consecutive runs — nondeterminism bug"
+        exit 1
+    fi
+    if ! recovery_not_downgraded "$f.json" "$rec2/$f.json"; then
+        echo "wdog-recovery [$f]: scenarios archived as verified-recovered no longer are (above) — fix the regression, or commit the downgrade deliberately"
         exit 1
     fi
     cp "$rec2/$f.json" "results/$f.json"

@@ -4,8 +4,9 @@
 //! Every test runs on the discrete-event [`SimClock`], where "at once" is
 //! checkable as an equality between virtual instants. Each timing assertion
 //! fails by construction on a scheduler that polls (2 ms busy / 25 ms idle),
-//! an action worker that is a clock spectator, or a coordinator that sleeps
-//! 25 ms on its inbox and 5 ms per verification probe.
+//! an action worker that is a clock spectator, a coordinator that sleeps
+//! 25 ms on its inbox and 5 ms per verification probe, or a recovery ladder
+//! that sleeps out a back-off before it looks and spawns a verifier per look.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -13,9 +14,11 @@ use std::time::Duration;
 
 use simio::SimClock;
 use wdog_base::clock::{ActorGuard, ActorToken, Waiter};
+use wdog_base::queue::ClockedQueue;
+use wdog_base::rng::derive_seed;
 use wdog_core::prelude::*;
 use wdog_recover::coordinator::RECOVERY_DROPPED_METRIC;
-use wdog_recover::{BackoffPolicy, RecoveryCoordinator, RecoveryPolicy, RecoverySurface};
+use wdog_recover::{BackoffPolicy, Incident, RecoveryCoordinator, RecoveryPolicy, RecoverySurface};
 
 const MS: fn(u64) -> Duration = Duration::from_millis;
 
@@ -266,37 +269,48 @@ fn a_full_action_queue_counts_every_dropped_report() {
     assert_eq!(snap.counter("reports_dropped_total", ""), Some(dropped));
 }
 
-/// A recovery surface whose component is always healthy and whose first
-/// restart blocks for a virtual hour.
-fn surface(clock: &SharedClock) -> RecoverySurface {
-    struct SlowFirstRestart {
-        clock: SharedClock,
-        blocked_once: AtomicBool,
-    }
-    impl Restartable for SlowFirstRestart {
+/// A recovery surface from two closures — what a restart does and what
+/// every verifier's check answers — plus the virtual instants (ms) at which
+/// the coordinator asked the factory for a verifier.
+fn surface_of(
+    clock: &SharedClock,
+    restart: impl Fn() + Send + Sync + 'static,
+    check: impl Fn() -> CheckStatus + Send + Sync + 'static,
+) -> (RecoverySurface, Arc<Mutex<Vec<u64>>>) {
+    struct RestartFn<F>(F);
+    impl<F: Fn() + Send + Sync> Restartable for RestartFn<F> {
         fn restart(&self, _c: &ComponentId) {
-            if !self.blocked_once.swap(true, Ordering::SeqCst) {
-                self.clock.sleep(Duration::from_secs(3_600));
-            }
+            (self.0)()
         }
     }
     struct Nothing;
     impl Degradable for Nothing {
         fn degrade(&self, _c: &ComponentId) {}
     }
-    RecoverySurface {
-        restart: Arc::new(SlowFirstRestart {
-            clock: Arc::clone(clock),
-            blocked_once: AtomicBool::new(false),
-        }),
+    let launches: Arc<Mutex<Vec<u64>>> = Arc::default();
+    let (clock, launched, check) = (Arc::clone(clock), Arc::clone(&launches), Arc::new(check));
+    let surface = RecoverySurface {
+        restart: Arc::new(RestartFn(restart)),
         degrade: Arc::new(Nothing),
-        verifier: Arc::new(|c: &ComponentId| {
-            Some(
-                Box::new(FnChecker::new("verify", c.clone(), || CheckStatus::Pass))
-                    as Box<dyn Checker>,
-            )
+        verifier: Arc::new(move |c: &ComponentId| {
+            launched.lock().unwrap().push(clock.now_millis());
+            let check = Arc::clone(&check);
+            Some(Box::new(FnChecker::new("verify", c.clone(), move || check())) as Box<dyn Checker>)
         }),
-    }
+    };
+    (surface, launches)
+}
+
+/// A recovery surface whose component is always healthy and whose first
+/// restart blocks for a virtual hour.
+fn surface(clock: &SharedClock) -> RecoverySurface {
+    let (c, blocked_once) = (Arc::clone(clock), AtomicBool::new(false));
+    let restart = move || {
+        if !blocked_once.swap(true, Ordering::SeqCst) {
+            c.sleep(Duration::from_secs(3_600));
+        }
+    };
+    surface_of(clock, restart, || CheckStatus::Pass).0
 }
 
 #[test]
@@ -351,4 +365,156 @@ fn a_full_inbox_counts_every_dropped_report() {
     assert_eq!(dropped, 5);
     let snap = registry.snapshot();
     assert_eq!(snap.counter(RECOVERY_DROPPED_METRIC, ""), Some(5));
+}
+
+const OPEN_MS: u64 = 40;
+const LADDER_SEED: u64 = 9;
+
+/// `RecoveryPolicy::fast()` without jitter: back-offs of 20 and 40 ms, so
+/// the ladder's instants after open are 20, 60 (first restart), 90 (end of
+/// its settle, second restart) and 120.
+fn unjittered() -> RecoveryPolicy {
+    let mut policy = RecoveryPolicy::fast();
+    policy.backoff.jitter_frac = 0.0;
+    policy
+}
+
+/// Files one `Stuck` report for `comp` at [`OPEN_MS`], lets the ladder run
+/// for a virtual second and returns the incident it closed.
+fn one_incident(
+    clock: &SharedClock,
+    main: ActorGuard,
+    surface: RecoverySurface,
+    policy: RecoveryPolicy,
+) -> Incident {
+    let coordinator = RecoveryCoordinator::builder(Arc::clone(clock), surface)
+        .default_policy(policy)
+        .seed(LADDER_SEED)
+        .start();
+    clock.sleep(MS(OPEN_MS));
+    coordinator.on_failure(&report("comp", FailureKind::Stuck));
+    clock.sleep(Duration::from_secs(1));
+    let incidents = coordinator.incidents();
+    coordinator.request_stop();
+    main.retire();
+    coordinator.stop();
+    assert_eq!(incidents.len(), 1, "{incidents:?}");
+    assert_eq!(incidents[0].opened_at_ms, OPEN_MS);
+    incidents.into_iter().next().unwrap()
+}
+
+#[test]
+fn a_verifier_blocked_on_the_stuck_resource_is_carried_into_the_restart_that_frees_it() {
+    let (clock, main) = sim();
+    // The verifier blocks on a gate only `restart()` opens, as the kvs
+    // compaction verifier blocks on the lock a wedged compactor holds.
+    let gate: ClockedQueue<()> = ClockedQueue::bounded(&clock, 1);
+    let (opened, blocked) = (gate.clone(), gate.clone());
+    let (surface, launches) = surface_of(
+        &clock,
+        move || opened.close(),
+        move || {
+            blocked.pop();
+            CheckStatus::Pass
+        },
+    );
+    let policy = RecoveryPolicy::fast();
+    let seed = derive_seed(LADDER_SEED, "comp#1");
+    let backoffs = policy.backoff.delay(0, seed) + policy.backoff.delay(1, seed);
+    let incident = one_incident(&clock, main, surface, policy);
+    assert!(incident.verified);
+    assert_eq!((incident.retries, incident.restarts), (2, 1));
+    // Neither a settle nor a fresh verifier's lock wait after the restart:
+    // the incident closes at the instant the restart frees the resource.
+    assert_eq!(
+        incident.closed_at_ms,
+        (MS(OPEN_MS) + backoffs).as_millis() as u64
+    );
+    // One `wdog-verify` actor for the whole incident (a sleep-then-poll
+    // ladder spawns one per look: three).
+    assert_eq!(launches.lock().unwrap().len(), 1);
+    assert_eq!(incident.verifications, 1);
+}
+
+#[test]
+fn a_component_healthy_at_open_closes_with_zero_mttr() {
+    let (clock, main) = sim();
+    let (surface, launches) = surface_of(&clock, || {}, || CheckStatus::Pass);
+    let incident = one_incident(&clock, main, surface, RecoveryPolicy::fast());
+    assert!(incident.verified);
+    assert_eq!(incident.mttr_ms, 0, "no back-off before the first look");
+    assert_eq!((incident.retries, incident.restarts), (1, 0));
+    assert_eq!(launches.lock().unwrap().as_slice(), &[OPEN_MS]);
+}
+
+#[test]
+fn a_fast_failing_verifier_is_asked_only_at_the_ladders_instants() {
+    // Instants after open at which a verifier may be launched: open, the end
+    // of each back-off, and each restart + settle (the launch right after a
+    // restart shares the instant before it). A sleep-then-poll ladder has
+    // the same list without the 0.
+    const LOOKS: [u64; 5] = [0, 20, 60, 90, 120];
+    for heals_at in [0u64, 10, 30, 60, 80, 120] {
+        let (clock, main) = sim();
+        let c = Arc::clone(&clock);
+        let (surface, launches) = surface_of(
+            &clock,
+            || {},
+            move || {
+                if c.now_millis() >= OPEN_MS + heals_at {
+                    CheckStatus::Pass
+                } else {
+                    failure("comp")
+                }
+            },
+        );
+        let incident = one_incident(&clock, main, surface, unjittered());
+        let expected = *LOOKS.iter().find(|l| **l >= heals_at).unwrap();
+        assert!(incident.verified, "heals at {heals_at}: {incident:?}");
+        assert_eq!(incident.mttr_ms, expected, "heals at {heals_at}");
+        let restarts = LOOKS[2..].iter().filter(|l| **l < expected).count() as u32;
+        assert_eq!(incident.restarts, restarts, "heals at {heals_at}");
+        for at in launches.lock().unwrap().iter() {
+            assert!(
+                LOOKS.contains(&(at - OPEN_MS)),
+                "heals at {heals_at}: verifier launched at open + {}",
+                at - OPEN_MS
+            );
+        }
+    }
+}
+
+#[test]
+fn a_stale_fail_is_not_counted_against_the_restart_it_predates() {
+    let (clock, main) = sim();
+    // The verifier launched at open answers `Fail` 95 ms later: after the
+    // restart at 60 and the end of its settle at 90. Every later verifier
+    // passes once the restart has happened.
+    let restarted = Arc::new(AtomicBool::new(false));
+    let first = AtomicBool::new(true);
+    let (c, r, seen) = (Arc::clone(&clock), Arc::clone(&restarted), restarted);
+    let (surface, launches) = surface_of(
+        &clock,
+        move || r.store(true, Ordering::SeqCst),
+        move || {
+            if first.swap(false, Ordering::SeqCst) {
+                c.sleep(MS(95));
+                failure("comp")
+            } else if seen.load(Ordering::SeqCst) {
+                CheckStatus::Pass
+            } else {
+                failure("comp")
+            }
+        },
+    );
+    let incident = one_incident(&clock, main, surface, unjittered());
+    assert!(incident.verified);
+    // Counted, the verdict would end the restart rung and buy a second
+    // restart; discarded, a fresh verifier is asked at that instant.
+    assert_eq!(incident.restarts, 1);
+    assert_eq!(incident.mttr_ms, 95);
+    assert_eq!(
+        launches.lock().unwrap().as_slice(),
+        &[OPEN_MS, OPEN_MS + 95]
+    );
 }
