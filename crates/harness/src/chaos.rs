@@ -42,7 +42,7 @@ use faults::schedule::{compose_schedule, ComposeOptions, FaultSchedule};
 use faults::spec::FaultKind;
 use faults::ArmedFault;
 use faults::Scenario;
-use simio::{KillScope, SimClock};
+use simio::SimClock;
 use wdog_base::clock::{RealClock, SharedClock};
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_core::report::FailureReport;
@@ -116,29 +116,19 @@ impl Default for ChaosOptions {
 
 /// The catalogue subset chaos composes from.
 ///
-/// Process crashes are gated by the target's [kill
-/// hierarchy](WatchdogTarget::kill_hierarchy) rather than a hard-coded
-/// exclusion: a `ProcessCrash` scenario stays in the pool only if some
-/// process-scope node's whole cascade is killable. Under the canonical
-/// single-process hierarchy the sole process hosts the in-process
-/// watchdog, so its guard vetoes the kill — a crashed run has no detector
-/// left to score. Memory leaks stay out unconditionally: their accrual
-/// rate couples the verdict to wall time.
+/// Process crashes stay out: the in-process watchdog dies with the process,
+/// so a crashed run has no detector left to score (Table 1's heartbeat row
+/// scores crashes). Memory leaks stay out too: their accrual rate couples
+/// the verdict to wall time.
 pub fn chaos_pool(target: &dyn WatchdogTarget) -> Vec<Scenario> {
-    let hierarchy = target.kill_hierarchy();
-    let crash_in_scope = hierarchy.names().iter().any(|n| {
-        hierarchy
-            .find(n)
-            .is_some_and(|node| node.scope() == KillScope::Process)
-            && hierarchy.can_kill(n)
-    });
     target
         .catalog()
         .into_iter()
-        .filter(|s| match s.kind {
-            FaultKind::ProcessCrash => crash_in_scope,
-            FaultKind::MemoryLeak { .. } => false,
-            _ => true,
+        .filter(|s| {
+            !matches!(
+                s.kind,
+                FaultKind::ProcessCrash | FaultKind::MemoryLeak { .. }
+            )
         })
         .collect()
 }

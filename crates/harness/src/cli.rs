@@ -1,8 +1,8 @@
 //! The shared campaign-binary command line.
 //!
-//! Every campaign binary (`wdog-chaos`, `wdog-recovery`, `wdog-telemetry`,
-//! `wdog-lint`, `wdog-infer`, `table1`, `table2`, `reduction`, `zk2201`,
-//! `ablations`) needs the same
+//! Every campaign binary (`wdog-chaos`, `wdog-recovery`, `wdog-lint`,
+//! `wdog-infer`, `table1`, `table2`, `reduction`, `zk2201`, `ablations`)
+//! needs the same
 //! `--flag value` / `--flag=value` loop, the same `--target` resolution,
 //! and the same exit-code conventions. [`CampaignCli`] is that loop named
 //! once: a binary declares its flags, parses, and reads typed values —

@@ -8,7 +8,7 @@
 //! | [`zk2201`] | §4.2 — the ZOOKEEPER-2201 reproduction | `zk2201` |
 //! | [`ablations`] | §3.1/§3.3 design choices (E6) | `ablations` |
 //! | [`recovery`] | §5.2 — closed-loop recovery campaign | `wdog-recovery` |
-//! | [`telemetry`] | runtime telemetry plane export | `wdog-telemetry` |
+//! | [`telemetry`] | telemetry sidecar schema + export | `table1`, `table2`, `wdog-recovery` |
 //! | [`chaos`] | randomized fault-schedule fuzzing of the checkers | `wdog-chaos` |
 //! | [`infer`] | trace-driven checker inference (record→mine→emit→score) | `wdog-infer` |
 //!
@@ -155,7 +155,8 @@ fn emit_table<R: serde::Serialize>(
 /// every `--target`, run the experiment with a fresh telemetry registry on
 /// its watchdog, [`emit_table`] it as `<bin>[-<target>]`, and archive the
 /// registry as `telemetry_<bin>_<target>`. The shape verdict applies to kvs
-/// only — the target the catalogue's expectations were calibrated on.
+/// only — the target the catalogue's expectations were calibrated on; the
+/// telemetry schema ([`telemetry::validate_snapshot`]) gates every target.
 pub fn table_campaign<R: serde::Serialize>(
     bin: &'static str,
     run: impl Fn(&dyn WatchdogTarget, &scenario::RunnerOptions) -> wdog_base::error::BaseResult<R>,
@@ -181,15 +182,22 @@ pub fn table_campaign<R: serde::Serialize>(
             render,
             (name == "kvs").then_some(shape),
         );
-        if ran {
-            telemetry::write_snapshot_under(
-                &out,
-                &format!("telemetry_{bin}_{name}"),
-                &registry.snapshot(),
-            );
+        if !ran {
+            failed = true;
+            continue;
+        }
+        let snap = registry.snapshot();
+        let violations = telemetry::validate_snapshot(&snap);
+        if violations.is_empty() {
+            println!("schema check [{name}]: OK");
         } else {
+            println!("schema check [{name}]: VIOLATIONS");
+            for v in violations {
+                println!("  - {v}");
+            }
             failed = true;
         }
+        telemetry::write_snapshot_under(&out, &format!("telemetry_{bin}_{name}"), &snap);
     }
     close_tables(&out, bin, failed);
 }

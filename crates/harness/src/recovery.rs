@@ -216,9 +216,7 @@ pub fn run_recovery_scenario(
     // Inject, hold, and (for substrate faults) heal the substrate.
     let armed = session.injector().inject(&scenario.kind)?;
     if let Some(t) = &opts.wd.telemetry {
-        let at_ms = clock.now_millis();
-        t.arm_fault(&scenario.id, at_ms);
-        t.flight(at_ms, "inject", &scenario.id);
+        t.flight(clock.now_millis(), "inject", &scenario.id);
     }
     clock.sleep(opts.fault_hold);
     if harness_clears(&scenario.kind) {
@@ -238,9 +236,6 @@ pub fn run_recovery_scenario(
     // coordinator's drain: a repair still in flight at `max_wait` must not
     // find the instance crashed under it.
     session.stop();
-    if let Some(t) = &opts.wd.telemetry {
-        t.disarm_fault();
-    }
     let idle = coordinator.wait_idle(Duration::from_secs(2));
     coordinator.stop();
 

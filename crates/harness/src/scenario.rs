@@ -188,14 +188,8 @@ pub fn run_scenario(
         session.injector().inject(&s.kind)?;
     }
     let injected_at = clock.now();
-    // Arm end-to-end detection-latency tracking: the first report the
-    // driver emits at-or-after this instant closes the sample.
-    if let Some(t) = &opts.wd.telemetry {
-        if let Some(s) = scenario {
-            let at_ms = injected_at.as_millis() as u64;
-            t.arm_fault(&s.id, at_ms);
-            t.flight(at_ms, "inject", &s.id);
-        }
+    if let (Some(t), Some(s)) = (&opts.wd.telemetry, scenario) {
+        t.flight(injected_at.as_millis() as u64, "inject", &s.id);
     }
 
     // Observe.
@@ -218,9 +212,6 @@ pub fn run_scenario(
 
     // Teardown; `stop` clears every fault surface so wedged threads drain.
     let reports = session.stop();
-    if let Some(t) = &opts.wd.telemetry {
-        t.disarm_fault();
-    }
     for d in &mut extrinsics {
         d.stop();
     }

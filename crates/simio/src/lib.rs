@@ -21,7 +21,6 @@
 //! hang, slow down, fail, or silently corrupt data.
 
 pub mod disk;
-pub mod kill;
 pub mod latency;
 pub mod net;
 pub mod resource;
@@ -29,7 +28,6 @@ pub mod schedule;
 pub mod vclock;
 
 pub use disk::{DiskFault, DiskOpKind, DiskStats, SimDisk};
-pub use kill::{KillHierarchy, KillNode, KillOutcome, KillScope};
 pub use latency::LatencyModel;
 pub use net::{Mailbox, Message, NetFault, SimNet};
 pub use resource::{ResourceMonitor, StallPoint};

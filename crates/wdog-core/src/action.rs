@@ -4,9 +4,9 @@
 //! restarts their executions and applies an action to the main program
 //! accordingly" (§3.1), and §5.2 argues precise localization enables *cheap
 //! recovery* — replacing corrupted objects or restarting one component
-//! instead of the whole process. The actions here log, call back and gate
-//! on impact; the component-scoped repairs are `wdog-recover`'s, driven
-//! through the [`Restartable`] and [`Degradable`] handles defined here.
+//! instead of the whole process. The actions here log and call back; the
+//! component-scoped repairs are `wdog-recover`'s, driven through the
+//! [`Restartable`] and [`Degradable`] handles defined here.
 
 use std::sync::Arc;
 
@@ -157,68 +157,6 @@ pub trait Degradable: Send + Sync {
     fn degrade(&self, component: &ComponentId);
 }
 
-/// Gates an inner action behind an impact assessment (paper §5.1).
-///
-/// "The watchdog detection may also be superfluous if the main program can
-/// successfully handle the detected fault. To reduce false alarms, we need
-/// to further assess the impact of the fault, e.g., through invoking
-/// probe-checkers when mimic-checkers detect faults." This action runs a
-/// probe (any [`Checker`](crate::checker::Checker), typically an API-level
-/// probe) when a report arrives; the inner action fires only if the probe
-/// also fails — i.e., the fault has client-visible impact. Suppressed
-/// reports are counted, not lost.
-pub struct ImpactGatedAction {
-    probe: Mutex<Box<dyn crate::checker::Checker>>,
-    inner: Arc<dyn Action>,
-    forwarded: Counter,
-    suppressed: Counter,
-}
-
-/// Named counters for an [`ImpactGatedAction`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GateCounters {
-    /// Reports whose impact the probe confirmed; forwarded to the inner
-    /// action.
-    pub forwarded: u64,
-    /// Reports the probe found harmless; suppressed.
-    pub suppressed: u64,
-}
-
-impl ImpactGatedAction {
-    /// Creates a gate running `probe` before forwarding to `inner`.
-    pub fn new(probe: Box<dyn crate::checker::Checker>, inner: Arc<dyn Action>) -> Self {
-        Self {
-            probe: Mutex::new(probe),
-            inner,
-            forwarded: Counter::new(),
-            suppressed: Counter::new(),
-        }
-    }
-
-    /// Returns the forwarded / suppressed report counts.
-    pub fn counters(&self) -> GateCounters {
-        GateCounters {
-            forwarded: self.forwarded.get(),
-            suppressed: self.suppressed.get(),
-        }
-    }
-}
-
-impl Action for ImpactGatedAction {
-    fn on_failure(&self, report: &FailureReport) {
-        let impact = {
-            let mut probe = self.probe.lock();
-            !matches!(probe.check(), crate::checker::CheckStatus::Pass)
-        };
-        if impact {
-            self.forwarded.inc();
-            self.inner.on_failure(report);
-        } else {
-            self.suppressed.inc();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,46 +232,5 @@ mod tests {
         let s = Shedder(Mutex::new(vec![]));
         s.degrade(&ComponentId::new("kvs.compaction"));
         assert_eq!(s.0.lock()[0], ComponentId::new("kvs.compaction"));
-    }
-
-    #[test]
-    fn impact_gate_forwards_only_confirmed_reports() {
-        use crate::checker::{CheckFailure, CheckStatus, FnChecker};
-        let log = LogAction::new();
-        let api_broken = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = Arc::clone(&api_broken);
-        let probe = FnChecker::new("impact-probe", "api", move || {
-            if flag.load(Ordering::Relaxed) {
-                CheckStatus::Fail(CheckFailure::new(
-                    FailureKind::Error,
-                    FaultLocation::new("api", "get"),
-                    "probe failed",
-                ))
-            } else {
-                CheckStatus::Pass
-            }
-        });
-        let gate = ImpactGatedAction::new(Box::new(probe), Arc::clone(&log) as Arc<dyn Action>);
-        // No client impact: the mimic detection is suppressed.
-        gate.on_failure(&report("kvs.wal"));
-        assert_eq!(
-            gate.counters(),
-            GateCounters {
-                forwarded: 0,
-                suppressed: 1
-            }
-        );
-        assert!(log.is_empty());
-        // Client impact confirmed: forwarded.
-        api_broken.store(true, Ordering::Relaxed);
-        gate.on_failure(&report("kvs.wal"));
-        assert_eq!(
-            gate.counters(),
-            GateCounters {
-                forwarded: 1,
-                suppressed: 1
-            }
-        );
-        assert_eq!(log.len(), 1);
     }
 }

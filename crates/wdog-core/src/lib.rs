@@ -39,7 +39,7 @@ pub mod report;
 pub mod status;
 pub mod trace;
 
-pub use action::{Action, CallbackAction, ImpactGatedAction, LogAction};
+pub use action::{Action, CallbackAction, LogAction};
 pub use checker::{CheckStatus, Checker, ExecutionProbe, FnChecker};
 pub use context::{
     ContextReader, ContextSlot, ContextSnapshot, ContextTable, CtxValue, PublishGuard,

@@ -10,9 +10,7 @@
 //! crate, so they cannot be re-exported here without a cycle); use
 //! `wdog_recover::prelude` alongside this one.
 
-pub use crate::action::{
-    Action, CallbackAction, Degradable, GateCounters, ImpactGatedAction, LogAction, Restartable,
-};
+pub use crate::action::{Action, CallbackAction, Degradable, LogAction, Restartable};
 pub use crate::checker::{CheckFailure, CheckStatus, Checker, ExecutionProbe, FnChecker};
 pub use crate::context::{
     ContextReader, ContextSlot, ContextSnapshot, ContextTable, CtxValue, PublishGuard,
@@ -30,6 +28,6 @@ pub use wdog_base::error::{BaseError, BaseResult};
 pub use wdog_base::ids::{CheckerId, ComponentId};
 
 pub use wdog_telemetry::{
-    AtomicHistogram, Counter, DetectionSample, FlightEvent, Gauge, HistogramSummary,
-    TelemetryRegistry, TelemetrySnapshot,
+    AtomicHistogram, Counter, FlightEvent, Gauge, HistogramSummary, TelemetryRegistry,
+    TelemetrySnapshot,
 };

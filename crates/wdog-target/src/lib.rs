@@ -232,29 +232,9 @@ pub trait WatchdogTarget: Send + Sync {
     /// report location can be matched against. Chaos campaigns use this
     /// for *wrong-component* pinpoint accounting: a report that blames a
     /// known component which no active fault implicates is a mislocated
-    /// detection, not background noise. The default derives the list from
-    /// the catalogue's blame hints; targets override it to name components
-    /// the shared catalogue never hints at.
-    fn components(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .catalog()
-            .into_iter()
-            .map(|s| s.expected.component_hint)
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
-    /// The cluster → process → component kill hierarchy for this target's
-    /// testbed. The default is the canonical single-process shape: the sole
-    /// process hosts the in-process watchdog, so its guard vetoes process-
-    /// and cluster-level kills while component kills stay available to
-    /// fault schedules. Campaign composition consults this instead of
-    /// hard-coding which fault classes are in scope.
-    fn kill_hierarchy(&self) -> simio::KillHierarchy {
-        simio::KillHierarchy::single_process(self.name(), &self.components())
-    }
+    /// detection, not background noise. The list includes components the
+    /// shared catalogue never hints at.
+    fn components(&self) -> Vec<String>;
 
     /// Boots one isolated testbed instance seeded with `seed`, with every
     /// background loop, latency model, and substrate paced by `clock`.

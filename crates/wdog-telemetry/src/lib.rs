@@ -7,10 +7,6 @@
 //! - **Metrics registry** ([`TelemetryRegistry`]): lock-sharded
 //!   registration, lock-free recording. [`Counter`]s, [`Gauge`]s, and
 //!   log₂-bucketed [`AtomicHistogram`]s with p50/p95/p99 summaries.
-//! - **Detection latency** ([`DetectionTracker`]): the harness arms a
-//!   fault at injection time; the first `FailureReport` at-or-after that
-//!   instant closes a [`DetectionSample`] — the QoS metric
-//!   failure-detector theory treats as primary.
 //! - **Flight recorder** ([`FlightRecorder`]): fixed-capacity ring of
 //!   recent driver/recovery events for postmortems.
 //! - **Snapshot** ([`TelemetrySnapshot`]): everything above as one
@@ -28,21 +24,15 @@
 //! exactly this, keeping the telemetry-off hook path at a single branch.
 
 pub mod chaos;
-mod detect;
 mod flight;
 mod metrics;
 mod registry;
 mod snapshot;
 
 pub use chaos::ChaosMetrics;
-pub use detect::{DetectionSample, DetectionTracker};
 pub use flight::{FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAP};
 pub use metrics::{AtomicHistogram, Counter, Gauge, HistogramSummary};
 pub use registry::{
-    checker_family, TelemetryRegistry, DETECTION_LATENCY_BY_CHECKER, DETECTION_LATENCY_BY_KIND,
-    REPORTS_BY_CHECKER, REPORTS_BY_FAMILY, REPORTS_BY_KIND,
+    checker_family, TelemetryRegistry, REPORTS_BY_CHECKER, REPORTS_BY_FAMILY, REPORTS_BY_KIND,
 };
 pub use snapshot::{CounterEntry, GaugeEntry, HistogramEntry, TelemetrySnapshot};
-
-/// Convenient alias: the registry as every consumer passes it around.
-pub type SharedRegistry = std::sync::Arc<TelemetryRegistry>;

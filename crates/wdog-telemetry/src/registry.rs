@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::detect::{DetectionSample, DetectionTracker};
 use crate::flight::{FlightRecorder, DEFAULT_FLIGHT_CAP};
 use crate::metrics::{AtomicHistogram, Counter, Gauge};
 use crate::snapshot::{CounterEntry, GaugeEntry, HistogramEntry, TelemetrySnapshot};
@@ -40,10 +39,6 @@ struct Shard {
     histograms: Mutex<HashMap<MetricKey, AtomicHistogram>>,
 }
 
-/// Histogram of detection latency per checker.
-pub const DETECTION_LATENCY_BY_CHECKER: &str = "detection_latency_by_checker_ms";
-/// Histogram of detection latency per failure kind.
-pub const DETECTION_LATENCY_BY_KIND: &str = "detection_latency_by_kind_ms";
 /// Counter of failure reports per checker.
 pub const REPORTS_BY_CHECKER: &str = "reports_by_checker_total";
 /// Counter of failure reports per failure kind.
@@ -90,7 +85,6 @@ pub struct TelemetryRegistry {
     enabled: AtomicBool,
     shards: Vec<Shard>,
     flight: FlightRecorder,
-    detect: DetectionTracker,
 }
 
 impl TelemetryRegistry {
@@ -105,7 +99,6 @@ impl TelemetryRegistry {
             enabled: AtomicBool::new(true),
             shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             flight: FlightRecorder::with_capacity(cap),
-            detect: DetectionTracker::new(),
         }
     }
 
@@ -165,22 +158,10 @@ impl TelemetryRegistry {
         self.flight.events()
     }
 
-    /// Arms `fault` for detection-latency measurement as of `injected_at_ms`.
-    pub fn arm_fault(&self, fault: &str, injected_at_ms: u64) {
-        self.detect.arm(fault, injected_at_ms);
-    }
-
-    /// Clears any armed fault without recording a sample.
-    pub fn disarm_fault(&self) {
-        self.detect.disarm();
-    }
-
-    /// Observes one emitted failure report (driver calls this per report).
-    ///
-    /// Bumps the per-checker / per-kind report counters and, if a fault is
-    /// armed, closes a [`DetectionSample`] and feeds the detection-latency
-    /// histograms. No-op while disabled.
-    pub fn observe_report(&self, checker: &str, kind: &str, at_ms: u64) {
+    /// Observes one emitted failure report (driver calls this per report):
+    /// bumps the per-checker / per-kind / per-family report counters.
+    /// No-op while disabled.
+    pub fn observe_report(&self, checker: &str, kind: &str) {
         if !self.is_enabled() {
             return;
         }
@@ -188,25 +169,6 @@ impl TelemetryRegistry {
         self.counter(REPORTS_BY_KIND, kind).inc();
         self.counter(REPORTS_BY_FAMILY, checker_family(checker))
             .inc();
-        if let Some(sample) = self.detect.observe(checker, kind, at_ms) {
-            self.histogram(DETECTION_LATENCY_BY_CHECKER, checker)
-                .record(sample.latency_ms);
-            self.histogram(DETECTION_LATENCY_BY_KIND, kind)
-                .record(sample.latency_ms);
-            self.flight.record(
-                at_ms,
-                "detection",
-                &format!(
-                    "{} detected {} in {}ms",
-                    checker, sample.fault, sample.latency_ms
-                ),
-            );
-        }
-    }
-
-    /// Returns all detection samples recorded so far.
-    pub fn detection_samples(&self) -> Vec<DetectionSample> {
-        self.detect.samples()
     }
 
     /// Exports everything as a serializable, deterministically ordered
@@ -246,7 +208,6 @@ impl TelemetryRegistry {
             counters,
             gauges,
             histograms,
-            detections: self.detect.samples(),
             flight: self.flight.events(),
             flight_dropped: self.flight.dropped(),
         }
@@ -264,7 +225,6 @@ impl std::fmt::Debug for TelemetryRegistry {
         f.debug_struct("TelemetryRegistry")
             .field("enabled", &self.is_enabled())
             .field("flight", &self.flight)
-            .field("detect", &self.detect)
             .finish()
     }
 }
@@ -286,29 +246,23 @@ mod tests {
     }
 
     #[test]
-    fn observe_report_feeds_counters_and_detection() {
+    fn observe_report_feeds_counters() {
         let reg = TelemetryRegistry::new();
-        reg.arm_fault("zk-2201-analogue", 1_000);
-        reg.observe_report("kvs.wal_mimic", "stuck", 1_420);
-        reg.observe_report("kvs.wal_mimic", "stuck", 1_600);
+        reg.observe_report("kvs.wal_mimic", "stuck");
+        reg.observe_report("kvs.wal_mimic", "stuck");
+        reg.observe_report("kvs.probe.get", "error");
         assert_eq!(reg.counter(REPORTS_BY_CHECKER, "kvs.wal_mimic").get(), 2);
         assert_eq!(reg.counter(REPORTS_BY_KIND, "stuck").get(), 2);
         assert_eq!(reg.counter(REPORTS_BY_FAMILY, "mimic").get(), 2);
-        let samples = reg.detection_samples();
-        assert_eq!(samples.len(), 1, "only first report closes the sample");
-        assert_eq!(samples[0].latency_ms, 420);
-        let h = reg.histogram(DETECTION_LATENCY_BY_CHECKER, "kvs.wal_mimic");
-        assert_eq!(h.count(), 1);
+        assert_eq!(reg.counter(REPORTS_BY_FAMILY, "probe").get(), 1);
     }
 
     #[test]
     fn disabled_registry_ignores_event_streams() {
         let reg = TelemetryRegistry::new();
         reg.set_enabled(false);
-        reg.arm_fault("f", 0);
-        reg.observe_report("c", "error", 10);
+        reg.observe_report("c", "error");
         reg.flight(10, "report", "c");
-        assert!(reg.detection_samples().is_empty());
         assert!(reg.flight_events().is_empty());
         assert_eq!(reg.counter(REPORTS_BY_CHECKER, "c").get(), 0);
     }

@@ -3,7 +3,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::detect::DetectionSample;
 use crate::flight::FlightEvent;
 use crate::metrics::HistogramSummary;
 
@@ -55,8 +54,6 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<GaugeEntry>,
     /// All histograms, sorted by `(name, label)`.
     pub histograms: Vec<HistogramEntry>,
-    /// Detection-latency samples in arrival order.
-    pub detections: Vec<DetectionSample>,
     /// Flight-recorder tail, oldest first.
     pub flight: Vec<FlightEvent>,
     /// Flight events evicted to make room.
@@ -113,12 +110,6 @@ impl TelemetrySnapshot {
             sample(&mut out, &format!("{}_p95", h.name), &h.label, s.p95);
             sample(&mut out, &format!("{}_p99", h.name), &h.label, s.p99);
         }
-        sample(
-            &mut out,
-            "detection_samples_total",
-            "",
-            self.detections.len(),
-        );
         sample(&mut out, "flight_events", "", self.flight.len());
         sample(&mut out, "flight_dropped_total", "", self.flight_dropped);
         out
@@ -135,8 +126,7 @@ mod tests {
         reg.counter("hook_fires_total", "kvs.wal_append").add(7);
         reg.gauge("inflight", "").set(-2);
         reg.histogram("checker_wall_ms", "kvs.wal_mimic").record(12);
-        reg.arm_fault("wal-stall", 100);
-        reg.observe_report("kvs.wal_mimic", "stuck", 350);
+        reg.observe_report("kvs.wal_mimic", "stuck");
         reg.flight(350, "report", "kvs.wal_mimic stuck");
         reg.snapshot()
     }
@@ -168,7 +158,8 @@ mod tests {
         assert!(text.contains("wdog_hook_fires_total{id=\"kvs.wal_append\"} 7"));
         assert!(text.contains("wdog_inflight -2"));
         assert!(text.contains("wdog_checker_wall_ms_p99{id=\"kvs.wal_mimic\"}"));
-        assert!(text.contains("wdog_detection_samples_total 1"));
+        assert!(text.contains("wdog_reports_by_kind_total{id=\"stuck\"} 1"));
+        assert!(text.contains("wdog_flight_events 1"));
         // Every line is name{labels} value.
         for line in text.lines() {
             assert!(line.starts_with("wdog_"), "bad line: {line}");

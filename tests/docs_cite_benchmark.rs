@@ -8,13 +8,21 @@ use std::collections::BTreeSet;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
-/// Instruments `benchmark/` superseded; neither docs nor CI may lean on them.
-const RETIRED: [&str; 5] = [
+/// Instruments `benchmark/` superseded, and mechanisms deleted because
+/// another one already answered their question; neither docs nor CI may
+/// lean on them.
+const RETIRED: [&str; 11] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
     "load_baseline",
     "results/load",
+    "--bin wdog-telemetry",
+    "KillHierarchy",
+    "DetectionTracker",
+    "arm_fault",
+    "ImpactGatedAction",
+    "checker_dispatch_delay_ms",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];
