@@ -11,7 +11,7 @@ fn main() {
         harness::zk2201::render,
         (
             harness::zk2201::shape_violations,
-            " (gray failure reproduced; watchdog detected; extrinsic detectors stayed green)",
+            " (every seed: heartbeat green, writes hung, serialize_node blamed within interval + timeout)",
         ),
     );
 }

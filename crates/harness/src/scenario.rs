@@ -1,4 +1,4 @@
-//! The shared scenario runner behind experiments E1 and E2.
+//! The shared scenario runner behind experiments E1, E2 and E4.
 //!
 //! One run = a booted [`WatchdogTarget`] testbed + steady workload + a
 //! detector set + (optionally) one injected fault from the target's
@@ -52,6 +52,9 @@ pub struct DetectorOutcome {
     pub correct_blame: Option<bool>,
     /// First report's human detail.
     pub detail: String,
+    /// Captured context of the blamed report (watchdog only).
+    #[serde(default)]
+    pub payload: Vec<(String, String)>,
 }
 
 /// The full record of one scenario run.
@@ -188,6 +191,9 @@ pub fn run_scenario(
         session.injector().inject(&s.kind)?;
     }
     let injected_at = clock.now();
+    // Auxiliary paths (minizk's follower sync) start at the injection
+    // instant, so a fault on their link strikes them mid-flight.
+    session.inst().exercise_auxiliary();
     if let (Some(t), Some(s)) = (&opts.wd.telemetry, scenario) {
         t.flight(injected_at.as_millis() as u64, "inject", &s.id);
     }
@@ -230,6 +236,7 @@ pub fn run_scenario(
             blamed: None,
             correct_blame: None,
             detail: first.as_ref().map(|(_, r)| r.clone()).unwrap_or_default(),
+            payload: Vec::new(),
         });
     }
     if opts.extrinsic {
@@ -246,6 +253,7 @@ pub fn run_scenario(
             } else {
                 String::new()
             },
+            payload: Vec::new(),
         });
     }
 
@@ -258,21 +266,13 @@ pub fn run_scenario(
         .iter()
         .filter(|r| r.at_ms >= injected_at_ms || scenario.is_none())
         .collect();
-    let first_report = in_window.first().copied();
-    let wd_outcome = match (first_report, crash_run) {
-        (_, true) => DetectorOutcome {
-            detector: "watchdog".into(),
-            detected: false,
-            latency_ms: None,
-            class: None,
-            granularity: "none".into(),
-            blamed: None,
-            correct_blame: None,
-            detail: "process crashed; intrinsic watchdog died with it".into(),
-        },
-        (Some(r), false) => {
-            let hint = scenario.map(|s| s.expected.component_hint.clone());
-            // Best granularity achieved across the window.
+    let wd_outcome = match in_window.first().copied().filter(|_| !crash_run) {
+        Some(r) => {
+            let hint = scenario.map(|s| s.expected.component_hint.as_str());
+            let blames =
+                |r: &FailureReport| hint.is_some_and(|h| r.location.to_string().contains(h));
+            // Best granularity achieved across the window; among equally
+            // precise reports, one that blames the expected component.
             let rank = |g: &str| match g {
                 "operation" => 3,
                 "function" => 2,
@@ -281,26 +281,22 @@ pub fn run_scenario(
             };
             let best = in_window
                 .iter()
-                .max_by_key(|r| rank(granularity_of(&r.location)))
+                .max_by_key(|r| (rank(granularity_of(&r.location)), blames(r)))
                 .copied()
                 .unwrap_or(r);
-            let correct_blame = hint.as_ref().map(|h| {
-                in_window
-                    .iter()
-                    .any(|r| r.location.to_string().contains(h.as_str()))
-            });
             DetectorOutcome {
                 detector: "watchdog".into(),
                 detected: true,
                 latency_ms: Some(r.at_ms.saturating_sub(injected_at_ms)),
                 class: Some(r.kind.label().to_owned()),
                 granularity: granularity_of(&best.location).to_owned(),
-                correct_blame,
+                correct_blame: hint.map(|_| in_window.iter().any(|r| blames(r))),
                 blamed: Some(best.location.to_string()),
                 detail: r.detail.clone(),
+                payload: best.payload.clone(),
             }
         }
-        (None, false) => DetectorOutcome {
+        None => DetectorOutcome {
             detector: "watchdog".into(),
             detected: false,
             latency_ms: None,
@@ -308,7 +304,12 @@ pub fn run_scenario(
             granularity: "none".into(),
             blamed: None,
             correct_blame: None,
-            detail: String::new(),
+            detail: if crash_run {
+                "process crashed; intrinsic watchdog died with it".into()
+            } else {
+                String::new()
+            },
+            payload: Vec::new(),
         },
     };
     outcomes.push(wd_outcome);
@@ -362,6 +363,26 @@ mod tests {
         control_run_is_clean(&KvsTarget);
         control_run_is_clean(&ZkTarget);
         control_run_is_clean(&DnTarget);
+    }
+
+    /// The runner's sync kick makes minizk's wedged link ZOOKEEPER-2201 at
+    /// campaign tuning too: writes hang behind the blocked sync, heartbeats
+    /// stay green, and the blame lands on the sync, not on its waiters.
+    #[test]
+    fn minizk_replication_link_wedged_is_zookeeper_2201() {
+        let scenario = crate::zk2201::scenario();
+        let result = run_scenario(&ZkTarget, Some(&scenario), &RunnerOptions::default()).unwrap();
+        let detected = |d: &str| result.outcome(d).unwrap().detected;
+        assert!(!detected("heartbeat"), "{result:?}");
+        assert!(detected("probe"), "writes never hung: {result:?}");
+        assert!(detected("watchdog"), "{result:?}");
+        let blamed = result.outcome("watchdog").unwrap().blamed.clone();
+        assert!(
+            blamed
+                .as_deref()
+                .is_some_and(|b| b.contains("serialize_node")),
+            "blamed {blamed:?}"
+        );
     }
 
     #[test]

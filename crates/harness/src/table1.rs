@@ -44,7 +44,8 @@ pub fn run(target: &dyn WatchdogTarget, opts: &RunnerOptions) -> BaseResult<Tabl
     })
 }
 
-fn cell(row: &ScenarioResult, detector: &str) -> String {
+/// One detector's table cell: `Y <latency>ms` when it detected, else `-`.
+pub(crate) fn cell(row: &ScenarioResult, detector: &str) -> String {
     match row.outcome(detector) {
         Some(o) if o.detected => match o.latency_ms {
             Some(ms) => format!("Y {ms}ms"),

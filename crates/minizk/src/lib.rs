@@ -18,15 +18,13 @@
 //!   draining a single ordered write pipeline;
 //! - [`quorum`]: leader, followers, commit broadcast, and the follower-sync
 //!   path that serializes the tree *over the network inside the critical
-//!   section* (the 2201 trigger);
-//! - [`heartbeat`]: the leader's ping protocol plus the `ruok`/`imok` admin
-//!   probe — the two detectors that stay green throughout the failure;
+//!   section* (the 2201 trigger), the leader's ping responder, and the
+//!   `ruok`/`imok` admin probe that stays green throughout the failure;
 //! - [`wd`]: the AutoWatchdog integration (IR, op table, assembly);
-//! - [`bug2201`]: the packaged scenario used by experiment E4.
+//! - [`target`]: the campaign surface. Experiment E4 is the scenario
+//!   runner's `replication-link-wedged` on this target (`harness::zk2201`).
 
-pub mod bug2201;
 pub mod datatree;
-pub mod heartbeat;
 pub mod msg;
 pub mod processors;
 pub mod quorum;
@@ -35,6 +33,5 @@ pub mod snapshot;
 pub mod target;
 pub mod wd;
 
-pub use bug2201::Bug2201;
 pub use datatree::DataTree;
 pub use quorum::{Cluster, ClusterConfig};

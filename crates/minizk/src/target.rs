@@ -5,8 +5,11 @@
 //! simulated network, but it has no cooperative fault toggles and no stall
 //! point, so the shared catalogue is filtered to disk, network, and crash
 //! scenarios. All disk faults land on the `txnlog/` volume and the
-//! replication scenarios wedge the leader→follower-0 link — the
-//! ZOOKEEPER-2201 shape.
+//! replication scenarios wedge the leader→follower-0 link. The scenario
+//! runner starts a sync to that same follower at the injection instant
+//! ([`TargetInstance::exercise_auxiliary`]), so `replication-link-wedged`
+//! is ZOOKEEPER-2201 itself: the sync blocks inside the write critical
+//! section and every write hangs (experiment E4, `harness::zk2201`).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -179,13 +182,12 @@ impl TargetInstance for ZkInstance {
         ));
     }
 
-    fn exercise_auxiliary(&self) -> bool {
+    fn exercise_auxiliary(&self) {
         // Kick a follower snapshot sync: the one minizk path the steady
         // create/set/get workload never reaches. Fire-and-forget — the
         // sync runs on its own (sim-actor) thread, so a frozen-time caller
         // never deadlocks waiting on virtual latencies.
         drop(self.cluster.sync_follower(0));
-        true
     }
 
     fn workload_counters(&self) -> (u64, u64) {

@@ -66,7 +66,7 @@ pub const TARGETS: &[TargetConfig] = &[
     TargetConfig {
         name: "minizk",
         src_dir: "crates/minizk/src",
-        exclude: &["wd.rs", "target.rs", "heartbeat.rs", "bug2201.rs"],
+        exclude: &["wd.rs", "target.rs"],
     },
     TargetConfig {
         name: "miniblock",

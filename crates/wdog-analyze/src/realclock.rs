@@ -74,10 +74,6 @@ pub fn real_clock_exemptions() -> Vec<RealClockExemption> {
             "wdog-core/src/hooks.rs",
             "the telemetry sidecar's sampled hook-fire probe measures real overhead by design",
         ),
-        entry(
-            "minizk/src/bug2201.rs",
-            "the standalone ZK-2201 demo reproduces the bug on real threads, outside campaigns",
-        ),
     ]
 }
 

@@ -257,13 +257,11 @@ pub trait TargetInstance: Send {
 
     /// Fires auxiliary code paths the steady workload never reaches
     /// (follower snapshot syncs, scrub passes, ...), without blocking —
-    /// work is kicked onto the instance's own threads. Trace recording
-    /// calls this mid-run so inferred invariants cover those loops too.
-    /// Returns whether anything was driven; the default has nothing to
-    /// drive and reports `false`.
-    fn exercise_auxiliary(&self) -> bool {
-        false
-    }
+    /// work is kicked onto the instance's own threads. The scenario runner
+    /// calls this at the injection instant, so faults strike those paths
+    /// mid-flight; trace recording calls it mid-run so inferred invariants
+    /// cover those loops too. The default has nothing to drive.
+    fn exercise_auxiliary(&self) {}
 
     /// `(ok, failed)` workload request counts so far.
     fn workload_counters(&self) -> (u64, u64);

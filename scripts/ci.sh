@@ -127,6 +127,24 @@ for f in table2 table2-minizk table2-miniblock; do
 done
 rm -rf "$t2"
 
+# E4 (ZOOKEEPER-2201) is one scenario-runner configuration over seeds 0-9,
+# each on a fresh SimClock: the same byte-for-byte contract as Table 1.
+echo "==> zk2201: twice, byte-identical, equal to results/zk2201.json"
+zka="$(mktemp -d)"
+zkb="$(mktemp -d)"
+for d in "$zka" "$zkb"; do
+    cargo run --offline -q --release -p harness --bin zk2201 -- --out "$d" >/dev/null
+done
+if ! cmp -s "$zka/zk2201.json" "$zkb/zk2201.json"; then
+    echo "zk2201: results diverged between consecutive runs — nondeterminism bug"
+    exit 1
+fi
+if ! cmp -s "$zkb/zk2201.json" results/zk2201.json; then
+    echo "zk2201: output differs from results/zk2201.json — rerun 'zk2201' and commit it with EXPERIMENTS E4"
+    exit 1
+fi
+rm -rf "$zka" "$zkb"
+
 # E6 is gated on its shape check, not cmp: E6a and E6b reproduce to the
 # digit, but E6c compares request latencies in wall time — its measurand —
 # so results/ablations.json differs in those three numbers on every run.

@@ -11,7 +11,7 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 /// Instruments `benchmark/` superseded, and mechanisms deleted because
 /// another one already answered their question; neither docs nor CI may
 /// lean on them.
-const RETIRED: [&str; 11] = [
+const RETIRED: [&str; 15] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -23,6 +23,10 @@ const RETIRED: [&str; 11] = [
     "arm_fault",
     "ImpactGatedAction",
     "checker_dispatch_delay_ms",
+    "Bug2201",
+    "bug2201",
+    "HeartbeatProber",
+    "zk_gray_failure",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];
