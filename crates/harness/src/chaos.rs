@@ -47,7 +47,7 @@ use wdog_base::clock::{RealClock, SharedClock};
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_core::report::FailureReport;
 use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
-use wdog_telemetry::ChaosMetrics;
+use wdog_telemetry::{checker_family, ChaosMetrics};
 
 use crate::scenario::RunnerOptions;
 use crate::session::Session;
@@ -325,15 +325,15 @@ pub fn run_schedule(
     ))
 }
 
-/// Is `checker` a load-coupled signal checker (by the `<target>.signal.<name>`
-/// id convention)? Signal checkers sample real resource levels — queue
+/// Is `checker` a load-coupled signal checker (its [`checker_family`] is
+/// `signal`)? Signal checkers sample real resource levels — queue
 /// depth, memory, disk headroom — so whether one trips during a schedule
 /// depends on machine load at the sample instant, not on the injected
 /// severity. The campaign measures their reports in the telemetry sidecar
 /// but never scores them: a verdict they could flip would wobble between
 /// same-seed runs and break the byte-identical-report contract.
 pub fn is_signal_checker(checker: &str) -> bool {
-    checker.contains(".signal.")
+    checker_family(checker) == "signal"
 }
 
 /// The most specific component of `components` a report location names:

@@ -153,7 +153,7 @@ fn emit_table<R: serde::Serialize>(
 
 /// The whole of a per-target scenario-table binary (`table1`, `table2`): for
 /// every `--target`, run the experiment with a fresh telemetry registry on
-/// its watchdog, [`emit_table`] it as `<bin>[-<target>]`, and archive the
+/// its watchdog, `emit_table` it as `<bin>[-<target>]`, and archive the
 /// registry as `telemetry_<bin>_<target>`. The shape verdict applies to kvs
 /// only — the target the catalogue's expectations were calibrated on; the
 /// telemetry schema ([`telemetry::validate_snapshot`]) gates every target.
@@ -203,7 +203,7 @@ pub fn table_campaign<R: serde::Serialize>(
 }
 
 /// The whole of a one-subject table binary (`reduction`, `zk2201`,
-/// `ablations`): run, [`emit_table`] as `<out>/<bin>.json`, close.
+/// `ablations`): run, `emit_table` as `<out>/<bin>.json`, close.
 pub fn single_table<R: serde::Serialize>(
     bin: &'static str,
     run: impl FnOnce() -> wdog_base::error::BaseResult<R>,

@@ -2,8 +2,7 @@
 //! closed-loop, for every catalogue scenario (the `wdog-recovery` bin).
 //!
 //! Where [`scenario`](crate::scenario) *scores detectors* and tears the
-//! testbed down, this campaign attaches a
-//! [`RecoveryCoordinator`](wdog_recover::RecoveryCoordinator) to the
+//! testbed down, this campaign attaches a [`RecoveryCoordinator`] to the
 //! driver and measures what the paper's §5.2 promises: pinpointed blame
 //! makes recovery cheap, so each scenario should end in a *terminal*
 //! disposition — verified-recovered (a component-scoped mitigation passed
@@ -215,9 +214,6 @@ pub fn run_recovery_scenario(
 
     // Inject, hold, and (for substrate faults) heal the substrate.
     let armed = session.injector().inject(&scenario.kind)?;
-    if let Some(t) = &opts.wd.telemetry {
-        t.flight(clock.now_millis(), "inject", &scenario.id);
-    }
     clock.sleep(opts.fault_hold);
     if harness_clears(&scenario.kind) {
         session.injector().clear(&armed);

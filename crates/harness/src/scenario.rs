@@ -4,12 +4,13 @@
 //! detector set + (optionally) one injected fault from the target's
 //! catalogue. The runner is fully generic: everything target-specific
 //! (testbed wiring, watchdog assembly, fault surfaces, the workload mix,
-//! the API probe) comes through the [`WatchdogTarget`]/[`TargetInstance`]
-//! traits, so `kvs`, `minizk`, and `miniblock` all campaign through this
-//! one code path. The runner samples every detector through the
-//! observation window and scores what each one said: detected or not, how
-//! fast, with what failure class, at what localization granularity, and
-//! whether the blame landed in the right place.
+//! the API probe) comes through the [`WatchdogTarget`] /
+//! [`TargetInstance`](wdog_target::TargetInstance) traits, so `kvs`,
+//! `minizk`, and `miniblock` all campaign through this one code path. The
+//! runner samples every detector through the observation window and scores
+//! what each one said: detected or not, how fast, with what failure class,
+//! at what localization granularity, and whether the blame landed in the
+//! right place.
 //!
 //! Every run is on a fresh [`SimClock`] with the extrinsic detectors as
 //! clock actors beside the target's own threads, so a result — latencies
@@ -194,9 +195,6 @@ pub fn run_scenario(
     // Auxiliary paths (minizk's follower sync) start at the injection
     // instant, so a fault on their link strikes them mid-flight.
     session.inst().exercise_auxiliary();
-    if let (Some(t), Some(s)) = (&opts.wd.telemetry, scenario) {
-        t.flight(injected_at.as_millis() as u64, "inject", &s.id);
-    }
 
     // Observe.
     let mut extrinsic_first: Vec<Option<(u64, String)>> = vec![None; extrinsics.len()];

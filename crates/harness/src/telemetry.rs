@@ -5,8 +5,8 @@
 //! the resulting [`TelemetrySnapshot`] as JSON
 //! (`telemetry_<bin>_<target>.json`) and Prometheus-style text (`.prom`):
 //! per-checker execution latency histograms, per-site hook fire counts and
-//! the flight-recorder tail. [`validate_snapshot`] is the schema the table
-//! bins gate on.
+//! per-checker/kind/family report counts. [`validate_snapshot`] is the
+//! schema the table bins gate on.
 
 use wdog_core::prelude::*;
 

@@ -20,7 +20,7 @@
 //!
 //! The matrix also scores each region's **stuck coverage** — can any
 //! checker report the region itself wedged? Today the answer is always
-//! *uncovered*: [`MimicChecker::check`] returns `NotReady` (not a
+//! *uncovered*: `MimicChecker::check` returns `NotReady` (not a
 //! failure) when a region stops publishing context, so a stuck task
 //! silences its own watchdog. That is precisely the kvs
 //! background-task-stuck blind spot chaos found, and the matrix

@@ -15,8 +15,9 @@
 //!   description claims an op that no longer exists).
 //!
 //! Regions pair by entry name; unpaired regions get region-level
-//! findings. Finally every planned [`HookPoint`] is checked against the
-//! hook keys and context fields the source actually fires
+//! findings. Finally every planned
+//! [`HookPoint`](wdog_gen::plan::HookPoint) is checked against the hook
+//! keys and context fields the source actually fires
 //! ([`DriftKind::UnhookedPlanPoint`]).
 
 use std::collections::BTreeMap;

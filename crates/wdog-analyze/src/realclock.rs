@@ -2,7 +2,7 @@
 //!
 //! The virtual-time substrate only delivers determinism if every sleep,
 //! deadline, and timestamp in driver, recovery, and target-loop code goes
-//! through the [`Clock`](wdog_base::clock::Clock) abstraction. A single raw
+//! through the `wdog_base::clock::Clock` abstraction. A single raw
 //! `Instant::now()` in a checker executor re-couples verdicts to host load;
 //! a single raw `thread::sleep` freezes a discrete-event run (the clock
 //! cannot see the block, so no actor can advance time past it).

@@ -6,10 +6,9 @@
 //! the wait: virtual time cannot advance past it and the blocked thread
 //! cannot be woken at a virtual instant. [`ClockedQueue`] keeps the same
 //! try/timeout surface as a bounded channel but parks consumers on the
-//! clock's [`Waiter`](crate::clock::Waiter), so under [`RealClock`]
-//! (crate::clock::RealClock) it behaves like a condvar-backed channel and
-//! under a simulated clock every blocked `pop`/`pop_timeout` is a
-//! first-class discrete-event wait.
+//! clock's [`Waiter`], so under [`RealClock`](crate::clock::RealClock) it
+//! behaves like a condvar-backed channel and under a simulated clock every
+//! blocked `pop`/`pop_timeout` is a first-class discrete-event wait.
 //!
 //! Handles are cheaply cloneable; any handle may push or pop (MPMC).
 //! Capacity is enforced on push (`Err(value)` when full, like `try_send`),

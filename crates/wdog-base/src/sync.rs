@@ -10,11 +10,11 @@
 //! holder's wakeup — the run freezes at a fixed virtual instant.
 //!
 //! [`ClockedMutex`] closes the hole by parking contenders on the clock's
-//! [`Waiter`](crate::clock::Waiter) instead of the OS futex: a blocked
-//! `lock()` or `try_lock_for()` is a first-class discrete-event wait the
-//! clock can see, schedule around, and (for timed waits) expire in virtual
-//! time. Under [`RealClock`](crate::clock::RealClock) the waiter is a
-//! condvar and behavior matches a plain mutex with a retry loop.
+//! [`Waiter`] instead of the OS futex: a blocked `lock()` or
+//! `try_lock_for()` is a first-class discrete-event wait the clock can see,
+//! schedule around, and (for timed waits) expire in virtual time. Under
+//! [`RealClock`](crate::clock::RealClock) the waiter is a condvar and
+//! behavior matches a plain mutex with a retry loop.
 //!
 //! The rule this type exists to enforce: **an actor must never block on
 //! something the clock cannot see while another actor needs virtual time

@@ -59,14 +59,6 @@ impl LogAction {
         Arc::new(Self::default())
     }
 
-    /// Creates an empty shared log retaining at most `capacity` reports.
-    pub fn with_capacity(capacity: usize) -> Arc<Self> {
-        Arc::new(Self {
-            capacity: capacity.max(1),
-            ..Self::default()
-        })
-    }
-
     /// Creates a shared log whose eviction count reports through `registry`
     /// as [`LOG_EVICTIONS_METRIC`].
     pub fn telemetered(capacity: usize, registry: &TelemetryRegistry) -> Arc<Self> {

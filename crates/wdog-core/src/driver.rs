@@ -749,16 +749,6 @@ impl SchedulerCtx {
         self.log.on_failure(&report);
         if let Some(t) = &self.telemetry {
             t.observe_report(report.checker.as_str(), report.kind.label());
-            t.flight(
-                report.at_ms,
-                "report",
-                &format!(
-                    "{} {} @ {}",
-                    report.checker,
-                    report.kind.label(),
-                    report.location.component
-                ),
-            );
         }
         // Actions run on the wdog-actions thread; if its queue is full the
         // report is counted as dropped rather than blocking the scheduler.
@@ -852,13 +842,6 @@ impl SchedulerCtx {
             self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
             if let Some(t) = &slot.telem {
                 t.timeouts.inc();
-            }
-            if let Some(t) = &self.telemetry {
-                t.flight(
-                    now_ms,
-                    "timeout",
-                    &format!("{} stuck past {}ms", slot.id, slot.timeout.as_millis()),
-                );
             }
             let location = slot.probe.current().unwrap_or_else(|| {
                 FaultLocation::new(slot.component.clone(), format!("<checker {}>", slot.id))
@@ -1288,7 +1271,7 @@ mod tests {
         assert!(snap.counter("checker_fail_total", "bad").unwrap() >= 2);
         assert!(snap.histogram("checker_wall_ms", "ok").unwrap().count >= 2);
         assert!(snap.counter("reports_by_checker_total", "bad").unwrap() >= 2);
-        assert!(snap.flight.iter().any(|e| e.kind == "report"));
+        assert!(snap.counter("reports_by_kind_total", "error").unwrap() >= 2);
     }
 
     #[test]
@@ -1314,7 +1297,8 @@ mod tests {
         d.stop();
         let snap = registry.snapshot();
         assert!(snap.counter("checker_timeout_total", "hang").unwrap() >= 1);
-        assert!(snap.flight.iter().any(|e| e.kind == "timeout"));
+        assert!(snap.counter("reports_by_kind_total", "stuck").unwrap() >= 1);
+        assert!(snap.counter("reports_by_checker_total", "hang").unwrap() >= 1);
     }
 
     #[test]

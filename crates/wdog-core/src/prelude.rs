@@ -28,6 +28,5 @@ pub use wdog_base::error::{BaseError, BaseResult};
 pub use wdog_base::ids::{CheckerId, ComponentId};
 
 pub use wdog_telemetry::{
-    AtomicHistogram, Counter, FlightEvent, Gauge, HistogramSummary, TelemetryRegistry,
-    TelemetrySnapshot,
+    AtomicHistogram, Counter, HistogramSummary, TelemetryRegistry, TelemetrySnapshot,
 };

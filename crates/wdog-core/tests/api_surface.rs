@@ -37,9 +37,7 @@ const GOLDEN: &[&str] = &[
     "FailureReport",
     "FaultLocation",
     "FireGuard",
-    "FlightEvent",
     "FnChecker",
-    "Gauge",
     "HealthBoard",
     "HistogramSummary",
     "HookSite",

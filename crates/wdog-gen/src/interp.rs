@@ -8,8 +8,7 @@
 //! its arguments from the checker's context snapshot.
 //!
 //! [`instantiate`] then turns a [`WatchdogPlan`] into executable
-//! [`MimicChecker`]s ready to register with a
-//! [`WatchdogDriver`](wdog_core::driver::WatchdogDriver). Missing
+//! [`MimicChecker`]s ready to register with a [`WatchdogDriver`]. Missing
 //! registrations are a hard error: a generated checker that silently skips
 //! operations would report a false sense of health.
 

@@ -5,9 +5,9 @@
 //! [`TraceRecorder`](wdog_core::TraceRecorder) journals every context-key
 //! publish and op-table execution while the tests run, the [`miner`]
 //! replays the journals and proposes value-level invariants the recorded
-//! behavior never violated, and the [`emit`] pass lowers surviving
-//! candidates into [`InferredSpec`](wdog_checkers::InferredSpec)s that
-//! register through `DriverBuilder` beside the structural mimics.
+//! behavior never violated, and the [`emit`](mod@emit) pass lowers surviving
+//! candidates into [`InferredSpec`]s that register through `DriverBuilder`
+//! beside the structural mimics.
 //!
 //! The pipeline is record → mine → emit → score:
 //!

@@ -98,7 +98,7 @@ impl RecoveryCoordinatorBuilder {
 
     /// Attaches a telemetry registry: the coordinator then records per-rung
     /// counters, verification pass/fail counts, per-component MTTR
-    /// histograms, and incident open/close flight events.
+    /// histograms and per-outcome incident counts.
     pub fn telemetry(mut self, registry: Arc<TelemetryRegistry>) -> Self {
         self.telemetry = Some(registry);
         self
@@ -174,9 +174,9 @@ impl CoordShared {
 
 /// Closed-loop recovery driver (see crate docs for the ladder).
 ///
-/// Registered with a [`WatchdogDriver`](wdog_core::driver::WatchdogDriver)
-/// as an [`Action`]; reports are handed to a dedicated worker thread through
-/// a bounded inbox so recovery work never blocks detection.
+/// Registered with a [`WatchdogDriver`] as an [`Action`]; reports are handed
+/// to a dedicated worker thread through a bounded inbox so recovery work
+/// never blocks detection.
 pub struct RecoveryCoordinator {
     inbox: ClockedQueue<FailureReport>,
     shared: Arc<CoordShared>,
@@ -333,13 +333,6 @@ impl Worker {
         }
         let policy = self.policy_for(&component);
         let opened_at_ms = self.clock.now_millis();
-        if let Some(t) = &self.telemetry {
-            t.flight(
-                opened_at_ms,
-                "incident-open",
-                &format!("{component} blamed by {}", report.checker),
-            );
-        }
         let mut incident = Incident {
             component: component.to_string(),
             checker: report.checker.to_string(),
@@ -546,16 +539,6 @@ impl Worker {
                 .record(incident.mttr_ms);
             t.counter(RECOVERY_OUTCOME_METRIC, incident.outcome.label())
                 .inc();
-            t.flight(
-                incident.closed_at_ms,
-                "incident-close",
-                &format!(
-                    "{} {} mttr={}ms",
-                    incident.component,
-                    incident.outcome.label(),
-                    incident.mttr_ms
-                ),
-            );
         }
         self.shared.state.lock().incidents.push(incident);
     }
@@ -907,7 +890,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_rungs_mttr_and_flight() {
+    fn telemetry_records_rungs_mttr_and_outcome() {
         let fx = Fixture::new(false, 1);
         let registry = TelemetryRegistry::shared();
         let c = RecoveryCoordinator::builder(RealClock::shared(), fx.surface())
@@ -934,9 +917,11 @@ mod tests {
             .histogram(RECOVERY_MTTR_METRIC, "kvs.compaction")
             .expect("mttr histogram");
         assert_eq!(mttr.count, 1);
-        let kinds: Vec<&str> = snap.flight.iter().map(|e| e.kind.as_str()).collect();
-        assert!(kinds.contains(&"incident-open"));
-        assert!(kinds.contains(&"incident-close"));
+        let incidents = c.incidents();
+        assert_eq!(incidents.len(), 1);
+        assert_eq!(incidents[0].component, "kvs.compaction");
+        assert_eq!(incidents[0].outcome, RecoveryOutcome::VerifiedRecovered);
+        assert_eq!(mttr.max, incidents[0].mttr_ms);
     }
 
     #[test]

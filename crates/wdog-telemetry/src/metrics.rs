@@ -1,12 +1,11 @@
-//! Metric primitives: counters, gauges, and an atomic log₂-bucketed
-//! histogram.
+//! Metric primitives: a counter and an atomic log₂-bucketed histogram.
 //!
 //! All handles are `Arc`-backed clones of the registry's cells: recording
 //! through one is a handful of relaxed atomic operations with no allocation
 //! and no lock, which is what lets the driver and hook paths carry them
 //! without budget impact.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of histogram buckets: value `v` lands in bucket
@@ -44,34 +43,6 @@ impl Counter {
 
     /// Returns the current value.
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed gauge that can move in both directions.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge {
-    cell: Arc<AtomicI64>,
-}
-
-impl Gauge {
-    /// Creates a detached gauge (not owned by any registry).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the gauge to `v`.
-    pub fn set(&self, v: i64) {
-        self.cell.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.cell.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Returns the current value.
-    pub fn get(&self) -> i64 {
         self.cell.load(Ordering::Relaxed)
     }
 }
@@ -248,14 +219,6 @@ mod tests {
         let clone = c.clone();
         clone.inc();
         assert_eq!(c.get(), 6);
-    }
-
-    #[test]
-    fn gauge_moves_both_ways() {
-        let g = Gauge::new();
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::flight::FlightEvent;
 use crate::metrics::HistogramSummary;
 
 /// One exported counter.
@@ -15,17 +14,6 @@ pub struct CounterEntry {
     pub label: String,
     /// Counter value at snapshot time.
     pub value: u64,
-}
-
-/// One exported gauge.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GaugeEntry {
-    /// Metric name.
-    pub name: String,
-    /// Label value; empty when unlabeled.
-    pub label: String,
-    /// Gauge value at snapshot time.
-    pub value: i64,
 }
 
 /// One exported histogram with its percentile summary.
@@ -46,18 +34,10 @@ pub struct HistogramEntry {
 /// behaviour.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
-    /// Whether the registry's event streams were enabled at snapshot time.
-    pub enabled: bool,
     /// All counters, sorted by `(name, label)`.
     pub counters: Vec<CounterEntry>,
-    /// All gauges, sorted by `(name, label)`.
-    pub gauges: Vec<GaugeEntry>,
     /// All histograms, sorted by `(name, label)`.
     pub histograms: Vec<HistogramEntry>,
-    /// Flight-recorder tail, oldest first.
-    pub flight: Vec<FlightEvent>,
-    /// Flight events evicted to make room.
-    pub flight_dropped: u64,
 }
 
 impl TelemetrySnapshot {
@@ -79,11 +59,10 @@ impl TelemetrySnapshot {
 
     /// Renders the snapshot in Prometheus text exposition format.
     ///
-    /// Counters/gauges become single samples; each histogram becomes
-    /// `_count`, `_sum`-free summary gauges (`_mean`, `_min`, `_max`,
-    /// `_p50`, `_p95`, `_p99`) — quantiles are what the campaigns consume,
-    /// and log₂ buckets don't map onto Prometheus' cumulative `le` buckets
-    /// without lying about bounds.
+    /// Counters become single samples; each histogram becomes seven
+    /// samples, `_{count,mean,min,max,p50,p95,p99}` — quantiles are what
+    /// the campaigns consume, and log₂ buckets don't map onto Prometheus'
+    /// cumulative `le` buckets without lying about bounds.
     pub fn to_prometheus(&self) -> String {
         fn sample(out: &mut String, name: &str, label: &str, value: impl std::fmt::Display) {
             if label.is_empty() {
@@ -97,9 +76,6 @@ impl TelemetrySnapshot {
         for c in &self.counters {
             sample(&mut out, &c.name, &c.label, c.value);
         }
-        for g in &self.gauges {
-            sample(&mut out, &g.name, &g.label, g.value);
-        }
         for h in &self.histograms {
             let s = &h.summary;
             sample(&mut out, &format!("{}_count", h.name), &h.label, s.count);
@@ -110,8 +86,6 @@ impl TelemetrySnapshot {
             sample(&mut out, &format!("{}_p95", h.name), &h.label, s.p95);
             sample(&mut out, &format!("{}_p99", h.name), &h.label, s.p99);
         }
-        sample(&mut out, "flight_events", "", self.flight.len());
-        sample(&mut out, "flight_dropped_total", "", self.flight_dropped);
         out
     }
 }
@@ -124,10 +98,8 @@ mod tests {
     fn sample_snapshot() -> TelemetrySnapshot {
         let reg = TelemetryRegistry::new();
         reg.counter("hook_fires_total", "kvs.wal_append").add(7);
-        reg.gauge("inflight", "").set(-2);
         reg.histogram("checker_wall_ms", "kvs.wal_mimic").record(12);
         reg.observe_report("kvs.wal_mimic", "stuck");
-        reg.flight(350, "report", "kvs.wal_mimic stuck");
         reg.snapshot()
     }
 
@@ -156,10 +128,9 @@ mod tests {
     fn prometheus_rendering_has_expected_lines() {
         let text = sample_snapshot().to_prometheus();
         assert!(text.contains("wdog_hook_fires_total{id=\"kvs.wal_append\"} 7"));
-        assert!(text.contains("wdog_inflight -2"));
         assert!(text.contains("wdog_checker_wall_ms_p99{id=\"kvs.wal_mimic\"}"));
         assert!(text.contains("wdog_reports_by_kind_total{id=\"stuck\"} 1"));
-        assert!(text.contains("wdog_flight_events 1"));
+        assert!(text.contains("wdog_reports_by_checker_total{id=\"kvs.wal_mimic\"} 1"));
         // Every line is name{labels} value.
         for line in text.lines() {
             assert!(line.starts_with("wdog_"), "bad line: {line}");

@@ -65,6 +65,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc: no broken or ambiguous intra-doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline --locked
+
 echo "==> wdog-lint --target all --deny-drift + analysis gates"
 # --deny-coverage-regression diffs against the archived
 # results/analysis/coverage_<target>.json and fails on newly uncovered

@@ -11,7 +11,7 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 /// Instruments `benchmark/` superseded, and mechanisms deleted because
 /// another one already answered their question; neither docs nor CI may
 /// lean on them.
-const RETIRED: [&str; 15] = [
+const RETIRED: [&str; 20] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -27,6 +27,11 @@ const RETIRED: [&str; 15] = [
     "bug2201",
     "HeartbeatProber",
     "zk_gray_failure",
+    "FlightRecorder",
+    "FlightEvent",
+    "flight_dropped",
+    "GaugeEntry",
+    "with_flight_capacity",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];
