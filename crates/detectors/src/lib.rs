@@ -19,6 +19,8 @@
 //! All three expose the uniform [`api::Detector`] interface so campaign
 //! runners can poll them interchangeably.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod api;
 pub mod heartbeat;
 pub mod observer;

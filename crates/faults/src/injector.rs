@@ -9,7 +9,7 @@ use simio::resource::StallPoint;
 use wdog_base::clock::SharedClock;
 use wdog_base::error::{BaseError, BaseResult};
 
-use crate::spec::{FaultKind, FaultSpec};
+use crate::spec::FaultKind;
 use crate::toggle::ToggleSet;
 
 /// A cleared-able handle to one armed fault.
@@ -230,33 +230,6 @@ impl Injector {
             ArmedFault::Crash => {}
         }
     }
-
-    /// Runs a spec on a helper thread: waits `start_after`, arms the fault,
-    /// and clears it after `duration` if one is set. Returns the thread
-    /// handle so experiments can join before tearing substrates down.
-    pub fn schedule(&self, spec: FaultSpec) -> BaseResult<std::thread::JoinHandle<()>> {
-        let clock = self
-            .clock
-            .clone()
-            .ok_or_else(|| BaseError::InvalidState("schedule needs a clock bound".into()))?;
-        let this = self.clone();
-        let spawn_clock = Arc::clone(&clock);
-        Ok(wdog_base::clock::spawn_on(
-            &spawn_clock,
-            "fault-schedule",
-            move || {
-                clock.sleep(spec.start_after);
-                let armed = match this.inject(&spec.kind) {
-                    Ok(a) => a,
-                    Err(_) => return,
-                };
-                if let Some(d) = spec.duration {
-                    clock.sleep(d);
-                    this.clear(&armed);
-                }
-            },
-        ))
-    }
 }
 
 impl std::fmt::Debug for Injector {
@@ -378,27 +351,5 @@ mod tests {
             Err(BaseError::InvalidState(_))
         ));
         assert!(inj.inject(&FaultKind::ProcessCrash).is_err());
-    }
-
-    #[test]
-    fn schedule_arms_then_clears() {
-        let (inj, disk, ..) = full_injector();
-        let handle = inj
-            .schedule(
-                FaultSpec::new(
-                    "err",
-                    FaultKind::DiskError {
-                        path_prefix: "wal/".into(),
-                    },
-                    Duration::from_millis(20),
-                )
-                .lasting(Duration::from_millis(50)),
-            )
-            .unwrap();
-        assert!(disk.append("wal/0", b"x").is_ok(), "fault armed too early");
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(disk.append("wal/0", b"x").is_err(), "fault not armed");
-        handle.join().unwrap();
-        assert!(disk.append("wal/0", b"x").is_ok(), "fault not cleared");
     }
 }

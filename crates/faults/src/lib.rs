@@ -19,6 +19,8 @@
 //!   (with benign near-misses and delta-debugging shrink steps) for chaos
 //!   campaigns.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod catalog;
 pub mod injector;
 pub mod schedule;

@@ -162,6 +162,10 @@ pub fn run_latency_sweep(intervals_ms: &[u64]) -> BaseResult<Vec<LatencyPoint>> 
 }
 
 /// Builds `n` heavyweight checkers, each costing `cost` per execution.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "E6c measures request latency in wall time: checker cost must be real CPU-side delay"
+)]
 fn heavy_checkers(n: usize, cost: Duration) -> Vec<Box<dyn Checker>> {
     (0..n)
         .map(|i| {
@@ -185,6 +189,10 @@ pub fn run_placement_ablation() -> BaseResult<PlacementAblation> {
     /// One in-place checking round is charged every this many requests.
     const INPLACE_EVERY: usize = 25;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "E6c's measurand is wall-clock request latency"
+    )]
     let measure = |server: &KvsServer, mut inline: Option<&mut WatchdogDriver>| -> u64 {
         let client = server.client();
         let start = std::time::Instant::now();

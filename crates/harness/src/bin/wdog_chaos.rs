@@ -3,7 +3,6 @@
 //! ```text
 //! wdog-chaos [--target {kvs|minizk|miniblock|all}] [--out DIR]
 //!            [--seed N] [--schedules N] [--max-wall-ms N]
-//!            [--require-detected N] [--require-clean-benign]
 //!            [--replay FILE]
 //! wdog-chaos --schedules 1000 --target all
 //! wdog-chaos --replay results/chaos/chaos-42-038.kvs.missed.json
@@ -30,9 +29,9 @@
 //!   [`Reproducer`] per failing schedule, or an `exemplar` reproducer
 //!   when the campaign was clean.
 //!
+//! A benign near-miss schedule that fires a checker exits nonzero.
 //! `--replay FILE` reruns an archived reproducer and exits nonzero unless
-//! the fresh verdict matches the recorded one. `--require-detected N` and
-//! `--require-clean-benign` are the CI smoke gates.
+//! the fresh verdict matches the recorded one.
 //!
 //! [`ChaosReport`]: harness::chaos::ChaosReport
 //! [`Reproducer`]: harness::chaos::Reproducer
@@ -44,7 +43,7 @@ use harness::cli::{CampaignCli, EXIT_GATE, EXIT_USAGE};
 use wdog_telemetry::{ChaosMetrics, TelemetryRegistry};
 
 const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--seed N] [--out DIR] [--schedules N] \
-     [--max-wall-ms N] [--require-detected N] [--require-clean-benign] [--replay FILE]";
+     [--max-wall-ms N] [--replay FILE]";
 
 /// Writes `value` as pretty JSON under `<out>/chaos/`.
 fn write_chaos_json(out: &Path, name: &str, value: &impl serde::Serialize) {
@@ -119,18 +118,10 @@ fn main() {
     let cli = CampaignCli::parse(
         "wdog-chaos",
         USAGE,
-        &[
-            "--schedules",
-            "--require-detected",
-            "--max-wall-ms",
-            "--replay",
-        ],
-        &["--require-clean-benign"],
+        &["--schedules", "--max-wall-ms", "--replay"],
     );
     let seed = cli.seed();
     let schedules: u64 = cli.parsed("--schedules", 20);
-    let require_detected: u64 = cli.parsed("--require-detected", 0);
-    let require_clean_benign = cli.switch("--require-clean-benign");
     let max_wall_ms: Option<u64> = cli.parsed_opt("--max-wall-ms");
     let out = cli.out_dir();
 
@@ -147,6 +138,10 @@ fn main() {
             metrics: Some(metrics.clone()),
             ..ChaosOptions::default()
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the campaign's wall-clock budget is measured outside the virtual run"
+        )]
         let campaign_start = std::time::Instant::now();
         let report: ChaosReport = match chaos::run_campaign(target.as_ref(), &opts) {
             Ok(r) => r,
@@ -199,20 +194,11 @@ fn main() {
         let snap = metrics.registry().snapshot();
         write_chaos_json(&out, &format!("chaos_{}_telemetry", target.name()), &snap);
 
-        let s = &report.summary;
-        if s.detected < require_detected {
-            eprintln!(
-                "wdog-chaos [{}]: {} detected fault verdicts < required {require_detected}",
-                target.name(),
-                s.detected
-            );
-            failed = true;
-        }
-        if require_clean_benign && s.false_positives > 0 {
+        if report.summary.false_positives > 0 {
             eprintln!(
                 "wdog-chaos [{}]: {} benign schedule(s) fired a checker",
                 target.name(),
-                s.false_positives
+                report.summary.false_positives
             );
             failed = true;
         }

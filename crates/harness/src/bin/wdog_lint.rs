@@ -1,31 +1,24 @@
 //! `wdog-lint` — the hook/IR drift gate plus the deep-analysis gates.
 //!
+//! ```text
+//! wdog-lint [--target {kvs|minizk|miniblock|all}] [--out DIR]
+//! ```
+//!
 //! Extracts each target's IR from its Rust source (`wdog-analyze`),
 //! diffs it against the hand-written `describe_ir()` self-description
-//! and the generated hook plan, renders the findings, and archives the
-//! machine-readable reports under `results/`. With `--deny-drift`, any
-//! finding not absorbed by the target's documented allowlist exits
-//! non-zero — the CI gate that keeps descriptions honest.
+//! and the generated hook plan, renders the findings, and archives them
+//! as `<out>/drift-<target>.json`. The deep static passes then run per
+//! target — lock order, probe safety, and the coverage matrix, whose blind
+//! spots are the missed reproducers under `tests/chaos_corpus` — and
+//! archive deterministic JSON under `<out>/analysis/`.
 //!
-//! On top of drift, the deep static passes run per target and archive
-//! under `results/analysis/` (deterministic JSON, drift-diffable):
-//!
-//! * `--deny-deadlock-cycle` fails on any cycle in the global lock graph;
-//! * `--deny-unsafe-checker` fails on any probe body classified
-//!   `shared-mutation` (the paper's isolation requirement, mechanized);
-//! * `--deny-coverage-regression` fails when the coverage matrix gains a
-//!   gap the previously archived `coverage_<target>.json` did not have;
-//! * `--coverage-out DIR` overrides the artifact directory;
-//! * `--corpus DIR` points at the chaos reproducer corpus whose missed
-//!   schedules the matrix cross-references (defaults to
-//!   `tests/chaos_corpus`, falling back to `results/chaos`);
-//! * `--deny-real-clock` fails on any raw `Instant::now` /
-//!   `SystemTime::now` / `thread::sleep` in production code outside the
-//!   documented exemptions — the virtual-time substrate's determinism
-//!   guarantee depends on every time read going through `Clock`.
+//! The run exits 1 on any drift finding the target's allowlist does not
+//! absorb, any probe body classified `shared-mutation` (the paper's
+//! isolation requirement, mechanized), or any lock-order cycle. Coverage
+//! regressions show as a diff against the archived matrices, which CI
+//! compares byte for byte.
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use harness::cli::{CampaignCli, EXIT_GATE, EXIT_USAGE};
 use harness::lint::{
@@ -33,17 +26,7 @@ use harness::lint::{
 };
 use wdog_gen::pretty::render_drift;
 
-const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--out DIR] [--deny-drift]\n\
-    \x20         [--deny-unsafe-checker] [--deny-deadlock-cycle]\n\
-    \x20         [--deny-coverage-regression] [--deny-real-clock]\n\
-    \x20         [--coverage-out DIR] [--corpus DIR]";
-
-/// Reads the previously archived coverage matrix's gap keys, if any.
-fn prior_gaps(path: &Path) -> Option<BTreeSet<String>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let matrix: wdog_analyze::CoverageMatrix = serde_json::from_str(&text).ok()?;
-    Some(matrix.gap_keys().into_iter().collect())
-}
+const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--out DIR]";
 
 fn write_artifact(dir: &Path, name: &str, value: &impl serde::Serialize) {
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -145,47 +128,18 @@ fn render_analysis(b: &AnalysisBundle) {
 }
 
 fn main() {
-    let cli = CampaignCli::parse(
-        "wdog-lint",
-        USAGE,
-        &["--coverage-out", "--corpus"],
-        &[
-            "--deny-drift",
-            "--deny-unsafe-checker",
-            "--deny-deadlock-cycle",
-            "--deny-coverage-regression",
-            "--deny-real-clock",
-        ],
-    );
+    let cli = CampaignCli::parse("wdog-lint", USAGE, &[]);
     let name = cli.target("all");
-    let deny_drift = cli.switch("--deny-drift");
-    let deny_unsafe = cli.switch("--deny-unsafe-checker");
-    let deny_deadlock = cli.switch("--deny-deadlock-cycle");
-    let deny_coverage = cli.switch("--deny-coverage-regression");
-    let deny_real_clock = cli.switch("--deny-real-clock");
-    let coverage_out = cli
-        .value("--coverage-out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| cli.out_dir().join("analysis"));
-    let corpus = cli.value("--corpus").map(PathBuf::from);
     let out = cli.out_dir();
+    let analysis = out.join("analysis");
     let Some(targets) = select_lint_targets(&name) else {
         eprintln!("unknown target {name:?}; expected kvs, minizk, miniblock, or all");
         std::process::exit(EXIT_USAGE);
     };
-    let corpus = corpus.unwrap_or_else(|| {
-        let preferred = PathBuf::from("tests/chaos_corpus");
-        if preferred.is_dir() {
-            preferred
-        } else {
-            PathBuf::from("results/chaos")
-        }
-    });
 
     let mut denied_drift = 0usize;
     let mut unsafe_probes = 0usize;
     let mut deadlock_cycles = 0usize;
-    let mut new_gaps: Vec<String> = Vec::new();
     let mut reports = Vec::new();
 
     for target in &targets {
@@ -201,7 +155,7 @@ fn main() {
             }
         }
 
-        let spots = load_blind_spots(&corpus, target.name);
+        let spots = load_blind_spots(Path::new("tests/chaos_corpus"), target.name);
         let bundle = match run_analysis(target, &spots) {
             Ok(b) => b,
             Err(e) => {
@@ -213,90 +167,24 @@ fn main() {
         unsafe_probes += bundle.safety.violations().len();
         deadlock_cycles += bundle.locks.cycles.len();
 
-        let coverage_path = coverage_out.join(format!("coverage_{}.json", bundle.target));
-        let gaps: BTreeSet<String> = bundle.coverage.gap_keys().into_iter().collect();
-        if let Some(prior) = prior_gaps(&coverage_path) {
-            new_gaps.extend(
-                gaps.difference(&prior)
-                    .map(|g| format!("{}: {g}", bundle.target)),
-            );
-        }
-        write_artifact(
-            &coverage_out,
-            &format!("coverage_{}.json", bundle.target),
-            &bundle.coverage,
-        );
-        write_artifact(
-            &coverage_out,
-            &format!("locks_{}.json", bundle.target),
-            &bundle.locks,
-        );
-        write_artifact(
-            &coverage_out,
-            &format!("safety_{}.json", bundle.target),
-            &bundle.safety,
-        );
+        let t = &bundle.target;
+        write_artifact(&analysis, &format!("coverage_{t}.json"), &bundle.coverage);
+        write_artifact(&analysis, &format!("locks_{t}.json"), &bundle.locks);
+        write_artifact(&analysis, &format!("safety_{t}.json"), &bundle.safety);
     }
     harness::write_json_under(&out, &harness::result_name("drift", &name), &reports);
 
-    // The real-clock scan is workspace-wide, not per target: one pass over
-    // every production crate that can run inside a virtual-time campaign.
-    let real_clock = match wdog_analyze::scan_real_clock(
-        &wdog_analyze::workspace_root(),
-        &wdog_analyze::REAL_CLOCK_ROOTS,
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: real-clock scan failed: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
-    };
-    println!(
-        "== real-clock scan: {} files, {} finding(s), {} exempted ==",
-        real_clock.scanned_files,
-        real_clock.findings.len(),
-        real_clock.exempted.len()
-    );
-    for f in &real_clock.findings {
-        println!("   !! {} at {}:{}", f.pattern, f.file, f.line);
-    }
-    write_artifact(&coverage_out, "real_clock.json", &real_clock);
-
+    let failures = [
+        (denied_drift, "undocumented drift finding(s)"),
+        (unsafe_probes, "shared-mutation probe(s)"),
+        (deadlock_cycles, "lock-order cycle(s)"),
+    ];
     let mut failed = false;
-    if deny_real_clock && !real_clock.findings.is_empty() {
-        eprintln!(
-            "\nwdog-lint: {} raw time call(s) in production code; failing (--deny-real-clock)",
-            real_clock.findings.len()
-        );
-        failed = true;
-    }
-    if deny_drift && denied_drift > 0 {
-        eprintln!(
-            "\nwdog-lint: {denied_drift} undocumented drift finding(s); failing (--deny-drift)"
-        );
-        failed = true;
-    }
-    if deny_unsafe && unsafe_probes > 0 {
-        eprintln!(
-            "\nwdog-lint: {unsafe_probes} shared-mutation probe(s); failing (--deny-unsafe-checker)"
-        );
-        failed = true;
-    }
-    if deny_deadlock && deadlock_cycles > 0 {
-        eprintln!(
-            "\nwdog-lint: {deadlock_cycles} lock-order cycle(s); failing (--deny-deadlock-cycle)"
-        );
-        failed = true;
-    }
-    if deny_coverage && !new_gaps.is_empty() {
-        eprintln!(
-            "\nwdog-lint: {} newly uncovered vulnerable op(s) vs archived matrix; failing (--deny-coverage-regression):",
-            new_gaps.len()
-        );
-        for g in &new_gaps {
-            eprintln!("  {g}");
+    for (count, what) in failures {
+        if count > 0 {
+            eprintln!("\nwdog-lint: {count} {what}; failing");
+            failed = true;
         }
-        failed = true;
     }
     if failed {
         std::process::exit(EXIT_GATE);

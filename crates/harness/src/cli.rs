@@ -18,7 +18,7 @@
 //! - `--out DIR` — the artifact root ([`CampaignCli::out_dir`], default
 //!   `results`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -28,8 +28,9 @@ use wdog_target::WatchdogTarget;
 /// unknown target).
 pub const EXIT_USAGE: i32 = 2;
 
-/// Exit code for a campaign that ran but failed a required gate
-/// (`--require-*`, budget, or guard flags).
+/// Exit code for a campaign that ran but failed one of its built-in checks
+/// (shape, schema, wall budget, replay parity, lint findings). Regressions
+/// against the archive are caught by comparing artifacts, not by flags.
 pub const EXIT_GATE: i32 = 1;
 
 /// The common value flags every campaign binary accepts.
@@ -41,24 +42,17 @@ pub struct CampaignCli {
     bin: &'static str,
     usage: &'static str,
     values: BTreeMap<String, String>,
-    switches: BTreeSet<String>,
 }
 
 impl CampaignCli {
     /// Parses the process arguments against the declared flags, exiting
     /// [`EXIT_USAGE`] with the usage text on any malformed input.
     ///
-    /// `value_flags` take one argument (`--flag v` or `--flag=v`);
-    /// `switch_flags` are bare booleans. The common `--target`, `--seed`,
-    /// and `--out` flags need not be declared.
-    pub fn parse(
-        bin: &'static str,
-        usage: &'static str,
-        value_flags: &[&'static str],
-        switch_flags: &[&'static str],
-    ) -> Self {
+    /// `value_flags` take one argument (`--flag v` or `--flag=v`). The
+    /// common `--target`, `--seed`, and `--out` flags need not be declared.
+    pub fn parse(bin: &'static str, usage: &'static str, value_flags: &[&'static str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse_from(bin, usage, value_flags, switch_flags, &args) {
+        match Self::parse_from(bin, usage, value_flags, &args) {
             Ok(cli) => cli,
             Err(e) => {
                 eprintln!("{bin}: {e}");
@@ -73,13 +67,11 @@ impl CampaignCli {
         bin: &'static str,
         usage: &'static str,
         value_flags: &[&'static str],
-        switch_flags: &[&'static str],
         args: &[String],
     ) -> Result<Self, String> {
         let takes_value =
             |flag: &str| COMMON_VALUE_FLAGS.contains(&flag) || value_flags.contains(&flag);
         let mut values = BTreeMap::new();
-        let mut switches = BTreeSet::new();
         let mut i = 0;
         while i < args.len() {
             let arg = args[i].as_str();
@@ -99,19 +91,9 @@ impl CampaignCli {
                 i += 2;
                 continue;
             }
-            if switch_flags.contains(&arg) {
-                switches.insert(arg.to_owned());
-                i += 1;
-                continue;
-            }
             return Err(format!("unknown flag {arg:?}"));
         }
-        Ok(Self {
-            bin,
-            usage,
-            values,
-            switches,
-        })
+        Ok(Self { bin, usage, values })
     }
 
     /// Prints the usage text plus `msg` and exits [`EXIT_USAGE`].
@@ -124,11 +106,6 @@ impl CampaignCli {
     /// The raw value of a flag, if given.
     pub fn value(&self, flag: &str) -> Option<&str> {
         self.values.get(flag).map(String::as_str)
-    }
-
-    /// Whether a switch was given.
-    pub fn switch(&self, flag: &str) -> bool {
-        self.switches.contains(flag)
     }
 
     /// A flag parsed to `T`, or `default` when absent; malformed values
@@ -144,12 +121,6 @@ impl CampaignCli {
             v.parse()
                 .unwrap_or_else(|_| self.usage_error(&format!("bad value {v:?} for {flag}")))
         })
-    }
-
-    /// A comma-separated flag split into items, `None` when absent.
-    pub fn list(&self, flag: &str) -> Option<Vec<String>> {
-        self.value(flag)
-            .map(|v| v.split(',').map(str::to_owned).collect())
     }
 
     /// The `--target` name, defaulting per binary (`all` for lint, `kvs`
@@ -189,19 +160,15 @@ mod tests {
     }
 
     fn parse(a: &[&str]) -> Result<CampaignCli, String> {
-        CampaignCli::parse_from("t", "usage", &["--rates"], &["--smoke"], &args(a))
+        CampaignCli::parse_from("t", "usage", &["--rates"], &args(a))
     }
 
     #[test]
-    fn parses_both_value_styles_and_switches() {
-        let cli = parse(&["--target", "minizk", "--seed=7", "--smoke", "--rates=10,20"]).unwrap();
+    fn parses_both_value_styles() {
+        let cli = parse(&["--target", "minizk", "--seed=7", "--rates", "10"]).unwrap();
         assert_eq!(cli.target("kvs"), "minizk");
         assert_eq!(cli.seed(), 7);
-        assert!(cli.switch("--smoke"));
-        assert_eq!(
-            cli.list("--rates"),
-            Some(vec!["10".to_owned(), "20".to_owned()])
-        );
+        assert_eq!(cli.parsed("--rates", 0u64), 10);
     }
 
     #[test]
@@ -210,8 +177,7 @@ mod tests {
         assert_eq!(cli.target("kvs"), "kvs");
         assert_eq!(cli.seed(), 42);
         assert_eq!(cli.out_dir(), PathBuf::from("results"));
-        assert!(!cli.switch("--smoke"));
-        assert_eq!(cli.list("--rates"), None);
+        assert_eq!(cli.parsed_opt::<u64>("--rates"), None);
     }
 
     #[test]

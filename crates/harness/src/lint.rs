@@ -6,15 +6,15 @@
 //! straight from the target's Rust source, and [`run_lint`] diffs the
 //! two (plus the generated hook plan) into a
 //! [`wdog_gen::DriftReport`]. The `wdog-lint` binary renders the report
-//! and gates CI with `--deny-drift`.
+//! and exits 1 on any denied finding.
 //!
 //! [`run_analysis`] layers the deeper static passes on top of the same
 //! extraction: the interprocedural call graph, lock-order deadlock
 //! detection, the checker-safety lint, and the coverage-gap matrix
 //! (cross-referenced against chaos-confirmed misses via
 //! [`load_blind_spots`]). The `wdog-lint` binary archives the resulting
-//! [`AnalysisBundle`] under `results/analysis/` and gates CI with
-//! `--deny-unsafe-checker` / `--deny-deadlock-cycle`.
+//! [`AnalysisBundle`] under `results/analysis/` and exits 1 on a
+//! shared-mutation probe or a lock-order cycle.
 
 use std::path::Path;
 
@@ -111,8 +111,8 @@ pub struct AnalysisBundle {
     pub coverage: CoverageMatrix,
 }
 
-/// Reads archived chaos reproducers from `dir` (the regression corpus or
-/// `results/chaos/`) and returns the *missed* ones for `target` as blind
+/// Reads archived chaos reproducers from `dir` (the regression corpus,
+/// `tests/chaos_corpus/`) and returns the *missed* ones for `target` as blind
 /// spots the coverage matrix cross-references. Unreadable or foreign
 /// files are skipped; a missing directory yields an empty list.
 pub fn load_blind_spots(dir: &Path, target: &str) -> Vec<BlindSpot> {

@@ -26,6 +26,8 @@
 //! busy-spin *while holding the compaction lock*, the indexer can start
 //! corrupting values, the request path can leak memory.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod api;
 pub mod compaction;
 pub mod config;

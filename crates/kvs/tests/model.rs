@@ -1,6 +1,9 @@
 //! Model-based testing: kvs against a reference `HashMap` under random
 //! sequential workloads, including crash-recovery equivalence.
 
+// The crash-recovery case waits for real server threads on the real clock.
+#![allow(clippy::disallowed_methods)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -24,6 +24,8 @@
 //! - [`namenode`]: block-location tracking and DataNode liveness;
 //! - [`wd`]: the AutoWatchdog integration (IR, op table, assembly).
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod block;
 pub mod datanode;
 pub mod disk_checker;

@@ -24,6 +24,8 @@
 //! - [`target`]: the campaign surface. Experiment E4 is the scenario
 //!   runner's `replication-link-wedged` on this target (`harness::zk2201`).
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod datatree;
 pub mod msg;
 pub mod processors;

@@ -20,6 +20,8 @@
 //! detectors observe the same behaviour they would in production: operations
 //! hang, slow down, fail, or silently corrupt data.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod disk;
 pub mod latency;
 pub mod net;

@@ -7,10 +7,6 @@
 //! sequence), and walks them on a single clocked thread. Two runs that
 //! build the same timeline therefore apply their events in byte-identical
 //! order, which is what makes a replayed fault schedule reproduce.
-//!
-//! The optional [`Timeline::jittered`] pass derives a per-label offset
-//! perturbation from a seed, so campaigns can decorrelate event times from
-//! round boundaries without giving up reproducibility.
 
 use std::time::Duration;
 
@@ -60,34 +56,6 @@ impl Timeline {
     /// Whether the timeline holds no events.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// The latest event offset, or zero for an empty timeline.
-    pub fn span(&self) -> Duration {
-        self.events
-            .iter()
-            .map(|e| e.at)
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// Perturbs every event's offset by a deterministic, label-derived
-    /// amount in `[0, spread)`. Same seed + same labels ⇒ same jitter.
-    pub fn jittered(mut self, seed: u64, spread: Duration) -> Self {
-        let spread_ms = spread.as_millis() as u64;
-        if spread_ms == 0 {
-            return self;
-        }
-        for e in &mut self.events {
-            // FNV-1a over the label, mixed with the seed and sequence.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed ^ e.seq.rotate_left(17);
-            for b in e.label.as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-            e.at += Duration::from_millis(h % spread_ms);
-        }
-        self
     }
 
     /// Consumes the timeline into its deterministic execution order.
@@ -165,31 +133,6 @@ mod tests {
     fn sorted_order_is_offset_then_insertion() {
         let order: Vec<String> = build().into_sorted().into_iter().map(|e| e.label).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn span_is_latest_offset() {
-        assert_eq!(build().span(), Duration::from_millis(30));
-        assert_eq!(Timeline::new().span(), Duration::ZERO);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let spread = Duration::from_millis(40);
-        let a = build().jittered(9, spread).into_sorted();
-        let b = build().jittered(9, spread).into_sorted();
-        assert_eq!(a, b);
-        let plain = build().into_sorted();
-        for (j, p) in a.iter().zip(&plain) {
-            // Jittered offsets only ever move later, by less than spread.
-            let base = build()
-                .into_sorted()
-                .iter()
-                .find(|e| e.seq == j.seq)
-                .unwrap()
-                .at;
-            assert!(j.at >= base && j.at < base + spread, "{:?} vs {:?}", j, p);
-        }
     }
 
     #[test]

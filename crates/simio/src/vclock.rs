@@ -101,6 +101,10 @@ fn render_state(st: &State) -> String {
 /// The classic stall this catches is an actor blocked on something the
 /// clock cannot see (an OS futex) while holding the run token — the dump's
 /// `running` actor is the culprit.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the stall monitor watches a frozen virtual clock, so it must run on the real one"
+)]
 fn spawn_stall_monitor(core: std::sync::Weak<Core>, interval: Duration) {
     std::thread::Builder::new()
         .name("sim-stall-monitor".into())

@@ -161,18 +161,6 @@ pub struct CoverageMatrix {
     pub totals: CoverageTotals,
 }
 
-impl CoverageMatrix {
-    /// Op ids (plus liveness pseudo-rows) currently not fully covered —
-    /// the set CI diffs against the archived artifact to fail on *newly*
-    /// uncovered vulnerable ops.
-    pub fn gap_keys(&self) -> Vec<String> {
-        self.uncovered_ranked
-            .iter()
-            .map(|g| format!("{}:{}:{}", g.region, g.op_id, g.status.label()))
-            .collect()
-    }
-}
-
 /// Match key for "does some planned op mimic this one": kind label plus
 /// resource family — the same similarity granularity reduction dedups on.
 fn match_key(kind: &OpKind, resource: Option<&str>) -> (String, Option<String>) {

@@ -20,8 +20,8 @@
 //!   initializer is tagged. Bare calls to local helper functions are
 //!   followed one level (`probe_write(&disk, WAL_PROBE_PATH, ..)`);
 //! * the class is then `read-only` (no mutations), `replica-write`
-//!   (every mutation tagged), or `shared-mutation` — which
-//!   `wdog-lint --deny-unsafe-checker` fails CI on.
+//!   (every mutation tagged), or `shared-mutation` — which makes
+//!   `wdog-lint` exit 1.
 //!
 //! A `// wdog: replica <reason>` annotation inside a body is the audited
 //! escape hatch for isolation the lexical rules cannot see (e.g. a

@@ -121,6 +121,10 @@ impl Waiter for CondvarWaiter {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the RealClock waiter bounds its condvar wait in wall time"
+    )]
     fn wait_timeout(&self, d: Duration) -> bool {
         let deadline = std::time::Instant::now() + d;
         let mut st = self.state.lock();
@@ -241,8 +245,9 @@ impl std::fmt::Debug for ActorGuard {
 /// discrete-event clock counts the child as runnable from the moment of
 /// the call — virtual time cannot jump past the child's startup. Every
 /// production thread that sleeps or waits on a clock must be spawned this
-/// way (or adopt a token itself); `wdog-lint --deny-real-clock` enforces
-/// the complementary rule that such threads never touch the real clock.
+/// way (or adopt a token itself); clippy's `disallowed-methods` list in
+/// `crates/clippy.toml` enforces the complementary rule that such threads
+/// never touch the real clock.
 pub fn spawn_on<F, T>(clock: &SharedClock, name: &str, f: F) -> std::thread::JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,
@@ -271,6 +276,10 @@ pub struct RealClock {
 
 impl RealClock {
     /// Creates a real clock whose epoch is "now".
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the RealClock implementation is the one sanctioned wrapper over raw time"
+    )]
     pub fn new() -> Self {
         Self {
             start: std::time::Instant::now(),
@@ -294,6 +303,10 @@ impl Clock for RealClock {
         self.start.elapsed()
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the RealClock implementation is the one sanctioned wrapper over raw time"
+    )]
     fn sleep(&self, d: Duration) {
         std::thread::sleep(d);
     }
@@ -383,7 +396,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn real_clock_is_monotonic() {
+    fn wall_clock_is_monotonic() {
         let c = RealClock::new();
         let a = c.now();
         let b = c.now();
@@ -489,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn real_clock_actor_tokens_are_inert() {
+    fn wall_clock_actor_tokens_are_inert() {
         let clock: SharedClock = RealClock::shared();
         let token = clock.actor("t");
         let guard = token.adopt();

@@ -9,6 +9,8 @@
 //! - [`error`]: the workspace-wide error vocabulary.
 //! - [`rng`]: deterministic, seedable random number helpers.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod checksum;
 pub mod clock;
 pub mod error;

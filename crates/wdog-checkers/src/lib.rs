@@ -21,6 +21,8 @@
 //!
 //! Experiment E2 (`harness table2`) measures all three columns empirically.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod inferred;
 pub mod mimic;
 pub mod probe;

@@ -215,6 +215,10 @@ impl HookSite {
     ///
     /// [`wd_hook!`]: crate::wd_hook
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the telemetry sidecar's sampled hook-fire probe measures real overhead by design"
+    )]
     pub fn fire(&self) -> Option<FireGuard<'_>> {
         if !self.hooks.enabled.load(Ordering::Relaxed) {
             return None;

@@ -28,6 +28,8 @@
 //! deep copy), and each target's op table redirects checker I/O to
 //! `__wd_probe` paths beside the real data.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod action;
 pub mod checker;
 pub mod context;

@@ -10,8 +10,8 @@
 //!
 //! Each disagreement becomes a [`DriftFinding`]. A target may ship an
 //! [`AllowEntry`] list for findings that are understood and deliberate
-//! (every entry carries a human-readable reason); everything else fails
-//! `--deny-drift`. The comparison itself lives in `wdog-analyze::drift`;
+//! (every entry carries a human-readable reason); everything else makes
+//! `wdog-lint` exit 1. The comparison itself lives in `wdog-analyze::drift`;
 //! these types sit here so target crates can export allowlists without
 //! depending on the analyzer.
 

@@ -142,7 +142,7 @@ pub fn render_summary(plan: &WatchdogPlan) -> String {
 
 /// Renders a [`DriftReport`] for terminal output.
 ///
-/// Denied findings come first (they gate `--deny-drift`), then allowed
+/// Denied findings come first (they fail `wdog-lint`), then allowed
 /// ones with their reasons, then non-gating info lines.
 pub fn render_drift(report: &DriftReport) -> String {
     let mut out = String::new();

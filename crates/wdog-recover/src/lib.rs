@@ -32,6 +32,8 @@
 //! its terminal state — so campaigns can report time-to-repair per failure
 //! class.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod coordinator;
 pub mod incident;
 pub mod policy;

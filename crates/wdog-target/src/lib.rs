@@ -18,6 +18,8 @@
 //!   up, replicas spawned, ready to build a watchdog, take faults, and
 //!   serve workload.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -13,8 +13,8 @@
 //!    not just at the drift-key level but through the whole pipeline.
 //! 3. **Deletion detection** — removing one op from a `describe_ir()`
 //!    produces a denied `missing-from-description` finding that names the
-//!    real source site, which is exactly what makes `wdog-lint
-//!    --deny-drift` exit non-zero in CI.
+//!    real source site, which is exactly what makes `wdog-lint` exit
+//!    non-zero in CI.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;

@@ -149,13 +149,12 @@ fn chaos_confirmed_blind_spots_are_statically_flagged() {
 
 #[test]
 fn coverage_matrix_round_trips_through_json() {
-    // `wdog-lint --deny-coverage-regression` re-reads the archived matrix
-    // to diff gap sets; the round trip must be lossless.
+    // The archived `results/analysis/coverage_<t>.json` is the matrix CI
+    // compares byte for byte; reading it back must lose nothing.
     for b in bundles() {
         let json = serde_json::to_string_pretty(&b.coverage).unwrap();
         let back: wdog_analyze::CoverageMatrix = serde_json::from_str(&json).unwrap();
         assert_eq!(back, b.coverage, "{}: matrix round trip lossy", b.target);
-        assert_eq!(back.gap_keys(), b.coverage.gap_keys());
     }
 }
 

@@ -9,9 +9,10 @@ use std::collections::BTreeSet;
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
 /// Instruments `benchmark/` superseded, and mechanisms deleted because
-/// another one already answered their question; neither docs nor CI may
-/// lean on them.
-const RETIRED: [&str; 20] = [
+/// another one already answered their question (the gate flags and the
+/// real-clock scan gave way to archive comparison and clippy); neither docs
+/// nor CI may lean on them.
+const RETIRED: [&str; 30] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -32,6 +33,16 @@ const RETIRED: [&str; 20] = [
     "flight_dropped",
     "GaugeEntry",
     "with_flight_capacity",
+    "--deny-drift",
+    "--deny-real-clock",
+    "--deny-coverage-regression",
+    "--require-detected",
+    "--require-clean-benign",
+    "--require-invariants",
+    "--require-flips",
+    "--require-verified",
+    "--coverage-out",
+    "real_clock.json",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];
