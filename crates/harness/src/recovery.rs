@@ -353,7 +353,10 @@ mod tests {
             .into_iter()
             .find(|s| s.id == "background-task-stuck")
             .unwrap();
-        let r = run_recovery_scenario(&target, &scenario, &quick_opts()).unwrap();
+        // The archived configuration: the wedged compactor polls its stall
+        // toggle every virtual ms, so whether the lock is free at the restart
+        // instant or at the next ms is a matter of phase; here it is 0.
+        let r = run_recovery_scenario(&target, &scenario, &RecoveryOptions::default()).unwrap();
         assert_eq!(
             r.disposition, "verified-recovered",
             "stuck compaction must recover via component restart: {r:?}"
@@ -361,10 +364,11 @@ mod tests {
         assert!(r.restarts >= 1, "recovery must use a component restart");
         assert!(!r.crashed, "the process must never restart");
         assert!(r.coordinator_idle, "coordinator must end idle");
-        // The verifier launched at open blocks on the compaction lock and
-        // passes the instant the restart frees it: two back-offs, no settle,
-        // no second 300 ms lock wait (this read ≈ 700 ms and 3 before PR 20).
-        assert!(r.mttr_ms.is_some_and(|m| m <= 120), "{r:?}");
+        // A `Stuck` report is a timeout the detector already waited out: no
+        // back-off re-waits it, the restart at open frees the compaction
+        // lock and the verifier launched after it passes at that instant.
+        assert_eq!(r.mttr_ms, Some(0), "{r:?}");
+        assert_eq!(r.retries, 0, "{r:?}");
         assert!(r.verifications <= 2, "{r:?}");
     }
 

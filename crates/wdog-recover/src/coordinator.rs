@@ -6,7 +6,10 @@
 //! restart. The ladder's waits (each back-off, the settle, the verify
 //! timeout) are `pop_timeout`s on its one-slot verdict queue, so a pass
 //! closes the incident at the instant it lands and a verifier still blocked
-//! on the real resource is carried into the restart that frees it.
+//! on the real resource is carried into the restart that frees it. A report
+//! whose kind skips the retry rung (see `Worker::run_ladder`) is restarted
+//! the instant its incident opens, and its first verifier is launched right
+//! after the restart.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -303,8 +306,9 @@ struct Flight {
 impl Worker {
     fn run(mut self) {
         // Parked on the clock until a report arrives: an incident opens at
-        // the instant its first report was emitted. `None` is the inbox
-        // closed by `request_stop` and drained.
+        // the instant the worker takes its first report — the instant it
+        // was emitted unless it waited behind another incident's ladder.
+        // `None` is the inbox closed by `request_stop` and drained.
         while let Some(report) = self.backlog.pop_front().or_else(|| self.inbox.pop()) {
             self.handle(report);
             self.shared.consumed(1);
@@ -337,6 +341,7 @@ impl Worker {
             component: component.to_string(),
             checker: report.checker.to_string(),
             kind: report.kind.label().to_string(),
+            reported_at_ms: report.at_ms,
             opened_at_ms,
             closed_at_ms: opened_at_ms,
             mttr_ms: 0,
@@ -391,10 +396,13 @@ impl Worker {
 
         // Rung 1 — retry: wait out a transient, parked on the verifier
         // launched at open. Pointless for corrupted state or failed
-        // assertions, which never heal by themselves.
+        // assertions, which never heal by themselves, and for a `Stuck`
+        // report: it is a timeout that has already elapsed (the driver's
+        // hung-checker timeout, or a `BaseError::Timeout` inside the check),
+        // so the back-offs could only re-wait what the detector waited.
         let skip_retry = matches!(
             report.kind,
-            FailureKind::Corruption | FailureKind::AssertViolation
+            FailureKind::Stuck | FailureKind::Corruption | FailureKind::AssertViolation
         );
         if !skip_retry {
             for attempt in 0..policy.max_retries {
@@ -648,7 +656,7 @@ mod tests {
         // parks on the verifier, so a pass closes inside the first back-off.)
         let fx = Fixture::new(true, u64::MAX);
         let c = fast_coordinator(&fx);
-        c.on_failure(&report("kvs.flusher", FailureKind::Stuck));
+        c.on_failure(&report("kvs.flusher", FailureKind::Error));
         assert!(c.wait_idle(Duration::from_secs(5)));
         let incidents = c.incidents();
         assert_eq!(incidents.len(), 1);
@@ -686,7 +694,7 @@ mod tests {
         let c = RecoveryCoordinator::builder(RealClock::shared(), surface)
             .default_policy(policy)
             .start();
-        c.on_failure(&report("kvs.flusher", FailureKind::Stuck));
+        c.on_failure(&report("kvs.flusher", FailureKind::Error));
         assert!(c.wait_idle(Duration::from_secs(5)));
         let i = &c.incidents()[0];
         assert_eq!(i.outcome, RecoveryOutcome::VerifiedRecovered);
@@ -699,7 +707,7 @@ mod tests {
     fn persistent_fault_recovers_via_restart() {
         let fx = Fixture::new(false, 1);
         let c = fast_coordinator(&fx);
-        c.on_failure(&report("kvs.compaction", FailureKind::Stuck));
+        c.on_failure(&report("kvs.compaction", FailureKind::Error));
         assert!(c.wait_idle(Duration::from_secs(5)));
         let i = &c.incidents()[0];
         assert_eq!(i.outcome, RecoveryOutcome::VerifiedRecovered);
@@ -833,11 +841,11 @@ mod tests {
     fn reports_during_ladder_are_coalesced() {
         let fx = Fixture::new(false, 1);
         let c = fast_coordinator(&fx);
-        c.on_failure(&report("kvs.wal", FailureKind::Stuck));
+        c.on_failure(&report("kvs.wal", FailureKind::Error));
         // Pile more blame onto the same component while the ladder runs.
         for _ in 0..3 {
             std::thread::sleep(Duration::from_millis(10));
-            c.on_failure(&report("kvs.wal", FailureKind::Stuck));
+            c.on_failure(&report("kvs.wal", FailureKind::Error));
         }
         assert!(c.wait_idle(Duration::from_secs(5)));
         let incidents = c.incidents();
@@ -878,8 +886,8 @@ mod tests {
             .default_policy(policy)
             .start();
         assert!(handle.set(Arc::clone(&c)).is_ok());
-        c.on_failure(&report("kvs.flusher", FailureKind::Stuck));
-        c.on_failure(&report("kvs.compaction", FailureKind::Stuck));
+        c.on_failure(&report("kvs.flusher", FailureKind::Error));
+        c.on_failure(&report("kvs.compaction", FailureKind::Error));
         gate.wait();
         gate.wait();
         assert!(c.wait_idle(Duration::from_secs(5)));
@@ -898,7 +906,7 @@ mod tests {
             .telemetry(Arc::clone(&registry))
             .seed(7)
             .start();
-        c.on_failure(&report("kvs.compaction", FailureKind::Stuck));
+        c.on_failure(&report("kvs.compaction", FailureKind::Error));
         assert!(c.wait_idle(Duration::from_secs(5)));
         c.stop();
 

@@ -25,8 +25,8 @@ impl RecoveryOutcome {
     }
 }
 
-/// One closed incident: opened at the first blaming report, closed when the
-/// ladder reached a terminal state.
+/// One closed incident: opened when the coordinator took the first blaming
+/// report, closed when the ladder reached a terminal state.
 ///
 /// MTTR is defined as `closed_at_ms - opened_at_ms` and is recorded for
 /// *every* outcome — a degraded or escalated component still has a finite
@@ -39,7 +39,12 @@ pub struct Incident {
     pub checker: String,
     /// Failure class label of the opening report (`stuck`/`error`/...).
     pub kind: String,
-    /// Coordinator clock time when the first blaming report arrived.
+    /// Watchdog clock time at which the opening report was filed (its
+    /// `at_ms`).
+    pub reported_at_ms: u64,
+    /// Coordinator clock time when the worker took the opening report:
+    /// later than `reported_at_ms` when the report waited behind another
+    /// component's ladder.
     pub opened_at_ms: u64,
     /// Coordinator clock time when the terminal state was reached.
     pub closed_at_ms: u64,
@@ -81,6 +86,7 @@ mod tests {
             component: "kvs.compaction".into(),
             checker: "kvs.compact_once_checker".into(),
             kind: "stuck".into(),
+            reported_at_ms: 90,
             opened_at_ms: 100,
             closed_at_ms: 350,
             mttr_ms: 250,

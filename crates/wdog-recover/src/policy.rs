@@ -58,7 +58,9 @@ pub struct RecoveryPolicy {
     /// Back-off windows the incident's verifier is given to pass before the
     /// component is restarted (transients often clear on their own; liveness
     /// faults on shared substrates usually do not). A verifier still blocked
-    /// when the last one ends is carried into the restart.
+    /// when the last one ends is carried into the restart. `Stuck`,
+    /// `Corruption` and `AssertViolation` reports get none (the coordinator's
+    /// rung 1 says why).
     pub max_retries: u32,
     /// Backoff schedule for the retry rung.
     pub backoff: BackoffPolicy,

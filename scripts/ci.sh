@@ -39,6 +39,14 @@ replay_corpus() {
 # read an earlier one's fresh output. CI never writes under results/.
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
+# `same OLD NEW` is silent when they are equal; otherwise it prints the
+# first 80 lines of their diff, so the log shows which rows moved.
+same() {
+    local out
+    out="$(diff -ru -x '*_telemetry.json' "$1" "$2")" && return 0
+    head -n 80 <<<"$out"
+    return 1
+}
 gate() {
     local runs=$1 artifacts=$2 bin=$3
     shift 3
@@ -48,11 +56,11 @@ gate() {
         cargo run --offline -q --release -p harness --bin "$bin" -- "$@" --out "$scratch/run$i" >/dev/null
     done
     for a in $artifacts; do
-        if [ "$runs" -gt 1 ] && ! diff -rq -x '*_telemetry.json' "$scratch/run1/$a" "$scratch/run$runs/$a"; then
+        if [ "$runs" -gt 1 ] && ! same "$scratch/run1/$a" "$scratch/run$runs/$a"; then
             echo "$bin: $a diverged between consecutive runs — nondeterminism bug"
             exit 1
         fi
-        if ! diff -rq -x '*_telemetry.json' "$scratch/run$runs/$a" "results/$a"; then
+        if ! same "results/$a" "$scratch/run$runs/$a"; then
             echo "$bin: $a differs from results/$a — rerun \`$cmd\` and commit"
             exit 1
         fi

@@ -329,7 +329,7 @@ fn a_zero_backoff_retry_that_verifies_closes_with_zero_mttr() {
         .default_policy(policy)
         .start();
     clock.sleep(MS(40));
-    coordinator.on_failure(&report("comp", FailureKind::Stuck));
+    coordinator.on_failure(&report("comp", FailureKind::Error));
     clock.sleep(MS(1));
     let incidents = coordinator.incidents();
     coordinator.request_stop();
@@ -379,20 +379,21 @@ fn unjittered() -> RecoveryPolicy {
     policy
 }
 
-/// Files one `Stuck` report for `comp` at [`OPEN_MS`], lets the ladder run
+/// Files one `kind` report for `comp` at [`OPEN_MS`], lets the ladder run
 /// for a virtual second and returns the incident it closed.
 fn one_incident(
     clock: &SharedClock,
     main: ActorGuard,
     surface: RecoverySurface,
     policy: RecoveryPolicy,
+    kind: FailureKind,
 ) -> Incident {
     let coordinator = RecoveryCoordinator::builder(Arc::clone(clock), surface)
         .default_policy(policy)
         .seed(LADDER_SEED)
         .start();
     clock.sleep(MS(OPEN_MS));
-    coordinator.on_failure(&report("comp", FailureKind::Stuck));
+    coordinator.on_failure(&report("comp", kind));
     clock.sleep(Duration::from_secs(1));
     let incidents = coordinator.incidents();
     coordinator.request_stop();
@@ -407,7 +408,9 @@ fn one_incident(
 fn a_verifier_blocked_on_the_stuck_resource_is_carried_into_the_restart_that_frees_it() {
     let (clock, main) = sim();
     // The verifier blocks on a gate only `restart()` opens, as the kvs
-    // compaction verifier blocks on the lock a wedged compactor holds.
+    // compaction verifier blocks on the lock a wedged compactor holds. Filed
+    // `Slow`: a fail-slow report still walks the back-offs, so the verifier
+    // launched at open is the one the restart frees.
     let gate: ClockedQueue<()> = ClockedQueue::bounded(&clock, 1);
     let (opened, blocked) = (gate.clone(), gate.clone());
     let (surface, launches) = surface_of(
@@ -421,7 +424,7 @@ fn a_verifier_blocked_on_the_stuck_resource_is_carried_into_the_restart_that_fre
     let policy = RecoveryPolicy::fast();
     let seed = derive_seed(LADDER_SEED, "comp#1");
     let backoffs = policy.backoff.delay(0, seed) + policy.backoff.delay(1, seed);
-    let incident = one_incident(&clock, main, surface, policy);
+    let incident = one_incident(&clock, main, surface, policy, FailureKind::Slow);
     assert!(incident.verified);
     assert_eq!((incident.retries, incident.restarts), (2, 1));
     // Neither a settle nor a fresh verifier's lock wait after the restart:
@@ -440,7 +443,13 @@ fn a_verifier_blocked_on_the_stuck_resource_is_carried_into_the_restart_that_fre
 fn a_component_healthy_at_open_closes_with_zero_mttr() {
     let (clock, main) = sim();
     let (surface, launches) = surface_of(&clock, || {}, || CheckStatus::Pass);
-    let incident = one_incident(&clock, main, surface, RecoveryPolicy::fast());
+    let incident = one_incident(
+        &clock,
+        main,
+        surface,
+        RecoveryPolicy::fast(),
+        FailureKind::Error,
+    );
     assert!(incident.verified);
     assert_eq!(incident.mttr_ms, 0, "no back-off before the first look");
     assert_eq!((incident.retries, incident.restarts), (1, 0));
@@ -468,7 +477,7 @@ fn a_fast_failing_verifier_is_asked_only_at_the_ladders_instants() {
                 }
             },
         );
-        let incident = one_incident(&clock, main, surface, unjittered());
+        let incident = one_incident(&clock, main, surface, unjittered(), FailureKind::Error);
         let expected = *LOOKS.iter().find(|l| **l >= heals_at).unwrap();
         assert!(incident.verified, "heals at {heals_at}: {incident:?}");
         assert_eq!(incident.mttr_ms, expected, "heals at {heals_at}");
@@ -507,7 +516,7 @@ fn a_stale_fail_is_not_counted_against_the_restart_it_predates() {
             }
         },
     );
-    let incident = one_incident(&clock, main, surface, unjittered());
+    let incident = one_incident(&clock, main, surface, unjittered(), FailureKind::Error);
     assert!(incident.verified);
     // Counted, the verdict would end the restart rung and buy a second
     // restart; discarded, a fresh verifier is asked at that instant.
@@ -517,4 +526,146 @@ fn a_stale_fail_is_not_counted_against_the_restart_it_predates() {
         launches.lock().unwrap().as_slice(),
         &[OPEN_MS, OPEN_MS + 95]
     );
+}
+
+#[test]
+fn a_stuck_report_restarts_at_open_and_the_verifier_after_it_closes_the_incident() {
+    let (clock, main) = sim();
+    // The same gate as above, filed `Stuck`: the detector has already
+    // waited out the hang, so no back-off re-waits it and the one verifier
+    // is launched after the restart has opened the gate.
+    let gate: ClockedQueue<()> = ClockedQueue::bounded(&clock, 1);
+    let (opened, blocked) = (gate.clone(), gate.clone());
+    let (surface, launches) = surface_of(
+        &clock,
+        move || opened.close(),
+        move || {
+            blocked.pop();
+            CheckStatus::Pass
+        },
+    );
+    let incident = one_incident(
+        &clock,
+        main,
+        surface,
+        RecoveryPolicy::fast(),
+        FailureKind::Stuck,
+    );
+    assert!(incident.verified);
+    assert_eq!(incident.closed_at_ms, OPEN_MS);
+    assert_eq!(
+        (incident.retries, incident.restarts, incident.verifications),
+        (0, 1, 1)
+    );
+    assert_eq!(launches.lock().unwrap().as_slice(), &[OPEN_MS]);
+}
+
+#[test]
+fn a_stuck_report_on_a_component_healthy_at_open_still_costs_one_restart() {
+    // The price of the rule: nothing looks before the restart, so a hang
+    // that cleared before the worker took its report is restarted anyway.
+    let (clock, main) = sim();
+    let restarts = Arc::new(AtomicU64::new(0));
+    let r = Arc::clone(&restarts);
+    let (surface, _) = surface_of(
+        &clock,
+        move || {
+            r.fetch_add(1, Ordering::SeqCst);
+        },
+        || CheckStatus::Pass,
+    );
+    let incident = one_incident(
+        &clock,
+        main,
+        surface,
+        RecoveryPolicy::fast(),
+        FailureKind::Stuck,
+    );
+    assert!(incident.verified);
+    assert_eq!(incident.closed_at_ms, OPEN_MS);
+    assert_eq!((incident.retries, incident.restarts), (0, 1));
+    assert_eq!(restarts.load(Ordering::SeqCst), 1);
+}
+
+/// A recovery surface whose component fails every check until its first
+/// restart, plus the instants verifiers were launched (see [`surface_of`]).
+fn healed_by_restart(clock: &SharedClock) -> (RecoverySurface, Arc<Mutex<Vec<u64>>>) {
+    let restarted = Arc::new(AtomicBool::new(false));
+    let (r, seen) = (Arc::clone(&restarted), restarted);
+    surface_of(
+        clock,
+        move || r.store(true, Ordering::SeqCst),
+        move || {
+            if seen.load(Ordering::SeqCst) {
+                CheckStatus::Pass
+            } else {
+                failure("comp")
+            }
+        },
+    )
+}
+
+#[test]
+fn only_a_stuck_report_skips_the_back_offs() {
+    // Slow and Error reports look at open and at the end of each back-off
+    // (20, 60) before the restart at 60, whose verifier passes; a Stuck
+    // report is restarted at open.
+    for (kind, looks, retries) in [
+        (FailureKind::Slow, &[0, 20, 60, 60][..], 2),
+        (FailureKind::Error, &[0, 20, 60, 60][..], 2),
+        (FailureKind::Stuck, &[0][..], 0),
+    ] {
+        let (clock, main) = sim();
+        let (surface, launches) = healed_by_restart(&clock);
+        let incident = one_incident(&clock, main, surface, unjittered(), kind);
+        assert!(incident.verified, "{kind}: {incident:?}");
+        assert_eq!(
+            (incident.retries, incident.restarts),
+            (retries, 1),
+            "{kind}"
+        );
+        let after_open: Vec<u64> = launches
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|at| at - OPEN_MS)
+            .collect();
+        assert_eq!(after_open, looks, "{kind}");
+        assert_eq!(incident.mttr_ms, looks[looks.len() - 1], "{kind}");
+    }
+}
+
+#[test]
+fn a_report_that_waits_behind_another_ladder_keeps_the_instant_it_was_filed() {
+    let (clock, main) = sim();
+    let (surface, _) = healed_by_restart(&clock);
+    let coordinator = RecoveryCoordinator::builder(Arc::clone(&clock), surface)
+        .default_policy(unjittered())
+        .start();
+    clock.sleep(MS(OPEN_MS));
+    for component in ["a", "b"] {
+        coordinator.on_failure(&FailureReport {
+            at_ms: clock.now_millis(),
+            ..report(component, FailureKind::Error)
+        });
+    }
+    clock.sleep(Duration::from_secs(1));
+    let incidents = coordinator.incidents();
+    coordinator.request_stop();
+    main.retire();
+    coordinator.stop();
+    assert_eq!(incidents.len(), 2, "{incidents:?}");
+    let (a, b) = (&incidents[0], &incidents[1]);
+    assert_eq!((a.reported_at_ms, a.opened_at_ms), (OPEN_MS, OPEN_MS));
+    assert_eq!(
+        a.closed_at_ms,
+        OPEN_MS + 60,
+        "two back-offs, then a restart"
+    );
+    assert_eq!(b.reported_at_ms, OPEN_MS);
+    assert_eq!(
+        b.opened_at_ms, a.closed_at_ms,
+        "taken when a's ladder closed"
+    );
+    assert_eq!(b.mttr_ms, b.closed_at_ms - b.opened_at_ms);
 }
