@@ -6,15 +6,16 @@
 //! 2. **Detection latency vs. checking interval**: the watchdog's latency
 //!    for a stuck-WAL gray failure as the round interval sweeps — virtual
 //!    milliseconds, reproducible to the digit like every scenario run.
-//! 3. **Concurrent vs. in-place checking** (§3.1): average client request
+//! 3. **Concurrent vs. in-place checking** (§3.1): mean client request
 //!    latency when heavyweight checks run concurrently on the watchdog's
-//!    executors vs. in place on the request thread. Wall time is the
-//!    measurand, so this one stays on the real clock and its numbers move
-//!    from run to run.
+//!    executors vs. in place on the request thread — virtual microseconds
+//!    on a fresh `SimClock` per configuration, so this one reproduces to
+//!    the digit too.
 //!
 //! (The fourth ablation the design calls out — similar-op dedup and global
 //! reduction — is tabulated by experiment E3b's `no-dedup` rows.)
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -24,8 +25,8 @@ use kvs::wd::{
     generate_kvs_plan, op_table, op_table_unsynced, publish_assumed_contexts, Families, WdOptions,
 };
 use kvs::{KvsConfig, KvsServer};
-use simio::disk::SimDisk;
-use wdog_base::clock::{RealClock, SharedClock};
+use simio::{LatencyModel, SimClock, SimDisk};
+use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
 use wdog_core::prelude::*;
 use wdog_gen::interp::{instantiate, InstantiateOptions};
@@ -34,6 +35,7 @@ use wdog_target::WatchdogTarget;
 
 use crate::fmt::Table;
 use crate::scenario::{run_scenario, RunnerOptions};
+use crate::session::Session;
 
 /// E6a result: context-synchronization ablation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -60,7 +62,7 @@ pub struct LatencyPoint {
 /// E6c result: in-place vs concurrent checking cost.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlacementAblation {
-    /// Mean request latency with no checking at all, microseconds.
+    /// Mean request latency with no checking at all, virtual microseconds.
     pub baseline_us: u64,
     /// Mean request latency with concurrent (watchdog) checking.
     pub concurrent_us: u64,
@@ -80,16 +82,18 @@ pub struct AblationResult {
 }
 
 /// E6a: run the generated mimic checkers over an in-memory kvs, once with
-/// real (never-published) contexts and once with assumed defaults.
+/// real (never-published) contexts and once with assumed defaults. The
+/// checks run inline and time nothing, so the calling thread stays a
+/// spectator of the server's clock.
 pub fn run_context_ablation() -> BaseResult<ContextAblation> {
+    let clock = SimClock::shared();
     let server = KvsServer::start(
         KvsConfig::in_memory(),
-        RealClock::shared(),
-        SimDisk::for_tests(),
+        Arc::clone(&clock),
+        SimDisk::new(1 << 30, LatencyModel::zero(), Arc::clone(&clock)),
         None,
     )?;
     let plan = generate_kvs_plan(&ReductionConfig::default());
-    let clock: SharedClock = RealClock::shared();
     let opts = InstantiateOptions::default();
 
     let mut synced = instantiate(
@@ -99,12 +103,11 @@ pub fn run_context_ablation() -> BaseResult<ContextAblation> {
         &clock,
         &opts,
     )?;
-    let mut synced_false_alarms = 0;
-    for c in &mut synced {
-        if c.check().is_fail() {
-            synced_false_alarms += 1;
-        }
-    }
+    let synced_false_alarms = synced
+        .iter_mut()
+        .map(|c| c.check())
+        .filter(CheckStatus::is_fail)
+        .count();
 
     publish_assumed_contexts(&server.context());
     let mut unsynced = instantiate(
@@ -114,12 +117,11 @@ pub fn run_context_ablation() -> BaseResult<ContextAblation> {
         &clock,
         &opts,
     )?;
-    let mut unsynced_false_alarms = 0;
-    for c in &mut unsynced {
-        if c.check().is_fail() {
-            unsynced_false_alarms += 1;
-        }
-    }
+    let unsynced_false_alarms = unsynced
+        .iter_mut()
+        .map(|c| c.check())
+        .filter(CheckStatus::is_fail)
+        .count();
 
     Ok(ContextAblation {
         synced_checks: synced.len(),
@@ -161,82 +163,81 @@ pub fn run_latency_sweep(intervals_ms: &[u64]) -> BaseResult<Vec<LatencyPoint>> 
     Ok(points)
 }
 
-/// Builds `n` heavyweight checkers, each costing `cost` per execution.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "E6c measures request latency in wall time: checker cost must be real CPU-side delay"
-)]
-fn heavy_checkers(n: usize, cost: Duration) -> Vec<Box<dyn Checker>> {
-    (0..n)
-        .map(|i| {
-            Box::new(FnChecker::new(
-                format!("heavy-{i}"),
-                "ablation",
-                move || {
-                    std::thread::sleep(cost);
-                    CheckStatus::Pass
-                },
-            )) as Box<dyn Checker>
-        })
-        .collect()
+/// E6c's request count per configuration.
+const REQUESTS: usize = 300;
+/// One in-place checking round is charged every this many requests.
+const INPLACE_EVERY: usize = 25;
+
+/// Where E6c runs its heavyweight checkers.
+enum Placement {
+    None,
+    Concurrent,
+    InPlace,
 }
 
-/// E6c: the cost of running heavyweight checks in place vs concurrently.
-pub fn run_placement_ablation() -> BaseResult<PlacementAblation> {
-    const REQUESTS: usize = 300;
-    const CHECKERS: usize = 4;
+/// An unstarted driver with four heavyweight checkers, each costing 10 ms
+/// of `clock` time per execution.
+fn heavy_driver(clock: &SharedClock) -> BaseResult<WatchdogDriver> {
     const CHECK_COST: Duration = Duration::from_millis(10);
-    /// One in-place checking round is charged every this many requests.
-    const INPLACE_EVERY: usize = 25;
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "E6c's measurand is wall-clock request latency"
-    )]
-    let measure = |server: &KvsServer, mut inline: Option<&mut WatchdogDriver>| -> u64 {
-        let client = server.client();
-        let start = std::time::Instant::now();
-        for i in 0..REQUESTS {
-            client.set(&format!("k{}", i % 64), "v").expect("request");
-            if let Some(driver) = inline.as_deref_mut() {
-                if i % INPLACE_EVERY == 0 {
-                    // The design the paper argues against: checks execute on
-                    // the request path.
-                    let _ = driver.run_inline_round();
-                }
-            }
-        }
-        (start.elapsed().as_micros() as u64) / REQUESTS as u64
-    };
-
-    // Baseline.
-    let server = KvsServer::for_tests();
-    let baseline_us = measure(&server, None);
-
-    // Concurrent: same checkers on the watchdog's own executors.
-    let server = KvsServer::for_tests();
-    let mut driver = WatchdogDriver::builder()
+    let checkers = (0..4).map(|i| {
+        let clock = Arc::clone(clock);
+        Box::new(FnChecker::new(
+            format!("heavy-{i}"),
+            "ablation",
+            move || {
+                clock.sleep(CHECK_COST);
+                CheckStatus::Pass
+            },
+        )) as Box<dyn Checker>
+    });
+    WatchdogDriver::builder()
         .config(WatchdogConfig {
             policy: SchedulePolicy::every(Duration::from_millis(50)),
             ..WatchdogConfig::default()
         })
-        .checkers(heavy_checkers(CHECKERS, CHECK_COST))
-        .build()?;
-    driver.start()?;
-    let concurrent_us = measure(&server, None);
-    driver.stop();
+        .clock(Arc::clone(clock))
+        .checkers(checkers)
+        .build()
+}
 
-    // In place: the same checks executed on the request thread.
-    let server = KvsServer::for_tests();
-    let mut driver = WatchdogDriver::builder()
-        .checkers(heavy_checkers(CHECKERS, CHECK_COST))
-        .build()?;
-    let inplace_us = measure(&server, Some(&mut driver));
+/// Boots kvs on a fresh `SimClock`, places the heavy checkers, and returns
+/// the mean virtual latency of `REQUESTS` API round trips, in µs.
+fn mean_request_us(placement: Placement) -> BaseResult<u64> {
+    let mut session = Session::boot(&KvsTarget, 42, SimClock::shared(), "ablation-main")?;
+    let clock = Arc::clone(session.clock());
+    let mut inline = None;
+    match placement {
+        Placement::None => {}
+        Placement::Concurrent => {
+            let mut driver = heavy_driver(&clock)?;
+            driver.start()?;
+            // Its joins follow the session's retire: the hook owns the
+            // driver, and the session drops the hook last.
+            session.at_stop(move || driver.request_stop());
+        }
+        Placement::InPlace => inline = Some(heavy_driver(&clock)?),
+    }
+    let probe = session.inst().api_probe();
+    let start = clock.now();
+    for i in 0..REQUESTS {
+        probe()?;
+        if let Some(driver) = &mut inline {
+            if i % INPLACE_EVERY == 0 {
+                // The design the paper argues against: checks execute on
+                // the request path.
+                driver.run_inline_round()?;
+            }
+        }
+    }
+    Ok((clock.now() - start).as_micros() as u64 / REQUESTS as u64)
+}
 
+/// E6c: the cost of running heavyweight checks in place vs concurrently.
+pub fn run_placement_ablation() -> BaseResult<PlacementAblation> {
     Ok(PlacementAblation {
-        baseline_us,
-        concurrent_us,
-        inplace_us,
+        baseline_us: mean_request_us(Placement::None)?,
+        concurrent_us: mean_request_us(Placement::Concurrent)?,
+        inplace_us: mean_request_us(Placement::InPlace)?,
     })
 }
 
@@ -284,7 +285,7 @@ pub fn render(result: &AblationResult) -> String {
     }
     out.push_str(&t.render());
 
-    out.push_str("\nE6c: concurrent vs in-place checking (mean request latency)\n");
+    out.push_str("\nE6c: concurrent vs in-place checking (mean request latency, virtual time)\n");
     let mut t = Table::new(&["configuration", "mean request latency"]);
     t.row_owned(vec![
         "no checking".into(),

@@ -724,21 +724,8 @@ pub fn render(report: &ChaosReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faults::catalog::{gray_failure_catalog, TargetProfile};
     use faults::spec::FaultSpec;
     use kvs::target::KvsTarget;
-
-    fn pool() -> Vec<Scenario> {
-        gray_failure_catalog(&TargetProfile::default())
-            .into_iter()
-            .filter(|s| {
-                !matches!(
-                    s.kind,
-                    FaultKind::ProcessCrash | FaultKind::MemoryLeak { .. }
-                )
-            })
-            .collect()
-    }
 
     #[test]
     fn chaos_pool_excludes_crash_and_leak() {
@@ -754,7 +741,8 @@ mod tests {
     fn shrink_drops_redundant_faults_under_oracle() {
         // Build a two-fault schedule where only the first fault matters;
         // the oracle "fails" iff a disk-stuck fault survives.
-        let mut s = compose_schedule(&pool(), 7, 0, &ComposeOptions::default()).unwrap();
+        let mut s =
+            compose_schedule(&chaos_pool(&KvsTarget), 7, 0, &ComposeOptions::default()).unwrap();
         while s.faults.len() < 2 {
             let mut extra = s.faults[0].clone();
             extra.spec.name = "padding#9".into();
@@ -795,7 +783,8 @@ mod tests {
 
     #[test]
     fn shrink_respects_its_budget() {
-        let s = compose_schedule(&pool(), 7, 1, &ComposeOptions::default()).unwrap();
+        let s =
+            compose_schedule(&chaos_pool(&KvsTarget), 7, 1, &ComposeOptions::default()).unwrap();
         let (_, _, evals) = shrink(&s, 3, |_| Ok(false)).unwrap();
         assert!(evals <= 3);
     }
@@ -805,7 +794,8 @@ mod tests {
         use wdog_base::ids::CheckerId;
         use wdog_core::report::{FailureKind, FailureReport, FaultLocation};
         let target = KvsTarget;
-        let mut s = compose_schedule(&pool(), 11, 0, &ComposeOptions::default()).unwrap();
+        let mut s =
+            compose_schedule(&chaos_pool(&KvsTarget), 11, 0, &ComposeOptions::default()).unwrap();
         s.faults.truncate(1);
         s.faults[0].component_hint = "wal".into();
         let onset = 1_000 + s.faults[0].spec.start_after.as_millis() as u64;
@@ -896,7 +886,8 @@ mod tests {
     #[test]
     fn exemplar_packages_the_first_outcome() {
         let target = KvsTarget;
-        let s = compose_schedule(&pool(), 13, 0, &ComposeOptions::default()).unwrap();
+        let s =
+            compose_schedule(&chaos_pool(&KvsTarget), 13, 0, &ComposeOptions::default()).unwrap();
         let outcome = score_schedule(&target, &s, &[], 1_000, None);
         let report = ChaosReport {
             target: "kvs".into(),

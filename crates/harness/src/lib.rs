@@ -61,23 +61,27 @@ pub fn result_name(experiment: &str, target: &str) -> String {
     }
 }
 
+/// Writes `text` to `<dir>/<file>`, creating `dir`. Failures are reported
+/// but non-fatal: printing the table matters more than archiving it.
+fn write_under(dir: &std::path::Path, file: &str, text: &str) -> bool {
+    let path = dir.join(file);
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("warning: cannot write {}: {e}", path.display());
+            false
+        }
+    }
+}
+
 /// Writes an experiment result as pretty JSON to `<dir>/<name>.json` (the
 /// campaign binaries' `--out` root).
-///
-/// Creation failures are reported but non-fatal: printing the table matters
-/// more than archiving it.
 pub fn write_json_under(dir: &std::path::Path, name: &str, value: &impl serde::Serialize) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
+    let file = format!("{name}.json");
     match serde_json::to_string_pretty(value) {
         Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("\n[raw results written to {}]", path.display());
+            if write_under(dir, &file, &json) {
+                println!("\n[raw results written to {}]", dir.join(file).display());
             }
         }
         Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
@@ -87,10 +91,7 @@ pub fn write_json_under(dir: &std::path::Path, name: &str, value: &impl serde::S
 /// Writes `<dir>/<name>.err`: the mark a failed run leaves beside an
 /// artifact that was archived anyway and must not be trusted.
 pub fn write_err_sidecar_under(dir: &std::path::Path, name: &str, text: &str) {
-    let path = dir.join(format!("{name}.err"));
-    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
-        eprintln!("warning: cannot write {}: {e}", path.display());
-    }
+    write_under(dir, &format!("{name}.err"), text);
 }
 
 /// Removes a stale `<dir>/<name>.err` sidecar after a successful run.
@@ -118,9 +119,10 @@ pub fn clear_err_sidecar_under(dir: &std::path::Path, name: &str) {
 pub type ShapeCheck<'a, R> = (fn(&R) -> Vec<String>, &'a str);
 
 /// What every table binary does with one finished experiment: print the
-/// rendered table, print the shape verdict when the experiment has one, and
-/// archive the raw result as `<out>/<name>.json`. Returns whether the
-/// experiment ran; a failed one is reported on stderr.
+/// rendered table and the shape verdict when the experiment has one, and
+/// archive both as `<out>/<name>.txt` and the raw result as
+/// `<out>/<name>.json`. Returns whether the experiment ran and its shape
+/// held; a failed run is reported on stderr.
 fn emit_table<R: serde::Serialize>(
     out: &std::path::Path,
     name: &str,
@@ -135,20 +137,23 @@ fn emit_table<R: serde::Serialize>(
             return false;
         }
     };
-    println!("{}", render(&result));
-    if let Some((violations, ok_note)) = shape {
+    let mut text = format!("{}\n", render(&result));
+    let violations = shape.map_or_else(Vec::new, |(violations, ok_note)| {
         let violations = violations(&result);
         if violations.is_empty() {
-            println!("shape check: OK{ok_note}");
+            text.push_str(&format!("shape check: OK{ok_note}\n"));
         } else {
-            println!("shape check: VIOLATIONS");
-            for v in violations {
-                println!("  - {v}");
+            text.push_str("shape check: VIOLATIONS\n");
+            for v in &violations {
+                text.push_str(&format!("  - {v}\n"));
             }
         }
-    }
+        violations
+    });
+    print!("{text}");
+    write_under(out, &format!("{name}.txt"), &text);
     write_json_under(out, name, &result);
-    true
+    violations.is_empty()
 }
 
 /// The whole of a per-target scenario-table binary (`table1`, `table2`): for
@@ -241,5 +246,26 @@ mod tests {
         assert!(!scratch.join("recovery.err").exists());
         assert!(archive.join("recovery.err").exists());
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_shape_violation_fails_the_table_and_is_archived() {
+        let out = std::env::temp_dir().join(format!("harness-shape-{}", std::process::id()));
+        let shape: ShapeCheck<'_, u32> = (|_| vec!["the paper's claim broke".into()], "");
+
+        assert!(!emit_table(
+            &out,
+            "claim",
+            Ok(7),
+            |n| format!("{n}\n"),
+            Some(shape)
+        ));
+
+        let text = std::fs::read_to_string(out.join("claim.txt")).unwrap();
+        assert_eq!(
+            text,
+            "7\n\nshape check: VIOLATIONS\n  - the paper's claim broke\n"
+        );
+        std::fs::remove_dir_all(&out).unwrap();
     }
 }

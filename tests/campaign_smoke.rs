@@ -154,6 +154,16 @@ fn context_ablation_reproduces_the_spurious_report() {
     assert!(ablation.unsynced_false_alarms >= 1);
 }
 
+/// E6c runs in virtual time: the three means are a pure function of the
+/// seed, and checks on the request path cost it their full duration.
+#[test]
+fn placement_ablation_reproduces_in_virtual_time() {
+    let a = harness::ablations::run_placement_ablation().unwrap();
+    let b = harness::ablations::run_placement_ablation().unwrap();
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert!(a.inplace_us > a.concurrent_us, "{a:?}");
+}
+
 #[test]
 fn reduction_experiment_shape_holds() {
     let result = harness::reduction::run();
