@@ -230,6 +230,24 @@ impl Injector {
             ArmedFault::Crash => {}
         }
     }
+
+    /// Clears every fault armed on any bound surface, handle or not — disk,
+    /// then network, then toggles, then the stall gate — so wedged threads
+    /// can drain at teardown.
+    pub fn clear_all(&self) {
+        if let Some(disk) = &self.disk {
+            disk.clear_all();
+        }
+        if let Some(net) = &self.net {
+            net.clear_all();
+        }
+        if let Some(t) = &self.toggles {
+            t.clear_all();
+        }
+        if let Some(s) = &self.stall {
+            s.set_stalled(false);
+        }
+    }
 }
 
 impl std::fmt::Debug for Injector {
@@ -319,6 +337,39 @@ mod tests {
         assert!(toggles.is_set("kvs.compaction.stuck"));
         inj.clear(&armed);
         assert!(!toggles.is_set("kvs.compaction.stuck"));
+    }
+
+    #[test]
+    fn clear_all_restores_every_surface() {
+        let (inj, disk, net, stall, toggles) = full_injector();
+        let mb = net.register("b");
+        for kind in [
+            FaultKind::DiskError {
+                path_prefix: "wal/".into(),
+            },
+            FaultKind::NetDrop {
+                src: "a".into(),
+                dst: "b".into(),
+            },
+            FaultKind::TaskStuck {
+                toggle: "kvs.compaction.stuck".into(),
+            },
+            FaultKind::RuntimePause { millis: 60_000 },
+        ] {
+            inj.inject(&kind).unwrap();
+        }
+        assert!(disk.append("wal/0", b"x").is_err());
+        net.send("a", "b", bytes::Bytes::from_static(b"x")).unwrap();
+        assert!(mb.recv_timeout(Duration::from_millis(20)).is_none());
+        assert!(toggles.is_set("kvs.compaction.stuck"));
+        assert!(stall.is_stalled());
+
+        inj.clear_all();
+        assert!(disk.append("wal/0", b"x").is_ok());
+        net.send("a", "b", bytes::Bytes::from_static(b"y")).unwrap();
+        assert!(mb.recv_timeout(Duration::from_millis(200)).is_some());
+        assert!(!toggles.is_set("kvs.compaction.stuck"));
+        assert!(!stall.is_stalled());
     }
 
     #[test]

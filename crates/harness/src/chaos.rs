@@ -306,14 +306,7 @@ pub fn run_schedule(
     // Until-end faults are still armed; `finish` clears every surface.
     let reports = session.finish();
     if let Some(m) = &opts.metrics {
-        if let Some((disk, net)) = session.inst().io_stats() {
-            for (op, s) in disk.rows() {
-                m.sim_io_disk(op, s.calls, s.faults);
-            }
-            for (op, s) in net.rows() {
-                m.sim_io_net(op, s.calls, s.faults);
-            }
-        }
+        session.inst().substrate().export_io(m);
     }
 
     Ok(score_schedule(

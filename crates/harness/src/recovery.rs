@@ -31,7 +31,7 @@ use faults::spec::FaultKind;
 use faults::Scenario;
 use simio::SimClock;
 use wdog_base::clock::{RealClock, SharedClock};
-use wdog_base::error::{BaseError, BaseResult};
+use wdog_base::error::BaseResult;
 use wdog_base::rng::derive_seed;
 use wdog_core::prelude::*;
 use wdog_recover::{RecoveryCoordinator, RecoveryOutcome, RecoveryPolicy};
@@ -186,9 +186,7 @@ pub fn run_recovery_scenario(
         RealClock::shared()
     };
     let mut session = Session::boot(target, seed, Arc::clone(&clock), "recovery-main")?;
-    let surface = session.inst().recovery_surface().ok_or_else(|| {
-        BaseError::InvalidState(format!("{} exposes no recovery surface", target.name()))
-    })?;
+    let surface = session.inst().recovery_surface();
 
     let mut coord_builder = RecoveryCoordinator::builder(Arc::clone(&clock), surface)
         .default_policy(opts.policy.clone())

@@ -312,7 +312,7 @@ pub fn run_scenario(
     };
     outcomes.push(wd_outcome);
 
-    let (workload_ok, workload_failed) = session.inst().workload_counters();
+    let (workload_ok, workload_failed) = session.workload_counters();
     Ok(ScenarioResult {
         scenario: label,
         expected_class: scenario

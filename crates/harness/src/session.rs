@@ -3,11 +3,12 @@
 //! Every campaign — [`scenario`](crate::scenario), [`chaos`](crate::chaos),
 //! [`recovery`](crate::recovery), [`infer`](crate::infer) — runs the same
 //! protocol around what it measures: boot the target on the campaign's
-//! clock, wire the injector, assemble and start the watchdog, start the
-//! workload, observe in bounded wakes, then stop everything at one instant
-//! and join. [`Session`] is that protocol, stated once and the same on
-//! every clock; the campaigns keep only what is theirs (fault timelines,
-//! hold/heal, detector sampling, scoring).
+//! clock, wire the injector, assemble and start the watchdog, spawn the
+//! workload over the target's request, observe in bounded wakes, then clear
+//! every fault, stop everything at one instant and join. [`Session`] is that
+//! protocol, stated once and the same on every clock; the campaigns keep
+//! only what is theirs (fault timelines, hold/heal, detector sampling,
+//! scoring).
 //!
 //! The teardown order is the part that must not be re-typed. On a
 //! discrete-event clock the harness thread is itself an actor, so virtual
@@ -30,7 +31,10 @@ use faults::injector::Injector;
 use wdog_base::clock::{ActorGuard, SharedClock};
 use wdog_base::error::BaseResult;
 use wdog_core::prelude::{FailureReport, WatchdogDriver};
-use wdog_target::{TargetInstance, WatchdogTarget, WdOptions, WorkloadObserver, WorkloadProfile};
+use wdog_target::{
+    spawn_workload_on, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle, WorkloadObserver,
+    WorkloadProfile,
+};
 
 /// Longest single sleep of [`Session::sleep_until`].
 const WAKE: Duration = Duration::from_millis(50);
@@ -42,9 +46,10 @@ pub struct Session {
     /// The harness thread's registration on `clock` (inert on the real
     /// clock); `None` once the session has stopped.
     main: Option<ActorGuard>,
-    // Declared, and so dropped, before `inst`: its checkers hold handles
-    // into the instance.
+    // Declared, and so dropped, before `inst`: their checkers and requests
+    // hold handles into the instance.
     driver: Option<WatchdogDriver>,
+    workload: Option<WorkloadHandle>,
     inst: Box<dyn TargetInstance>,
     injector: Injector,
     crashed: Arc<AtomicBool>,
@@ -78,6 +83,7 @@ impl Session {
             injector,
             crashed,
             driver: None,
+            workload: None,
             at_stop: None,
         })
     }
@@ -102,6 +108,13 @@ impl Session {
         self.crashed.load(Ordering::Relaxed)
     }
 
+    /// `(ok, failed)` workload request counts so far.
+    pub fn workload_counters(&self) -> (u64, u64) {
+        self.workload
+            .as_ref()
+            .map_or((0, 0), WorkloadHandle::counters)
+    }
+
     /// Sets the non-blocking stop request to issue at the stop instant,
     /// with the instance's and the driver's — for the one party the session
     /// does not own but that would otherwise outwait the run (the recovery
@@ -110,8 +123,9 @@ impl Session {
         self.at_stop = Some(Box::new(hook));
     }
 
-    /// Assembles the watchdog from `wd`, starts its driver, then starts the
-    /// steady workload (`workload` reseeded with the boot seed).
+    /// Assembles the watchdog from `wd`, starts its driver, then spawns the
+    /// steady workload (`workload` reseeded with the boot seed) over the
+    /// instance's request; request outcomes go to `observer`.
     pub fn arm(
         &mut self,
         wd: &WdOptions,
@@ -122,13 +136,12 @@ impl Session {
         // Owned before it starts: a half-started driver must go through
         // the ordered teardown too, not through its own joining `Drop`.
         self.driver.insert(driver).start()?;
-        self.inst.start_workload(
-            &WorkloadProfile {
-                seed: self.seed,
-                ..workload.clone()
-            },
-            observer,
-        );
+        let profile = WorkloadProfile {
+            seed: self.seed,
+            ..workload.clone()
+        };
+        let request = self.inst.workload(&profile);
+        self.workload = Some(spawn_workload_on(&self.clock, &profile, observer, request));
         Ok(())
     }
 
@@ -148,7 +161,9 @@ impl Session {
         }
     }
 
-    /// Raises every stop flag at one instant, then joins the workload and
+    /// Clears every armed fault so wedged threads can drain, raises every
+    /// stop flag at one instant (the workload's first), then joins the
+    /// workload and
     /// the watchdog — everything but the instance's own threads, which
     /// [`Session::finish`] or `Drop` tear down — and returns the driver's
     /// reports up to that instant. Idempotent; later calls return an empty
@@ -157,9 +172,12 @@ impl Session {
         let Some(main) = self.main.take() else {
             return Vec::new();
         };
-        self.inst.clear_faults();
+        self.injector.clear_all();
         // The stop instant: every loop observes the same stop time and no
         // report past it can leak into scoring.
+        if let Some(w) = &self.workload {
+            w.request_stop();
+        }
         self.inst.request_stop();
         let reports = self.driver.as_ref().map_or_else(Vec::new, |d| {
             d.request_stop();
@@ -170,7 +188,9 @@ impl Session {
         }
         main.retire();
         // Blocking joins, with virtual time free-running.
-        self.inst.stop_workload();
+        if let Some(w) = &mut self.workload {
+            w.stop();
+        }
         if let Some(d) = &mut self.driver {
             d.stop();
         }
@@ -199,6 +219,7 @@ mod tests {
 
     use faults::schedule::{compose_schedule, ComposeOptions};
     use faults::spec::FaultKind;
+    use kvs::target::KvsTarget;
     use miniblock::target::DnTarget;
     use minizk::target::ZkTarget;
     use simio::SimClock;
@@ -224,6 +245,46 @@ mod tests {
         FaultKind::TaskStuck {
             toggle: "compaction".into(),
         }
+    }
+
+    /// `FaultSurface` filters each catalogue and the target's `injector()`
+    /// binds the surfaces: every listed scenario must arm and clear through
+    /// a session's injector, every shared scenario left out must be refused,
+    /// and the crash arms last.
+    #[test]
+    fn each_catalogue_arms_and_clears_through_its_session_injector() {
+        within_a_minute(|| {
+            let shared = KvsTarget.catalog();
+            let targets: [&dyn WatchdogTarget; 3] = [&KvsTarget, &ZkTarget, &DnTarget];
+            for target in targets {
+                let catalog = target.catalog();
+                let session = Session::boot(target, 1, SimClock::shared(), "test-main").unwrap();
+                let injector = session.injector();
+                let (crash, rest): (Vec<_>, Vec<_>) = catalog
+                    .iter()
+                    .partition(|s| matches!(s.kind, FaultKind::ProcessCrash));
+                for s in rest {
+                    let armed = injector
+                        .inject(&s.kind)
+                        .unwrap_or_else(|e| panic!("{}/{}: {e}", target.name(), s.id));
+                    injector.clear(&armed);
+                }
+                for s in shared
+                    .iter()
+                    .filter(|s| catalog.iter().all(|c| c.id != s.id))
+                {
+                    assert!(
+                        injector.inject(&s.kind).is_err(),
+                        "{}/{} is not catalogued but arms",
+                        target.name(),
+                        s.id
+                    );
+                }
+                assert_eq!(crash.len(), 1, "{}: one crash scenario", target.name());
+                injector.inject(&crash[0].kind).unwrap();
+                assert!(session.crashed());
+            }
+        });
     }
 
     #[test]
@@ -288,11 +349,11 @@ mod tests {
                 );
                 assert!(reports.iter().all(|r| r.at_ms <= stopped_at), "{reports:?}");
                 assert!(session.stop().is_empty(), "the log is handed over once");
-                let served = session.inst().workload_counters();
+                let served = session.workload_counters();
                 assert!(served.0 > 0, "the workload never ran");
 
                 session.finish();
-                assert_eq!(session.inst().workload_counters(), served);
+                assert_eq!(session.workload_counters(), served);
                 assert!(!session.inst().liveness_probe()());
             });
         }

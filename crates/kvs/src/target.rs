@@ -11,11 +11,6 @@ use std::time::Duration;
 
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
-use wdog_base::rng::derive_seed;
-
-use simio::disk::SimDisk;
-use simio::net::SimNet;
-use simio::LatencyModel;
 
 use faults::catalog::{Scenario, TargetProfile};
 use faults::injector::Injector;
@@ -25,9 +20,8 @@ use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
-    catalog_for, spawn_workload_on, ApiProbe, CrashSignal, FaultSurface, LivenessProbe,
-    RecoverySurface, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle, WorkloadObserver,
-    WorkloadProfile,
+    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoverySurface, RequestFn,
+    SimSubstrate, TargetInstance, WatchdogTarget, WdOptions, WorkloadProfile,
 };
 
 use crate::config::KvsConfig;
@@ -67,16 +61,8 @@ impl WatchdogTarget for KvsTarget {
     }
 
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {
-        let net = SimNet::new(
-            LatencyModel::new(30.0, derive_seed(seed, "net")),
-            Arc::clone(&clock),
-        );
-        let disk = SimDisk::new(
-            1 << 30,
-            LatencyModel::new(20.0, derive_seed(seed, "disk")),
-            Arc::clone(&clock),
-        );
-        let replica = Replica::spawn(net.clone(), "kvs-replica");
+        let sim = SimSubstrate::boot(seed, &clock);
+        let replica = Replica::spawn(sim.net.clone(), "kvs-replica");
         let server = Arc::new(KvsServer::start(
             KvsConfig {
                 client_timeout: Duration::from_millis(400),
@@ -85,29 +71,23 @@ impl WatchdogTarget for KvsTarget {
                 compaction_trigger: 3,
                 ..KvsConfig::replicated()
             },
-            Arc::clone(&clock),
-            Arc::clone(&disk),
-            Some(net.clone()),
+            clock,
+            Arc::clone(&sim.disk),
+            Some(sim.net.clone()),
         )?);
         Ok(Box::new(KvsInstance {
-            clock,
-            net,
-            disk,
+            sim,
             server,
             replica: Some(replica),
-            workload: None,
         }))
     }
 }
 
 /// One booted kvs testbed.
 pub struct KvsInstance {
-    clock: SharedClock,
-    net: SimNet,
-    disk: Arc<SimDisk>,
+    sim: SimSubstrate,
     server: Arc<KvsServer>,
     replica: Option<Replica>,
-    workload: Option<WorkloadHandle>,
 }
 
 impl TargetInstance for KvsInstance {
@@ -115,52 +95,36 @@ impl TargetInstance for KvsInstance {
         crate::wd::build_watchdog(&self.server, opts)
     }
 
+    fn substrate(&self) -> &SimSubstrate {
+        &self.sim
+    }
+
     fn injector(&self, on_crash: CrashSignal) -> Injector {
         let crash_server = Arc::clone(&self.server);
-        Injector::new()
-            .with_disk(Arc::clone(&self.disk))
-            .with_net(self.net.clone())
+        self.sim
+            .injector()
             .with_stall(self.server.stall())
             .with_toggles(self.server.toggles())
-            .with_clock(Arc::clone(&self.clock))
             .with_crash_hook(Arc::new(move || {
                 crash_server.crash();
                 on_crash();
             }))
     }
 
-    fn start_workload(&mut self, profile: &WorkloadProfile, observer: Option<WorkloadObserver>) {
+    fn workload(&self, _profile: &WorkloadProfile) -> RequestFn {
         let client = self.server.client();
-        self.workload = Some(spawn_workload_on(
-            &self.clock,
-            profile,
-            observer,
-            Arc::new(move |ticket| {
-                let key = format!("wl-key-{}", ticket.key);
-                if ticket.write {
-                    match ticket.roll {
-                        0 => client.del(&key),
-                        1 | 2 => client.append(&key, "x"),
-                        _ => client.set(&key, &format!("v{}", ticket.value)),
-                    }
-                } else {
-                    client.get(&key).map(|_| ())
+        Arc::new(move |ticket| {
+            let key = format!("wl-key-{}", ticket.key);
+            if ticket.write {
+                match ticket.roll {
+                    0 => client.del(&key),
+                    1 | 2 => client.append(&key, "x"),
+                    _ => client.set(&key, &format!("v{}", ticket.value)),
                 }
-            }),
-        ));
-    }
-
-    fn workload_counters(&self) -> (u64, u64) {
-        self.workload
-            .as_ref()
-            .map(|w| w.counters())
-            .unwrap_or((0, 0))
-    }
-
-    fn stop_workload(&mut self) {
-        if let Some(w) = &mut self.workload {
-            w.stop();
-        }
+            } else {
+                client.get(&key).map(|_| ())
+            }
+        })
     }
 
     fn api_probe(&self) -> ApiProbe {
@@ -182,32 +146,17 @@ impl TargetInstance for KvsInstance {
     }
 
     fn request_stop(&self) {
-        if let Some(w) = &self.workload {
-            w.request_stop();
-        }
         if let Some(r) = &self.replica {
             r.request_stop();
         }
         self.server.crash();
     }
 
-    fn recovery_surface(&self) -> Option<RecoverySurface> {
-        Some(crate::recover::recovery_surface(&self.server))
-    }
-
-    fn io_stats(&self) -> Option<(simio::disk::DiskOpStats, simio::net::NetOpStats)> {
-        Some((self.disk.op_stats(), self.net.op_stats()))
-    }
-
-    fn clear_faults(&self) {
-        self.disk.clear_all();
-        self.net.clear_all();
-        self.server.toggles().clear_all();
-        self.server.stall().set_stalled(false);
+    fn recovery_surface(&self) -> RecoverySurface {
+        crate::recover::recovery_surface(&self.server)
     }
 
     fn teardown(&mut self) {
-        self.stop_workload();
         // Dropping the replica joins its receive thread; the server's own
         // threads stop when the last Arc drops with the instance.
         self.replica = None;
@@ -239,17 +188,20 @@ mod tests {
     #[test]
     fn workload_runs_through_the_trait() {
         let mut inst = KvsTarget.start_on(2, RealClock::shared()).unwrap();
-        inst.start_workload(
-            &WorkloadProfile {
-                threads: 2,
-                period: Duration::from_millis(2),
-                ..WorkloadProfile::default()
-            },
+        let profile = WorkloadProfile {
+            threads: 2,
+            period: Duration::from_millis(2),
+            ..WorkloadProfile::default()
+        };
+        let mut workload = wdog_target::spawn_workload_on(
+            &RealClock::shared(),
+            &profile,
             None,
+            inst.workload(&profile),
         );
         std::thread::sleep(Duration::from_millis(200));
-        inst.stop_workload();
-        let (ok, _failed) = inst.workload_counters();
+        workload.stop();
+        let (ok, _failed) = workload.counters();
         assert!(ok > 10, "workload too slow: {ok}");
         inst.teardown();
     }

@@ -13,11 +13,6 @@ use std::time::Duration;
 
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
-use wdog_base::rng::derive_seed;
-
-use simio::disk::SimDisk;
-use simio::net::SimNet;
-use simio::LatencyModel;
 
 use faults::catalog::{Scenario, TargetProfile};
 use faults::injector::Injector;
@@ -27,9 +22,8 @@ use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
-    catalog_for, spawn_workload_on, ApiProbe, CrashSignal, FaultSurface, LivenessProbe,
-    RecoverySurface, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle, WorkloadObserver,
-    WorkloadProfile,
+    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoverySurface, RequestFn,
+    SimSubstrate, TargetInstance, WatchdogTarget, WdOptions, WorkloadProfile,
 };
 
 use crate::datanode::{DataNode, DataNodeConfig};
@@ -89,41 +83,27 @@ impl WatchdogTarget for DnTarget {
     }
 
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {
-        let net = SimNet::new(
-            LatencyModel::new(30.0, derive_seed(seed, "net")),
-            Arc::clone(&clock),
-        );
-        let disk = SimDisk::new(
-            1 << 30,
-            LatencyModel::new(20.0, derive_seed(seed, "disk")),
-            Arc::clone(&clock),
-        );
-        let namenode = NameNode::start(net.clone(), Arc::clone(&clock), Duration::from_secs(1));
+        let sim = SimSubstrate::boot(seed, &clock);
+        let namenode = NameNode::start(sim.net.clone(), Arc::clone(&clock), Duration::from_secs(1));
         let datanode = Arc::new(DataNode::start(
             DataNodeConfig::default(),
-            Arc::clone(&clock),
-            Arc::clone(&disk),
-            net.clone(),
+            clock,
+            Arc::clone(&sim.disk),
+            sim.net.clone(),
         )?);
         Ok(Box::new(DnInstance {
-            clock,
-            net,
-            disk,
+            sim,
             datanode,
             namenode: Some(namenode),
-            workload: None,
         }))
     }
 }
 
 /// One booted miniblock testbed.
 pub struct DnInstance {
-    clock: SharedClock,
-    net: SimNet,
-    disk: Arc<SimDisk>,
+    sim: SimSubstrate,
     datanode: Arc<DataNode>,
     namenode: Option<NameNode>,
-    workload: Option<WorkloadHandle>,
 }
 
 impl TargetInstance for DnInstance {
@@ -131,58 +111,40 @@ impl TargetInstance for DnInstance {
         crate::wd::build_watchdog(&self.datanode, opts)
     }
 
-    fn injector(&self, on_crash: CrashSignal) -> Injector {
-        let crash_dn = Arc::clone(&self.datanode);
-        Injector::new()
-            .with_disk(Arc::clone(&self.disk))
-            .with_net(self.net.clone())
-            .with_clock(Arc::clone(&self.clock))
-            .with_crash_hook(Arc::new(move || {
-                crash_dn.crash();
-                on_crash();
-            }))
+    fn substrate(&self) -> &SimSubstrate {
+        &self.sim
     }
 
-    fn start_workload(&mut self, profile: &WorkloadProfile, observer: Option<WorkloadObserver>) {
+    fn injector(&self, on_crash: CrashSignal) -> Injector {
+        let crash_dn = Arc::clone(&self.datanode);
+        self.sim.injector().with_crash_hook(Arc::new(move || {
+            crash_dn.crash();
+            on_crash();
+        }))
+    }
+
+    fn workload(&self, _profile: &WorkloadProfile) -> RequestFn {
         // Block ids assigned by ingest, shared so readers pick real blocks.
         let written: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let dn = Arc::clone(&self.datanode);
-        self.workload = Some(spawn_workload_on(
-            &self.clock,
-            profile,
-            observer,
-            Arc::new(move |ticket| {
-                if ticket.write || written.lock().unwrap().is_empty() {
-                    let data = format!("block-payload-{}", ticket.value);
-                    let id = dn.write_block(data.as_bytes())?;
-                    let mut ids = written.lock().unwrap();
-                    ids.push(id);
-                    // Bound the replay set so reads stay recent.
-                    if ids.len() > 512 {
-                        ids.remove(0);
-                    }
-                    Ok(())
-                } else {
-                    let ids = written.lock().unwrap();
-                    let id = ids[ticket.key % ids.len()];
-                    drop(ids);
-                    dn.read_block(id).map(|_| ())
+        Arc::new(move |ticket| {
+            if ticket.write || written.lock().unwrap().is_empty() {
+                let data = format!("block-payload-{}", ticket.value);
+                let id = dn.write_block(data.as_bytes())?;
+                let mut ids = written.lock().unwrap();
+                ids.push(id);
+                // Bound the replay set so reads stay recent.
+                if ids.len() > 512 {
+                    ids.remove(0);
                 }
-            }),
-        ));
-    }
-
-    fn workload_counters(&self) -> (u64, u64) {
-        self.workload
-            .as_ref()
-            .map(|w| w.counters())
-            .unwrap_or((0, 0))
-    }
-
-    fn stop_workload(&mut self) {
-        if let Some(w) = &mut self.workload {
-            w.stop();
-        }
+                Ok(())
+            } else {
+                let ids = written.lock().unwrap();
+                let id = ids[ticket.key % ids.len()];
+                drop(ids);
+                dn.read_block(id).map(|_| ())
+            }
+        })
     }
 
     fn api_probe(&self) -> ApiProbe {
@@ -204,31 +166,18 @@ impl TargetInstance for DnInstance {
         self.datanode.stats().scan_errors
     }
 
-    fn recovery_surface(&self) -> Option<RecoverySurface> {
-        Some(crate::recover::recovery_surface(&self.datanode))
+    fn recovery_surface(&self) -> RecoverySurface {
+        crate::recover::recovery_surface(&self.datanode)
     }
 
     fn request_stop(&self) {
-        if let Some(w) = &self.workload {
-            w.request_stop();
-        }
         self.datanode.crash();
         if let Some(nn) = &self.namenode {
             nn.request_stop();
         }
     }
 
-    fn io_stats(&self) -> Option<(simio::disk::DiskOpStats, simio::net::NetOpStats)> {
-        Some((self.disk.op_stats(), self.net.op_stats()))
-    }
-
-    fn clear_faults(&self) {
-        self.disk.clear_all();
-        self.net.clear_all();
-    }
-
     fn teardown(&mut self) {
-        self.stop_workload();
         self.datanode.crash();
         if let Some(nn) = &mut self.namenode {
             nn.stop();
@@ -261,18 +210,21 @@ mod tests {
         let mut inst = DnTarget.start_on(4, RealClock::shared()).unwrap();
         inst.api_probe()().unwrap();
         assert!(inst.liveness_probe()());
-        inst.start_workload(
-            &WorkloadProfile {
-                threads: 2,
-                period: Duration::from_millis(2),
-                keys: 16,
-                ..WorkloadProfile::default()
-            },
+        let profile = WorkloadProfile {
+            threads: 2,
+            period: Duration::from_millis(2),
+            keys: 16,
+            ..WorkloadProfile::default()
+        };
+        let mut workload = wdog_target::spawn_workload_on(
+            &RealClock::shared(),
+            &profile,
             None,
+            inst.workload(&profile),
         );
         std::thread::sleep(Duration::from_millis(200));
-        inst.stop_workload();
-        let (ok, failed) = inst.workload_counters();
+        workload.stop();
+        let (ok, failed) = workload.counters();
         assert!(ok > 10, "workload too slow: ok={ok} failed={failed}");
         assert_eq!(failed, 0);
         inst.teardown();

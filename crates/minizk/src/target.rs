@@ -16,11 +16,6 @@ use std::time::Duration;
 
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
-use wdog_base::rng::derive_seed;
-
-use simio::disk::SimDisk;
-use simio::net::SimNet;
-use simio::LatencyModel;
 
 use faults::catalog::{Scenario, TargetProfile};
 use faults::injector::Injector;
@@ -30,9 +25,8 @@ use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
-    catalog_for, spawn_workload_on, ApiProbe, CrashSignal, FaultSurface, LivenessProbe,
-    RecoverySurface, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle, WorkloadObserver,
-    WorkloadProfile,
+    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoverySurface, RequestFn,
+    SimSubstrate, TargetInstance, WatchdogTarget, WdOptions, WorkloadProfile,
 };
 
 use crate::quorum::{follower_addr, Cluster, ClusterConfig, LEADER_ADDR};
@@ -101,42 +95,25 @@ impl WatchdogTarget for ZkTarget {
     }
 
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {
-        let net = SimNet::new(
-            LatencyModel::new(30.0, derive_seed(seed, "net")),
-            Arc::clone(&clock),
-        );
-        let disk = SimDisk::new(
-            1 << 30,
-            LatencyModel::new(20.0, derive_seed(seed, "disk")),
-            Arc::clone(&clock),
-        );
+        let sim = SimSubstrate::boot(seed, &clock);
         let cluster = Arc::new(Cluster::start(
             ClusterConfig {
                 client_timeout: Duration::from_millis(500),
                 ..ClusterConfig::default()
             },
-            Arc::clone(&clock),
-            Arc::clone(&disk),
-            net.clone(),
+            clock,
+            Arc::clone(&sim.disk),
+            sim.net.clone(),
         )?);
         cluster.create(PROBE_NODE, b"probe")?;
-        Ok(Box::new(ZkInstance {
-            clock,
-            net,
-            disk,
-            cluster,
-            workload: None,
-        }))
+        Ok(Box::new(ZkInstance { sim, cluster }))
     }
 }
 
 /// One booted minizk testbed.
 pub struct ZkInstance {
-    clock: SharedClock,
-    net: SimNet,
-    disk: Arc<SimDisk>,
+    sim: SimSubstrate,
     cluster: Arc<Cluster>,
-    workload: Option<WorkloadHandle>,
 }
 
 impl TargetInstance for ZkInstance {
@@ -144,19 +121,19 @@ impl TargetInstance for ZkInstance {
         crate::wd::build_watchdog(&self.cluster, opts)
     }
 
-    fn injector(&self, on_crash: CrashSignal) -> Injector {
-        let crash_cluster = Arc::clone(&self.cluster);
-        Injector::new()
-            .with_disk(Arc::clone(&self.disk))
-            .with_net(self.net.clone())
-            .with_clock(Arc::clone(&self.clock))
-            .with_crash_hook(Arc::new(move || {
-                crash_cluster.crash();
-                on_crash();
-            }))
+    fn substrate(&self) -> &SimSubstrate {
+        &self.sim
     }
 
-    fn start_workload(&mut self, profile: &WorkloadProfile, observer: Option<WorkloadObserver>) {
+    fn injector(&self, on_crash: CrashSignal) -> Injector {
+        let crash_cluster = Arc::clone(&self.cluster);
+        self.sim.injector().with_crash_hook(Arc::new(move || {
+            crash_cluster.crash();
+            on_crash();
+        }))
+    }
+
+    fn workload(&self, profile: &WorkloadProfile) -> RequestFn {
         // Pre-create the key space so the steady mix is pure
         // set_data/get_data (creates of existing paths would count as
         // spurious client failures).
@@ -165,21 +142,16 @@ impl TargetInstance for ZkInstance {
             let _ = self.cluster.create(&format!("/wl/n{k}"), b"initial");
         }
         let cluster = Arc::clone(&self.cluster);
-        self.workload = Some(spawn_workload_on(
-            &self.clock,
-            profile,
-            observer,
-            Arc::new(move |ticket| {
-                let path = format!("/wl/n{}", ticket.key);
-                if ticket.write {
-                    cluster
-                        .set_data(&path, format!("v{}", ticket.value).as_bytes())
-                        .map(|_| ())
-                } else {
-                    cluster.get_data(&path).map(|_| ())
-                }
-            }),
-        ));
+        Arc::new(move |ticket| {
+            let path = format!("/wl/n{}", ticket.key);
+            if ticket.write {
+                cluster
+                    .set_data(&path, format!("v{}", ticket.value).as_bytes())
+                    .map(|_| ())
+            } else {
+                cluster.get_data(&path).map(|_| ())
+            }
+        })
     }
 
     fn exercise_auxiliary(&self) {
@@ -188,19 +160,6 @@ impl TargetInstance for ZkInstance {
         // sync runs on its own (sim-actor) thread, so a frozen-time caller
         // never deadlocks waiting on virtual latencies.
         drop(self.cluster.sync_follower(0));
-    }
-
-    fn workload_counters(&self) -> (u64, u64) {
-        self.workload
-            .as_ref()
-            .map(|w| w.counters())
-            .unwrap_or((0, 0))
-    }
-
-    fn stop_workload(&mut self) {
-        if let Some(w) = &mut self.workload {
-            w.stop();
-        }
     }
 
     fn api_probe(&self) -> ApiProbe {
@@ -223,27 +182,14 @@ impl TargetInstance for ZkInstance {
     }
 
     fn request_stop(&self) {
-        if let Some(w) = &self.workload {
-            w.request_stop();
-        }
         self.cluster.request_stop();
     }
 
-    fn recovery_surface(&self) -> Option<RecoverySurface> {
-        Some(crate::recover::recovery_surface(&self.cluster))
-    }
-
-    fn io_stats(&self) -> Option<(simio::disk::DiskOpStats, simio::net::NetOpStats)> {
-        Some((self.disk.op_stats(), self.net.op_stats()))
-    }
-
-    fn clear_faults(&self) {
-        self.disk.clear_all();
-        self.net.clear_all();
+    fn recovery_surface(&self) -> RecoverySurface {
+        crate::recover::recovery_surface(&self.cluster)
     }
 
     fn teardown(&mut self) {
-        self.stop_workload();
         // Flip the running flag so cluster threads exit; the final Arc drop
         // joins them (Cluster::drop → stop).
         self.cluster.crash();
@@ -280,18 +226,21 @@ mod tests {
         let mut inst = ZkTarget.start_on(3, RealClock::shared()).unwrap();
         inst.api_probe()().unwrap();
         assert!(inst.liveness_probe()());
-        inst.start_workload(
-            &WorkloadProfile {
-                threads: 2,
-                period: Duration::from_millis(2),
-                keys: 16,
-                ..WorkloadProfile::default()
-            },
+        let profile = WorkloadProfile {
+            threads: 2,
+            period: Duration::from_millis(2),
+            keys: 16,
+            ..WorkloadProfile::default()
+        };
+        let mut workload = wdog_target::spawn_workload_on(
+            &RealClock::shared(),
+            &profile,
             None,
+            inst.workload(&profile),
         );
         std::thread::sleep(Duration::from_millis(200));
-        inst.stop_workload();
-        let (ok, failed) = inst.workload_counters();
+        workload.stop();
+        let (ok, failed) = workload.counters();
         assert!(ok > 10, "workload too slow: ok={ok} failed={failed}");
         assert_eq!(failed, 0);
         inst.teardown();

@@ -292,9 +292,8 @@ pub fn build_watchdog(
             ));
 
     if opts.families.probes {
-        // Probe checker: a write through the public API.
+        // Probe checker: a read of the root node on the tree's read path.
         let tree = cluster.tree();
-        let counter = std::sync::atomic::AtomicU64::new(0);
         builder = builder.checker(Box::new(
             ProbeChecker::new(
                 "minizk.probe.write",
@@ -302,13 +301,10 @@ pub fn build_watchdog(
                 "set_data",
                 Arc::clone(&clock),
                 move || -> BaseResult<()> {
-                    // Direct tree access via the same write path semantics
-                    // would bypass the pipeline; probing the pipeline from
-                    // inside the process risks self-deadlock during the
-                    // 2201 hang, so the probe uses read-your-write on the
-                    // tree's read path plus a bounded existence check.
-                    let n = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let _ = n;
+                    // A write through the pipeline from inside the process
+                    // risks self-deadlock during the 2201 hang, so the probe
+                    // only reads `/`, which takes no write-serialization
+                    // lock and stays live through that hang.
                     tree.get_data("/").map(|_| ())
                 },
             )

@@ -5,26 +5,36 @@
 //! ingredients to AutoWatchdog and to the experiment harness: an IR
 //! self-description, real-operation implementations behind the generated
 //! plan, hand-written probe/signal checkers, a fault-application surface,
-//! and a steady workload. This crate names that contract so the harness can
-//! run one generic campaign over `&dyn WatchdogTarget` instead of one
-//! hand-rolled runner per system.
+//! and the request a steady workload issues. This crate names that contract
+//! so the harness can run one generic campaign over `&dyn WatchdogTarget`
+//! instead of one hand-rolled runner per system.
 //!
 //! The split is two-level:
 //!
 //! - [`WatchdogTarget`] is the *static* side: what the system is
 //!   (name, IR, tuned options, fault catalogue) and how to boot one
 //!   instance of it.
-//! - [`TargetInstance`] is one *booted* testbed: simulated disk/net wired
-//!   up, replicas spawned, ready to build a watchdog, take faults, and
-//!   serve workload.
+//! - [`TargetInstance`] is one *booted* testbed on its [`SimSubstrate`]:
+//!   replicas spawned, ready to build a watchdog, take faults, and turn
+//!   workload tickets into requests.
+//!
+//! What is not target-specific stays out of the contract: the campaign
+//! harness spawns and joins the workload ([`spawn_workload_on`]) and clears
+//! every fault ([`Injector::clear_all`]), and [`SimSubstrate`] boots the
+//! seeded network and disk for all three targets.
 
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use simio::disk::SimDisk;
+use simio::net::SimNet;
+use simio::LatencyModel;
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
+use wdog_base::rng::derive_seed;
+use wdog_telemetry::chaos::ChaosMetrics;
 
 use wdog_core::prelude::*;
 use wdog_gen::interp::{instantiate, InstantiateOptions, OpTable};
@@ -211,6 +221,58 @@ pub fn catalog_for(profile: &TargetProfile, surface: FaultSurface) -> Vec<Scenar
         .collect()
 }
 
+/// The seeded simulated network and disk one testbed runs on, with the
+/// clock that paces them.
+#[derive(Clone)]
+pub struct SimSubstrate {
+    /// The clock every latency and background loop sleeps on.
+    pub clock: SharedClock,
+    /// The network, 30 µs mean latency.
+    pub net: SimNet,
+    /// A 1 GiB disk, 20 µs mean latency.
+    pub disk: Arc<SimDisk>,
+}
+
+impl SimSubstrate {
+    /// Boots the pair from `seed` on `clock`, the network first.
+    pub fn boot(seed: u64, clock: &SharedClock) -> Self {
+        let net = SimNet::new(
+            LatencyModel::new(30.0, derive_seed(seed, "net")),
+            Arc::clone(clock),
+        );
+        let disk = SimDisk::new(
+            1 << 30,
+            LatencyModel::new(20.0, derive_seed(seed, "disk")),
+            Arc::clone(clock),
+        );
+        Self {
+            clock: Arc::clone(clock),
+            net,
+            disk,
+        }
+    }
+
+    /// An injector bound to the disk, the network and the clock; a target
+    /// adds its crash hook and whatever cooperative surfaces it has.
+    pub fn injector(&self) -> Injector {
+        Injector::new()
+            .with_disk(Arc::clone(&self.disk))
+            .with_net(self.net.clone())
+            .with_clock(Arc::clone(&self.clock))
+    }
+
+    /// Exports the substrate's per-op call/fault counters (turso-style
+    /// `nr_*_calls` / `nr_*_faults`) as the `sim_io_*` families.
+    pub fn export_io(&self, metrics: &ChaosMetrics) {
+        for (op, s) in self.disk.op_stats().rows() {
+            metrics.sim_io_disk(op, s.calls, s.faults);
+        }
+        for (op, s) in self.net.op_stats().rows() {
+            metrics.sim_io_net(op, s.calls, s.faults);
+        }
+    }
+}
+
 /// A system that AutoWatchdog can instrument and the harness can campaign
 /// against.
 pub trait WatchdogTarget: Send + Sync {
@@ -250,12 +312,16 @@ pub trait TargetInstance: Send {
     /// families `opts.families` enables. The driver is not started.
     fn build_watchdog(&self, opts: &WdOptions) -> BaseResult<(WatchdogDriver, WatchdogPlan)>;
 
+    /// The simulated network and disk the instance runs on.
+    fn substrate(&self) -> &SimSubstrate;
+
     /// A fault injector wired to every surface this instance supports;
     /// `on_crash` fires when a `ProcessCrash` fault arms.
     fn injector(&self, on_crash: CrashSignal) -> Injector;
 
-    /// Starts the steady workload; request outcomes go to `observer`.
-    fn start_workload(&mut self, profile: &WorkloadProfile, observer: Option<WorkloadObserver>);
+    /// The steady workload's request: turns one ticket drawn from `profile`
+    /// into a call against the instance, after any setup the mix needs.
+    fn workload(&self, profile: &WorkloadProfile) -> RequestFn;
 
     /// Fires auxiliary code paths the steady workload never reaches
     /// (follower snapshot syncs, scrub passes, ...), without blocking —
@@ -265,17 +331,10 @@ pub trait TargetInstance: Send {
     /// cover those loops too. The default has nothing to drive.
     fn exercise_auxiliary(&self) {}
 
-    /// `(ok, failed)` workload request counts so far.
-    fn workload_counters(&self) -> (u64, u64);
-
-    /// Stops and joins the workload threads.
-    fn stop_workload(&mut self);
-
-    /// Raises every stop flag — workload and background loops — without
-    /// joining anything. Under a simulated clock a harness calls this while
-    /// virtual time is frozen so all loops observe the same stop instant;
-    /// the blocking joins ([`TargetInstance::stop_workload`],
-    /// [`TargetInstance::teardown`]) follow after the caller deregisters
+    /// Raises every background loop's stop flag without joining anything.
+    /// Under a simulated clock a harness calls this while virtual time is
+    /// frozen so all loops observe the same stop instant; the blocking
+    /// [`TargetInstance::teardown`] follows after the caller deregisters
     /// from the clock. The default does nothing.
     fn request_stop(&self) {}
 
@@ -291,23 +350,7 @@ pub trait TargetInstance: Send {
 
     /// The component-scoped recovery surface — restart/degrade handles plus
     /// verification re-checks — for the closed-loop recovery coordinator.
-    /// `None` means the instance supports detection only.
-    fn recovery_surface(&self) -> Option<RecoverySurface> {
-        None
-    }
-
-    /// Per-op call/fault counter tables from the instance's simulated
-    /// substrates, `(disk, net)` — the turso-style `nr_*_calls` /
-    /// `nr_*_faults` accounting that campaign telemetry exports as the
-    /// `sim_io_*` families. `None` when the instance runs on no simulated
-    /// I/O.
-    fn io_stats(&self) -> Option<(simio::disk::DiskOpStats, simio::net::NetOpStats)> {
-        None
-    }
-
-    /// Clears every armed fault on the instance's surfaces (used at
-    /// teardown so background threads can drain).
-    fn clear_faults(&self);
+    fn recovery_surface(&self) -> RecoverySurface;
 
     /// Stops the system's own threads (replicas, pipelines, servers).
     /// Idempotent.

@@ -98,7 +98,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline --loc
 
 # wdog-lint also exits 1 on an undocumented drift finding, a shared-mutation
 # probe or a lock-order cycle; a newly uncovered vulnerable op shows as a
-# diff against the archived coverage matrix.
+# diff against the archived coverage matrix. tests/analyze_passes.rs reads
+# the same results/analysis/{coverage,locks}_<t>.json, so a coverage or
+# lock-order change also fails tier-1 until `wdog-lint --target all` is rerun
+# and its output committed.
 gate 1 "drift-all.json analysis" wdog-lint --target all
 
 # Program logic reduction (Figures 2-3) is a pure function of the three

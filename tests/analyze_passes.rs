@@ -2,12 +2,11 @@
 //!
 //! Four guarantees, layered:
 //!
-//! 1. **Snapshots** — the coverage-gap matrix and lock-order report for
-//!    each target match the JSON committed under `tests/snapshots/`
-//!    (`coverage_<t>.json`, `locks_<t>.json`). Any change to a target's
-//!    source, its checkers, or the analysis passes shows up as a
-//!    reviewable diff. Regenerate with
-//!    `WDOG_UPDATE_SNAPSHOTS=1 cargo test --test analyze_passes`.
+//! 1. **Archive** — the coverage-gap matrix and lock-order report for
+//!    each target match the archived `results/analysis/coverage_<t>.json`
+//!    and `locks_<t>.json`. Any change to a target's source, its checkers,
+//!    or the analysis passes shows up as a reviewable diff. Regenerate with
+//!    `cargo run --release -p harness --bin wdog-lint -- --target all`.
 //! 2. **Acceptance pins** — the chaos-confirmed blind spots (kvs
 //!    background-task-stuck, miniblock replication-link-wedged) are
 //!    statically flagged by the matrix; every shipped probe classifies as
@@ -31,9 +30,9 @@ use wdog_analyze::{
 };
 use wdog_gen::ir::ProgramBuilder;
 
-fn snapshot_path(name: &str) -> PathBuf {
+fn archive_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/snapshots")
+        .join("results/analysis")
         .join(format!("{name}.json"))
 }
 
@@ -51,18 +50,14 @@ fn bundles() -> Vec<AnalysisBundle> {
         .collect()
 }
 
-fn check_snapshot(name: &str, mut rendered: String) {
+const REGENERATE: &str = "cargo run --release -p harness --bin wdog-lint -- --target all";
+
+fn check_archive(name: &str, mut rendered: String) {
     rendered.push('\n');
-    let path = snapshot_path(name);
-    if std::env::var_os("WDOG_UPDATE_SNAPSHOTS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        return;
-    }
+    let path = archive_path(name);
     let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "cannot read snapshot {}: {e}\n\
-             regenerate with `WDOG_UPDATE_SNAPSHOTS=1 cargo test --test analyze_passes`",
+            "cannot read {}: {e}\nregenerate with `{REGENERATE}`",
             path.display()
         )
     });
@@ -70,8 +65,7 @@ fn check_snapshot(name: &str, mut rendered: String) {
         committed,
         rendered,
         "analysis for `{name}` drifted from {}\n\
-         review the change, then regenerate with \
-         `WDOG_UPDATE_SNAPSHOTS=1 cargo test --test analyze_passes`",
+         review the change, then regenerate with `{REGENERATE}`",
         path.display()
     );
 }
@@ -79,11 +73,11 @@ fn check_snapshot(name: &str, mut rendered: String) {
 #[test]
 fn coverage_and_lock_reports_match_committed_snapshots() {
     for b in bundles() {
-        check_snapshot(
+        check_archive(
             &format!("coverage_{}", b.target),
             serde_json::to_string_pretty(&b.coverage).expect("matrix serializes"),
         );
-        check_snapshot(
+        check_archive(
             &format!("locks_{}", b.target),
             serde_json::to_string_pretty(&b.locks).expect("lock report serializes"),
         );

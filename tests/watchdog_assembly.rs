@@ -3,7 +3,8 @@
 //! Two pins: what each target's `build_watchdog` registers, in order (the
 //! executor spawn order feeds sim determinism, so a reshuffle is a
 //! behaviour change even when every checker is still there), and where the
-//! assembly and the campaign protocol are allowed to live. Assembling at
+//! assembly, the campaign protocol, the substrate boot and the workload are
+//! allowed to live. Assembling at
 //! all also proves the target's op table implements every planned op:
 //! `instantiate` refuses a plan with an unbound one.
 
@@ -138,4 +139,25 @@ fn the_campaign_protocol_lives_in_session_rs_only() {
         offenders.is_empty(),
         "boot/teardown protocol spelled outside harness::session: {offenders:#?}"
     );
+}
+
+#[test]
+fn targets_leave_the_substrate_and_the_workload_to_the_harness() {
+    for target in ["kvs", "minizk", "miniblock"] {
+        let rel = format!("crates/{target}/src/target.rs");
+        let text = std::fs::read_to_string(format!("{}/{rel}", env!("CARGO_MANIFEST_DIR")))
+            .expect("target sources are readable");
+        let non_test = text.split("#[cfg(test)]").next().unwrap_or_default();
+        for needle in ["SimNet::new", "SimDisk::new", "WorkloadHandle"] {
+            assert!(
+                !text.contains(needle),
+                "{rel} names {needle}; boot through wdog_target::SimSubstrate and let \
+                 harness::session own the workload"
+            );
+        }
+        assert!(
+            !non_test.contains("spawn_workload_on"),
+            "{rel} spawns its own workload; harness::session spawns it"
+        );
+    }
 }
