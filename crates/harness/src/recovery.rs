@@ -46,7 +46,7 @@ use crate::session::Session;
 pub struct RecoveryOptions {
     /// Watchdog checker configuration.
     pub wd: WdOptions,
-    /// Per-component recovery policy (applied to every component).
+    /// The recovery policy every incident walks.
     pub policy: RecoveryPolicy,
     /// Steady-state period before injection.
     pub warmup: Duration,
@@ -186,7 +186,7 @@ pub fn run_recovery_scenario(
         RealClock::shared()
     };
     let mut session = Session::boot(target, seed, Arc::clone(&clock), "recovery-main")?;
-    let surface = session.inst().recovery_surface();
+    let surface = session.inst().recovery_map().surface();
 
     let mut coord_builder = RecoveryCoordinator::builder(Arc::clone(&clock), surface)
         .default_policy(opts.policy.clone())

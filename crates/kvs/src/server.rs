@@ -342,106 +342,6 @@ impl KvsServer {
         Ok(old.len())
     }
 
-    /// Component-scoped restart (paper §5.2): retires the named component's
-    /// current generation, clears the cooperative faults a fresh instance
-    /// would discard with its in-memory state, and spawns a replacement.
-    ///
-    /// `component` is matched loosely (`kvs.flusher`, `flush`, `compact`,
-    /// `repl`, `index`/`sst`, `kvs`/`listener`/`memory`) so watchdog blame
-    /// at any granularity maps onto the owning component. Returns `false`
-    /// when nothing restartable matches.
-    pub fn restart_component(&self, component: &str) -> bool {
-        let c = component;
-        if c.contains("flush") || c.contains("wal") {
-            if !self.shared.config.durable {
-                return false;
-            }
-            let s = Arc::clone(&self.shared);
-            let alive = s.supervisor.flusher.next_generation();
-            spawn_on(&self.shared.clock, "kvs-flusher", move || {
-                crate::flusher::flusher_loop(s, alive)
-            });
-            true
-        } else if c.contains("compact") {
-            if !self.shared.config.durable {
-                return false;
-            }
-            // A fresh compactor has no wedged/spinning state: the toggles
-            // model in-memory state the retired generation takes with it.
-            self.shared.toggles.set("kvs.compaction.stuck", false);
-            self.shared.toggles.set("kvs.compaction.busyloop", false);
-            let s = Arc::clone(&self.shared);
-            let alive = s.supervisor.compaction.next_generation();
-            spawn_on(&self.shared.clock, "kvs-compaction", move || {
-                crate::compaction::compaction_loop(s, alive)
-            });
-            true
-        } else if c.contains("repl") {
-            if self.shared.config.replication.is_none() {
-                return false;
-            }
-            let s = Arc::clone(&self.shared);
-            let rx = self.shared.repl_q.clone();
-            let alive = s.supervisor.replication.next_generation();
-            spawn_on(&self.shared.clock, "kvs-replication", move || {
-                crate::replication::replication_loop(s, rx, alive)
-            });
-            true
-        } else if c.contains("index") || c.contains("sst") {
-            // "Restarting" the indexer replaces its corrupted on-disk
-            // objects: drop the corrupting state and rebuild the partitions
-            // from the authoritative in-memory index.
-            self.shared.toggles.set("kvs.indexer.corrupt", false);
-            let ok = self.rebuild_partitions().is_ok();
-            if ok {
-                self.shared.index_rebuilds.fetch_add(1, Ordering::Relaxed);
-            }
-            ok
-        } else if c.contains("api") || c.contains("listener") || c.contains("memory") || c == "kvs"
-        {
-            // Restarting the request path re-initializes its in-process
-            // state: stop the leak, release what it accumulated, and — when
-            // the indexer has been corrupting entries — replace the
-            // corrupted objects like an index restart would.
-            self.shared.toggles.set("kvs.listener.leak", false);
-            let leaked = self.shared.monitor.memory_bytes();
-            if leaked > 0 {
-                self.shared.monitor.free(leaked);
-            }
-            if self.shared.toggles.is_set("kvs.indexer.corrupt") {
-                self.shared.toggles.set("kvs.indexer.corrupt", false);
-                if self.rebuild_partitions().is_ok() {
-                    self.shared.index_rebuilds.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Sheds the named component's workload without a replacement (the
-    /// recovery ladder's degrade rung). Returns `false` when the component
-    /// has no sheddable generation.
-    pub fn degrade_component(&self, component: &str) -> bool {
-        let c = component;
-        if c.contains("flush") || c.contains("wal") {
-            self.shared.supervisor.flusher.shed();
-            true
-        } else if c.contains("compact") {
-            // Unwedge the retiring generation so it releases the lock.
-            self.shared.toggles.set("kvs.compaction.stuck", false);
-            self.shared.toggles.set("kvs.compaction.busyloop", false);
-            self.shared.supervisor.compaction.shed();
-            true
-        } else if c.contains("repl") {
-            self.shared.supervisor.replication.shed();
-            true
-        } else {
-            false
-        }
-    }
-
     /// Returns supervision bookkeeping for experiments and assertions.
     pub fn supervision(&self) -> SupervisionStats {
         let sup = &self.shared.supervisor;

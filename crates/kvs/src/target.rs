@@ -20,7 +20,7 @@ use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
-    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoverySurface, RequestFn,
+    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoveryMap, RequestFn,
     SimSubstrate, TargetInstance, WatchdogTarget, WdOptions, WorkloadProfile,
 };
 
@@ -152,8 +152,8 @@ impl TargetInstance for KvsInstance {
         self.server.crash();
     }
 
-    fn recovery_surface(&self) -> RecoverySurface {
-        crate::recover::recovery_surface(&self.server)
+    fn recovery_map(&self) -> RecoveryMap {
+        crate::recover::recovery_map(&self.server)
     }
 
     fn teardown(&mut self) {

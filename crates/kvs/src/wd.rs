@@ -494,46 +494,6 @@ pub fn build_watchdog(
     Ok((builder.build()?, plan))
 }
 
-/// Builds the §5.2 cheap-recovery action: on a corruption report that
-/// pinpoints the SSTable volume, rebuild the partitions from the in-memory
-/// index instead of restarting the process.
-///
-/// Returns the action plus a counter of performed repairs.
-pub fn sst_recovery_action(
-    server: &KvsServer,
-) -> (
-    Arc<CallbackAction<impl Fn(&FailureReport) + Send + Sync>>,
-    Arc<AtomicU64>,
-) {
-    let shared = Arc::clone(server.shared());
-    let repairs = Arc::new(AtomicU64::new(0));
-    let counter = Arc::clone(&repairs);
-    let action = Arc::new(CallbackAction::new(move |report: &FailureReport| {
-        if report.kind != FailureKind::Corruption {
-            return;
-        }
-        if !report.location.to_string().contains("sst") {
-            return;
-        }
-        // Rebuild everything on the sst volume from the index.
-        let _guard = shared.compaction_lock.lock();
-        let old: Vec<String> = shared
-            .partitions
-            .tables()
-            .into_iter()
-            .map(|t| t.path)
-            .collect();
-        let entries = shared.index.snapshot();
-        let path = shared.partitions.next_path();
-        if let Ok(meta) = crate::sstable::write_sstable(&shared.disk, &path, &entries) {
-            if shared.partitions.replace(&old, meta).is_ok() {
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }));
-    (action, repairs)
-}
-
 /// E6 ablation: an op table that trusts pre-supplied context instead of
 /// live lookups (the `sst_read` op reads exactly the path in its context).
 pub fn op_table_unsynced(server: &KvsServer) -> OpTable {

@@ -66,8 +66,6 @@ pub struct DataNodeStats {
 pub struct DnSupervisionStats {
     /// Heartbeat generations retired by restart.
     pub heartbeat_restarts: u64,
-    /// Report generations retired by restart.
-    pub report_restarts: u64,
     /// Scanner generations retired by restart.
     pub scanner_restarts: u64,
     /// Components currently shed (degraded, no live generation).
@@ -77,7 +75,6 @@ pub struct DnSupervisionStats {
 /// One [`Supervised`] per restartable background loop.
 pub(crate) struct DnSupervisor {
     pub(crate) heartbeat: Supervised,
-    pub(crate) report: Supervised,
     pub(crate) scanner: Supervised,
 }
 
@@ -85,7 +82,6 @@ impl DnSupervisor {
     fn new() -> Self {
         Self {
             heartbeat: Supervised::new(),
-            report: Supervised::new(),
             scanner: Supervised::new(),
         }
     }
@@ -178,11 +174,10 @@ impl DataNode {
         // Block-report loop.
         {
             let s = Arc::clone(&shared);
-            let alive = s.supervisor.report.flag();
             threads.push(wdog_base::clock::spawn_on(
                 &shared.clock,
                 "dn-report",
-                move || report_loop(s, alive),
+                move || report_loop(s),
             ));
         }
         // Block scanner loop (HDFS's DataBlockScanner).
@@ -280,59 +275,13 @@ impl DataNode {
         &self.config.id
     }
 
-    /// Restarts one background component by blamed-component name: the old
-    /// generation is retired (it exits at its next flag poll, or when an
-    /// armed fault releases it) and a fresh one is spawned detached (§5.2
-    /// component restart — the process never goes down). Returns whether
-    /// the name mapped to a restartable component.
-    pub fn restart_component(&self, component: &str) -> bool {
-        let s = &self.shared;
-        if component.contains("heartbeat") {
-            let s2 = Arc::clone(s);
-            let alive = s.supervisor.heartbeat.next_generation();
-            wdog_base::clock::spawn_on(&s.clock, "dn-heartbeat", move || heartbeat_loop(s2, alive));
-            true
-        } else if component.contains("report") || component.contains("namenode") {
-            let s2 = Arc::clone(s);
-            let alive = s.supervisor.report.next_generation();
-            wdog_base::clock::spawn_on(&s.clock, "dn-report", move || report_loop(s2, alive));
-            true
-        } else if component.contains("scan") {
-            let s2 = Arc::clone(s);
-            let alive = s.supervisor.scanner.next_generation();
-            wdog_base::clock::spawn_on(&s.clock, "dn-scanner", move || scanner_loop(s2, alive));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Sheds one background component (degrade): its generation is retired
-    /// with no replacement while block ingest keeps serving.
-    pub fn degrade_component(&self, component: &str) -> bool {
-        let s = &self.shared;
-        if component.contains("heartbeat") {
-            s.supervisor.heartbeat.shed();
-            true
-        } else if component.contains("report") || component.contains("namenode") {
-            s.supervisor.report.shed();
-            true
-        } else if component.contains("scan") {
-            s.supervisor.scanner.shed();
-            true
-        } else {
-            false
-        }
-    }
-
     /// Supervision bookkeeping snapshot.
     pub fn supervision(&self) -> DnSupervisionStats {
         let sup = &self.shared.supervisor;
         DnSupervisionStats {
             heartbeat_restarts: sup.heartbeat.restarts(),
-            report_restarts: sup.report.restarts(),
             scanner_restarts: sup.scanner.restarts(),
-            degraded: [&sup.heartbeat, &sup.report, &sup.scanner]
+            degraded: [&sup.heartbeat, &sup.scanner]
                 .iter()
                 .filter(|s| s.is_degraded())
                 .count() as u32,
@@ -365,7 +314,7 @@ impl DataNode {
 
 /// Periodically tells the NameNode this node is alive; `alive` is this
 /// generation's supervision flag.
-fn heartbeat_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
+pub(crate) fn heartbeat_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
     let interval = s.config.heartbeat_interval;
     while s.is_running() && alive.load(Ordering::Relaxed) {
         let msg = NnMsg::Heartbeat {
@@ -379,10 +328,10 @@ fn heartbeat_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
 }
 
 /// Periodically ships the full block inventory to the NameNode.
-fn report_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
+fn report_loop(s: Arc<DnShared>) {
     let hook = s.hooks.site("report_loop");
     let interval = s.config.report_interval;
-    while s.is_running() && alive.load(Ordering::Relaxed) {
+    while s.is_running() {
         s.clock.sleep(interval);
         let blocks: Vec<u64> = s.blocks.read().keys().copied().collect();
         let count = blocks.len() as u64;
@@ -398,7 +347,7 @@ fn report_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
 }
 
 /// Periodically validates every stored block (HDFS's DataBlockScanner).
-fn scanner_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
+pub(crate) fn scanner_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
     let hook = s.hooks.site("scanner_loop");
     let interval = s.config.scan_interval;
     while s.is_running() && alive.load(Ordering::Relaxed) {

@@ -1,119 +1,79 @@
-//! The miniblock recovery surface: DataNode component restarts, shedding,
-//! and verification re-checks for the closed-loop recovery coordinator.
+//! The miniblock recovery map: DataNode component restarts, shedding, and
+//! verification re-checks for the closed-loop recovery coordinator.
 //!
-//! All three DataNode background loops (heartbeat, block report, scanner)
-//! are individually restartable — each owns only a flag and rebuilds its
-//! working set from `DnShared` on respawn, the easy case for §5.2 component
-//! restart. Ingest has no background thread, so block-path blame recovers
-//! by retry-and-verify against the volume itself.
+//! The heartbeat and scanner loops are individually restartable — each
+//! owns only a flag and rebuilds its working set from `DnShared` on
+//! respawn, the easy case for §5.2 component restart. Ingest has no
+//! background thread, so block-path blame recovers by retry-and-verify
+//! against the volume itself.
 
 use std::sync::Arc;
 
-use wdog_base::ids::ComponentId;
+use wdog_base::clock::spawn_on;
 
-use wdog_core::prelude::*;
+use wdog_target::{Handle, RecoveryMap, Verifier};
 
-use wdog_target::{RecoverySurface, VerifierFactory};
-
-use crate::datanode::DataNode;
+use crate::datanode::{heartbeat_loop, scanner_loop, DataNode};
 use crate::namenode::{NnMsg, NAMENODE_ADDR};
 
 /// Volume path the disk verifier probes (skipped by the scanner).
 const RECOVER_PROBE_PATH: &str = "blocks/vol1/__wd_recover";
 
-fn fail(kind: FailureKind, component: &ComponentId, detail: String) -> CheckStatus {
-    CheckStatus::Fail(CheckFailure::new(
-        kind,
-        FaultLocation::new(component.clone(), "recovery_verify"),
-        detail,
-    ))
-}
+/// Builds the recovery map of a running DataNode.
+pub fn recovery_map(datanode: &Arc<DataNode>) -> RecoveryMap {
+    let s = datanode.shared();
+    // Restarts retire the loop's generation and spawn a fresh one; sheds
+    // retire it with no replacement while block ingest keeps serving.
+    let s2 = Arc::clone(s);
+    let heartbeat = Handle::new("heartbeat", move || {
+        let (s3, alive) = (Arc::clone(&s2), s2.supervisor.heartbeat.next_generation());
+        spawn_on(&s2.clock, "dn-heartbeat", move || heartbeat_loop(s3, alive));
+    });
+    let s2 = Arc::clone(s);
+    let scanner = Handle::new("scanner", move || {
+        let (s3, alive) = (Arc::clone(&s2), s2.supervisor.scanner.next_generation());
+        spawn_on(&s2.clock, "dn-scanner", move || scanner_loop(s3, alive));
+    });
+    let s2 = Arc::clone(s);
+    let shed_heartbeat = Handle::new("heartbeat", move || s2.supervisor.heartbeat.shed());
+    let s2 = Arc::clone(s);
+    let shed_scanner = Handle::new("scanner", move || s2.supervisor.scanner.shed());
 
-/// Builds the full [`RecoverySurface`] for a running DataNode.
-pub fn recovery_surface(datanode: &Arc<DataNode>) -> RecoverySurface {
-    struct DnRestart(Arc<DataNode>);
-    impl Restartable for DnRestart {
-        fn restart(&self, component: &ComponentId) {
-            self.0.restart_component(component.as_str());
-        }
-    }
-    struct DnDegrade(Arc<DataNode>);
-    impl Degradable for DnDegrade {
-        fn degrade(&self, component: &ComponentId) {
-            self.0.degrade_component(component.as_str());
-        }
-    }
-    RecoverySurface {
-        restart: Arc::new(DnRestart(Arc::clone(datanode))),
-        degrade: Arc::new(DnDegrade(Arc::clone(datanode))),
-        verifier: verifier_factory(datanode),
-    }
-}
+    // Block-path blame: a probe write + sync on the faulted volume wedges
+    // or errors exactly like ingest and the scanner do.
+    let disk = Arc::clone(s.store.disk());
+    let volume = Verifier::new("miniblock.verify.volume", move || {
+        disk.append(RECOVER_PROBE_PATH, b"rv")
+            .and_then(|()| disk.fsync(RECOVER_PROBE_PATH))
+    });
+    // NameNode-link blame: a real heartbeat frame on the same link.
+    let s2 = Arc::clone(s);
+    let link = Verifier::new("miniblock.verify.link", move || {
+        let msg = NnMsg::Heartbeat {
+            datanode: s2.id.clone(),
+        };
+        s2.net.send(&s2.id, NAMENODE_ADDR, msg.encode())
+    });
 
-/// Builds verification re-checks per blamed component.
-pub fn verifier_factory(datanode: &Arc<DataNode>) -> VerifierFactory {
-    let datanode = Arc::clone(datanode);
-    Arc::new(move |component: &ComponentId| {
-        let c = component.as_str();
-        let comp = component.clone();
-        if c.contains("block") || c.contains("vol") || c.contains("ingest") || c.contains("scan") {
-            // Block-path blame: a probe write + sync on the faulted volume
-            // wedges or errors exactly like ingest and the scanner do.
-            let disk = Arc::clone(datanode.store().disk());
-            Some(Box::new(FnChecker::new(
-                "miniblock.verify.volume",
-                comp.clone(),
-                move || {
-                    let r = disk
-                        .append(RECOVER_PROBE_PATH, b"rv")
-                        .and_then(|()| disk.fsync(RECOVER_PROBE_PATH));
-                    match r {
-                        Ok(()) => CheckStatus::Pass,
-                        Err(e) => fail(FailureKind::Error, &comp, format!("volume probe: {e}")),
-                    }
-                },
-            )) as Box<dyn Checker>)
-        } else if c.contains("report") || c.contains("heartbeat") || c.contains("namenode") {
-            // NameNode-link blame: a real heartbeat frame on the same link.
-            let dn = Arc::clone(&datanode);
-            Some(Box::new(FnChecker::new(
-                "miniblock.verify.link",
-                comp.clone(),
-                move || {
-                    let msg = NnMsg::Heartbeat {
-                        datanode: dn.id().to_owned(),
-                    };
-                    match dn.net().send(dn.id(), NAMENODE_ADDR, msg.encode()) {
-                        Ok(()) => CheckStatus::Pass,
-                        Err(e) => fail(FailureKind::Error, &comp, format!("link probe: {e}")),
-                    }
-                },
-            )) as Box<dyn Checker>)
-        } else if c == "miniblock" || c.contains("api") {
-            // Process-level blame: a full ingest + read-back round trip.
-            let dn = Arc::clone(&datanode);
-            Some(Box::new(FnChecker::new(
-                "miniblock.verify.process",
-                comp.clone(),
-                move || {
-                    let r = dn
-                        .write_block(b"__wd_recover")
-                        .and_then(|id| dn.read_block(id));
-                    match r {
-                        Ok(v) if v == b"__wd_recover" => CheckStatus::Pass,
-                        Ok(v) => fail(
-                            FailureKind::Corruption,
-                            &comp,
-                            format!("round trip read back {} B", v.len()),
-                        ),
-                        Err(e) => fail(FailureKind::Error, &comp, format!("round trip: {e}")),
-                    }
-                },
-            )) as Box<dyn Checker>)
-        } else {
-            None
-        }
-    })
+    RecoveryMap::default()
+        .with(
+            &["miniblock.scanner_loop"],
+            Some(&scanner),
+            Some(&shed_scanner),
+            &volume,
+        )
+        .with(
+            &["miniblock.heartbeat_loop"],
+            Some(&heartbeat),
+            Some(&shed_heartbeat),
+            &link,
+        )
+        .with(
+            &["miniblock.ingest_loop", "dn.volumes"],
+            None,
+            None,
+            &volume,
+        )
 }
 
 #[cfg(test)]
@@ -121,9 +81,10 @@ mod tests {
     use super::*;
     use crate::datanode::DataNodeConfig;
     use crate::namenode::NameNode;
-    use simio::net::SimNet;
+    use simio::net::{LinkRule, NetFault, SimNet};
     use std::time::Duration;
     use wdog_base::clock::RealClock;
+    use wdog_base::ids::ComponentId;
 
     fn wait_for(mut pred: impl FnMut() -> bool, what: &str) {
         let start = std::time::Instant::now();
@@ -152,14 +113,17 @@ mod tests {
     }
 
     #[test]
-    fn report_restart_spawns_fresh_generation() {
+    fn heartbeat_restart_spawns_fresh_generation() {
         let (dn, _nn) = node();
-        assert!(dn.restart_component("miniblock.report_loop"));
-        assert_eq!(dn.supervision().report_restarts, 1);
-        let before = dn.stats().reports;
+        let surface = recovery_map(&dn).surface();
+        surface
+            .restart
+            .restart(&ComponentId::new("miniblock.heartbeat_loop"));
+        assert_eq!(dn.supervision().heartbeat_restarts, 1);
+        let before = dn.stats().heartbeats;
         wait_for(
-            || dn.stats().reports > before,
-            "fresh report generation to report",
+            || dn.stats().heartbeats > before,
+            "fresh heartbeat generation to beat",
         );
         assert!(dn.is_running());
     }
@@ -167,7 +131,10 @@ mod tests {
     #[test]
     fn degrade_sheds_scanner_but_ingest_keeps_serving() {
         let (dn, _nn) = node();
-        assert!(dn.degrade_component("miniblock.scanner_loop"));
+        let surface = recovery_map(&dn).surface();
+        surface
+            .degrade
+            .degrade(&ComponentId::new("miniblock.scanner_loop"));
         assert_eq!(dn.supervision().degraded, 1);
         let id = dn.write_block(b"still-serving").unwrap();
         assert_eq!(dn.read_block(id).unwrap(), b"still-serving");
@@ -176,22 +143,22 @@ mod tests {
     #[test]
     fn verifiers_cover_every_blamable_component() {
         let (dn, _nn) = node();
-        let factory = verifier_factory(&dn);
-        for c in [
-            "miniblock.ingest_loop",
-            "miniblock.scanner_loop",
-            "miniblock.report_loop",
-            "miniblock.heartbeat_loop",
-            "miniblock.block",
-            "miniblock",
-        ] {
+        let map = recovery_map(&dn);
+        let ids: Vec<ComponentId> = map.ids().cloned().collect();
+        let surface = map.surface();
+        for c in &ids {
             let mut checker =
-                factory(&ComponentId::new(c)).unwrap_or_else(|| panic!("no verifier for {c}"));
+                (surface.verifier)(c).unwrap_or_else(|| panic!("no verifier for {c}"));
             assert!(checker.check().is_pass(), "healthy verify failed for {c}");
         }
-        assert!(factory(&ComponentId::new("something.else")).is_none());
-        assert!(!dn.restart_component("something.else"));
-        assert!(!dn.degrade_component("something.else"));
+        // Neither the report loop nor the process is blamed by any checker.
+        for c in ["something.else", "miniblock.report_loop", "miniblock"] {
+            let c = ComponentId::new(c);
+            assert!((surface.verifier)(&c).is_none(), "{c} has a verifier");
+            surface.restart.restart(&c);
+            surface.degrade.degrade(&c);
+        }
+        assert_eq!(dn.supervision(), Default::default());
     }
 
     #[test]
@@ -206,10 +173,34 @@ mod tests {
                 message: "verify-probe".into(),
             },
         ));
-        let factory = verifier_factory(&dn);
+        let factory = recovery_map(&dn).surface().verifier;
         let mut checker = factory(&ComponentId::new("miniblock.ingest_loop")).unwrap();
         assert!(!checker.check().is_pass());
         disk.clear(handle);
         assert!(checker.check().is_pass());
+    }
+
+    #[test]
+    fn heartbeat_verifier_fate_shares_with_the_namenode_link() {
+        // A wedged dn1 → namenode link holds the probe frame: no verdict
+        // while the fault is armed, a pass the moment it clears.
+        let (dn, _nn) = node();
+        let factory = recovery_map(&dn).surface().verifier;
+        let mut checker = factory(&ComponentId::new("miniblock.heartbeat_loop")).unwrap();
+        let fault = dn
+            .net()
+            .inject(LinkRule::link(dn.id(), NAMENODE_ADDR, NetFault::BlockSend));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let probe = std::thread::spawn(move || tx.send(checker.check().is_pass()));
+        assert!(
+            rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "a verdict while the link is wedged"
+        );
+        dn.net().clear(fault);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(true));
+        probe
+            .join()
+            .expect("probe thread")
+            .expect("verdict received");
     }
 }

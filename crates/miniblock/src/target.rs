@@ -22,7 +22,7 @@ use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
-    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoverySurface, RequestFn,
+    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoveryMap, RequestFn,
     SimSubstrate, TargetInstance, WatchdogTarget, WdOptions, WorkloadProfile,
 };
 
@@ -166,8 +166,8 @@ impl TargetInstance for DnInstance {
         self.datanode.stats().scan_errors
     }
 
-    fn recovery_surface(&self) -> RecoverySurface {
-        crate::recover::recovery_surface(&self.datanode)
+    fn recovery_map(&self) -> RecoveryMap {
+        crate::recover::recovery_map(&self.datanode)
     }
 
     fn request_stop(&self) {

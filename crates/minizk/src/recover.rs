@@ -1,5 +1,5 @@
-//! The minizk recovery surface: broadcast restarts, shedding, and
-//! verification re-checks for the closed-loop recovery coordinator.
+//! The minizk recovery map: broadcast restarts, shedding, and verification
+//! re-checks for the closed-loop recovery coordinator.
 //!
 //! The restartable component is the commit broadcaster — the one leader
 //! loop that owns no irreplaceable state (its queue outlives it), so §5.2
@@ -12,11 +12,9 @@
 
 use std::sync::Arc;
 
-use wdog_base::ids::ComponentId;
+use wdog_base::error::BaseError;
 
-use wdog_core::prelude::*;
-
-use wdog_target::{RecoverySurface, VerifierFactory};
+use wdog_target::{Handle, RecoveryMap, Verifier};
 
 use crate::msg::ZkMsg;
 use crate::quorum::{follower_addr, Cluster, LEADER_ADDR};
@@ -25,121 +23,71 @@ use crate::wd::TXNLOG_PROBE_PATH;
 /// Node the recovery verifier round-trips through (created on demand).
 const RECOVER_PROBE_NODE: &str = "/__wd_recover";
 
-fn fail(kind: FailureKind, component: &ComponentId, detail: String) -> CheckStatus {
-    CheckStatus::Fail(CheckFailure::new(
-        kind,
-        FaultLocation::new(component.clone(), "recovery_verify"),
-        detail,
-    ))
-}
+/// Builds the recovery map of a running cluster.
+pub fn recovery_map(cluster: &Arc<Cluster>) -> RecoveryMap {
+    let (c, shared) = (Arc::clone(cluster), Arc::clone(cluster.shared()));
+    let restart = Handle::new("broadcast", move || c.restart_broadcast());
+    let c = Arc::clone(cluster);
+    let shed = Handle::new("broadcast", move || c.degrade_broadcast());
 
-fn is_broadcast(c: &str) -> bool {
-    c.contains("broadcast") || c.contains("commit") || c.contains("quorum")
-}
+    // Both the broadcaster and the snapshot sync ship frames to followers
+    // over the same simulated network; a probe frame fate-shares with a
+    // blocked or erroring link.
+    let link = Verifier::new("minizk.verify.link", move || {
+        shared
+            .net
+            .send(LEADER_ADDR, &follower_addr(0), ZkMsg::WdProbe.encode())
+    });
+    // The pipeline's vulnerable ops are the txnlog append + fsync; a probe
+    // write on the same volume wedges or errors while the disk fault is
+    // still armed.
+    let shared = Arc::clone(cluster.shared());
+    let txnlog = Verifier::new("minizk.verify.txnlog", move || {
+        shared
+            .disk
+            .append(TXNLOG_PROBE_PATH, b"rv")
+            .and_then(|()| shared.disk.fsync(TXNLOG_PROBE_PATH))
+    });
+    // Process-level blame: the shallow ruok plus a full write round trip
+    // through the pipeline (which a wedged processor fails).
+    let c = Arc::clone(cluster);
+    let process = Verifier::new("minizk.verify.process", move || {
+        if c.admin_ruok() != "imok" {
+            return Err(BaseError::InvalidState("ruok got no imok".into()));
+        }
+        let _ = c.create(RECOVER_PROBE_NODE, b"rv");
+        c.set_data(RECOVER_PROBE_NODE, b"rv")?;
+        match c.get_data(RECOVER_PROBE_NODE)? {
+            v if v == b"rv" => Ok(()),
+            v => Err(BaseError::Corruption(format!(
+                "round trip read back {} B",
+                v.len()
+            ))),
+        }
+    });
 
-/// Builds the full [`RecoverySurface`] for a running cluster.
-pub fn recovery_surface(cluster: &Arc<Cluster>) -> RecoverySurface {
-    struct ZkRestart(Arc<Cluster>);
-    impl Restartable for ZkRestart {
-        fn restart(&self, component: &ComponentId) {
-            if is_broadcast(component.as_str()) {
-                self.0.restart_broadcast();
-            }
-        }
-    }
-    struct ZkDegrade(Arc<Cluster>);
-    impl Degradable for ZkDegrade {
-        fn degrade(&self, component: &ComponentId) {
-            if is_broadcast(component.as_str()) {
-                self.0.degrade_broadcast();
-            }
-        }
-    }
-    RecoverySurface {
-        restart: Arc::new(ZkRestart(Arc::clone(cluster))),
-        degrade: Arc::new(ZkDegrade(Arc::clone(cluster))),
-        verifier: verifier_factory(cluster),
-    }
-}
-
-/// Builds verification re-checks per blamed component.
-pub fn verifier_factory(cluster: &Arc<Cluster>) -> VerifierFactory {
-    let cluster = Arc::clone(cluster);
-    Arc::new(move |component: &ComponentId| {
-        let c = component.as_str();
-        let comp = component.clone();
-        if is_broadcast(c) || c.contains("sync") || c.contains("snap") {
-            // Both the broadcaster and the snapshot sync ship frames to
-            // followers over the same simulated network; a probe frame
-            // fate-shares with a blocked or erroring link.
-            let shared = Arc::clone(cluster.shared());
-            Some(Box::new(FnChecker::new(
-                "minizk.verify.link",
-                comp.clone(),
-                move || match shared.net.send(
-                    LEADER_ADDR,
-                    &follower_addr(0),
-                    ZkMsg::WdProbe.encode(),
-                ) {
-                    Ok(()) => CheckStatus::Pass,
-                    Err(e) => fail(FailureKind::Error, &comp, format!("link probe: {e}")),
-                },
-            )) as Box<dyn Checker>)
-        } else if c.contains("txnlog") || c.contains("request") || c.contains("processor") {
-            // The pipeline's vulnerable ops are the txnlog append + fsync;
-            // a probe write on the same volume wedges or errors while the
-            // disk fault is still armed.
-            let shared = Arc::clone(cluster.shared());
-            Some(Box::new(FnChecker::new(
-                "minizk.verify.txnlog",
-                comp.clone(),
-                move || {
-                    let r = shared
-                        .disk
-                        .append(TXNLOG_PROBE_PATH, b"rv")
-                        .and_then(|()| shared.disk.fsync(TXNLOG_PROBE_PATH));
-                    match r {
-                        Ok(()) => CheckStatus::Pass,
-                        Err(e) => fail(FailureKind::Error, &comp, format!("txnlog probe: {e}")),
-                    }
-                },
-            )) as Box<dyn Checker>)
-        } else if c == "minizk" || c.contains("api") {
-            // Process-level blame: the shallow ruok plus a full write round
-            // trip through the pipeline (which a wedged processor fails).
-            let cl = Arc::clone(&cluster);
-            Some(Box::new(FnChecker::new(
-                "minizk.verify.process",
-                comp.clone(),
-                move || {
-                    if cl.admin_ruok() != "imok" {
-                        return fail(FailureKind::Stuck, &comp, "ruok got no imok".into());
-                    }
-                    let _ = cl.create(RECOVER_PROBE_NODE, b"rv");
-                    let r = cl
-                        .set_data(RECOVER_PROBE_NODE, b"rv")
-                        .and_then(|_| cl.get_data(RECOVER_PROBE_NODE));
-                    match r {
-                        Ok(v) if v == b"rv" => CheckStatus::Pass,
-                        Ok(v) => fail(
-                            FailureKind::Corruption,
-                            &comp,
-                            format!("round trip read back {} B", v.len()),
-                        ),
-                        Err(e) => fail(FailureKind::Error, &comp, format!("round trip: {e}")),
-                    }
-                },
-            )) as Box<dyn Checker>)
-        } else {
-            None
-        }
-    })
+    RecoveryMap::default()
+        .with(
+            &["minizk.broadcast_loop", "minizk.quorum"],
+            Some(&restart),
+            Some(&shed),
+            &link,
+        )
+        .with(&["minizk.snapshot_sync_loop"], None, None, &link)
+        .with(
+            &["minizk.request_processor_loop", "minizk.processors"],
+            None,
+            None,
+            &txnlog,
+        )
+        .with(&["minizk.api"], None, None, &process)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;
+    use wdog_base::ids::ComponentId;
 
     fn wait_for(mut pred: impl FnMut() -> bool, what: &str) {
         let start = std::time::Instant::now();
@@ -156,7 +104,7 @@ mod tests {
     fn broadcast_restart_spawns_fresh_generation() {
         let cluster = Arc::new(Cluster::for_tests());
         cluster.create("/a", b"1").unwrap();
-        let surface = recovery_surface(&cluster);
+        let surface = recovery_map(&cluster).surface();
         surface
             .restart
             .restart(&ComponentId::new("minizk.broadcast_loop"));
@@ -174,7 +122,7 @@ mod tests {
     fn degrade_sheds_broadcast_but_leader_keeps_serving() {
         let cluster = Arc::new(Cluster::for_tests());
         cluster.create("/a", b"1").unwrap();
-        let surface = recovery_surface(&cluster);
+        let surface = recovery_map(&cluster).surface();
         surface.degrade.degrade(&ComponentId::new("minizk.quorum"));
         assert!(cluster.broadcast_degraded());
         cluster.set_data("/a", b"2").unwrap();
@@ -184,21 +132,20 @@ mod tests {
     #[test]
     fn verifiers_cover_every_blamable_component() {
         let cluster = Arc::new(Cluster::for_tests());
-        let factory = verifier_factory(&cluster);
-        for c in [
-            "minizk.broadcast_loop",
-            "minizk.snapshot_sync_loop",
-            "minizk.request_processor_loop",
-            "minizk.api",
-            "minizk.processors",
-            "minizk.quorum",
-            "minizk",
-        ] {
-            let mut checker =
-                factory(&ComponentId::new(c)).unwrap_or_else(|| panic!("no verifier for {c}"));
+        let map = recovery_map(&cluster);
+        let ids: Vec<ComponentId> = map.ids().cloned().collect();
+        let factory = map.surface().verifier;
+        for c in &ids {
+            let mut checker = factory(c).unwrap_or_else(|| panic!("no verifier for {c}"));
             assert!(checker.check().is_pass(), "healthy verify failed for {c}");
         }
-        assert!(factory(&ComponentId::new("something.else")).is_none());
+        // The substring aliases that used to resolve are gone.
+        for c in ["something.else", "minizk", "minizk.commit"] {
+            assert!(
+                factory(&ComponentId::new(c)).is_none(),
+                "{c} has a verifier"
+            );
+        }
     }
 
     #[test]
@@ -213,7 +160,7 @@ mod tests {
                 message: "verify-probe".into(),
             },
         ));
-        let factory = verifier_factory(&cluster);
+        let factory = recovery_map(&cluster).surface().verifier;
         let mut checker = factory(&ComponentId::new("minizk.request_processor_loop")).unwrap();
         assert!(!checker.check().is_pass());
         disk.clear(handle);

@@ -25,7 +25,7 @@ use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
-    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoverySurface, RequestFn,
+    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoveryMap, RequestFn,
     SimSubstrate, TargetInstance, WatchdogTarget, WdOptions, WorkloadProfile,
 };
 
@@ -185,8 +185,8 @@ impl TargetInstance for ZkInstance {
         self.cluster.request_stop();
     }
 
-    fn recovery_surface(&self) -> RecoverySurface {
-        crate::recover::recovery_surface(&self.cluster)
+    fn recovery_map(&self) -> RecoveryMap {
+        crate::recover::recovery_map(&self.cluster)
     }
 
     fn teardown(&mut self) {

@@ -374,6 +374,12 @@ impl WatchdogDriver {
         self.pending.iter().map(|p| p.checker.id()).collect()
     }
 
+    /// Returns the component each registered checker blames, in
+    /// registration order.
+    pub fn checker_components(&self) -> Vec<ComponentId> {
+        self.pending.iter().map(|p| p.checker.component()).collect()
+    }
+
     /// Runs every registered checker once, synchronously, on this thread.
     ///
     /// This is the **in-place** execution mode the paper argues against

@@ -41,10 +41,11 @@ pub const RECOVERY_VERIFICATION_METRIC: &str = "recovery_verification_total";
 /// Counter of reports dropped because the inbox was full.
 pub const RECOVERY_DROPPED_METRIC: &str = "recovery_reports_dropped_total";
 
-/// Builds a fresh instance of the check that blamed a component, so a
-/// mitigation can be verified by re-dispatching it. Returns `None` when the
-/// component has no re-checkable probe (verification then fails closed: the
-/// ladder keeps climbing).
+/// Builds a fresh verification check for a blamed component: a
+/// hand-written probe of the resource the blaming checker watched (a lock,
+/// a volume, a link, the API), not a copy of that checker. Returns `None`
+/// when the target has no verifier for the component (verification then
+/// fails closed: the ladder keeps climbing).
 pub type VerifierFactory = Arc<dyn Fn(&ComponentId) -> Option<Box<dyn Checker>> + Send + Sync>;
 
 /// Everything a target exposes for component-scoped recovery: how to restart
@@ -68,22 +69,15 @@ pub struct RecoveryCoordinatorBuilder {
     clock: SharedClock,
     surface: RecoverySurface,
     default_policy: RecoveryPolicy,
-    policies: HashMap<ComponentId, RecoveryPolicy>,
     escalation: Option<Arc<dyn Action>>,
     seed: u64,
     telemetry: Option<Arc<TelemetryRegistry>>,
 }
 
 impl RecoveryCoordinatorBuilder {
-    /// Overrides the policy used for components without a specific one.
+    /// Overrides the policy every component's incidents walk.
     pub fn default_policy(mut self, policy: RecoveryPolicy) -> Self {
         self.default_policy = policy;
-        self
-    }
-
-    /// Sets the policy for one component.
-    pub fn policy_for(mut self, component: impl Into<ComponentId>, policy: RecoveryPolicy) -> Self {
-        self.policies.insert(component.into(), policy);
         self
     }
 
@@ -125,8 +119,7 @@ impl RecoveryCoordinatorBuilder {
             inbox: inbox.clone(),
             clock: Arc::clone(&self.clock),
             surface: self.surface,
-            default_policy: self.default_policy,
-            policies: self.policies,
+            policy: self.default_policy,
             escalation: self.escalation,
             seed: self.seed,
             telemetry: self.telemetry,
@@ -194,7 +187,6 @@ impl RecoveryCoordinator {
             clock,
             surface,
             default_policy: RecoveryPolicy::default(),
-            policies: HashMap::new(),
             escalation: None,
             seed: 0,
             telemetry: None,
@@ -284,8 +276,7 @@ struct Worker {
     inbox: ClockedQueue<FailureReport>,
     clock: SharedClock,
     surface: RecoverySurface,
-    default_policy: RecoveryPolicy,
-    policies: HashMap<ComponentId, RecoveryPolicy>,
+    policy: RecoveryPolicy,
     escalation: Option<Arc<dyn Action>>,
     seed: u64,
     telemetry: Option<Arc<TelemetryRegistry>>,
@@ -315,13 +306,6 @@ impl Worker {
         }
     }
 
-    fn policy_for(&self, component: &ComponentId) -> RecoveryPolicy {
-        self.policies
-            .get(component)
-            .unwrap_or(&self.default_policy)
-            .clone()
-    }
-
     /// Bumps the rung counter for one ladder rung execution.
     fn rung(&self, label: &str) {
         if let Some(t) = &self.telemetry {
@@ -335,7 +319,7 @@ impl Worker {
             self.shared.pinned_hits.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let policy = self.policy_for(&component);
+        let policy = self.policy.clone();
         let opened_at_ms = self.clock.now_millis();
         let mut incident = Incident {
             component: component.to_string(),
@@ -517,7 +501,7 @@ impl Worker {
         pass
     }
 
-    /// Dispatches a fresh instance of the target's check for `component` on
+    /// Dispatches a fresh verifier from the target's factory for `component` on
     /// a scratch thread that answers on a one-slot queue. The thread exits
     /// whenever the check completes, so abandoning a wedged verifier never
     /// wedges the coordinator — the executor-abandonment discipline the

@@ -21,7 +21,7 @@
 //!
 //! Recovery is **verified**, and the ladder *parks on* the verification
 //! instead of sleeping and then polling: an incident launches a fresh
-//! instance of the blaming check (via the target's [`RecoverySurface`]) when
+//! verifier for the blamed component (via the target's [`RecoverySurface`]) when
 //! it opens and keeps at most one in flight; every back-off, settle and
 //! verify timeout is a bounded wait on that verifier's verdict. Only a pass
 //! from the target's own verifier marks the component recovered — at the

@@ -1,5 +1,5 @@
-//! Per-component recovery policies: how far up the ladder to climb and how
-//! long to wait between attempts.
+//! The recovery policy: how far up the ladder to climb and how long to wait
+//! between attempts. One policy governs every component's incidents.
 
 use std::time::Duration;
 
@@ -52,7 +52,7 @@ impl BackoffPolicy {
     }
 }
 
-/// How the coordinator treats one component's failures.
+/// How the coordinator treats a component's failures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
     /// Back-off windows the incident's verifier is given to pass before the

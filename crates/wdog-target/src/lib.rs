@@ -22,6 +22,25 @@
 //! harness spawns and joins the workload ([`spawn_workload_on`]) and clears
 //! every fault ([`Injector::clear_all`]), and [`SimSubstrate`] boots the
 //! seeded network and disk for all three targets.
+//!
+//! Each instance hands the recovery coordinator one [`RecoveryMap`]: the
+//! exact id of every component a checker blames, with its restart, shed and
+//! verify handles (— is none; an unmapped id fails closed):
+//!
+//! | target | ids | restart | shed | verifier |
+//! |---|---|---|---|---|
+//! | kvs | `kvs.compaction_loop` | compaction | compaction | compaction lock |
+//! | kvs | `kvs.flusher_loop`, `kvs.flusher`, `kvs.wal_loop` | flusher | flusher | WAL probe |
+//! | kvs | `kvs.replication_loop`, `kvs.replication` | replication | replication | link probe |
+//! | kvs | `kvs.listener_loop`, `kvs.listener`, `kvs.api` | request path | — | API round trip |
+//! | kvs | `kvs` | request path | — | process |
+//! | minizk | `minizk.broadcast_loop`, `minizk.quorum` | broadcast | broadcast | link |
+//! | minizk | `minizk.snapshot_sync_loop` | — | — | link |
+//! | minizk | `minizk.request_processor_loop`, `minizk.processors` | — | — | txnlog |
+//! | minizk | `minizk.api` | — | — | process |
+//! | miniblock | `miniblock.scanner_loop` | scanner | scanner | volume |
+//! | miniblock | `miniblock.heartbeat_loop` | heartbeat | heartbeat | link |
+//! | miniblock | `miniblock.ingest_loop`, `dn.volumes` | — | — | volume |
 
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
@@ -46,10 +65,12 @@ use faults::injector::Injector;
 use faults::spec::FaultKind;
 
 pub mod options;
+pub mod recovery;
 pub mod supervise;
 pub mod workload;
 
 pub use options::{Families, WdOptions};
+pub use recovery::{Handle, RecoveryMap, Verifier};
 pub use supervise::Supervised;
 pub use workload::{spawn_workload_on, RequestFn, WorkloadHandle, WorkloadProfile, WorkloadTicket};
 
@@ -348,9 +369,10 @@ pub trait TargetInstance: Send {
     /// campaign scoring uses this to detect silently-masked faults.
     fn errors_handled(&self) -> u64;
 
-    /// The component-scoped recovery surface — restart/degrade handles plus
-    /// verification re-checks — for the closed-loop recovery coordinator.
-    fn recovery_surface(&self) -> RecoverySurface;
+    /// The instance's recovery map: every blameable component id with its
+    /// restart, shed and verify handles. The closed-loop recovery
+    /// coordinator drives its [`RecoveryMap::surface`].
+    fn recovery_map(&self) -> RecoveryMap;
 
     /// Stops the system's own threads (replicas, pipelines, servers).
     /// Idempotent.

@@ -7,9 +7,8 @@
 //! or whenever an armed fault releases it) and the caller spawns a
 //! replacement; degrading retires the generation with no replacement.
 //!
-//! Targets keep one [`Supervised`] per restartable component and expose
-//! component-name-keyed restart/degrade entry points the recovery
-//! coordinator drives through [`RecoverySurface`](crate::RecoverySurface).
+//! Targets keep one [`Supervised`] per restartable component; the restart
+//! and shed handles of their [`RecoveryMap`](crate::RecoveryMap) drive it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

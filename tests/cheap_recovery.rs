@@ -1,120 +1,125 @@
 //! §5.2 "cheap recovery": the watchdog's localization drives targeted
 //! repair — replacing corrupted files — instead of a full process restart.
+//!
+//! Both tests run on the discrete-event `SimClock`, so every wait is
+//! virtual.
 
-use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
-use kvs::wd::{build_watchdog, sst_recovery_action, WdOptions};
 use kvs::{KvsConfig, KvsServer};
-use simio::disk::{DiskFault, DiskOpKind, FaultRule, SimDisk};
-use wdog_base::clock::RealClock;
+use simio::SimClock;
+use wdog_base::clock::ActorGuard;
+use wdog_core::prelude::*;
+use wdog_recover::{RecoveryCoordinator, RecoveryOutcome, RecoveryPolicy};
+use wdog_target::SimSubstrate;
+
+const MS: fn(u64) -> Duration = Duration::from_millis;
+
+/// A durable server on a fresh sim clock, the test thread adopted first.
+fn boot(config: KvsConfig) -> (Arc<KvsServer>, SharedClock, ActorGuard) {
+    let clock = SimClock::shared();
+    let main = clock.actor("test-main").adopt();
+    let disk = SimSubstrate::boot(1, &clock).disk;
+    let server = KvsServer::start(config, Arc::clone(&clock), disk, None).unwrap();
+    (Arc::new(server), clock, main)
+}
+
+/// Sleeps in 10 ms steps until `done`, for at most 5 virtual seconds.
+fn wait_until(clock: &SharedClock, done: impl Fn() -> bool) {
+    for _ in 0..500 {
+        if done() {
+            return;
+        }
+        clock.sleep(MS(10));
+    }
+}
 
 #[test]
 fn corruption_detection_triggers_partition_rebuild_and_service_survives() {
-    let disk = SimDisk::for_tests();
-    let server = KvsServer::start(
-        KvsConfig {
-            flush_interval: Duration::from_millis(20),
-            compaction_interval: Duration::from_millis(20),
-            compaction_trigger: 3,
-            ..KvsConfig::default()
-        },
-        RealClock::shared(),
-        std::sync::Arc::clone(&disk),
-        None,
-    )
-    .unwrap();
+    let (server, clock, main) = boot(KvsConfig {
+        flush_interval: MS(20),
+        compaction_interval: MS(20),
+        compaction_trigger: 3,
+        ..KvsConfig::default()
+    });
     let client = server.client();
-
-    let (recovery, repairs) = sst_recovery_action(&server);
-    let (mut driver, _) = build_watchdog(
-        &server,
-        &WdOptions {
-            interval: Duration::from_millis(100),
-            checker_timeout: Duration::from_millis(600),
-            actions: vec![recovery],
-            ..WdOptions::default()
-        },
-    )
-    .unwrap();
-    driver.start().unwrap();
-
-    // Write real data, let it flush.
     for i in 0..40 {
         client
             .set(&format!("key-{i}"), &format!("val-{i}"))
             .unwrap();
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.sstable_count() == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until(&clock, || server.sstable_count() > 0);
     assert!(server.sstable_count() > 0, "nothing flushed");
 
-    // Bit rot strikes the SSTable volume for a while, then stops (a
-    // transient hardware episode that left corrupt files behind).
-    let fault = disk.inject(FaultRule::scoped(
-        "sst/",
-        vec![DiskOpKind::Write],
-        DiskFault::CorruptWrites,
-    ));
-    // Drive writes until fresh (corrupt) tables exist and are detected.
-    let deadline = std::time::Instant::now() + Duration::from_secs(8);
-    while repairs.load(Ordering::Relaxed) == 0 && std::time::Instant::now() < deadline {
-        for i in 0..5 {
-            let _ = client.set(&format!("churn-{i}"), "x");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    disk.clear(fault);
-    assert!(
-        repairs.load(Ordering::Relaxed) > 0,
-        "recovery action never fired; reports: {:#?}",
-        driver.log().reports()
+    // The indexer starts corrupting entries, and the index mimic blames the
+    // request path: the archived `state-corruption` row's report.
+    server.toggles().set("kvs.indexer.corrupt", true);
+    let coordinator = RecoveryCoordinator::builder(
+        Arc::clone(&clock),
+        kvs::recover::recovery_map(&server).surface(),
+    )
+    .default_policy(RecoveryPolicy::fast())
+    .start();
+    coordinator.on_failure(&FailureReport {
+        checker: CheckerId::new("kvs.listener_loop_checker"),
+        kind: FailureKind::Corruption,
+        location: FaultLocation::new("kvs.listener_loop", "handle_request"),
+        detail: "index put/get mismatch".into(),
+        payload: vec![],
+        observed_latency_ms: None,
+        at_ms: clock.now_millis(),
+    });
+    assert!(coordinator.wait_idle(Duration::from_secs(5)));
+
+    let incidents = coordinator.incidents();
+    assert_eq!(incidents.len(), 1);
+    assert_eq!(incidents[0].outcome, RecoveryOutcome::VerifiedRecovered);
+    assert_eq!(incidents[0].restarts, 1, "one request-path restart");
+    // Repaired by replacing the partitions, not by restarting anything
+    // else: every background loop is on its first generation and the
+    // process kept serving.
+    let sup = server.supervision();
+    assert_eq!(sup.index_rebuilds, 1);
+    assert_eq!(
+        (
+            sup.flusher_restarts,
+            sup.compaction_restarts,
+            sup.replication_restarts
+        ),
+        (0, 0, 0)
     );
-
-    // After the episode ends, the next repair (or the last one racing the
-    // fault) leaves the partitions valid; force one more to be sure.
-    server.rebuild_partitions().unwrap();
-    server
-        .validate_partitions()
-        .expect("partitions still corrupt");
-
-    // And no data was lost.
+    assert!(server.is_running());
+    server.validate_partitions().unwrap();
     for i in 0..40 {
         assert_eq!(
             client.get(&format!("key-{i}")).unwrap(),
             Some(format!("val-{i}"))
         );
     }
-    driver.stop();
+
+    coordinator.request_stop();
+    server.crash();
+    main.retire();
+    coordinator.stop();
 }
 
 #[test]
 fn rebuild_partitions_collapses_tables_and_preserves_data() {
-    let server = KvsServer::start(
-        KvsConfig {
-            flush_interval: Duration::from_millis(10),
-            compaction_interval: Duration::from_secs(60), // keep tables around
-            compaction_trigger: 100,
-            ..KvsConfig::default()
-        },
-        RealClock::shared(),
-        SimDisk::for_tests(),
-        None,
-    )
-    .unwrap();
+    let (server, clock, main) = boot(KvsConfig {
+        flush_interval: MS(10),
+        compaction_interval: Duration::from_secs(60), // keep tables around
+        compaction_trigger: 100,
+        ..KvsConfig::default()
+    });
     let client = server.client();
     for round in 0..5 {
         for i in 0..10 {
             client.set(&format!("k{round}-{i}"), "v").unwrap();
         }
-        std::thread::sleep(Duration::from_millis(40));
+        clock.sleep(MS(40));
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.sstable_count() < 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until(&clock, || server.sstable_count() >= 2);
     let before = server.sstable_count();
     assert!(before >= 2, "need multiple tables, have {before}");
     let replaced = server.rebuild_partitions().unwrap();
@@ -129,4 +134,6 @@ fn rebuild_partitions_collapses_tables_and_preserves_data() {
             );
         }
     }
+    server.crash();
+    main.retire();
 }
