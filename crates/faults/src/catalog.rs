@@ -3,9 +3,9 @@
 //! Each scenario names a failure from the paper's motivation — partial disk
 //! failure, limplock/fail-slow, state corruption, stuck
 //! background tasks, runtime pauses — together with where it is injected and
-//! what a detector should say about it (failure class and blamed
-//! component). Campaign runners iterate this list; scoring compares
-//! detector reports against [`ExpectedDetection`].
+//! what a detector should say about it (failure class and the exact ids a
+//! correct report blames). Campaign runners iterate this list; scoring
+//! compares detector reports against [`ExpectedDetection`].
 
 use serde::{Deserialize, Serialize};
 
@@ -17,9 +17,10 @@ pub struct ExpectedDetection {
     /// The failure class label a report should carry
     /// (`stuck`/`slow`/`error`/`corruption`/`assert`).
     pub failure_class: String,
-    /// Substring expected somewhere in a correct report's location
-    /// (component, function, or operation).
-    pub component_hint: String,
+    /// The exact component and operation ids a correct report blames: a
+    /// report blames the fault when its location's component or operation
+    /// is one of them.
+    pub blames: Vec<String>,
     /// Whether the fault is liveness-flavoured (never signals explicitly).
     pub liveness: bool,
 }
@@ -61,14 +62,26 @@ pub struct TargetProfile {
     pub corruption_toggle: String,
     /// Toggle name for the memory-leak scenario.
     pub leak_toggle: String,
-    /// Component blamed for WAL/flush problems.
-    pub flusher_component: String,
-    /// Component blamed for compaction problems.
-    pub compaction_component: String,
-    /// Component blamed for replication problems.
-    pub replication_component: String,
-    /// Component blamed for index problems.
-    pub index_component: String,
+    /// Ids a WAL-volume fault is blamed on.
+    pub wal_blames: Vec<String>,
+    /// Ids a data-volume (SSTable) fault is blamed on.
+    pub sst_blames: Vec<String>,
+    /// Ids a replication-link fault is blamed on.
+    pub replication_blames: Vec<String>,
+    /// Ids a compaction fault is blamed on.
+    pub compaction_blames: Vec<String>,
+    /// Ids an index-corruption fault is blamed on.
+    pub index_blames: Vec<String>,
+    /// Ids a memory leak is blamed on.
+    pub memory_blames: Vec<String>,
+    /// Ids a whole-process fault is blamed on: every component the
+    /// target's recovery map holds.
+    pub process_blames: Vec<String>,
+}
+
+/// Owned copies of `ids`, for a profile's blame lists.
+pub fn ids(list: &[&str]) -> Vec<String> {
+    list.iter().map(|&id| id.to_owned()).collect()
 }
 
 impl Default for TargetProfile {
@@ -82,10 +95,28 @@ impl Default for TargetProfile {
             busy_loop_toggle: "kvs.compaction.busyloop".into(),
             corruption_toggle: "kvs.indexer.corrupt".into(),
             leak_toggle: "kvs.listener.leak".into(),
-            flusher_component: "wal".into(),
-            compaction_component: "compact".into(),
-            replication_component: "repl".into(),
-            index_component: "index".into(),
+            wal_blames: ids(&["kvs.wal_loop", "kvs.flusher"]),
+            sst_blames: ids(&[
+                "flush_once#sst_sync",
+                "compact_once#sst_read",
+                "compact_once#sst_merge_write",
+            ]),
+            replication_blames: ids(&["kvs.replication_loop", "kvs.replication"]),
+            compaction_blames: ids(&["kvs.compaction_loop"]),
+            index_blames: ids(&["kvs.listener_loop"]),
+            memory_blames: ids(&["kvs"]),
+            process_blames: ids(&[
+                "kvs",
+                "kvs.api",
+                "kvs.compaction_loop",
+                "kvs.flusher",
+                "kvs.flusher_loop",
+                "kvs.listener",
+                "kvs.listener_loop",
+                "kvs.replication",
+                "kvs.replication_loop",
+                "kvs.wal_loop",
+            ]),
         }
     }
 }
@@ -102,7 +133,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             },
             expected: ExpectedDetection {
                 failure_class: "stuck".into(),
-                component_hint: p.flusher_component.clone(),
+                blames: p.wal_blames.clone(),
                 liveness: true,
             },
         },
@@ -116,7 +147,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             },
             expected: ExpectedDetection {
                 failure_class: "slow".into(),
-                component_hint: "sst".into(),
+                blames: p.sst_blames.clone(),
                 liveness: true,
             },
         },
@@ -129,7 +160,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             },
             expected: ExpectedDetection {
                 failure_class: "error".into(),
-                component_hint: p.flusher_component.clone(),
+                blames: p.wal_blames.clone(),
                 liveness: false,
             },
         },
@@ -142,7 +173,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             },
             expected: ExpectedDetection {
                 failure_class: "corruption".into(),
-                component_hint: "sst".into(),
+                blames: p.sst_blames.clone(),
                 liveness: false,
             },
         },
@@ -156,7 +187,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             },
             expected: ExpectedDetection {
                 failure_class: "stuck".into(),
-                component_hint: p.replication_component.clone(),
+                blames: p.replication_blames.clone(),
                 liveness: true,
             },
         },
@@ -171,7 +202,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             },
             expected: ExpectedDetection {
                 failure_class: "slow".into(),
-                component_hint: p.replication_component.clone(),
+                blames: p.replication_blames.clone(),
                 liveness: true,
             },
         },
@@ -184,7 +215,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             },
             expected: ExpectedDetection {
                 failure_class: "stuck".into(),
-                component_hint: p.compaction_component.clone(),
+                blames: p.compaction_blames.clone(),
                 liveness: true,
             },
         },
@@ -197,7 +228,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             },
             expected: ExpectedDetection {
                 failure_class: "stuck".into(),
-                component_hint: p.compaction_component.clone(),
+                blames: p.compaction_blames.clone(),
                 liveness: true,
             },
         },
@@ -210,7 +241,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             },
             expected: ExpectedDetection {
                 failure_class: "corruption".into(),
-                component_hint: p.index_component.clone(),
+                blames: p.index_blames.clone(),
                 liveness: false,
             },
         },
@@ -223,7 +254,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             },
             expected: ExpectedDetection {
                 failure_class: "assert".into(),
-                component_hint: "memory".into(),
+                blames: p.memory_blames.clone(),
                 liveness: false,
             },
         },
@@ -234,7 +265,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             kind: FaultKind::RuntimePause { millis: 8_000 },
             expected: ExpectedDetection {
                 failure_class: "slow".into(),
-                component_hint: "kvs".into(),
+                blames: p.process_blames.clone(),
                 liveness: true,
             },
         },
@@ -245,7 +276,7 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             kind: FaultKind::ProcessCrash,
             expected: ExpectedDetection {
                 failure_class: "stuck".into(),
-                component_hint: "kvs".into(),
+                blames: p.process_blames.clone(),
                 liveness: true,
             },
         },

@@ -42,8 +42,8 @@ pub struct ScheduledFault {
     /// Failure-class label a correct detection carries (empty for benign
     /// near-misses, which should not be detected at all).
     pub expected_class: String,
-    /// Substring a correct report's location must contain.
-    pub component_hint: String,
+    /// The exact component and operation ids a correct report blames.
+    pub blames: Vec<String>,
     /// Whether this fault is a sub-threshold near-miss that must NOT fire
     /// any checker.
     pub benign: bool,
@@ -117,7 +117,7 @@ const BENIGN_FACTOR_CENTIS: std::ops::Range<u64> = 105..140;
 /// Benign near-miss pause lengths (ms): far below the slow threshold.
 const BENIGN_PAUSE_MS: std::ops::Range<u64> = 1..5;
 
-/// Picks `n` catalogue entries with pairwise-distinct component hints.
+/// Picks `n` catalogue entries with pairwise-different blame lists.
 fn pick_distinct<'a>(pool: &[&'a Scenario], n: usize, rng: &mut impl Rng) -> Vec<&'a Scenario> {
     let mut picked: Vec<&Scenario> = Vec::new();
     let mut attempts = 0;
@@ -126,7 +126,7 @@ fn pick_distinct<'a>(pool: &[&'a Scenario], n: usize, rng: &mut impl Rng) -> Vec
         let cand = pool[rng.gen_range(0..pool.len())];
         if picked
             .iter()
-            .all(|p| p.expected.component_hint != cand.expected.component_hint)
+            .all(|p| p.expected.blames != cand.expected.blames)
         {
             picked.push(cand);
         }
@@ -233,7 +233,7 @@ pub fn compose_schedule(
             } else {
                 s.expected.failure_class.clone()
             },
-            component_hint: s.expected.component_hint.clone(),
+            blames: s.expected.blames.clone(),
             benign,
         });
     }
@@ -452,7 +452,7 @@ mod tests {
             let s = compose_schedule(&cat, 5, i, &ComposeOptions::default()).unwrap();
             if s.faults.len() == 2 {
                 pairs += 1;
-                assert_ne!(s.faults[0].component_hint, s.faults[1].component_hint);
+                assert_ne!(s.faults[0].blames, s.faults[1].blames);
             }
         }
         assert!(pairs > 0, "no overlapping pairs in 32 schedules");

@@ -155,8 +155,10 @@ fn main() {
             }
         }
 
-        let spots = load_blind_spots(Path::new("tests/chaos_corpus"), target.name);
-        let bundle = match run_analysis(target, &spots) {
+        let corpus = Path::new("tests/chaos_corpus");
+        let bundle = match load_blind_spots(corpus, target.name)
+            .and_then(|spots| run_analysis(target, &spots))
+        {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("error: analysis passes failed for {}: {e}", target.name);

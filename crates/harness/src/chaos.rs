@@ -9,11 +9,13 @@
 //! each against a live testbed through the generic [`WatchdogTarget`]
 //! runner. Every fault gets a verdict:
 //!
-//! - **detected** — some in-window report blames the fault's component;
-//! - **wrong-component** — the watchdog reported, but every blame landed
-//!   on a known component no active fault implicates (mislocated
-//!   pinpoint);
-//! - **missed** — no report implicates the fault at all;
+//! - **detected** — some in-window report blames the fault: its component
+//!   or operation is exactly one of the fault's `blames` ids
+//!   ([`crate::scenario::blames`], the one rule every campaign scores by);
+//! - **wrong-component** — no report blames the fault, but some report
+//!   blames no fault of the schedule at all (mislocated pinpoint);
+//! - **missed** — no report blames the fault, and any that arrived blames
+//!   another fault of the schedule;
 //! - **clean** / **false-positive** — the benign-schedule verdicts: a
 //!   sub-threshold near-miss must produce *no* report.
 //!
@@ -22,16 +24,15 @@
 //! the campaign oracle at each step — down to a minimal [`Reproducer`]
 //! that `wdog-chaos --replay` reruns byte-for-byte.
 //!
-//! Everything in a [`ChaosReport`] is deterministic for a `(target, seed,
-//! schedules)` triple even on the real clock: schedule composition is a
-//! pure function of the seed, severities are bimodal (far over or far
-//! under every threshold), harmful durations span many checking rounds,
-//! and the report carries only robust facts — compositions and verdicts,
-//! never wall-clock latencies or report counts. Measured latencies go to
-//! the [`ChaosMetrics`] telemetry sidecar instead. Reports from signal
-//! checkers ([`is_signal_checker`]) are likewise measured, never scored:
-//! they watch real resource levels, so whether one trips depends on
-//! machine load at sample time rather than on the injected severity.
+//! A [`ChaosReport`] is a pure function of `(target, seed, schedules)`:
+//! schedule composition is a pure function of the seed, and every schedule
+//! replays on a fresh discrete-event `SimClock`, so which checker reports
+//! at which virtual instant is fixed too. The report carries compositions,
+//! verdicts and the checkers behind each detection, never latencies or
+//! report counts; measured latencies go to the [`ChaosMetrics`] telemetry
+//! sidecar. Reports from signal checkers ([`is_signal_checker`]) are
+//! measured, never scored: they sample resource levels, whose trip point
+//! the schedule's severity does not set.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -49,7 +50,7 @@ use wdog_core::report::FailureReport;
 use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
 use wdog_telemetry::{checker_family, ChaosMetrics};
 
-use crate::scenario::RunnerOptions;
+use crate::scenario::{blames, RunnerOptions};
 use crate::session::Session;
 
 /// Verdict labels (also the `chaos_verdicts_total` counter labels).
@@ -142,16 +143,16 @@ pub struct FaultVerdict {
     pub scenario: String,
     /// Fault-kind label (`disk-stuck`, `net-slow`, …).
     pub kind: String,
-    /// Substring a correct blame must contain.
-    pub component_hint: String,
+    /// The exact component and operation ids a correct report blames.
+    pub blames: Vec<String>,
     /// `detected`, `missed`, `wrong-component`, `clean`, or
     /// `false-positive`.
     pub verdict: String,
-    /// Checkers whose in-window reports matched the hint (sorted); for
+    /// Checkers whose in-window reports blame this fault (sorted); for
     /// false positives, every checker that reported at all.
     pub checkers: Vec<String>,
-    /// For wrong-component verdicts: the known components the in-window
-    /// reports blamed instead (sorted).
+    /// For wrong-component verdicts: the components of the in-window
+    /// reports that blame no fault of the schedule (sorted).
     pub blamed: Vec<String>,
 }
 
@@ -310,7 +311,6 @@ pub fn run_schedule(
     }
 
     Ok(score_schedule(
-        target,
         schedule,
         &reports,
         run_start.as_millis() as u64,
@@ -329,29 +329,8 @@ pub fn is_signal_checker(checker: &str) -> bool {
     checker_family(checker) == "signal"
 }
 
-/// The most specific component of `components` a report location names:
-/// the longest substring match, ties broken lexicographically. The
-/// whole-system component (`target_name`) is the blame of last resort —
-/// practically every location mentions it, so it only wins when nothing
-/// more specific matches.
-fn primary_component(components: &[String], target_name: &str, location: &str) -> Option<String> {
-    let mut m: Vec<&String> = components
-        .iter()
-        .filter(|c| c.as_str() != target_name && location.contains(c.as_str()))
-        .collect();
-    m.sort();
-    m.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    m.first().map(|c| (*c).clone()).or_else(|| {
-        components
-            .iter()
-            .find(|c| c.as_str() == target_name && location.contains(c.as_str()))
-            .cloned()
-    })
-}
-
 /// Scores a replayed schedule from the driver's report log.
 fn score_schedule(
-    target: &dyn WatchdogTarget,
     schedule: &FaultSchedule,
     reports: &[FailureReport],
     run_start_ms: u64,
@@ -367,12 +346,6 @@ fn score_schedule(
             m.signal_report(r.checker.as_str());
         }
     }
-    let components = target.components();
-    let implicated: Vec<&str> = schedule
-        .faults
-        .iter()
-        .map(|f| f.component_hint.as_str())
-        .collect();
     let mut verdicts = Vec::new();
 
     if schedule.benign {
@@ -399,7 +372,7 @@ fn score_schedule(
                 fault: f.spec.name.clone(),
                 scenario: f.scenario.clone(),
                 kind: f.spec.kind.label().to_owned(),
-                component_hint: f.component_hint.clone(),
+                blames: f.blames.clone(),
                 verdict: verdict.to_owned(),
                 checkers: checkers.clone(),
                 blamed: Vec::new(),
@@ -423,57 +396,37 @@ fn score_schedule(
             .filter(|r| r.at_ms >= onset_ms)
             .copied()
             .collect();
-        let matching: Vec<&&FailureReport> = window
+        let hits: Vec<&FailureReport> = window
             .iter()
-            .filter(|r| r.location.to_string().contains(f.component_hint.as_str()))
+            .filter(|r| blames(r, &f.blames))
+            .copied()
             .collect();
-        let (verdict, checkers, blamed) = if let Some(first) = matching.first() {
+        let (verdict, blamed) = if let Some(first) = hits.first() {
             if let Some(m) = metrics {
                 m.detection_latency(f.spec.kind.label(), first.at_ms.saturating_sub(onset_ms));
             }
-            // Canonical checker set: only checkers whose report names this
-            // fault's component as its *primary* (most specific) blame.
-            // Under overlapping faults a neighbouring component's checker
-            // can trip at an op that happens to mention this component's
-            // resource (compaction reading `sst/` during an sst disk
-            // fault), and whether it does rides on round phase — a
-            // cross-component mention is real detection signal but not a
-            // deterministic fact, so it stays out of the byte-stable
-            // report.
-            let mut c: Vec<String> = matching
-                .iter()
-                .filter(|r| {
-                    primary_component(&components, target.name(), &r.location.to_string())
-                        .as_deref()
-                        == Some(f.component_hint.as_str())
-                })
-                .map(|r| r.checker.as_str().to_owned())
-                .collect();
-            c.sort();
-            c.dedup();
-            (DETECTED, c, Vec::new())
+            (DETECTED, Vec::new())
         } else {
-            // Missed. Did the watchdog blame a known component that no
-            // active fault implicates? That is a mislocated pinpoint,
-            // not silence.
-            let mut mislocated: Vec<String> = window
+            // Missed. A report that blames no fault of the schedule is a
+            // mislocated pinpoint, not silence.
+            let mut blamed: Vec<String> = window
                 .iter()
-                .filter(|r| {
-                    let loc = r.location.to_string();
-                    !implicated.iter().any(|h| loc.contains(h))
-                })
-                .filter_map(|r| {
-                    primary_component(&components, target.name(), &r.location.to_string())
-                })
+                .filter(|r| !schedule.faults.iter().any(|g| blames(r, &g.blames)))
+                .map(|r| r.location.component.as_str().to_owned())
                 .collect();
-            mislocated.sort();
-            mislocated.dedup();
-            if mislocated.is_empty() {
-                (MISSED, Vec::new(), Vec::new())
+            blamed.sort();
+            blamed.dedup();
+            let verdict = if blamed.is_empty() {
+                MISSED
             } else {
-                (WRONG_COMPONENT, Vec::new(), mislocated)
-            }
+                WRONG_COMPONENT
+            };
+            (verdict, blamed)
         };
+        let mut checkers: Vec<String> =
+            hits.iter().map(|r| r.checker.as_str().to_owned()).collect();
+        checkers.sort();
+        checkers.dedup();
         if let Some(m) = metrics {
             m.verdict(verdict);
         }
@@ -481,7 +434,7 @@ fn score_schedule(
             fault: f.spec.name.clone(),
             scenario: f.scenario.clone(),
             kind: f.spec.kind.label().to_owned(),
-            component_hint: f.component_hint.clone(),
+            blames: f.blames.clone(),
             verdict: verdict.to_owned(),
             checkers,
             blamed,
@@ -740,7 +693,7 @@ mod tests {
             let mut extra = s.faults[0].clone();
             extra.spec.name = "padding#9".into();
             extra.scenario = "padding".into();
-            extra.component_hint = "repl".into();
+            extra.blames = vec!["kvs.replication_loop".into()];
             extra.spec.kind = FaultKind::NetDrop {
                 src: "a".into(),
                 dst: "b".into(),
@@ -784,78 +737,113 @@ mod tests {
 
     #[test]
     fn scoring_separates_detected_missed_and_wrong_component() {
+        use miniblock::target::DnTarget;
         use wdog_base::ids::CheckerId;
         use wdog_core::report::{FailureKind, FailureReport, FaultLocation};
-        let target = KvsTarget;
-        let mut s =
-            compose_schedule(&chaos_pool(&KvsTarget), 11, 0, &ComposeOptions::default()).unwrap();
-        s.faults.truncate(1);
-        s.faults[0].component_hint = "wal".into();
+        // A one-fault harmful schedule of `scenario` on `target`.
+        let one_fault = |target: &dyn WatchdogTarget, scenario: &str| {
+            let pool = chaos_pool(target);
+            let mut s = compose_schedule(&pool, 11, 0, &ComposeOptions::default()).unwrap();
+            s.faults.truncate(1);
+            let sc = pool.into_iter().find(|c| c.id == scenario).unwrap();
+            s.faults[0].scenario = sc.id;
+            s.faults[0].blames = sc.expected.blames;
+            s
+        };
+        let s = one_fault(&KvsTarget, "partial-disk-stuck");
         let onset = 1_000 + s.faults[0].spec.start_after.as_millis() as u64;
         let report = |component: &str, at_ms: u64| FailureReport {
             checker: CheckerId::new(format!("{component}.mimic")),
             kind: FailureKind::Stuck,
-            location: FaultLocation::new(format!("kvs.{component}"), "op"),
+            location: FaultLocation::new(component, "op"),
             detail: String::new(),
             payload: Default::default(),
             observed_latency_ms: None,
             at_ms,
         };
+        // Past every composed onset.
+        let late = 1_000 + ComposeOptions::default().max_onset.as_millis() as u64;
+        let at_op = |component: &str, op: &str| FailureReport {
+            location: FaultLocation::new(component, "op").with_op(op),
+            ..report(component, late)
+        };
 
-        let hit = score_schedule(&target, &s, &[report("wal", onset + 50)], 1_000, None);
+        let hit = score_schedule(&s, &[report("kvs.wal_loop", onset + 50)], 1_000, None);
         assert_eq!(hit.verdict, DETECTED);
-        assert_eq!(hit.verdicts[0].checkers, vec!["wal.mimic".to_owned()]);
+        assert_eq!(
+            hit.verdicts[0].checkers,
+            vec!["kvs.wal_loop.mimic".to_owned()]
+        );
 
-        let silent = score_schedule(&target, &s, &[], 1_000, None);
+        let silent = score_schedule(&s, &[], 1_000, None);
         assert_eq!(silent.verdict, MISSED);
 
         // Early reports (before onset) never count.
-        let early = score_schedule(&target, &s, &[report("wal", onset - 200)], 1_000, None);
+        let early = score_schedule(&s, &[report("kvs.wal_loop", onset - 200)], 1_000, None);
         assert_eq!(early.verdict, MISSED);
 
-        let mislocated = score_schedule(&target, &s, &[report("index", onset + 50)], 1_000, None);
+        let mislocated =
+            score_schedule(&s, &[report("kvs.listener_loop", onset + 50)], 1_000, None);
         assert_eq!(mislocated.verdict, WRONG_COMPONENT);
-        assert_eq!(mislocated.verdicts[0].blamed, vec!["index".to_owned()]);
+        assert_eq!(
+            mislocated.verdicts[0].blamed,
+            vec!["kvs.listener_loop".to_owned()]
+        );
+
+        // Blame is exact: a component that merely contains a blamed id is
+        // someone else.
+        let prefixed = score_schedule(&s, &[report("kvs.wal_loop2", onset + 50)], 1_000, None);
+        assert_eq!(prefixed.verdict, WRONG_COMPONENT);
 
         // Signal-checker reports are load-coupled and never scored: an
         // in-window, component-matching signal report must not rescue a
         // miss, and must not pollute a detection's checker set.
         let signal = FailureReport {
             checker: CheckerId::new("kvs.signal.wal_queue"),
-            ..report("wal", onset + 50)
+            ..report("kvs.wal_loop", onset + 50)
         };
-        let unscored = score_schedule(&target, &s, std::slice::from_ref(&signal), 1_000, None);
+        let unscored = score_schedule(&s, std::slice::from_ref(&signal), 1_000, None);
         assert_eq!(unscored.verdict, MISSED);
         let both = score_schedule(
-            &target,
             &s,
-            &[signal.clone(), report("wal", onset + 50)],
+            &[signal.clone(), report("kvs.wal_loop", onset + 50)],
             1_000,
             None,
         );
         assert_eq!(both.verdict, DETECTED);
-        assert_eq!(both.verdicts[0].checkers, vec!["wal.mimic".to_owned()]);
-
-        // A neighbouring component's checker whose report merely mentions
-        // this fault's resource counts for detection, but stays out of
-        // the canonical checker set: its primary blame is the other
-        // component.
-        let cross = FailureReport {
-            checker: CheckerId::new("compact.mimic"),
-            location: FaultLocation::new("kvs.compact", "read").with_op("wal/0001"),
-            ..report("wal", onset + 50)
-        };
-        let grazed = score_schedule(&target, &s, std::slice::from_ref(&cross), 1_000, None);
-        assert_eq!(grazed.verdict, DETECTED);
-        assert!(grazed.verdicts[0].checkers.is_empty());
-        let mixed = score_schedule(
-            &target,
-            &s,
-            &[cross, report("wal", onset + 50)],
-            1_000,
-            None,
+        assert_eq!(
+            both.verdicts[0].checkers,
+            vec!["kvs.wal_loop.mimic".to_owned()]
         );
-        assert_eq!(mixed.verdicts[0].checkers, vec!["wal.mimic".to_owned()]);
+
+        // Where one component touches two resources, the operation decides:
+        // compaction's lock does not detect an `sst/` fault, its read does,
+        // and its checker joins the fault's checker set.
+        let sst = one_fault(&KvsTarget, "disk-bit-rot");
+        let lock = at_op("kvs.compaction_loop", "compact_once#compaction_lock");
+        let read = at_op("kvs.compaction_loop", "compact_once#sst_read");
+        assert_ne!(score_schedule(&sst, &[lock], 1_000, None).verdict, DETECTED);
+        let read = score_schedule(&sst, &[read], 1_000, None);
+        assert_eq!(read.verdict, DETECTED);
+        assert_eq!(
+            read.verdicts[0].checkers,
+            vec!["kvs.compaction_loop.mimic".to_owned()]
+        );
+
+        // miniblock: `"block"` is a substring of every `miniblock.*` id,
+        // yet a heartbeat report does not detect a `blocks/` fault; the
+        // disk checker's volume sweep does.
+        let disk = one_fault(&DnTarget, "disk-fail-slow");
+        let heartbeat = report("miniblock.heartbeat_loop", late);
+        assert_ne!(
+            score_schedule(&disk, &[heartbeat], 1_000, None).verdict,
+            DETECTED
+        );
+        let volumes = report("dn.volumes", late);
+        assert_eq!(
+            score_schedule(&disk, &[volumes], 1_000, None).verdict,
+            DETECTED
+        );
 
         // Benign schedules: silence is clean, any report is a false
         // positive.
@@ -865,23 +853,25 @@ mod tests {
             f.benign = true;
             f.expected_class.clear();
         }
-        let quiet = score_schedule(&target, &b, &[], 1_000, None);
+        let quiet = score_schedule(&b, &[], 1_000, None);
         assert_eq!(quiet.verdict, CLEAN);
-        let noisy = score_schedule(&target, &b, &[report("index", 1_100)], 1_000, None);
+        let noisy = score_schedule(&b, &[report("kvs.listener_loop", 1_100)], 1_000, None);
         assert_eq!(noisy.verdict, FALSE_POSITIVE);
-        assert_eq!(noisy.verdicts[0].checkers, vec!["index.mimic".to_owned()]);
+        assert_eq!(
+            noisy.verdicts[0].checkers,
+            vec!["kvs.listener_loop.mimic".to_owned()]
+        );
         // …but a lone signal-checker blip under load is not a false
         // positive.
-        let blip = score_schedule(&target, &b, &[signal], 1_000, None);
+        let blip = score_schedule(&b, &[signal], 1_000, None);
         assert_eq!(blip.verdict, CLEAN);
     }
 
     #[test]
     fn exemplar_packages_the_first_outcome() {
-        let target = KvsTarget;
         let s =
             compose_schedule(&chaos_pool(&KvsTarget), 13, 0, &ComposeOptions::default()).unwrap();
-        let outcome = score_schedule(&target, &s, &[], 1_000, None);
+        let outcome = score_schedule(&s, &[], 1_000, None);
         let report = ChaosReport {
             target: "kvs".into(),
             seed: 13,

@@ -75,8 +75,8 @@ pub struct FlippedFault {
     pub fault: String,
     /// Fault-kind label.
     pub kind: String,
-    /// Component the fault implicates.
-    pub component_hint: String,
+    /// The exact ids a correct report blames for the fault.
+    pub blames: Vec<String>,
     /// Inferred checkers in the fresh detection's canonical checker set.
     pub checkers: Vec<String>,
 }
@@ -238,7 +238,7 @@ pub fn score_against_archive(
                     schedule: outcome.schedule.id.clone(),
                     fault: new.fault.clone(),
                     kind: new.kind.clone(),
-                    component_hint: new.component_hint.clone(),
+                    blames: new.blames.clone(),
                     checkers: new
                         .checkers
                         .iter()

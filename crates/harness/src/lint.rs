@@ -113,11 +113,12 @@ pub struct AnalysisBundle {
 
 /// Reads archived chaos reproducers from `dir` (the regression corpus,
 /// `tests/chaos_corpus/`) and returns the *missed* ones for `target` as blind
-/// spots the coverage matrix cross-references. Unreadable or foreign
-/// files are skipped; a missing directory yields an empty list.
-pub fn load_blind_spots(dir: &Path, target: &str) -> Vec<BlindSpot> {
+/// spots the coverage matrix cross-references. Reproducers of other targets
+/// or verdicts are skipped; a missing directory yields an empty list, and a
+/// file that is unreadable or does not parse as a reproducer is an error.
+pub fn load_blind_spots(dir: &Path, target: &str) -> std::io::Result<Vec<BlindSpot>> {
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     let mut paths: Vec<_> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -127,38 +128,31 @@ pub fn load_blind_spots(dir: &Path, target: &str) -> Vec<BlindSpot> {
 
     let mut spots = Vec::new();
     for path in paths {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let Ok(rep) = serde_json::from_str::<crate::chaos::Reproducer>(&text) else {
-            continue;
-        };
+        let text = std::fs::read_to_string(&path)?;
+        let rep: crate::chaos::Reproducer = serde_json::from_str(&text).map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{}: {e}", path.display()),
+            )
+        })?;
         if rep.target != target || rep.kind != "missed" {
             continue;
         }
-        let mut labels: Vec<&str> = rep
-            .schedule
-            .faults
-            .iter()
-            .map(|f| f.spec.kind.label())
-            .collect();
+        let faults = &rep.schedule.faults;
+        let mut labels: Vec<&str> = faults.iter().map(|f| f.spec.kind.label()).collect();
         labels.dedup();
-        let mut hints: Vec<String> = rep
-            .schedule
-            .faults
-            .iter()
-            .map(|f| format!("{} {}", f.scenario, f.component_hint))
-            .collect();
-        hints.dedup();
+        let mut blames: Vec<String> = faults.iter().flat_map(|f| f.blames.clone()).collect();
+        blames.sort();
+        blames.dedup();
         spots.push(BlindSpot {
             id: rep.schedule.id.clone(),
             fault: labels.join("+"),
-            hint: hints.join("; "),
+            blames,
             statically_flagged: false,
             evidence: Vec::new(),
         });
     }
-    spots
+    Ok(spots)
 }
 
 /// Runs the deep static-analysis passes for one target: extraction, call
@@ -197,6 +191,24 @@ mod tests {
                 t.name
             );
         }
+    }
+
+    #[test]
+    fn a_corpus_file_that_does_not_parse_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("harness-corpus-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // A reproducer in an older schema: its faults carry no `blames`.
+        let stale = r#"{"kind":"missed","target":"kvs","schedule":{"id":"chaos-1-000",
+            "seed":1,"benign":false,"horizon":{"secs":2,"nanos":0},"faults":[{
+            "scenario":"busy-loop","spec":{"name":"busy-loop#0","kind":{"TaskBusyLoop":
+            {"toggle":"t"}},"start_after":{"secs":0,"nanos":0},"duration":null},
+            "expected_class":"stuck","component_hint":"compact","benign":false}]},
+            "verdict":"missed","shrink_steps":0,"shrink_evals":0}"#;
+        std::fs::write(dir.join("chaos-1-000.kvs.missed.json"), stale).unwrap();
+        let loaded = load_blind_spots(&dir, "kvs");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = loaded.expect_err("a stale reproducer must not be skipped");
+        assert!(err.to_string().contains("chaos-1-000"), "{err}");
     }
 
     #[test]

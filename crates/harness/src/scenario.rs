@@ -138,6 +138,16 @@ pub fn granularity_of(loc: &FaultLocation) -> &'static str {
     }
 }
 
+/// Whether `report` blames a fault whose correct blames are `ids`: the
+/// report's component or operation equals one of them. This is the one
+/// blame rule every campaign scores by.
+pub fn blames(report: &FailureReport, ids: &[String]) -> bool {
+    let loc = &report.location;
+    ids.iter().any(|id| {
+        id == loc.component.as_str() || loc.operation.as_ref().is_some_and(|op| id == op.as_str())
+    })
+}
+
 /// Runs one scenario (or a fault-free control run when `scenario` is
 /// `None`) against `target` and scores every detector.
 pub fn run_scenario(
@@ -266,11 +276,10 @@ pub fn run_scenario(
         .collect();
     let wd_outcome = match in_window.first().copied().filter(|_| !crash_run) {
         Some(r) => {
-            let hint = scenario.map(|s| s.expected.component_hint.as_str());
-            let blames =
-                |r: &FailureReport| hint.is_some_and(|h| r.location.to_string().contains(h));
+            let expected = scenario.map(|s| s.expected.blames.as_slice());
+            let right = |r: &FailureReport| expected.is_some_and(|ids| blames(r, ids));
             // Best granularity achieved across the window; among equally
-            // precise reports, one that blames the expected component.
+            // precise reports, one that blames the scenario's ids.
             let rank = |g: &str| match g {
                 "operation" => 3,
                 "function" => 2,
@@ -279,7 +288,7 @@ pub fn run_scenario(
             };
             let best = in_window
                 .iter()
-                .max_by_key(|r| (rank(granularity_of(&r.location)), blames(r)))
+                .max_by_key(|r| (rank(granularity_of(&r.location)), right(r)))
                 .copied()
                 .unwrap_or(r);
             DetectorOutcome {
@@ -288,7 +297,7 @@ pub fn run_scenario(
                 latency_ms: Some(r.at_ms.saturating_sub(injected_at_ms)),
                 class: Some(r.kind.label().to_owned()),
                 granularity: granularity_of(&best.location).to_owned(),
-                correct_blame: hint.map(|_| in_window.iter().any(|r| blames(r))),
+                correct_blame: expected.map(|_| in_window.iter().any(|r| right(r))),
                 blamed: Some(best.location.to_string()),
                 detail: r.detail.clone(),
                 payload: best.payload.clone(),

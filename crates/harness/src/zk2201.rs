@@ -34,15 +34,16 @@ pub struct Zk2201Result {
     pub runs: Vec<ScenarioResult>,
 }
 
-/// minizk's `replication-link-wedged`, expected to blame the blocked
-/// `serialize_node` rather than the writes waiting on its lock.
+/// minizk's `replication-link-wedged`, expected to blame the operations of
+/// the blocked `serialize_node` rather than the writes waiting on its lock.
 pub fn scenario() -> Scenario {
     let mut s = ZkTarget
         .catalog()
         .into_iter()
         .find(|s| s.id == "replication-link-wedged")
         .expect("minizk catalogue scenario");
-    s.expected.component_hint = "serialize_node".into();
+    s.expected.blames =
+        faults::catalog::ids(&["serialize_node#node_lock", "serialize_node#write_record"]);
     s
 }
 

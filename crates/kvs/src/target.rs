@@ -49,17 +49,6 @@ impl WatchdogTarget for KvsTarget {
         catalog_for(&TargetProfile::default(), FaultSurface::FULL)
     }
 
-    fn components(&self) -> Vec<String> {
-        // Everything a kvs report can blame, beyond the catalogue's hints:
-        // chaos pinpoint accounting treats blame on any of these as a
-        // mislocated detection when no active fault implicates it.
-        [
-            "wal", "sst", "compact", "repl", "index", "memory", "api", "listener", "kvs",
-        ]
-        .map(str::to_owned)
-        .to_vec()
-    }
-
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {
         let sim = SimSubstrate::boot(seed, &clock);
         let replica = Replica::spawn(sim.net.clone(), "kvs-replica");

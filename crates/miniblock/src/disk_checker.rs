@@ -226,11 +226,14 @@ mod tests {
             panic!("enhanced checker missed a dead volume");
         };
         assert_eq!(f.kind, FailureKind::Error);
-        assert!(
-            f.location.to_string().contains("vol0"),
-            "wrong volume blamed: {}",
-            f.location
-        );
+        assert_eq!(probed_volume(&f), Some("vol0"), "{}", f.location);
+    }
+
+    /// The volume a probe failure blames, from its `volume_probe#<op>:<volume>`
+    /// operation.
+    fn probed_volume(f: &CheckFailure) -> Option<&str> {
+        let op = f.location.operation.as_ref()?.as_str();
+        op.rsplit_once(':').map(|(_, volume)| volume)
     }
 
     #[test]
@@ -250,7 +253,7 @@ mod tests {
             panic!("enhanced checker missed bit rot");
         };
         assert_eq!(f.kind, FailureKind::Corruption);
-        assert!(f.location.to_string().contains("vol1"));
+        assert_eq!(probed_volume(&f), Some("vol1"), "{}", f.location);
     }
 
     #[test]

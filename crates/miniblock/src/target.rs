@@ -14,7 +14,7 @@ use std::time::Duration;
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
 
-use faults::catalog::{Scenario, TargetProfile};
+use faults::catalog::{ids, Scenario, TargetProfile};
 use faults::injector::Injector;
 
 use wdog_core::prelude::*;
@@ -36,6 +36,12 @@ pub struct DnTarget;
 
 /// Scenario locations mapped onto the DataNode's layout.
 fn dn_profile() -> TargetProfile {
+    // The mimicked block I/O, and the disk checker's volume sweep.
+    let block = ids(&[
+        "write_block#block_write",
+        "scan_block#block_read",
+        "dn.volumes",
+    ]);
     TargetProfile {
         // "WAL" scenarios strike one volume (partial failure), the
         // "SSTable" scenarios the whole store.
@@ -43,8 +49,15 @@ fn dn_profile() -> TargetProfile {
         sst_prefix: "blocks/".into(),
         replica_src: "dn1".into(),
         replica_dst: NAMENODE_ADDR.into(),
-        flusher_component: "block".into(),
-        replication_component: "report".into(),
+        wal_blames: block.clone(),
+        sst_blames: block,
+        replication_blames: ids(&["miniblock.report_loop", "miniblock.heartbeat_loop"]),
+        process_blames: ids(&[
+            "dn.volumes",
+            "miniblock.heartbeat_loop",
+            "miniblock.ingest_loop",
+            "miniblock.scanner_loop",
+        ]),
         ..TargetProfile::default()
     }
 }
@@ -63,23 +76,7 @@ impl WatchdogTarget for DnTarget {
     }
 
     fn catalog(&self) -> Vec<Scenario> {
-        let mut cat = catalog_for(&dn_profile(), FaultSurface::SUBSTRATE);
-        for s in &mut cat {
-            if s.expected.component_hint == "sst" {
-                s.expected.component_hint = "block".into();
-            }
-            if s.expected.component_hint == "kvs" {
-                s.expected.component_hint = "miniblock".into();
-            }
-        }
-        cat
-    }
-
-    fn components(&self) -> Vec<String> {
-        // Blameable DataNode components for chaos wrong-component accounting.
-        ["block", "report", "heartbeat", "scanner", "miniblock"]
-            .map(str::to_owned)
-            .to_vec()
+        catalog_for(&dn_profile(), FaultSurface::SUBSTRATE)
     }
 
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {
@@ -202,7 +199,7 @@ mod tests {
             }
         );
         let slow = cat.iter().find(|s| s.id == "disk-fail-slow").unwrap();
-        assert_eq!(slow.expected.component_hint, "block");
+        assert!(slow.expected.blames.iter().any(|id| id == "dn.volumes"));
     }
 
     #[test]

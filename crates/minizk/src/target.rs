@@ -17,7 +17,7 @@ use std::time::Duration;
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
 
-use faults::catalog::{Scenario, TargetProfile};
+use faults::catalog::{ids, Scenario, TargetProfile};
 use faults::injector::Injector;
 
 use wdog_core::prelude::*;
@@ -41,13 +41,23 @@ pub struct ZkTarget;
 
 /// Scenario locations mapped onto minizk's layout.
 fn zk_profile() -> TargetProfile {
+    let txnlog = ids(&["sync_txn#txnlog_append", "sync_txn#txnlog_sync"]);
     TargetProfile {
         wal_prefix: "txnlog/".into(),
         sst_prefix: "txnlog/".into(),
         replica_src: LEADER_ADDR.into(),
         replica_dst: follower_addr(0),
-        flusher_component: "txnlog".into(),
-        replication_component: "commit".into(),
+        wal_blames: txnlog.clone(),
+        sst_blames: txnlog,
+        replication_blames: ids(&["minizk.broadcast_loop"]),
+        process_blames: ids(&[
+            "minizk.api",
+            "minizk.broadcast_loop",
+            "minizk.processors",
+            "minizk.quorum",
+            "minizk.request_processor_loop",
+            "minizk.snapshot_sync_loop",
+        ]),
         ..TargetProfile::default()
     }
 }
@@ -66,32 +76,7 @@ impl WatchdogTarget for ZkTarget {
     }
 
     fn catalog(&self) -> Vec<Scenario> {
-        let mut cat = catalog_for(&zk_profile(), FaultSurface::SUBSTRATE);
-        // The shared catalogue hard-codes a few kvs-shaped hints; remap
-        // them onto minizk's components.
-        for s in &mut cat {
-            if s.expected.component_hint == "sst" {
-                s.expected.component_hint = "txnlog".into();
-            }
-            if s.expected.component_hint == "kvs" {
-                s.expected.component_hint = "minizk".into();
-            }
-        }
-        cat
-    }
-
-    fn components(&self) -> Vec<String> {
-        // Blameable minizk components for chaos wrong-component accounting.
-        [
-            "txnlog",
-            "commit",
-            "quorum",
-            "broadcast",
-            "heartbeat",
-            "minizk",
-        ]
-        .map(str::to_owned)
-        .to_vec()
+        catalog_for(&zk_profile(), FaultSurface::SUBSTRATE)
     }
 
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {
@@ -201,13 +186,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zk_catalog_is_substrate_only_with_remapped_hints() {
+    fn zk_catalog_is_substrate_only_with_minizk_blames() {
         let cat = ZkTarget.catalog();
         assert_eq!(cat.len(), 7);
         assert!(cat.iter().all(|s| !s.kind.label().starts_with("task")));
         assert!(cat
             .iter()
-            .all(|s| s.expected.component_hint != "sst" && s.expected.component_hint != "kvs"));
+            .all(|s| s.expected.blames.iter().all(|id| !id.starts_with("kvs"))));
         let wedged = cat
             .iter()
             .find(|s| s.id == "replication-link-wedged")

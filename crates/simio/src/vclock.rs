@@ -337,18 +337,6 @@ impl SimClock {
     pub fn dump(&self) -> String {
         render_state(&self.core.state.lock())
     }
-
-    /// Names of the currently registered actors, in registration order —
-    /// for diagnostics and tests.
-    pub fn actor_names(&self) -> Vec<String> {
-        self.core
-            .state
-            .lock()
-            .actors
-            .values()
-            .map(|a| a.name.clone())
-            .collect()
-    }
 }
 
 impl Default for SimClock {

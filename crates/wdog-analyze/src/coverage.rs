@@ -106,8 +106,9 @@ pub struct BlindSpot {
     pub id: String,
     /// Fault label(s) the schedule injects, e.g. `task-stuck`.
     pub fault: String,
-    /// Free-text locator (toggle names, addresses) from the schedule.
-    pub hint: String,
+    /// The exact component and operation ids the schedule's faults are
+    /// blamed on.
+    pub blames: Vec<String>,
     /// True when the matrix flags the same gap statically.
     #[serde(default)]
     pub statically_flagged: bool,
@@ -316,7 +317,7 @@ pub fn coverage_matrix(
 
     let blind_spots = blind_spots
         .iter()
-        .map(|b| cross_reference(b, &region_rows))
+        .map(|b| cross_reference(b, &ir.name, &region_rows))
         .collect();
 
     let all_ops: Vec<&OpCoverage> = region_rows.iter().flat_map(|r| r.ops.iter()).collect();
@@ -339,19 +340,12 @@ pub fn coverage_matrix(
 }
 
 /// Finds the matrix rows that statically flag one chaos-confirmed miss.
-fn cross_reference(spot: &BlindSpot, regions: &[RegionCoverage]) -> BlindSpot {
-    // Regions named by the hint: any hint token (chaos component hints
-    // like `compact` are prefixes of entries like `compaction_loop`)
-    // appearing inside the entry name. When none match, every region is
-    // a candidate.
-    let tokens: Vec<&str> = spot
-        .hint
-        .split(|c: char| !c.is_alphanumeric() && c != '_')
-        .filter(|t| t.len() >= 4)
-        .collect();
+fn cross_reference(spot: &BlindSpot, program: &str, regions: &[RegionCoverage]) -> BlindSpot {
+    // Regions the faults are blamed on: `<program>.<entry>` is one of the
+    // blamed ids. When none is, every region is a candidate.
     let named: Vec<&RegionCoverage> = regions
         .iter()
-        .filter(|r| tokens.iter().any(|t| r.entry.contains(t)))
+        .filter(|r| spot.blames.contains(&format!("{program}.{}", r.entry)))
         .collect();
     let candidates: Vec<&RegionCoverage> = if named.is_empty() {
         regions.iter().collect()
@@ -403,7 +397,7 @@ fn cross_reference(spot: &BlindSpot, regions: &[RegionCoverage]) -> BlindSpot {
     BlindSpot {
         id: spot.id.clone(),
         fault: spot.fault.clone(),
-        hint: spot.hint.clone(),
+        blames: spot.blames.clone(),
         statically_flagged: !evidence.is_empty(),
         evidence,
     }
@@ -532,7 +526,7 @@ mod tests {
         let m = matrix(&[BlindSpot {
             id: "chaos-1-000".into(),
             fault: "task-stuck".into(),
-            hint: "p.writer.stuck toggles writer_loop".into(),
+            blames: vec!["p.writer_loop".into()],
             statically_flagged: false,
             evidence: vec![],
         }]);
@@ -546,7 +540,7 @@ mod tests {
         let m = matrix(&[BlindSpot {
             id: "chaos-2-000".into(),
             fault: "net-block".into(),
-            hint: "dn1 -> peer".into(),
+            blames: vec!["p.link".into()],
             statically_flagged: false,
             evidence: vec![],
         }]);

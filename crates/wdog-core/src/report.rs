@@ -100,16 +100,6 @@ impl FaultLocation {
         self.operation = Some(op.into());
         self
     }
-
-    /// Returns the most precise granularity available as a label:
-    /// `"operation"`, or `"function"`.
-    pub fn granularity(&self) -> &'static str {
-        if self.operation.is_some() {
-            "operation"
-        } else {
-            "function"
-        }
-    }
 }
 
 impl std::fmt::Display for FaultLocation {
@@ -178,13 +168,6 @@ mod tests {
         assert!(FailureKind::Slow.is_liveness());
         assert!(!FailureKind::Error.is_liveness());
         assert!(!FailureKind::Corruption.is_liveness());
-    }
-
-    #[test]
-    fn location_granularity() {
-        let f = FaultLocation::new("kvs.indexer", "lookup");
-        assert_eq!(f.granularity(), "function");
-        assert_eq!(f.with_op("op#1").granularity(), "operation");
     }
 
     #[test]

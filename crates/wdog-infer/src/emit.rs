@@ -7,8 +7,8 @@
 //! component conventions the rest of the stack expects:
 //!
 //! * id: `{target}.inferred.{kind}.{key}[.{field}]`
-//! * component: `{target}.{key}`, so chaos fault attribution's
-//!   longest-substring match lands on the loop that owns the key.
+//! * component: `{target}.{key}`, the component id of the loop that owns
+//!   the key, which a scenario's blamed ids name exactly.
 //!
 //! All slack arithmetic is integer and saturating, which keeps the emitted
 //! corpus byte-stable across runs and platforms.

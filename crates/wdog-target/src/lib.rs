@@ -309,17 +309,9 @@ pub trait WatchdogTarget: Send + Sync {
     fn default_options(&self) -> WdOptions;
 
     /// The gray-failure scenarios this target can run, with locations
-    /// (path prefixes, link addresses, toggles, blame hints) mapped onto
+    /// (path prefixes, link addresses, toggles, blamed ids) mapped onto
     /// this target's layout.
     fn catalog(&self) -> Vec<Scenario>;
-
-    /// The canonical blameable components of this target, as substrings a
-    /// report location can be matched against. Chaos campaigns use this
-    /// for *wrong-component* pinpoint accounting: a report that blames a
-    /// known component which no active fault implicates is a mislocated
-    /// detection, not background noise. The list includes components the
-    /// shared catalogue never hints at.
-    fn components(&self) -> Vec<String>;
 
     /// Boots one isolated testbed instance seeded with `seed`, with every
     /// background loop, latency model, and substrate paced by `clock`.

@@ -44,7 +44,7 @@ fn bundles() -> Vec<AnalysisBundle> {
     lint_targets()
         .iter()
         .map(|t| {
-            let spots = load_blind_spots(&corpus_dir(), t.name);
+            let spots = load_blind_spots(&corpus_dir(), t.name).expect("corpus parses");
             run_analysis(t, &spots).expect("workspace sources readable")
         })
         .collect()

@@ -1,15 +1,20 @@
 //! Each target's recovery map holds exactly the components its checkers
-//! blame, and each id resolves to the handles pinned here.
+//! blame, and each id resolves to the handles pinned here. Every id a
+//! scenario expects a correct report to blame is one a report can carry.
 //!
 //! Ids are exact, so a renamed checker component fails this test instead of
-//! silently losing its restart, shed and verifier. The components are read
-//! off the watchdog as every campaign assembles it: at the target's
-//! `default_options()` and at `RunnerOptions::default().wd`.
+//! silently losing its restart, shed and verifier, and a renamed op or
+//! component fails it instead of silently turning detections into misses.
+//! The components and plans are read off the watchdog as every campaign
+//! assembles it: at the target's `default_options()` and at
+//! `RunnerOptions::default().wd`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use faults::FaultKind;
 use harness::scenario::RunnerOptions;
 use wdog_base::clock::RealClock;
+use wdog_gen::regions::find_regions;
 use wdog_target::WatchdogTarget;
 
 /// `(id, restart, shed, verifier)`; `None` is no handle.
@@ -164,4 +169,61 @@ fn miniblock_map_holds_the_four_blamed_components() {
             ("dn.volumes", None, None, "miniblock.verify.volume"),
         ],
     );
+}
+
+/// A scenario blames only ids some report carries: a recovery-map
+/// component, an op of the plan the mimics run, or the `<target>.<region>`
+/// component of an inferred checker. A whole-process fault blames exactly
+/// the recovery map.
+#[test]
+fn every_scenario_blames_ids_a_report_carries() {
+    let targets: [&dyn WatchdogTarget; 3] = [
+        &kvs::target::KvsTarget,
+        &minizk::target::ZkTarget,
+        &miniblock::target::DnTarget,
+    ];
+    for target in targets {
+        let mut inst = target
+            .start_on(1, RealClock::shared())
+            .expect("testbed boots");
+        let mapped: Vec<String> = inst
+            .recovery_map()
+            .ids()
+            .map(|id| id.as_str().to_owned())
+            .collect();
+        let mut known: BTreeSet<String> = mapped.iter().cloned().collect();
+        for opts in [target.default_options(), RunnerOptions::default().wd] {
+            let (_driver, plan) = inst.build_watchdog(&opts).expect("watchdog assembles");
+            let ops = plan.checkers.iter().flat_map(|c| &c.ops);
+            known.extend(ops.map(|o| o.op_id.as_str().to_owned()));
+        }
+        inst.teardown();
+        let regions = find_regions(&target.describe_ir());
+        known.extend(
+            regions
+                .iter()
+                .map(|r| format!("{}.{}", target.name(), r.entry)),
+        );
+
+        let mut scenarios = target.catalog();
+        if target.name() == "minizk" {
+            scenarios.push(harness::zk2201::scenario());
+        }
+        for s in &scenarios {
+            let who = format!("{} {}", target.name(), s.id);
+            assert!(!s.expected.blames.is_empty(), "{who} blames nothing");
+            for id in &s.expected.blames {
+                assert!(
+                    known.contains(id),
+                    "{who} blames {id}, which no report carries"
+                );
+            }
+            if matches!(
+                s.kind,
+                FaultKind::ProcessCrash | FaultKind::RuntimePause { .. }
+            ) {
+                assert_eq!(s.expected.blames, mapped, "{who}: process blames");
+            }
+        }
+    }
 }
