@@ -118,9 +118,9 @@ pub(crate) fn wal_loop(shared: Arc<Shared>, rx: ClockedQueue<Vec<u8>>) {
         // the mimic op will write into the redirected WAL.
         let payload = record.clone();
         hook.fire_kv("payload", CtxValue::Bytes(payload));
-        // In-place error handler: a failed append is caught and the record
-        // is retried on the next cycle. The handler mitigates; it does not
-        // assess overall health (Table 1).
+        // In-place error handler: a failed append is caught, counted in
+        // `errors_handled`, and its record dropped (never retried). The
+        // handler mitigates; it does not assess overall health (Table 1).
         match shared.wal.lock().append_record(&record) {
             Ok(()) => {
                 shared.stats.wal_records.fetch_add(1, Ordering::Relaxed);

@@ -159,6 +159,12 @@ echo "==> benchmark workspace: build + tests against the current crates"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
+# Run it too, on the workload that drives every target: wdog-bench exits
+# nonzero on a failed request, a wrong value read back or a replay mismatch.
+echo "==> benchmark workspace: one short gray-sim run"
+cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
+    --workload gray-sim --seconds 5 --trace 0
+
 # Nothing above may touch the archive or the test fixtures.
 echo "==> results/ and tests/ untouched"
 if [ -n "$(git status --porcelain -- results tests)" ]; then
