@@ -50,6 +50,25 @@ pub struct ScheduledFault {
 }
 
 impl ScheduledFault {
+    /// `scenario`'s catalogue fault, unscaled, armed at the schedule's start
+    /// and held for `hold` (`None`: until the run ends) — a Table 1 row or a
+    /// recovery row as a one-fault schedule.
+    pub fn at_start(scenario: &Scenario, hold: Option<Duration>) -> Self {
+        let mut spec = FaultSpec::new(
+            format!("{}#0", scenario.id),
+            scenario.kind.clone(),
+            Duration::ZERO,
+        );
+        spec.duration = hold;
+        Self {
+            scenario: scenario.id.clone(),
+            spec,
+            expected_class: scenario.expected.failure_class.clone(),
+            blames: scenario.expected.blames.clone(),
+            benign: false,
+        }
+    }
+
     /// When the fault stops being armed, bounded by the horizon for
     /// until-end faults.
     pub fn end(&self, horizon: Duration) -> Duration {

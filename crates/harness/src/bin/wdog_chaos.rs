@@ -118,7 +118,14 @@ fn main() {
     let cli = CampaignCli::parse(
         "wdog-chaos",
         USAGE,
-        &["--schedules", "--max-wall-ms", "--replay"],
+        &[
+            "--target",
+            "--seed",
+            "--out",
+            "--schedules",
+            "--max-wall-ms",
+            "--replay",
+        ],
     );
     let seed = cli.seed();
     let schedules: u64 = cli.parsed("--schedules", 20);

@@ -28,7 +28,7 @@ use harness::infer::{self, InferOptions};
 const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--seed N] [--out DIR]";
 
 fn main() {
-    let cli = CampaignCli::parse("wdog-infer", USAGE, &[]);
+    let cli = CampaignCli::parse("wdog-infer", USAGE, &["--target", "--seed", "--out"]);
     let out = cli.out_dir();
     let opts = InferOptions {
         seed: cli.seed(),

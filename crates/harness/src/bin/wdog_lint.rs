@@ -128,7 +128,7 @@ fn render_analysis(b: &AnalysisBundle) {
 }
 
 fn main() {
-    let cli = CampaignCli::parse("wdog-lint", USAGE, &[]);
+    let cli = CampaignCli::parse("wdog-lint", USAGE, &["--target", "--out"]);
     let name = cli.target("all");
     let out = cli.out_dir();
     let analysis = out.join("analysis");

@@ -16,7 +16,7 @@ use harness::cli::{CampaignCli, EXIT_GATE};
 const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--out DIR]";
 
 fn main() {
-    let cli = CampaignCli::parse("wdog-recovery", USAGE, &[]);
+    let cli = CampaignCli::parse("wdog-recovery", USAGE, &["--target", "--out"]);
     let out = cli.out_dir();
 
     let mut failed = false;

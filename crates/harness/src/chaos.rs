@@ -5,9 +5,10 @@
 //! fault combinations nobody wrote down. A seeded PRNG composes
 //! multi-fault [`FaultSchedule`]s from the target's catalogue — random
 //! components, onsets, durations, severities, overlapping pairs, plus
-//! benign *near-miss* schedules that must not fire anything — and replays
-//! each against a live testbed through the generic [`WatchdogTarget`]
-//! runner. Every fault gets a verdict:
+//! benign *near-miss* schedules that must not fire anything — plays each
+//! through the one campaign run ([`session::run`], no coordinator or
+//! extrinsic detector attached) and scores its trace. Every fault gets a
+//! verdict:
 //!
 //! - **detected** — some in-window report blames the fault: its component
 //!   or operation is exactly one of the fault's `blames` ids
@@ -34,14 +35,13 @@
 //! measured, never scored: they sample resource levels, whose trip point
 //! the schedule's severity does not set.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use faults::schedule::{compose_schedule, ComposeOptions, FaultSchedule};
 use faults::spec::FaultKind;
-use faults::ArmedFault;
 use faults::Scenario;
 use simio::SimClock;
 use wdog_base::clock::{RealClock, SharedClock};
@@ -51,7 +51,7 @@ use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
 use wdog_telemetry::{checker_family, ChaosMetrics};
 
 use crate::scenario::{blames, RunnerOptions};
-use crate::session::Session;
+use crate::session::{self, RunSpec, Trace};
 
 /// Verdict labels (also the `chaos_verdicts_total` counter labels).
 pub const DETECTED: &str = "detected";
@@ -231,10 +231,6 @@ pub struct Reproducer {
     pub shrink_evals: u64,
 }
 
-/// What a schedule's timeline thread shares with the runner: the armed
-/// handle of each fault, and the first injection that was refused.
-type Armed = (Vec<Option<ArmedFault>>, Option<BaseError>);
-
 /// Replays one schedule against a fresh testbed and scores every fault.
 ///
 /// The instance boots from the schedule's own stored seed, so a shrunk or
@@ -245,77 +241,25 @@ pub fn run_schedule(
     opts: &ChaosOptions,
 ) -> BaseResult<ScheduleOutcome> {
     schedule.validate().map_err(BaseError::InvalidState)?;
-
     let clock: SharedClock = if opts.sim {
         SimClock::shared()
     } else {
         RealClock::shared()
     };
-    let mut session = Session::boot(target, schedule.seed, Arc::clone(&clock), "chaos-main")?;
-    let mut wd = opts.wd.clone();
-    if let Some(m) = &opts.metrics {
-        wd.telemetry = Some(Arc::clone(m.registry()));
-    }
-    session.arm(&wd, &opts.workload, None)?;
-    clock.sleep(opts.warmup);
-
-    // The schedule clock starts here; every onset is relative to it.
-    let run_start = clock.now();
-    // Per-fault armed handles, plus the first injection the target's
-    // injector refused: a fault that never armed must fail the run, not be
-    // scored as a miss and blamed on the watchdog.
-    let armed: Arc<Mutex<Armed>> = Arc::new(Mutex::new((
-        (0..schedule.faults.len()).map(|_| None).collect(),
-        None,
-    )));
-    let specs: Vec<_> = schedule.faults.iter().map(|f| f.spec.clone()).collect();
-    let timeline = {
-        let armed = Arc::clone(&armed);
-        let injector = session.injector().clone();
-        schedule.timeline().run(Arc::clone(&clock), move |event| {
-            let Some((op, idx)) = event.label.split_once(':') else {
-                return;
-            };
-            let Ok(i) = idx.parse::<usize>() else { return };
-            let mut guard = armed.lock().unwrap();
-            let (slots, refused) = &mut *guard;
-            match op {
-                "arm" => match injector.inject(&specs[i].kind) {
-                    Ok(a) => slots[i] = Some(a),
-                    Err(e) => {
-                        refused.get_or_insert(e);
-                    }
-                },
-                "clear" => {
-                    if let Some(a) = slots[i].take() {
-                        injector.clear(&a);
-                    }
-                }
-                _ => {}
-            }
-        })
+    let mut spec = RunSpec {
+        wd: opts.wd.clone(),
+        workload: opts.workload.clone(),
+        warmup: opts.warmup,
+        // Final-round reports land in the grace period.
+        tail: opts.grace,
+        io_metrics: opts.metrics.clone(),
+        ..RunSpec::default()
     };
-
-    // Observe through the horizon plus a grace period so the last
-    // checking rounds' reports land.
-    session.sleep_until(run_start + schedule.horizon + opts.grace, || false);
-    timeline.join();
-
-    if let Some(e) = armed.lock().unwrap().1.take() {
-        return Err(e);
-    }
-    // Until-end faults are still armed; `finish` clears every surface.
-    let reports = session.finish();
     if let Some(m) = &opts.metrics {
-        session.inst().substrate().export_io(m);
+        spec.wd.telemetry = Some(Arc::clone(m.registry()));
     }
-
-    Ok(score_schedule(
-        schedule,
-        &reports,
-        run_start.as_millis() as u64,
-        opts.metrics.as_ref(),
-    ))
+    let trace = session::run(target, clock, schedule, &spec)?;
+    Ok(score_schedule(schedule, &trace, opts.metrics.as_ref()))
 }
 
 /// Is `checker` a load-coupled signal checker (its [`checker_family`] is
@@ -329,129 +273,105 @@ pub fn is_signal_checker(checker: &str) -> bool {
     checker_family(checker) == "signal"
 }
 
-/// Scores a replayed schedule from the driver's report log.
+/// Scores a replayed schedule from its trace's report log.
 fn score_schedule(
     schedule: &FaultSchedule,
-    reports: &[FailureReport],
-    run_start_ms: u64,
+    trace: &Trace,
     metrics: Option<&ChaosMetrics>,
 ) -> ScheduleOutcome {
+    let run_start_ms = trace.run_start.as_millis() as u64;
+    let benign = schedule.benign;
     // Deterministic scoring set: signal-checker reports are recorded as
     // telemetry and dropped (see [`is_signal_checker`]).
-    let (signal, reports): (Vec<&FailureReport>, Vec<&FailureReport>) = reports
+    let (signal, reports): (Vec<&FailureReport>, Vec<&FailureReport>) = trace
+        .reports
         .iter()
         .partition(|r| is_signal_checker(r.checker.as_str()));
     if let Some(m) = metrics {
-        for r in &signal {
-            m.signal_report(r.checker.as_str());
-        }
+        signal
+            .iter()
+            .for_each(|r| m.signal_report(r.checker.as_str()));
+        m.schedule_run(benign);
     }
-    let mut verdicts = Vec::new();
-
-    if schedule.benign {
-        // A near-miss schedule must stay silent: any report at all after
-        // the schedule clock started is a false positive.
-        let firing: Vec<&FailureReport> = reports
-            .iter()
-            .filter(|r| r.at_ms >= run_start_ms)
-            .copied()
-            .collect();
-        let verdict = if firing.is_empty() {
-            CLEAN
-        } else {
-            FALSE_POSITIVE
-        };
-        let mut checkers: Vec<String> = firing
-            .iter()
-            .map(|r| r.checker.as_str().to_owned())
-            .collect();
-        checkers.sort();
-        checkers.dedup();
-        for f in &schedule.faults {
-            verdicts.push(FaultVerdict {
+    let sorted = |names: Vec<&str>| {
+        let mut names: Vec<String> = names.into_iter().map(str::to_owned).collect();
+        names.sort();
+        names.dedup();
+        names
+    };
+    let verdicts: Vec<FaultVerdict> = schedule
+        .faults
+        .iter()
+        .map(|f| {
+            // A near-miss schedule must stay silent: any report at all
+            // after the schedule clock started is a false positive.
+            let onset_ms = run_start_ms
+                + if benign {
+                    0
+                } else {
+                    f.spec.start_after.as_millis() as u64
+                };
+            let window: Vec<&FailureReport> = reports
+                .iter()
+                .filter(|r| r.at_ms >= onset_ms)
+                .copied()
+                .collect();
+            let hits: Vec<&FailureReport> = window
+                .iter()
+                .filter(|r| benign || blames(r, &f.blames))
+                .copied()
+                .collect();
+            // A missed fault's window report that blames no fault of the
+            // schedule is a mislocated pinpoint, not silence.
+            let blamed = if benign || !hits.is_empty() {
+                Vec::new()
+            } else {
+                sorted(
+                    window
+                        .iter()
+                        .filter(|r| !schedule.faults.iter().any(|g| blames(r, &g.blames)))
+                        .map(|r| r.location.component.as_str())
+                        .collect(),
+                )
+            };
+            let verdict = match (benign, hits.first()) {
+                (true, None) => CLEAN,
+                (true, Some(_)) => FALSE_POSITIVE,
+                (false, Some(first)) => {
+                    if let Some(m) = metrics {
+                        let ms = first.at_ms.saturating_sub(onset_ms);
+                        m.detection_latency(f.spec.kind.label(), ms);
+                    }
+                    DETECTED
+                }
+                (false, None) if blamed.is_empty() => MISSED,
+                (false, None) => WRONG_COMPONENT,
+            };
+            FaultVerdict {
                 fault: f.spec.name.clone(),
                 scenario: f.scenario.clone(),
                 kind: f.spec.kind.label().to_owned(),
                 blames: f.blames.clone(),
                 verdict: verdict.to_owned(),
-                checkers: checkers.clone(),
-                blamed: Vec::new(),
-            });
-        }
-        if let Some(m) = metrics {
-            m.schedule_run(true);
-            m.verdict(verdict);
-        }
-        return ScheduleOutcome {
-            schedule: schedule.clone(),
-            verdicts,
-            verdict: verdict.to_owned(),
-        };
-    }
-
-    for f in &schedule.faults {
-        let onset_ms = run_start_ms + f.spec.start_after.as_millis() as u64;
-        let window: Vec<&FailureReport> = reports
-            .iter()
-            .filter(|r| r.at_ms >= onset_ms)
-            .copied()
-            .collect();
-        let hits: Vec<&FailureReport> = window
-            .iter()
-            .filter(|r| blames(r, &f.blames))
-            .copied()
-            .collect();
-        let (verdict, blamed) = if let Some(first) = hits.first() {
-            if let Some(m) = metrics {
-                m.detection_latency(f.spec.kind.label(), first.at_ms.saturating_sub(onset_ms));
+                checkers: sorted(hits.iter().map(|r| r.checker.as_str()).collect()),
+                blamed,
             }
-            (DETECTED, Vec::new())
-        } else {
-            // Missed. A report that blames no fault of the schedule is a
-            // mislocated pinpoint, not silence.
-            let mut blamed: Vec<String> = window
-                .iter()
-                .filter(|r| !schedule.faults.iter().any(|g| blames(r, &g.blames)))
-                .map(|r| r.location.component.as_str().to_owned())
-                .collect();
-            blamed.sort();
-            blamed.dedup();
-            let verdict = if blamed.is_empty() {
-                MISSED
-            } else {
-                WRONG_COMPONENT
-            };
-            (verdict, blamed)
-        };
-        let mut checkers: Vec<String> =
-            hits.iter().map(|r| r.checker.as_str().to_owned()).collect();
-        checkers.sort();
-        checkers.dedup();
-        if let Some(m) = metrics {
-            m.verdict(verdict);
-        }
-        verdicts.push(FaultVerdict {
-            fault: f.spec.name.clone(),
-            scenario: f.scenario.clone(),
-            kind: f.spec.kind.label().to_owned(),
-            blames: f.blames.clone(),
-            verdict: verdict.to_owned(),
-            checkers,
-            blamed,
-        });
-    }
+        })
+        .collect();
     if let Some(m) = metrics {
-        m.schedule_run(false);
+        // A benign schedule counts once, a harmful one once per fault.
+        let counted = if benign {
+            &verdicts[..1]
+        } else {
+            &verdicts[..]
+        };
+        counted.iter().for_each(|v| m.verdict(&v.verdict));
     }
-
     // Worst fault verdict wins at the schedule level.
-    let verdict = if verdicts.iter().any(|v| v.verdict == MISSED) {
-        MISSED
-    } else if verdicts.iter().any(|v| v.verdict == WRONG_COMPONENT) {
-        WRONG_COMPONENT
-    } else {
-        DETECTED
-    };
+    let verdict = [MISSED, WRONG_COMPONENT, FALSE_POSITIVE, CLEAN]
+        .into_iter()
+        .find(|w| verdicts.iter().any(|v| v.verdict == *w))
+        .unwrap_or(DETECTED);
     ScheduleOutcome {
         schedule: schedule.clone(),
         verdicts,
@@ -673,6 +593,15 @@ mod tests {
     use faults::spec::FaultSpec;
     use kvs::target::KvsTarget;
 
+    /// A trace of `reports` from a run whose schedule clock started at 1 s.
+    fn traced(reports: &[FailureReport]) -> Trace {
+        Trace {
+            run_start: Duration::from_secs(1),
+            reports: reports.to_vec(),
+            ..Trace::default()
+        }
+    }
+
     #[test]
     fn chaos_pool_excludes_crash_and_leak() {
         let p = chaos_pool(&KvsTarget);
@@ -768,22 +697,25 @@ mod tests {
             ..report(component, late)
         };
 
-        let hit = score_schedule(&s, &[report("kvs.wal_loop", onset + 50)], 1_000, None);
+        let hit = score_schedule(&s, &traced(&[report("kvs.wal_loop", onset + 50)]), None);
         assert_eq!(hit.verdict, DETECTED);
         assert_eq!(
             hit.verdicts[0].checkers,
             vec!["kvs.wal_loop.mimic".to_owned()]
         );
 
-        let silent = score_schedule(&s, &[], 1_000, None);
+        let silent = score_schedule(&s, &traced(&[]), None);
         assert_eq!(silent.verdict, MISSED);
 
         // Early reports (before onset) never count.
-        let early = score_schedule(&s, &[report("kvs.wal_loop", onset - 200)], 1_000, None);
+        let early = score_schedule(&s, &traced(&[report("kvs.wal_loop", onset - 200)]), None);
         assert_eq!(early.verdict, MISSED);
 
-        let mislocated =
-            score_schedule(&s, &[report("kvs.listener_loop", onset + 50)], 1_000, None);
+        let mislocated = score_schedule(
+            &s,
+            &traced(&[report("kvs.listener_loop", onset + 50)]),
+            None,
+        );
         assert_eq!(mislocated.verdict, WRONG_COMPONENT);
         assert_eq!(
             mislocated.verdicts[0].blamed,
@@ -792,7 +724,7 @@ mod tests {
 
         // Blame is exact: a component that merely contains a blamed id is
         // someone else.
-        let prefixed = score_schedule(&s, &[report("kvs.wal_loop2", onset + 50)], 1_000, None);
+        let prefixed = score_schedule(&s, &traced(&[report("kvs.wal_loop2", onset + 50)]), None);
         assert_eq!(prefixed.verdict, WRONG_COMPONENT);
 
         // Signal-checker reports are load-coupled and never scored: an
@@ -802,12 +734,11 @@ mod tests {
             checker: CheckerId::new("kvs.signal.wal_queue"),
             ..report("kvs.wal_loop", onset + 50)
         };
-        let unscored = score_schedule(&s, std::slice::from_ref(&signal), 1_000, None);
+        let unscored = score_schedule(&s, &traced(std::slice::from_ref(&signal)), None);
         assert_eq!(unscored.verdict, MISSED);
         let both = score_schedule(
             &s,
-            &[signal.clone(), report("kvs.wal_loop", onset + 50)],
-            1_000,
+            &traced(&[signal.clone(), report("kvs.wal_loop", onset + 50)]),
             None,
         );
         assert_eq!(both.verdict, DETECTED);
@@ -822,8 +753,11 @@ mod tests {
         let sst = one_fault(&KvsTarget, "disk-bit-rot");
         let lock = at_op("kvs.compaction_loop", "compact_once#compaction_lock");
         let read = at_op("kvs.compaction_loop", "compact_once#sst_read");
-        assert_ne!(score_schedule(&sst, &[lock], 1_000, None).verdict, DETECTED);
-        let read = score_schedule(&sst, &[read], 1_000, None);
+        assert_ne!(
+            score_schedule(&sst, &traced(&[lock]), None).verdict,
+            DETECTED
+        );
+        let read = score_schedule(&sst, &traced(&[read]), None);
         assert_eq!(read.verdict, DETECTED);
         assert_eq!(
             read.verdicts[0].checkers,
@@ -836,12 +770,12 @@ mod tests {
         let disk = one_fault(&DnTarget, "disk-fail-slow");
         let heartbeat = report("miniblock.heartbeat_loop", late);
         assert_ne!(
-            score_schedule(&disk, &[heartbeat], 1_000, None).verdict,
+            score_schedule(&disk, &traced(&[heartbeat]), None).verdict,
             DETECTED
         );
         let volumes = report("dn.volumes", late);
         assert_eq!(
-            score_schedule(&disk, &[volumes], 1_000, None).verdict,
+            score_schedule(&disk, &traced(&[volumes]), None).verdict,
             DETECTED
         );
 
@@ -853,9 +787,9 @@ mod tests {
             f.benign = true;
             f.expected_class.clear();
         }
-        let quiet = score_schedule(&b, &[], 1_000, None);
+        let quiet = score_schedule(&b, &traced(&[]), None);
         assert_eq!(quiet.verdict, CLEAN);
-        let noisy = score_schedule(&b, &[report("kvs.listener_loop", 1_100)], 1_000, None);
+        let noisy = score_schedule(&b, &traced(&[report("kvs.listener_loop", 1_100)]), None);
         assert_eq!(noisy.verdict, FALSE_POSITIVE);
         assert_eq!(
             noisy.verdicts[0].checkers,
@@ -863,7 +797,7 @@ mod tests {
         );
         // …but a lone signal-checker blip under load is not a false
         // positive.
-        let blip = score_schedule(&b, &[signal], 1_000, None);
+        let blip = score_schedule(&b, &traced(&[signal]), None);
         assert_eq!(blip.verdict, CLEAN);
     }
 
@@ -871,7 +805,7 @@ mod tests {
     fn exemplar_packages_the_first_outcome() {
         let s =
             compose_schedule(&chaos_pool(&KvsTarget), 13, 0, &ComposeOptions::default()).unwrap();
-        let outcome = score_schedule(&s, &[], 1_000, None);
+        let outcome = score_schedule(&s, &traced(&[]), None);
         let report = ChaosReport {
             target: "kvs".into(),
             seed: 13,

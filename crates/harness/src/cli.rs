@@ -5,11 +5,12 @@
 //! needs the same
 //! `--flag value` / `--flag=value` loop, the same `--target` resolution,
 //! and the same exit-code conventions. [`CampaignCli`] is that loop named
-//! once: a binary declares its flags, parses, and reads typed values —
-//! malformed input exits [`EXIT_USAGE`], failed campaign gates exit
-//! [`EXIT_GATE`], clean runs exit 0.
+//! once: a binary declares every flag it reads, parses, and reads typed
+//! values — an undeclared flag, like any malformed input, exits
+//! [`EXIT_USAGE`], failed campaign gates exit [`EXIT_GATE`], clean runs
+//! exit 0.
 //!
-//! The three flags every campaign shares are always accepted:
+//! Three flags have shared readers, for the binaries that declare them:
 //!
 //! - `--target NAME` — which registered target(s) to run
 //!   ([`CampaignCli::targets`]);
@@ -33,9 +34,6 @@ pub const EXIT_USAGE: i32 = 2;
 /// against the archive are caught by comparing artifacts, not by flags.
 pub const EXIT_GATE: i32 = 1;
 
-/// The common value flags every campaign binary accepts.
-const COMMON_VALUE_FLAGS: [&str; 3] = ["--target", "--seed", "--out"];
-
 /// A parsed campaign command line.
 #[derive(Debug, Clone)]
 pub struct CampaignCli {
@@ -48,8 +46,8 @@ impl CampaignCli {
     /// Parses the process arguments against the declared flags, exiting
     /// [`EXIT_USAGE`] with the usage text on any malformed input.
     ///
-    /// `value_flags` take one argument (`--flag v` or `--flag=v`). The
-    /// common `--target`, `--seed`, and `--out` flags need not be declared.
+    /// `value_flags` are every flag the binary reads; each takes one
+    /// argument (`--flag v` or `--flag=v`).
     pub fn parse(bin: &'static str, usage: &'static str, value_flags: &[&'static str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         match Self::parse_from(bin, usage, value_flags, &args) {
@@ -69,8 +67,7 @@ impl CampaignCli {
         value_flags: &[&'static str],
         args: &[String],
     ) -> Result<Self, String> {
-        let takes_value =
-            |flag: &str| COMMON_VALUE_FLAGS.contains(&flag) || value_flags.contains(&flag);
+        let takes_value = |flag: &str| value_flags.contains(&flag);
         let mut values = BTreeMap::new();
         let mut i = 0;
         while i < args.len() {
@@ -160,7 +157,12 @@ mod tests {
     }
 
     fn parse(a: &[&str]) -> Result<CampaignCli, String> {
-        CampaignCli::parse_from("t", "usage", &["--rates"], &args(a))
+        CampaignCli::parse_from(
+            "t",
+            "usage",
+            &["--target", "--seed", "--out", "--rates"],
+            &args(a),
+        )
     }
 
     #[test]
@@ -186,6 +188,15 @@ mod tests {
         assert!(parse(&["--bogus=1"]).is_err());
         assert!(parse(&["--rates"]).is_err());
         assert!(parse(&["positional"]).is_err());
+    }
+
+    #[test]
+    fn a_binary_rejects_a_flag_it_does_not_declare() {
+        let out_only = |a: &[&str]| CampaignCli::parse_from("t", "usage", &["--out"], &args(a));
+        assert!(out_only(&["--seed", "7"]).is_err());
+        assert!(out_only(&["--seed=7"]).is_err());
+        assert!(out_only(&["--target", "kvs"]).is_err());
+        assert!(out_only(&["--out", "x"]).is_ok());
     }
 
     #[test]

@@ -24,16 +24,17 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use faults::schedule::FaultSchedule;
 use serde::{Deserialize, Serialize};
 use simio::SimClock;
 use wdog_base::error::BaseResult;
 use wdog_checkers::InferredSpec;
 use wdog_core::TraceRecorder;
 use wdog_infer::{infer, EmitConfig, InferenceReport, MinerConfig, TraceJournal, SCHEMA};
-use wdog_target::WatchdogTarget;
+use wdog_target::{WatchdogTarget, WdOptions};
 
 use crate::chaos::{self, ChaosOptions, ChaosReport, DETECTED, MISSED};
-use crate::session::Session;
+use crate::session::{self, RunSpec};
 
 /// Pipeline knobs.
 #[derive(Debug, Clone)]
@@ -119,8 +120,8 @@ pub struct InferArtifact {
 
 /// Records one benign sim execution of `target` and returns its journal.
 ///
-/// Runs as a sim [`Session`]: boot, workload, and observation all happen at
-/// deterministic virtual instants.
+/// Runs as a fault-free schedule through [`session::run`]: boot, workload,
+/// and observation all happen at deterministic virtual instants.
 pub fn record_journal(
     target: &dyn WatchdogTarget,
     seed: u64,
@@ -139,34 +140,32 @@ fn record_with(
     record_for: Duration,
     recorder: impl FnOnce(wdog_base::clock::SharedClock) -> Arc<TraceRecorder>,
 ) -> BaseResult<TraceJournal> {
-    let mut session = Session::boot(target, seed, SimClock::shared(), "infer-record")?;
-    let clock = Arc::clone(session.clock());
+    let clock = SimClock::shared();
     let recorder = recorder(Arc::clone(&clock));
-
     let base = ChaosOptions::default();
-    let mut wd = base.wd.clone();
-    wd.trace = Some(Arc::clone(&recorder));
-    session.arm(&wd, &base.workload, None)?;
-
-    let start = clock.now();
-    let deadline = start + record_for;
-    // Kick auxiliary paths (snapshot syncs, ...) twice, at fixed fractions
-    // of the window: the steady workload never reaches them, and invariants
-    // can only cover loops that published during recording. Two bursts per
-    // journal give orderings and staleness something to hold onto.
-    let marks = [start + record_for * 2 / 5, start + record_for * 7 / 10];
-    let mut exercised = [false; 2];
-    session.sleep_until(deadline, || {
-        let now = clock.now();
-        for (done, mark) in exercised.iter_mut().zip(marks) {
-            if !*done && now >= mark {
-                session.inst().exercise_auxiliary();
-                *done = true;
-            }
-        }
-        false
-    });
-    session.finish();
+    let schedule = FaultSchedule {
+        id: label.to_owned(),
+        seed,
+        benign: false,
+        horizon: record_for,
+        faults: Vec::new(),
+    };
+    let spec = RunSpec {
+        wd: WdOptions {
+            trace: Some(Arc::clone(&recorder)),
+            ..base.wd
+        },
+        workload: base.workload,
+        // Kick auxiliary paths (snapshot syncs, ...) twice, at fixed
+        // fractions of the window: the steady workload never reaches them,
+        // and invariants can only cover loops that published during
+        // recording. Two bursts per journal give orderings and staleness
+        // something to hold onto.
+        kicks: vec![record_for * 2 / 5, record_for * 7 / 10],
+        ..RunSpec::default()
+    };
+    let trace = session::run(target, clock, &schedule, &spec)?;
+    let deadline = trace.run_start + record_for;
 
     // Keep only the deterministic prefix. Everything before the deadline
     // ran at frozen virtual instants and replays identically under the

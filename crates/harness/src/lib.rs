@@ -169,7 +169,7 @@ pub fn table_campaign<R: serde::Serialize>(
     shape: ShapeCheck<'_, R>,
 ) {
     let usage = "[--target {kvs|minizk|miniblock|all}] [--seed N] [--out DIR]";
-    let cli = cli::CampaignCli::parse(bin, usage, &[]);
+    let cli = cli::CampaignCli::parse(bin, usage, &["--target", "--seed", "--out"]);
     let out = cli.out_dir();
     let mut failed = false;
     for target in cli.targets("kvs") {
@@ -215,7 +215,7 @@ pub fn single_table<R: serde::Serialize>(
     render: fn(&R) -> String,
     shape: ShapeCheck<'_, R>,
 ) {
-    let cli = cli::CampaignCli::parse(bin, "[--out DIR]", &[]);
+    let cli = cli::CampaignCli::parse(bin, "[--out DIR]", &["--out"]);
     let out = cli.out_dir();
     let ran = emit_table(&out, bin, run(), render, Some(shape));
     close_tables(&out, bin, !ran);

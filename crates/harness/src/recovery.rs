@@ -1,18 +1,21 @@
 //! The recovery campaign: detection → mitigation → verified-healthy,
 //! closed-loop, for every catalogue scenario (the `wdog-recovery` bin).
 //!
-//! Where [`scenario`](crate::scenario) *scores detectors* and tears the
-//! testbed down, this campaign attaches a [`RecoveryCoordinator`] to the
-//! driver and measures what the paper's §5.2 promises: pinpointed blame
-//! makes recovery cheap, so each scenario should end in a *terminal*
-//! disposition — verified-recovered (a component-scoped mitigation passed
-//! its re-check), degraded (the component was shed), or escalated — with a
-//! finite time-to-terminal, never a wedged coordinator.
+//! Where [`scenario`](crate::scenario) *scores detectors*, this scorer
+//! plays each scenario as a one-fault schedule through [`session::run`]
+//! with a recovery coordinator attached to the driver, and measures what
+//! the paper's §5.2 promises: pinpointed blame makes recovery cheap, so each
+//! scenario should end in a *terminal* disposition — verified-recovered (a
+//! component-scoped mitigation passed its re-check), degraded (the
+//! component was shed), or escalated — with a finite time-to-terminal,
+//! never a wedged coordinator. The schedule's horizon is `fault_hold`; the
+//! coordinator ends the run in the `max_wait` tail, at the first wake it is
+//! idle with a closed incident.
 //!
 //! Fault lifecycle per scenario class:
 //!
 //! - **Substrate faults** (disk, net) model environmental gray failures:
-//!   the harness clears them after `fault_hold`, so the ladder's later
+//!   the schedule clears them after `fault_hold`, so the ladder's later
 //!   rungs re-verify against a healed substrate (retry-until-verified).
 //! - **Cooperative toggles** (task-stuck, busy-loop, corruption, leak)
 //!   model *internal* state corruption: the harness never clears them —
@@ -22,24 +25,23 @@
 //!   in-process coordinator can only shed or escalate those, and the
 //!   campaign records that honestly.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
+use faults::schedule::{FaultSchedule, ScheduledFault};
 use faults::spec::FaultKind;
 use faults::Scenario;
 use simio::SimClock;
 use wdog_base::clock::{RealClock, SharedClock};
 use wdog_base::error::BaseResult;
 use wdog_base::rng::derive_seed;
-use wdog_core::prelude::*;
-use wdog_recover::{RecoveryCoordinator, RecoveryOutcome, RecoveryPolicy};
+use wdog_recover::{Incident, RecoveryOutcome, RecoveryPolicy};
 use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
 
 use crate::fmt::Table;
 use crate::scenario::RunnerOptions;
-use crate::session::Session;
+use crate::session::{self, RunSpec};
 
 /// Recovery-campaign knobs.
 #[derive(Debug, Clone)]
@@ -86,21 +88,13 @@ impl Default for RecoveryOptions {
 }
 
 /// Terminal disposition of one scenario, aggregated over its incidents.
-pub fn disposition_label(incidents: &[wdog_recover::Incident]) -> &'static str {
-    if incidents
-        .iter()
-        .any(|i| i.outcome == RecoveryOutcome::VerifiedRecovered)
-    {
+pub fn disposition_label(incidents: &[Incident]) -> &'static str {
+    let any = |o: RecoveryOutcome| incidents.iter().any(|i| i.outcome == o);
+    if any(RecoveryOutcome::VerifiedRecovered) {
         "verified-recovered"
-    } else if incidents
-        .iter()
-        .any(|i| i.outcome == RecoveryOutcome::Degraded)
-    {
+    } else if any(RecoveryOutcome::Degraded) {
         "degraded"
-    } else if incidents
-        .iter()
-        .any(|i| i.outcome == RecoveryOutcome::Escalated)
-    {
+    } else if any(RecoveryOutcome::Escalated) {
         "escalated"
     } else {
         "not-detected"
@@ -173,99 +167,63 @@ fn harness_clears(kind: &FaultKind) -> bool {
     )
 }
 
-/// Runs one scenario end to end through the closed loop.
+/// Runs one scenario end to end through the closed loop: a one-fault
+/// schedule held for `fault_hold` (until the end unless the harness
+/// clears it), with a coordinator attached that may end the run up to
+/// `max_wait` later.
 pub fn run_recovery_scenario(
     target: &dyn WatchdogTarget,
     scenario: &Scenario,
     opts: &RecoveryOptions,
 ) -> BaseResult<ScenarioRecovery> {
-    let seed = derive_seed(opts.seed, &scenario.id);
     let clock: SharedClock = if opts.sim {
         SimClock::shared()
     } else {
         RealClock::shared()
     };
-    let mut session = Session::boot(target, seed, Arc::clone(&clock), "recovery-main")?;
-    let surface = session.inst().recovery_map().surface();
-
-    let mut coord_builder = RecoveryCoordinator::builder(Arc::clone(&clock), surface)
-        .default_policy(opts.policy.clone())
-        .seed(derive_seed(seed, "recovery"));
-    if let Some(t) = &opts.wd.telemetry {
-        coord_builder = coord_builder.telemetry(Arc::clone(t));
-    }
-    let coordinator = coord_builder.start();
-    // The coordinator's idle wait is untimed, so under sim nothing but a
-    // close ends it: it is sealed at the stop instant with everything else.
-    session.at_stop({
-        let coordinator = Arc::clone(&coordinator);
-        move || coordinator.request_stop()
-    });
-    // Drivers are sealed at build: the coordinator rides in through the
-    // options' action list instead of a post-hoc `add_action`.
-    let mut wd_opts = opts.wd.clone();
-    wd_opts
-        .actions
-        .push(Arc::clone(&coordinator) as Arc<dyn Action>);
-    session.arm(&wd_opts, &opts.workload, None)?;
-    clock.sleep(opts.warmup);
-
-    // Inject, hold, and (for substrate faults) heal the substrate.
-    let armed = session.injector().inject(&scenario.kind)?;
-    clock.sleep(opts.fault_hold);
-    if harness_clears(&scenario.kind) {
-        session.injector().clear(&armed);
-    }
-
-    // Wait for terminal: at least one closed incident and an idle
-    // coordinator, bounded by `max_wait`. Crash runs keep generating
-    // reports until flap damping pins the blamed components, so idleness
-    // (not silence) is the stop condition.
-    session.sleep_until(clock.now() + opts.max_wait, || {
-        !coordinator.incidents().is_empty() && coordinator.is_idle()
-    });
-
-    // Whatever is still armed goes with every other surface in `stop`. The
-    // instance's own teardown is left to the session's drop, after the
-    // coordinator's drain: a repair still in flight at `max_wait` must not
-    // find the instance crashed under it.
-    session.stop();
-    let idle = coordinator.wait_idle(Duration::from_secs(2));
-    coordinator.stop();
-
-    let incidents = coordinator.incidents();
-    let mttr_ms = incidents
-        .iter()
-        .find(|i| i.outcome == RecoveryOutcome::VerifiedRecovered)
-        .or_else(|| incidents.first())
-        .map(|i| i.mttr_ms);
-    let record = ScenarioRecovery {
+    let hold = harness_clears(&scenario.kind).then_some(opts.fault_hold);
+    let schedule = FaultSchedule {
+        id: scenario.id.clone(),
+        seed: derive_seed(opts.seed, &scenario.id),
+        benign: false,
+        horizon: opts.fault_hold,
+        faults: vec![ScheduledFault::at_start(scenario, hold)],
+    };
+    // Crash runs keep generating reports until flap damping pins the
+    // blamed components, so idleness (not silence) ends the tail.
+    let spec = RunSpec {
+        wd: opts.wd.clone(),
+        workload: opts.workload.clone(),
+        warmup: opts.warmup,
+        tail: opts.max_wait,
+        coordinator: Some(opts.policy.clone()),
+        ..RunSpec::default()
+    };
+    let trace = session::run(target, clock, &schedule, &spec)?;
+    let incidents = &trace.incidents;
+    let count = |o: RecoveryOutcome| incidents.iter().filter(|i| i.outcome == o).count() as u64;
+    let sum = |f: fn(&Incident) -> u32| incidents.iter().map(|i| u64::from(f(i))).sum();
+    Ok(ScenarioRecovery {
         scenario: scenario.id.clone(),
         expected_class: scenario.expected.failure_class.clone(),
-        disposition: disposition_label(&incidents).to_owned(),
+        disposition: disposition_label(incidents).to_owned(),
         incidents: incidents.len() as u64,
-        mttr_ms,
-        retries: incidents.iter().map(|i| u64::from(i.retries)).sum(),
-        restarts: incidents.iter().map(|i| u64::from(i.restarts)).sum(),
-        verifications: incidents.iter().map(|i| u64::from(i.verifications)).sum(),
-        verified: incidents
+        mttr_ms: incidents
             .iter()
-            .filter(|i| i.outcome == RecoveryOutcome::VerifiedRecovered)
-            .count() as u64,
-        degraded: incidents
-            .iter()
-            .filter(|i| i.outcome == RecoveryOutcome::Degraded)
-            .count() as u64,
-        escalated: incidents
-            .iter()
-            .filter(|i| i.outcome == RecoveryOutcome::Escalated)
-            .count() as u64,
-        pinned: incidents.iter().any(|i| i.pinned) || !coordinator.pinned_components().is_empty(),
-        dropped_reports: coordinator.dropped_reports(),
-        coordinator_idle: idle,
-        crashed: session.crashed(),
-    };
-    Ok(record)
+            .find(|i| i.outcome == RecoveryOutcome::VerifiedRecovered)
+            .or_else(|| incidents.first())
+            .map(|i| i.mttr_ms),
+        retries: sum(|i| i.retries),
+        restarts: sum(|i| i.restarts),
+        verifications: sum(|i| i.verifications),
+        verified: count(RecoveryOutcome::VerifiedRecovered),
+        degraded: count(RecoveryOutcome::Degraded),
+        escalated: count(RecoveryOutcome::Escalated),
+        pinned: incidents.iter().any(|i| i.pinned) || !trace.pinned.is_empty(),
+        dropped_reports: trace.dropped_reports,
+        coordinator_idle: trace.coordinator_idle,
+        crashed: trace.crashed,
+    })
 }
 
 /// Replays the full catalogue for one target through the closed loop.
@@ -274,15 +232,12 @@ pub fn run(
     scenarios: Option<&[String]>,
     opts: &RecoveryOptions,
 ) -> BaseResult<RecoveryCampaign> {
-    let mut records = Vec::new();
-    for scenario in target.catalog() {
-        if let Some(filter) = scenarios {
-            if !filter.iter().any(|s| s == &scenario.id) {
-                continue;
-            }
-        }
-        records.push(run_recovery_scenario(target, &scenario, opts)?);
-    }
+    let records = target
+        .catalog()
+        .iter()
+        .filter(|s| scenarios.is_none_or(|ids| ids.contains(&s.id)))
+        .map(|s| run_recovery_scenario(target, s, opts))
+        .collect::<BaseResult<Vec<_>>>()?;
     let verified_total = records.iter().filter(|r| r.verified > 0).count() as u64;
     let idle_total = records.iter().filter(|r| r.coordinator_idle).count() as u64;
     Ok(RecoveryCampaign {

@@ -1,39 +1,36 @@
-//! The shared scenario runner behind experiments E1, E2 and E4.
+//! The Table 1/2 and E4 scorer: one catalogue scenario (or none, for a
+//! `control` run) as a one-fault schedule, armed at the end of the warmup
+//! and observed for `observe`.
 //!
-//! One run = a booted [`WatchdogTarget`] testbed + steady workload + a
-//! detector set + (optionally) one injected fault from the target's
-//! catalogue. The runner is fully generic: everything target-specific
-//! (testbed wiring, watchdog assembly, fault surfaces, the workload mix,
-//! the API probe) comes through the [`WatchdogTarget`] /
+//! [`run_scenario`] hands the schedule to the one campaign run
+//! ([`session::run`]) with the extrinsic baselines and minizk's auxiliary
+//! kick attached, then scores what each detector said in the trace:
+//! detected or not, how fast, with what failure class, at what localization
+//! granularity, and whether the blame landed in the right place. Everything
+//! target-specific comes through the [`WatchdogTarget`] /
 //! [`TargetInstance`](wdog_target::TargetInstance) traits, so `kvs`,
-//! `minizk`, and `miniblock` all campaign through this one code path. The
-//! runner samples every detector through the observation window and scores
-//! what each one said: detected or not, how fast, with what failure class,
-//! at what localization granularity, and whether the blame landed in the
-//! right place.
+//! `minizk`, and `miniblock` all campaign through this one code path.
 //!
-//! Every run is on a fresh [`SimClock`] with the extrinsic detectors as
-//! clock actors beside the target's own threads, so a result — latencies
-//! included, in virtual milliseconds — is a pure function of `(target,
-//! scenario, seed)`.
+//! Every run is on a fresh [`SimClock`], so a result — latencies included,
+//! in virtual milliseconds — is a pure function of `(target, scenario,
+//! seed)`.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use detectors::{Detector, ExternalProbe, HeartbeatDetector, ObserverHub};
+use faults::schedule::{FaultSchedule, ScheduledFault};
 use faults::Scenario;
 use simio::SimClock;
 use wdog_base::error::BaseResult;
 use wdog_base::rng::derive_seed;
 use wdog_core::prelude::*;
-use wdog_target::{WatchdogTarget, WdOptions, WorkloadObserver, WorkloadProfile};
+use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
 
-use crate::session::Session;
+use crate::session::{self, RunSpec};
 
 /// What one detector said about one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DetectorOutcome {
     /// Detector name (`heartbeat`, `probe`, `observer`, `error-handler`,
     /// `watchdog`, or a checker-family name).
@@ -155,113 +152,57 @@ pub fn run_scenario(
     scenario: Option<&Scenario>,
     opts: &RunnerOptions,
 ) -> BaseResult<ScenarioResult> {
-    let label = scenario
-        .map(|s| s.id.clone())
-        .unwrap_or_else(|| "control".into());
+    let label = scenario.map_or("control", |s| &s.id).to_owned();
     let seed = derive_seed(opts.seed, &label);
-    // Declared before the session so that an early `?` drops it after: the
-    // detectors' joining `Drop` needs the harness actor retired first.
-    let mut extrinsics: Vec<Box<dyn Detector>> = Vec::new();
-    let mut session = Session::boot(target, seed, SimClock::shared(), "scenario-main")?;
-    let clock = Arc::clone(session.clock());
-
-    // Steady workload feeding the observer hub; the intrinsic watchdog.
-    let hub = ObserverHub::new(Arc::clone(&clock), Duration::from_secs(2), 8, 0.5);
-    let observer: Option<WorkloadObserver> = opts.extrinsic.then(|| {
-        let hub = hub.clone();
-        Arc::new(move |ok: bool| hub.report(ok)) as WorkloadObserver
-    });
-    session.arm(&opts.wd, &opts.workload, observer)?;
-
-    // Extrinsic baselines.
-    if opts.extrinsic {
-        extrinsics.push(Box::new(HeartbeatDetector::start(
-            Arc::clone(&clock),
-            Duration::from_millis(50),
-            Duration::from_millis(300),
-            session.inst().liveness_probe(),
-        )));
-        extrinsics.push(Box::new(ExternalProbe::start(
-            Arc::clone(&clock),
-            Duration::from_millis(100),
-            2,
-            session.inst().api_probe(),
-        )));
-        extrinsics.push(Box::new(hub.clone()));
-    }
-
     // The default warmup is a whole number of checking rounds; the seeded
     // phase keeps the injection from always landing on a round boundary,
     // where every detection would read 0 ms.
     let phase = derive_seed(seed, "phase") % (opts.wd.interval.as_nanos() as u64).max(1);
-    clock.sleep(opts.warmup + Duration::from_nanos(phase));
-    let errors_handled_before = session.inst().errors_handled();
+    let schedule = FaultSchedule {
+        id: label.clone(),
+        seed,
+        benign: false,
+        horizon: opts.observe,
+        faults: Vec::from_iter(scenario.map(|s| ScheduledFault::at_start(s, None))),
+    };
+    let spec = RunSpec {
+        wd: opts.wd.clone(),
+        workload: opts.workload.clone(),
+        warmup: opts.warmup + Duration::from_nanos(phase),
+        extrinsic: opts.extrinsic,
+        // Auxiliary paths (minizk's follower sync) start at the injection
+        // instant, so a fault on their link strikes them mid-flight.
+        kicks: vec![Duration::ZERO],
+        ..RunSpec::default()
+    };
+    let trace = session::run(target, SimClock::shared(), &schedule, &spec)?;
+    let injected_at = trace.run_start;
+    let since = |at: Duration| at.saturating_sub(injected_at).as_millis() as u64;
 
-    // Inject.
-    if let Some(s) = scenario {
-        session.injector().inject(&s.kind)?;
-    }
-    let injected_at = clock.now();
-    // Auxiliary paths (minizk's follower sync) start at the injection
-    // instant, so a fault on their link strikes them mid-flight.
-    session.inst().exercise_auxiliary();
-
-    // Observe.
-    let mut extrinsic_first: Vec<Option<(u64, String)>> = vec![None; extrinsics.len()];
-    let mut handler_first: Option<u64> = None;
-    session.sleep_until(injected_at + opts.observe, || {
-        let now_ms = clock.now().saturating_sub(injected_at).as_millis() as u64;
-        for (i, d) in extrinsics.iter().enumerate() {
-            if extrinsic_first[i].is_none() {
-                if let detectors::Verdict::Suspected { reason } = d.verdict() {
-                    extrinsic_first[i] = Some((now_ms, reason));
-                }
-            }
-        }
-        if handler_first.is_none() && session.inst().errors_handled() > errors_handled_before {
-            handler_first = Some(now_ms);
-        }
-        false
-    });
-
-    // Teardown; `stop` clears every fault surface so wedged threads drain.
-    let reports = session.stop();
-    for d in &mut extrinsics {
-        d.stop();
-    }
-
-    // Score.
-    let crash_run = session.crashed();
-    let mut outcomes = Vec::new();
-    for (i, d) in extrinsics.iter().enumerate() {
-        let first = &extrinsic_first[i];
-        outcomes.push(DetectorOutcome {
-            detector: d.name().to_owned(),
+    let mut outcomes: Vec<DetectorOutcome> = trace
+        .extrinsic
+        .iter()
+        .map(|(name, first)| DetectorOutcome {
+            detector: name.clone(),
             detected: first.is_some(),
-            latency_ms: first.as_ref().map(|(ms, _)| *ms),
-            class: None,
+            latency_ms: first.as_ref().map(|(at, _)| since(*at)),
             granularity: "process".into(),
-            blamed: None,
-            correct_blame: None,
             detail: first.as_ref().map(|(_, r)| r.clone()).unwrap_or_default(),
-            payload: Vec::new(),
-        });
-    }
+            ..DetectorOutcome::default()
+        })
+        .collect();
     if opts.extrinsic {
+        let handled = trace.errors_handled.map(since);
         outcomes.push(DetectorOutcome {
             detector: "error-handler".into(),
-            detected: handler_first.is_some(),
-            latency_ms: handler_first,
+            detected: handled.is_some(),
+            latency_ms: handled,
             class: Some("error".into()),
             granularity: "function".into(),
-            blamed: None,
-            correct_blame: None,
-            detail: if handler_first.is_some() {
-                "explicit error caught in place".into()
-            } else {
-                String::new()
-            },
-            payload: Vec::new(),
+            detail: handled
+                .map_or("", |_| "explicit error caught in place")
+                .into(),
+            ..DetectorOutcome::default()
         });
     }
 
@@ -270,11 +211,12 @@ pub fn run_scenario(
     // reports in the window (operators see every report, so the most
     // precise, correctly-blamed one is what diagnosis would use).
     let injected_at_ms = injected_at.as_millis() as u64;
-    let in_window: Vec<_> = reports
+    let in_window: Vec<_> = trace
+        .reports
         .iter()
         .filter(|r| r.at_ms >= injected_at_ms || scenario.is_none())
         .collect();
-    let wd_outcome = match in_window.first().copied().filter(|_| !crash_run) {
+    let wd_outcome = match in_window.first().copied().filter(|_| !trace.crashed) {
         Some(r) => {
             let expected = scenario.map(|s| s.expected.blames.as_slice());
             let right = |r: &FailureReport| expected.is_some_and(|ids| blames(r, ids));
@@ -305,23 +247,18 @@ pub fn run_scenario(
         }
         None => DetectorOutcome {
             detector: "watchdog".into(),
-            detected: false,
-            latency_ms: None,
-            class: None,
             granularity: "none".into(),
-            blamed: None,
-            correct_blame: None,
-            detail: if crash_run {
+            detail: if trace.crashed {
                 "process crashed; intrinsic watchdog died with it".into()
             } else {
                 String::new()
             },
-            payload: Vec::new(),
+            ..DetectorOutcome::default()
         },
     };
     outcomes.push(wd_outcome);
 
-    let (workload_ok, workload_failed) = session.workload_counters();
+    let (workload_ok, workload_failed) = trace.workload;
     Ok(ScenarioResult {
         scenario: label,
         expected_class: scenario

@@ -1,14 +1,15 @@
-//! One watched testbed, from boot to teardown.
+//! One watched testbed, from boot to teardown, and the one campaign run on
+//! it.
 //!
-//! Every campaign — [`scenario`](crate::scenario), [`chaos`](crate::chaos),
-//! [`recovery`](crate::recovery), [`infer`](crate::infer) — runs the same
-//! protocol around what it measures: boot the target on the campaign's
-//! clock, wire the injector, assemble and start the watchdog, spawn the
-//! workload over the target's request, observe in bounded wakes, then clear
-//! every fault, stop everything at one instant and join. [`Session`] is that
-//! protocol, stated once and the same on every clock; the campaigns keep
-//! only what is theirs (fault timelines, hold/heal, detector sampling,
-//! scoring).
+//! Every campaign — Table 1/2 and E4 ([`scenario`](crate::scenario)),
+//! [`chaos`](crate::chaos), [`recovery`](crate::recovery) and the
+//! [`infer`](crate::infer) recorder — is [`run`]: a [`FaultSchedule`]
+//! played on a fresh [`Session`] through one inject → observe loop,
+//! returning one [`Trace`]. The campaigns only build the schedule (a
+//! catalogue row is a one-fault schedule, a recording has no fault), pick
+//! what to attach ([`RunSpec`]: extrinsic detectors, a recovery
+//! coordinator, auxiliary kicks) and score the trace. Only the E6c
+//! placement ablation drives a bare `Session`.
 //!
 //! The teardown order is the part that must not be re-typed. On a
 //! discrete-event clock the harness thread is itself an actor, so virtual
@@ -27,16 +28,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use detectors::{Detector, ExternalProbe, HeartbeatDetector, ObserverHub, Verdict};
 use faults::injector::Injector;
+use faults::schedule::FaultSchedule;
 use wdog_base::clock::{ActorGuard, SharedClock};
 use wdog_base::error::BaseResult;
-use wdog_core::prelude::{FailureReport, WatchdogDriver};
+use wdog_base::ids::ComponentId;
+use wdog_base::rng::derive_seed;
+use wdog_core::prelude::{Action, FailureReport, WatchdogDriver};
+use wdog_recover::{Incident, RecoveryCoordinator, RecoveryPolicy};
 use wdog_target::{
     spawn_workload_on, TargetInstance, WatchdogTarget, WdOptions, WorkloadHandle, WorkloadObserver,
     WorkloadProfile,
 };
+use wdog_telemetry::ChaosMetrics;
 
-/// Longest single sleep of [`Session::sleep_until`].
+/// Longest single sleep of [`run`]'s observation loop.
 const WAKE: Duration = Duration::from_millis(50);
 
 /// A booted, watched testbed that tears itself down in the right order.
@@ -103,18 +110,6 @@ impl Session {
         &self.injector
     }
 
-    /// Whether a `ProcessCrash` fault fired.
-    pub fn crashed(&self) -> bool {
-        self.crashed.load(Ordering::Relaxed)
-    }
-
-    /// `(ok, failed)` workload request counts so far.
-    pub fn workload_counters(&self) -> (u64, u64) {
-        self.workload
-            .as_ref()
-            .map_or((0, 0), WorkloadHandle::counters)
-    }
-
     /// Sets the non-blocking stop request to issue at the stop instant,
     /// with the instance's and the driver's — for the one party the session
     /// does not own but that would otherwise outwait the run (the recovery
@@ -145,29 +140,12 @@ impl Session {
         Ok(())
     }
 
-    /// Sleeps to `deadline` in wakes of at most 50 ms, calling `tick` at
-    /// every wake (the first before any sleep, the last at the deadline);
-    /// `tick` returning `true` ends the wait early.
-    pub fn sleep_until(&self, deadline: Duration, mut tick: impl FnMut() -> bool) {
-        loop {
-            if tick() {
-                return;
-            }
-            let now = self.clock.now();
-            if now >= deadline {
-                return;
-            }
-            self.clock.sleep((deadline - now).min(WAKE));
-        }
-    }
-
     /// Clears every armed fault so wedged threads can drain, raises every
     /// stop flag at one instant (the workload's first), then joins the
-    /// workload and
-    /// the watchdog — everything but the instance's own threads, which
-    /// [`Session::finish`] or `Drop` tear down — and returns the driver's
-    /// reports up to that instant. Idempotent; later calls return an empty
-    /// log.
+    /// workload and the watchdog — everything but the instance's own
+    /// threads, which [`Session::finish`] or `Drop` tear down — and returns
+    /// the driver's reports up to that instant. Idempotent; later calls
+    /// return an empty log.
     pub fn stop(&mut self) -> Vec<FailureReport> {
         let Some(main) = self.main.take() else {
             return Vec::new();
@@ -212,6 +190,214 @@ impl Drop for Session {
     }
 }
 
+/// How [`run`] paces a schedule, and what its scorer attaches to it.
+#[derive(Default)]
+pub struct RunSpec {
+    /// Watchdog configuration.
+    pub wd: WdOptions,
+    /// Workload shape.
+    pub workload: WorkloadProfile,
+    /// Steady state before `run_start`, the schedule's time zero.
+    pub warmup: Duration,
+    /// Observation past the schedule's horizon.
+    pub tail: Duration,
+    /// The extrinsic baselines — heartbeat, probe client, observer hub —
+    /// and the error-handler count, each sampled at every wake.
+    pub extrinsic: bool,
+    /// A recovery coordinator walking this policy; it ends the run inside
+    /// the tail, at the first wake it is idle with a closed incident.
+    pub coordinator: Option<RecoveryPolicy>,
+    /// Offsets from `run_start` at which to kick the target's auxiliary
+    /// paths (minizk's follower sync), each once the faults due then armed.
+    pub kicks: Vec<Duration>,
+    /// Receives the substrate's sim I/O counters after teardown.
+    pub io_metrics: Option<ChaosMetrics>,
+}
+
+/// Everything one [`run`] observed; instants are on the run's clock.
+#[derive(Debug, Default)]
+pub struct Trace {
+    /// When the warmup ended: fault onsets are offsets from it.
+    pub run_start: Duration,
+    /// When the run stopped.
+    pub stopped_at: Duration,
+    /// Per schedule fault, when it armed and when the schedule cleared it
+    /// (`None` for an until-end fault: the stop clears it).
+    pub faults: Vec<(Option<Duration>, Option<Duration>)>,
+    /// The driver's reports, sealed at the stop instant.
+    pub reports: Vec<FailureReport>,
+    /// Each extrinsic detector's name and first suspicion (instant, reason).
+    pub extrinsic: Vec<(String, Option<(Duration, String)>)>,
+    /// When the target's error handler first absorbed an error.
+    pub errors_handled: Option<Duration>,
+    /// The attached coordinator's closed incidents, in close order.
+    pub incidents: Vec<Incident>,
+    /// Whether the attached coordinator drained to idle after the stop.
+    pub coordinator_idle: bool,
+    /// Components its flap breaker pinned.
+    pub pinned: Vec<ComponentId>,
+    /// Reports dropped at its inbox.
+    pub dropped_reports: u64,
+    /// `(ok, failed)` workload requests.
+    pub workload: (u64, u64),
+    /// Whether a `ProcessCrash` fault fired.
+    pub crashed: bool,
+}
+
+/// Plays `schedule` on a fresh `target` testbed booted from its seed on
+/// `clock`: boot, attach, arm, warm up; then fire every timeline event at
+/// `run_start + at` on the harness actor, waking at least every 50 ms to
+/// sample, through the horizon and the tail; then stop everything at one
+/// instant. A refused injection is an error, not a trace.
+pub fn run(
+    target: &dyn WatchdogTarget,
+    clock: SharedClock,
+    schedule: &FaultSchedule,
+    spec: &RunSpec,
+) -> BaseResult<Trace> {
+    // Declared before the session so that they drop after it: each has a
+    // joining `Drop` that needs the harness actor retired first.
+    let mut extrinsics: Vec<Box<dyn Detector>> = Vec::new();
+    let mut coordinator: Option<Arc<RecoveryCoordinator>> = None;
+    let mut session = Session::boot(target, schedule.seed, Arc::clone(&clock), "campaign-main")?;
+
+    let mut wd = spec.wd.clone();
+    if let Some(policy) = &spec.coordinator {
+        let surface = session.inst().recovery_map().surface();
+        let mut builder = RecoveryCoordinator::builder(Arc::clone(&clock), surface)
+            .default_policy(policy.clone())
+            .seed(derive_seed(schedule.seed, "recovery"));
+        if let Some(t) = &wd.telemetry {
+            builder = builder.telemetry(Arc::clone(t));
+        }
+        let c = builder.start();
+        // Its idle wait is untimed, so under sim nothing but a close ends
+        // it: it is sealed at the stop instant with everything else.
+        session.at_stop({
+            let c = Arc::clone(&c);
+            move || c.request_stop()
+        });
+        // Drivers are sealed at build: the coordinator rides in through the
+        // options' action list instead of a post-hoc `add_action`.
+        wd.actions.push(Arc::clone(&c) as Arc<dyn Action>);
+        coordinator = Some(c);
+    }
+    let hub = spec
+        .extrinsic
+        .then(|| ObserverHub::new(Arc::clone(&clock), Duration::from_secs(2), 8, 0.5));
+    let observer = hub
+        .clone()
+        .map(|hub| Arc::new(move |ok: bool| hub.report(ok)) as WorkloadObserver);
+    session.arm(&wd, &spec.workload, observer)?;
+    if let Some(hub) = hub {
+        let (inst, ms) = (session.inst(), Duration::from_millis);
+        extrinsics = vec![
+            Box::new(HeartbeatDetector::start(
+                Arc::clone(&clock),
+                ms(50),
+                ms(300),
+                inst.liveness_probe(),
+            )),
+            Box::new(ExternalProbe::start(
+                Arc::clone(&clock),
+                ms(100),
+                2,
+                inst.api_probe(),
+            )),
+            Box::new(hub),
+        ];
+    }
+    // Even a zero sleep yields to the actors ready at this instant.
+    if !spec.warmup.is_zero() {
+        clock.sleep(spec.warmup);
+    }
+
+    let run_start = clock.now();
+    let horizon = run_start + schedule.horizon;
+    let end = horizon + spec.tail;
+    let errors_before = session.inst().errors_handled();
+    let mut timeline = schedule.timeline();
+    for at in &spec.kicks {
+        timeline.push(*at, "kick");
+    }
+    let mut events = timeline.into_sorted().into_iter().peekable();
+    let mut armed: Vec<_> = schedule.faults.iter().map(|_| None).collect();
+    let mut trace = Trace {
+        run_start,
+        faults: vec![(None, None); schedule.faults.len()],
+        extrinsic: extrinsics
+            .iter()
+            .map(|d| (d.name().to_owned(), None))
+            .collect(),
+        ..Trace::default()
+    };
+    loop {
+        let now = clock.now();
+        while let Some(event) = events.next_if(|e| run_start + e.at <= now) {
+            // A `kick` was pushed after the schedule's events, so at one
+            // instant it follows the arms.
+            let Some((op, i)) = event.label.split_once(':') else {
+                session.inst().exercise_auxiliary();
+                continue;
+            };
+            let i: usize = i.parse().expect("arm:<i> or clear:<i>");
+            if op == "arm" {
+                armed[i] = Some(session.injector().inject(&schedule.faults[i].spec.kind)?);
+                trace.faults[i].0 = Some(now);
+            } else if let Some(a) = armed[i].take() {
+                session.injector().clear(&a);
+                trace.faults[i].1 = Some(now);
+            }
+        }
+        for (d, (_, first)) in extrinsics.iter().zip(&mut trace.extrinsic) {
+            if first.is_none() {
+                if let Verdict::Suspected { reason } = d.verdict() {
+                    *first = Some((now, reason));
+                }
+            }
+        }
+        if spec.extrinsic
+            && trace.errors_handled.is_none()
+            && session.inst().errors_handled() > errors_before
+        {
+            trace.errors_handled = Some(now);
+        }
+        let settled = coordinator
+            .as_ref()
+            .is_some_and(|c| now >= horizon && !c.incidents().is_empty() && c.is_idle());
+        if now >= end || settled {
+            break;
+        }
+        let bound = if now < horizon { horizon } else { end };
+        let next = events
+            .peek()
+            .map_or(bound, |e| (run_start + e.at).min(bound));
+        clock.sleep(next.min(now + WAKE) - now);
+    }
+
+    trace.stopped_at = clock.now();
+    trace.reports = session.stop();
+    for d in &mut extrinsics {
+        d.stop();
+    }
+    // Drained against the still-standing instance: a repair in flight at
+    // the stop must not find the instance torn down under it.
+    if let Some(c) = &coordinator {
+        trace.coordinator_idle = c.wait_idle(Duration::from_secs(2));
+        c.stop();
+        trace.incidents = c.incidents();
+        trace.pinned = c.pinned_components();
+        trace.dropped_reports = c.dropped_reports();
+    }
+    trace.workload = session.workload.as_ref().map_or((0, 0), |w| w.counters());
+    trace.crashed = session.crashed.load(Ordering::Relaxed);
+    session.finish();
+    if let Some(m) = &spec.io_metrics {
+        session.inst().substrate().export_io(m);
+    }
+    Ok(trace)
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::mpsc;
@@ -226,7 +412,10 @@ mod tests {
     use wdog_base::clock::RealClock;
     use wdog_target::WatchdogTarget;
 
-    use super::Session;
+    use faults::schedule::{FaultSchedule, ScheduledFault};
+    use wdog_recover::RecoveryPolicy;
+
+    use super::{run, RunSpec, Session, Trace};
     use crate::chaos::{chaos_pool, run_schedule, ChaosOptions};
     use crate::recovery::{run_recovery_scenario, RecoveryOptions};
     use crate::scenario::{run_scenario, RunnerOptions};
@@ -282,7 +471,7 @@ mod tests {
                 }
                 assert_eq!(crash.len(), 1, "{}: one crash scenario", target.name());
                 injector.inject(&crash[0].kind).unwrap();
-                assert!(session.crashed());
+                assert!(session.crashed.load(std::sync::atomic::Ordering::Relaxed));
             }
         });
     }
@@ -349,11 +538,12 @@ mod tests {
                 );
                 assert!(reports.iter().all(|r| r.at_ms <= stopped_at), "{reports:?}");
                 assert!(session.stop().is_empty(), "the log is handed over once");
-                let served = session.workload_counters();
+                let counters = |s: &Session| s.workload.as_ref().unwrap().counters();
+                let served = counters(&session);
                 assert!(served.0 > 0, "the workload never ran");
 
                 session.finish();
-                assert_eq!(session.workload_counters(), served);
+                assert_eq!(counters(&session), served);
                 assert!(!session.inst().liveness_probe()());
             });
         }
@@ -379,5 +569,111 @@ mod tests {
         assert!(a.incidents > 0 && a.coordinator_idle, "{a:?}");
         let b = within_a_minute(run);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    fn kvs_fault(id: &str, start_ms: u64, hold_ms: Option<u64>) -> ScheduledFault {
+        let scenario = KvsTarget
+            .catalog()
+            .into_iter()
+            .find(|s| s.id == id)
+            .unwrap();
+        let mut f = ScheduledFault::at_start(&scenario, hold_ms.map(Duration::from_millis));
+        f.spec.start_after = Duration::from_millis(start_ms);
+        f
+    }
+
+    fn kvs_schedule(horizon_ms: u64, faults: Vec<ScheduledFault>) -> FaultSchedule {
+        FaultSchedule {
+            id: "runner-test".into(),
+            seed: 3,
+            benign: false,
+            horizon: Duration::from_millis(horizon_ms),
+            faults,
+        }
+    }
+
+    fn campaign_spec(tail: Duration, coordinator: Option<RecoveryPolicy>) -> RunSpec {
+        let runner = RunnerOptions::default();
+        RunSpec {
+            wd: runner.wd,
+            workload: runner.workload,
+            warmup: Duration::from_millis(400),
+            tail,
+            coordinator,
+            ..RunSpec::default()
+        }
+    }
+
+    fn run_on_sim(schedule: FaultSchedule, spec: RunSpec) -> Trace {
+        within_a_minute(move || run(&KvsTarget, SimClock::shared(), &schedule, &spec).unwrap())
+    }
+
+    /// Every event fires on the harness actor at `run_start + at`, off the
+    /// 50 ms wake grid too; an until-end fault is cleared only by the stop.
+    #[test]
+    fn the_runner_arms_and_clears_each_fault_at_its_offset() {
+        let schedule = kvs_schedule(
+            1_000,
+            vec![
+                kvs_fault("partial-disk-stuck", 130, Some(410)),
+                kvs_fault("background-task-stuck", 275, None),
+            ],
+        );
+        let t = run_on_sim(schedule, campaign_spec(Duration::ZERO, None));
+        let at = |ms: u64| Some(t.run_start + Duration::from_millis(ms));
+        assert_eq!(t.faults, vec![(at(130), at(540)), (at(275), None)]);
+        assert_eq!(Some(t.stopped_at), at(1_000));
+    }
+
+    /// An attached coordinator never ends the run inside the horizon, and
+    /// inside the tail ends it at the first wake where it is idle with a
+    /// closed incident.
+    #[test]
+    fn an_attached_coordinator_ends_the_run_only_inside_the_tail() {
+        let tail = Duration::from_secs(8);
+        for horizon_ms in [100, 2_500] {
+            let schedule = kvs_schedule(
+                horizon_ms,
+                vec![kvs_fault("background-task-stuck", 0, None)],
+            );
+            let t = run_on_sim(schedule, campaign_spec(tail, Some(RecoveryPolicy::fast())));
+            let horizon = t.run_start + Duration::from_millis(horizon_ms);
+            let first_close = t.incidents.iter().map(|i| i.closed_at_ms).min().unwrap();
+            assert!(t.coordinator_idle, "{t:?}");
+            assert!(t.stopped_at >= horizon && t.stopped_at < horizon + tail);
+            let waited = (t.stopped_at - horizon).as_millis() as u64;
+            assert_eq!(waited % 50, 0, "stopped off the wake grid: {t:?}");
+            // Incidents close on whole virtual ms; wakes keep the boot's
+            // sub-ms offset.
+            let closed = Duration::from_millis(first_close);
+            if closed <= horizon {
+                assert_eq!(t.stopped_at, horizon, "{t:?}");
+            } else {
+                let previous_wake = t.stopped_at - Duration::from_millis(50);
+                assert!(
+                    closed <= t.stopped_at && previous_wake < closed + Duration::from_millis(1),
+                    "{t:?}"
+                );
+            }
+        }
+    }
+
+    /// What no campaign composed before: a multi-fault chaos schedule with
+    /// the recovery loop attached, replaying to the same trace.
+    #[test]
+    fn a_two_fault_schedule_with_a_coordinator_replays_identically() {
+        let pool = chaos_pool(&KvsTarget);
+        let schedule = (0..)
+            .filter_map(|i| compose_schedule(&pool, 42, i, &ComposeOptions::default()))
+            .find(|s| s.faults.len() == 2 && !s.benign)
+            .unwrap();
+        let replay = || {
+            let spec = campaign_spec(Duration::from_secs(2), Some(RecoveryPolicy::fast()));
+            run_on_sim(schedule.clone(), spec)
+        };
+        let a = replay();
+        assert!(a.faults.iter().all(|f| f.0.is_some()), "{a:?}");
+        assert!(!a.incidents.is_empty(), "{a:?}");
+        assert_eq!(format!("{a:?}"), format!("{:?}", replay()));
     }
 }

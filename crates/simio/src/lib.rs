@@ -33,5 +33,5 @@ pub use disk::{DiskFault, DiskOpKind, DiskStats, SimDisk};
 pub use latency::LatencyModel;
 pub use net::{Mailbox, Message, NetFault, SimNet};
 pub use resource::{ResourceMonitor, StallPoint};
-pub use schedule::{Timeline, TimelineEvent, TimelineHandle};
+pub use schedule::{Timeline, TimelineEvent};
 pub use vclock::SimClock;

@@ -108,9 +108,11 @@ gate 1 "drift-all.json analysis" wdog-lint --target all
 # targets' IR.
 gate 1 "reduction.json reduction.txt" reduction
 
-# The paper's own tables. Every scenario run is on a fresh SimClock with the
-# extrinsic detectors as clock actors, so Table 1 (E1) and Table 2 (E2) are
-# pure functions of (target, seed), virtual-millisecond latencies included.
+# The paper's own tables. Every scenario is a one-fault schedule played by
+# the one campaign run (harness::session::run) on a fresh SimClock, with the
+# extrinsic detectors attached as clock actors, so Table 1 (E1) and Table 2
+# (E2) are pure functions of (target, seed), virtual-millisecond latencies
+# included.
 # Both bins exit nonzero when a target's telemetry sidecar fails the schema.
 # Table 2 runs once: its bursty control runs are most of this script's
 # scenario time.
@@ -124,9 +126,10 @@ gate 2 "zk2201.json zk2201.txt" zk2201
 # included.
 gate 2 "ablations.json ablations.txt" ablations
 
-# Recovery campaigns: every hop from a checker's verdict to the incident's
-# close is a clock actor, so the whole catalogue on all three targets
-# serializes byte-identically.
+# Recovery campaigns: the same campaign run with a recovery coordinator
+# attached, one one-fault schedule per catalogue scenario. Every hop from a
+# checker's verdict to the incident's close is a clock actor, so the whole
+# catalogue on all three targets serializes byte-identically.
 gate 2 "recovery.json recovery-minizk.json recovery-miniblock.json" wdog-recovery --target all
 
 # The chaos sweep: 1000 schedules per target in virtual time, each target's

@@ -135,9 +135,21 @@ fn the_campaign_protocol_lives_in_session_rs_only() {
             }
         }
     }
+    // The three scorers hand a schedule to `session::run`: none of them
+    // boots, injects or paces an observation loop of its own.
+    for scorer in ["scenario.rs", "chaos.rs", "recovery.rs"] {
+        let text = std::fs::read_to_string(format!("{root}/{scorer}"))
+            .expect("scorer sources are readable");
+        let non_test = text.split("#[cfg(test)]").next().unwrap_or_default();
+        for needle in ["Session::boot", ".inject(", "sleep_until"] {
+            if non_test.contains(needle) {
+                offenders.push(format!("{scorer}: {needle}"));
+            }
+        }
+    }
     assert!(
         offenders.is_empty(),
-        "boot/teardown protocol spelled outside harness::session: {offenders:#?}"
+        "campaign protocol spelled outside harness::session: {offenders:#?}"
     );
 }
 
