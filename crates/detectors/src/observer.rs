@@ -120,15 +120,15 @@ impl std::fmt::Debug for ObserverHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdog_base::clock::VirtualClock;
+    use simio::SimClock;
 
-    fn hub(clock: Arc<VirtualClock>) -> ObserverHub {
+    fn hub(clock: SharedClock) -> ObserverHub {
         ObserverHub::new(clock, Duration::from_secs(10), 5, 0.5)
     }
 
     #[test]
     fn too_few_samples_stay_healthy() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let h = hub(clock);
         for _ in 0..3 {
             h.report(false);
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn high_error_rate_is_suspected() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let h = hub(clock);
         for _ in 0..4 {
             h.report(false);
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn healthy_traffic_is_healthy() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let h = hub(clock);
         for i in 0..20 {
             h.report(i % 10 != 0); // 10% errors, below the 50% threshold.
@@ -161,20 +161,20 @@ mod tests {
 
     #[test]
     fn evidence_ages_out_of_window() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let h = hub(Arc::clone(&clock));
         for _ in 0..10 {
             h.report(false);
         }
         assert!(h.verdict().is_suspected());
-        clock.advance(Duration::from_secs(11));
+        clock.sleep(Duration::from_secs(11));
         assert_eq!(h.counts().0, 0);
         assert_eq!(h.verdict(), Verdict::Healthy);
     }
 
     #[test]
     fn clones_share_evidence() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let h = hub(clock);
         let h2 = h.clone();
         for _ in 0..6 {

@@ -326,6 +326,94 @@ mod tests {
         assert!(mb.recv_timeout(Duration::from_millis(200)).is_some());
     }
 
+    /// Every substrate kind, injected through the injector: one op inside
+    /// its scope and one outside, then the op ledger must hold exactly one
+    /// fault, on the op kind the fault names; after the clear the same op
+    /// runs unshaped. Blocking kinds run their op on a helper thread.
+    #[test]
+    fn every_substrate_fault_shapes_one_op_kind_until_cleared() {
+        let (wal, a, b) = (|| "wal/".to_owned(), || "a".to_owned(), || "b".to_owned());
+        let cases = [
+            (FaultKind::DiskStuck { path_prefix: wal() }, true),
+            (
+                FaultKind::DiskSlow {
+                    path_prefix: wal(),
+                    factor: 8.0,
+                },
+                false,
+            ),
+            (FaultKind::DiskError { path_prefix: wal() }, false),
+            (FaultKind::DiskCorruptWrites { path_prefix: wal() }, false),
+            (FaultKind::NetBlockSend { src: a(), dst: b() }, true),
+            (FaultKind::NetDrop { src: a(), dst: b() }, false),
+            (
+                FaultKind::NetSlow {
+                    src: a(),
+                    dst: b(),
+                    factor: 8.0,
+                },
+                false,
+            ),
+        ];
+        for (kind, blocks) in cases {
+            let (inj, disk, net, ..) = full_injector();
+            let (_mb, _mc) = (net.register("b"), net.register("c"));
+            let on_disk = matches!(
+                kind,
+                FaultKind::DiskStuck { .. }
+                    | FaultKind::DiskSlow { .. }
+                    | FaultKind::DiskError { .. }
+                    | FaultKind::DiskCorruptWrites { .. }
+            );
+            let op = {
+                let (disk, net) = (Arc::clone(&disk), net.clone());
+                move |inside: bool| match (on_disk, inside) {
+                    (true, true) => disk.append("wal/0", b"x"),
+                    (true, false) => disk.append("data/0", b"x"),
+                    (false, true) => net.send("a", "b", bytes::Bytes::from_static(b"x")),
+                    (false, false) => net.send("a", "c", bytes::Bytes::from_static(b"x")),
+                }
+            };
+            // (faults on the named op kind, faults on every other kind)
+            let faults = || {
+                let (d, n) = (disk.op_stats(), net.op_stats());
+                if on_disk {
+                    (
+                        d.write.faults,
+                        d.read.faults + d.sync.faults + d.meta.faults,
+                    )
+                } else {
+                    (n.send.faults, n.recv.faults)
+                }
+            };
+
+            let armed = inj.inject(&kind).unwrap();
+            let shaped = if blocks {
+                let blocked = op.clone();
+                let t = std::thread::spawn(move || blocked(true));
+                op(false).unwrap();
+                std::thread::sleep(Duration::from_millis(30));
+                assert!(!t.is_finished(), "{kind:?}: op completed while armed");
+                inj.clear(&armed);
+                t.join().unwrap()
+            } else {
+                let shaped = op(true);
+                op(false).unwrap();
+                assert_eq!(faults(), (1, 0), "{kind:?}");
+                inj.clear(&armed);
+                shaped
+            };
+            assert_eq!(
+                shaped.is_err(),
+                matches!(kind, FaultKind::DiskError { .. }),
+                "{kind:?}"
+            );
+            assert_eq!(faults(), (1, 0), "{kind:?}");
+            op(true).unwrap();
+            assert_eq!(faults(), (1, 0), "{kind:?}: op shaped after clear");
+        }
+    }
+
     #[test]
     fn toggle_faults_set_and_clear_flags() {
         let (inj, _, _, _, toggles) = full_injector();

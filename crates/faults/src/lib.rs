@@ -29,6 +29,8 @@ pub mod toggle;
 
 pub use catalog::{gray_failure_catalog, ExpectedDetection, Scenario, TargetProfile};
 pub use injector::{ArmedFault, Injector};
-pub use schedule::{compose_schedule, ComposeOptions, FaultSchedule, ScheduledFault};
+pub use schedule::{
+    compose_schedule, ComposeOptions, FaultSchedule, ScheduleEvent, ScheduledFault,
+};
 pub use spec::{FaultKind, FaultSpec};
 pub use toggle::ToggleSet;

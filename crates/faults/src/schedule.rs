@@ -32,6 +32,17 @@ use wdog_base::rng::{derive_seed, seeded};
 use crate::catalog::Scenario;
 use crate::spec::{FaultKind, FaultSpec};
 
+/// One timed event of a campaign run (see [`FaultSchedule::events`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScheduleEvent {
+    /// Inject fault `i` of the schedule.
+    Arm(usize),
+    /// Clear fault `i` of the schedule.
+    Clear(usize),
+    /// Exercise the target's auxiliary path (a campaign's own kick).
+    Kick,
+}
+
 /// One fault within a schedule, with the expectations scoring needs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduledFault {
@@ -310,19 +321,23 @@ impl FaultSchedule {
         Ok(())
     }
 
-    /// The timed arm/clear events of this schedule as a [`simio::Timeline`]:
-    /// `arm:<i>` at each fault's onset, `clear:<i>` at its bounded end.
-    /// Until-end faults get no clear event — the campaign clears every
-    /// surface at teardown.
-    pub fn timeline(&self) -> simio::Timeline {
-        let mut t = simio::Timeline::new();
+    /// The timed events of this schedule, by offset from the run's start:
+    /// [`ScheduleEvent::Arm`] at each fault's onset and
+    /// [`ScheduleEvent::Clear`] at its bounded end. Until-end faults get no
+    /// clear event — the campaign clears every surface at teardown. Stably
+    /// sorted by offset, so events at one instant keep build order (fault
+    /// by fault, each arm before its clear): two runs of one schedule fire
+    /// in the same order.
+    pub fn events(&self) -> Vec<(Duration, ScheduleEvent)> {
+        let mut events = Vec::new();
         for (i, f) in self.faults.iter().enumerate() {
-            t.push(f.spec.start_after, format!("arm:{i}"));
+            events.push((f.spec.start_after, ScheduleEvent::Arm(i)));
             if let Some(d) = f.spec.duration {
-                t.push(f.spec.start_after + d, format!("clear:{i}"));
+                events.push((f.spec.start_after + d, ScheduleEvent::Clear(i)));
             }
         }
-        t
+        events.sort_by_key(|(at, _)| *at);
+        events
     }
 
     /// One-step shrink candidates for delta debugging, all structurally
@@ -555,15 +570,38 @@ mod tests {
     fn timeline_has_arm_and_clear_events_in_window() {
         let cat = catalog();
         let s = compose_schedule(&cat, 42, 1, &ComposeOptions::default()).unwrap();
-        let events = s.timeline().into_sorted();
+        let events = s.events();
         let arms = events
             .iter()
-            .filter(|e| e.label.starts_with("arm:"))
+            .filter(|(_, e)| matches!(e, ScheduleEvent::Arm(_)))
             .count();
         assert_eq!(arms, s.faults.len());
         for e in &events {
-            assert!(e.at <= s.horizon, "event {e:?} past horizon");
+            assert!(e.0 <= s.horizon, "event {e:?} past horizon");
         }
+    }
+
+    #[test]
+    fn events_at_one_instant_keep_build_order() {
+        let cat = catalog();
+        let mut s = compose_schedule(&cat, 42, 1, &ComposeOptions::default()).unwrap();
+        let mut second = s.faults[0].clone();
+        s.faults.truncate(1);
+        s.faults[0].spec.start_after = Duration::from_millis(100);
+        s.faults[0].spec.duration = Some(Duration::from_millis(300));
+        // Fault 1 arms at the instant fault 0 clears, and runs to the end.
+        second.spec.start_after = Duration::from_millis(400);
+        second.spec.duration = None;
+        s.faults.push(second);
+        s.validate().unwrap();
+        assert_eq!(
+            s.events(),
+            vec![
+                (Duration::from_millis(100), ScheduleEvent::Arm(0)),
+                (Duration::from_millis(400), ScheduleEvent::Clear(0)),
+                (Duration::from_millis(400), ScheduleEvent::Arm(1)),
+            ]
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use detectors::{Detector, ExternalProbe, HeartbeatDetector, ObserverHub, Verdict};
 use faults::injector::Injector;
-use faults::schedule::FaultSchedule;
+use faults::schedule::{FaultSchedule, ScheduleEvent};
 use wdog_base::clock::{ActorGuard, SharedClock};
 use wdog_base::error::BaseResult;
 use wdog_base::ids::ComponentId;
@@ -245,7 +245,7 @@ pub struct Trace {
 }
 
 /// Plays `schedule` on a fresh `target` testbed booted from its seed on
-/// `clock`: boot, attach, arm, warm up; then fire every timeline event at
+/// `clock`: boot, attach, arm, warm up; then fire every schedule event at
 /// `run_start + at` on the harness actor, waking at least every 50 ms to
 /// sample, through the horizon and the tail; then stop everything at one
 /// instant. A refused injection is an error, not a trace.
@@ -316,11 +316,10 @@ pub fn run(
     let horizon = run_start + schedule.horizon;
     let end = horizon + spec.tail;
     let errors_before = session.inst().errors_handled();
-    let mut timeline = schedule.timeline();
-    for at in &spec.kicks {
-        timeline.push(*at, "kick");
-    }
-    let mut events = timeline.into_sorted().into_iter().peekable();
+    let mut events = schedule.events();
+    events.extend(spec.kicks.iter().map(|at| (*at, ScheduleEvent::Kick)));
+    events.sort_by_key(|(at, _)| *at);
+    let mut events = events.into_iter().peekable();
     let mut armed: Vec<_> = schedule.faults.iter().map(|_| None).collect();
     let mut trace = Trace {
         run_start,
@@ -333,20 +332,21 @@ pub fn run(
     };
     loop {
         let now = clock.now();
-        while let Some(event) = events.next_if(|e| run_start + e.at <= now) {
-            // A `kick` was pushed after the schedule's events, so at one
-            // instant it follows the arms.
-            let Some((op, i)) = event.label.split_once(':') else {
-                session.inst().exercise_auxiliary();
-                continue;
-            };
-            let i: usize = i.parse().expect("arm:<i> or clear:<i>");
-            if op == "arm" {
-                armed[i] = Some(session.injector().inject(&schedule.faults[i].spec.kind)?);
-                trace.faults[i].0 = Some(now);
-            } else if let Some(a) = armed[i].take() {
-                session.injector().clear(&a);
-                trace.faults[i].1 = Some(now);
+        while let Some((_, event)) = events.next_if(|(at, _)| run_start + *at <= now) {
+            // Kicks were appended after the schedule's events and the sort
+            // is stable, so at one instant a kick follows the arms.
+            match event {
+                ScheduleEvent::Arm(i) => {
+                    armed[i] = Some(session.injector().inject(&schedule.faults[i].spec.kind)?);
+                    trace.faults[i].0 = Some(now);
+                }
+                ScheduleEvent::Clear(i) => {
+                    if let Some(a) = armed[i].take() {
+                        session.injector().clear(&a);
+                        trace.faults[i].1 = Some(now);
+                    }
+                }
+                ScheduleEvent::Kick => session.inst().exercise_auxiliary(),
             }
         }
         for (d, (_, first)) in extrinsics.iter().zip(&mut trace.extrinsic) {
@@ -371,7 +371,7 @@ pub fn run(
         let bound = if now < horizon { horizon } else { end };
         let next = events
             .peek()
-            .map_or(bound, |e| (run_start + e.at).min(bound));
+            .map_or(bound, |(at, _)| (run_start + *at).min(bound));
         clock.sleep(next.min(now + WAKE) - now);
     }
 

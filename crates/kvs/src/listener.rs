@@ -188,7 +188,7 @@ mod tests {
             client.set(&format!("k{i}"), "v").unwrap();
         }
         std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(disk.stats().writes, 0);
+        assert_eq!(disk.op_stats().write.calls, 0);
         assert_eq!(client.get("k7").unwrap(), Some("v".into()));
     }
 

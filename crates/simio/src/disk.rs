@@ -11,12 +11,14 @@
 //!   operations block until the fault is cleared — exactly what a hung
 //!   controller or a dead NFS mount looks like from user space;
 //! - **I/O errors** ([`DiskFault::Error`]);
-//! - **silent corruption** ([`DiskFault::CorruptReads`] /
-//!   [`DiskFault::CorruptWrites`]): one byte is flipped without any error
-//!   being reported, which only checksum-validating checkers can catch.
+//! - **silent corruption** ([`DiskFault::CorruptWrites`]): one stored byte
+//!   is flipped without any error being reported, which only
+//!   checksum-validating checkers can catch.
 //!
 //! Faults are scoped by path prefix and operation kind, so "the WAL volume is
 //! slow but the data volume is fine" — a *partial* failure — is expressible.
+//! [`SimDisk::op_stats`] counts every call and every faulted call per op
+//! kind: the one ledger of what the disk did.
 //!
 //! The disk also supports [`SimDisk::crash`], which discards all writes not
 //! yet covered by an `fsync`, enabling WAL-replay durability tests.
@@ -61,8 +63,6 @@ pub enum DiskFault {
         /// Message carried in the returned [`BaseError::Io`].
         message: String,
     },
-    /// Reads silently return data with one byte flipped.
-    CorruptReads,
     /// Writes silently store data with one byte flipped.
     CorruptWrites,
 }
@@ -70,40 +70,26 @@ pub enum DiskFault {
 /// A fault rule: which paths and operation kinds a fault applies to.
 #[derive(Debug, Clone)]
 pub struct FaultRule {
-    /// Only paths starting with this prefix are affected; `None` means all.
-    pub path_prefix: Option<String>,
-    /// Only these operation kinds are affected; empty means all kinds.
+    /// Only paths starting with this prefix are affected (`""`: all).
+    pub path_prefix: String,
+    /// Only these operation kinds are affected.
     pub ops: Vec<DiskOpKind>,
     /// The fault itself.
     pub fault: DiskFault,
 }
 
 impl FaultRule {
-    /// Creates a rule affecting every path and every operation kind.
-    pub fn global(fault: DiskFault) -> Self {
-        Self {
-            path_prefix: None,
-            ops: Vec::new(),
-            fault,
-        }
-    }
-
     /// Creates a rule affecting paths under `prefix` for the given kinds.
     pub fn scoped(prefix: impl Into<String>, ops: Vec<DiskOpKind>, fault: DiskFault) -> Self {
         Self {
-            path_prefix: Some(prefix.into()),
+            path_prefix: prefix.into(),
             ops,
             fault,
         }
     }
 
     fn matches(&self, path: &str, op: DiskOpKind) -> bool {
-        let path_ok = match &self.path_prefix {
-            Some(p) => path.starts_with(p.as_str()),
-            None => true,
-        };
-        let op_ok = self.ops.is_empty() || self.ops.contains(&op);
-        path_ok && op_ok
+        path.starts_with(self.path_prefix.as_str()) && self.ops.contains(&op)
     }
 }
 
@@ -124,7 +110,7 @@ pub struct OpStats {
     pub faults: u64,
 }
 
-/// The full per-op-kind stats table of a [`SimDisk`].
+/// The per-op-kind call/fault counters of a [`SimDisk`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskOpStats {
     /// Data reads.
@@ -138,7 +124,7 @@ pub struct DiskOpStats {
 }
 
 impl DiskOpStats {
-    /// `(label, stats)` rows in fixed order, for tables and telemetry.
+    /// `(label, stats)` rows in fixed order, for telemetry.
     pub fn rows(&self) -> [(&'static str, OpStats); 4] {
         [
             ("read", self.read),
@@ -147,15 +133,6 @@ impl DiskOpStats {
             ("meta", self.meta),
         ]
     }
-}
-
-/// Renders aligned `op / calls / faults` rows (shared by disk and net).
-pub(crate) fn render_stats_table(title: &str, rows: &[(&str, OpStats)]) -> String {
-    let mut out = format!("{:<12} {:>10} {:>10}\n", title, "calls", "faults");
-    for (label, s) in rows {
-        out.push_str(&format!("{label:<12} {:>10} {:>10}\n", s.calls, s.faults));
-    }
-    out
 }
 
 #[derive(Default)]
@@ -181,21 +158,6 @@ impl OpCounters {
     }
 }
 
-/// Cumulative operation counters for a [`SimDisk`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskStats {
-    /// Completed read operations.
-    pub reads: u64,
-    /// Completed write operations.
-    pub writes: u64,
-    /// Completed fsync operations.
-    pub syncs: u64,
-    /// Bytes returned by reads.
-    pub bytes_read: u64,
-    /// Bytes accepted by writes.
-    pub bytes_written: u64,
-}
-
 #[derive(Debug, Default, Clone)]
 struct FileData {
     data: Vec<u8>,
@@ -215,11 +177,6 @@ pub struct SimDisk {
     capacity: u64,
     latency: LatencyModel,
     clock: SharedClock,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    syncs: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
     per_op: [OpCounters; 4],
 }
 
@@ -248,11 +205,6 @@ impl SimDisk {
             capacity,
             latency,
             clock,
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            syncs: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
             per_op: Default::default(),
         })
     }
@@ -284,17 +236,6 @@ impl SimDisk {
         self.faults.write().clear();
     }
 
-    /// Returns cumulative operation counters.
-    pub fn stats(&self) -> DiskStats {
-        DiskStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            syncs: self.syncs.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-        }
-    }
-
     /// Returns the per-op-kind call/fault counters.
     pub fn op_stats(&self) -> DiskOpStats {
         DiskOpStats {
@@ -303,16 +244,6 @@ impl SimDisk {
             sync: self.per_op[op_index(DiskOpKind::Sync)].snapshot(),
             meta: self.per_op[op_index(DiskOpKind::Meta)].snapshot(),
         }
-    }
-
-    /// Renders the per-op counters as an aligned text table.
-    pub fn stats_table(&self) -> String {
-        let stats = self.op_stats();
-        let rows = stats.rows();
-        render_stats_table(
-            "disk op",
-            &rows.iter().map(|(l, s)| (*l, *s)).collect::<Vec<_>>(),
-        )
     }
 
     /// Returns bytes currently stored.
@@ -342,9 +273,9 @@ impl SimDisk {
 
     /// Applies armed faults for `(path, op)`: sleeps for latency (scaled if a
     /// slow fault matches), blocks while a stuck fault matches, and returns an
-    /// error if an error fault matches. Returns corruption flags for the
-    /// caller to apply: `(corrupt_read, corrupt_write)`.
-    fn gate(&self, path: &str, op: DiskOpKind) -> BaseResult<(bool, bool)> {
+    /// error if an error fault matches. Returns whether the caller must
+    /// corrupt the bytes it writes.
+    fn gate(&self, path: &str, op: DiskOpKind) -> BaseResult<bool> {
         let counters = &self.per_op[op_index(op)];
         counters.call();
         let mut faulted = false;
@@ -365,7 +296,6 @@ impl SimDisk {
         }
 
         let mut slow_factor = 1.0f64;
-        let mut corrupt_read = false;
         let mut corrupt_write = false;
         let mut error: Option<String> = None;
         for (_, r) in self.faults.read().iter() {
@@ -379,10 +309,6 @@ impl SimDisk {
                 }
                 DiskFault::Error { message } => {
                     error = Some(message.clone());
-                    faulted = true;
-                }
-                DiskFault::CorruptReads => {
-                    corrupt_read = true;
                     faulted = true;
                 }
                 DiskFault::CorruptWrites => {
@@ -403,7 +329,7 @@ impl SimDisk {
         if let Some(message) = error {
             return Err(BaseError::Io(format!("{message} ({path})")));
         }
-        Ok((corrupt_read, corrupt_write))
+        Ok(corrupt_write)
     }
 
     /// Creates an empty file, failing if it already exists.
@@ -419,7 +345,7 @@ impl SimDisk {
 
     /// Appends `data` to `path`, creating the file if needed.
     pub fn append(&self, path: &str, data: &[u8]) -> BaseResult<()> {
-        let (_, corrupt_write) = self.gate(path, DiskOpKind::Write)?;
+        let corrupt_write = self.gate(path, DiskOpKind::Write)?;
         let mut inner = self.inner.lock();
         if inner.used + data.len() as u64 > self.capacity {
             return Err(BaseError::Exhausted(format!(
@@ -436,15 +362,12 @@ impl SimDisk {
         if corrupt_write && !data.is_empty() {
             file.data[start] ^= 0xFF;
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
     /// Overwrites the file at `path` with `data`, creating it if needed.
     pub fn write_all(&self, path: &str, data: &[u8]) -> BaseResult<()> {
-        let (_, corrupt_write) = self.gate(path, DiskOpKind::Write)?;
+        let corrupt_write = self.gate(path, DiskOpKind::Write)?;
         let mut inner = self.inner.lock();
         let old_len = inner.files.get(path).map_or(0, |f| f.data.len()) as u64;
         let new_used = inner.used - old_len + data.len() as u64;
@@ -461,33 +384,23 @@ impl SimDisk {
         if corrupt_write && !file.data.is_empty() {
             file.data[0] ^= 0xFF;
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
     /// Reads the whole file at `path`.
     pub fn read(&self, path: &str) -> BaseResult<Vec<u8>> {
-        let (corrupt_read, _) = self.gate(path, DiskOpKind::Read)?;
+        self.gate(path, DiskOpKind::Read)?;
         let inner = self.inner.lock();
         let file = inner
             .files
             .get(path)
             .ok_or_else(|| BaseError::NotFound(path.to_owned()))?;
-        let mut out = file.data.clone();
-        if corrupt_read && !out.is_empty() {
-            out[0] ^= 0xFF;
-        }
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
+        Ok(file.data.clone())
     }
 
     /// Reads `len` bytes at `offset` from `path`.
     pub fn read_at(&self, path: &str, offset: usize, len: usize) -> BaseResult<Vec<u8>> {
-        let (corrupt_read, _) = self.gate(path, DiskOpKind::Read)?;
+        self.gate(path, DiskOpKind::Read)?;
         let inner = self.inner.lock();
         let file = inner
             .files
@@ -499,13 +412,7 @@ impl SimDisk {
                 file.data.len()
             )));
         }
-        let mut out = file.data[offset..offset + len].to_vec();
-        if corrupt_read && !out.is_empty() {
-            out[0] ^= 0xFF;
-        }
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
-        Ok(out)
+        Ok(file.data[offset..offset + len].to_vec())
     }
 
     /// Makes all bytes of `path` durable against [`SimDisk::crash`].
@@ -517,7 +424,6 @@ impl SimDisk {
             .get_mut(path)
             .ok_or_else(|| BaseError::NotFound(path.to_owned()))?;
         file.synced_len = file.data.len();
-        self.syncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -582,7 +488,7 @@ impl std::fmt::Debug for SimDisk {
         f.debug_struct("SimDisk")
             .field("capacity", &self.capacity)
             .field("used", &self.used())
-            .field("stats", &self.stats())
+            .field("op_stats", &self.op_stats())
             .finish()
     }
 }
@@ -661,21 +567,15 @@ mod tests {
     #[test]
     fn corrupt_writes_flip_a_byte_silently() {
         let d = SimDisk::for_tests();
-        let _h = d.inject(FaultRule::global(DiskFault::CorruptWrites));
+        let _h = d.inject(FaultRule::scoped(
+            "",
+            vec![DiskOpKind::Write],
+            DiskFault::CorruptWrites,
+        ));
         d.append("f", b"AAAA").unwrap();
         let got = d.read("f").unwrap();
         assert_ne!(got, b"AAAA");
         assert_eq!(got.len(), 4);
-    }
-
-    #[test]
-    fn corrupt_reads_do_not_damage_stored_data() {
-        let d = SimDisk::for_tests();
-        d.append("f", b"AAAA").unwrap();
-        let h = d.inject(FaultRule::global(DiskFault::CorruptReads));
-        assert_ne!(d.read("f").unwrap(), b"AAAA");
-        d.clear(h);
-        assert_eq!(d.read("f").unwrap(), b"AAAA");
     }
 
     #[test]
@@ -713,20 +613,6 @@ mod tests {
             d.append(p, b"x").unwrap();
         }
         assert_eq!(d.list("sst/"), vec!["sst/1", "sst/10", "sst/2"]);
-    }
-
-    #[test]
-    fn stats_count_operations() {
-        let d = SimDisk::for_tests();
-        d.append("f", b"abc").unwrap();
-        d.read("f").unwrap();
-        d.fsync("f").unwrap();
-        let s = d.stats();
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.reads, 1);
-        assert_eq!(s.syncs, 1);
-        assert_eq!(s.bytes_written, 3);
-        assert_eq!(s.bytes_read, 3);
     }
 
     #[test]
@@ -783,10 +669,6 @@ mod tests {
                 faults: 0
             }
         );
-
-        let table = d.stats_table();
-        assert!(table.contains("write"), "table:\n{table}");
-        assert!(table.contains("faults"), "table:\n{table}");
     }
 
     #[test]

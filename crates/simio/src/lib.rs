@@ -8,12 +8,13 @@
 //! explicit fault hooks:
 //!
 //! - [`disk::SimDisk`] — an in-memory disk with latency models, capacity
-//!   accounting, and injectable stuck/slow/error/corruption faults.
+//!   accounting, and injectable stuck/slow/error/corrupt-write faults.
 //! - [`net::SimNet`] — a message-passing network with per-link latency and
-//!   injectable block/drop/partition/slow faults.
-//! - [`resource::ResourceMonitor`] — simulated memory, handle, and queue
+//!   injectable block/drop/slow faults.
+//! - [`resource::ResourceMonitor`] — simulated memory, load, and queue
 //!   accounting that signal-type checkers can observe.
 //! - [`latency::LatencyModel`] — seeded exponential latency sampling.
+//! - [`vclock::SimClock`] — the discrete-event clock campaigns and tests use.
 //!
 //! Faults injected here hit the *exact code paths* the paper's fault classes
 //! name (a write system call, a blocking send inside a critical section), so
@@ -26,12 +27,10 @@ pub mod disk;
 pub mod latency;
 pub mod net;
 pub mod resource;
-pub mod schedule;
 pub mod vclock;
 
-pub use disk::{DiskFault, DiskOpKind, DiskStats, SimDisk};
+pub use disk::{DiskFault, DiskOpKind, SimDisk};
 pub use latency::LatencyModel;
 pub use net::{Mailbox, Message, NetFault, SimNet};
 pub use resource::{ResourceMonitor, StallPoint};
-pub use schedule::{Timeline, TimelineEvent};
 pub use vclock::SimClock;

@@ -8,16 +8,15 @@
 //! *blocked send inside a critical section*, and a synchronous send models
 //! exactly that.
 //!
-//! Faults are armed per link pattern via [`SimNet::inject`]:
+//! Faults are armed per directed link via [`SimNet::inject`]:
 //!
 //! - [`NetFault::BlockSend`] — matching sends block until the fault clears
 //!   (a wedged TCP connection with a full send buffer);
-//! - [`NetFault::BlockRecv`] — matching receivers see no messages while the
-//!   fault is armed (messages are buffered, not lost);
 //! - [`NetFault::Drop`] — matching messages vanish silently;
 //! - [`NetFault::Slow`] — matching sends take `factor`× the modelled latency.
 //!
-//! [`SimNet::partition`] installs symmetric drop rules between two endpoints.
+//! [`SimNet::op_stats`] counts every send and receive call, and every send a
+//! fault shaped.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +29,7 @@ use parking_lot::{Mutex, RwLock};
 use wdog_base::clock::{SharedClock, Waiter};
 use wdog_base::error::{BaseError, BaseResult};
 
-use crate::disk::{render_stats_table, OpCounters, OpStats};
+use crate::disk::{OpCounters, OpStats};
 use crate::latency::LatencyModel;
 
 /// A message in flight or delivered.
@@ -49,8 +48,6 @@ pub struct Message {
 pub enum NetFault {
     /// Matching sends block until the fault is cleared.
     BlockSend,
-    /// Matching destinations receive nothing while armed; traffic is buffered.
-    BlockRecv,
     /// Matching messages are silently dropped.
     Drop,
     /// Matching sends take `factor` times the modelled latency.
@@ -60,64 +57,35 @@ pub enum NetFault {
     },
 }
 
-/// Which links a fault applies to. `None` matches any address.
+/// The directed link a fault applies to.
 #[derive(Debug, Clone)]
 pub struct LinkRule {
     /// Match messages from this sender only.
-    pub src: Option<String>,
+    pub src: String,
     /// Match messages to this destination only.
-    pub dst: Option<String>,
+    pub dst: String,
     /// The fault to apply.
     pub fault: NetFault,
 }
 
 impl LinkRule {
-    /// A rule matching every link.
-    pub fn global(fault: NetFault) -> Self {
-        Self {
-            src: None,
-            dst: None,
-            fault,
-        }
-    }
-
     /// A rule matching one directed link.
     pub fn link(src: impl Into<String>, dst: impl Into<String>, fault: NetFault) -> Self {
         Self {
-            src: Some(src.into()),
-            dst: Some(dst.into()),
-            fault,
-        }
-    }
-
-    /// A rule matching everything sent to `dst`.
-    pub fn to(dst: impl Into<String>, fault: NetFault) -> Self {
-        Self {
-            src: None,
-            dst: Some(dst.into()),
+            src: src.into(),
+            dst: dst.into(),
             fault,
         }
     }
 
     fn matches(&self, src: &str, dst: &str) -> bool {
-        self.src.as_deref().is_none_or(|s| s == src) && self.dst.as_deref().is_none_or(|d| d == dst)
+        self.src == src && self.dst == dst
     }
 }
 
 /// Handle to an armed network fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NetFaultHandle(u64);
-
-/// Cumulative counters for a [`SimNet`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Messages accepted by `send`.
-    pub sent: u64,
-    /// Messages placed in a mailbox.
-    pub delivered: u64,
-    /// Messages discarded by drop faults or unknown destinations.
-    pub dropped: u64,
-}
 
 /// Per-direction call/fault counters (`sim_io_net_*` telemetry families).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -129,7 +97,7 @@ pub struct NetOpStats {
 }
 
 impl NetOpStats {
-    /// `(label, stats)` rows in fixed order, for tables and telemetry.
+    /// `(label, stats)` rows in fixed order, for telemetry.
     pub fn rows(&self) -> [(&'static str, OpStats); 2] {
         [("send", self.send), ("recv", self.recv)]
     }
@@ -155,7 +123,7 @@ pub struct Mailbox {
     net: Arc<SimNetShared>,
 }
 
-/// How long receive/block loops sleep between fault re-checks.
+/// How long a blocked send sleeps between fault re-checks.
 const POLL: Duration = Duration::from_millis(1);
 
 impl Mailbox {
@@ -164,64 +132,34 @@ impl Mailbox {
         &self.addr
     }
 
-    fn recv_blocked(&self) -> bool {
-        self.net.faults.read().iter().any(|(_, r)| {
-            matches!(r.fault, NetFault::BlockRecv)
-                && r.dst.as_deref().is_none_or(|d| d == self.addr)
-        })
-    }
-
     /// Receives the next message, waiting up to `timeout`.
     ///
-    /// Returns `None` on timeout. A [`NetFault::BlockRecv`] armed for this
-    /// address holds delivery without losing messages.
+    /// Returns `None` on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
         self.net.recv_ops.call();
         let deadline = self.net.clock.now() + timeout;
-        let mut faulted = false;
         loop {
-            if self.recv_blocked() {
-                // Poll so that clearing the fault releases us promptly.
-                faulted = true;
-                self.net.clock.sleep(POLL);
-            } else {
-                if let Some(m) = self.inner.queue.lock().messages.pop_front() {
-                    if faulted {
-                        self.net.recv_ops.fault();
-                    }
-                    return Some(m);
-                }
-                let now = self.net.clock.now();
-                if now >= deadline {
-                    break;
-                }
-                // Sleep on the clock waiter until a sender notifies or the
-                // deadline passes; the waiter's stored permit closes the
-                // race with a send landing between the pop and the wait.
-                self.inner.waiter.wait_timeout(deadline - now);
-                continue;
+            if let Some(m) = self.inner.queue.lock().messages.pop_front() {
+                return Some(m);
             }
-            if self.net.clock.now() >= deadline {
-                break;
+            let now = self.net.clock.now();
+            if now >= deadline {
+                return None;
             }
+            // Sleep on the clock waiter until a sender notifies or the
+            // deadline passes; the waiter's stored permit closes the race
+            // with a send landing between the pop and the wait.
+            self.inner.waiter.wait_timeout(deadline - now);
         }
-        if faulted {
-            self.net.recv_ops.fault();
-        }
-        None
     }
 
     /// Receives without waiting.
     pub fn try_recv(&self) -> Option<Message> {
         self.net.recv_ops.call();
-        if self.recv_blocked() {
-            self.net.recv_ops.fault();
-            return None;
-        }
         self.inner.queue.lock().messages.pop_front()
     }
 
-    /// Returns the number of buffered messages (including held ones).
+    /// Returns the number of buffered messages.
     pub fn depth(&self) -> usize {
         self.inner.queue.lock().messages.len()
     }
@@ -242,9 +180,6 @@ struct SimNetShared {
     next_fault: AtomicU64,
     latency: LatencyModel,
     clock: SharedClock,
-    sent: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
     send_ops: OpCounters,
     recv_ops: OpCounters,
 }
@@ -265,9 +200,6 @@ impl SimNet {
                 next_fault: AtomicU64::new(1),
                 latency,
                 clock,
-                sent: AtomicU64::new(0),
-                delivered: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
                 send_ops: OpCounters::default(),
                 recv_ops: OpCounters::default(),
             }),
@@ -339,7 +271,7 @@ impl SimNet {
                     drop = true;
                     faulted = true;
                 }
-                NetFault::BlockSend | NetFault::BlockRecv => {}
+                NetFault::BlockSend => {}
             }
         }
         if faulted {
@@ -350,9 +282,7 @@ impl SimNet {
         if !delay.is_zero() {
             self.shared.clock.sleep(delay);
         }
-        self.shared.sent.fetch_add(1, Ordering::Relaxed);
         if drop {
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
 
@@ -365,13 +295,9 @@ impl SimNet {
                     payload,
                 });
                 mb.waiter.notify_one();
-                self.shared.delivered.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
-            None => {
-                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-                Err(BaseError::NotFound(format!("endpoint {dst}")))
-            }
+            None => Err(BaseError::NotFound(format!("endpoint {dst}"))),
         }
     }
 
@@ -380,14 +306,6 @@ impl SimNet {
         let h = NetFaultHandle(self.shared.next_fault.fetch_add(1, Ordering::Relaxed));
         self.shared.faults.write().push((h, rule));
         h
-    }
-
-    /// Installs symmetric drop rules between `a` and `b`; returns both handles.
-    pub fn partition(&self, a: &str, b: &str) -> (NetFaultHandle, NetFaultHandle) {
-        (
-            self.inject(LinkRule::link(a, b, NetFault::Drop)),
-            self.inject(LinkRule::link(b, a, NetFault::Drop)),
-        )
     }
 
     /// Clears one armed fault; unknown handles are ignored.
@@ -400,31 +318,12 @@ impl SimNet {
         self.shared.faults.write().clear();
     }
 
-    /// Returns cumulative counters.
-    pub fn stats(&self) -> NetStats {
-        NetStats {
-            sent: self.shared.sent.load(Ordering::Relaxed),
-            delivered: self.shared.delivered.load(Ordering::Relaxed),
-            dropped: self.shared.dropped.load(Ordering::Relaxed),
-        }
-    }
-
     /// Returns the per-direction call/fault counters.
     pub fn op_stats(&self) -> NetOpStats {
         NetOpStats {
             send: self.shared.send_ops.snapshot(),
             recv: self.shared.recv_ops.snapshot(),
         }
-    }
-
-    /// Renders the per-direction counters as an aligned text table.
-    pub fn stats_table(&self) -> String {
-        let stats = self.op_stats();
-        let rows = stats.rows();
-        render_stats_table(
-            "net op",
-            &rows.iter().map(|(l, s)| (*l, *s)).collect::<Vec<_>>(),
-        )
     }
 
     /// Returns the clock this network runs on.
@@ -436,7 +335,7 @@ impl SimNet {
 impl std::fmt::Debug for SimNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimNet")
-            .field("stats", &self.stats())
+            .field("op_stats", &self.op_stats())
             .finish()
     }
 }
@@ -498,7 +397,6 @@ mod tests {
         net.clear(h);
         net.send("a", "b", msg("found")).unwrap();
         assert!(mb.recv_timeout(Duration::from_millis(200)).is_some());
-        assert_eq!(net.stats().dropped, 1);
     }
 
     #[test]
@@ -524,51 +422,12 @@ mod tests {
     }
 
     #[test]
-    fn block_recv_holds_but_does_not_lose() {
-        let net = SimNet::for_tests();
-        let mb = net.register("b");
-        let h = net.inject(LinkRule::to("b", NetFault::BlockRecv));
-        net.send("a", "b", msg("held")).unwrap();
-        assert!(mb.recv_timeout(Duration::from_millis(20)).is_none());
-        assert_eq!(mb.depth(), 1);
-        net.clear(h);
-        assert_eq!(
-            mb.recv_timeout(Duration::from_millis(200)).unwrap().payload,
-            msg("held")
-        );
-    }
-
-    #[test]
-    fn partition_cuts_both_directions() {
-        let net = SimNet::for_tests();
-        let ma = net.register("a");
-        let mb = net.register("b");
-        net.partition("a", "b");
-        net.send("a", "b", msg("x")).unwrap();
-        net.send("b", "a", msg("y")).unwrap();
-        assert!(mb.recv_timeout(Duration::from_millis(20)).is_none());
-        assert!(ma.recv_timeout(Duration::from_millis(20)).is_none());
-    }
-
-    #[test]
     fn reregistering_replaces_mailbox() {
         let net = SimNet::for_tests();
         let _old = net.register("b");
         let new = net.register("b");
         net.send("a", "b", msg("x")).unwrap();
         assert!(new.recv_timeout(Duration::from_millis(200)).is_some());
-    }
-
-    #[test]
-    fn stats_track_delivery() {
-        let net = SimNet::for_tests();
-        let _mb = net.register("b");
-        net.send("a", "b", msg("1")).unwrap();
-        net.send("a", "b", msg("2")).unwrap();
-        let s = net.stats();
-        assert_eq!(s.sent, 2);
-        assert_eq!(s.delivered, 2);
-        assert_eq!(s.dropped, 0);
     }
 
     #[test]
@@ -599,9 +458,6 @@ mod tests {
                 faults: 1
             }
         );
-        let table = net.stats_table();
-        assert!(table.contains("send"), "table:\n{table}");
-        assert!(table.contains("recv"), "table:\n{table}");
     }
 
     #[test]

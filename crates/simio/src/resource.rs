@@ -1,10 +1,10 @@
 //! Simulated process-resource accounting for signal-type checkers.
 //!
 //! The paper's *signal* checkers (Table 2) watch system health indicators:
-//! memory usage, queue depths, handle counts, load. In a simulation there is
-//! no `/proc` to read, so target systems account their resource usage against
-//! a [`ResourceMonitor`] — allocations, open handles, in-flight operations,
-//! and named queues whose depths are sampled through registered probes.
+//! memory usage, queue depths, load. In a simulation there is no `/proc` to
+//! read, so target systems account their resource usage against a
+//! [`ResourceMonitor`] — allocations, in-flight operations, and named queues
+//! whose depths are sampled through registered probes.
 //!
 //! The monitor is purely observational: it never fails an operation itself
 //! (capacity enforcement lives in the substrate that owns the resource), it
@@ -74,7 +74,6 @@ pub struct ResourceMonitor {
 struct MonitorInner {
     memory_bytes: AtomicI64,
     peak_memory_bytes: AtomicU64,
-    open_handles: AtomicI64,
     inflight_ops: AtomicI64,
     completed_ops: AtomicU64,
     queues: RwLock<HashMap<String, DepthProbe>>,
@@ -117,21 +116,6 @@ impl ResourceMonitor {
     /// Returns the high-water memory mark in bytes.
     pub fn peak_memory_bytes(&self) -> u64 {
         self.inner.peak_memory_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Records opening a handle (file, connection, thread).
-    pub fn open_handle(&self) {
-        self.inner.open_handles.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records closing a handle.
-    pub fn close_handle(&self) {
-        self.inner.open_handles.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Returns the number of open handles.
-    pub fn open_handles(&self) -> i64 {
-        self.inner.open_handles.load(Ordering::Relaxed)
     }
 
     /// Marks an operation as started; pair with [`ResourceMonitor::op_end`].
@@ -177,7 +161,6 @@ impl std::fmt::Debug for ResourceMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResourceMonitor")
             .field("memory_bytes", &self.memory_bytes())
-            .field("open_handles", &self.open_handles())
             .field("inflight_ops", &self.inflight_ops())
             .field("queues", &self.queue_names())
             .finish()
@@ -209,12 +192,8 @@ mod tests {
     }
 
     #[test]
-    fn handles_and_ops_balance() {
+    fn ops_balance() {
         let m = ResourceMonitor::new();
-        m.open_handle();
-        m.open_handle();
-        m.close_handle();
-        assert_eq!(m.open_handles(), 1);
         m.op_start();
         m.op_start();
         assert_eq!(m.inflight_ops(), 2);

@@ -2,9 +2,9 @@
 //!
 //! Every component in the workspace that needs "now" or "sleep" takes a
 //! [`SharedClock`] instead of calling [`std::time::Instant::now`] directly.
-//! Production code uses [`RealClock`]; tests that must be deterministic use
-//! [`VirtualClock`], which only advances when explicitly told to and wakes
-//! sleepers in timestamp order.
+//! Production code uses [`RealClock`]; campaigns and deterministic tests use
+//! the discrete-event `simio::SimClock`, whose time moves only when every
+//! actor on it blocks (or, with no actors, when a caller sleeps).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,9 +22,9 @@ pub trait Clock: Send + Sync + 'static {
 
     /// Blocks the calling thread for `d` of this clock's time.
     ///
-    /// For a [`RealClock`] this is a plain [`std::thread::sleep`]; for a
-    /// [`VirtualClock`] it blocks until another thread advances the clock far
-    /// enough.
+    /// For a [`RealClock`] this is a plain [`std::thread::sleep`]; on a
+    /// discrete-event clock it blocks until virtual time reaches the
+    /// deadline.
     fn sleep(&self, d: Duration);
 
     /// Returns the number of whole milliseconds since this clock's epoch.
@@ -312,85 +312,6 @@ impl Clock for RealClock {
     }
 }
 
-#[derive(Debug, Default)]
-struct VirtualState {
-    now: Duration,
-}
-
-/// A deterministic clock that advances only via [`VirtualClock::advance`].
-///
-/// Threads blocked in [`Clock::sleep`] are released as soon as the clock is
-/// advanced past their deadline. This makes timeout-driven logic (heartbeat
-/// expiry, checker scheduling) testable without real delays.
-///
-/// # Examples
-///
-/// ```
-/// use std::time::Duration;
-/// use wdog_base::clock::{Clock, VirtualClock};
-///
-/// let clock = VirtualClock::new();
-/// assert_eq!(clock.now(), Duration::ZERO);
-/// clock.advance(Duration::from_millis(250));
-/// assert_eq!(clock.now_millis(), 250);
-/// ```
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    state: Mutex<VirtualState>,
-    cond: Condvar,
-}
-
-impl VirtualClock {
-    /// Creates a virtual clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a shared handle to a fresh virtual clock.
-    pub fn shared() -> Arc<VirtualClock> {
-        Arc::new(Self::new())
-    }
-
-    /// Advances the clock by `d`, waking any sleeper whose deadline passed.
-    pub fn advance(&self, d: Duration) {
-        let mut st = self.state.lock();
-        st.now += d;
-        drop(st);
-        self.cond.notify_all();
-    }
-
-    /// Sets the clock to an absolute time, which must not move backwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is earlier than the current virtual time; a monotonic
-    /// clock must never run backwards.
-    pub fn set(&self, t: Duration) {
-        let mut st = self.state.lock();
-        assert!(t >= st.now, "virtual clock cannot run backwards");
-        st.now = t;
-        drop(st);
-        self.cond.notify_all();
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> Duration {
-        self.state.lock().now
-    }
-
-    fn sleep(&self, d: Duration) {
-        let deadline = {
-            let st = self.state.lock();
-            st.now + d
-        };
-        let mut st = self.state.lock();
-        while st.now < deadline {
-            self.cond.wait(&mut st);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,64 +322,6 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn virtual_clock_starts_at_zero_and_advances() {
-        let c = VirtualClock::new();
-        assert_eq!(c.now(), Duration::ZERO);
-        c.advance(Duration::from_secs(3));
-        assert_eq!(c.now(), Duration::from_secs(3));
-        c.advance(Duration::from_millis(500));
-        assert_eq!(c.now_millis(), 3500);
-    }
-
-    #[test]
-    fn virtual_clock_set_moves_forward() {
-        let c = VirtualClock::new();
-        c.set(Duration::from_secs(10));
-        assert_eq!(c.now(), Duration::from_secs(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn virtual_clock_set_rejects_backwards() {
-        let c = VirtualClock::new();
-        c.set(Duration::from_secs(10));
-        c.set(Duration::from_secs(5));
-    }
-
-    #[test]
-    fn virtual_sleep_wakes_on_advance() {
-        let c = VirtualClock::shared();
-        let c2 = Arc::clone(&c);
-        let handle = std::thread::spawn(move || {
-            c2.sleep(Duration::from_secs(5));
-            c2.now()
-        });
-        // Give the sleeper a moment to block, then advance past its deadline.
-        std::thread::sleep(Duration::from_millis(20));
-        c.advance(Duration::from_secs(2));
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!handle.is_finished(), "sleeper woke too early");
-        c.advance(Duration::from_secs(3));
-        let woke_at = handle.join().unwrap();
-        assert_eq!(woke_at, Duration::from_secs(5));
-    }
-
-    #[test]
-    fn virtual_sleep_zero_returns_immediately() {
-        let c = VirtualClock::new();
-        c.sleep(Duration::ZERO);
-        assert_eq!(c.now(), Duration::ZERO);
-    }
-
-    #[test]
-    fn shared_clock_is_object_safe() {
-        let real: SharedClock = RealClock::shared();
-        let virt: SharedClock = VirtualClock::shared();
-        let _ = real.now();
-        let _ = virt.now();
     }
 
     #[test]

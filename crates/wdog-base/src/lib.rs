@@ -4,7 +4,7 @@
 //! watchdog- or simulation-specific policy of their own:
 //!
 //! - [`clock`]: a [`Clock`] abstraction with a real wall-clock
-//!   implementation and a fully deterministic virtual clock for tests.
+//!   implementation; the deterministic clock lives in `simio`.
 //! - [`ids`]: cheap, copyable identifiers used across crates.
 //! - [`error`]: the workspace-wide error vocabulary.
 //! - [`rng`]: deterministic, seedable random number helpers.
@@ -23,7 +23,7 @@ pub mod sync;
 pub use checksum::{crc32, verify as verify_crc32};
 pub use clock::{
     spawn_on, ActorCtl, ActorGuard, ActorToken, Clock, CondvarWaiter, RealClock, SharedClock,
-    VirtualClock, Waiter,
+    Waiter,
 };
 pub use error::{BaseError, BaseResult};
 pub use ids::{CheckerId, ComponentId, NodeId, OpId};

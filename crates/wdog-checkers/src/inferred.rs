@@ -240,9 +240,9 @@ impl std::fmt::Debug for InferredChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simio::SimClock;
     use std::sync::Arc;
     use std::time::Duration;
-    use wdog_base::clock::VirtualClock;
     use wdog_core::context::ContextTable;
 
     fn spec(key: &str, predicate: InferredPredicate) -> InferredSpec {
@@ -256,7 +256,7 @@ mod tests {
     }
 
     fn table() -> Arc<ContextTable> {
-        ContextTable::new(VirtualClock::shared())
+        ContextTable::new(SimClock::shared())
     }
 
     #[test]
@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn staleness_fires_once_age_exceeds_window() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let t = ContextTable::new(clock.clone());
         let mut c = InferredChecker::new(
             spec(
@@ -381,9 +381,9 @@ mod tests {
         );
         assert_eq!(c.check(), CheckStatus::NotReady, "never published");
         t.publish("k", vec![]);
-        clock.advance(Duration::from_millis(50));
+        clock.sleep(Duration::from_millis(50));
         assert!(c.check().is_pass());
-        clock.advance(Duration::from_millis(200));
+        clock.sleep(Duration::from_millis(200));
         let CheckStatus::Fail(f) = c.check() else {
             panic!("expected staleness violation");
         };

@@ -382,10 +382,10 @@ mod tests {
 
     #[test]
     fn stale_context_is_not_ready() {
-        let clock = wdog_base::clock::VirtualClock::shared();
+        let clock = simio::SimClock::shared();
         let t = ContextTable::new(clock.clone());
         t.publish("k", vec![]);
-        clock.advance(Duration::from_secs(60));
+        clock.sleep(Duration::from_secs(60));
         let mut c = MimicChecker::new("c", "comp", "k", t.reader(), clock.clone())
             .with_max_context_age(Duration::from_secs(30))
             .push_op(MimicOp::new("w", "f", Box::new(|_| Ok(()))));

@@ -309,54 +309,6 @@ impl Checker for LoadChecker {
     }
 }
 
-/// Fails when open handles exceed a threshold (descriptor-leak detector).
-pub struct HandleLeakChecker {
-    id: CheckerId,
-    component: ComponentId,
-    monitor: ResourceMonitor,
-    max_handles: i64,
-}
-
-impl HandleLeakChecker {
-    /// Creates a checker that fires above `max_handles` open handles.
-    pub fn new(
-        id: impl Into<CheckerId>,
-        component: impl Into<ComponentId>,
-        monitor: ResourceMonitor,
-        max_handles: i64,
-    ) -> Self {
-        Self {
-            id: id.into(),
-            component: component.into(),
-            monitor,
-            max_handles,
-        }
-    }
-}
-
-impl Checker for HandleLeakChecker {
-    fn id(&self) -> CheckerId {
-        self.id.clone()
-    }
-
-    fn component(&self) -> ComponentId {
-        self.component.clone()
-    }
-
-    fn check(&mut self) -> CheckStatus {
-        let handles = self.monitor.open_handles();
-        if handles > self.max_handles {
-            CheckStatus::Fail(CheckFailure::new(
-                FailureKind::AssertViolation,
-                indicator_location(&self.component, "handles"),
-                format!("{handles} handles open (threshold {})", self.max_handles),
-            ))
-        } else {
-            CheckStatus::Pass
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,18 +408,5 @@ mod tests {
         assert!(c.check().is_pass());
         m.op_start();
         assert!(c.check().is_fail());
-    }
-
-    #[test]
-    fn handle_leak_detector() {
-        let m = ResourceMonitor::new();
-        let mut c = HandleLeakChecker::new("h", "proc", m.clone(), 1);
-        m.open_handle();
-        assert!(c.check().is_pass());
-        m.open_handle();
-        let CheckStatus::Fail(f) = c.check() else {
-            panic!("expected failure");
-        };
-        assert_eq!(f.kind, FailureKind::AssertViolation);
     }
 }

@@ -425,18 +425,18 @@ impl std::fmt::Debug for ContextReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdog_base::clock::VirtualClock;
+    use simio::SimClock;
 
     #[test]
     fn unpublished_slot_is_not_ready() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         assert!(!table.is_ready("x"));
         assert!(table.read("x").is_none());
     }
 
     #[test]
     fn registered_but_unpublished_slot_is_not_ready() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         let slot = table.register("x");
         assert!(!slot.is_ready());
         assert!(!table.is_ready("x"));
@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn publish_then_read_roundtrip() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         table.publish(
             "flush",
             vec![
@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn versions_bump_on_each_publish() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         for i in 0..5u64 {
             table.publish("k", vec![("i".into(), CtxValue::U64(i))]);
         }
@@ -473,17 +473,17 @@ mod tests {
 
     #[test]
     fn age_tracks_clock() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let table = ContextTable::new(clock.clone());
         table.publish("k", vec![("a".into(), CtxValue::Bool(true))]);
-        clock.advance(Duration::from_secs(3));
+        clock.sleep(Duration::from_secs(3));
         let snap = table.read("k").unwrap();
         assert_eq!(snap.age, Duration::from_secs(3));
     }
 
     #[test]
     fn snapshots_are_deep_copies() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         table.publish("k", vec![("buf".into(), CtxValue::Bytes(vec![1, 2, 3]))]);
         let mut snap = table.read("k").unwrap();
         // Mutate the snapshot; the table must be unaffected.
@@ -494,7 +494,7 @@ mod tests {
 
     #[test]
     fn partial_publish_merges_fields() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         table.publish("k", vec![("a".into(), CtxValue::U64(1))]);
         table.publish("k", vec![("b".into(), CtxValue::U64(2))]);
         let snap = table.read("k").unwrap();
@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn render_payload_is_sorted() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         table.publish(
             "k",
             vec![
@@ -518,7 +518,7 @@ mod tests {
 
     #[test]
     fn reader_is_read_only_view() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         let reader = table.reader();
         assert!(!reader.is_ready("k"));
         table.publish("k", vec![("a".into(), CtxValue::U64(7))]);
@@ -531,7 +531,7 @@ mod tests {
 
     #[test]
     fn register_is_idempotent_and_ids_are_stable() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         let a0 = table.register("a");
         let b = table.register("b");
         let a1 = table.register("a");
@@ -543,7 +543,7 @@ mod tests {
 
     #[test]
     fn slot_handle_publish_is_visible_through_string_reads() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         let slot = table.register("k");
         slot.begin_publish().set("a", 9u64);
         assert!(table.is_ready("k"));
@@ -553,7 +553,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_on_distinct_slots_do_not_interfere() {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         let slots: Vec<_> = (0..4).map(|i| table.register(&format!("s{i}"))).collect();
         std::thread::scope(|scope| {
             for slot in &slots {

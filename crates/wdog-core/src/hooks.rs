@@ -383,10 +383,10 @@ macro_rules! wd_hook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdog_base::clock::VirtualClock;
+    use simio::SimClock;
 
     fn setup() -> (Arc<ContextTable>, Hooks) {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         let hooks = Hooks::new(Arc::clone(&table));
         (table, hooks)
     }
@@ -494,7 +494,7 @@ mod tests {
 
     #[test]
     fn attached_trace_journals_publishes_with_fields() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let table = ContextTable::new(clock.clone());
         let hooks = Hooks::new(Arc::clone(&table));
         let site = hooks.site("flush");
@@ -503,7 +503,7 @@ mod tests {
         let rec = crate::trace::TraceRecorder::new(clock.clone());
         hooks.attach_trace(Arc::clone(&rec));
         assert!(hooks.trace_attached());
-        clock.advance(std::time::Duration::from_millis(5));
+        clock.sleep(std::time::Duration::from_millis(5));
         wd_hook!(site, { "len" => 7u64, "path" => "wal/0" });
         let events = rec.drain();
         assert_eq!(events.len(), 1);
@@ -527,7 +527,7 @@ mod tests {
 
     #[test]
     fn detached_trace_stops_journaling() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let hooks = Hooks::new(ContextTable::new(clock.clone()));
         let site = hooks.site("k");
         let rec = crate::trace::TraceRecorder::new(clock);
@@ -541,7 +541,7 @@ mod tests {
 
     #[test]
     fn disabled_hooks_journal_nothing() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let hooks = Hooks::new(ContextTable::new(clock.clone()));
         let site = hooks.site("k");
         let rec = crate::trace::TraceRecorder::new(clock);

@@ -23,7 +23,7 @@ pub use crate::status::{ComponentHealth, HealthBoard};
 pub use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
 pub use crate::wd_hook;
 
-pub use wdog_base::clock::{Clock, RealClock, SharedClock, VirtualClock};
+pub use wdog_base::clock::{Clock, RealClock, SharedClock};
 pub use wdog_base::error::{BaseError, BaseResult};
 pub use wdog_base::ids::{CheckerId, ComponentId};
 

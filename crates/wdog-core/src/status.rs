@@ -141,7 +141,7 @@ impl std::fmt::Debug for HealthBoard {
 mod tests {
     use super::*;
     use crate::report::FaultLocation;
-    use wdog_base::clock::VirtualClock;
+    use simio::SimClock;
     use wdog_base::ids::CheckerId;
 
     fn report(component: &str, kind: FailureKind) -> FailureReport {
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn empty_board_is_healthy() {
-        let board = HealthBoard::new(VirtualClock::shared(), Duration::from_secs(10));
+        let board = HealthBoard::new(SimClock::shared(), Duration::from_secs(10));
         assert_eq!(board.overall(), ComponentHealth::Healthy);
         assert_eq!(
             board.component(&ComponentId::new("x")),
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn hard_failure_marks_failing() {
-        let board = HealthBoard::new(VirtualClock::shared(), Duration::from_secs(10));
+        let board = HealthBoard::new(SimClock::shared(), Duration::from_secs(10));
         board.record(&report("kvs.wal", FailureKind::Stuck));
         assert_eq!(
             board.component(&ComponentId::new("kvs.wal")),
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn slow_only_marks_degraded() {
-        let board = HealthBoard::new(VirtualClock::shared(), Duration::from_secs(10));
+        let board = HealthBoard::new(SimClock::shared(), Duration::from_secs(10));
         board.record(&report("kvs.disk", FailureKind::Slow));
         assert_eq!(
             board.component(&ComponentId::new("kvs.disk")),
@@ -190,10 +190,10 @@ mod tests {
 
     #[test]
     fn evidence_decays_after_window() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let board = HealthBoard::new(clock.clone(), Duration::from_secs(10));
         board.record(&report("a", FailureKind::Error));
-        clock.advance(Duration::from_secs(11));
+        clock.sleep(Duration::from_secs(11));
         assert_eq!(
             board.component(&ComponentId::new("a")),
             ComponentHealth::Healthy
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn components_are_independent() {
-        let board = HealthBoard::new(VirtualClock::shared(), Duration::from_secs(10));
+        let board = HealthBoard::new(SimClock::shared(), Duration::from_secs(10));
         board.record(&report("a", FailureKind::Slow));
         board.record(&report("b", FailureKind::Corruption));
         assert_eq!(
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn failing_dominates_degraded_for_same_component() {
-        let board = HealthBoard::new(VirtualClock::shared(), Duration::from_secs(10));
+        let board = HealthBoard::new(SimClock::shared(), Duration::from_secs(10));
         board.record(&report("a", FailureKind::Slow));
         board.record(&report("a", FailureKind::Stuck));
         assert_eq!(

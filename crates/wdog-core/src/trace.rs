@@ -157,15 +157,15 @@ impl std::fmt::Debug for TraceRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simio::SimClock;
     use std::time::Duration;
-    use wdog_base::clock::VirtualClock;
 
     #[test]
     fn records_publishes_and_ops_in_sequence_order() {
-        let clock = VirtualClock::shared();
+        let clock = SimClock::shared();
         let rec = TraceRecorder::new(clock.clone());
         rec.record_publish("k", vec![("a".into(), CtxValue::U64(1))]);
-        clock.advance(Duration::from_millis(2));
+        clock.sleep(Duration::from_millis(2));
         rec.record_op("k", "f#disk_write", true);
         let events = rec.drain();
         assert_eq!(events.len(), 2);
@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn bounded_buffer_counts_drops_instead_of_growing() {
-        let rec = TraceRecorder::with_capacity(VirtualClock::shared(), 2);
+        let rec = TraceRecorder::with_capacity(SimClock::shared(), 2);
         for i in 0..5u64 {
             rec.record_publish("k", vec![("i".into(), CtxValue::U64(i))]);
         }
@@ -202,7 +202,7 @@ mod tests {
     fn a_workload_that_fit_the_eight_lanes_drops_nothing() {
         // The recorder used to be eight lanes of 1 << 16 events, one lane
         // per thread: eight threads could journal 1 << 16 events each.
-        let rec = TraceRecorder::new(VirtualClock::shared());
+        let rec = TraceRecorder::new(SimClock::shared());
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_yields_unique_total_order() {
-        let rec = TraceRecorder::new(VirtualClock::shared());
+        let rec = TraceRecorder::new(SimClock::shared());
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let rec = Arc::clone(&rec);

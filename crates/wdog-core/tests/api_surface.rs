@@ -53,7 +53,6 @@ const GOLDEN: &[&str] = &[
     "TraceEvent",
     "TraceEventKind",
     "TraceRecorder",
-    "VirtualClock",
     "WatchdogConfig",
     "WatchdogDriver",
     "wd_hook",

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use wdog_base::clock::VirtualClock;
+use simio::SimClock;
 use wdog_core::context::{ContextTable, CtxValue};
 
 const KEYS: [&str; 4] = ["flush", "compact", "replicate", "scan"];
@@ -53,7 +53,7 @@ proptest! {
 
     #[test]
     fn versions_are_monotonic_and_count_publishes(ops in ops()) {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         // Model: per-key publish count and last version seen by a read.
         let mut published: HashMap<usize, u64> = HashMap::new();
         let mut last_seen: HashMap<usize, u64> = HashMap::new();
@@ -87,7 +87,7 @@ proptest! {
 
     #[test]
     fn snapshot_mutation_never_flows_back(ops in ops(), victim in 0..KEYS.len()) {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         for op in &ops {
             if let Op::Publish { key, field, value } = *op {
                 table.publish(
@@ -115,7 +115,7 @@ proptest! {
 
     #[test]
     fn table_is_observationally_equal_to_a_map_model(ops in ops()) {
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         // Model: key → (fields, number of publishes).
         let mut model: HashMap<usize, (HashMap<String, CtxValue>, u64)> = HashMap::new();
         for op in &ops {
@@ -150,7 +150,7 @@ proptest! {
         // Every (thread, slot) pair publishes `per_thread` times; slots are
         // disjoint per thread, so each slot's final version must equal
         // exactly its own publish count — no lost updates across slots.
-        let table = ContextTable::new(VirtualClock::shared());
+        let table = ContextTable::new(SimClock::shared());
         let slots: Vec<_> = (0..threads)
             .map(|t| table.register(&format!("slot-{t}")))
             .collect();

@@ -22,8 +22,12 @@ use wdog_infer::{infer, EmitConfig, InferenceReport, MinerConfig, TraceJournal, 
 fn keys_for(target: &str) -> &'static [&'static str] {
     match target {
         "kvs" => &["wal_loop", "flusher_loop", "compaction_loop"],
-        "minizk" => &["request_processor", "commit_loop", "snapshot_sync_loop"],
-        "miniblock" => &["miner_loop", "validator_loop", "mempool_loop"],
+        "minizk" => &[
+            "request_processor_loop",
+            "broadcast_loop",
+            "snapshot_sync_loop",
+        ],
+        "miniblock" => &["report_loop", "scanner_loop", "ingest_loop"],
         _ => unreachable!("unknown target {target}"),
     }
 }

@@ -168,7 +168,7 @@ proptest! {
     fn context_versions_are_monotonic(
         publishes in proptest::collection::vec((0..4u8, 0..1000u64), 1..40)
     ) {
-        let table = ContextTable::new(wdog_base::clock::VirtualClock::shared());
+        let table = ContextTable::new(simio::SimClock::shared());
         let mut last_version = 0;
         let mut last_value = std::collections::HashMap::new();
         for (field, value) in publishes {
