@@ -23,8 +23,9 @@
 //!
 //! - `chaos_<target>.json` — the full deterministic [`ChaosReport`]
 //!   (byte-identical across runs of the same target+seed);
-//! - `chaos_<target>_telemetry.json`/`.prom` — the measured-latency
-//!   sidecar (wall-clock, *not* deterministic);
+//! - `chaos_<target>_telemetry.json` — the measurement sidecar: virtual
+//!   detection latencies, signal-checker reports and the substrate's I/O
+//!   ledger, a pure function of target, seed and schedules like the report;
 //! - `<schedule-id>.<target>.<verdict>.json` — one replayable
 //!   [`Reproducer`] per failing schedule, or an `exemplar` reproducer
 //!   when the campaign was clean.
@@ -195,9 +196,8 @@ fn main() {
             );
         }
 
-        // Telemetry sidecar: measured detection latencies and campaign
-        // counters (wall-clock — deliberately outside the canonical
-        // report).
+        // Measurement sidecar: what the run measured rather than scored,
+        // deliberately outside the canonical report.
         let snap = metrics.registry().snapshot();
         write_chaos_json(&out, &format!("chaos_{}_telemetry", target.name()), &snap);
 

@@ -21,9 +21,7 @@ fn main() {
 
     let mut failed = false;
     for target in cli.targets("kvs") {
-        let registry = wdog_telemetry::TelemetryRegistry::shared();
-        let mut opts = harness::recovery::RecoveryOptions::default();
-        opts.wd.telemetry = Some(std::sync::Arc::clone(&registry));
+        let opts = harness::recovery::RecoveryOptions::default();
         match harness::recovery::run(target.as_ref(), None, &opts) {
             Ok(campaign) => {
                 println!("{}", harness::recovery::render(&campaign));
@@ -38,11 +36,6 @@ fn main() {
                     &out,
                     &harness::result_name("recovery", &campaign.target),
                     &campaign,
-                );
-                harness::telemetry::write_snapshot_under(
-                    &out,
-                    &format!("telemetry_recovery_{}", campaign.target),
-                    &registry.snapshot(),
                 );
             }
             Err(e) => {

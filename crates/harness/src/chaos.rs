@@ -30,12 +30,11 @@
 //! replays on a fresh discrete-event `SimClock`, so which checker reports
 //! at which virtual instant is fixed too. The report carries compositions,
 //! verdicts and the checkers behind each detection, never latencies or
-//! report counts; measured latencies go to the [`ChaosMetrics`] telemetry
-//! sidecar. Reports from signal checkers ([`is_signal_checker`]) are
+//! report counts; measured latencies go to the [`ChaosMetrics`] sidecar.
+//! Reports from signal checkers ([`is_signal_checker`]) are
 //! measured, never scored: they sample resource levels, whose trip point
 //! the schedule's severity does not set.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -53,7 +52,7 @@ use wdog_telemetry::{checker_family, ChaosMetrics};
 use crate::scenario::{blames, RunnerOptions};
 use crate::session::{self, RunSpec, Trace};
 
-/// Verdict labels (also the `chaos_verdicts_total` counter labels).
+/// Verdict labels.
 pub const DETECTED: &str = "detected";
 /// See [`DETECTED`].
 pub const MISSED: &str = "missed";
@@ -87,7 +86,8 @@ pub struct ChaosOptions {
     pub shrink_budget: u64,
     /// At most this many failing schedules are shrunk to reproducers.
     pub max_reproducers: usize,
-    /// Telemetry sidecar for latencies and campaign counters.
+    /// Measurement sidecar: detection latencies, signal-checker reports and
+    /// the substrate's I/O ledger.
     pub metrics: Option<ChaosMetrics>,
     /// Pinned `true`: every schedule runs on a fresh discrete-event
     /// `SimClock`, which is what makes the report byte-identical by
@@ -246,7 +246,7 @@ pub fn run_schedule(
     } else {
         RealClock::shared()
     };
-    let mut spec = RunSpec {
+    let spec = RunSpec {
         wd: opts.wd.clone(),
         workload: opts.workload.clone(),
         warmup: opts.warmup,
@@ -255,9 +255,6 @@ pub fn run_schedule(
         io_metrics: opts.metrics.clone(),
         ..RunSpec::default()
     };
-    if let Some(m) = &opts.metrics {
-        spec.wd.telemetry = Some(Arc::clone(m.registry()));
-    }
     let trace = session::run(target, clock, schedule, &spec)?;
     Ok(score_schedule(schedule, &trace, opts.metrics.as_ref()))
 }
@@ -266,7 +263,7 @@ pub fn run_schedule(
 /// `signal`)? Signal checkers sample real resource levels — queue
 /// depth, memory, disk headroom — so whether one trips during a schedule
 /// depends on machine load at the sample instant, not on the injected
-/// severity. The campaign measures their reports in the telemetry sidecar
+/// severity. The campaign measures their reports in the [`ChaosMetrics`] sidecar
 /// but never scores them: a verdict they could flip would wobble between
 /// same-seed runs and break the byte-identical-report contract.
 pub fn is_signal_checker(checker: &str) -> bool {
@@ -281,8 +278,8 @@ fn score_schedule(
 ) -> ScheduleOutcome {
     let run_start_ms = trace.run_start.as_millis() as u64;
     let benign = schedule.benign;
-    // Deterministic scoring set: signal-checker reports are recorded as
-    // telemetry and dropped (see [`is_signal_checker`]).
+    // Deterministic scoring set: signal-checker reports are measured in
+    // the sidecar and dropped (see [`is_signal_checker`]).
     let (signal, reports): (Vec<&FailureReport>, Vec<&FailureReport>) = trace
         .reports
         .iter()
@@ -291,7 +288,6 @@ fn score_schedule(
         signal
             .iter()
             .for_each(|r| m.signal_report(r.checker.as_str()));
-        m.schedule_run(benign);
     }
     let sorted = |names: Vec<&str>| {
         let mut names: Vec<String> = names.into_iter().map(str::to_owned).collect();
@@ -358,15 +354,6 @@ fn score_schedule(
             }
         })
         .collect();
-    if let Some(m) = metrics {
-        // A benign schedule counts once, a harmful one once per fault.
-        let counted = if benign {
-            &verdicts[..1]
-        } else {
-            &verdicts[..]
-        };
-        counted.iter().for_each(|v| m.verdict(&v.verdict));
-    }
     // Worst fault verdict wins at the schedule level.
     let verdict = [MISSED, WRONG_COMPONENT, FALSE_POSITIVE, CLEAN]
         .into_iter()
@@ -445,14 +432,8 @@ pub fn run_campaign(target: &dyn WatchdogTarget, opts: &ChaosOptions) -> BaseRes
             let want = outcome.verdict.clone();
             let (minimal, shrink_steps, shrink_evals) =
                 shrink(&schedule, opts.shrink_budget, |cand| {
-                    if let Some(m) = &opts.metrics {
-                        m.shrink_eval();
-                    }
                     Ok(run_schedule(target, cand, opts)?.verdict == want)
                 })?;
-            if let Some(m) = &opts.metrics {
-                m.reproducer(&want);
-            }
             reproducers.push(Reproducer {
                 kind: want.clone(),
                 target: target.name().to_owned(),

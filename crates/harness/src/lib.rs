@@ -8,7 +8,6 @@
 //! | [`zk2201`] | §4.2 — the ZOOKEEPER-2201 reproduction | `zk2201` |
 //! | [`ablations`] | §3.1/§3.3 design choices (E6) | `ablations` |
 //! | [`recovery`] | §5.2 — closed-loop recovery campaign | `wdog-recovery` |
-//! | [`telemetry`] | telemetry sidecar schema + export | `table1`, `table2`, `wdog-recovery` |
 //! | [`chaos`] | randomized fault-schedule fuzzing of the checkers | `wdog-chaos` |
 //! | [`infer`] | trace-driven checker inference (record→mine→emit→score) | `wdog-infer` |
 //!
@@ -28,7 +27,6 @@ pub mod scenario;
 pub mod session;
 pub mod table1;
 pub mod table2;
-pub mod telemetry;
 pub mod zk2201;
 
 use wdog_target::WatchdogTarget;
@@ -157,11 +155,9 @@ fn emit_table<R: serde::Serialize>(
 }
 
 /// The whole of a per-target scenario-table binary (`table1`, `table2`): for
-/// every `--target`, run the experiment with a fresh telemetry registry on
-/// its watchdog, `emit_table` it as `<bin>[-<target>]`, and archive the
-/// registry as `telemetry_<bin>_<target>`. The shape verdict applies to kvs
-/// only — the target the catalogue's expectations were calibrated on; the
-/// telemetry schema ([`telemetry::validate_snapshot`]) gates every target.
+/// every `--target`, run the experiment and `emit_table` it as
+/// `<bin>[-<target>]`. The shape verdict applies to kvs only — the target
+/// the catalogue's expectations were calibrated on.
 pub fn table_campaign<R: serde::Serialize>(
     bin: &'static str,
     run: impl Fn(&dyn WatchdogTarget, &scenario::RunnerOptions) -> wdog_base::error::BaseResult<R>,
@@ -174,12 +170,10 @@ pub fn table_campaign<R: serde::Serialize>(
     let mut failed = false;
     for target in cli.targets("kvs") {
         let name = target.name();
-        let registry = wdog_telemetry::TelemetryRegistry::shared();
-        let mut opts = scenario::RunnerOptions {
+        let opts = scenario::RunnerOptions {
             seed: cli.seed(),
             ..Default::default()
         };
-        opts.wd.telemetry = Some(std::sync::Arc::clone(&registry));
         let ran = emit_table(
             &out,
             &result_name(bin, name),
@@ -187,22 +181,7 @@ pub fn table_campaign<R: serde::Serialize>(
             render,
             (name == "kvs").then_some(shape),
         );
-        if !ran {
-            failed = true;
-            continue;
-        }
-        let snap = registry.snapshot();
-        let violations = telemetry::validate_snapshot(&snap);
-        if violations.is_empty() {
-            println!("schema check [{name}]: OK");
-        } else {
-            println!("schema check [{name}]: VIOLATIONS");
-            for v in violations {
-                println!("  - {v}");
-            }
-            failed = true;
-        }
-        telemetry::write_snapshot_under(&out, &format!("telemetry_{bin}_{name}"), &snap);
+        failed |= !ran;
     }
     close_tables(&out, bin, failed);
 }

@@ -210,7 +210,8 @@ pub struct RunSpec {
     /// Offsets from `run_start` at which to kick the target's auxiliary
     /// paths (minizk's follower sync), each once the faults due then armed.
     pub kicks: Vec<Duration>,
-    /// Receives the substrate's sim I/O counters after teardown.
+    /// Receives the substrate's sim I/O counters, sampled at the stop
+    /// instant.
     pub io_metrics: Option<ChaosMetrics>,
 }
 
@@ -264,13 +265,10 @@ pub fn run(
     let mut wd = spec.wd.clone();
     if let Some(policy) = &spec.coordinator {
         let surface = session.inst().recovery_map().surface();
-        let mut builder = RecoveryCoordinator::builder(Arc::clone(&clock), surface)
+        let c = RecoveryCoordinator::builder(Arc::clone(&clock), surface)
             .default_policy(policy.clone())
-            .seed(derive_seed(schedule.seed, "recovery"));
-        if let Some(t) = &wd.telemetry {
-            builder = builder.telemetry(Arc::clone(t));
-        }
-        let c = builder.start();
+            .seed(derive_seed(schedule.seed, "recovery"))
+            .start();
         // Its idle wait is untimed, so under sim nothing but a close ends
         // it: it is sealed at the stop instant with everything else.
         session.at_stop({
@@ -376,6 +374,12 @@ pub fn run(
     }
 
     trace.stopped_at = clock.now();
+    // Sampled while virtual time is still frozen at the stop instant: once
+    // the harness actor retires, background loops run on for a number of
+    // ops no schedule fixes, and the ledger would differ run to run.
+    if let Some(m) = &spec.io_metrics {
+        session.inst().substrate().export_io(m);
+    }
     trace.reports = session.stop();
     for d in &mut extrinsics {
         d.stop();
@@ -392,9 +396,6 @@ pub fn run(
     trace.workload = session.workload.as_ref().map_or((0, 0), |w| w.counters());
     trace.crashed = session.crashed.load(Ordering::Relaxed);
     session.finish();
-    if let Some(m) = &spec.io_metrics {
-        session.inst().substrate().export_io(m);
-    }
     Ok(trace)
 }
 
@@ -411,6 +412,7 @@ mod tests {
     use simio::SimClock;
     use wdog_base::clock::RealClock;
     use wdog_target::WatchdogTarget;
+    use wdog_telemetry::{ChaosMetrics, TelemetryRegistry};
 
     use faults::schedule::{FaultSchedule, ScheduledFault};
     use wdog_recover::RecoveryPolicy;
@@ -675,5 +677,29 @@ mod tests {
         assert!(a.faults.iter().all(|f| f.0.is_some()), "{a:?}");
         assert!(!a.incidents.is_empty(), "{a:?}");
         assert_eq!(format!("{a:?}"), format!("{:?}", replay()));
+    }
+
+    /// The I/O ledger is sampled at the stop instant, before teardown lets
+    /// background loops run on: the same schedule reads the same counters.
+    /// Sampled after teardown, a few of the first six kvs schedules read a
+    /// different count on a second run.
+    #[test]
+    fn the_io_ledger_replays_identically() {
+        let pool = chaos_pool(&KvsTarget);
+        for index in 0..6 {
+            let schedule = compose_schedule(&pool, 42, index, &ComposeOptions::default()).unwrap();
+            let replay = || {
+                let metrics = ChaosMetrics::new(TelemetryRegistry::shared());
+                let spec = RunSpec {
+                    io_metrics: Some(metrics.clone()),
+                    ..campaign_spec(Duration::from_millis(400), None)
+                };
+                run_on_sim(schedule.clone(), spec);
+                metrics.registry().snapshot()
+            };
+            let a = replay();
+            assert!(a.counters.iter().any(|c| c.value > 0), "{a:?}");
+            assert_eq!(a, replay(), "{}", schedule.id);
+        }
     }
 }

@@ -265,7 +265,7 @@ impl DataNode {
         Arc::clone(&self.shared.context)
     }
 
-    /// Returns the node's hook dispatcher (for telemetry arming).
+    /// Returns the node's hook dispatcher (for trace arming).
     pub fn hooks(&self) -> Hooks {
         self.shared.hooks.clone()
     }

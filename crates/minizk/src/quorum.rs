@@ -445,7 +445,7 @@ impl Cluster {
         Arc::clone(&self.shared.context)
     }
 
-    /// Returns the leader's hook dispatcher (for telemetry arming).
+    /// Returns the leader's hook dispatcher (for trace arming).
     pub fn hooks(&self) -> Hooks {
         self.shared.hooks.clone()
     }

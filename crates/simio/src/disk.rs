@@ -100,7 +100,7 @@ pub struct FaultHandle(u64);
 /// Per-op-kind call/fault counters, turso-`SimulatorFile` style: every
 /// callsite entry into the disk counts one *call* for its op kind, and one
 /// *fault* when an armed fault rule actually shaped that call (blocked it,
-/// slowed it, failed it, or corrupted it). The chaos telemetry plane
+/// slowed it, failed it, or corrupted it). The chaos campaign
 /// exports these as the `sim_io_disk_*` families.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {

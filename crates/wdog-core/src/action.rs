@@ -8,12 +8,12 @@
 //! component-scoped repairs are `wdog-recover`'s, driven through the
 //! [`Restartable`] and [`Degradable`] handles defined here.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use wdog_base::ids::ComponentId;
-use wdog_telemetry::{Counter, TelemetryRegistry};
 
 use crate::report::FailureReport;
 
@@ -26,21 +26,17 @@ pub trait Action: Send + Sync {
 /// Default retained-report capacity for [`LogAction`].
 pub const DEFAULT_LOG_CAP: usize = 4096;
 
-/// Registry counter name for [`LogAction`] ring evictions.
-pub const LOG_EVICTIONS_METRIC: &str = "log_reports_evicted_total";
-
 /// Collects reports into a shared, inspectable log.
 ///
 /// The log is a **ring buffer**: at most `capacity` reports are retained,
 /// and a failure storm evicts the oldest entries rather than growing without
 /// bound (the watchdog must not OOM the process it guards). Evictions are
-/// counted into the telemetry registry (metric [`LOG_EVICTIONS_METRIC`])
-/// when the log was built with [`LogAction::telemetered`], and are folded
-/// into `DriverStats::log_evictions` for the driver's own log either way.
+/// counted, and the driver folds its own log's count into
+/// `DriverStats::log_evictions`.
 pub struct LogAction {
     reports: Mutex<std::collections::VecDeque<FailureReport>>,
     capacity: usize,
-    evictions: Counter,
+    evictions: AtomicU64,
 }
 
 impl Default for LogAction {
@@ -48,7 +44,7 @@ impl Default for LogAction {
         Self {
             reports: Mutex::new(std::collections::VecDeque::new()),
             capacity: DEFAULT_LOG_CAP,
-            evictions: Counter::new(),
+            evictions: AtomicU64::new(0),
         }
     }
 }
@@ -57,16 +53,6 @@ impl LogAction {
     /// Creates an empty shared log with the default capacity.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
-    }
-
-    /// Creates a shared log whose eviction count reports through `registry`
-    /// as [`LOG_EVICTIONS_METRIC`].
-    pub fn telemetered(capacity: usize, registry: &TelemetryRegistry) -> Arc<Self> {
-        Arc::new(Self {
-            reports: Mutex::new(std::collections::VecDeque::new()),
-            capacity: capacity.max(1),
-            evictions: registry.counter(LOG_EVICTIONS_METRIC, ""),
-        })
     }
 
     /// Returns a copy of all retained reports, oldest first.
@@ -90,9 +76,8 @@ impl LogAction {
     }
 
     /// Eviction count, exposed to the driver for `DriverStats` folding.
-    /// External consumers read it from the telemetry snapshot instead.
     pub(crate) fn eviction_count(&self) -> u64 {
-        self.evictions.get()
+        self.evictions.load(Ordering::Relaxed)
     }
 }
 
@@ -101,7 +86,7 @@ impl Action for LogAction {
         let mut reports = self.reports.lock();
         if reports.len() >= self.capacity {
             reports.pop_front();
-            self.evictions.inc();
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         reports.push_back(report.clone());
     }
@@ -153,7 +138,6 @@ pub trait Degradable: Send + Sync {
 mod tests {
     use super::*;
     use crate::report::{FailureKind, FaultLocation};
-    use std::sync::atomic::{AtomicU64, Ordering};
     use wdog_base::ids::CheckerId;
 
     fn report(component: &str) -> FailureReport {
@@ -181,13 +165,15 @@ mod tests {
 
     #[test]
     fn log_action_ring_evicts_oldest_and_counts_drops() {
-        let registry = TelemetryRegistry::new();
-        let log = LogAction::telemetered(3, &registry);
+        let log = LogAction {
+            capacity: 3,
+            ..Default::default()
+        };
         for i in 0..5 {
             log.on_failure(&report(&format!("c{i}")));
         }
         assert_eq!(log.len(), 3);
-        assert_eq!(registry.counter(LOG_EVICTIONS_METRIC, "").get(), 2);
+        assert_eq!(log.eviction_count(), 2);
         let kept: Vec<String> = log
             .reports()
             .iter()
@@ -197,7 +183,6 @@ mod tests {
         // Draining resets the retained set but not the eviction count.
         assert_eq!(log.drain().len(), 3);
         assert!(log.is_empty());
-        assert_eq!(registry.counter(LOG_EVICTIONS_METRIC, "").get(), 2);
         assert_eq!(log.eviction_count(), 2);
     }
 

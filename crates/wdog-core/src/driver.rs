@@ -59,7 +59,6 @@ use wdog_base::clock::{spawn_on, SharedClock, Waiter};
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_base::ids::{CheckerId, ComponentId};
 use wdog_base::queue::ClockedQueue;
-use wdog_telemetry::{AtomicHistogram, Counter, TelemetryRegistry};
 
 use crate::action::{Action, LogAction};
 use crate::checker::{CheckStatus, Checker, ExecutionProbe};
@@ -146,31 +145,6 @@ impl StatsInner {
     }
 }
 
-/// Per-checker telemetry handles, resolved once at `start` so the scheduler
-/// loop records through lock-free atomics only.
-struct SlotTelemetry {
-    wall_ms: AtomicHistogram,
-    passes: Counter,
-    failures: Counter,
-    not_ready: Counter,
-    timeouts: Counter,
-    panics: Counter,
-}
-
-impl SlotTelemetry {
-    fn resolve(registry: &TelemetryRegistry, checker: &CheckerId) -> Self {
-        let id = checker.as_str();
-        Self {
-            wall_ms: registry.histogram("checker_wall_ms", id),
-            passes: registry.counter("checker_pass_total", id),
-            failures: registry.counter("checker_fail_total", id),
-            not_ready: registry.counter("checker_not_ready_total", id),
-            timeouts: registry.counter("checker_timeout_total", id),
-            panics: registry.counter("checker_panic_total", id),
-        }
-    }
-}
-
 /// A checker not yet started: still owned by the driver.
 struct Pending {
     checker: Box<dyn Checker>,
@@ -253,8 +227,6 @@ struct ExecSlot {
     result_rx: Receiver<CheckStatus>,
     busy_since: Option<Duration>,
     reported_stuck: bool,
-    /// Pre-resolved metric handles; `None` when no registry is attached.
-    telem: Option<SlotTelemetry>,
 }
 
 impl ExecSlot {
@@ -290,7 +262,6 @@ pub struct WatchdogDriver {
     board: Arc<HealthBoard>,
     log: Arc<LogAction>,
     stats: Arc<StatsInner>,
-    telemetry: Option<Arc<TelemetryRegistry>>,
     shutdown: Arc<AtomicBool>,
     /// What the scheduler parks on (see [`ExecEnv::wake`]).
     wake: Arc<dyn Waiter>,
@@ -313,7 +284,6 @@ impl WatchdogDriver {
             board,
             log: LogAction::new(),
             stats: Arc::new(StatsInner::default()),
-            telemetry: None,
             shutdown: Arc::new(AtomicBool::new(false)),
             scheduler: None,
             action_worker: None,
@@ -323,27 +293,6 @@ impl WatchdogDriver {
     /// Returns a [`DriverBuilder`], the preferred way to assemble a driver.
     pub fn builder() -> DriverBuilder {
         DriverBuilder::new()
-    }
-
-    /// Attaches a telemetry registry (builder-internal; see
-    /// [`DriverBuilder::telemetry`]). Per-checker timing, outcome counters,
-    /// and report/detection observation flow into it from then on.
-    fn set_telemetry(&mut self, registry: Arc<TelemetryRegistry>) -> BaseResult<()> {
-        if self.scheduler.is_some() {
-            return Err(BaseError::InvalidState(
-                "cannot attach telemetry after start".into(),
-            ));
-        }
-        // Rebuild the built-in ring log so its evictions report through the
-        // registry; attach telemetry before taking `log()` handles.
-        self.log = LogAction::telemetered(crate::action::DEFAULT_LOG_CAP, &registry);
-        self.telemetry = Some(registry);
-        Ok(())
-    }
-
-    /// Returns the attached telemetry registry, if any.
-    pub fn telemetry(&self) -> Option<Arc<TelemetryRegistry>> {
-        self.telemetry.clone()
     }
 
     /// Adds an action invoked for every failure report (builder-internal;
@@ -415,9 +364,6 @@ impl WatchdogDriver {
                     };
                     self.board.record(&report);
                     self.log.on_failure(&report);
-                    if let Some(t) = &self.telemetry {
-                        t.observe_report(report.checker.as_str(), report.kind.label());
-                    }
                     for a in &self.actions {
                         a.on_failure(&report);
                     }
@@ -460,15 +406,11 @@ impl WatchdogDriver {
             dispatch: self.clock.waiter(),
             wake: Arc::clone(&self.wake),
         };
-        let mut slots = Vec::with_capacity(self.pending.len());
-        for p in self.pending.drain(..) {
-            let mut slot = spawn_executor(p, &env);
-            slot.telem = self
-                .telemetry
-                .as_deref()
-                .map(|reg| SlotTelemetry::resolve(reg, &slot.id));
-            slots.push(slot);
-        }
+        let slots = self
+            .pending
+            .drain(..)
+            .map(|p| spawn_executor(p, &env))
+            .collect();
 
         // Actions run on their own clock actor behind a bounded queue: a
         // slow or blocking action (a recovery attempt, say) must never stall
@@ -492,11 +434,6 @@ impl WatchdogDriver {
             log: Arc::clone(&self.log),
             stats: Arc::clone(&self.stats),
             interval: self.config.policy.interval,
-            reports_dropped: self
-                .telemetry
-                .as_deref()
-                .map(|reg| reg.counter("reports_dropped_total", "")),
-            telemetry: self.telemetry.clone(),
             shutdown: Arc::clone(&self.shutdown),
         };
         self.scheduler = Some(spawn_on(&self.clock, "wdog-scheduler", move || {
@@ -582,7 +519,6 @@ pub struct DriverBuilder {
     clock: Option<SharedClock>,
     checkers: Vec<Box<dyn Checker>>,
     actions: Vec<Arc<dyn Action>>,
-    telemetry: Option<Arc<TelemetryRegistry>>,
 }
 
 impl DriverBuilder {
@@ -621,12 +557,6 @@ impl DriverBuilder {
         self
     }
 
-    /// Attaches a telemetry registry.
-    pub fn telemetry(mut self, registry: Arc<TelemetryRegistry>) -> Self {
-        self.telemetry = Some(registry);
-        self
-    }
-
     /// Validates the assembled configuration and returns the driver.
     ///
     /// Errors on a zero scheduling interval or duplicate checker ids.
@@ -640,9 +570,6 @@ impl DriverBuilder {
             .clock
             .unwrap_or_else(wdog_base::clock::RealClock::shared);
         let mut driver = WatchdogDriver::new(self.config, clock);
-        if let Some(registry) = self.telemetry {
-            driver.set_telemetry(registry)?;
-        }
         for checker in self.checkers {
             driver.pending.push(Pending::new(checker));
         }
@@ -666,7 +593,6 @@ impl std::fmt::Debug for DriverBuilder {
         f.debug_struct("DriverBuilder")
             .field("checkers", &self.checkers.len())
             .field("actions", &self.actions.len())
-            .field("telemetry", &self.telemetry.is_some())
             .finish()
     }
 }
@@ -720,7 +646,6 @@ fn spawn_executor(p: Pending, env: &ExecEnv) -> ExecSlot {
         result_rx,
         busy_since: None,
         reported_stuck: false,
-        telem: None,
     }
 }
 
@@ -743,9 +668,6 @@ struct SchedulerCtx {
     stats: Arc<StatsInner>,
     /// Time between the starts of consecutive rounds.
     interval: Duration,
-    /// `reports_dropped_total`, resolved at `start` like [`SlotTelemetry`].
-    reports_dropped: Option<Counter>,
-    telemetry: Option<Arc<TelemetryRegistry>>,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -753,16 +675,10 @@ impl SchedulerCtx {
     fn emit(&self, report: FailureReport) {
         self.board.record(&report);
         self.log.on_failure(&report);
-        if let Some(t) = &self.telemetry {
-            t.observe_report(report.checker.as_str(), report.kind.label());
-        }
         // Actions run on the wdog-actions thread; if its queue is full the
         // report is counted as dropped rather than blocking the scheduler.
         if self.action_queue.push(report).is_err() {
             self.stats.reports_dropped.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = &self.reports_dropped {
-                c.inc();
-            }
         }
     }
 
@@ -786,33 +702,18 @@ impl SchedulerCtx {
             }
         }
         for (i, status, elapsed_ms) in finished {
-            if let (Some(t), Some(ms)) = (&self.slots[i].telem, elapsed_ms) {
-                t.wall_ms.record(ms);
-            }
             match status {
                 CheckStatus::Pass => {
                     self.stats.passes.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = &self.slots[i].telem {
-                        t.passes.inc();
-                    }
                 }
                 CheckStatus::NotReady => {
                     self.stats.not_ready.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = &self.slots[i].telem {
-                        t.not_ready.inc();
-                    }
                 }
                 CheckStatus::Fail(f) => {
                     if f.kind == FailureKind::CheckerPanic {
                         self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                        if let Some(t) = &self.slots[i].telem {
-                            t.panics.inc();
-                        }
                     } else {
                         self.stats.failures.fetch_add(1, Ordering::Relaxed);
-                        if let Some(t) = &self.slots[i].telem {
-                            t.failures.inc();
-                        }
                     }
                     let slot = &self.slots[i];
                     let report = FailureReport {
@@ -846,9 +747,6 @@ impl SchedulerCtx {
             }
             slot.reported_stuck = true;
             self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &slot.telem {
-                t.timeouts.inc();
-            }
             let location = slot.probe.current().unwrap_or_else(|| {
                 FaultLocation::new(slot.component.clone(), format!("<checker {}>", slot.id))
             });
@@ -1248,63 +1146,6 @@ mod tests {
             ..WatchdogConfig::default()
         };
         assert!(WatchdogDriver::builder().config(config).build().is_err());
-    }
-
-    #[test]
-    fn telemetry_records_outcomes_and_reports() {
-        let registry = TelemetryRegistry::shared();
-        let mut d = WatchdogDriver::builder()
-            .config(fast_config(10, 500))
-            .telemetry(Arc::clone(&registry))
-            .checker(Box::new(FnChecker::new("ok", "a", || CheckStatus::Pass)))
-            .checker(Box::new(FnChecker::new("bad", "b", || {
-                CheckStatus::Fail(CheckFailure::new(
-                    FailureKind::Error,
-                    FaultLocation::new("b", "f"),
-                    "bad",
-                ))
-            })))
-            .build()
-            .unwrap();
-        d.start().unwrap();
-        assert!(wait_until(
-            || d.stats().passes >= 2 && d.stats().failures >= 2,
-            Duration::from_secs(5)
-        ));
-        d.stop();
-        let snap = registry.snapshot();
-        assert!(snap.counter("checker_pass_total", "ok").unwrap() >= 2);
-        assert!(snap.counter("checker_fail_total", "bad").unwrap() >= 2);
-        assert!(snap.histogram("checker_wall_ms", "ok").unwrap().count >= 2);
-        assert!(snap.counter("reports_by_checker_total", "bad").unwrap() >= 2);
-        assert!(snap.counter("reports_by_kind_total", "error").unwrap() >= 2);
-    }
-
-    #[test]
-    fn telemetry_counts_timeouts() {
-        let registry = TelemetryRegistry::shared();
-        let mut d = WatchdogDriver::builder()
-            .config(fast_config(10, 30))
-            .telemetry(Arc::clone(&registry))
-            .checker(Box::new(
-                FnChecker::new("hang", "c", || {
-                    std::thread::sleep(Duration::from_millis(300));
-                    CheckStatus::Pass
-                })
-                .with_timeout(Duration::from_millis(30)),
-            ))
-            .build()
-            .unwrap();
-        d.start().unwrap();
-        assert!(wait_until(
-            || d.stats().timeouts >= 1,
-            Duration::from_secs(5)
-        ));
-        d.stop();
-        let snap = registry.snapshot();
-        assert!(snap.counter("checker_timeout_total", "hang").unwrap() >= 1);
-        assert!(snap.counter("reports_by_kind_total", "stuck").unwrap() >= 1);
-        assert!(snap.counter("reports_by_checker_total", "hang").unwrap() >= 1);
     }
 
     #[test]

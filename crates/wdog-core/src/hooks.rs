@@ -16,58 +16,29 @@
 //!    straight into the site's context slot: no closure, no `Vec`, no
 //!    field-map allocation. Experiment E5 and `wdog-bench` measure this.
 //!
-//! # The armed path
-//!
-//! With telemetry attached, each fire additionally costs one relaxed
-//! `fetch_add` on the site's `hook_fires_total` counter — a registry handle
-//! resolved once, on the first armed fire — and every 64th fire of the site
-//! times its own publish into `hook_fire_ns`. Both cells are the ones
-//! snapshots read, so exported values are exact and never lag.
+//! A site's fire count is its slot's [`ContextSlot::version`]: one bump per
+//! completed publish, exact and never lagging, so hooks keep no counter of
+//! their own.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
-use wdog_telemetry::{AtomicHistogram, Counter, TelemetryRegistry};
 
 use crate::context::{ContextSlot, ContextTable, CtxValue, PublishGuard};
 use crate::trace::TraceRecorder;
 
-/// Fires between timed fires: every 64th armed fire of a site measures its
-/// own publish latency, so sampling overhead stays off the steady-state
-/// path.
-const FIRE_SAMPLE_MASK: u64 = 63;
-
-/// Telemetry attachment shared by every site of one [`Hooks`] instance.
-///
-/// Hooks are created when the instrumented program boots — *before* any
-/// watchdog (and its registry) exists — so attachment is post-hoc: the
-/// `armed` flag is flipped only after the registry is stored, and the
-/// un-armed fire path reads exactly one extra relaxed atomic.
-#[derive(Default)]
-struct HookTelemetry {
-    armed: AtomicBool,
-    registry: Mutex<Option<Arc<TelemetryRegistry>>>,
-}
-
 /// Trace attachment shared by every site of one [`Hooks`] instance.
 ///
-/// Same post-hoc arming discipline as [`HookTelemetry`]: the recorder is a
-/// test-time accessory, so the un-armed fire path pays one extra relaxed
-/// atomic load and nothing else. Armed fires clone their fields into the
-/// recorder's journal for `wdog-infer` to mine.
+/// Hooks are created when the instrumented program boots — *before* any
+/// recorder exists — so attachment is post-hoc: the `armed` flag is flipped
+/// only after the recorder is stored, and the un-armed fire path pays one
+/// extra relaxed atomic load and nothing else. Armed fires clone their
+/// fields into the recorder's journal for `wdog-infer` to mine.
 #[derive(Default)]
 struct HookTrace {
     armed: AtomicBool,
     recorder: Mutex<Option<Arc<TraceRecorder>>>,
-}
-
-/// Per-site registry handles, resolved lazily on the first armed fire.
-struct SiteStats {
-    /// `hook_fires_total`; its pre-increment value is the sampling clock.
-    fires: Counter,
-    /// `hook_fire_ns`, fed by the sampled fires.
-    fire_ns: AtomicHistogram,
 }
 
 /// Shared hook infrastructure for one instrumented program.
@@ -78,7 +49,6 @@ struct SiteStats {
 pub struct Hooks {
     table: Arc<ContextTable>,
     enabled: Arc<AtomicBool>,
-    telemetry: Arc<HookTelemetry>,
     trace: Arc<HookTrace>,
 }
 
@@ -88,25 +58,8 @@ impl Hooks {
         Self {
             table,
             enabled: Arc::new(AtomicBool::new(true)),
-            telemetry: Arc::new(HookTelemetry::default()),
             trace: Arc::new(HookTrace::default()),
         }
-    }
-
-    /// Arms per-site fire counting and sampled fire-latency recording.
-    ///
-    /// Every site created from this instance (before or after this call)
-    /// starts reporting `hook_fires_total` and `hook_fire_ns` into
-    /// `registry`, keyed by its context key. Until this is called, firing a
-    /// site costs one extra relaxed atomic load over the pre-telemetry path.
-    pub fn attach_telemetry(&self, registry: Arc<TelemetryRegistry>) {
-        *self.telemetry.registry.lock() = Some(registry);
-        self.telemetry.armed.store(true, Ordering::Release);
-    }
-
-    /// Returns whether a telemetry registry is attached.
-    pub fn telemetry_attached(&self) -> bool {
-        self.telemetry.armed.load(Ordering::Relaxed)
     }
 
     /// Arms trace recording: every subsequent enabled fire from any site of
@@ -156,7 +109,6 @@ impl Hooks {
         HookSite {
             slot: self.table.register(&key),
             hooks: self.clone(),
-            stats: Arc::new(OnceLock::new()),
         }
     }
 
@@ -199,8 +151,6 @@ impl std::fmt::Debug for Hooks {
 pub struct HookSite {
     slot: Arc<ContextSlot>,
     hooks: Hooks,
-    /// Lazily resolved registry handles; shared by clones of this site.
-    stats: Arc<OnceLock<SiteStats>>,
 }
 
 impl HookSite {
@@ -215,21 +165,9 @@ impl HookSite {
     ///
     /// [`wd_hook!`]: crate::wd_hook
     #[inline]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the telemetry sidecar's sampled hook-fire probe measures real overhead by design"
-    )]
     pub fn fire(&self) -> Option<FireGuard<'_>> {
         if !self.hooks.enabled.load(Ordering::Relaxed) {
             return None;
-        }
-        let mut timing = None;
-        if self.hooks.telemetry.armed.load(Ordering::Relaxed) {
-            if let Some(stats) = self.stats() {
-                if stats.fires.inc_and_fetch_prev() & FIRE_SAMPLE_MASK == 0 {
-                    timing = Some((std::time::Instant::now(), &stats.fire_ns));
-                }
-            }
         }
         let mut capture = None;
         if self.hooks.trace.armed.load(Ordering::Relaxed) {
@@ -245,7 +183,6 @@ impl HookSite {
         }
         Some(FireGuard {
             publish: Some(self.slot.begin_publish()),
-            timing,
             capture,
         })
     }
@@ -259,26 +196,13 @@ impl HookSite {
         }
     }
 
-    /// Resolves the per-site registry handles on first use.
-    fn stats(&self) -> Option<&SiteStats> {
-        if let Some(stats) = self.stats.get() {
-            return Some(stats);
-        }
-        // Armed flag may win the race against the registry store; fire
-        // uninstrumented until the registry is visible.
-        let registry = self.hooks.telemetry.registry.lock().clone()?;
-        Some(self.stats.get_or_init(|| SiteStats {
-            fires: registry.counter("hook_fires_total", self.key()),
-            fire_ns: registry.histogram("hook_fire_ns", self.key()),
-        }))
-    }
-
     /// Returns the context key this site publishes to.
     pub fn key(&self) -> &str {
         self.slot.key()
     }
 
-    /// Returns the cached slot handle this site publishes through.
+    /// Returns the cached slot handle this site publishes through; its
+    /// [`ContextSlot::version`] counts the site's completed fires.
     pub fn slot(&self) -> &Arc<ContextSlot> {
         &self.slot
     }
@@ -307,9 +231,8 @@ struct TraceCapture {
 /// closure-built `Vec<(String, CtxValue)>` fire shape.
 pub struct FireGuard<'a> {
     /// `Some` until drop; taken there so the publish completes before the
-    /// sampled timing is recorded (the sample covers the whole publish).
+    /// capture is journaled.
     publish: Option<PublishGuard<'a>>,
-    timing: Option<(std::time::Instant, &'a AtomicHistogram)>,
     /// `Some` while a trace recorder is armed: field clones to journal.
     capture: Option<TraceCapture>,
 }
@@ -333,9 +256,6 @@ impl FireGuard<'_> {
 impl Drop for FireGuard<'_> {
     fn drop(&mut self) {
         drop(self.publish.take());
-        if let Some((t0, fire_ns)) = self.timing.take() {
-            fire_ns.record(t0.elapsed().as_nanos() as u64);
-        }
         // Journal after the publish completed so the event order matches
         // what a checker could actually have observed.
         if let Some(cap) = self.capture.take() {
@@ -445,54 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn attached_telemetry_counts_fires_per_site() {
-        let (table, hooks) = setup();
-        let a = hooks.site("site_a");
-        let b = hooks.site("site_b");
-        // Fires before attachment are not counted.
-        a.fire_kv("x", 0u64);
-        let registry = TelemetryRegistry::shared();
-        hooks.attach_telemetry(Arc::clone(&registry));
-        assert!(hooks.telemetry_attached());
-        for i in 0..70u64 {
-            a.fire_kv("x", i);
-        }
-        b.fire_kv("y", true);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("hook_fires_total", "site_a"), Some(70));
-        assert_eq!(snap.counter("hook_fires_total", "site_b"), Some(1));
-        // Site fires 0 and 64 are sampled; the rest skip timing.
-        let h = snap.histogram("hook_fire_ns", "site_a").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(hooks.fired_count(), 72);
-        assert!(table.is_ready("site_a"));
-    }
-
-    #[test]
-    fn sites_created_after_attachment_are_counted() {
-        let (_, hooks) = setup();
-        let registry = TelemetryRegistry::shared();
-        hooks.attach_telemetry(Arc::clone(&registry));
-        let late = hooks.site("late_site");
-        late.fire();
-        assert_eq!(
-            registry.snapshot().counter("hook_fires_total", "late_site"),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn disabled_hooks_stay_silent_with_telemetry() {
-        let (_, hooks) = setup();
-        let registry = TelemetryRegistry::shared();
-        hooks.attach_telemetry(Arc::clone(&registry));
-        let site = hooks.site("k");
-        hooks.set_enabled(false);
-        site.fire();
-        assert_eq!(registry.snapshot().counter("hook_fires_total", "k"), None);
-    }
-
-    #[test]
     fn attached_trace_journals_publishes_with_fields() {
         let clock = SimClock::shared();
         let table = ContextTable::new(clock.clone());
@@ -578,8 +450,6 @@ mod tests {
     #[test]
     fn concurrent_fires_on_one_site_count_exactly() {
         let (table, hooks) = setup();
-        let registry = TelemetryRegistry::shared();
-        hooks.attach_telemetry(Arc::clone(&registry));
         let site = hooks.site("hot");
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -591,10 +461,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(
-            registry.snapshot().counter("hook_fires_total", "hot"),
-            Some(40_000)
-        );
+        assert_eq!(site.slot().version(), 40_000);
         assert_eq!(hooks.fired_count(), 40_000);
         let snap = table.read("hot").unwrap();
         assert_eq!(snap.version, 40_000);

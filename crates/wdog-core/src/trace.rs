@@ -7,8 +7,7 @@
 //! numeric bounds, publish orderings, staleness windows — that structural
 //! mimics are blind to.
 //!
-//! The recorder rides the same arming discipline as hook telemetry
-//! ([`crate::hooks`]): it is attached post-hoc through
+//! The recorder arms [`crate::hooks`] post-hoc: it is attached through
 //! [`Hooks::attach_trace`](crate::hooks::Hooks::attach_trace), the armed
 //! flag flips only after the recorder is stored, and a *disarmed* hook fire
 //! still costs exactly one extra relaxed atomic load. An armed fire clones

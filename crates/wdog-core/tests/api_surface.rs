@@ -124,7 +124,6 @@ fn prelude_identifiers_resolve() {
     let driver: WatchdogDriver = WatchdogDriver::builder()
         .config(WatchdogConfig::default())
         .clock(RealClock::shared())
-        .telemetry(registry.clone())
         .checker(Box::new(FnChecker::new("ok", "comp", || CheckStatus::Pass)))
         .build()
         .expect("builder");

@@ -24,22 +24,9 @@ use wdog_base::queue::ClockedQueue;
 use wdog_base::rng::derive_seed;
 
 use wdog_core::prelude::*;
-use wdog_telemetry::{Counter, TelemetryRegistry};
 
 use crate::incident::{Incident, RecoveryOutcome};
 use crate::policy::RecoveryPolicy;
-
-/// Histogram of incident MTTR, labeled by blamed component.
-pub const RECOVERY_MTTR_METRIC: &str = "recovery_mttr_ms";
-/// Counter of closed incidents, labeled by terminal outcome.
-pub const RECOVERY_OUTCOME_METRIC: &str = "recovery_outcome_total";
-/// Counter of ladder rung executions, labeled by rung
-/// (`retry`/`restart`/`degrade`/`escalate`/`pin`).
-pub const RECOVERY_RUNG_METRIC: &str = "recovery_rung_total";
-/// Counter of verification re-checks, labeled `pass`/`fail`.
-pub const RECOVERY_VERIFICATION_METRIC: &str = "recovery_verification_total";
-/// Counter of reports dropped because the inbox was full.
-pub const RECOVERY_DROPPED_METRIC: &str = "recovery_reports_dropped_total";
 
 /// Builds a fresh verification check for a blamed component: a
 /// hand-written probe of the resource the blaming checker watched (a lock,
@@ -71,7 +58,6 @@ pub struct RecoveryCoordinatorBuilder {
     default_policy: RecoveryPolicy,
     escalation: Option<Arc<dyn Action>>,
     seed: u64,
-    telemetry: Option<Arc<TelemetryRegistry>>,
 }
 
 impl RecoveryCoordinatorBuilder {
@@ -93,24 +79,12 @@ impl RecoveryCoordinatorBuilder {
         self
     }
 
-    /// Attaches a telemetry registry: the coordinator then records per-rung
-    /// counters, verification pass/fail counts, per-component MTTR
-    /// histograms and per-outcome incident counts.
-    pub fn telemetry(mut self, registry: Arc<TelemetryRegistry>) -> Self {
-        self.telemetry = Some(registry);
-        self
-    }
-
     /// Spawns the coordinator worker and returns the shared handle.
     pub fn start(self) -> Arc<RecoveryCoordinator> {
         let inbox = ClockedQueue::bounded(&self.clock, INBOX_CAP);
-        let dropped = self
-            .telemetry
-            .as_deref()
-            .map_or_else(Counter::new, |t| t.counter(RECOVERY_DROPPED_METRIC, ""));
         let shared = Arc::new(CoordShared {
             state: Mutex::new(CoordState::default()),
-            dropped,
+            dropped: AtomicU64::new(0),
             pinned_hits: AtomicU64::new(0),
             outstanding: AtomicUsize::new(0),
             idle: self.clock.waiter(),
@@ -122,7 +96,6 @@ impl RecoveryCoordinatorBuilder {
             policy: self.default_policy,
             escalation: self.escalation,
             seed: self.seed,
-            telemetry: self.telemetry,
             shared: Arc::clone(&shared),
             backlog: VecDeque::new(),
             incident_seq: 0,
@@ -148,9 +121,8 @@ struct CoordState {
 
 struct CoordShared {
     state: Mutex<CoordState>,
-    /// Inbox overflow; the registry's [`RECOVERY_DROPPED_METRIC`] cell when
-    /// telemetry is attached.
-    dropped: Counter,
+    /// Inbox overflow.
+    dropped: AtomicU64,
     pinned_hits: AtomicU64,
     /// Reports accepted by the inbox and not yet consumed by `handle` or
     /// `coalesce` — queued, backlogged, or in the worker's hands.
@@ -189,7 +161,6 @@ impl RecoveryCoordinator {
             default_policy: RecoveryPolicy::default(),
             escalation: None,
             seed: 0,
-            telemetry: None,
         }
     }
 
@@ -200,7 +171,7 @@ impl RecoveryCoordinator {
 
     /// Returns reports dropped because the inbox was full.
     pub fn dropped_reports(&self) -> u64 {
-        self.shared.dropped.get()
+        self.shared.dropped.load(Ordering::Relaxed)
     }
 
     /// Returns reports ignored because their component is pinned.
@@ -266,7 +237,7 @@ impl Action for RecoveryCoordinator {
         // Raised before the push so the worker can never lower it first.
         self.shared.outstanding.fetch_add(1, Ordering::SeqCst);
         if self.inbox.push(report.clone()).is_err() {
-            self.shared.dropped.inc();
+            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
             self.shared.consumed(1);
         }
     }
@@ -279,7 +250,6 @@ struct Worker {
     policy: RecoveryPolicy,
     escalation: Option<Arc<dyn Action>>,
     seed: u64,
-    telemetry: Option<Arc<TelemetryRegistry>>,
     shared: Arc<CoordShared>,
     /// Reports for *other* components received while a ladder was running.
     backlog: VecDeque<FailureReport>,
@@ -303,13 +273,6 @@ impl Worker {
         while let Some(report) = self.backlog.pop_front().or_else(|| self.inbox.pop()) {
             self.handle(report);
             self.shared.consumed(1);
-        }
-    }
-
-    /// Bumps the rung counter for one ladder rung execution.
-    fn rung(&self, label: &str) {
-        if let Some(t) = &self.telemetry {
-            t.counter(RECOVERY_RUNG_METRIC, label).inc();
         }
     }
 
@@ -350,7 +313,6 @@ impl Worker {
             hist.len() as u32 >= policy.flap_threshold
         };
         incident.outcome = if flapping {
-            self.rung("pin");
             self.surface.degrade.degrade(&component);
             self.shared.state.lock().pinned.insert(component);
             incident.pinned = true;
@@ -390,7 +352,6 @@ impl Worker {
         );
         if !skip_retry {
             for attempt in 0..policy.max_retries {
-                self.rung("retry");
                 incident.retries += 1;
                 let window = policy.backoff.delay(attempt, incident_seed);
                 if self.look(&mut flight, incident, component, policy, window) {
@@ -412,7 +373,6 @@ impl Worker {
         // through the settle window, then owed one answer in
         // `verify_timeout`.
         for _ in 0..policy.max_restarts {
-            self.rung("restart");
             self.surface.restart.restart(component);
             incident.restarts += 1;
             if self.look(&mut flight, incident, component, policy, policy.settle)
@@ -427,14 +387,12 @@ impl Worker {
 
         // Rung 3 — degrade: shed the workload, keep the process.
         if policy.allow_degrade {
-            self.rung("degrade");
             self.surface.degrade.degrade(component);
             incident.reports += self.coalesce(component);
             return RecoveryOutcome::Degraded;
         }
 
         // Rung 4 — escalate: nothing helped, hand off.
-        self.rung("escalate");
         if let Some(esc) = &self.escalation {
             esc.on_failure(report);
         }
@@ -485,10 +443,6 @@ impl Worker {
                 *flight = Some(f);
                 break false;
             };
-            if let Some(t) = &self.telemetry {
-                let label = if pass { "pass" } else { "fail" };
-                t.counter(RECOVERY_VERIFICATION_METRIC, label).inc();
-            }
             if pass || f.restarts == incident.restarts {
                 break pass;
             }
@@ -526,12 +480,6 @@ impl Worker {
         incident.closed_at_ms = self.clock.now_millis();
         incident.mttr_ms = incident.closed_at_ms.saturating_sub(incident.opened_at_ms);
         incident.verified = incident.outcome == RecoveryOutcome::VerifiedRecovered;
-        if let Some(t) = &self.telemetry {
-            t.histogram(RECOVERY_MTTR_METRIC, &incident.component)
-                .record(incident.mttr_ms);
-            t.counter(RECOVERY_OUTCOME_METRIC, incident.outcome.label())
-                .inc();
-        }
         self.shared.state.lock().incidents.push(incident);
     }
 }
@@ -882,38 +830,25 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_rungs_mttr_and_outcome() {
+    fn incident_books_rungs_verifications_and_outcome() {
         let fx = Fixture::new(false, 1);
-        let registry = TelemetryRegistry::shared();
         let c = RecoveryCoordinator::builder(RealClock::shared(), fx.surface())
             .default_policy(RecoveryPolicy::fast())
-            .telemetry(Arc::clone(&registry))
             .seed(7)
             .start();
         c.on_failure(&report("kvs.compaction", FailureKind::Error));
         assert!(c.wait_idle(Duration::from_secs(5)));
         c.stop();
 
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter(RECOVERY_OUTCOME_METRIC, "verified-recovered"),
-            Some(1)
-        );
-        assert_eq!(snap.counter(RECOVERY_RUNG_METRIC, "retry"), Some(2));
-        assert_eq!(snap.counter(RECOVERY_RUNG_METRIC, "restart"), Some(1));
-        // Verdicts *landed*: the looks at open and at the end of each of the
-        // two back-offs fail (the parent had no look at open, so read 2).
-        assert_eq!(snap.counter(RECOVERY_VERIFICATION_METRIC, "fail"), Some(3));
-        assert_eq!(snap.counter(RECOVERY_VERIFICATION_METRIC, "pass"), Some(1));
-        let mttr = snap
-            .histogram(RECOVERY_MTTR_METRIC, "kvs.compaction")
-            .expect("mttr histogram");
-        assert_eq!(mttr.count, 1);
         let incidents = c.incidents();
         assert_eq!(incidents.len(), 1);
-        assert_eq!(incidents[0].component, "kvs.compaction");
-        assert_eq!(incidents[0].outcome, RecoveryOutcome::VerifiedRecovered);
-        assert_eq!(mttr.max, incidents[0].mttr_ms);
+        let inc = &incidents[0];
+        assert_eq!(inc.component, "kvs.compaction");
+        assert_eq!(inc.outcome, RecoveryOutcome::VerifiedRecovered);
+        assert!(inc.verified);
+        // Two retries, one restart; verifiers launched at open, at the end
+        // of each back-off, and after the restart.
+        assert_eq!((inc.retries, inc.restarts, inc.verifications), (2, 1, 4));
     }
 
     #[test]

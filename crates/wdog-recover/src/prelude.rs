@@ -10,8 +10,6 @@
 
 pub use crate::coordinator::{
     RecoveryCoordinator, RecoveryCoordinatorBuilder, RecoverySurface, VerifierFactory,
-    RECOVERY_MTTR_METRIC, RECOVERY_OUTCOME_METRIC, RECOVERY_RUNG_METRIC,
-    RECOVERY_VERIFICATION_METRIC,
 };
 pub use crate::incident::{Incident, RecoveryOutcome};
 pub use crate::policy::{BackoffPolicy, RecoveryPolicy};

@@ -79,8 +79,8 @@ pub use workload::{spawn_workload_on, RequestFn, WorkloadHandle, WorkloadProfile
 pub use wdog_recover::{RecoverySurface, VerifierFactory};
 
 /// Opens every target's `build_watchdog`: a [`DriverBuilder`] configured
-/// from `opts` (schedule, timeout, spawn-order seed, actions), telemetry and
-/// trace attached to the target's `hooks`, and — when `opts.families.mimics`
+/// from `opts` (schedule, timeout, spawn-order seed, actions), the trace
+/// recorder attached to the target's `hooks`, and — when `opts.families.mimics`
 /// — the generated mimic checkers instantiated from `plan` over `op_table`
 /// against the hooks' context table.
 ///
@@ -101,10 +101,6 @@ pub fn watchdog_builder(
             spawn_order_seed: opts.spawn_order_seed,
         })
         .clock(Arc::clone(clock));
-    if let Some(registry) = &opts.telemetry {
-        builder = builder.telemetry(Arc::clone(registry));
-        hooks.attach_telemetry(Arc::clone(registry));
-    }
     if let Some(trace) = &opts.trace {
         hooks.attach_trace(Arc::clone(trace));
     }

@@ -7,7 +7,6 @@ use std::time::Duration;
 
 use wdog_checkers::InferredSpec;
 use wdog_core::{Action, TraceRecorder};
-use wdog_telemetry::TelemetryRegistry;
 
 /// Which checker families the assembled watchdog includes.
 ///
@@ -81,12 +80,6 @@ pub struct WdOptions {
     pub queue_threshold: usize,
     /// Which checker families to include.
     pub families: Families,
-    /// Telemetry registry threaded through the assembled watchdog: the
-    /// driver records per-checker timing/outcomes, the target's hooks are
-    /// armed for per-site fire accounting, and fault-injection campaigns
-    /// measure end-to-end detection latency against it. `None` (the
-    /// default) costs one relaxed atomic load per hook fire.
-    pub telemetry: Option<Arc<TelemetryRegistry>>,
     /// When set, checker executors spawn in a seed-derived permutation of
     /// registration order. Reports must be identical for every value —
     /// determinism tests sweep this to prove verdicts don't depend on
@@ -118,7 +111,6 @@ impl Default for WdOptions {
             memory_watermark: 64 << 20,
             queue_threshold: 512,
             families: Families::all(),
-            telemetry: None,
             spawn_order_seed: None,
             actions: Vec::new(),
             inferred: Vec::new(),
@@ -138,7 +130,6 @@ impl std::fmt::Debug for WdOptions {
             .field("memory_watermark", &self.memory_watermark)
             .field("queue_threshold", &self.queue_threshold)
             .field("families", &self.families)
-            .field("telemetry", &self.telemetry.is_some())
             .field("spawn_order_seed", &self.spawn_order_seed)
             .field("actions", &self.actions.len())
             .field("inferred", &self.inferred.len())

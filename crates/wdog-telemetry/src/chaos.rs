@@ -1,39 +1,25 @@
 //! Chaos-campaign metric families.
 //!
 //! The chaos fuzzer (`harness::chaos`) scores randomized fault schedules
-//! for detection accuracy; this module gives those scores first-class
-//! metric names so campaign telemetry lands in the same snapshot/
-//! Prometheus pipeline as the runtime's own counters:
+//! for detection accuracy in its `ChaosReport`; this module holds what the
+//! report deliberately leaves out — measured values, not verdicts:
 //!
 //! | family | kind | label |
 //! |---|---|---|
-//! | `chaos_schedules_total` | counter | `harmful` / `benign` |
-//! | `chaos_verdicts_total` | counter | verdict (`detected`, `missed`, …) |
 //! | `chaos_detection_ms` | histogram | fault-kind label (`disk-stuck`, …) |
-//! | `chaos_shrink_evals_total` | counter | `all` |
-//! | `chaos_reproducers_total` | counter | reproducer kind |
 //! | `chaos_signal_reports_total` | counter | signal-checker id |
+//! | `sim_io_{disk,net}_{calls,faults}_total` | counter | op kind / direction |
 //!
-//! Handles are pre-resolved at construction, so recording from the
-//! campaign loop is a few relaxed atomics — the same cost model as the
-//! driver's own instrumentation.
+//! Every value is read off the simulated substrate's clock and ledger, so a
+//! campaign's snapshot is a pure function of `(target, seed, schedules)`.
 
 use std::sync::Arc;
 
-use crate::metrics::Counter;
 use crate::registry::TelemetryRegistry;
 
-/// Counter family: schedules run, labelled `harmful`/`benign`.
-pub const CHAOS_SCHEDULES: &str = "chaos_schedules_total";
-/// Counter family: per-fault verdicts, labelled by verdict.
-pub const CHAOS_VERDICTS: &str = "chaos_verdicts_total";
 /// Histogram family: onset→first-matching-report latency, labelled by
 /// fault-kind label.
 pub const CHAOS_DETECTION_MS: &str = "chaos_detection_ms";
-/// Counter family: schedule re-runs spent inside shrinking.
-pub const CHAOS_SHRINK_EVALS: &str = "chaos_shrink_evals_total";
-/// Counter family: minimal reproducers emitted, labelled by kind.
-pub const CHAOS_REPRODUCERS: &str = "chaos_reproducers_total";
 /// Counter family: reports from load-coupled signal checkers, labelled
 /// by checker id. Signal checkers watch real resource levels (queue
 /// depth, memory), so whether one trips during a schedule depends on
@@ -53,44 +39,21 @@ pub const SIM_IO_NET_CALLS: &str = "sim_io_net_calls_total";
 /// labelled by direction.
 pub const SIM_IO_NET_FAULTS: &str = "sim_io_net_faults_total";
 
-/// Pre-resolved handles for the chaos metric families.
+/// The chaos metric families, recorded into one registry.
 #[derive(Clone)]
 pub struct ChaosMetrics {
     registry: Arc<TelemetryRegistry>,
-    harmful_schedules: Counter,
-    benign_schedules: Counter,
-    shrink_evals: Counter,
 }
 
 impl ChaosMetrics {
-    /// Resolves the fixed-label handles against `registry`.
+    /// Records the chaos families into `registry`.
     pub fn new(registry: Arc<TelemetryRegistry>) -> Self {
-        Self {
-            harmful_schedules: registry.counter(CHAOS_SCHEDULES, "harmful"),
-            benign_schedules: registry.counter(CHAOS_SCHEDULES, "benign"),
-            shrink_evals: registry.counter(CHAOS_SHRINK_EVALS, "all"),
-            registry,
-        }
+        Self { registry }
     }
 
-    /// The backing registry (threaded into the watchdog under test so its
-    /// driver metrics land in the same snapshot).
+    /// The backing registry, for snapshots.
     pub fn registry(&self) -> &Arc<TelemetryRegistry> {
         &self.registry
-    }
-
-    /// Counts one schedule run.
-    pub fn schedule_run(&self, benign: bool) {
-        if benign {
-            self.benign_schedules.inc();
-        } else {
-            self.harmful_schedules.inc();
-        }
-    }
-
-    /// Counts one per-fault (or benign per-schedule) verdict.
-    pub fn verdict(&self, verdict: &str) {
-        self.registry.counter(CHAOS_VERDICTS, verdict).inc();
     }
 
     /// Records one onset→first-matching-report latency.
@@ -98,16 +61,6 @@ impl ChaosMetrics {
         self.registry
             .histogram(CHAOS_DETECTION_MS, fault_label)
             .record(ms);
-    }
-
-    /// Counts one schedule re-run performed by the shrinker.
-    pub fn shrink_eval(&self) {
-        self.shrink_evals.inc();
-    }
-
-    /// Counts one emitted minimal reproducer.
-    pub fn reproducer(&self, kind: &str) {
-        self.registry.counter(CHAOS_REPRODUCERS, kind).inc();
     }
 
     /// Counts one report from a load-coupled signal checker (excluded
@@ -145,25 +98,12 @@ mod tests {
     #[test]
     fn families_land_in_the_snapshot() {
         let m = ChaosMetrics::new(TelemetryRegistry::shared());
-        m.schedule_run(false);
-        m.schedule_run(false);
-        m.schedule_run(true);
-        m.verdict("detected");
-        m.verdict("missed");
         m.detection_latency("disk-stuck", 420);
-        m.shrink_eval();
-        m.reproducer("missed");
         m.signal_report("kvs.signal.repl_queue");
         m.sim_io_disk("read", 120, 3);
         m.sim_io_disk("read", 30, 1);
         m.sim_io_net("send", 55, 0);
         let snap = m.registry().snapshot();
-        assert_eq!(snap.counter(CHAOS_SCHEDULES, "harmful"), Some(2));
-        assert_eq!(snap.counter(CHAOS_SCHEDULES, "benign"), Some(1));
-        assert_eq!(snap.counter(CHAOS_VERDICTS, "detected"), Some(1));
-        assert_eq!(snap.counter(CHAOS_VERDICTS, "missed"), Some(1));
-        assert_eq!(snap.counter(CHAOS_SHRINK_EVALS, "all"), Some(1));
-        assert_eq!(snap.counter(CHAOS_REPRODUCERS, "missed"), Some(1));
         assert_eq!(
             snap.counter(CHAOS_SIGNAL_REPORTS, "kvs.signal.repl_queue"),
             Some(1)

@@ -1,28 +1,26 @@
-//! Telemetry plane for the watchdog runtime.
+//! The chaos campaign's measurement store.
 //!
-//! The paper's claims are quantitative — watchdogs must detect gray
-//! failures quickly (§3.2's ZooKeeper-2201 hang) while hooks and checkers
-//! stay near-free (§3.3) — so the runtime continuously measures itself:
+//! A chaos campaign scores fault schedules into a deterministic report of
+//! verdicts; what it *measures* — detection latency per fault kind, reports
+//! from load-coupled signal checkers, the simulated substrate's per-op I/O
+//! ledger — lands here instead:
 //!
 //! - **Metrics registry** ([`TelemetryRegistry`]): one mutexed map per
 //!   metric type for registration, lock-free recording. [`Counter`]s and
 //!   log₂-bucketed [`AtomicHistogram`]s with p50/p95/p99 summaries.
 //! - **Snapshot** ([`TelemetrySnapshot`]): `{ counters, histograms }` as
-//!   one serializable artifact (JSON under `results/telemetry*.json`) plus
-//!   a Prometheus-style text rendering.
-//! - **Chaos sidecar** ([`ChaosMetrics`]): the per-schedule detection
-//!   counters and latency histogram of a chaos campaign.
+//!   one serializable artifact (`results/chaos/chaos_<target>_telemetry.json`).
+//! - **Chaos families** ([`ChaosMetrics`]): the names the campaign records
+//!   under.
 //!
-//! The crate is a leaf: it depends only on `wdog-base` and the shims, so
-//! `wdog-core` can thread a registry through the driver, hooks, and
-//! actions without a cycle. Consumers key metrics by plain strings
-//! (checker id, hook-site key, component) for the same reason. Telemetry
-//! off is `Option<Arc<TelemetryRegistry>> = None` at the attach point.
+//! The watchdog runtime itself records nothing here: each fact it keeps
+//! lives once, in a typed record — the driver's report log and
+//! `DriverStats`, the recovery coordinator's incidents, a context slot's
+//! version, the trace recorder's journal.
 //!
+//! The crate is a leaf: it depends only on `wdog-base` and the shims.
 //! Cost model: resolving a handle takes the registry mutex; recording
-//! through a resolved handle is a few relaxed atomics. Anything hot must
-//! resolve once and cache the handle — `HookSite` in `wdog-core` does
-//! exactly this, keeping the telemetry-off hook path at a single branch.
+//! through a resolved handle is a few relaxed atomics.
 
 pub mod chaos;
 mod metrics;
@@ -31,7 +29,5 @@ mod snapshot;
 
 pub use chaos::ChaosMetrics;
 pub use metrics::{AtomicHistogram, Counter, HistogramSummary};
-pub use registry::{
-    checker_family, TelemetryRegistry, REPORTS_BY_CHECKER, REPORTS_BY_FAMILY, REPORTS_BY_KIND,
-};
+pub use registry::{checker_family, TelemetryRegistry};
 pub use snapshot::{CounterEntry, HistogramEntry, TelemetrySnapshot};

@@ -2,8 +2,7 @@
 //!
 //! All handles are `Arc`-backed clones of the registry's cells: recording
 //! through one is a handful of relaxed atomic operations with no allocation
-//! and no lock, which is what lets the driver and hook paths carry them
-//! without budget impact.
+//! and no lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,19 +20,9 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Creates a detached counter (not owned by any registry).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.cell.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds one and returns the value *before* the increment.
-    pub fn inc_and_fetch_prev(&self) -> u64 {
-        self.cell.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Adds `n`.
@@ -212,7 +201,7 @@ mod tests {
 
     #[test]
     fn counter_counts() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);

@@ -17,19 +17,12 @@ use crate::snapshot::{CounterEntry, HistogramEntry, TelemetrySnapshot};
 /// (checker id, hook-site key, component, ...). Empty label means unlabeled.
 type MetricKey = (String, String);
 
-/// Counter of failure reports per checker.
-pub const REPORTS_BY_CHECKER: &str = "reports_by_checker_total";
-/// Counter of failure reports per failure kind.
-pub const REPORTS_BY_KIND: &str = "reports_by_kind_total";
-/// Counter of failure reports per checker family (see [`checker_family`]).
-pub const REPORTS_BY_FAMILY: &str = "reports_by_family_total";
-
 /// Classifies a checker id into its generation family by the id
 /// conventions every family follows: `<t>.probe.<name>` for API probes,
 /// `<t>.signal.<name>` for resource signals, `<t>.inferred.<kind>.<key>`
 /// for trace-mined invariant checkers, and everything else is a
-/// structural mimic. Campaign dashboards use the per-family report
-/// counters to attribute detections to the family that earned them.
+/// structural mimic. The chaos campaign uses it to set load-coupled signal
+/// reports apart from its deterministic scoring.
 pub fn checker_family(checker: &str) -> &'static str {
     if checker.contains(".inferred.") {
         "inferred"
@@ -42,11 +35,10 @@ pub fn checker_family(checker: &str) -> &'static str {
     }
 }
 
-/// The telemetry plane's root object.
+/// A named store of counters and histograms.
 ///
-/// One registry serves a whole process (or campaign): the driver, hooks,
-/// actions, and recovery coordinator all register metrics into it, and a
-/// [`TelemetrySnapshot`] exports everything at once.
+/// One registry serves one chaos campaign: [`crate::ChaosMetrics`] records
+/// into it, and a [`TelemetrySnapshot`] exports everything at once.
 ///
 /// # Examples
 ///
@@ -54,8 +46,8 @@ pub fn checker_family(checker: &str) -> &'static str {
 /// use wdog_telemetry::TelemetryRegistry;
 ///
 /// let reg = TelemetryRegistry::shared();
-/// let fires = reg.counter("hook_fires_total", "kvs.wal_append");
-/// fires.inc();
+/// let detections = reg.counter("chaos_signal_reports_total", "kvs.signal.repl_queue");
+/// detections.inc();
 /// let snap = reg.snapshot();
 /// assert_eq!(snap.counters[0].value, 1);
 /// ```
@@ -92,15 +84,6 @@ impl TelemetryRegistry {
             .entry((name.to_string(), label.to_string()))
             .or_default()
             .clone()
-    }
-
-    /// Observes one emitted failure report (driver calls this per report):
-    /// bumps the per-checker / per-kind / per-family report counters.
-    pub fn observe_report(&self, checker: &str, kind: &str) {
-        self.counter(REPORTS_BY_CHECKER, checker).inc();
-        self.counter(REPORTS_BY_KIND, kind).inc();
-        self.counter(REPORTS_BY_FAMILY, checker_family(checker))
-            .inc();
     }
 
     /// Exports everything as a serializable snapshot ordered by
@@ -147,18 +130,6 @@ mod tests {
         assert_eq!(reg.counter("x_total", "lbl").get(), 2);
         // Different label → different cell.
         assert_eq!(reg.counter("x_total", "other").get(), 0);
-    }
-
-    #[test]
-    fn observe_report_feeds_counters() {
-        let reg = TelemetryRegistry::new();
-        reg.observe_report("kvs.wal_mimic", "stuck");
-        reg.observe_report("kvs.wal_mimic", "stuck");
-        reg.observe_report("kvs.probe.get", "error");
-        assert_eq!(reg.counter(REPORTS_BY_CHECKER, "kvs.wal_mimic").get(), 2);
-        assert_eq!(reg.counter(REPORTS_BY_KIND, "stuck").get(), 2);
-        assert_eq!(reg.counter(REPORTS_BY_FAMILY, "mimic").get(), 2);
-        assert_eq!(reg.counter(REPORTS_BY_FAMILY, "probe").get(), 1);
     }
 
     #[test]

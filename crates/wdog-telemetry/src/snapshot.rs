@@ -1,5 +1,4 @@
-//! Serializable export of a registry's state, plus a Prometheus-style text
-//! rendering for scrape-shaped consumers.
+//! Serializable export of a registry's state.
 
 use serde::{Deserialize, Serialize};
 
@@ -56,38 +55,6 @@ impl TelemetrySnapshot {
             .find(|h| h.name == name && h.label == label)
             .map(|h| &h.summary)
     }
-
-    /// Renders the snapshot in Prometheus text exposition format.
-    ///
-    /// Counters become single samples; each histogram becomes seven
-    /// samples, `_{count,mean,min,max,p50,p95,p99}` — quantiles are what
-    /// the campaigns consume, and log₂ buckets don't map onto Prometheus'
-    /// cumulative `le` buckets without lying about bounds.
-    pub fn to_prometheus(&self) -> String {
-        fn sample(out: &mut String, name: &str, label: &str, value: impl std::fmt::Display) {
-            if label.is_empty() {
-                out.push_str(&format!("wdog_{name} {value}\n"));
-            } else {
-                let esc = label.replace('\\', "\\\\").replace('"', "\\\"");
-                out.push_str(&format!("wdog_{name}{{id=\"{esc}\"}} {value}\n"));
-            }
-        }
-        let mut out = String::new();
-        for c in &self.counters {
-            sample(&mut out, &c.name, &c.label, c.value);
-        }
-        for h in &self.histograms {
-            let s = &h.summary;
-            sample(&mut out, &format!("{}_count", h.name), &h.label, s.count);
-            sample(&mut out, &format!("{}_mean", h.name), &h.label, s.mean);
-            sample(&mut out, &format!("{}_min", h.name), &h.label, s.min);
-            sample(&mut out, &format!("{}_max", h.name), &h.label, s.max);
-            sample(&mut out, &format!("{}_p50", h.name), &h.label, s.p50);
-            sample(&mut out, &format!("{}_p95", h.name), &h.label, s.p95);
-            sample(&mut out, &format!("{}_p99", h.name), &h.label, s.p99);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +66,6 @@ mod tests {
         let reg = TelemetryRegistry::new();
         reg.counter("hook_fires_total", "kvs.wal_append").add(7);
         reg.histogram("checker_wall_ms", "kvs.wal_mimic").record(12);
-        reg.observe_report("kvs.wal_mimic", "stuck");
         reg.snapshot()
     }
 
@@ -122,27 +88,5 @@ mod tests {
             1
         );
         assert_eq!(snap.counter("no_such", ""), None);
-    }
-
-    #[test]
-    fn prometheus_rendering_has_expected_lines() {
-        let text = sample_snapshot().to_prometheus();
-        assert!(text.contains("wdog_hook_fires_total{id=\"kvs.wal_append\"} 7"));
-        assert!(text.contains("wdog_checker_wall_ms_p99{id=\"kvs.wal_mimic\"}"));
-        assert!(text.contains("wdog_reports_by_kind_total{id=\"stuck\"} 1"));
-        assert!(text.contains("wdog_reports_by_checker_total{id=\"kvs.wal_mimic\"} 1"));
-        // Every line is name{labels} value.
-        for line in text.lines() {
-            assert!(line.starts_with("wdog_"), "bad line: {line}");
-            assert_eq!(line.split_whitespace().count(), 2, "bad line: {line}");
-        }
-    }
-
-    #[test]
-    fn prometheus_escapes_label_quotes() {
-        let reg = TelemetryRegistry::new();
-        reg.counter("x_total", "a\"b").inc();
-        let text = reg.snapshot().to_prometheus();
-        assert!(text.contains("wdog_x_total{id=\"a\\\"b\"} 1"));
     }
 }

@@ -34,8 +34,7 @@ replay_corpus() {
 # runs the harness binary BIN RUNS times, each into its own scratch dir, and
 # requires every artifact (a path under the --out dir; a directory compares
 # whole) to be byte-identical between the runs and to its copy under
-# results/. Telemetry sidecars carry wall-clock samples and are never
-# compared. The scratch dirs persist across gates, so a later campaign can
+# results/. The scratch dirs persist across gates, so a later campaign can
 # read an earlier one's fresh output. CI never writes under results/.
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
@@ -43,7 +42,7 @@ trap 'rm -rf "$scratch"' EXIT
 # first 80 lines of their diff, so the log shows which rows moved.
 same() {
     local out
-    out="$(diff -ru -x '*_telemetry.json' "$1" "$2")" && return 0
+    out="$(diff -ru "$1" "$2")" && return 0
     head -n 80 <<<"$out"
     return 1
 }
@@ -113,7 +112,7 @@ gate 1 "reduction.json reduction.txt" reduction
 # extrinsic detectors attached as clock actors, so Table 1 (E1) and Table 2
 # (E2) are pure functions of (target, seed), virtual-millisecond latencies
 # included.
-# Both bins exit nonzero when a target's telemetry sidecar fails the schema.
+# Both bins exit nonzero when the kvs table fails its paper-shape check.
 # Table 2 runs once: its bursty control runs are most of this script's
 # scenario time.
 gate 2 "table1.json table1-minizk.json table1-miniblock.json table1.txt table1-minizk.txt table1-miniblock.txt" table1 --target all

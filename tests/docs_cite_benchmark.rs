@@ -10,9 +10,10 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
 /// Instruments `benchmark/` superseded, and mechanisms deleted because
 /// another one already answered their question (the gate flags and the
-/// real-clock scan gave way to archive comparison and clippy); neither docs
-/// nor CI may lean on them.
-const RETIRED: [&str; 30] = [
+/// real-clock scan gave way to archive comparison and clippy, the runtime's
+/// telemetry copies to the typed records they copied); neither docs nor CI
+/// may lean on them.
+const RETIRED: [&str; 35] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -43,6 +44,11 @@ const RETIRED: [&str; 30] = [
     "--require-verified",
     "--coverage-out",
     "real_clock.json",
+    "attach_telemetry",
+    "validate_snapshot",
+    "to_prometheus",
+    "observe_report",
+    "hook_fires_total",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];

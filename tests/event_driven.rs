@@ -17,7 +17,6 @@ use wdog_base::clock::{ActorGuard, ActorToken, Waiter};
 use wdog_base::queue::ClockedQueue;
 use wdog_base::rng::derive_seed;
 use wdog_core::prelude::*;
-use wdog_recover::coordinator::RECOVERY_DROPPED_METRIC;
 use wdog_recover::{BackoffPolicy, Incident, RecoveryCoordinator, RecoveryPolicy, RecoverySurface};
 
 const MS: fn(u64) -> Duration = Duration::from_millis;
@@ -240,13 +239,11 @@ fn request_stop_ends_a_long_round_at_the_instant_of_the_call() {
 #[test]
 fn a_full_action_queue_counts_every_dropped_report() {
     let (clock, main) = sim();
-    let registry = TelemetryRegistry::shared();
     let blocked_once = AtomicBool::new(false);
     let c = Arc::clone(&clock);
     let mut driver = WatchdogDriver::builder()
         .config(config(MS(1), MS(500)))
         .clock(Arc::clone(&clock))
-        .telemetry(Arc::clone(&registry))
         .checker(Box::new(FnChecker::new("bad", "comp", || failure("comp"))))
         // The first report wedges the action worker for a virtual hour.
         .action(Arc::new(CallbackAction::new(move |_: &FailureReport| {
@@ -265,8 +262,6 @@ fn a_full_action_queue_counts_every_dropped_report() {
     // One report in the worker's hands, 256 queued, the rest overflowed.
     assert_eq!(emitted, 301);
     assert_eq!(dropped, emitted - 257);
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter("reports_dropped_total", ""), Some(dropped));
 }
 
 /// A recovery surface from two closures — what a restart does and what
@@ -345,10 +340,8 @@ fn a_zero_backoff_retry_that_verifies_closes_with_zero_mttr() {
 #[test]
 fn a_full_inbox_counts_every_dropped_report() {
     let (clock, main) = sim();
-    let registry = TelemetryRegistry::shared();
     let coordinator = RecoveryCoordinator::builder(Arc::clone(&clock), surface(&clock))
         .default_policy(RecoveryPolicy::fast())
-        .telemetry(Arc::clone(&registry))
         .start();
     // Corruption skips the retry rung: the worker takes this report and
     // wedges inside the first restart.
@@ -363,8 +356,6 @@ fn a_full_inbox_counts_every_dropped_report() {
     main.retire();
     coordinator.stop();
     assert_eq!(dropped, 5);
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter(RECOVERY_DROPPED_METRIC, ""), Some(5));
 }
 
 const OPEN_MS: u64 = 40;

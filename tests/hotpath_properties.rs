@@ -1,5 +1,5 @@
-//! Property-based tests over the armed hot path: the per-site fire counter
-//! must never lose a count, and the context slot must stay a
+//! Property-based tests over the hook hot path: a site's fire count (its
+//! slot's version) must never lose a count, and the context slot must stay a
 //! latest-writer-wins register, read at one point in time, under any publish
 //! interleaving.
 //!
@@ -16,7 +16,6 @@ use proptest::prelude::*;
 use wdog_base::clock::RealClock;
 use wdog_core::context::{ContextTable, CtxValue};
 use wdog_core::hooks::Hooks;
-use wdog_telemetry::TelemetryRegistry;
 
 /// One step of a randomized hook-lifecycle interleaving.
 #[derive(Clone, Copy, Debug)]
@@ -27,7 +26,7 @@ enum HookOp {
     Disarm,
     /// Re-enable every site.
     Arm,
-    /// Take a full telemetry snapshot.
+    /// Read every site's slot.
     Snapshot,
 }
 
@@ -54,15 +53,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Fire-count exactness: under any interleaving of fire, arm, disarm and
-    /// snapshot, the `hook_fires_total` counters equal a direct per-site
+    /// slot read, each site's slot version equals a direct per-site
     /// model count of the fires that ran while hooks were enabled — no fire
     /// is dropped or doubled, and disarmed fires never leak into the counts.
     #[test]
     fn fire_counters_lose_no_fires(ops in proptest::collection::vec(hook_op(), 1..120)) {
         let table = ContextTable::new(RealClock::shared());
         let hooks = Hooks::new(table);
-        let registry = TelemetryRegistry::shared();
-        hooks.attach_telemetry(registry.clone());
         let sites: Vec<_> = (0..SITES).map(|i| hooks.site(format!("prop-site-{i}"))).collect();
 
         let mut model = [0u64; SITES];
@@ -84,13 +81,15 @@ proptest! {
                     enabled = true;
                 }
                 HookOp::Snapshot => {
-                    let _ = registry.snapshot();
+                    sites.iter().for_each(|site| {
+                        let _ = site.slot().snapshot();
+                    });
                 }
             }
         }
 
         for (i, site) in sites.iter().enumerate() {
-            let counted = registry.counter("hook_fires_total", site.key()).get();
+            let counted = site.slot().version();
             prop_assert_eq!(
                 counted, model[i],
                 "site {} counted {} fires, model says {}", i, counted, model[i]
@@ -141,10 +140,10 @@ proptest! {
 }
 
 /// Threaded losslessness: worker threads hammer one site while another
-/// thread toggles the enable flag and snapshots concurrently. The
+/// thread toggles the enable flag and reads the slot concurrently. The
 /// interleaving is nondeterministic, so the model is observational: every
-/// fire that returned a guard must appear in the counter — exactly once —
-/// no matter how snapshots raced the fires.
+/// fire that returned a guard must appear in the slot version — exactly
+/// once — no matter how reads raced the fires.
 #[test]
 fn concurrent_fires_snapshots_and_toggles_lose_nothing() {
     const WORKERS: usize = 4;
@@ -152,8 +151,6 @@ fn concurrent_fires_snapshots_and_toggles_lose_nothing() {
 
     let table = ContextTable::new(RealClock::shared());
     let hooks = Hooks::new(table);
-    let registry = TelemetryRegistry::shared();
-    hooks.attach_telemetry(registry.clone());
     let site = hooks.site("stress-site");
     let stop = AtomicBool::new(false);
 
@@ -172,14 +169,14 @@ fn concurrent_fires_snapshots_and_toggles_lose_nothing() {
                 mine
             }));
         }
-        // The antagonist: disarm/rearm windows plus concurrent snapshots,
+        // The antagonist: disarm/rearm windows plus concurrent slot reads,
         // racing the workers the whole way.
         s.spawn(|| {
             let mut on = true;
             while !stop.load(Ordering::Relaxed) {
                 on = !on;
                 hooks.set_enabled(on);
-                let _ = registry.snapshot();
+                let _ = site.slot().snapshot();
                 std::thread::yield_now();
             }
             hooks.set_enabled(true);
@@ -189,7 +186,7 @@ fn concurrent_fires_snapshots_and_toggles_lose_nothing() {
         total
     });
 
-    let counted = registry.counter("hook_fires_total", site.key()).get();
+    let counted = site.slot().version();
     assert_eq!(
         counted, published,
         "fire count diverged from the fires that actually published"

@@ -11,8 +11,10 @@ use faults::spec::FaultKind;
 use harness::scenario::RunnerOptions;
 use harness::session::Session;
 use simio::SimClock;
+use wdog_core::trace::{TraceEventKind, TraceRecorder};
+use wdog_gen::plan::generate_plan;
+use wdog_gen::reduce::ReductionConfig;
 use wdog_target::{Families, WatchdogTarget, WdOptions, WorkloadProfile};
-use wdog_telemetry::TelemetryRegistry;
 
 /// Generated mimics that never leave `NotReady` on a fault-free run, and
 /// why. An entry that starts passing fails the test below: delete it.
@@ -30,25 +32,35 @@ const NEVER_READY: &[(&str, &str)] = &[
     ),
 ];
 
-fn passes_per_mimic(target: &dyn WatchdogTarget) -> Vec<(String, u64)> {
+/// Per generated mimic, how many of its ops ran and succeeded — read off
+/// the trace its executions journal under the checker's context key.
+fn passing_ops_per_mimic(target: &dyn WatchdogTarget) -> Vec<(String, u64)> {
     let runner = RunnerOptions::default();
-    let registry = TelemetryRegistry::shared();
+    let clock = SimClock::shared();
+    let recorder = TraceRecorder::new(clock.clone());
     let wd = WdOptions {
         families: Families::only("mimic"),
-        telemetry: Some(Arc::clone(&registry)),
+        trace: Some(Arc::clone(&recorder)),
         ..runner.wd
     };
-    let mut session = Session::boot(target, 42, SimClock::shared(), "test-main").unwrap();
+    let mut session = Session::boot(target, 42, clock, "test-main").unwrap();
     session.arm(&wd, &runner.workload, None).unwrap();
     session.clock().sleep(Duration::from_secs(3));
     let reports = session.finish();
     assert!(reports.is_empty(), "fault-free run reported {reports:?}");
-    registry
-        .snapshot()
-        .counters
-        .into_iter()
-        .filter(|c| c.name == "checker_pass_total")
-        .map(|c| (c.label, c.value))
+    assert_eq!(recorder.dropped(), 0, "the trace overflowed");
+    let events = recorder.drain();
+    let plan = generate_plan(&target.describe_ir(), &ReductionConfig::default());
+    plan.checkers
+        .iter()
+        .map(|c| {
+            let ok = events
+                .iter()
+                .filter(|e| e.key == c.context_key)
+                .filter(|e| matches!(e.kind, TraceEventKind::Op { ok: true, .. }))
+                .count();
+            (format!("{}.{}", plan.program, c.name), ok as u64)
+        })
         .collect()
 }
 
@@ -60,8 +72,8 @@ fn every_generated_mimic_passes_at_least_once_on_a_fault_free_run() {
         &miniblock::target::DnTarget,
     ];
     for target in targets {
-        let passes = passes_per_mimic(target);
-        assert!(!passes.is_empty(), "{}: no mimic registered", target.name());
+        let passes = passing_ops_per_mimic(target);
+        assert!(!passes.is_empty(), "{}: no mimic generated", target.name());
         for (id, n) in passes {
             match NEVER_READY.iter().find(|(known, _)| *known == id) {
                 None => assert!(n > 0, "{id} never passed in 3 s of fault-free rounds"),

@@ -239,7 +239,8 @@ proptest! {
         prop_assert_eq!(s.count, samples.len() as u64);
         prop_assert_eq!(s.max, *samples.iter().max().unwrap());
         prop_assert_eq!(s.min, *samples.iter().min().unwrap());
-        prop_assert!(s.p50 <= s.p99);
+        prop_assert!(s.p50 <= s.p95);
+        prop_assert!(s.p95 <= s.p99);
         prop_assert!(s.p99 <= s.max);
     }
 }
