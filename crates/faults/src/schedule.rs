@@ -107,31 +107,28 @@ pub struct FaultSchedule {
     pub faults: Vec<ScheduledFault>,
 }
 
+/// Largest number of overlapping faults per schedule.
+pub const MAX_FAULTS: usize = 2;
+/// Every `BENIGN_EVERY`-th schedule (1-based) is composed entirely of
+/// benign near-misses.
+pub const BENIGN_EVERY: u64 = 4;
+/// Latest onset for any fault.
+pub const MAX_ONSET: Duration = Duration::from_millis(600);
+/// Shortest bounded duration for a harmful fault — kept at several
+/// checking rounds so detection is never raced against one round.
+pub const MIN_DURATION: Duration = Duration::from_millis(1_200);
+
 /// Knobs for [`compose_schedule`].
 #[derive(Debug, Clone)]
 pub struct ComposeOptions {
     /// Observation window per schedule.
     pub horizon: Duration,
-    /// Largest number of overlapping faults per schedule.
-    pub max_faults: usize,
-    /// Every `benign_every`-th schedule (1-based) is composed entirely of
-    /// benign near-misses; `0` disables benign schedules.
-    pub benign_every: u64,
-    /// Latest onset for any fault.
-    pub max_onset: Duration,
-    /// Shortest bounded duration for a harmful fault — kept at several
-    /// checking rounds so detection is never raced against one round.
-    pub min_duration: Duration,
 }
 
 impl Default for ComposeOptions {
     fn default() -> Self {
         Self {
             horizon: Duration::from_millis(2_500),
-            max_faults: 2,
-            benign_every: 4,
-            max_onset: Duration::from_millis(600),
-            min_duration: Duration::from_millis(1_200),
         }
     }
 }
@@ -206,7 +203,7 @@ pub fn compose_schedule(
 ) -> Option<FaultSchedule> {
     let id = format!("chaos-{seed}-{index:03}");
     let mut rng = seeded(derive_seed(seed, &id));
-    let benign = opts.benign_every > 0 && (index + 1).is_multiple_of(opts.benign_every);
+    let benign = (index + 1).is_multiple_of(BENIGN_EVERY);
 
     let pool: Vec<&Scenario> = if benign {
         catalog.iter().filter(|s| s.kind.has_magnitude()).collect()
@@ -218,11 +215,11 @@ pub fn compose_schedule(
     }
 
     let horizon_ms = opts.horizon.as_millis() as u64;
-    let max_onset_ms = (opts.max_onset.as_millis() as u64).min(horizon_ms.saturating_sub(1));
-    let min_duration_ms = opts.min_duration.as_millis() as u64;
+    let max_onset_ms = (MAX_ONSET.as_millis() as u64).min(horizon_ms.saturating_sub(1));
+    let min_duration_ms = MIN_DURATION.as_millis() as u64;
 
-    let want = if opts.max_faults >= 2 && pool.len() >= 2 && rng.gen_range(0..100u32) < 40 {
-        2
+    let want = if pool.len() >= 2 && rng.gen_range(0..100u32) < 40 {
+        MAX_FAULTS
     } else {
         1
     };
@@ -447,11 +444,7 @@ mod tests {
         let mut benign_seen = 0;
         for i in 0..16 {
             let s = compose_schedule(&cat, 9, i, &opts).unwrap();
-            assert_eq!(
-                s.benign,
-                (i + 1).is_multiple_of(opts.benign_every),
-                "index {i}"
-            );
+            assert_eq!(s.benign, (i + 1).is_multiple_of(BENIGN_EVERY), "index {i}");
             if s.benign {
                 benign_seen += 1;
                 for f in &s.faults {

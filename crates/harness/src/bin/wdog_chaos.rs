@@ -9,17 +9,19 @@
 //! ```
 //!
 //! Every schedule replays on a discrete-event virtual clock: warmup,
-//! horizon, and grace pass in virtual time, so thousands of schedules cost
-//! seconds of wall clock and the canonical report is byte-identical across
-//! runs by construction — no retry loops, no agreement protocols.
+//! horizon, and the 400 ms grace after it pass in virtual time, so
+//! thousands of schedules cost seconds of wall clock and the canonical
+//! report is byte-identical across runs by construction — no retry loops,
+//! no agreement protocols.
 //! `--max-wall-ms N` makes the per-target campaign wall time a hard gate
 //! (CI pins the sweep under the old real-clock smoke budget).
 //!
 //! Campaign mode composes `--schedules` seeded multi-fault schedules from
 //! the target's catalogue, replays each against a live testbed, scores
 //! every fault (detected / missed / wrong-component; benign near-miss
-//! schedules must stay clean), and shrinks failing schedules to minimal
-//! reproducers. Artifacts land under `results/chaos/`:
+//! schedules must stay clean), and shrinks the first two failing schedules
+//! (at most 24 re-runs each) to minimal reproducers. Artifacts land under
+//! `results/chaos/`:
 //!
 //! - `chaos_<target>.json` — the full deterministic [`ChaosReport`]
 //!   (byte-identical across runs of the same target+seed);
@@ -37,34 +39,12 @@
 //! [`ChaosReport`]: harness::chaos::ChaosReport
 //! [`Reproducer`]: harness::chaos::Reproducer
 
-use std::path::Path;
-
 use harness::chaos::{self, ChaosOptions, ChaosReport, Reproducer};
 use harness::cli::{CampaignCli, EXIT_GATE, EXIT_USAGE};
 use wdog_telemetry::{ChaosMetrics, TelemetryRegistry};
 
 const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--seed N] [--out DIR] [--schedules N] \
      [--max-wall-ms N] [--replay FILE]";
-
-/// Writes `value` as pretty JSON under `<out>/chaos/`.
-fn write_chaos_json(out: &Path, name: &str, value: &impl serde::Serialize) {
-    let dir = out.join("chaos");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("[written: {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
-    }
-}
 
 fn replay_file(path: &str) -> i32 {
     let text = match std::fs::read_to_string(path) {
@@ -131,7 +111,7 @@ fn main() {
     let seed = cli.seed();
     let schedules: u64 = cli.parsed("--schedules", 20);
     let max_wall_ms: Option<u64> = cli.parsed_opt("--max-wall-ms");
-    let out = cli.out_dir();
+    let chaos_dir = cli.out_dir().join("chaos");
 
     if let Some(path) = cli.value("--replay") {
         std::process::exit(replay_file(path));
@@ -175,22 +155,22 @@ fn main() {
                 failed = true;
             }
         }
-        write_chaos_json(&out, &format!("chaos_{}", target.name()), &report);
+        harness::write_json_under(&chaos_dir, &format!("chaos_{}", target.name()), &report);
 
         // Reproducer archive: each shrunk failing schedule, or an
         // exemplar of the first outcome when the campaign was clean.
         if report.reproducers.is_empty() {
             if let Some(ex) = chaos::exemplar_reproducer(&report) {
-                write_chaos_json(
-                    &out,
+                harness::write_json_under(
+                    &chaos_dir,
                     &format!("{}.{}.{}", ex.schedule.id, ex.target, ex.kind),
                     &ex,
                 );
             }
         }
         for rep in &report.reproducers {
-            write_chaos_json(
-                &out,
+            harness::write_json_under(
+                &chaos_dir,
                 &format!("{}.{}.{}", rep.schedule.id, rep.target, rep.kind),
                 rep,
             );
@@ -199,7 +179,11 @@ fn main() {
         // Measurement sidecar: what the run measured rather than scored,
         // deliberately outside the canonical report.
         let snap = metrics.registry().snapshot();
-        write_chaos_json(&out, &format!("chaos_{}_telemetry", target.name()), &snap);
+        harness::write_json_under(
+            &chaos_dir,
+            &format!("chaos_{}_telemetry", target.name()),
+            &snap,
+        );
 
         if report.summary.false_positives > 0 {
             eprintln!(

@@ -8,8 +8,10 @@
 //! clock with a trace recorder armed, mines value-level invariants from the
 //! journals, lowers them into `inferred`-family checker specs, and — when
 //! `<out>/chaos/chaos_<target>.json` exists — replays up to 40 of that
-//! campaign's missed schedules with the inferred checkers registered,
-//! ledgering every fault verdict that flips to detected.
+//! campaign's missed schedules (`harness::infer`'s `MAX_RESCORE`) with the
+//! inferred checkers registered, ledgering every fault verdict that flips
+//! to detected. A missing archive skips scoring; one that cannot be read
+//! or parsed fails the run.
 //!
 //! Artifacts land under `<out>/inferred/inferred_<target>.json` and are
 //! byte-identical across runs of the same target + seed: recording is

@@ -46,7 +46,7 @@ use simio::SimClock;
 use wdog_base::clock::{RealClock, SharedClock};
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_core::report::FailureReport;
-use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
+use wdog_target::{WatchdogTarget, WdOptions};
 use wdog_telemetry::{checker_family, ChaosMetrics};
 
 use crate::scenario::{blames, RunnerOptions};
@@ -63,6 +63,13 @@ pub const CLEAN: &str = "clean";
 /// See [`DETECTED`].
 pub const FALSE_POSITIVE: &str = "false-positive";
 
+/// Extra observation past the horizon so final-round reports land.
+const GRACE: Duration = Duration::from_millis(400);
+/// Largest number of schedule re-runs one shrink may spend.
+const SHRINK_BUDGET: u64 = 24;
+/// At most this many failing schedules are shrunk to reproducers.
+const MAX_REPRODUCERS: usize = 2;
+
 /// Campaign knobs.
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
@@ -78,14 +85,6 @@ pub struct ChaosOptions {
     pub wd: WdOptions,
     /// Steady-state period before each schedule's clock starts.
     pub warmup: Duration,
-    /// Extra observation past the horizon so final-round reports land.
-    pub grace: Duration,
-    /// Workload shape per run.
-    pub workload: WorkloadProfile,
-    /// Largest number of schedule re-runs one shrink may spend.
-    pub shrink_budget: u64,
-    /// At most this many failing schedules are shrunk to reproducers.
-    pub max_reproducers: usize,
     /// Measurement sidecar: detection latencies, signal-checker reports and
     /// the substrate's I/O ledger.
     pub metrics: Option<ChaosMetrics>,
@@ -98,17 +97,12 @@ pub struct ChaosOptions {
 
 impl Default for ChaosOptions {
     fn default() -> Self {
-        let runner = RunnerOptions::default();
         Self {
             seed: 42,
             schedules: 20,
             compose: ComposeOptions::default(),
-            wd: runner.wd,
+            wd: RunnerOptions::default().wd,
             warmup: Duration::from_millis(500),
-            grace: Duration::from_millis(400),
-            workload: runner.workload,
-            shrink_budget: 24,
-            max_reproducers: 2,
             metrics: None,
             sim: true,
         }
@@ -248,10 +242,10 @@ pub fn run_schedule(
     };
     let spec = RunSpec {
         wd: opts.wd.clone(),
-        workload: opts.workload.clone(),
+        workload: RunnerOptions::default().workload,
         warmup: opts.warmup,
         // Final-round reports land in the grace period.
-        tail: opts.grace,
+        tail: GRACE,
         io_metrics: opts.metrics.clone(),
         ..RunSpec::default()
     };
@@ -399,7 +393,7 @@ pub fn shrink(
 }
 
 /// Runs a full campaign: compose `opts.schedules` schedules, replay each,
-/// score every fault, and shrink up to `opts.max_reproducers` failing
+/// score every fault, and shrink up to `MAX_REPRODUCERS` failing
 /// schedules into minimal reproducers.
 pub fn run_campaign(target: &dyn WatchdogTarget, opts: &ChaosOptions) -> BaseResult<ChaosReport> {
     let pool = chaos_pool(target);
@@ -424,16 +418,15 @@ pub fn run_campaign(target: &dyn WatchdogTarget, opts: &ChaosOptions) -> BaseRes
         }
         let outcome = run_schedule(target, &schedule, opts)?;
 
-        if outcome.failing() && reproducers.len() < opts.max_reproducers {
+        if outcome.failing() && reproducers.len() < MAX_REPRODUCERS {
             eprintln!(
                 "[wdog-chaos]   {} verdict {:?}; shrinking ...",
                 schedule.id, outcome.verdict
             );
             let want = outcome.verdict.clone();
-            let (minimal, shrink_steps, shrink_evals) =
-                shrink(&schedule, opts.shrink_budget, |cand| {
-                    Ok(run_schedule(target, cand, opts)?.verdict == want)
-                })?;
+            let (minimal, shrink_steps, shrink_evals) = shrink(&schedule, SHRINK_BUDGET, |cand| {
+                Ok(run_schedule(target, cand, opts)?.verdict == want)
+            })?;
             reproducers.push(Reproducer {
                 kind: want.clone(),
                 target: target.name().to_owned(),
@@ -672,7 +665,7 @@ mod tests {
             at_ms,
         };
         // Past every composed onset.
-        let late = 1_000 + ComposeOptions::default().max_onset.as_millis() as u64;
+        let late = 1_000 + faults::schedule::MAX_ONSET.as_millis() as u64;
         let at_op = |component: &str, op: &str| FailureReport {
             location: FaultLocation::new(component, "op").with_op(op),
             ..report(component, late)

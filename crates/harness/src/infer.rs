@@ -27,14 +27,18 @@ use std::time::Duration;
 use faults::schedule::FaultSchedule;
 use serde::{Deserialize, Serialize};
 use simio::SimClock;
-use wdog_base::error::BaseResult;
+use wdog_base::error::{BaseError, BaseResult};
 use wdog_checkers::InferredSpec;
 use wdog_core::TraceRecorder;
-use wdog_infer::{infer, EmitConfig, InferenceReport, MinerConfig, TraceJournal, SCHEMA};
+use wdog_infer::{infer, InferenceReport, MinerConfig, TraceJournal, SCHEMA};
 use wdog_target::{WatchdogTarget, WdOptions};
 
 use crate::chaos::{self, ChaosOptions, ChaosReport, DETECTED, MISSED};
+use crate::scenario::RunnerOptions;
 use crate::session::{self, RunSpec};
+
+/// At most this many archived missed schedules are re-scored.
+const MAX_RESCORE: usize = 40;
 
 /// Pipeline knobs.
 #[derive(Debug, Clone)]
@@ -45,10 +49,6 @@ pub struct InferOptions {
     pub runs: u64,
     /// Virtual duration of each recording run.
     pub record_for: Duration,
-    /// Confidence floors for the miner.
-    pub miner: MinerConfig,
-    /// At most this many archived missed schedules are re-scored.
-    pub max_rescore: usize,
     /// Where the archived chaos campaigns live (`results/chaos`).
     pub chaos_dir: PathBuf,
 }
@@ -59,8 +59,6 @@ impl Default for InferOptions {
             seed: 42,
             runs: 3,
             record_for: Duration::from_secs(10),
-            miner: MinerConfig::default(),
-            max_rescore: 40,
             chaos_dir: PathBuf::from("results/chaos"),
         }
     }
@@ -142,7 +140,7 @@ fn record_with(
 ) -> BaseResult<TraceJournal> {
     let clock = SimClock::shared();
     let recorder = recorder(Arc::clone(&clock));
-    let base = ChaosOptions::default();
+    let runner = RunnerOptions::default();
     let schedule = FaultSchedule {
         id: label.to_owned(),
         seed,
@@ -153,9 +151,9 @@ fn record_with(
     let spec = RunSpec {
         wd: WdOptions {
             trace: Some(Arc::clone(&recorder)),
-            ..base.wd
+            ..runner.wd
         },
-        workload: base.workload,
+        workload: runner.workload,
         // Kick auxiliary paths (snapshot syncs, ...) twice, at fixed
         // fractions of the window: the steady workload never reaches them,
         // and invariants can only cover loops that published during
@@ -208,7 +206,6 @@ pub fn score_against_archive(
     target: &dyn WatchdogTarget,
     specs: &[InferredSpec],
     archive: &ChaosReport,
-    opts: &InferOptions,
 ) -> BaseResult<InferScore> {
     let missed: Vec<_> = archive
         .outcomes
@@ -225,7 +222,7 @@ pub fn score_against_archive(
         still_missed: 0,
         flips: Vec::new(),
     };
-    for outcome in missed.iter().take(opts.max_rescore) {
+    for outcome in missed.iter().take(MAX_RESCORE) {
         score.rescored += 1;
         let fresh = chaos::run_schedule(target, &outcome.schedule, &copts)?;
         for (old, new) in outcome.verdicts.iter().zip(&fresh.verdicts) {
@@ -253,22 +250,30 @@ pub fn score_against_archive(
     Ok(score)
 }
 
-/// Loads the archived chaos campaign for `target`, if present.
-pub fn load_chaos_archive(dir: &Path, target: &str) -> Option<ChaosReport> {
+/// Loads the archived chaos campaign for `target`. A missing file is
+/// `Ok(None)`; a file that is unreadable or does not parse as a
+/// [`ChaosReport`] is an error naming its path.
+pub fn load_chaos_archive(dir: &Path, target: &str) -> std::io::Result<Option<ChaosReport>> {
     let path = dir.join(format!("chaos_{target}.json"));
-    let text = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
+    let named = |kind, e: &dyn std::fmt::Display| {
+        std::io::Error::new(kind, format!("{}: {e}", path.display()))
+    };
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(named(e.kind(), &e)),
+    };
+    serde_json::from_str(&text)
+        .map(Some)
+        .map_err(|e| named(std::io::ErrorKind::InvalidData, &e))
 }
 
 /// Runs the full pipeline for one target.
 pub fn run_pipeline(target: &dyn WatchdogTarget, opts: &InferOptions) -> BaseResult<InferArtifact> {
+    let archive = load_chaos_archive(&opts.chaos_dir, target.name())
+        .map_err(|e| BaseError::Io(e.to_string()))?;
     let journals = record_journals(target, opts)?;
-    let inference = infer(
-        target.name(),
-        &journals,
-        &opts.miner,
-        &EmitConfig::for_target(target.name()),
-    );
+    let inference = infer(target.name(), &journals, &MinerConfig::default());
     eprintln!(
         "[wdog-infer] {}: {} events -> {} invariants -> {} specs",
         target.name(),
@@ -276,9 +281,9 @@ pub fn run_pipeline(target: &dyn WatchdogTarget, opts: &InferOptions) -> BaseRes
         inference.mined.invariants.len(),
         inference.specs.len()
     );
-    let score = match load_chaos_archive(&opts.chaos_dir, target.name()) {
+    let score = match archive {
         Some(archive) => {
-            let s = score_against_archive(target, &inference.specs, &archive, opts)?;
+            let s = score_against_archive(target, &inference.specs, &archive)?;
             eprintln!(
                 "[wdog-infer] {}: {} missed schedules archived, {} rescored, {} fault flips",
                 target.name(),
@@ -367,11 +372,7 @@ mod tests {
         let again = record_journal(&KvsTarget, 7, "unit", Duration::from_secs(3)).unwrap();
         assert_eq!(again.publishes().count(), journal.publishes().count());
         let cfg = MinerConfig::default();
-        let emit_cfg = EmitConfig::for_target("kvs");
-        assert_eq!(
-            infer("kvs", &[journal], &cfg, &emit_cfg),
-            infer("kvs", &[again], &cfg, &emit_cfg),
-        );
+        assert_eq!(infer("kvs", &[journal], &cfg), infer("kvs", &[again], &cfg));
     }
 
     #[test]
@@ -399,6 +400,23 @@ mod tests {
         let rendered = render(&artifact);
         assert!(rendered.contains("registered checkers"));
         assert_eq!(artifact.dropped_events, 0, "default capacity must fit");
+    }
+
+    #[test]
+    fn a_chaos_archive_that_does_not_parse_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("harness-chaos-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("chaos_kvs.json"), "{ not a campaign").unwrap();
+        let opts = InferOptions {
+            runs: 1,
+            record_for: Duration::from_secs(1),
+            chaos_dir: dir.clone(),
+            ..InferOptions::default()
+        };
+        let run = run_pipeline(&KvsTarget, &opts);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = run.expect_err("a garbled archive must not be skipped as missing");
+        assert!(err.to_string().contains("chaos_kvs.json"), "{err}");
     }
 
     #[test]

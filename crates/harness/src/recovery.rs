@@ -37,7 +37,7 @@ use wdog_base::clock::{RealClock, SharedClock};
 use wdog_base::error::BaseResult;
 use wdog_base::rng::derive_seed;
 use wdog_recover::{Incident, RecoveryOutcome, RecoveryPolicy};
-use wdog_target::{WatchdogTarget, WdOptions, WorkloadProfile};
+use wdog_target::WatchdogTarget;
 
 use crate::fmt::Table;
 use crate::scenario::RunnerOptions;
@@ -46,10 +46,6 @@ use crate::session::{self, RunSpec};
 /// Recovery-campaign knobs.
 #[derive(Debug, Clone)]
 pub struct RecoveryOptions {
-    /// Watchdog checker configuration.
-    pub wd: WdOptions,
-    /// The recovery policy every incident walks.
-    pub policy: RecoveryPolicy,
     /// Steady-state period before injection.
     pub warmup: Duration,
     /// How long substrate faults stay armed before the harness clears
@@ -58,8 +54,6 @@ pub struct RecoveryOptions {
     /// Hard ceiling on waiting for the coordinator to go idle with at
     /// least one closed incident.
     pub max_wait: Duration,
-    /// Workload shape.
-    pub workload: WorkloadProfile,
     /// Base seed.
     pub seed: u64,
     /// Pinned `true`: every scenario runs on a fresh discrete-event
@@ -71,16 +65,12 @@ pub struct RecoveryOptions {
 
 impl Default for RecoveryOptions {
     fn default() -> Self {
-        let runner = RunnerOptions::default();
         Self {
-            wd: runner.wd,
-            policy: RecoveryPolicy::fast(),
             warmup: Duration::from_millis(800),
             // Shorter than the ladder's tail so the later rungs verify
             // against a healed substrate.
             fault_hold: Duration::from_millis(600),
             max_wait: Duration::from_secs(12),
-            workload: runner.workload,
             seed: 42,
             sim: true,
         }
@@ -191,12 +181,13 @@ pub fn run_recovery_scenario(
     };
     // Crash runs keep generating reports until flap damping pins the
     // blamed components, so idleness (not silence) ends the tail.
+    let runner = RunnerOptions::default();
     let spec = RunSpec {
-        wd: opts.wd.clone(),
-        workload: opts.workload.clone(),
+        wd: runner.wd,
+        workload: runner.workload,
         warmup: opts.warmup,
         tail: opts.max_wait,
-        coordinator: Some(opts.policy.clone()),
+        coordinator: Some(RecoveryPolicy::fast()),
         ..RunSpec::default()
     };
     let trace = session::run(target, clock, &schedule, &spec)?;

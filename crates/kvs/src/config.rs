@@ -22,6 +22,11 @@ impl Default for ReplicationConfig {
     }
 }
 
+/// Worker threads draining the request queue.
+pub const WORKERS: usize = 2;
+/// Request queue capacity (listener back-pressure).
+pub const REQUEST_QUEUE_CAP: usize = 1024;
+
 /// Tunables for a [`KvsServer`](crate::server::KvsServer).
 ///
 /// The defaults favour fast experiments: background loops tick every few
@@ -32,39 +37,27 @@ pub struct KvsConfig {
     /// `true` persists through WAL + SSTables; `false` is the paper's
     /// in-memory configuration (no disk activity at all).
     pub durable: bool,
-    /// Worker threads draining the request queue.
-    pub workers: usize,
-    /// Request queue capacity (listener back-pressure).
-    pub request_queue_cap: usize,
     /// How long a client waits for a response before reporting a timeout.
     pub client_timeout: Duration,
     /// Flusher wake interval.
     pub flush_interval: Duration,
-    /// WAL bytes that trigger a flush regardless of interval.
-    pub flush_threshold_bytes: u64,
     /// Number of SSTables that triggers compaction.
     pub compaction_trigger: usize,
     /// Compactor wake interval.
     pub compaction_interval: Duration,
     /// Replication endpoints; `None` disables the replication engine.
     pub replication: Option<ReplicationConfig>,
-    /// Deterministic seed for workloads built on this config.
-    pub seed: u64,
 }
 
 impl Default for KvsConfig {
     fn default() -> Self {
         Self {
             durable: true,
-            workers: 2,
-            request_queue_cap: 1024,
             client_timeout: Duration::from_secs(2),
             flush_interval: Duration::from_millis(50),
-            flush_threshold_bytes: 64 * 1024,
             compaction_trigger: 4,
             compaction_interval: Duration::from_millis(50),
             replication: None,
-            seed: 42,
         }
     }
 }
@@ -96,7 +89,6 @@ mod tests {
         let c = KvsConfig::default();
         assert!(c.durable);
         assert!(c.replication.is_none());
-        assert!(c.workers >= 1);
     }
 
     #[test]

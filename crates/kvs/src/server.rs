@@ -160,7 +160,7 @@ impl KvsServer {
 
         let wal_q = ClockedQueue::<Vec<u8>>::unbounded(&clock);
         let repl_q = ClockedQueue::<Vec<u8>>::unbounded(&clock);
-        let request_q = ClockedQueue::<RequestItem>::bounded(&clock, config.request_queue_cap);
+        let request_q = ClockedQueue::bounded(&clock, crate::config::REQUEST_QUEUE_CAP);
 
         let wal = ClockedMutex::new(&clock, Wal::new(Arc::clone(&disk), "wal/current"));
         let compaction_lock = ClockedMutex::new(&clock, ());
@@ -195,7 +195,7 @@ impl KvsServer {
         monitor.register_queue("replication", Arc::new(move || pq.len()));
 
         let mut threads = Vec::new();
-        for i in 0..config.workers.max(1) {
+        for i in 0..crate::config::WORKERS {
             let s = Arc::clone(&shared);
             let rx = request_q.clone();
             threads.push(spawn_on(

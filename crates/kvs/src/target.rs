@@ -46,7 +46,7 @@ impl WatchdogTarget for KvsTarget {
     }
 
     fn catalog(&self) -> Vec<Scenario> {
-        catalog_for(&TargetProfile::default(), FaultSurface::FULL)
+        catalog_for(&TargetProfile::default(), FaultSurface::Cooperative)
     }
 
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {

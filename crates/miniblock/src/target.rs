@@ -76,7 +76,7 @@ impl WatchdogTarget for DnTarget {
     }
 
     fn catalog(&self) -> Vec<Scenario> {
-        catalog_for(&dn_profile(), FaultSurface::SUBSTRATE)
+        catalog_for(&dn_profile(), FaultSurface::Substrate)
     }
 
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {

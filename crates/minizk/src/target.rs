@@ -76,7 +76,7 @@ impl WatchdogTarget for ZkTarget {
     }
 
     fn catalog(&self) -> Vec<Scenario> {
-        catalog_for(&zk_profile(), FaultSurface::SUBSTRATE)
+        catalog_for(&zk_profile(), FaultSurface::Substrate)
     }
 
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {

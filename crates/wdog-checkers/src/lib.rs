@@ -11,7 +11,7 @@
 //!   Any error it reports is a true violation (perfect accuracy), but it can
 //!   only see what the API surface shows (weak completeness, no pinpoint).
 //! - [`signal`] checkers watch health indicators — memory, queue depth,
-//!   load, disk space, scheduling delay — like the Linux watchdog daemon.
+//!   disk space, scheduling delay — like the Linux watchdog daemon.
 //!   Good at environment/resource faults; prone to false alarms under
 //!   legitimately heavy load (weak accuracy).
 //! - [`mimic::MimicChecker`] selects important operations from the main
@@ -31,6 +31,4 @@ pub mod signal;
 pub use inferred::{InferredChecker, InferredPredicate, InferredSpec};
 pub use mimic::{MimicChecker, MimicOp, OpBody};
 pub use probe::ProbeChecker;
-pub use signal::{
-    DiskSpaceChecker, LoadChecker, MemoryWatermarkChecker, QueueDepthChecker, SleepDriftChecker,
-};
+pub use signal::{DiskSpaceChecker, MemoryWatermarkChecker, QueueDepthChecker, SleepDriftChecker};

@@ -258,57 +258,6 @@ impl Checker for DiskSpaceChecker {
     }
 }
 
-/// Fails when in-flight operations exceed a threshold (load average analog).
-pub struct LoadChecker {
-    id: CheckerId,
-    component: ComponentId,
-    monitor: ResourceMonitor,
-    max_inflight: i64,
-}
-
-impl LoadChecker {
-    /// Creates a checker that fires above `max_inflight` concurrent ops.
-    pub fn new(
-        id: impl Into<CheckerId>,
-        component: impl Into<ComponentId>,
-        monitor: ResourceMonitor,
-        max_inflight: i64,
-    ) -> Self {
-        Self {
-            id: id.into(),
-            component: component.into(),
-            monitor,
-            max_inflight,
-        }
-    }
-}
-
-impl Checker for LoadChecker {
-    fn id(&self) -> CheckerId {
-        self.id.clone()
-    }
-
-    fn component(&self) -> ComponentId {
-        self.component.clone()
-    }
-
-    fn check(&mut self) -> CheckStatus {
-        let load = self.monitor.inflight_ops();
-        if load > self.max_inflight {
-            CheckStatus::Fail(CheckFailure::new(
-                FailureKind::AssertViolation,
-                indicator_location(&self.component, "load"),
-                format!(
-                    "{load} operations in flight (threshold {})",
-                    self.max_inflight
-                ),
-            ))
-        } else {
-            CheckStatus::Pass
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,17 +345,6 @@ mod tests {
         disk.append("f", &[0u8; 70]).unwrap();
         assert!(c.check().is_pass());
         disk.append("f", &[0u8; 15]).unwrap();
-        assert!(c.check().is_fail());
-    }
-
-    #[test]
-    fn load_checker_thresholds() {
-        let m = ResourceMonitor::new();
-        let mut c = LoadChecker::new("l", "proc", m.clone(), 2);
-        m.op_start();
-        m.op_start();
-        assert!(c.check().is_pass());
-        m.op_start();
         assert!(c.check().is_fail());
     }
 }

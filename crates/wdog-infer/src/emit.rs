@@ -13,51 +13,30 @@
 //! All slack arithmetic is integer and saturating, which keeps the emitted
 //! corpus byte-stable across runs and platforms.
 
-use serde::{Deserialize, Serialize};
 use wdog_checkers::{InferredPredicate, InferredSpec};
 
 use crate::miner::{Invariant, InvariantSet};
 
-/// Slack policy applied when lowering invariants to checker specs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EmitConfig {
-    /// Target name folded into spec ids and components.
-    pub target: String,
-    /// Range widens each side by `max(1, span / range_slack_divisor)`.
-    pub range_slack_divisor: i64,
-    /// Len bound grows by `max(1, max_len / len_slack_divisor)`.
-    pub len_slack_divisor: u64,
-    /// Allowed per-publish step is `observed * delta_multiplier + 1`.
-    pub delta_multiplier: u64,
-    /// Allowed gap is `observed * staleness_multiplier + staleness_pad_us`.
-    pub staleness_multiplier: u64,
-    /// Absolute pad on staleness windows (microseconds).
-    pub staleness_pad_us: u64,
-}
+/// Range widens each side by `max(1, span / RANGE_SLACK_DIVISOR)`.
+const RANGE_SLACK_DIVISOR: i64 = 4;
+/// Len bound grows by `max(1, max_len / LEN_SLACK_DIVISOR)`.
+const LEN_SLACK_DIVISOR: u64 = 4;
+/// Allowed per-publish step is `observed * DELTA_MULTIPLIER + 1`.
+const DELTA_MULTIPLIER: u64 = 2;
+/// Allowed gap is `observed * STALENESS_MULTIPLIER + STALENESS_PAD_US`.
+const STALENESS_MULTIPLIER: u64 = 4;
+/// Absolute pad on staleness windows (microseconds).
+const STALENESS_PAD_US: u64 = 250_000;
 
-impl EmitConfig {
-    /// Default slack policy for `target`.
-    pub fn for_target(target: impl Into<String>) -> Self {
-        Self {
-            target: target.into(),
-            range_slack_divisor: 4,
-            len_slack_divisor: 4,
-            delta_multiplier: 2,
-            staleness_multiplier: 4,
-            staleness_pad_us: 250_000,
-        }
-    }
-}
-
-/// Lowers every mined invariant into an [`InferredSpec`], slack folded in.
+/// Lowers every mined invariant into an [`InferredSpec`] for `target`,
+/// slack folded in.
 ///
 /// Output order follows the input set's (id-sorted) order, so the emitted
 /// corpus is deterministic whenever mining is.
-pub fn emit(set: &InvariantSet, cfg: &EmitConfig) -> Vec<InferredSpec> {
+pub fn emit(set: &InvariantSet, target: &str) -> Vec<InferredSpec> {
     set.invariants
         .iter()
         .map(|mined| {
-            let t = &cfg.target;
             let key = mined.invariant.key().to_owned();
             let (id, predicate) = match &mined.invariant {
                 Invariant::Range {
@@ -67,9 +46,9 @@ pub fn emit(set: &InvariantSet, cfg: &EmitConfig) -> Vec<InferredSpec> {
                     max,
                 } => {
                     let span = max.saturating_sub(*min);
-                    let slack = (span / cfg.range_slack_divisor.max(1)).max(1);
+                    let slack = (span / RANGE_SLACK_DIVISOR).max(1);
                     (
-                        format!("{t}.inferred.range.{key}.{field}"),
+                        format!("{target}.inferred.range.{key}.{field}"),
                         InferredPredicate::Range {
                             field: field.clone(),
                             min: min.saturating_sub(slack),
@@ -82,9 +61,9 @@ pub fn emit(set: &InvariantSet, cfg: &EmitConfig) -> Vec<InferredSpec> {
                     field,
                     max_len,
                 } => {
-                    let slack = (max_len / cfg.len_slack_divisor.max(1)).max(1);
+                    let slack = (max_len / LEN_SLACK_DIVISOR).max(1);
                     (
-                        format!("{t}.inferred.len.{key}.{field}"),
+                        format!("{target}.inferred.len.{key}.{field}"),
                         InferredPredicate::LenBound {
                             field: field.clone(),
                             max_len: max_len.saturating_add(slack),
@@ -96,32 +75,30 @@ pub fn emit(set: &InvariantSet, cfg: &EmitConfig) -> Vec<InferredSpec> {
                     field,
                     max_step,
                 } => (
-                    format!("{t}.inferred.delta.{key}.{field}"),
+                    format!("{target}.inferred.delta.{key}.{field}"),
                     InferredPredicate::Delta {
                         field: field.clone(),
-                        max_step: max_step
-                            .saturating_mul(cfg.delta_multiplier.max(1))
-                            .saturating_add(1),
+                        max_step: max_step.saturating_mul(DELTA_MULTIPLIER).saturating_add(1),
                     },
                 ),
                 Invariant::Order { first, then } => (
-                    format!("{t}.inferred.order.{then}.{first}"),
+                    format!("{target}.inferred.order.{then}.{first}"),
                     InferredPredicate::Order {
                         prerequisite: first.clone(),
                     },
                 ),
                 Invariant::Staleness { key, max_gap_us } => (
-                    format!("{t}.inferred.staleness.{key}"),
+                    format!("{target}.inferred.staleness.{key}"),
                     InferredPredicate::Staleness {
                         max_gap_us: max_gap_us
-                            .saturating_mul(cfg.staleness_multiplier.max(1))
-                            .saturating_add(cfg.staleness_pad_us),
+                            .saturating_mul(STALENESS_MULTIPLIER)
+                            .saturating_add(STALENESS_PAD_US),
                     },
                 ),
             };
             InferredSpec {
                 id,
-                component: format!("{t}.{key}"),
+                component: format!("{target}.{key}"),
                 key,
                 support: mined.support,
                 predicate,
@@ -164,7 +141,7 @@ mod tests {
                 },
             ],
         };
-        let specs = emit(&set, &EmitConfig::for_target("kvs"));
+        let specs = emit(&set, "kvs");
         assert_eq!(specs.len(), 3);
 
         assert_eq!(specs[0].id, "kvs.inferred.range.flusher_loop.entry_count");
@@ -212,7 +189,7 @@ mod tests {
                 support: 3,
             }],
         };
-        let specs = emit(&set, &EmitConfig::for_target("kvs"));
+        let specs = emit(&set, "kvs");
         assert_eq!(
             specs[0].predicate,
             InferredPredicate::Range {

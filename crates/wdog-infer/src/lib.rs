@@ -26,7 +26,7 @@ pub mod emit;
 pub mod journal;
 pub mod miner;
 
-pub use emit::{emit, EmitConfig};
+pub use emit::emit;
 pub use journal::{TraceJournal, SCHEMA};
 pub use miner::{holds_on, mine, Invariant, InvariantSet, MinedInvariant, MinerConfig};
 
@@ -52,14 +52,9 @@ pub struct InferenceReport {
 }
 
 /// Runs mine + emit over `journals` and wraps the result for archiving.
-pub fn infer(
-    target: &str,
-    journals: &[TraceJournal],
-    miner_cfg: &MinerConfig,
-    emit_cfg: &EmitConfig,
-) -> InferenceReport {
+pub fn infer(target: &str, journals: &[TraceJournal], miner_cfg: &MinerConfig) -> InferenceReport {
     let mined = mine(journals, miner_cfg);
-    let specs = emit(&mined, emit_cfg);
+    let specs = emit(&mined, target);
     let mut labels: Vec<String> = journals.iter().map(|j| j.label.clone()).collect();
     labels.sort();
     InferenceReport {
@@ -90,12 +85,7 @@ mod tests {
             })
             .collect();
         let journals = vec![TraceJournal::new("kvs", "unit", 3, events)];
-        let report = infer(
-            "kvs",
-            &journals,
-            &MinerConfig::default(),
-            &EmitConfig::for_target("kvs"),
-        );
+        let report = infer("kvs", &journals, &MinerConfig::default());
         assert_eq!(report.schema, SCHEMA);
         assert_eq!(report.events, 5);
         assert_eq!(report.journals, vec!["unit".to_owned()]);

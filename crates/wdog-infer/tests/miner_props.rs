@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use wdog_core::{CtxValue, TraceEvent, TraceEventKind};
-use wdog_infer::emit::{emit, EmitConfig};
+use wdog_infer::emit::emit;
 use wdog_infer::journal::TraceJournal;
 use wdog_infer::miner::{holds_on, mine, Invariant, MinerConfig};
 
@@ -132,7 +132,7 @@ proptest! {
         journals in proptest::collection::vec(journal_strategy(), 1..4),
     ) {
         let set = mine(&journals, &low_floors());
-        let specs = emit(&set, &EmitConfig::for_target("prop"));
+        let specs = emit(&set, "prop");
         prop_assert_eq!(specs.len(), set.invariants.len());
         for (mined, spec) in set.invariants.iter().zip(&specs) {
             prop_assert_eq!(spec.support, mined.support);

@@ -172,58 +172,39 @@ pub type CrashSignal = Arc<dyn Fn() + Send + Sync>;
 /// Used to filter the shared gray-failure catalogue down to scenarios a
 /// target can actually run: filtering is by *injectability* only —
 /// whether a detector catches the fault stays an experimental outcome,
-/// never a reason to drop a scenario.
+/// never a reason to drop a scenario. Every target boots on the simulated
+/// disk and network and has a crash hook, so substrate faults and
+/// `ProcessCrash` land everywhere; targets differ only in whether their
+/// own code is cooperative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSurface {
-    /// Simulated-disk faults (stuck/slow/error/corrupt) can land.
-    pub disk: bool,
-    /// Simulated-network faults (block/drop/slow) can land.
-    pub net: bool,
-    /// The process stall point (runtime-pause analog) is wired.
-    pub stall: bool,
-    /// Cooperative fault toggles (task-stuck, busy-loop, logic-corruption,
-    /// memory-leak) are polled by the target's code.
-    pub toggles: bool,
-    /// A crash hook stops the process.
-    pub crash: bool,
+pub enum FaultSurface {
+    /// Substrate faults plus crash only — targets without cooperative
+    /// toggles or a stall point.
+    Substrate,
+    /// Substrate faults and crash, plus cooperative fault toggles
+    /// (task-stuck, busy-loop, logic-corruption, memory-leak) polled by the
+    /// target's code and a wired process stall point (runtime-pause
+    /// analog) — the `kvs` reference target.
+    Cooperative,
 }
 
 impl FaultSurface {
-    /// Everything wired — the `kvs` reference target.
-    pub const FULL: Self = Self {
-        disk: true,
-        net: true,
-        stall: true,
-        toggles: true,
-        crash: true,
-    };
-
-    /// Substrate faults plus crash only — targets without cooperative
-    /// toggles or a stall point.
-    pub const SUBSTRATE: Self = Self {
-        disk: true,
-        net: true,
-        stall: false,
-        toggles: false,
-        crash: true,
-    };
-
     /// Whether `kind` can be applied on this surface.
     pub fn supports(&self, kind: &FaultKind) -> bool {
         match kind {
-            FaultKind::ProcessCrash => self.crash,
-            FaultKind::DiskStuck { .. }
+            FaultKind::ProcessCrash
+            | FaultKind::DiskStuck { .. }
             | FaultKind::DiskSlow { .. }
             | FaultKind::DiskError { .. }
-            | FaultKind::DiskCorruptWrites { .. } => self.disk,
-            FaultKind::NetBlockSend { .. }
+            | FaultKind::DiskCorruptWrites { .. }
+            | FaultKind::NetBlockSend { .. }
             | FaultKind::NetDrop { .. }
-            | FaultKind::NetSlow { .. } => self.net,
-            FaultKind::RuntimePause { .. } => self.stall,
-            FaultKind::TaskStuck { .. }
+            | FaultKind::NetSlow { .. } => true,
+            FaultKind::RuntimePause { .. }
+            | FaultKind::TaskStuck { .. }
             | FaultKind::TaskBusyLoop { .. }
             | FaultKind::LogicCorruption { .. }
-            | FaultKind::MemoryLeak { .. } => self.toggles,
+            | FaultKind::MemoryLeak { .. } => *self == Self::Cooperative,
         }
     }
 }
@@ -373,11 +354,12 @@ mod tests {
 
     #[test]
     fn surfaces_gate_fault_kinds() {
-        assert!(FaultSurface::FULL.supports(&FaultKind::RuntimePause { millis: 1 }));
-        assert!(!FaultSurface::SUBSTRATE.supports(&FaultKind::RuntimePause { millis: 1 }));
-        assert!(!FaultSurface::SUBSTRATE.supports(&FaultKind::TaskStuck { toggle: "t".into() }));
-        assert!(FaultSurface::SUBSTRATE.supports(&FaultKind::ProcessCrash));
-        assert!(FaultSurface::SUBSTRATE.supports(&FaultKind::DiskStuck {
+        let substrate = FaultSurface::Substrate;
+        assert!(FaultSurface::Cooperative.supports(&FaultKind::RuntimePause { millis: 1 }));
+        assert!(!substrate.supports(&FaultKind::RuntimePause { millis: 1 }));
+        assert!(!substrate.supports(&FaultKind::TaskStuck { toggle: "t".into() }));
+        assert!(substrate.supports(&FaultKind::ProcessCrash));
+        assert!(substrate.supports(&FaultKind::DiskStuck {
             path_prefix: String::new()
         }));
     }
@@ -385,14 +367,35 @@ mod tests {
     #[test]
     fn substrate_catalog_is_a_strict_subset() {
         let p = TargetProfile::default();
-        let full = catalog_for(&p, FaultSurface::FULL);
-        let sub = catalog_for(&p, FaultSurface::SUBSTRATE);
-        assert_eq!(full.len(), gray_failure_catalog(&p).len());
-        assert!(sub.len() < full.len());
-        for s in &sub {
-            assert!(full.iter().any(|f| f.id == s.id));
-        }
-        // The crash baseline must survive substrate filtering.
-        assert!(sub.iter().any(|s| s.id == "process-crash"));
+        let ids = |surface| -> Vec<String> {
+            catalog_for(&p, surface).into_iter().map(|s| s.id).collect()
+        };
+        let substrate = [
+            "partial-disk-stuck",
+            "disk-fail-slow",
+            "disk-error",
+            "disk-bit-rot",
+            "replication-link-wedged",
+            "replication-fail-slow",
+            // The crash baseline must survive substrate filtering.
+            "process-crash",
+        ];
+        let cooperative = [
+            "partial-disk-stuck",
+            "disk-fail-slow",
+            "disk-error",
+            "disk-bit-rot",
+            "replication-link-wedged",
+            "replication-fail-slow",
+            "background-task-stuck",
+            "busy-loop",
+            "state-corruption",
+            "memory-leak",
+            "runtime-pause",
+            "process-crash",
+        ];
+        assert_eq!(gray_failure_catalog(&p).len(), 12);
+        assert_eq!(ids(FaultSurface::Cooperative), cooperative);
+        assert_eq!(ids(FaultSurface::Substrate), substrate);
     }
 }

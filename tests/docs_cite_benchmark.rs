@@ -11,9 +11,9 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 /// Instruments `benchmark/` superseded, and mechanisms deleted because
 /// another one already answered their question (the gate flags and the
 /// real-clock scan gave way to archive comparison and clippy, the runtime's
-/// telemetry copies to the typed records they copied); neither docs nor CI
-/// may lean on them.
-const RETIRED: [&str; 35] = [
+/// telemetry copies to the typed records they copied, settings nothing
+/// varied to constants); neither docs nor CI may lean on them.
+const RETIRED: [&str; 44] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -49,6 +49,15 @@ const RETIRED: [&str; 35] = [
     "to_prometheus",
     "observe_report",
     "hook_fires_total",
+    "flush_threshold_bytes",
+    "EmitConfig",
+    "LoadChecker",
+    "write_chaos_json",
+    "shrink_budget",
+    "max_reproducers",
+    "max_rescore",
+    "FaultSurface::FULL",
+    "FaultSurface::SUBSTRATE",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];

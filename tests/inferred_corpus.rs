@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 
 use wdog_core::{CtxValue, TraceEvent, TraceEventKind};
-use wdog_infer::{infer, EmitConfig, InferenceReport, MinerConfig, TraceJournal, SCHEMA};
+use wdog_infer::{infer, InferenceReport, MinerConfig, TraceJournal, SCHEMA};
 
 /// Per-target loop keys the synthetic traces publish under.
 fn keys_for(target: &str) -> &'static [&'static str] {
@@ -87,12 +87,7 @@ fn synthetic_journals(target: &str) -> Vec<TraceJournal> {
 }
 
 fn report_for(target: &str) -> InferenceReport {
-    infer(
-        target,
-        &synthetic_journals(target),
-        &MinerConfig::default(),
-        &EmitConfig::for_target(target),
-    )
+    infer(target, &synthetic_journals(target), &MinerConfig::default())
 }
 
 fn snapshot_path(target: &str) -> PathBuf {

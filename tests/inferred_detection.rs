@@ -30,20 +30,14 @@ use harness::chaos::{replay, ChaosOptions, Reproducer, DETECTED, MISSED};
 use harness::infer::{record_journals, InferOptions};
 use wdog_checkers::InferredSpec;
 use wdog_core::report::FailureKind;
-use wdog_infer::{infer, EmitConfig};
+use wdog_infer::{infer, MinerConfig};
 use wdog_target::WatchdogTarget;
 
 /// Runs the live record → mine → emit pipeline with production options.
 fn live_specs(target: &dyn WatchdogTarget) -> Vec<InferredSpec> {
     let opts = InferOptions::default();
     let journals = record_journals(target, &opts).expect("recording boots");
-    infer(
-        target.name(),
-        &journals,
-        &opts.miner,
-        &EmitConfig::for_target(target.name()),
-    )
-    .specs
+    infer(target.name(), &journals, &MinerConfig::default()).specs
 }
 
 fn corpus_reproducer(name: &str) -> Reproducer {
