@@ -25,7 +25,7 @@ pub type BeatFn = Arc<dyn Fn() -> bool + Send + Sync>;
 pub struct HeartbeatDetector {
     clock: SharedClock,
     suspect_after: Duration,
-    last_beat: Arc<Mutex<Option<Duration>>>,
+    last_beat: Arc<Mutex<Duration>>,
     running: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -39,7 +39,7 @@ impl HeartbeatDetector {
         suspect_after: Duration,
         beat: BeatFn,
     ) -> Self {
-        let last_beat = Arc::new(Mutex::new(Some(clock.now())));
+        let last_beat = Arc::new(Mutex::new(clock.now()));
         let running = Arc::new(AtomicBool::new(true));
         let thread = {
             let actor_clock = Arc::clone(&clock);
@@ -48,7 +48,7 @@ impl HeartbeatDetector {
             spawn_on(&clock, "heartbeat-fd", move || {
                 while run.load(Ordering::Relaxed) {
                     if beat() {
-                        *last.lock() = Some(actor_clock.now());
+                        *last.lock() = actor_clock.now();
                     }
                     actor_clock.sleep(interval);
                 }
@@ -71,11 +71,12 @@ impl Detector for HeartbeatDetector {
 
     fn verdict(&self) -> Verdict {
         let last = *self.last_beat.lock();
-        match last {
-            Some(t) if self.clock.now().saturating_sub(t) <= self.suspect_after => Verdict::Healthy,
-            _ => Verdict::Suspected {
+        if self.clock.now().saturating_sub(last) <= self.suspect_after {
+            Verdict::Healthy
+        } else {
+            Verdict::Suspected {
                 reason: format!("no heartbeat within {} ms", self.suspect_after.as_millis()),
-            },
+            }
         }
     }
 

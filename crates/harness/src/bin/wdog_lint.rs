@@ -28,25 +28,6 @@ use wdog_gen::pretty::render_drift;
 
 const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--out DIR]";
 
-fn write_artifact(dir: &Path, name: &str, value: &impl serde::Serialize) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(name);
-    match serde_json::to_string_pretty(value) {
-        Ok(mut json) => {
-            json.push('\n');
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("[analysis artifact written to {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
-    }
-}
-
 fn render_analysis(b: &AnalysisBundle) {
     println!(
         "== {} analysis: {} fns, {} call edges, {} roots ==",
@@ -84,10 +65,7 @@ fn render_analysis(b: &AnalysisBundle) {
         count(wdog_analyze::SafetyClass::SharedMutation),
     );
     for v in b.safety.violations() {
-        println!(
-            "     !! shared-mutation probe {} ({}:{})",
-            v.id, v.file, v.line
-        );
+        println!("     !! shared-mutation probe {} ({})", v.id, v.file);
     }
     let t = &b.coverage.totals;
     println!(
@@ -143,36 +121,29 @@ fn main() {
     let mut reports = Vec::new();
 
     for target in &targets {
-        match run_lint(target) {
-            Ok(report) => {
-                println!("{}", render_drift(&report));
-                denied_drift += report.denied().len();
-                reports.push(report);
-            }
-            Err(e) => {
-                eprintln!("error: cannot analyze {}: {e}", target.name);
-                std::process::exit(EXIT_USAGE);
-            }
-        }
+        let sources = target.sources().unwrap_or_else(|e| {
+            eprintln!("error: cannot analyze {}: {e}", target.name);
+            std::process::exit(EXIT_USAGE);
+        });
+        let report = run_lint(target, &sources);
+        println!("{}", render_drift(&report));
+        denied_drift += report.denied().len();
+        reports.push(report);
 
         let corpus = Path::new("tests/chaos_corpus");
-        let bundle = match load_blind_spots(corpus, target.name)
-            .and_then(|spots| run_analysis(target, &spots))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: analysis passes failed for {}: {e}", target.name);
-                std::process::exit(EXIT_USAGE);
-            }
-        };
+        let spots = load_blind_spots(corpus, target.name).unwrap_or_else(|e| {
+            eprintln!("error: analysis passes failed for {}: {e}", target.name);
+            std::process::exit(EXIT_USAGE);
+        });
+        let bundle = run_analysis(target, &sources, &spots);
         render_analysis(&bundle);
         unsafe_probes += bundle.safety.violations().len();
         deadlock_cycles += bundle.locks.cycles.len();
 
         let t = &bundle.target;
-        write_artifact(&analysis, &format!("coverage_{t}.json"), &bundle.coverage);
-        write_artifact(&analysis, &format!("locks_{t}.json"), &bundle.locks);
-        write_artifact(&analysis, &format!("safety_{t}.json"), &bundle.safety);
+        harness::write_json_under(&analysis, &format!("coverage_{t}"), &bundle.coverage);
+        harness::write_json_under(&analysis, &format!("locks_{t}"), &bundle.locks);
+        harness::write_json_under(&analysis, &format!("safety_{t}"), &bundle.safety);
     }
     harness::write_json_under(&out, &harness::result_name("drift", &name), &reports);
 

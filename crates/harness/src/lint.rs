@@ -20,9 +20,11 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
+use wdog_analyze::extract::read_sources;
 use wdog_analyze::{
-    analyze_locks, analyze_safety, compare, coverage_matrix, extract_target, target_named,
+    analyze_locks, analyze_safety_model, compare, coverage_matrix, extract_model, target_named,
     BlindSpot, CallGraph, CallGraphSummary, CoverageMatrix, LockOrderReport, SafetyReport,
+    TargetConfig,
 };
 use wdog_gen::plan::generate_plan;
 use wdog_gen::reduce::ReductionConfig;
@@ -77,11 +79,24 @@ pub fn select_lint_targets(name: &str) -> Option<Vec<LintTarget>> {
     }
 }
 
-/// Extracts, compares, and allowlists one target.
-pub fn run_lint(target: &LintTarget) -> std::io::Result<DriftReport> {
-    let cfg = target_named(target.name)
-        .unwrap_or_else(|| panic!("no analyzer scope registered for target {}", target.name));
-    let extracted = extract_target(cfg)?;
+impl LintTarget {
+    /// The analyzer scope of this target.
+    fn scope(&self) -> &'static TargetConfig {
+        target_named(self.name)
+            .unwrap_or_else(|| panic!("no analyzer scope registered for target {}", self.name))
+    }
+
+    /// Reads this target's crate sources, the input of [`run_lint`] and
+    /// [`run_analysis`].
+    pub fn sources(&self) -> std::io::Result<Vec<(String, String)>> {
+        read_sources(self.scope())
+    }
+}
+
+/// Extracts, compares, and allowlists one target over its `sources`.
+pub fn run_lint(target: &LintTarget, sources: &[(String, String)]) -> DriftReport {
+    let cfg = target.scope();
+    let extracted = extract_model(cfg.name, cfg.model(sources, true));
     let described = (target.describe)();
     let plan = generate_plan(&described, &ReductionConfig::default());
     let mut report = compare(
@@ -91,7 +106,7 @@ pub fn run_lint(target: &LintTarget) -> std::io::Result<DriftReport> {
         &VulnerabilityRules::default(),
     );
     report.apply_allowlist(&(target.allow)());
-    Ok(report)
+    report
 }
 
 /// The full static-analysis output for one target: call-graph shape,
@@ -155,27 +170,27 @@ pub fn load_blind_spots(dir: &Path, target: &str) -> std::io::Result<Vec<BlindSp
     Ok(spots)
 }
 
-/// Runs the deep static-analysis passes for one target: extraction, call
-/// graph, lock order, probe safety, and the coverage matrix against the
-/// plan generated from the target's own self-description (so coverage
-/// reflects the checkers that actually ship).
+/// Runs the deep static-analysis passes for one target over its
+/// `sources`: extraction, call graph, lock order, probe safety, and the
+/// coverage matrix against the plan generated from the target's own
+/// self-description (so coverage reflects the checkers that actually ship).
 pub fn run_analysis(
     target: &LintTarget,
+    sources: &[(String, String)],
     blind_spots: &[BlindSpot],
-) -> std::io::Result<AnalysisBundle> {
-    let cfg = target_named(target.name)
-        .unwrap_or_else(|| panic!("no analyzer scope registered for target {}", target.name));
-    let extracted = extract_target(cfg)?;
+) -> AnalysisBundle {
+    let cfg = target.scope();
+    let extracted = extract_model(cfg.name, cfg.model(sources, true));
     let described = (target.describe)();
     let plan = generate_plan(&described, &ReductionConfig::default());
     let graph = CallGraph::build(&extracted.ir);
-    Ok(AnalysisBundle {
+    AnalysisBundle {
         target: target.name.to_owned(),
         callgraph: graph.summary(target.name),
         locks: analyze_locks(&extracted.ir, &graph),
-        safety: analyze_safety(cfg)?,
+        safety: analyze_safety_model(cfg.name, &cfg.model(sources, false)),
         coverage: coverage_matrix(&extracted.ir, &plan, blind_spots),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -214,7 +229,8 @@ mod tests {
     #[test]
     fn merged_tree_is_drift_clean() {
         for t in lint_targets() {
-            let report = run_lint(&t).expect("extraction reads workspace sources");
+            let sources = t.sources().expect("workspace sources readable");
+            let report = run_lint(&t, &sources);
             assert!(
                 report.is_clean(),
                 "{} drifted:\n{}",

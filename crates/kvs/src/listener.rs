@@ -34,7 +34,6 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, rx: ClockedQueue<RequestItem>) {
         let Some((req, reply)) = rx.pop_timeout(IDLE_WAIT) else {
             continue;
         };
-        shared.monitor.op_start();
         if leak_flag.load(Ordering::Relaxed) {
             // Injected leak: allocation with no matching free.
             shared.monitor.alloc(LEAK_BYTES);
@@ -56,7 +55,6 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, rx: ClockedQueue<RequestItem>) {
         }
         let resp = handle_request(&shared, req);
         let _ = reply.push(resp);
-        shared.monitor.op_end();
     }
 }
 
@@ -67,22 +65,18 @@ pub(crate) fn handle_request(shared: &Arc<Shared>, req: Request) -> Response {
         Request::Set { key, value } => {
             // wdog: vulnerable name=index_put resource=index
             shared.index.put(key, value);
-            shared.stats.sets.fetch_add(1, Ordering::Relaxed);
             Response::Ok
         }
         Request::Append { key, value } => {
             shared.index.append(key, value);
-            shared.stats.appends.fetch_add(1, Ordering::Relaxed);
             Response::Ok
         }
         Request::Del { key } => {
             shared.index.remove(key);
-            shared.stats.dels.fetch_add(1, Ordering::Relaxed);
             Response::Ok
         }
     };
     if matches!(req, Request::Get { .. }) {
-        shared.stats.gets.fetch_add(1, Ordering::Relaxed);
         return resp;
     }
     // Writes fan out asynchronously as *after-images*: the logged record

@@ -44,14 +44,12 @@ pub(crate) fn replication_loop(
         };
         let payload = op.clone();
         hook.fire_kv("op_payload", CtxValue::Bytes(payload));
-        match net.send(&repl.src_addr, &repl.dst_addr, Bytes::from(op)) {
-            Ok(()) => {
-                shared.stats.repl_sent.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                // In-place error handler: the op is dropped after logging.
-                shared.stats.errors_handled.fetch_add(1, Ordering::Relaxed);
-            }
+        if net
+            .send(&repl.src_addr, &repl.dst_addr, Bytes::from(op))
+            .is_err()
+        {
+            // In-place error handler: the op is dropped after logging.
+            shared.stats.errors_handled.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

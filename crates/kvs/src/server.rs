@@ -38,22 +38,12 @@ use crate::wal::Wal;
 /// Counters exposed for experiments and assertions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvsStats {
-    /// Completed GET requests.
-    pub gets: u64,
-    /// Completed SET requests.
-    pub sets: u64,
-    /// Completed APPEND requests.
-    pub appends: u64,
-    /// Completed DEL requests.
-    pub dels: u64,
     /// WAL records made durable.
     pub wal_records: u64,
     /// Index snapshots flushed to SSTables.
     pub flushes: u64,
     /// Compactions completed.
     pub compactions: u64,
-    /// Operations shipped to the replica.
-    pub repl_sent: u64,
     /// Explicit errors caught by in-place error handlers (the paper's
     /// error-handler abstraction, measured as a detection baseline in E1).
     pub errors_handled: u64,
@@ -61,28 +51,18 @@ pub struct KvsStats {
 
 #[derive(Default)]
 pub(crate) struct StatsInner {
-    pub(crate) gets: AtomicU64,
-    pub(crate) sets: AtomicU64,
-    pub(crate) appends: AtomicU64,
-    pub(crate) dels: AtomicU64,
     pub(crate) wal_records: AtomicU64,
     pub(crate) flushes: AtomicU64,
     pub(crate) compactions: AtomicU64,
-    pub(crate) repl_sent: AtomicU64,
     pub(crate) errors_handled: AtomicU64,
 }
 
 impl StatsInner {
     fn snapshot(&self) -> KvsStats {
         KvsStats {
-            gets: self.gets.load(Ordering::Relaxed),
-            sets: self.sets.load(Ordering::Relaxed),
-            appends: self.appends.load(Ordering::Relaxed),
-            dels: self.dels.load(Ordering::Relaxed),
             wal_records: self.wal_records.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
-            repl_sent: self.repl_sent.load(Ordering::Relaxed),
             errors_handled: self.errors_handled.load(Ordering::Relaxed),
         }
     }

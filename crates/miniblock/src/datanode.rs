@@ -19,19 +19,20 @@ use wdog_target::Supervised;
 use crate::block::BlockStore;
 use crate::namenode::{NnMsg, NAMENODE_ADDR};
 
-/// DataNode tunables.
+/// Heartbeat period.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
+/// Block-report period.
+pub const REPORT_INTERVAL: Duration = Duration::from_millis(200);
+/// Block-scanner period (between whole-volume scans).
+pub const SCAN_INTERVAL: Duration = Duration::from_millis(100);
+
+/// DataNode topology.
 #[derive(Debug, Clone)]
 pub struct DataNodeConfig {
     /// DataNode id (its network address).
     pub id: String,
     /// Number of storage volumes.
     pub volumes: usize,
-    /// Heartbeat period.
-    pub heartbeat_interval: Duration,
-    /// Block-report period.
-    pub report_interval: Duration,
-    /// Block-scanner period (between whole-volume scans).
-    pub scan_interval: Duration,
 }
 
 impl Default for DataNodeConfig {
@@ -39,9 +40,6 @@ impl Default for DataNodeConfig {
         Self {
             id: "dn1".into(),
             volumes: 3,
-            heartbeat_interval: Duration::from_millis(50),
-            report_interval: Duration::from_millis(200),
-            scan_interval: Duration::from_millis(100),
         }
     }
 }
@@ -57,8 +55,6 @@ pub struct DataNodeStats {
     pub scan_errors: u64,
     /// Heartbeats sent.
     pub heartbeats: u64,
-    /// Block reports sent.
-    pub reports: u64,
 }
 
 /// Supervision bookkeeping for the DataNode's background components.
@@ -104,9 +100,7 @@ pub(crate) struct DnShared {
     pub(crate) blocks_scanned: AtomicU64,
     pub(crate) scan_errors: AtomicU64,
     pub(crate) heartbeats: AtomicU64,
-    pub(crate) reports: AtomicU64,
     pub(crate) supervisor: DnSupervisor,
-    pub(crate) config: DataNodeConfig,
 }
 
 impl DnShared {
@@ -118,7 +112,6 @@ impl DnShared {
 /// A running DataNode.
 pub struct DataNode {
     shared: Arc<DnShared>,
-    config: DataNodeConfig,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -144,7 +137,7 @@ impl DataNode {
             store,
             net,
             clock,
-            id: config.id.clone(),
+            id: config.id,
             blocks: RwLock::new(BTreeMap::new()),
             next_block: AtomicU64::new(1),
             running: AtomicBool::new(true),
@@ -155,9 +148,7 @@ impl DataNode {
             blocks_scanned: AtomicU64::new(0),
             scan_errors: AtomicU64::new(0),
             heartbeats: AtomicU64::new(0),
-            reports: AtomicU64::new(0),
             supervisor: DnSupervisor::new(),
-            config: config.clone(),
         });
 
         let mut threads = Vec::new();
@@ -191,11 +182,7 @@ impl DataNode {
             ));
         }
 
-        Ok(Self {
-            shared,
-            config,
-            threads,
-        })
+        Ok(Self { shared, threads })
     }
 
     /// Ingests a block; returns its id.
@@ -246,7 +233,6 @@ impl DataNode {
             blocks_scanned: s.blocks_scanned.load(Ordering::Relaxed),
             scan_errors: s.scan_errors.load(Ordering::Relaxed),
             heartbeats: s.heartbeats.load(Ordering::Relaxed),
-            reports: s.reports.load(Ordering::Relaxed),
         }
     }
 
@@ -272,7 +258,7 @@ impl DataNode {
 
     /// Returns this node's id.
     pub fn id(&self) -> &str {
-        &self.config.id
+        &self.shared.id
     }
 
     /// Supervision bookkeeping snapshot.
@@ -315,7 +301,6 @@ impl DataNode {
 /// Periodically tells the NameNode this node is alive; `alive` is this
 /// generation's supervision flag.
 pub(crate) fn heartbeat_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
-    let interval = s.config.heartbeat_interval;
     while s.is_running() && alive.load(Ordering::Relaxed) {
         let msg = NnMsg::Heartbeat {
             datanode: s.id.clone(),
@@ -323,16 +308,15 @@ pub(crate) fn heartbeat_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
         if s.net.send(&s.id, NAMENODE_ADDR, msg.encode()).is_ok() {
             s.heartbeats.fetch_add(1, Ordering::Relaxed);
         }
-        s.clock.sleep(interval);
+        s.clock.sleep(HEARTBEAT_INTERVAL);
     }
 }
 
 /// Periodically ships the full block inventory to the NameNode.
 fn report_loop(s: Arc<DnShared>) {
     let hook = s.hooks.site("report_loop");
-    let interval = s.config.report_interval;
     while s.is_running() {
-        s.clock.sleep(interval);
+        s.clock.sleep(REPORT_INTERVAL);
         let blocks: Vec<u64> = s.blocks.read().keys().copied().collect();
         let count = blocks.len() as u64;
         hook.fire_kv("block_count", CtxValue::U64(count));
@@ -340,18 +324,15 @@ fn report_loop(s: Arc<DnShared>) {
             datanode: s.id.clone(),
             blocks,
         };
-        if s.net.send(&s.id, NAMENODE_ADDR, msg.encode()).is_ok() {
-            s.reports.fetch_add(1, Ordering::Relaxed);
-        }
+        let _ = s.net.send(&s.id, NAMENODE_ADDR, msg.encode());
     }
 }
 
 /// Periodically validates every stored block (HDFS's DataBlockScanner).
 pub(crate) fn scanner_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
     let hook = s.hooks.site("scanner_loop");
-    let interval = s.config.scan_interval;
     while s.is_running() && alive.load(Ordering::Relaxed) {
-        s.clock.sleep(interval);
+        s.clock.sleep(SCAN_INTERVAL);
         for (_, path) in s.store.list_all() {
             if path.ends_with(".volume") || path.contains("__wd") {
                 continue;
@@ -384,7 +365,7 @@ impl Drop for DataNode {
 impl std::fmt::Debug for DataNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DataNode")
-            .field("id", &self.config.id)
+            .field("id", &self.shared.id)
             .field("stats", &self.stats())
             .finish()
     }

@@ -7,11 +7,11 @@
 //! write-serialization lock) and enqueues the commit for broadcast.
 //!
 //! The sync processor group-commits, as ZooKeeper's `SyncRequestProcessor`
-//! does: the pipeline takes every write already queued (at most the
-//! queue's `pipeline_cap`), logs the whole batch with one append and one
-//! fsync, and only then applies and broadcasts each transaction in zxid
-//! order. A failed append or fsync fails every write in the batch, and none
-//! of them is applied.
+//! does: the pipeline takes every write already queued (at most
+//! [`PIPELINE_CAP`](crate::quorum::PIPELINE_CAP)), logs the whole batch
+//! with one append and one fsync, and only then applies and broadcasts
+//! each transaction in zxid order. A failed append or fsync fails every
+//! write in the batch, and none of them is applied.
 //!
 //! Because the pipeline is ordered, one transaction blocked inside the
 //! final processor — e.g. on a write lock held by a wedged snapshot sync —

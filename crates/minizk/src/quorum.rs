@@ -40,6 +40,9 @@ pub fn follower_addr(idx: usize) -> String {
     format!("zk-follower-{idx}")
 }
 
+/// Write pipeline queue capacity.
+pub const PIPELINE_CAP: usize = 1024;
+
 /// Cluster tunables.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -47,8 +50,6 @@ pub struct ClusterConfig {
     pub followers: usize,
     /// Client write/read timeout.
     pub client_timeout: Duration,
-    /// Write pipeline queue capacity.
-    pub pipeline_cap: usize,
 }
 
 impl Default for ClusterConfig {
@@ -56,7 +57,6 @@ impl Default for ClusterConfig {
         Self {
             followers: 2,
             client_timeout: Duration::from_secs(2),
-            pipeline_cap: 1024,
         }
     }
 }
@@ -66,8 +66,6 @@ pub(crate) struct ZkStatsInner {
     pub(crate) txns_logged: AtomicU64,
     pub(crate) writes_applied: AtomicU64,
     pub(crate) commits_broadcast: AtomicU64,
-    pub(crate) pongs_sent: AtomicU64,
-    pub(crate) syncs_completed: AtomicU64,
 }
 
 /// Counter snapshot for experiments.
@@ -79,10 +77,6 @@ pub struct ZkStats {
     pub writes_applied: u64,
     /// Commits delivered to the broadcast thread.
     pub commits_broadcast: u64,
-    /// Liveness replies the leader has sent.
-    pub pongs_sent: u64,
-    /// Follower syncs completed.
-    pub syncs_completed: u64,
 }
 
 /// State shared by every leader thread and the watchdog integration.
@@ -242,7 +236,7 @@ impl Cluster {
         let context = ContextTable::new(Arc::clone(&clock));
         let hooks = Hooks::new(Arc::clone(&context));
         let broadcast_q = ClockedQueue::<(u64, WriteOp)>::unbounded(&clock);
-        let pipeline_q = ClockedQueue::<PipelineItem>::bounded(&clock, config.pipeline_cap);
+        let pipeline_q = ClockedQueue::<PipelineItem>::bounded(&clock, PIPELINE_CAP);
         let monitor = ResourceMonitor::new();
         let pq = pipeline_q.clone();
         monitor.register_queue("pipeline", Arc::new(move || pq.len()));
@@ -387,9 +381,6 @@ impl Cluster {
                 }
             });
             *shared.sync_target.write() = None;
-            if result.is_ok() {
-                shared.stats.syncs_completed.fetch_add(1, Ordering::Relaxed);
-            }
             result
         })
     }
@@ -435,8 +426,6 @@ impl Cluster {
             txns_logged: s.txns_logged.load(Ordering::Relaxed),
             writes_applied: s.writes_applied.load(Ordering::Relaxed),
             commits_broadcast: s.commits_broadcast.load(Ordering::Relaxed),
-            pongs_sent: s.pongs_sent.load(Ordering::Relaxed),
-            syncs_completed: s.syncs_completed.load(Ordering::Relaxed),
         }
     }
 
@@ -541,13 +530,9 @@ fn responder_loop(shared: Arc<ZkShared>, mailbox: simio::net::Mailbox) {
             continue;
         };
         if let Ok(ZkMsg::Ping { seq }) = ZkMsg::decode(&m.payload) {
-            if shared
+            let _ = shared
                 .net
-                .send(LEADER_ADDR, &m.src, ZkMsg::Pong { seq }.encode())
-                .is_ok()
-            {
-                shared.stats.pongs_sent.fetch_add(1, Ordering::Relaxed);
-            }
+                .send(LEADER_ADDR, &m.src, ZkMsg::Pong { seq }.encode());
         }
     }
 }

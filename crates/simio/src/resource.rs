@@ -3,15 +3,15 @@
 //! The paper's *signal* checkers (Table 2) watch system health indicators:
 //! memory usage, queue depths, load. In a simulation there is no `/proc` to
 //! read, so target systems account their resource usage against a
-//! [`ResourceMonitor`] — allocations, in-flight operations, and named queues
-//! whose depths are sampled through registered probes.
+//! [`ResourceMonitor`] — allocations and named queues whose depths are
+//! sampled through registered probes.
 //!
 //! The monitor is purely observational: it never fails an operation itself
 //! (capacity enforcement lives in the substrate that owns the resource), it
 //! just exposes the numbers a checker would read.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -73,9 +73,6 @@ pub struct ResourceMonitor {
 #[derive(Default)]
 struct MonitorInner {
     memory_bytes: AtomicI64,
-    peak_memory_bytes: AtomicU64,
-    inflight_ops: AtomicI64,
-    completed_ops: AtomicU64,
     queues: RwLock<HashMap<String, DepthProbe>>,
 }
 
@@ -87,14 +84,9 @@ impl ResourceMonitor {
 
     /// Records an allocation of `bytes`.
     pub fn alloc(&self, bytes: u64) {
-        let now = self
-            .inner
-            .memory_bytes
-            .fetch_add(bytes as i64, Ordering::Relaxed)
-            + bytes as i64;
         self.inner
-            .peak_memory_bytes
-            .fetch_max(now.max(0) as u64, Ordering::Relaxed);
+            .memory_bytes
+            .fetch_add(bytes as i64, Ordering::Relaxed);
     }
 
     /// Records a free of `bytes`; clamps at zero if over-freed.
@@ -111,32 +103,6 @@ impl ResourceMonitor {
     /// Returns currently accounted memory in bytes.
     pub fn memory_bytes(&self) -> u64 {
         self.inner.memory_bytes.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Returns the high-water memory mark in bytes.
-    pub fn peak_memory_bytes(&self) -> u64 {
-        self.inner.peak_memory_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Marks an operation as started; pair with [`ResourceMonitor::op_end`].
-    pub fn op_start(&self) {
-        self.inner.inflight_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Marks an operation as finished.
-    pub fn op_end(&self) {
-        self.inner.inflight_ops.fetch_sub(1, Ordering::Relaxed);
-        self.inner.completed_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Returns the number of operations currently in flight (the "load").
-    pub fn inflight_ops(&self) -> i64 {
-        self.inner.inflight_ops.load(Ordering::Relaxed)
-    }
-
-    /// Returns the total number of completed operations.
-    pub fn completed_ops(&self) -> u64 {
-        self.inner.completed_ops.load(Ordering::Relaxed)
     }
 
     /// Registers (or replaces) a named queue-depth probe.
@@ -161,7 +127,6 @@ impl std::fmt::Debug for ResourceMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResourceMonitor")
             .field("memory_bytes", &self.memory_bytes())
-            .field("inflight_ops", &self.inflight_ops())
             .field("queues", &self.queue_names())
             .finish()
     }
@@ -170,17 +135,16 @@ impl std::fmt::Debug for ResourceMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn memory_accounting_tracks_peak() {
+    fn memory_accounting_tracks_allocs_and_frees() {
         let m = ResourceMonitor::new();
         m.alloc(100);
         m.alloc(50);
         assert_eq!(m.memory_bytes(), 150);
-        assert_eq!(m.peak_memory_bytes(), 150);
         m.free(120);
         assert_eq!(m.memory_bytes(), 30);
-        assert_eq!(m.peak_memory_bytes(), 150);
     }
 
     #[test]
@@ -189,17 +153,6 @@ mod tests {
         m.alloc(10);
         m.free(100);
         assert_eq!(m.memory_bytes(), 0);
-    }
-
-    #[test]
-    fn ops_balance() {
-        let m = ResourceMonitor::new();
-        m.op_start();
-        m.op_start();
-        assert_eq!(m.inflight_ops(), 2);
-        m.op_end();
-        assert_eq!(m.inflight_ops(), 1);
-        assert_eq!(m.completed_ops(), 1);
     }
 
     #[test]

@@ -98,30 +98,48 @@ pub struct ExtractedProgram {
     pub notes: Vec<String>,
 }
 
+/// Reads a target crate's `.rs` sources as `(workspace-relative path,
+/// text)` pairs, sorted by path.
+pub fn read_sources(cfg: &TargetConfig) -> std::io::Result<Vec<(String, String)>> {
+    let dir = workspace_root().join(cfg.src_dir);
+    let mut names: Vec<String> = std::fs::read_dir(&dir)?
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.ends_with(".rs"))
+        .collect();
+    names.sort();
+    names
+        .into_iter()
+        .map(|n| {
+            let src = std::fs::read_to_string(dir.join(&n))?;
+            Ok((format!("{}/{n}", cfg.src_dir), src))
+        })
+        .collect()
+}
+
+impl TargetConfig {
+    /// The crate model over `sources` (as [`read_sources`] returns them).
+    /// With `exclusions`, the files in [`TargetConfig::exclude`] are
+    /// scanned for consts only.
+    pub fn model(&self, sources: &[(String, String)], exclusions: bool) -> CrateModel {
+        let files = sources
+            .iter()
+            .map(|(rel, src)| {
+                let fname = rel.rsplit('/').next().unwrap_or(rel);
+                SourceFile::parse(
+                    rel.clone(),
+                    src,
+                    exclusions && self.exclude.contains(&fname),
+                )
+            })
+            .collect();
+        CrateModel::build(files)
+    }
+}
+
 /// Reads and extracts a builtin or custom target from disk.
 pub fn extract_target(cfg: &TargetConfig) -> std::io::Result<ExtractedProgram> {
-    let dir = workspace_root().join(cfg.src_dir);
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-        .collect();
-    paths.sort();
-    let mut files = Vec::new();
-    for path in paths {
-        let fname = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        let src = std::fs::read_to_string(&path)?;
-        let excluded = cfg.exclude.contains(&fname.as_str());
-        files.push(SourceFile::parse(
-            format!("{}/{}", cfg.src_dir, fname),
-            &src,
-            excluded,
-        ));
-    }
-    Ok(extract_model(cfg.name, CrateModel::build(files)))
+    let sources = read_sources(cfg)?;
+    Ok(extract_model(cfg.name, cfg.model(&sources, true)))
 }
 
 /// Restricts `ir` to the regions rooted at `entries` (reachable closure).
@@ -216,8 +234,6 @@ struct Unit {
 #[derive(Debug, Default)]
 struct UnitFacts {
     ops: Vec<Operation>,
-    /// Line per op, parallel to `ops`.
-    op_lines: Vec<u32>,
     /// Context keys this unit fires, with published field names.
     fires: BTreeMap<String, BTreeSet<String>>,
 }
@@ -356,7 +372,7 @@ impl Extractor {
                     .is_some()
                 {
                     self.notes
-                        .push(format!("ignored spawn at line {spawn_line}"));
+                        .push(format!("ignored spawn in fn `{}`", self.units[u].name));
                     i = close + 1;
                     continue;
                 }
@@ -381,9 +397,10 @@ impl Extractor {
                 } else if let Some(target) = self.closure_named_target(file, closure.clone()) {
                     named_entries.insert(target);
                 } else {
-                    let name = format!("{}_spawn{}", self.units[u].name, synthetics.len());
+                    let parent = &self.units[u].name;
+                    let name = format!("{parent}_spawn{}", synthetics.len());
                     self.notes.push(format!(
-                        "spawn at line {spawn_line} has no site, region annotation, \
+                        "spawn in fn `{parent}` has no site, region annotation, \
                          or named target; synthesized entry `{name}`"
                     ));
                     synthetics.push(Unit {
@@ -599,7 +616,8 @@ impl Extractor {
                     facts.fires.entry(key).or_default().extend(fields);
                 } else {
                     self.notes.push(format!(
-                        "unresolvable hook fire via `{owner}` at line {line}"
+                        "unresolvable hook fire via `{owner}` in fn `{}`",
+                        self.units[unit].name
                     ));
                 }
             }
@@ -630,7 +648,7 @@ impl Extractor {
         }) = self.take_directive(file, line, 2, |d| matches!(d, Directive::Vulnerable { .. }))
         {
             let annotated = kind.is_none();
-            let op_name = ann_name.unwrap_or_else(|| format!("{name}_l{line}"));
+            let op_name = ann_name.unwrap_or_else(|| name.to_owned());
             push_op(
                 facts,
                 Operation {
@@ -643,7 +661,6 @@ impl Extractor {
                     in_loop,
                     annotated_vulnerable: annotated,
                 },
-                line,
             );
             return None;
         }
@@ -664,14 +681,13 @@ impl Extractor {
             push_op(
                 facts,
                 Operation {
-                    name: format!("{name}_l{line}"),
+                    name: name.to_owned(),
                     kind: rule.kind.clone(),
                     args: Vec::new(),
                     resource: resource.map(|r| resource_family(&r).to_owned()),
                     in_loop,
                     annotated_vulnerable: false,
                 },
-                line,
             );
             return None;
         }
@@ -711,7 +727,6 @@ impl Extractor {
                         in_loop,
                         annotated_vulnerable: false,
                     },
-                    line,
                 );
             }
         }
@@ -909,12 +924,11 @@ impl Extractor {
         for &u in &keep {
             let unit = &self.units[u];
             let file = &self.model.files[unit.file];
-            for (op, line) in facts[u].ops.iter().zip(&facts[u].op_lines) {
+            for op in &facts[u].ops {
                 sites.insert(
                     format!("{}#{}", unit.name, op.name),
                     SourceRef {
                         file: file.rel_path.clone(),
-                        line: *line,
                     },
                 );
             }
@@ -947,8 +961,9 @@ impl Extractor {
     }
 }
 
-fn push_op(facts: &mut UnitFacts, mut op: Operation, line: u32) {
-    // Keep op names unique within the function.
+/// Appends `op`, naming it by ordinal: the second and later op of one
+/// name in a function take `_2`, `_3`, … in source order.
+fn push_op(facts: &mut UnitFacts, mut op: Operation) {
     if facts.ops.iter().any(|o| o.name == op.name) {
         let mut k = 2;
         while facts
@@ -961,7 +976,6 @@ fn push_op(facts: &mut UnitFacts, mut op: Operation, line: u32) {
         op.name = format!("{}_{k}", op.name);
     }
     facts.ops.push(op);
-    facts.op_lines.push(line);
 }
 
 fn matching_square(tokens: &[Token], open: usize) -> Option<usize> {
@@ -1209,9 +1223,36 @@ fn helper(shared: &Shared) {
         let ex = extract(&[("worker.rs", WORKER)]);
         let fields = ex.regions_fired.get("main_loop").unwrap();
         assert!(fields.contains("payload"));
-        let site = ex.sites.get("main_loop#append_l13").unwrap();
+        let site = ex.sites.get("main_loop#append").unwrap();
         assert_eq!(site.file, "src/worker.rs");
-        assert_eq!(site.line, 13);
+    }
+
+    #[test]
+    fn repeated_callees_take_ordinals_in_source_order() {
+        let ex = extract(&[(
+            "a.rs",
+            r#"
+pub fn start() { t.spawn(move || drain(s)).unwrap(); }
+pub fn drain(s: Shared) {
+    let site = hooks.site("drain");
+    loop {
+        s.disk.append("wal/a", &x);
+        s.disk.fsync("wal/a");
+        s.disk.append("wal/b", &y);
+        s.disk.append("wal/c", &z);
+    }
+}
+"#,
+        )]);
+        let names: Vec<&str> = ex
+            .ir
+            .function("drain")
+            .unwrap()
+            .ops
+            .iter()
+            .map(|o| o.name.as_str())
+            .collect();
+        assert_eq!(names, vec!["append", "fsync", "append_2", "append_3"]);
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use extract::{
 };
 pub use locks::{analyze_locks, LockOrderReport};
 pub use model::{CrateModel, SourceFile};
-pub use safety::{analyze_safety, analyze_safety_model, SafetyClass, SafetyReport};
+pub use safety::{analyze_safety_model, SafetyClass, SafetyReport};

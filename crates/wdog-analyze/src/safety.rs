@@ -32,9 +32,8 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::extract::{workspace_root, TargetConfig};
 use crate::lexer::Token;
-use crate::model::{matching_brace, matching_paren, CrateModel, SourceFile};
+use crate::model::{matching_brace, matching_paren, CrateModel};
 
 /// The probe-isolation marker every tagged resource carries.
 pub const PROBE_MARKER: &str = "__wd";
@@ -98,8 +97,6 @@ impl SafetyClass {
 pub struct MutationSite {
     /// The mutating method or helper name.
     pub method: String,
-    /// 1-based source line.
-    pub line: u32,
     /// Whether a probe tag was found for this call.
     pub tagged: bool,
 }
@@ -107,13 +104,16 @@ pub struct MutationSite {
 /// One classified probe body.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProbeSafety {
-    /// Probe id (the registered `fn#op` / checker id, or
-    /// `{enclosing_fn}@L{line}` when the id is not a literal).
+    /// Probe id: the registered `fn#op` / checker id, or
+    /// `{file_stem}::{function}` when the id is not a literal (the second
+    /// and later such id of one function take `_2`, `_3`, … in source
+    /// order).
     pub id: String,
     /// Workspace-relative file.
     pub file: String,
-    /// 1-based line of the body start.
-    pub line: u32,
+    /// The function that registers the probe (for a checker's `check`
+    /// method, `check` itself).
+    pub function: String,
     /// The derived class.
     pub class: SafetyClass,
     /// Every mutating call found.
@@ -127,7 +127,7 @@ pub struct ProbeSafety {
 pub struct SafetyReport {
     /// Program name.
     pub program: String,
-    /// Every probe body, sorted by (file, line).
+    /// Every probe body, in source order per file (files sorted by path).
     pub probes: Vec<ProbeSafety>,
     /// Notes (e.g. files scanned).
     pub info: Vec<String>,
@@ -290,7 +290,6 @@ impl<'a> Scanner<'a> {
             if MUTATORS.contains(&name) {
                 sites.push(MutationSite {
                     method: name.to_owned(),
-                    line: t.line,
                     tagged: self.any_tagged(args, &locals),
                 });
             } else if bare_call {
@@ -300,7 +299,6 @@ impl<'a> Scanner<'a> {
                     let tagged = summary.all_tagged || self.any_tagged(args, &locals);
                     sites.push(MutationSite {
                         method: name,
-                        line: t.line,
                         tagged,
                     });
                 }
@@ -313,16 +311,31 @@ impl<'a> Scanner<'a> {
 
 /// A discovered probe body awaiting classification.
 struct ProbeUnit {
-    id: String,
+    /// The literal id, when the source spells one.
+    literal_id: Option<String>,
     file: usize,
-    line: u32,
+    function: String,
+    /// Token index of the registration: the source order of the probe.
+    start: usize,
     body: std::ops::Range<usize>,
 }
 
+/// The innermost function of `model` whose body holds token `at` of
+/// file `file`.
+fn enclosing_fn(model: &CrateModel, file: usize, at: usize) -> Option<&str> {
+    model
+        .fns
+        .iter()
+        .filter(|f| f.file == file && f.body.contains(&at))
+        .max_by_key(|f| f.body.start)
+        .map(|f| f.name.as_str())
+}
+
 /// Finds `table.register("fn#op", move |..| { .. })` and
-/// `ProbeChecker::new("id", .., move || { .. })` closures in `tokens`.
-fn find_closure_units(file_idx: usize, file: &SourceFile, units: &mut Vec<ProbeUnit>) {
-    let tokens = &file.tokens;
+/// `ProbeChecker::new("id", .., move || { .. })` closures in file
+/// `file_idx` of `model`.
+fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<ProbeUnit>) {
+    let tokens = &model.files[file_idx].tokens;
     let mut i = 0usize;
     while i < tokens.len() {
         let is_register = tokens[i].ident() == Some("register")
@@ -342,10 +355,11 @@ fn find_closure_units(file_idx: usize, file: &SourceFile, units: &mut Vec<ProbeU
             i += 1;
             continue;
         };
-        // Probe id: the first string argument, or a synthesized locator.
-        let id = match &tokens[open + 1].tok {
-            crate::lexer::Tok::Str(s) => s.clone(),
-            _ => format!("{}@L{}", file.rel_path, tokens[i].line),
+        // Probe id: the first string argument; otherwise one is
+        // synthesized from the enclosing function once all are found.
+        let literal_id = match &tokens[open + 1].tok {
+            crate::lexer::Tok::Str(s) => Some(s.clone()),
+            _ => None,
         };
         // The probe body: the closure's brace block inside the arg list.
         let mut j = open + 1;
@@ -377,9 +391,12 @@ fn find_closure_units(file_idx: usize, file: &SourceFile, units: &mut Vec<ProbeU
         }
         if let Some(body) = body {
             units.push(ProbeUnit {
-                id,
+                literal_id,
                 file: file_idx,
-                line: tokens[i].line,
+                function: enclosing_fn(model, file_idx, i)
+                    .unwrap_or_default()
+                    .to_owned(),
+                start: i,
                 body,
             });
         }
@@ -394,30 +411,42 @@ pub fn analyze_safety_model(program: &str, model: &CrateModel) -> SafetyReport {
     for (idx, file) in model.files.iter().enumerate() {
         let fname = file.rel_path.rsplit('/').next().unwrap_or(&file.rel_path);
         if fname == "wd.rs" {
-            find_closure_units(idx, file, &mut units);
+            find_closure_units(model, idx, &mut units);
         }
         if checker_files(program).contains(&fname) {
             for decl in model.fns.iter().filter(|f| f.file == idx) {
                 if decl.name == "check" {
                     units.push(ProbeUnit {
-                        id: format!(
-                            "{}::check@L{}",
-                            fname.trim_end_matches(".rs"),
-                            decl.sig_line
-                        ),
+                        literal_id: None,
                         file: idx,
-                        line: decl.sig_line,
+                        function: decl.name.clone(),
+                        start: decl.body.start,
                         body: decl.body.clone(),
                     });
                 }
             }
         }
     }
+    units.sort_by(|a, b| {
+        (&model.files[a.file].rel_path, a.start).cmp(&(&model.files[b.file].rel_path, b.start))
+    });
 
     let mut scanner = Scanner::new(model);
-    let mut probes = Vec::new();
+    let mut probes: Vec<ProbeSafety> = Vec::new();
     for unit in units {
         let file = &model.files[unit.file];
+        let id = unit.literal_id.unwrap_or_else(|| {
+            let stem = file.rel_path.rsplit('/').next().unwrap_or(&file.rel_path);
+            let base = format!("{}::{}", stem.trim_end_matches(".rs"), unit.function);
+            let taken = |id: &str| probes.iter().any(|p| p.id == id);
+            let mut id = base.clone();
+            let mut k = 2;
+            while taken(&id) {
+                id = format!("{base}_{k}");
+                k += 1;
+            }
+            id
+        });
         let tokens = &file.tokens;
         let mutations = scanner.scan_body(tokens, unit.body.clone(), &BTreeMap::new());
 
@@ -448,15 +477,14 @@ pub fn analyze_safety_model(program: &str, model: &CrateModel) -> SafetyReport {
             SafetyClass::SharedMutation
         };
         probes.push(ProbeSafety {
-            id: unit.id,
+            id,
             file: file.rel_path.clone(),
-            line: unit.line,
+            function: unit.function,
             class,
             mutations,
             replica_annotation,
         });
     }
-    probes.sort_by(|a, b| (&a.file, a.line, &a.id).cmp(&(&b.file, b.line, &b.id)));
 
     let mut info = vec![format!(
         "{} probe bodies scanned; {} probe-marker consts in scope",
@@ -473,33 +501,10 @@ pub fn analyze_safety_model(program: &str, model: &CrateModel) -> SafetyReport {
     }
 }
 
-/// Reads the target's crate sources (nothing excluded — probe bodies live
-/// in the very files the IR extractor skips) and classifies every probe.
-pub fn analyze_safety(cfg: &TargetConfig) -> std::io::Result<SafetyReport> {
-    let root = workspace_root();
-    let dir = root.join(cfg.src_dir);
-    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-        .collect();
-    paths.sort();
-    let mut files = Vec::new();
-    for path in paths {
-        let src = std::fs::read_to_string(&path)?;
-        let rel = format!(
-            "{}/{}",
-            cfg.src_dir,
-            path.file_name().unwrap().to_string_lossy()
-        );
-        files.push(SourceFile::parse(rel, &src, false));
-    }
-    Ok(analyze_safety_model(cfg.name, &CrateModel::build(files)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::SourceFile;
 
     fn report(src: &str) -> SafetyReport {
         let model = CrateModel::build(vec![SourceFile::parse("crates/x/src/wd.rs", src, false)]);
@@ -640,6 +645,42 @@ fn build(s: &S) {
     }
 
     #[test]
+    fn probes_record_their_function_and_unnamed_ones_take_its_name() {
+        let r = report(
+            r#"
+fn op_table(s: &S) -> OpTable {
+    table.register("f#r", move |_snap| { s.disk.read("data/x") });
+    for id in IDS {
+        table.register(id, move |_snap| { s.disk.read("data/y") });
+    }
+    table
+}
+fn op_table_unsynced(s: &S) -> OpTable {
+    table.register("f#r", move |_snap| { s.disk.read("data/x") });
+    table.register(ID, move |_snap| { s.disk.read("data/y") });
+    table.register(ID, move |_snap| { s.disk.read("data/z") });
+    table
+}
+"#,
+        );
+        let got: Vec<(&str, &str)> = r
+            .probes
+            .iter()
+            .map(|p| (p.id.as_str(), p.function.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("f#r", "op_table"),
+                ("wd::op_table", "op_table"),
+                ("f#r", "op_table_unsynced"),
+                ("wd::op_table_unsynced", "op_table_unsynced"),
+                ("wd::op_table_unsynced_2", "op_table_unsynced"),
+            ]
+        );
+    }
+
+    #[test]
     fn replica_annotation_excuses_with_justification() {
         let r = report(
             r#"
@@ -691,5 +732,8 @@ impl Enhanced {
         assert_eq!(r.probes.len(), 2, "{r:?}");
         assert_eq!(r.probes[0].class, SafetyClass::ReadOnly);
         assert_eq!(r.probes[1].class, SafetyClass::ReplicaWrite, "{r:?}");
+        // Non-literal ids are named by function + ordinal, in source order.
+        let ids: Vec<&str> = r.probes.iter().map(|p| p.id.as_str()).collect();
+        assert_eq!(ids, ["disk_checker::check", "disk_checker::check_2"]);
     }
 }

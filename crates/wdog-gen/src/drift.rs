@@ -45,18 +45,18 @@ impl DriftKind {
     }
 }
 
-/// A source location, workspace-relative.
+/// A source location: the workspace-relative file. The op id next to it
+/// (`function#op`) names the site within the file, so moving a line
+/// moves no serialized byte.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SourceRef {
     /// Workspace-relative file path.
     pub file: String,
-    /// 1-based line number.
-    pub line: u32,
 }
 
 impl std::fmt::Display for SourceRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}", self.file, self.line)
+        f.write_str(&self.file)
     }
 }
 
@@ -249,7 +249,6 @@ mod tests {
                 detail: "no runtime hook".into(),
                 source: Some(SourceRef {
                     file: "crates/kvs/src/listener.rs".into(),
-                    line: 124,
                 }),
                 allowed: None,
             }],

@@ -15,12 +15,15 @@
 //!    produces a denied `missing-from-description` finding that names the
 //!    real source site, which is exactly what makes `wdog-lint` exit
 //!    non-zero in CI.
+//! 4. **Line independence** — ops are named by callee + ordinal, never by
+//!    line: shifting every function of a target down by two lines leaves
+//!    every serialized analysis output byte-equal.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use harness::lint::lint_targets;
-use wdog_analyze::{compare, extract_target, restrict_to_regions, target_named};
+use harness::lint::{lint_targets, load_blind_spots, run_analysis, run_lint};
+use wdog_analyze::{compare, extract_model, extract_target, restrict_to_regions, target_named};
 use wdog_gen::plan::generate_plan;
 use wdog_gen::reduce::{class_counts, reduce_program, ReductionConfig};
 use wdog_gen::vulnerable::VulnerabilityRules;
@@ -130,5 +133,81 @@ fn deleting_a_described_op_names_the_missing_source_site() {
         "source site should be in the kvs crate, got {}",
         src.file
     );
-    assert!(src.line > 0, "source line is 1-based");
+    assert!(
+        extracted.sites.get(&finding.subject) == Some(src),
+        "the finding's op id `{}` keys its source site",
+        finding.subject
+    );
+}
+
+/// `src` with a blank line and a `// shifted` comment inserted at the top
+/// and above every `fn` (above its doc comments, attributes and `// wdog:`
+/// directives, which stay adjacent to it).
+fn shifted(src: &str) -> String {
+    const SHIFT: &str = "\n// shifted\n";
+    let lines: Vec<&str> = src.lines().collect();
+    let is_decl = |line: &str| {
+        let mut words = line
+            .split_whitespace()
+            .skip_while(|w| w.starts_with("pub") || ["const", "async", "unsafe"].contains(w));
+        words.next() == Some("fn")
+    };
+    let is_prefix = |line: &str| {
+        let t = line.trim_start();
+        t.starts_with("//") || t.starts_with("#[")
+    };
+    let mut marks = BTreeSet::from([0]);
+    for (i, line) in lines.iter().enumerate() {
+        if is_decl(line) {
+            let mut j = i;
+            while j > 0 && is_prefix(lines[j - 1]) {
+                j -= 1;
+            }
+            marks.insert(j);
+        }
+    }
+    let mut out = String::new();
+    for (i, line) in lines.iter().enumerate() {
+        if marks.contains(&i) {
+            out.push_str(SHIFT);
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn analysis_is_invariant_under_line_shifts() {
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/chaos_corpus");
+    for t in lint_targets() {
+        let cfg = target_named(t.name).expect("builtin target");
+        let sources = t.sources().expect("workspace sources readable");
+        let moved: Vec<(String, String)> = sources
+            .iter()
+            .map(|(path, src)| (path.clone(), shifted(src)))
+            .collect();
+        assert_ne!(sources, moved, "{}: the shift moved no line", t.name);
+        let spots = load_blind_spots(&corpus, t.name).expect("corpus parses");
+        let render = |sources: &[(String, String)]| {
+            let b = run_analysis(&t, sources, &spots);
+            let extracted = extract_model(cfg.name, cfg.model(sources, true));
+            let drift = run_lint(&t, sources);
+            [
+                ("extraction", serde_json::to_string_pretty(&extracted)),
+                ("safety", serde_json::to_string_pretty(&b.safety)),
+                ("locks", serde_json::to_string_pretty(&b.locks)),
+                ("coverage", serde_json::to_string_pretty(&b.coverage)),
+                ("drift", serde_json::to_string_pretty(&drift)),
+            ]
+            .map(|(what, json)| (what, json.expect("analysis output serializes")))
+        };
+        for ((what, before), (_, after)) in render(&sources).into_iter().zip(render(&moved)) {
+            assert_eq!(
+                before, after,
+                "{}: {what} moved with the source lines",
+                t.name
+            );
+        }
+    }
 }

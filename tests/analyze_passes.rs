@@ -25,9 +25,8 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use harness::lint::{lint_targets, load_blind_spots, run_analysis, AnalysisBundle};
-use wdog_analyze::{
-    extract_model, target_named, CallGraph, CoverageStatus, CrateModel, SourceFile,
-};
+use wdog_analyze::extract::read_sources;
+use wdog_analyze::{extract_model, target_named, CallGraph, CoverageStatus};
 use wdog_gen::ir::ProgramBuilder;
 
 fn archive_path(name: &str) -> PathBuf {
@@ -45,15 +44,15 @@ fn bundles() -> Vec<AnalysisBundle> {
         .iter()
         .map(|t| {
             let spots = load_blind_spots(&corpus_dir(), t.name).expect("corpus parses");
-            run_analysis(t, &spots).expect("workspace sources readable")
+            let sources = t.sources().expect("workspace sources readable");
+            run_analysis(t, &sources, &spots)
         })
         .collect()
 }
 
 const REGENERATE: &str = "cargo run --release -p harness --bin wdog-lint -- --target all";
 
-fn check_archive(name: &str, mut rendered: String) {
-    rendered.push('\n');
+fn check_archive(name: &str, rendered: String) {
     let path = archive_path(name);
     let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -200,31 +199,13 @@ fn no_region_has_stuck_coverage_yet() {
 fn extraction_callgraph_is_stable_under_file_order() {
     for t in ["kvs", "minizk", "miniblock"] {
         let cfg = target_named(t).expect("builtin target");
-        let dir = wdog_analyze::workspace_root().join(cfg.src_dir);
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-            .collect();
-        paths.sort();
-
-        let load = |paths: &[PathBuf]| {
-            let files: Vec<SourceFile> = paths
-                .iter()
-                .map(|p| {
-                    let fname = p.file_name().unwrap().to_str().unwrap().to_owned();
-                    SourceFile::parse(
-                        format!("{}/{}", cfg.src_dir, fname),
-                        &std::fs::read_to_string(p).unwrap(),
-                        cfg.exclude.contains(&fname.as_str()),
-                    )
-                })
-                .collect();
-            CallGraph::build(&extract_model(cfg.name, CrateModel::build(files)).ir)
+        let sources = read_sources(cfg).expect("workspace sources readable");
+        let load = |sources: &[(String, String)]| {
+            CallGraph::build(&extract_model(cfg.name, cfg.model(sources, true)).ir)
         };
 
-        let forward = load(&paths);
-        let reversed: Vec<PathBuf> = paths.iter().rev().cloned().collect();
+        let forward = load(&sources);
+        let reversed: Vec<(String, String)> = sources.iter().rev().cloned().collect();
         assert_eq!(
             forward,
             load(&reversed),

@@ -12,8 +12,9 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 /// another one already answered their question (the gate flags and the
 /// real-clock scan gave way to archive comparison and clippy, the runtime's
 /// telemetry copies to the typed records they copied, settings nothing
-/// varied to constants); neither docs nor CI may lean on them.
-const RETIRED: [&str; 44] = [
+/// varied to constants, counters nothing read); neither docs nor CI may
+/// lean on them.
+const RETIRED: [&str; 56] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -58,6 +59,18 @@ const RETIRED: [&str; 44] = [
     "max_rescore",
     "FaultSurface::FULL",
     "FaultSurface::SUBSTRATE",
+    "op_start",
+    "op_end",
+    "inflight_ops",
+    "completed_ops",
+    "peak_memory_bytes",
+    "pongs_sent",
+    "syncs_completed",
+    "repl_sent",
+    "pipeline_cap",
+    "heartbeat_interval",
+    "report_interval",
+    "scan_interval",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];
