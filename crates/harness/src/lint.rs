@@ -1,20 +1,15 @@
-//! The drift lint: extracted IR vs self-description vs registered hooks.
+//! The static analysis behind `wdog-lint`.
 //!
-//! Each target crate ships two things this lint consumes: its
-//! `describe_ir()` self-description and its `drift_allowlist()` of
-//! deliberate, documented exceptions. The extractor recovers the same IR
-//! straight from the target's Rust source, and [`run_lint`] diffs the
-//! two (plus the generated hook plan) into a
-//! [`wdog_gen::DriftReport`]. The `wdog-lint` binary renders the report
-//! and exits 1 on any denied finding.
-//!
-//! [`run_analysis`] layers the deeper static passes on top of the same
-//! extraction: the interprocedural call graph, lock-order deadlock
-//! detection, the checker-safety lint, and the coverage-gap matrix
+//! Each target crate ships its `describe_ir()` self-description; the
+//! extractor recovers the same IR straight from the target's Rust source.
+//! [`run_analysis`] runs every static pass over one extraction: the
+//! interprocedural call graph, lock-order deadlock detection, the
+//! checker-safety lint, and the coverage matrix, which checks the plan
+//! generated from the description against the source region by region
 //! (cross-referenced against chaos-confirmed misses via
 //! [`load_blind_spots`]). The `wdog-lint` binary archives the resulting
-//! [`AnalysisBundle`] under `results/analysis/` and exits 1 on a
-//! shared-mutation probe or a lock-order cycle.
+//! [`AnalysisBundle`] under `results/analysis/` and exits 1 on a coverage
+//! violation, a shared-mutation probe or a lock-order cycle.
 
 use std::path::Path;
 
@@ -22,24 +17,20 @@ use serde::{Deserialize, Serialize};
 
 use wdog_analyze::extract::read_sources;
 use wdog_analyze::{
-    analyze_locks, analyze_safety_model, compare, coverage_matrix, extract_model, target_named,
-    BlindSpot, CallGraph, CallGraphSummary, CoverageMatrix, LockOrderReport, SafetyReport,
-    TargetConfig,
+    analyze_locks, analyze_safety_model, coverage_matrix, extract_model, target_named, BlindSpot,
+    CallGraph, CallGraphSummary, CoverageMatrix, LockOrderReport, SafetyReport, TargetConfig,
 };
 use wdog_gen::plan::generate_plan;
 use wdog_gen::reduce::ReductionConfig;
-use wdog_gen::vulnerable::VulnerabilityRules;
-use wdog_gen::{AllowEntry, DriftReport, ProgramIr};
+use wdog_gen::ProgramIr;
 
 /// One lintable target: the analyzer scope plus the target's own
-/// description and allowlist hooks.
+/// description.
 pub struct LintTarget {
     /// Target name (`kvs`, `minizk`, `miniblock`).
     pub name: &'static str,
     /// The target's `describe_ir`.
     pub describe: fn() -> ProgramIr,
-    /// The target's documented drift exceptions.
-    pub allow: fn() -> Vec<AllowEntry>,
 }
 
 /// All lintable targets.
@@ -48,17 +39,14 @@ pub fn lint_targets() -> Vec<LintTarget> {
         LintTarget {
             name: "kvs",
             describe: kvs::wd::describe_ir,
-            allow: kvs::wd::drift_allowlist,
         },
         LintTarget {
             name: "minizk",
             describe: minizk::wd::describe_ir,
-            allow: minizk::wd::drift_allowlist,
         },
         LintTarget {
             name: "miniblock",
             describe: miniblock::wd::describe_ir,
-            allow: miniblock::wd::drift_allowlist,
         },
     ]
 }
@@ -86,27 +74,10 @@ impl LintTarget {
             .unwrap_or_else(|| panic!("no analyzer scope registered for target {}", self.name))
     }
 
-    /// Reads this target's crate sources, the input of [`run_lint`] and
-    /// [`run_analysis`].
+    /// Reads this target's crate sources, the input of [`run_analysis`].
     pub fn sources(&self) -> std::io::Result<Vec<(String, String)>> {
         read_sources(self.scope())
     }
-}
-
-/// Extracts, compares, and allowlists one target over its `sources`.
-pub fn run_lint(target: &LintTarget, sources: &[(String, String)]) -> DriftReport {
-    let cfg = target.scope();
-    let extracted = extract_model(cfg.name, cfg.model(sources, true));
-    let described = (target.describe)();
-    let plan = generate_plan(&described, &ReductionConfig::default());
-    let mut report = compare(
-        &described,
-        &plan,
-        &extracted,
-        &VulnerabilityRules::default(),
-    );
-    report.apply_allowlist(&(target.allow)());
-    report
 }
 
 /// The full static-analysis output for one target: call-graph shape,
@@ -170,9 +141,9 @@ pub fn load_blind_spots(dir: &Path, target: &str) -> std::io::Result<Vec<BlindSp
     Ok(spots)
 }
 
-/// Runs the deep static-analysis passes for one target over its
-/// `sources`: extraction, call graph, lock order, probe safety, and the
-/// coverage matrix against the plan generated from the target's own
+/// Runs the static-analysis passes for one target over its `sources`:
+/// extraction, call graph, lock order, probe safety, and the coverage
+/// matrix against the default plan generated from the target's own
 /// self-description (so coverage reflects the checkers that actually ship).
 pub fn run_analysis(
     target: &LintTarget,
@@ -189,7 +160,7 @@ pub fn run_analysis(
         callgraph: graph.summary(target.name),
         locks: analyze_locks(&extracted.ir, &graph),
         safety: analyze_safety_model(cfg.name, &cfg.model(sources, false)),
-        coverage: coverage_matrix(&extracted.ir, &plan, blind_spots),
+        coverage: coverage_matrix(&extracted, &plan, blind_spots),
     }
 }
 
@@ -227,17 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn merged_tree_is_drift_clean() {
+    fn merged_tree_passes_the_coverage_gate() {
         for t in lint_targets() {
             let sources = t.sources().expect("workspace sources readable");
-            let report = run_lint(&t, &sources);
-            assert!(
-                report.is_clean(),
-                "{} drifted:\n{}",
-                t.name,
-                wdog_gen::pretty::render_drift(&report)
-            );
-            assert!(report.matched_ops > 0, "{} matched nothing", t.name);
+            let coverage = run_analysis(&t, &sources, &[]).coverage;
+            assert_eq!(coverage.violations(), Vec::<String>::new(), "{}", t.name);
+            let described = coverage.regions.iter().flat_map(|r| &r.described);
+            assert!(described.count() > 0, "{} matched nothing", t.name);
         }
     }
 }

@@ -80,7 +80,6 @@ pub fn run() -> ReductionResult {
     let no_dedup = ReductionConfig {
         dedupe_similar: false,
         global_reduction: false,
-        ..ReductionConfig::default()
     };
 
     let stats = vec![

@@ -145,12 +145,6 @@ pub fn generate_kvs_plan(config: &ReductionConfig) -> WatchdogPlan {
     generate_plan(&describe_ir(), config)
 }
 
-/// Documented exceptions to the `wdog-lint` drift gate. Empty: the kvs
-/// description fully accounts for what extraction sees.
-pub fn drift_allowlist() -> Vec<wdog_gen::AllowEntry> {
-    Vec::new()
-}
-
 fn probe_write(disk: &simio::disk::SimDisk, path: &str, payload: &[u8]) -> BaseResult<()> {
     // Reset the probe file when it grows, keeping watchdog I/O bounded.
     if disk.len(path).map(|l| l > PROBE_FILE_CAP).unwrap_or(false) {
@@ -598,7 +592,6 @@ mod tests {
         let plan = generate_kvs_plan(&ReductionConfig {
             dedupe_similar: false,
             global_reduction: false,
-            ..ReductionConfig::default()
         });
         for c in &plan.checkers {
             for op in &c.ops {

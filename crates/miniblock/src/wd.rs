@@ -96,11 +96,6 @@ pub fn generate_dn_plan(config: &ReductionConfig) -> WatchdogPlan {
     generate_plan(&describe_ir(), config)
 }
 
-/// Documented exceptions to the `wdog-lint` drift gate.
-pub fn drift_allowlist() -> Vec<wdog_gen::AllowEntry> {
-    Vec::new()
-}
-
 /// Builds the op table binding the DataNode's vulnerable IR ops to real,
 /// isolated implementations.
 pub fn op_table(dn: &DataNode) -> OpTable {

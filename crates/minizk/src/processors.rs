@@ -142,7 +142,10 @@ fn sync_txn(shared: &Arc<ZkShared>, txns: &[(u64, WriteOp, Reply)]) -> BaseResul
 /// Final processor: applies to the tree and enqueues the commit broadcast.
 fn final_apply(shared: &Arc<ZkShared>, zxid: u64, op: WriteOp) -> BaseResult<()> {
     // This is where ZOOKEEPER-2201 hangs: the tree's write-serialization
-    // lock is taken inside `create`/`set_data`.
+    // lock is taken inside `create`/`set_data`. The quorum defines both
+    // names too, so extraction cannot resolve them — the annotation names
+    // the op they perform.
+    // wdog: vulnerable name=tree_write_lock kind=lock-acquire resource=write_lock
     match &op {
         WriteOp::Create { path, data } => shared.tree.create(path, data.clone())?,
         WriteOp::SetData { path, data } => shared.tree.set_data(path, data.clone())?,

@@ -286,6 +286,9 @@ impl Cluster {
         // the 2201 failure.
         {
             let s = Arc::clone(&shared);
+            // wdog: ignore -- liveness responder: answers pings only; deliberately
+            // outside the checked regions (its blindness to write-path health is
+            // the paper's §2 motivating example)
             threads.push(spawn_on(&shared.clock, "minizk-responder", move || {
                 responder_loop(s, leader_mailbox)
             }));

@@ -142,18 +142,6 @@ pub fn generate_zk_plan(config: &ReductionConfig) -> WatchdogPlan {
     generate_plan(&describe_ir(), config)
 }
 
-/// Documented exceptions to the `wdog-lint` drift gate.
-pub fn drift_allowlist() -> Vec<wdog_gen::AllowEntry> {
-    vec![wdog_gen::AllowEntry::new(
-        wdog_gen::DriftKind::RegionNotDescribed,
-        "responder_loop",
-        "*",
-        "liveness responder: answers pings only; deliberately outside the \
-         checked regions (its blindness to write-path health is the paper's \
-         §2 motivating example)",
-    )]
-}
-
 /// Builds the op table binding minizk's vulnerable IR ops to real cluster
 /// operations.
 pub fn op_table(cluster: &Cluster) -> OpTable {

@@ -1,14 +1,15 @@
-//! Coverage-gap matrix: vulnerable-op × checker coverage.
+//! Coverage-gap matrix: vulnerable-op × checker coverage, and the one
+//! static comparison of a target's description with its source.
 //!
 //! The paper argues watchdogs should mimic *every* vulnerable operation a
-//! long-running region performs; the chaos campaigns (PR 5) showed where
-//! the shipped checkers fall short empirically. This pass enumerates the
-//! same gaps statically: reachability from each long-running region over
-//! the [`crate::callgraph`] to its vulnerable ops (per
-//! [`wdog_gen::VulnerabilityRules`]), crossed against the reduction-
-//! generated [`wdog_gen::WatchdogPlan`].
+//! long-running region performs; the chaos campaigns showed where the
+//! shipped checkers fall short empirically. This pass enumerates the same
+//! gaps statically: reachability from each long-running region of the
+//! extracted IR over the [`crate::callgraph`] to its vulnerable ops (per
+//! [`wdog_gen::vulnerable::classify`]), crossed against the
+//! [`wdog_gen::WatchdogPlan`] generated from the hand-written description.
 //!
-//! Each vulnerable op gets a status:
+//! Each vulnerable source op gets a status:
 //!
 //! * **covered** — the region's own generated checker mimics an op of the
 //!   same (kind, resource-family);
@@ -17,6 +18,15 @@
 //!   wrong component), or the probe is a send with no matching receive
 //!   (it can verify the link accepts traffic, not that peers respond);
 //! * **uncovered** — no generated checker mimics it at all.
+//!
+//! The other direction is checked region by region too: every op of a
+//! region's planned checker records the same-(kind, family) source op of
+//! the same region it matched, and every planned hook records whether
+//! source fires its context key with each field it publishes.
+//! [`CoverageMatrix::violations`] turns the matrix into the `wdog-lint`
+//! gate: an uncovered source op, a planned op with no match in its
+//! region's source, a region only one side has, or a hook source never
+//! fires. Exceptions live in source, as `// wdog:` directives.
 //!
 //! The matrix also scores each region's **stuck coverage** — can any
 //! checker report the region itself wedged? Today the answer is always
@@ -28,18 +38,18 @@
 //! the static and empirical views agree.
 //!
 //! All iteration is over sorted structures; the emitted JSON is
-//! byte-identical across runs (an acceptance criterion — the artifact is
-//! drift-diffed in CI).
+//! byte-identical across runs (the archive is byte-compared in CI).
 
 use serde::{Deserialize, Serialize};
 
-use wdog_gen::ir::ProgramIr;
 use wdog_gen::patterns::resource_family;
 use wdog_gen::plan::WatchdogPlan;
-use wdog_gen::regions::find_regions;
-use wdog_gen::{OpKind, VulnerabilityRules};
+use wdog_gen::regions::{find_regions, Region};
+use wdog_gen::vulnerable::is_vulnerable;
+use wdog_gen::OpKind;
 
 use crate::callgraph::{CallGraph, CallGraphSummary};
+use crate::extract::ExtractedProgram;
 
 /// How well one vulnerable op (or liveness dimension) is guarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -84,6 +94,28 @@ pub struct OpCoverage {
     pub note: Option<String>,
 }
 
+/// One op of a region's planned checker, matched against the region's
+/// source.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DescribedOp {
+    /// `function#op` in the description.
+    pub op_id: String,
+    /// The first (by op id) source op of the same region with the same
+    /// (kind, resource family); `None` fails the gate.
+    pub matched: Option<String>,
+}
+
+/// One planned hook, checked against the hook keys source fires.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct HookCoverage {
+    /// `function#before_op` in the description.
+    pub hook: String,
+    /// Fields the hook publishes that no source firing of its context key
+    /// does (all of them when source never fires the key); non-empty
+    /// fails the gate.
+    pub missing: Vec<String>,
+}
+
 /// One long-running region's slice of the matrix.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegionCoverage {
@@ -93,6 +125,11 @@ pub struct RegionCoverage {
     pub checker: Option<String>,
     /// Vulnerable ops reachable from the entry, sorted by (function, op).
     pub ops: Vec<OpCoverage>,
+    /// The ops of the region's own checker, in checker order, each with
+    /// the source op it matched.
+    pub described: Vec<DescribedOp>,
+    /// The plan's hooks into this region's context key, in plan order.
+    pub hooks: Vec<HookCoverage>,
     /// Can any checker report this region's task itself stuck?
     pub stuck_coverage: CoverageStatus,
     /// Why `stuck_coverage` is what it is.
@@ -152,8 +189,12 @@ pub struct CoverageMatrix {
     pub program: String,
     /// Shape of the graph the reachability ran over.
     pub callgraph: CallGraphSummary,
-    /// Per-region rows, sorted by entry.
+    /// Per-region rows of the extracted IR, sorted by entry.
     pub regions: Vec<RegionCoverage>,
+    /// Described long-running entries with no source region.
+    pub not_in_source: Vec<String>,
+    /// Source long-running entries the description does not model.
+    pub not_described: Vec<String>,
     /// Non-covered rows, most severe first.
     pub uncovered_ranked: Vec<RankedGap>,
     /// Chaos-confirmed misses cross-referenced against the rows.
@@ -174,17 +215,19 @@ fn match_key(kind: &OpKind, resource: Option<&str>) -> (String, Option<String>) 
 const STUCK_NOTE: &str = "no liveness probe: mimic checkers return NotReady (not Fail) \
      when a region stops publishing context, so a stuck task silences its own watchdog";
 
-/// Builds the coverage matrix for `ir` against its generated `plan`,
-/// cross-referencing `blind_spots` (chaos-confirmed misses; pass `&[]`
-/// when no corpus exists).
+/// Builds the coverage matrix for the `extracted` program against the
+/// `plan` generated from its description, cross-referencing
+/// `blind_spots` (chaos-confirmed misses; pass `&[]` when no corpus
+/// exists).
 pub fn coverage_matrix(
-    ir: &ProgramIr,
+    extracted: &ExtractedProgram,
     plan: &WatchdogPlan,
     blind_spots: &[BlindSpot],
 ) -> CoverageMatrix {
+    let ir = &extracted.ir;
     let graph = CallGraph::build(ir);
-    let rules = VulnerabilityRules::all();
     let regions = find_regions(ir);
+    let planned_key = |p: &wdog_gen::plan::PlannedOp| match_key(&p.kind, p.resource.as_deref());
 
     let mut region_rows: Vec<RegionCoverage> = Vec::new();
     for region in &regions {
@@ -195,25 +238,16 @@ pub fn coverage_matrix(
                 continue;
             };
             for op in &f.ops {
-                if !rules.is_vulnerable(op) {
+                if !is_vulnerable(op) {
                     continue;
                 }
                 let key = match_key(&op.kind, op.resource.as_deref());
-                let own_hit = own.is_some_and(|c| {
-                    c.ops
-                        .iter()
-                        .any(|p| match_key(&p.kind, p.resource.as_deref()) == key)
-                });
+                let own_hit = own.is_some_and(|c| c.ops.iter().any(|p| planned_key(p) == key));
                 let cross_hit = plan
                     .checkers
                     .iter()
                     .filter(|c| Some(c.context_key.as_str()) != Some(region.entry.as_str()))
-                    .find(|c| {
-                        c.ops
-                            .iter()
-                            .any(|p| match_key(&p.kind, p.resource.as_deref()) == key)
-                    });
-
+                    .find(|c| c.ops.iter().any(|p| planned_key(p) == key));
                 let (mut status, checker, mut note) = if own_hit {
                     (
                         CoverageStatus::Covered,
@@ -238,11 +272,10 @@ pub fn coverage_matrix(
                 // link accepts traffic — degrade to weak.
                 if status == CoverageStatus::Covered && op.kind == OpKind::NetSend {
                     let recv_key = ("net-recv".to_owned(), key.1.clone());
-                    let has_recv = plan.checkers.iter().any(|c| {
-                        c.ops
-                            .iter()
-                            .any(|p| match_key(&p.kind, p.resource.as_deref()) == recv_key)
-                    });
+                    let has_recv = plan
+                        .checkers
+                        .iter()
+                        .any(|c| c.ops.iter().any(|p| planned_key(p) == recv_key));
                     if !has_recv {
                         status = CoverageStatus::Weak;
                         note = Some(
@@ -266,10 +299,42 @@ pub fn coverage_matrix(
             }
         }
         ops.sort_by(|a, b| a.op_id.cmp(&b.op_id));
+        let described = own
+            .map(|c| c.ops.as_slice())
+            .unwrap_or_default()
+            .iter()
+            .map(|p| {
+                let key = planned_key(p);
+                DescribedOp {
+                    op_id: p.op_id.to_string(),
+                    matched: ops
+                        .iter()
+                        .find(|o| o.kind == key.0 && o.family == key.1)
+                        .map(|o| o.op_id.clone()),
+                }
+            })
+            .collect();
+        let fired = extracted.regions_fired.get(&region.entry);
+        let hooks = plan
+            .hooks
+            .iter()
+            .filter(|h| h.context_key == region.entry)
+            .map(|h| HookCoverage {
+                hook: format!("{}#{}", h.function, h.before_op),
+                missing: h
+                    .publishes
+                    .iter()
+                    .map(|a| a.name.clone())
+                    .filter(|n| !fired.is_some_and(|f| f.contains(n)))
+                    .collect(),
+            })
+            .collect();
         region_rows.push(RegionCoverage {
             entry: region.entry.clone(),
             checker: own.map(|c| c.name.clone()),
             ops,
+            described,
+            hooks,
             stuck_coverage: CoverageStatus::Uncovered,
             stuck_note: STUCK_NOTE.to_owned(),
         });
@@ -329,13 +394,71 @@ pub fn coverage_matrix(
         uncovered: count(CoverageStatus::Uncovered),
     };
 
+    // Entries of the regions in `a` that `b` lacks.
+    let only = |a: &[Region], b: &[Region]| -> Vec<String> {
+        a.iter()
+            .filter(|r| !b.iter().any(|o| o.entry == r.entry))
+            .map(|r| r.entry.clone())
+            .collect()
+    };
+
     CoverageMatrix {
         program: ir.name.clone(),
         callgraph: graph.summary(&ir.name),
         regions: region_rows,
+        not_in_source: only(&plan.reduced.regions, &regions),
+        not_described: only(&regions, &plan.reduced.regions),
         uncovered_ranked,
         blind_spots,
         totals,
+    }
+}
+
+impl CoverageMatrix {
+    /// What fails `wdog-lint`, one line per broken condition instance:
+    /// a region only one side has, a source op no checker mimics, a
+    /// planned op with no same-(kind, family) op in its region's source,
+    /// and a planned hook source never fires with all its fields. Empty
+    /// when description and source agree.
+    pub fn violations(&self) -> Vec<String> {
+        let mut out: Vec<String> = self
+            .not_in_source
+            .iter()
+            .map(|e| format!("described region `{e}` has no source region"))
+            .chain(
+                self.not_described
+                    .iter()
+                    .map(|e| format!("source region `{e}` is not described")),
+            )
+            .collect();
+        for r in &self.regions {
+            let region = &r.entry;
+            for op in r
+                .ops
+                .iter()
+                .filter(|o| o.status == CoverageStatus::Uncovered)
+            {
+                out.push(format!(
+                    "{region}: source op {} ({}) is mimicked by no checker",
+                    op.op_id, op.kind
+                ));
+            }
+            for op in r.described.iter().filter(|o| o.matched.is_none()) {
+                out.push(format!(
+                    "{region}: described op {} has no same-kind, same-resource op in the \
+                     region's source",
+                    op.op_id
+                ));
+            }
+            for h in r.hooks.iter().filter(|h| !h.missing.is_empty()) {
+                out.push(format!(
+                    "{region}: hook {} publishes {} that no source firing of `{region}` does",
+                    h.hook,
+                    h.missing.join(", ")
+                ));
+            }
+        }
+        out
     }
 }
 
@@ -411,8 +534,21 @@ fn named_is_all(regions: &[RegionCoverage], candidates: &[&RegionCoverage]) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdog_gen::ir::{OpKind, ProgramBuilder};
-    use wdog_gen::{generate_plan, ReductionConfig};
+    use crate::extract::extract_model;
+    use crate::model::{CrateModel, SourceFile};
+    use std::collections::BTreeSet;
+    use wdog_gen::ir::{OpKind, ProgramBuilder, ProgramIr};
+    use wdog_gen::{generate_plan, ArgType, ReductionConfig};
+
+    /// `ir` as an extraction with no sites and no hook firings.
+    fn program(ir: ProgramIr) -> ExtractedProgram {
+        ExtractedProgram {
+            ir,
+            sites: Default::default(),
+            regions_fired: Default::default(),
+            notes: Vec::new(),
+        }
+    }
 
     fn ir() -> ProgramIr {
         ProgramBuilder::new("p")
@@ -439,7 +575,7 @@ mod tests {
     fn matrix(spots: &[BlindSpot]) -> CoverageMatrix {
         let ir = ir();
         let plan = generate_plan(&ir, &ReductionConfig::default());
-        coverage_matrix(&ir, &plan, spots)
+        coverage_matrix(&program(ir), &plan, spots)
     }
 
     fn row<'a>(m: &'a CoverageMatrix, entry: &str, op: &str) -> &'a OpCoverage {
@@ -489,7 +625,7 @@ mod tests {
             })
             .build();
         let plan = generate_plan(&stale, &ReductionConfig::default());
-        let m = coverage_matrix(&ir(), &plan, &[]);
+        let m = coverage_matrix(&program(ir()), &plan, &[]);
         let r = row(&m, "sender_loop", "#ping");
         assert_eq!(r.status, CoverageStatus::Uncovered);
         assert!(m
@@ -564,5 +700,139 @@ mod tests {
             m.totals.covered + m.totals.weak + m.totals.uncovered
         );
         assert!(m.totals.ops >= 4);
+    }
+
+    const SRC: &str = r#"
+pub fn start(s: Shared) {
+    t.spawn(move || wal_loop(s)).unwrap();
+}
+
+// wdog: resource wal/
+pub fn wal_loop(s: Shared) {
+    let hook = s.hooks.site("wal_loop");
+    loop {
+        hook.fire(|| vec![("payload".into(), CtxValue::Bytes(b.clone()))]);
+        s.disk.append("wal/log", &frame);
+        s.disk.fsync("wal/log");
+    }
+}
+"#;
+
+    fn extracted() -> ExtractedProgram {
+        extract_model(
+            "demo",
+            CrateModel::build(vec![SourceFile::parse("src/wal.rs", SRC, false)]),
+        )
+    }
+
+    /// The `wal_loop` description, with the sync op and `extra` ops.
+    fn described(with_sync: bool, extra: &[(&str, OpKind, &str)]) -> ProgramIr {
+        ProgramBuilder::new("demo")
+            .function("wal_loop", |f| {
+                let mut f = f.long_running().op("wal_append", OpKind::DiskWrite, |o| {
+                    o.resource("wal/").in_loop().arg("payload", ArgType::Bytes)
+                });
+                if with_sync {
+                    f = f.op("wal_sync", OpKind::DiskSync, |o| o.resource("wal/"));
+                }
+                for (name, kind, resource) in extra {
+                    f = f.op(*name, kind.clone(), |o| o.resource(*resource));
+                }
+                f
+            })
+            .build()
+    }
+
+    fn gate(ex: &ExtractedProgram, ir: &ProgramIr) -> CoverageMatrix {
+        coverage_matrix(ex, &generate_plan(ir, &ReductionConfig::default()), &[])
+    }
+
+    #[test]
+    fn agreement_passes_and_records_each_match() {
+        let m = gate(&extracted(), &described(true, &[]));
+        assert_eq!(m.violations(), Vec::<String>::new());
+        let r = &m.regions[0];
+        let matched: Vec<(&str, Option<&str>)> = r
+            .described
+            .iter()
+            .map(|d| (d.op_id.as_str(), d.matched.as_deref()))
+            .collect();
+        assert_eq!(
+            matched,
+            [
+                ("wal_loop#wal_append", Some("wal_loop#append")),
+                ("wal_loop#wal_sync", Some("wal_loop#fsync")),
+            ]
+        );
+        assert_eq!(r.hooks.len(), 1);
+        assert!(r.hooks[0].missing.is_empty());
+    }
+
+    #[test]
+    fn a_source_op_the_description_lacks_is_uncovered() {
+        let v = gate(&extracted(), &described(false, &[])).violations();
+        assert_eq!(
+            v,
+            ["wal_loop: source op wal_loop#fsync (disk-sync) is mimicked by no checker"]
+        );
+    }
+
+    #[test]
+    fn a_described_op_is_matched_in_its_own_region_only() {
+        // `replica` sends exist in source — but in another region.
+        let src = format!(
+            "{SRC}\npub fn go(s: Shared) {{ t.spawn(move || repl_loop(s)).unwrap(); }}\n\
+             pub fn repl_loop(s: Shared) {{ loop {{ s.net.send(a, \"replica\", m); }} }}\n"
+        );
+        let ex = extract_model(
+            "demo",
+            CrateModel::build(vec![SourceFile::parse("src/wal.rs", &src, false)]),
+        );
+        let mut ir = described(true, &[("repl_send", OpKind::NetSend, "replica")]);
+        let repl = ProgramBuilder::new("demo")
+            .function("repl_loop", |f| f.long_running().compute("tick"))
+            .build();
+        ir.functions.extend(repl.functions);
+        assert_eq!(
+            gate(&ex, &ir).violations(),
+            [
+                "wal_loop: described op wal_loop#repl_send has no same-kind, same-resource op \
+              in the region's source"
+            ]
+        );
+    }
+
+    #[test]
+    fn regions_only_one_side_has_fail_both_ways() {
+        // The described region has no vulnerable op (no checker, no hooks),
+        // so only the pairing condition can flag it.
+        let ir = ProgramBuilder::new("demo")
+            .function("flusher_loop", |f| f.long_running().compute("tick"))
+            .build();
+        let m = gate(&program(ProgramBuilder::new("demo").build()), &ir);
+        assert_eq!(m.not_in_source, ["flusher_loop"]);
+        assert_eq!(
+            m.violations(),
+            ["described region `flusher_loop` has no source region"]
+        );
+        let m = gate(&extracted(), &described(true, &[]));
+        assert!(m.not_described.is_empty());
+        let v = gate(&extracted(), &ProgramBuilder::new("demo").build()).violations();
+        assert!(
+            v.contains(&"source region `wal_loop` is not described".to_owned()),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn a_hook_field_source_never_publishes_fails() {
+        const FAIL: &str = "wal_loop: hook wal_loop#wal_append publishes payload that no source \
+                            firing of `wal_loop` does";
+        let mut ex = extracted();
+        ex.regions_fired.insert("wal_loop".into(), BTreeSet::new());
+        assert_eq!(gate(&ex, &described(true, &[])).violations(), [FAIL]);
+        // A key source never fires misses every field.
+        ex.regions_fired.clear();
+        assert_eq!(gate(&ex, &described(true, &[])).violations(), [FAIL]);
     }
 }

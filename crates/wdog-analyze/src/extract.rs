@@ -35,7 +35,6 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use wdog_gen::drift::SourceRef;
 use wdog_gen::ir::{Function, OpKind, Operation, ProgramIr};
 use wdog_gen::patterns::{classify_callee, kind_for_label, resource_family};
 
@@ -85,7 +84,17 @@ pub fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Extraction output: the IR plus everything drift linting needs.
+/// A source location: the workspace-relative file. The op id next to it
+/// (`function#op`) names the site within the file, so moving a line
+/// moves no serialized byte.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct SourceRef {
+    /// Workspace-relative file path.
+    pub file: String,
+}
+
+/// Extraction output: the IR plus what the coverage gate checks the
+/// description against.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExtractedProgram {
     /// The extracted IR.
@@ -140,38 +149,6 @@ impl TargetConfig {
 pub fn extract_target(cfg: &TargetConfig) -> std::io::Result<ExtractedProgram> {
     let sources = read_sources(cfg)?;
     Ok(extract_model(cfg.name, cfg.model(&sources, true)))
-}
-
-/// Restricts `ir` to the regions rooted at `entries` (reachable closure).
-/// Used to compare against a description that deliberately covers fewer
-/// regions — undescribed regions are lint findings, not noise.
-pub fn restrict_to_regions(ir: &ProgramIr, entries: &BTreeSet<String>) -> ProgramIr {
-    let mut keep: BTreeSet<String> = BTreeSet::new();
-    let mut stack: Vec<String> = Vec::new();
-    for f in ir.functions.values() {
-        if f.long_running && entries.contains(&f.name) {
-            stack.push(f.name.clone());
-        }
-    }
-    while let Some(name) = stack.pop() {
-        if !keep.insert(name.clone()) {
-            continue;
-        }
-        if let Some(f) = ir.functions.get(&name) {
-            for callee in f.callees() {
-                stack.push(callee.to_owned());
-            }
-        }
-    }
-    ProgramIr {
-        name: ir.name.clone(),
-        functions: ir
-            .functions
-            .iter()
-            .filter(|(n, _)| keep.contains(*n))
-            .map(|(n, f)| (n.clone(), f.clone()))
-            .collect(),
-    }
 }
 
 /// A parsed `// wdog:` directive.
@@ -1538,25 +1515,6 @@ pub fn run(s: Shared) {
         let f = ex.ir.function("run").unwrap();
         assert_eq!(f.ops.len(), 1, "{:?}", f.ops);
         assert_eq!(f.ops[0].resource.as_deref(), Some("wal"));
-    }
-
-    #[test]
-    fn restrict_to_regions_drops_unlisted_entries() {
-        let ex = extract(&[(
-            "a.rs",
-            r#"
-pub fn start() {
-    t.spawn(move || loop_a(s)).unwrap();
-    t.spawn(move || loop_b(s)).unwrap();
-}
-pub fn loop_a(s: Shared) { let h = s.hooks.site("loop_a"); s.disk.read("a/x"); }
-pub fn loop_b(s: Shared) { let h = s.hooks.site("loop_b"); s.disk.read("b/x"); }
-"#,
-        )]);
-        let keep: BTreeSet<String> = ["loop_a".to_owned()].into();
-        let restricted = restrict_to_regions(&ex.ir, &keep);
-        assert!(restricted.function("loop_a").is_some());
-        assert!(restricted.function("loop_b").is_none());
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   discovers spawn-rooted long-running regions, classifies call sites
 //!   with the shared [`wdog_gen::patterns`] rule table, and emits a
 //!   [`wdog_gen::ProgramIr`] plus source sites and runtime hook firings;
-//! * [`drift`] compares that extracted IR against the self-description
-//!   and the generated hook plan, producing the
-//!   [`wdog_gen::DriftReport`]; `wdog-lint` exits 1 on any finding the
-//!   target's allowlist does not absorb.
+//! * [`coverage`] checks the plan generated from the self-description
+//!   against that extracted IR, region by region, in both directions and
+//!   for the hooks; `wdog-lint` exits 1 on any
+//!   [`CoverageMatrix::violations`] line. Exceptions are `// wdog:`
+//!   directives in the target's source.
 //!
 //! The extractor is deliberately conservative (see `DESIGN.md` §2 for
 //! the soundness limits): no macro expansion, no trait-object
@@ -23,7 +24,6 @@
 
 pub mod callgraph;
 pub mod coverage;
-pub mod drift;
 pub mod extract;
 pub mod lexer;
 pub mod locks;
@@ -32,10 +32,9 @@ pub mod safety;
 
 pub use callgraph::{CallGraph, CallGraphSummary};
 pub use coverage::{coverage_matrix, BlindSpot, CoverageMatrix, CoverageStatus};
-pub use drift::compare;
 pub use extract::{
-    extract_model, extract_target, restrict_to_regions, target_named, workspace_root,
-    ExtractedProgram, TargetConfig, TARGETS,
+    extract_model, extract_target, target_named, workspace_root, ExtractedProgram, TargetConfig,
+    TARGETS,
 };
 pub use locks::{analyze_locks, LockOrderReport};
 pub use model::{CrateModel, SourceFile};

@@ -25,8 +25,8 @@
 //!
 //! A `// wdog: replica <reason>` annotation inside a body is the audited
 //! escape hatch for isolation the lexical rules cannot see (e.g. a
-//! checker constructed over its own private store), mirroring the drift
-//! allowlist: the exception ships next to the code it excuses.
+//! checker constructed over its own private store), like every other
+//! `// wdog:` directive: the exception ships next to the code it excuses.
 
 use std::collections::BTreeMap;
 

@@ -25,15 +25,15 @@
 //! self-description built with [`ir::ProgramBuilder`], and the
 //! `wdog-analyze` crate extracts the same IR directly from their Rust
 //! source using the shared [`patterns`] rule table (the stand-in for
-//! Soot-style bytecode analysis, see `DESIGN.md` §2). The `wdog-lint` tool
-//! diffs the two — and the registered runtime hooks — into [`drift`]
-//! findings so the description cannot silently rot. Everything downstream
+//! Soot-style bytecode analysis, see `DESIGN.md` §2). Its coverage matrix
+//! checks the plan generated from the description against that source,
+//! region by region, so the description cannot silently rot (`wdog-lint`
+//! fails on a disagreement). Everything downstream
 //! of the IR is the paper's algorithm, and the generated checkers execute
 //! *real* system operations through an [`interp::OpTable`].
 //!
 //! [`pretty`] renders Figure 2/3-style before/after listings.
 
-pub mod drift;
 pub mod interp;
 pub mod ir;
 pub mod patterns;
@@ -43,7 +43,6 @@ pub mod reduce;
 pub mod regions;
 pub mod vulnerable;
 
-pub use drift::{AllowEntry, DriftFinding, DriftKind, DriftReport, SourceRef};
 pub use interp::OpTable;
 pub use ir::{ArgSpec, ArgType, Function, OpKind, Operation, ProgramBuilder, ProgramIr};
 pub use patterns::{classify_callee, kind_for_label, resource_family, CalleeRule, CALLEE_RULES};
@@ -52,4 +51,4 @@ pub use reduce::{
     class_counts, reduce_program, ReducedFunction, ReducedProgram, ReductionConfig, ReductionStats,
 };
 pub use regions::{find_regions, Region};
-pub use vulnerable::{VulnClass, VulnerabilityRules};
+pub use vulnerable::{is_vulnerable, VulnClass};

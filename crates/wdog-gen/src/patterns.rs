@@ -4,7 +4,7 @@
 //!
 //! This is the **single** rule source shared by the static extractor
 //! (`wdog-analyze`) and the vulnerability policy
-//! ([`crate::vulnerable::VulnerabilityRules`]): the extractor classifies a
+//! ([`crate::vulnerable::classify`]): the extractor classifies a
 //! call site into an `OpKind` with [`classify_callee`], and the policy maps
 //! that kind to a [`crate::vulnerable::VulnClass`] via
 //! [`crate::vulnerable::VulnClass::of_kind`]. Neither side keeps a private
@@ -165,7 +165,7 @@ pub fn kind_for_label(label: &str) -> Option<OpKind> {
 /// Returns the *family* of a resource name: everything up to and including
 /// the first `/`, or the whole name. `wal/flushing` and `wal/log` both
 /// belong to family `wal/` — the granularity at which similarity dedup and
-/// drift matching treat resources as interchangeable.
+/// coverage matching treat resources as interchangeable.
 pub fn resource_family(resource: &str) -> &str {
     match resource.find('/') {
         Some(i) => &resource[..=i],

@@ -9,10 +9,9 @@
 
 use std::fmt::Write as _;
 
-use crate::drift::DriftReport;
 use crate::ir::{OpKind, ProgramIr};
 use crate::plan::{GeneratedChecker, WatchdogPlan};
-use crate::vulnerable::VulnerabilityRules;
+use crate::vulnerable::is_vulnerable;
 
 fn kind_note(kind: &OpKind, resource: Option<&str>) -> String {
     match resource {
@@ -28,7 +27,6 @@ fn kind_note(kind: &OpKind, resource: Option<&str>) -> String {
 /// hook points are shown inline as `+ hook -> context[...]` lines.
 pub fn render_region(ir: &ProgramIr, plan: &WatchdogPlan, entry: &str) -> String {
     let mut out = String::new();
-    let rules = &VulnerabilityRules::all();
     let _ = writeln!(out, "region `{entry}` of program `{}`:", plan.program);
     let kept_ids: Vec<String> = plan
         .checker_for(entry)
@@ -60,7 +58,7 @@ pub fn render_region(ir: &ProgramIr, plan: &WatchdogPlan, entry: &str) -> String
                     }
                 }
                 let _ = writeln!(out, "    [KEEP] {} ({note})", op.name);
-            } else if rules.is_vulnerable(op) {
+            } else if is_vulnerable(op) {
                 let _ = writeln!(out, "    [DROP: similar/covered] {} ({note})", op.name);
             } else {
                 let _ = writeln!(out, "    [DROP: deterministic] {} ({note})", op.name);
@@ -140,57 +138,9 @@ pub fn render_summary(plan: &WatchdogPlan) -> String {
     out
 }
 
-/// Renders a [`DriftReport`] for terminal output.
-///
-/// Denied findings come first (they fail `wdog-lint`), then allowed
-/// ones with their reasons, then non-gating info lines.
-pub fn render_drift(report: &DriftReport) -> String {
-    let mut out = String::new();
-    let denied = report.denied();
-    let allowed = report.findings.len() - denied.len();
-    let _ = writeln!(
-        out,
-        "drift report for `{}`: {} matched ops, {} confirmed hooks, \
-         {} finding(s) ({} allowed)",
-        report.program,
-        report.matched_ops,
-        report.matched_hooks,
-        report.findings.len(),
-        allowed
-    );
-    for finding in report.findings.iter().filter(|f| f.allowed.is_none()) {
-        let _ = writeln!(
-            out,
-            "  DRIFT [{}] region `{}`: {} — {}",
-            finding.kind.label(),
-            finding.region,
-            finding.subject,
-            finding.detail
-        );
-        if let Some(src) = &finding.source {
-            let _ = writeln!(out, "        at {src}");
-        }
-    }
-    for finding in report.findings.iter().filter(|f| f.allowed.is_some()) {
-        let _ = writeln!(
-            out,
-            "  allowed [{}] region `{}`: {} — {}",
-            finding.kind.label(),
-            finding.region,
-            finding.subject,
-            finding.allowed.as_deref().unwrap_or_default()
-        );
-    }
-    for line in &report.info {
-        let _ = writeln!(out, "  info: {line}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drift::{AllowEntry, DriftFinding, DriftKind, SourceRef};
     use crate::ir::{ArgType, ProgramBuilder};
     use crate::plan::generate_plan;
     use crate::reduce::ReductionConfig;
@@ -242,51 +192,5 @@ mod tests {
         let s = render_summary(&plan);
         assert!(s.contains("generated 1 checkers, 1 hooks"), "{s}");
         assert!(s.contains("minizk"));
-    }
-
-    #[test]
-    fn drift_rendering_separates_denied_and_allowed() {
-        let mut report = DriftReport {
-            program: "kvs".into(),
-            matched_ops: 7,
-            matched_hooks: 4,
-            findings: vec![
-                DriftFinding {
-                    kind: DriftKind::MissingFromDescription,
-                    region: "wal_loop".into(),
-                    subject: "wal_loop#lock".into(),
-                    detail: "lock-acquire @wal has no described counterpart".into(),
-                    source: Some(SourceRef {
-                        file: "crates/kvs/src/listener.rs".into(),
-                    }),
-                    allowed: None,
-                },
-                DriftFinding {
-                    kind: DriftKind::RegionNotDescribed,
-                    region: "responder_loop".into(),
-                    subject: "responder_loop".into(),
-                    detail: "source region has no description".into(),
-                    source: None,
-                    allowed: None,
-                },
-            ],
-            info: vec!["fuzzy-matched 1 op on kind alone".into()],
-        };
-        report.apply_allowlist(&[AllowEntry::new(
-            DriftKind::RegionNotDescribed,
-            "responder_loop",
-            "*",
-            "probe-checked, not mimicked",
-        )]);
-        let s = render_drift(&report);
-        assert!(s.contains("2 finding(s) (1 allowed)"), "{s}");
-        assert!(
-            s.contains("DRIFT [missing-from-description] region `wal_loop`"),
-            "{s}"
-        );
-        assert!(s.contains("at crates/kvs/src/listener.rs\n"), "{s}");
-        assert!(s.contains("allowed [region-not-described]"), "{s}");
-        assert!(s.contains("probe-checked, not mimicked"), "{s}");
-        assert!(s.contains("info: fuzzy-matched"), "{s}");
     }
 }

@@ -4,7 +4,7 @@
 //! *W*:
 //!
 //! 1. within each long-running region, keep only **vulnerable** operations
-//!    (per [`VulnerabilityRules`]);
+//!    (per [`vulnerable::classify`](crate::vulnerable::classify));
 //! 2. remove **similar** vulnerable operations inside a function — two ops
 //!    with the same kind and resource fail the same way, so checking one
 //!    suffices (the paper's "if P invoked `write()` many times in a loop,
@@ -22,13 +22,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::ir::{Operation, ProgramIr};
 use crate::regions::{find_regions, Region};
-use crate::vulnerable::{VulnClass, VulnerabilityRules};
+use crate::vulnerable::{classify, is_vulnerable, VulnClass};
 
 /// Configuration for one reduction run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReductionConfig {
-    /// Which operations count as vulnerable.
-    pub rules: VulnerabilityRules,
     /// Remove similar ops within a function (paper step; ablation switch).
     pub dedupe_similar: bool,
     /// Remove op classes already covered along the call chain
@@ -39,7 +37,6 @@ pub struct ReductionConfig {
 impl Default for ReductionConfig {
     fn default() -> Self {
         Self {
-            rules: VulnerabilityRules::all(),
             dedupe_similar: true,
             global_reduction: true,
         }
@@ -130,14 +127,11 @@ impl ReducedProgram {
 /// tests assert: two IRs of the same program — one hand-written, one
 /// source-extracted — may name ops differently, but after reduction they
 /// must retain the same number of ops per class.
-pub fn class_counts(
-    reduced: &ReducedProgram,
-    rules: &VulnerabilityRules,
-) -> BTreeMap<VulnClass, usize> {
+pub fn class_counts(reduced: &ReducedProgram) -> BTreeMap<VulnClass, usize> {
     let mut counts = BTreeMap::new();
     for func in &reduced.functions {
         for op in &func.kept_ops {
-            if let Some(class) = rules.classify(op) {
+            if let Some(class) = classify(op) {
                 *counts.entry(class).or_insert(0) += 1;
             }
         }
@@ -188,7 +182,7 @@ pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgra
                     }
                     continue;
                 }
-                if !config.rules.is_vulnerable(op) {
+                if !is_vulnerable(op) {
                     dropped_deterministic += 1;
                     continue;
                 }
@@ -336,7 +330,6 @@ mod tests {
         let cfg = ReductionConfig {
             dedupe_similar: false,
             global_reduction: false,
-            ..ReductionConfig::default()
         };
         let reduced = reduce_program(&ir, &cfg);
         assert_eq!(reduced.functions[0].kept_ops.len(), 2);
@@ -428,7 +421,7 @@ mod tests {
     #[test]
     fn class_counts_tally_kept_ops() {
         let reduced = reduce_program(&zk_like(), &ReductionConfig::default());
-        let counts = class_counts(&reduced, &VulnerabilityRules::all());
+        let counts = class_counts(&reduced);
         assert_eq!(counts.get(&VulnClass::Io), Some(&1), "{counts:?}");
         assert_eq!(counts.get(&VulnClass::Synchronization), Some(&1));
         assert_eq!(counts.values().sum::<usize>(), reduced.stats.ops_retained);

@@ -7,11 +7,9 @@
 //! resource, and communication related method invocations. We also support
 //! annotations for developers to tag customized vulnerable methods."
 //!
-//! [`VulnerabilityRules`] encodes that policy: which built-in classes count,
-//! plus a custom name set mirroring AutoWatchdog's configuration of
-//! "system-specific operations \[that\] might be vulnerable".
-
-use std::collections::BTreeSet;
+//! [`classify`] encodes that policy: every op of a built-in class counts,
+//! and an op annotated `// wdog: vulnerable` (without a kind) is the
+//! developer-tagged custom class.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +26,7 @@ pub enum VulnClass {
     Synchronization,
     /// Allocation of significant resources.
     Resource,
-    /// Developer-annotated or name-matched custom operations.
+    /// Developer-annotated custom operations.
     Custom,
 }
 
@@ -56,64 +54,18 @@ impl VulnClass {
     }
 }
 
-/// Policy for which operations count as vulnerable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VulnerabilityRules {
-    /// Include I/O operations.
-    pub io: bool,
-    /// Include communication operations.
-    pub communication: bool,
-    /// Include blocking synchronization operations.
-    pub synchronization: bool,
-    /// Include resource allocation operations.
-    pub resource: bool,
-    /// Operation names always treated as vulnerable (configuration-level
-    /// tagging, in addition to per-op IR annotations).
-    pub custom_ops: BTreeSet<String>,
+/// Classifies `op`; `None` means not vulnerable. An annotated op is
+/// [`VulnClass::Custom`] whatever its kind; otherwise the kind decides.
+pub fn classify(op: &Operation) -> Option<VulnClass> {
+    if op.annotated_vulnerable {
+        return Some(VulnClass::Custom);
+    }
+    VulnClass::of_kind(&op.kind)
 }
 
-impl VulnerabilityRules {
-    /// The paper's default: I/O, synchronization, resource, communication.
-    pub fn all() -> Self {
-        Self {
-            io: true,
-            communication: true,
-            synchronization: true,
-            resource: true,
-            custom_ops: BTreeSet::new(),
-        }
-    }
-
-    /// Adds a custom vulnerable operation name.
-    pub fn with_custom(mut self, name: impl Into<String>) -> Self {
-        self.custom_ops.insert(name.into());
-        self
-    }
-
-    /// Classifies `op` under these rules; `None` means not vulnerable.
-    pub fn classify(&self, op: &Operation) -> Option<VulnClass> {
-        if op.annotated_vulnerable || self.custom_ops.contains(&op.name) {
-            return Some(VulnClass::Custom);
-        }
-        match VulnClass::of_kind(&op.kind)? {
-            VulnClass::Io if self.io => Some(VulnClass::Io),
-            VulnClass::Communication if self.communication => Some(VulnClass::Communication),
-            VulnClass::Synchronization if self.synchronization => Some(VulnClass::Synchronization),
-            VulnClass::Resource if self.resource => Some(VulnClass::Resource),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` if `op` is vulnerable under these rules.
-    pub fn is_vulnerable(&self, op: &Operation) -> bool {
-        self.classify(op).is_some()
-    }
-}
-
-impl Default for VulnerabilityRules {
-    fn default() -> Self {
-        Self::all()
-    }
+/// Returns `true` if `op` is vulnerable.
+pub fn is_vulnerable(op: &Operation) -> bool {
+    classify(op).is_some()
 }
 
 #[cfg(test)]
@@ -134,66 +86,46 @@ mod tests {
 
     #[test]
     fn builtin_classes_match_paper() {
-        let r = VulnerabilityRules::all();
-        assert_eq!(r.classify(&op("w", OpKind::DiskWrite)), Some(VulnClass::Io));
-        assert_eq!(r.classify(&op("r", OpKind::DiskRead)), Some(VulnClass::Io));
-        assert_eq!(r.classify(&op("s", OpKind::DiskSync)), Some(VulnClass::Io));
+        assert_eq!(classify(&op("w", OpKind::DiskWrite)), Some(VulnClass::Io));
+        assert_eq!(classify(&op("r", OpKind::DiskRead)), Some(VulnClass::Io));
+        assert_eq!(classify(&op("s", OpKind::DiskSync)), Some(VulnClass::Io));
         assert_eq!(
-            r.classify(&op("tx", OpKind::NetSend)),
+            classify(&op("tx", OpKind::NetSend)),
             Some(VulnClass::Communication)
         );
         assert_eq!(
-            r.classify(&op("rx", OpKind::NetRecv)),
+            classify(&op("rx", OpKind::NetRecv)),
             Some(VulnClass::Communication)
         );
         assert_eq!(
-            r.classify(&op("lk", OpKind::LockAcquire)),
+            classify(&op("lk", OpKind::LockAcquire)),
             Some(VulnClass::Synchronization)
         );
         assert_eq!(
-            r.classify(&op("cw", OpKind::CondWait)),
+            classify(&op("cw", OpKind::CondWait)),
             Some(VulnClass::Synchronization)
         );
         assert_eq!(
-            r.classify(&op("al", OpKind::Alloc)),
+            classify(&op("al", OpKind::Alloc)),
             Some(VulnClass::Resource)
         );
     }
 
     #[test]
     fn compute_release_and_calls_never_vulnerable() {
-        let r = VulnerabilityRules::all();
-        assert!(!r.is_vulnerable(&op("c", OpKind::Compute)));
-        assert!(!r.is_vulnerable(&op("u", OpKind::LockRelease)));
-        assert!(!r.is_vulnerable(&op("call", OpKind::Call { callee: "f".into() })));
-    }
-
-    #[test]
-    fn classes_can_be_disabled() {
-        let r = VulnerabilityRules {
-            synchronization: false,
-            ..VulnerabilityRules::all()
-        };
-        assert!(!r.is_vulnerable(&op("lk", OpKind::LockAcquire)));
-        assert!(r.is_vulnerable(&op("w", OpKind::DiskWrite)));
+        assert!(!is_vulnerable(&op("c", OpKind::Compute)));
+        assert!(!is_vulnerable(&op("u", OpKind::LockRelease)));
+        assert!(!is_vulnerable(&op(
+            "call",
+            OpKind::Call { callee: "f".into() }
+        )));
     }
 
     #[test]
     fn annotation_overrides_kind() {
-        let r = VulnerabilityRules::all();
         let mut o = op("business_step", OpKind::Compute);
         o.annotated_vulnerable = true;
-        assert_eq!(r.classify(&o), Some(VulnClass::Custom));
-    }
-
-    #[test]
-    fn custom_name_set_matches() {
-        let r = VulnerabilityRules::all().with_custom("checksum_partition");
-        assert_eq!(
-            r.classify(&op("checksum_partition", OpKind::Compute)),
-            Some(VulnClass::Custom)
-        );
-        assert!(!r.is_vulnerable(&op("other_compute", OpKind::Compute)));
+        assert_eq!(classify(&o), Some(VulnClass::Custom));
     }
 
     #[test]

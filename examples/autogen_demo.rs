@@ -36,7 +36,6 @@ fn main() {
     let no_dedup = ReductionConfig {
         dedupe_similar: false,
         global_reduction: false,
-        ..ReductionConfig::default()
     };
     let fat_plan = generate_plan(&kvs_ir, &no_dedup);
     println!(

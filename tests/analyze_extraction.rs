@@ -1,20 +1,20 @@
 //! Golden tests for the `wdog-analyze` extraction pipeline.
 //!
-//! Three guarantees, layered:
+//! Four guarantees, layered:
 //!
 //! 1. **Snapshots** — the extracted [`wdog_analyze::ExtractedProgram`] for
 //!    each target matches the JSON committed under `tests/snapshots/`.
 //!    Any change to a target's source or to the extractor shows up as a
 //!    reviewable snapshot diff. Regenerate with
 //!    `WDOG_UPDATE_SNAPSHOTS=1 cargo test --test analyze_extraction`.
-//! 2. **Reduction parity** — reducing the extracted IR (restricted to the
-//!    described regions) yields the same per-class vulnerable-op counts as
-//!    reducing the hand-written `describe_ir()`. The two IR sources agree
-//!    not just at the drift-key level but through the whole pipeline.
-//! 3. **Deletion detection** — removing one op from a `describe_ir()`
-//!    produces a denied `missing-from-description` finding that names the
-//!    real source site, which is exactly what makes `wdog-lint` exit
-//!    non-zero in CI.
+//! 2. **Reduction parity** — reducing the extracted IR yields the same
+//!    per-class vulnerable-op counts as reducing the hand-written
+//!    `describe_ir()`. The two IR sources agree not just op by op but
+//!    through the whole pipeline.
+//! 3. **The coverage gate** — deleting an op from a `describe_ir()` leaves
+//!    real source sites uncovered, and deleting the directive that names
+//!    minizk's request-path lock leaves the described lock unmatched in
+//!    its region: either makes `wdog-lint` exit non-zero in CI.
 //! 4. **Line independence** — ops are named by callee + ordinal, never by
 //!    line: shifting every function of a target down by two lines leaves
 //!    every serialized analysis output byte-equal.
@@ -22,12 +22,10 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use harness::lint::{lint_targets, load_blind_spots, run_analysis, run_lint};
-use wdog_analyze::{compare, extract_model, extract_target, restrict_to_regions, target_named};
+use harness::lint::{lint_targets, load_blind_spots, run_analysis, LintTarget};
+use wdog_analyze::{coverage_matrix, extract_model, extract_target, target_named, CoverageStatus};
 use wdog_gen::plan::generate_plan;
 use wdog_gen::reduce::{class_counts, reduce_program, ReductionConfig};
-use wdog_gen::vulnerable::VulnerabilityRules;
-use wdog_gen::DriftKind;
 
 const TARGETS: &[&str] = &["kvs", "minizk", "miniblock"];
 
@@ -70,22 +68,12 @@ fn extraction_matches_committed_snapshots() {
 
 #[test]
 fn extracted_and_described_irs_reduce_to_the_same_class_counts() {
-    let rules = VulnerabilityRules::default();
     let cfg = ReductionConfig::default();
     for t in lint_targets() {
         let described = (t.describe)();
         let extracted = extract_target(target_named(t.name).unwrap()).unwrap();
-        // Restrict to the described regions: regions only the extractor
-        // sees are drift findings, not reduction inputs.
-        let entries: BTreeSet<String> = described
-            .functions
-            .values()
-            .filter(|f| f.long_running)
-            .map(|f| f.name.clone())
-            .collect();
-        let restricted = restrict_to_regions(&extracted.ir, &entries);
-        let described_counts = class_counts(&reduce_program(&described, &cfg), &rules);
-        let extracted_counts = class_counts(&reduce_program(&restricted, &cfg), &rules);
+        let described_counts = class_counts(&reduce_program(&described, &cfg));
+        let extracted_counts = class_counts(&reduce_program(&extracted.ir, &cfg));
         assert_eq!(
             described_counts, extracted_counts,
             "per-class reduced op counts diverge for `{}`",
@@ -107,36 +95,88 @@ fn deleting_a_described_op_names_the_missing_source_site() {
 
     let plan = generate_plan(&described, &ReductionConfig::default());
     let extracted = extract_target(target_named("kvs").unwrap()).unwrap();
-    let mut report = compare(
-        &described,
-        &plan,
-        &extracted,
-        &VulnerabilityRules::default(),
-    );
-    report.apply_allowlist(&kvs::wd::drift_allowlist());
+    let matrix = coverage_matrix(&extracted, &plan, &[]);
 
-    assert!(!report.is_clean(), "deleted op must be denied drift");
-    let finding = report
-        .denied()
-        .into_iter()
-        .find(|f| f.kind == DriftKind::MissingFromDescription)
-        .expect("deletion surfaces as missing-from-description");
-    let src = finding
-        .source
-        .as_ref()
-        .expect("finding points at the real source site");
-    // Drift keys match globally, so the representative site may be any
-    // WAL-writing call — `Wal::append_record` itself or the flusher's
-    // rotation path. Either way it names real kvs source.
+    let uncovered: Vec<&str> = matrix
+        .regions
+        .iter()
+        .flat_map(|r| &r.ops)
+        .filter(|o| o.status == CoverageStatus::Uncovered)
+        .map(|o| o.op_id.as_str())
+        .collect();
     assert!(
-        src.file.starts_with("crates/kvs/src/"),
-        "source site should be in the kvs crate, got {}",
-        src.file
+        !uncovered.is_empty(),
+        "deleted op must leave source uncovered"
     );
+    let violations = matrix.violations();
+    for op in uncovered {
+        let site = extracted
+            .sites
+            .get(op)
+            .unwrap_or_else(|| panic!("uncovered row `{op}` keys no source site"));
+        assert!(
+            site.file.starts_with("crates/kvs/src/"),
+            "source site should be in the kvs crate, got {}",
+            site.file
+        );
+        assert!(
+            violations.iter().any(|v| v.contains(op)),
+            "the gate names `{op}`: {violations:?}"
+        );
+    }
+}
+
+/// `target`'s sources with every line containing `needle` dropped from
+/// the file ending in `file`.
+fn without_line(target: &LintTarget, file: &str, needle: &str) -> Vec<(String, String)> {
+    let mut sources = target.sources().expect("workspace sources readable");
+    let (_, src) = sources
+        .iter_mut()
+        .find(|(path, _)| path.ends_with(file))
+        .unwrap_or_else(|| panic!("{}: no {file}", target.name));
+    let kept: Vec<&str> = src.lines().filter(|l| !l.contains(needle)).collect();
     assert!(
-        extracted.sites.get(&finding.subject) == Some(src),
-        "the finding's op id `{}` keys its source site",
-        finding.subject
+        kept.len() < src.lines().count(),
+        "{file}: no line has {needle:?}"
+    );
+    *src = kept.join("\n");
+    sources
+}
+
+fn minizk() -> LintTarget {
+    lint_targets()
+        .into_iter()
+        .find(|t| t.name == "minizk")
+        .expect("minizk is a lint target")
+}
+
+#[test]
+fn the_2201_lock_must_be_matched_in_its_own_region() {
+    // Without its directive, extraction sees no lock in `final_apply`
+    // (`create`/`set_data` are ambiguous names). The snapshot region's
+    // `write_lock` acquisition must not stand in for it.
+    let t = minizk();
+    let sources = without_line(&t, "processors.rs", "wdog: vulnerable name=tree_write_lock");
+    let violations = run_analysis(&t, &sources, &[]).coverage.violations();
+    assert_eq!(
+        violations,
+        [
+            "request_processor_loop: described op final_apply#tree_write_lock has no same-kind, \
+          same-resource op in the region's source"
+        ]
+    );
+}
+
+#[test]
+fn an_undescribed_source_region_fails_the_gate() {
+    let t = minizk();
+    let sources = without_line(&t, "quorum.rs", "wdog: ignore -- liveness responder");
+    let coverage = run_analysis(&t, &sources, &[]).coverage;
+    assert_eq!(coverage.not_described, ["responder_loop"]);
+    let violations = coverage.violations();
+    assert!(
+        violations.contains(&"source region `responder_loop` is not described".to_owned()),
+        "{violations:?}"
     );
 }
 
@@ -192,13 +232,11 @@ fn analysis_is_invariant_under_line_shifts() {
         let render = |sources: &[(String, String)]| {
             let b = run_analysis(&t, sources, &spots);
             let extracted = extract_model(cfg.name, cfg.model(sources, true));
-            let drift = run_lint(&t, sources);
             [
                 ("extraction", serde_json::to_string_pretty(&extracted)),
                 ("safety", serde_json::to_string_pretty(&b.safety)),
                 ("locks", serde_json::to_string_pretty(&b.locks)),
                 ("coverage", serde_json::to_string_pretty(&b.coverage)),
-                ("drift", serde_json::to_string_pretty(&drift)),
             ]
             .map(|(what, json)| (what, json.expect("analysis output serializes")))
         };

@@ -12,9 +12,10 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 /// another one already answered their question (the gate flags and the
 /// real-clock scan gave way to archive comparison and clippy, the runtime's
 /// telemetry copies to the typed records they copied, settings nothing
-/// varied to constants, counters nothing read); neither docs nor CI may
-/// lean on them.
-const RETIRED: [&str; 56] = [
+/// varied to constants, counters nothing read, the key-level drift lint
+/// and its allowlists to the coverage matrix's region-by-region gate);
+/// neither docs nor CI may lean on them.
+const RETIRED: [&str; 61] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -71,6 +72,11 @@ const RETIRED: [&str; 56] = [
     "heartbeat_interval",
     "report_interval",
     "scan_interval",
+    "drift_allowlist",
+    "DriftReport",
+    "AllowEntry",
+    "render_drift",
+    "drift-all.json",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];

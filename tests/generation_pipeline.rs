@@ -78,14 +78,13 @@ fn every_hook_sits_before_a_retained_op_with_matching_fields() {
 
 #[test]
 fn retained_ops_are_all_vulnerable() {
-    let rules = wdog_gen::vulnerable::VulnerabilityRules::all();
     for (ir, plan) in plans() {
         for checker in &plan.checkers {
             for op in &checker.ops {
                 let func = ir.function(&op.function).unwrap();
                 let ir_op = func.ops.iter().find(|o| o.name == op.name).unwrap();
                 assert!(
-                    rules.is_vulnerable(ir_op),
+                    wdog_gen::is_vulnerable(ir_op),
                     "{}: retained op {} is not vulnerable",
                     ir.name,
                     op.op_id
@@ -156,7 +155,6 @@ fn dedup_ablation_strictly_increases_retained_ops() {
     let off = ReductionConfig {
         dedupe_similar: false,
         global_reduction: false,
-        ..ReductionConfig::default()
     };
     for ir in [kvs::wd::describe_ir(), minizk::wd::describe_ir()] {
         let a = generate_plan(&ir, &full).reduced.stats.ops_retained;

@@ -7,7 +7,7 @@ use wdog_core::context::{ContextTable, CtxValue};
 use wdog_gen::ir::{ArgType, OpKind, ProgramBuilder, ProgramIr};
 use wdog_gen::plan::generate_plan;
 use wdog_gen::reduce::{reduce_program, ReductionConfig};
-use wdog_gen::vulnerable::VulnerabilityRules;
+use wdog_gen::vulnerable::is_vulnerable;
 
 /// Strategy: one random operation kind (excluding calls).
 fn op_kind() -> impl Strategy<Value = OpKind> {
@@ -79,14 +79,14 @@ fn program() -> impl Strategy<Value = ProgramIr> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every op retained by reduction is vulnerable under the rules.
+    /// Every op retained by reduction is vulnerable.
     #[test]
     fn retained_ops_are_vulnerable(ir in program()) {
         let config = ReductionConfig::default();
         let reduced = reduce_program(&ir, &config);
         for rf in &reduced.functions {
             for op in &rf.kept_ops {
-                prop_assert!(config.rules.is_vulnerable(op));
+                prop_assert!(is_vulnerable(op));
             }
         }
     }
@@ -97,13 +97,12 @@ proptest! {
     fn every_vulnerable_class_is_represented(ir in program()) {
         let config = ReductionConfig::default();
         let reduced = reduce_program(&ir, &config);
-        let rules = VulnerabilityRules::all();
         let mut region_classes = std::collections::BTreeSet::new();
         for region in &reduced.regions {
             for fname in &region.functions {
                 let f = ir.function(fname).unwrap();
                 for op in &f.ops {
-                    if rules.is_vulnerable(op) {
+                    if is_vulnerable(op) {
                         region_classes.insert(op.similarity_key());
                     }
                 }
@@ -125,7 +124,6 @@ proptest! {
         let off = reduce_program(&ir, &ReductionConfig {
             dedupe_similar: false,
             global_reduction: false,
-            ..ReductionConfig::default()
         });
         prop_assert!(off.stats.ops_retained >= full.stats.ops_retained);
     }
