@@ -97,8 +97,8 @@ impl Default for TargetProfile {
             leak_toggle: "kvs.listener.leak".into(),
             wal_blames: ids(&["kvs.wal_loop", "kvs.flusher"]),
             sst_blames: ids(&[
-                "flush_once#sst_sync",
-                "compact_once#sst_read",
+                "write_sstable#fsync",
+                "read_sstable#read",
                 "compact_once#sst_merge_write",
             ]),
             replication_blames: ids(&["kvs.replication_loop", "kvs.replication"]),

@@ -11,7 +11,7 @@ fn main() {
         harness::zk2201::render,
         (
             harness::zk2201::shape_violations,
-            " (every seed: heartbeat green, writes hung, serialize_node blamed within interval + timeout)",
+            " (every seed: heartbeat green, writes hung, with_locked_data#lock blamed within interval + timeout)",
         ),
     );
 }

@@ -725,8 +725,8 @@ mod tests {
         // compaction's lock does not detect an `sst/` fault, its read does,
         // and its checker joins the fault's checker set.
         let sst = one_fault(&KvsTarget, "disk-bit-rot");
-        let lock = at_op("kvs.compaction_loop", "compact_once#compaction_lock");
-        let read = at_op("kvs.compaction_loop", "compact_once#sst_read");
+        let lock = at_op("kvs.compaction_loop", "compact_once#lock");
+        let read = at_op("kvs.compaction_loop", "read_sstable#read");
         assert_ne!(
             score_schedule(&sst, &traced(&[lock]), None).verdict,
             DETECTED

@@ -1,83 +1,34 @@
 //! The static analysis behind `wdog-lint`.
 //!
-//! Each target crate ships its `describe_ir()` self-description; the
-//! extractor recovers the same IR straight from the target's Rust source.
-//! [`run_analysis`] runs every static pass over one extraction: the
-//! interprocedural call graph, lock-order deadlock detection, the
-//! checker-safety lint, and the coverage matrix, which checks the plan
-//! generated from the description against the source region by region
-//! (cross-referenced against chaos-confirmed misses via
-//! [`load_blind_spots`]). The `wdog-lint` binary archives the resulting
-//! [`AnalysisBundle`] under `results/analysis/` and exits 1 on a coverage
-//! violation, a shared-mutation probe or a lock-order cycle.
+//! The extractor recovers each target's IR straight from its Rust source —
+//! the IR its `describe_ir()` returns, committed as
+//! `tests/snapshots/<target>.json`. [`run_analysis`] runs every static pass
+//! over one extraction: the interprocedural call graph, lock-order deadlock
+//! detection, the checker-safety lint, and the coverage matrix of the plan
+//! generated from that IR (cross-referenced against chaos-confirmed misses
+//! via [`load_blind_spots`]). The `wdog-lint` binary archives the resulting
+//! [`AnalysisBundle`] under `results/analysis/` and exits 1 on a
+//! shared-mutation probe or a lock-order cycle.
 
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use wdog_analyze::extract::read_sources;
 use wdog_analyze::{
-    analyze_locks, analyze_safety_model, coverage_matrix, extract_model, target_named, BlindSpot,
-    CallGraph, CallGraphSummary, CoverageMatrix, LockOrderReport, SafetyReport, TargetConfig,
+    analyze_locks, analyze_safety_model, coverage_matrix, extract_model, BlindSpot, CallGraph,
+    CallGraphSummary, CoverageMatrix, LockOrderReport, SafetyReport, TargetConfig, TARGETS,
 };
 use wdog_gen::plan::generate_plan;
 use wdog_gen::reduce::ReductionConfig;
-use wdog_gen::ProgramIr;
 
-/// One lintable target: the analyzer scope plus the target's own
-/// description.
-pub struct LintTarget {
-    /// Target name (`kvs`, `minizk`, `miniblock`).
-    pub name: &'static str,
-    /// The target's `describe_ir`.
-    pub describe: fn() -> ProgramIr,
-}
-
-/// All lintable targets.
-pub fn lint_targets() -> Vec<LintTarget> {
-    vec![
-        LintTarget {
-            name: "kvs",
-            describe: kvs::wd::describe_ir,
-        },
-        LintTarget {
-            name: "minizk",
-            describe: minizk::wd::describe_ir,
-        },
-        LintTarget {
-            name: "miniblock",
-            describe: miniblock::wd::describe_ir,
-        },
-    ]
-}
-
-/// Resolves a `--target` value to lint targets (`all` selects every one).
-pub fn select_lint_targets(name: &str) -> Option<Vec<LintTarget>> {
-    if name == "all" {
-        return Some(lint_targets());
-    }
-    let selected: Vec<LintTarget> = lint_targets()
-        .into_iter()
-        .filter(|t| t.name == name)
+/// Resolves a `--target` value to analyzer scopes (`all` selects every
+/// target).
+pub fn select_lint_targets(name: &str) -> Option<Vec<&'static TargetConfig>> {
+    let selected: Vec<&'static TargetConfig> = TARGETS
+        .iter()
+        .filter(|t| name == "all" || t.name == name)
         .collect();
-    if selected.is_empty() {
-        None
-    } else {
-        Some(selected)
-    }
-}
-
-impl LintTarget {
-    /// The analyzer scope of this target.
-    fn scope(&self) -> &'static TargetConfig {
-        target_named(self.name)
-            .unwrap_or_else(|| panic!("no analyzer scope registered for target {}", self.name))
-    }
-
-    /// Reads this target's crate sources, the input of [`run_analysis`].
-    pub fn sources(&self) -> std::io::Result<Vec<(String, String)>> {
-        read_sources(self.scope())
-    }
+    (!selected.is_empty()).then_some(selected)
 }
 
 /// The full static-analysis output for one target: call-graph shape,
@@ -141,23 +92,21 @@ pub fn load_blind_spots(dir: &Path, target: &str) -> std::io::Result<Vec<BlindSp
     Ok(spots)
 }
 
-/// Runs the static-analysis passes for one target over its `sources`:
-/// extraction, call graph, lock order, probe safety, and the coverage
-/// matrix against the default plan generated from the target's own
-/// self-description (so coverage reflects the checkers that actually ship).
+/// Runs the static-analysis passes for one target over its `sources` (as
+/// [`wdog_analyze::extract::read_sources`] returns them): extraction, call
+/// graph, lock order, probe safety, and the coverage matrix against the
+/// default plan generated from the extracted IR — the checkers that ship.
 pub fn run_analysis(
-    target: &LintTarget,
+    cfg: &TargetConfig,
     sources: &[(String, String)],
     blind_spots: &[BlindSpot],
 ) -> AnalysisBundle {
-    let cfg = target.scope();
     let extracted = extract_model(cfg.name, cfg.model(sources, true));
-    let described = (target.describe)();
-    let plan = generate_plan(&described, &ReductionConfig::default());
+    let plan = generate_plan(&extracted.ir, &ReductionConfig::default());
     let graph = CallGraph::build(&extracted.ir);
     AnalysisBundle {
-        target: target.name.to_owned(),
-        callgraph: graph.summary(target.name),
+        target: cfg.name.to_owned(),
+        callgraph: graph.summary(cfg.name),
         locks: analyze_locks(&extracted.ir, &graph),
         safety: analyze_safety_model(cfg.name, &cfg.model(sources, false)),
         coverage: coverage_matrix(&extracted, &plan, blind_spots),
@@ -167,17 +116,6 @@ pub fn run_analysis(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_builtin_target_has_an_analyzer_scope() {
-        for t in lint_targets() {
-            assert!(
-                target_named(t.name).is_some(),
-                "no TargetConfig for {}",
-                t.name
-            );
-        }
-    }
 
     #[test]
     fn a_corpus_file_that_does_not_parse_is_an_error() {
@@ -195,16 +133,5 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
         let err = loaded.expect_err("a stale reproducer must not be skipped");
         assert!(err.to_string().contains("chaos-1-000"), "{err}");
-    }
-
-    #[test]
-    fn merged_tree_passes_the_coverage_gate() {
-        for t in lint_targets() {
-            let sources = t.sources().expect("workspace sources readable");
-            let coverage = run_analysis(&t, &sources, &[]).coverage;
-            assert_eq!(coverage.violations(), Vec::<String>::new(), "{}", t.name);
-            let described = coverage.regions.iter().flat_map(|r| &r.described);
-            assert!(described.count() > 0, "{} matched nothing", t.name);
-        }
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! AutoWatchdog's §4.2 claim is that it generates "tens of checkers" per
 //! real system by reducing each long-running region to its vulnerable
-//! operations. This experiment runs the full pipeline over both target
-//! systems, prints the Figure 2-style keep/drop listing for the minizk
-//! snapshot region (the paper's own example) and the Figure 3-style
-//! generated checker, and tabulates the reduction statistics — including
-//! the dedup ablation (E6c).
+//! operations. This experiment runs the full pipeline over the IR each
+//! target extracts from its own source, prints the Figure 2-style keep/drop
+//! listing for the minizk snapshot region (the paper's own example) and the
+//! Figure 3-style generated checker, and tabulates the reduction statistics
+//! — including the dedup ablation (E6c).
 
 use serde::{Deserialize, Serialize};
 
@@ -37,8 +37,6 @@ pub struct ProgramReductionStats {
     pub ops_retained: usize,
     /// Generated checkers.
     pub checkers: usize,
-    /// Planned hooks.
-    pub hooks: usize,
     /// Fraction of all ops retained.
     pub retention: f64,
 }
@@ -66,12 +64,11 @@ fn stats_for(ir: &ProgramIr, config: &ReductionConfig, label: &str) -> ProgramRe
         ops_vulnerable: s.ops_vulnerable,
         ops_retained: s.ops_retained,
         checkers: plan.checkers.len(),
-        hooks: plan.hooks.len(),
         retention: s.retention_ratio(),
     }
 }
 
-/// Runs E3b over both target systems.
+/// Runs E3b over the three target systems.
 pub fn run() -> ReductionResult {
     let kvs_ir = kvs::wd::describe_ir();
     let zk_ir = minizk::wd::describe_ir();
@@ -117,7 +114,6 @@ pub fn render(result: &ReductionResult) -> String {
         "retained",
         "retention",
         "checkers",
-        "hooks",
     ]);
     for s in &result.stats {
         t.row_owned(vec![
@@ -130,7 +126,6 @@ pub fn render(result: &ReductionResult) -> String {
             s.ops_retained.to_string(),
             format!("{:.0}%", s.retention * 100.0),
             s.checkers.to_string(),
-            s.hooks.to_string(),
         ]);
     }
     let mut out = String::from("E3b / Figures 2-3 — program logic reduction\n\n");
@@ -192,7 +187,7 @@ pub fn shape_violations(result: &ReductionResult) -> Vec<String> {
     if !result.figure2.contains("[KEEP] write_record") {
         v.push("figure 2 listing does not keep write_record".into());
     }
-    if !result.figure3.contains("serialize_node#write_record") {
+    if !result.figure3.contains("serialize_snapshot#write_record") {
         v.push("figure 3 checker does not execute write_record".into());
     }
     v

@@ -321,12 +321,7 @@ mod tests {
         assert!(detected("probe"), "writes never hung: {result:?}");
         assert!(detected("watchdog"), "{result:?}");
         let blamed = result.outcome("watchdog").unwrap().blamed.clone();
-        assert!(
-            blamed
-                .as_deref()
-                .is_some_and(|b| b.contains("serialize_node")),
-            "blamed {blamed:?}"
-        );
+        assert_eq!(blamed.as_deref(), Some(crate::zk2201::BLAMED));
     }
 
     #[test]

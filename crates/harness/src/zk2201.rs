@@ -35,7 +35,7 @@ pub struct Zk2201Result {
 }
 
 /// minizk's `replication-link-wedged`, expected to blame the operations of
-/// the blocked `serialize_node` rather than the writes waiting on its lock.
+/// the blocked snapshot walk rather than the writes waiting on its lock.
 pub fn scenario() -> Scenario {
     let mut s = ZkTarget
         .catalog()
@@ -43,9 +43,13 @@ pub fn scenario() -> Scenario {
         .find(|s| s.id == "replication-link-wedged")
         .expect("minizk catalogue scenario");
     s.expected.blames =
-        faults::catalog::ids(&["serialize_node#node_lock", "serialize_node#write_record"]);
+        faults::catalog::ids(&["with_locked_data#lock", "serialize_snapshot#write_record"]);
     s
 }
+
+/// Where every seed's first watchdog report must point: the node lock the
+/// wedged snapshot walk holds while it writes to the stuck link.
+pub const BLAMED: &str = "minizk.snapshot_sync_loop::with_locked_data [with_locked_data#lock]";
 
 /// Runs E4 over seeds 0–9 (2 s interval, 3 s checker timeout, 12 s window).
 pub fn run() -> BaseResult<Zk2201Result> {
@@ -157,10 +161,8 @@ pub fn shape_violations(result: &Zk2201Result) -> Vec<String> {
             ));
         }
         let blamed = wd.blamed.as_deref().unwrap_or("-");
-        if wd.correct_blame != Some(true) || !blamed.contains("serialize_node") {
-            v.push(format!(
-                "seed {seed}: blamed {blamed}, not the blocked serialize_node"
-            ));
+        if wd.correct_blame != Some(true) || blamed != BLAMED {
+            v.push(format!("seed {seed}: blamed {blamed}, not {BLAMED}"));
         }
         if wd.payload.is_empty() {
             v.push(format!("seed {seed}: no context captured with the blame"));

@@ -9,10 +9,10 @@
 //! 2. the injected stuck/busy-loop toggles wedge the thread *inside* that
 //!    lock —
 //!
-//! so the generated `compaction_lock` mimic op (a `try_lock_for` on the same
-//! real mutex) times out exactly when the real task is wedged, pinpointing
-//! the blocked operation the way the paper's watchdog pinpoints the blocked
-//! `serializeNode` call in ZOOKEEPER-2201.
+//! so the generated `compact_once#lock` mimic op (a `try_lock_for` on the
+//! same real mutex) times out exactly when the real task is wedged,
+//! pinpointing the blocked operation the way the paper's watchdog pinpoints
+//! the blocked `serializeNode` call in ZOOKEEPER-2201.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,7 +29,7 @@ pub(crate) fn compaction_loop(shared: Arc<Shared>, alive: Arc<AtomicBool>) {
     while shared.is_running() && alive.load(Ordering::Relaxed) {
         shared.clock.sleep(shared.config.compaction_interval);
         shared.stall.pass(shared.clock.as_ref());
-        // Hook: publish the oldest table path for the sst_read mimic op.
+        // Hook: publish the oldest table path for the sstable mimic ops.
         let tables = shared.partitions.tables();
         if let Some(first) = tables.first() {
             let path = first.path.clone();
@@ -72,6 +72,9 @@ pub(crate) fn compact_once(shared: &Arc<Shared>) -> wdog_base::error::BaseResult
     let newer = read_sstable(&shared.disk, &b.path)?;
     let merged = merge_entries(&[older, newer]);
     let out_path = shared.partitions.next_path();
+    // The merge output is compaction's own write: one op here, so the
+    // flusher's region keeps the write_sstable it shares.
+    // wdog: vulnerable name=sst_merge_write kind=disk-write resource=sst/
     let meta = write_sstable(&shared.disk, &out_path, &merged)?;
     shared
         .partitions

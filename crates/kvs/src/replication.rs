@@ -3,9 +3,9 @@
 //! Writes are replicated asynchronously off a queue, so a wedged replica
 //! link is invisible to clients (another deliberately gray failure: the
 //! backlog grows silently). The replication thread's hook publishes each op
-//! before sending, giving the generated `repl_send` mimic op a realistic
-//! payload to probe the *same* network link with — watchdog probe messages
-//! are tagged so the replica ignores them.
+//! before sending, giving the generated `replication_loop#send` mimic op a
+//! realistic payload to probe the *same* network link with — watchdog probe
+//! messages are tagged so the replica ignores them.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;

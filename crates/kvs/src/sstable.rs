@@ -3,8 +3,8 @@
 //! An SSTable file is `[crc32: u32 LE][json entries]`. The checksum covers
 //! the entire payload, so silent bit rot injected at the disk layer
 //! ([`simio::disk::DiskFault::CorruptWrites`]) is detectable by any reader —
-//! which is exactly what the generated `sst_read` mimic op does on every
-//! watchdog cycle.
+//! which is exactly what the generated `read_sstable#read` mimic op does on
+//! every watchdog cycle.
 
 use std::sync::Arc;
 

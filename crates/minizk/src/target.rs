@@ -41,7 +41,7 @@ pub struct ZkTarget;
 
 /// Scenario locations mapped onto minizk's layout.
 fn zk_profile() -> TargetProfile {
-    let txnlog = ids(&["sync_txn#txnlog_append", "sync_txn#txnlog_sync"]);
+    let txnlog = ids(&["sync_txn#append", "sync_txn#fsync"]);
     TargetProfile {
         wal_prefix: "txnlog/".into(),
         sst_prefix: "txnlog/".into(),

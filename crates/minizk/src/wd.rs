@@ -1,17 +1,18 @@
 //! Watchdog integration for minizk.
 //!
-//! Mirrors `kvs::wd`: the IR self-description (whose snapshot region is
-//! exactly the paper's Figure 2 call chain), the op table executing real
-//! cluster operations, and the assembled watchdog. The two operations that
-//! detect ZOOKEEPER-2201 are:
+//! Mirrors `kvs::wd`: the IR extracted from this crate's source (whose
+//! snapshot region is the paper's Figure 2 call chain), the op table
+//! executing real cluster operations, and the assembled watchdog. The
+//! operations that detect ZOOKEEPER-2201 are:
 //!
 //! - `final_apply#tree_write_lock` — try-locks the tree's real
 //!   write-serialization lock: wedged sync ⇒ timeout ⇒ `Stuck`;
-//! - `serialize_node#write_record` — sends a tagged probe frame on the
-//!   *same* leader→follower link the sync is using: wedged link ⇒ the
+//! - `with_locked_data#lock` then `serialize_snapshot#write_record` — the
+//!   node lock the snapshot writes under, then a tagged probe frame on the
+//!   *same* leader→follower link the sync is using: wedged sync ⇒ the
 //!   checker itself hangs ⇒ the driver's timeout path reports `Stuck`
-//!   pinpointed at `serialize_node [write_record]` with the node path that
-//!   was being serialized as concrete context — the paper's §4.2 result.
+//!   pinpointed at `with_locked_data#lock`, with the node path that was
+//!   being serialized as concrete context — the paper's §4.2 result.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,8 +24,9 @@ use wdog_checkers::probe::ProbeChecker;
 use wdog_checkers::signal::QueueDepthChecker;
 use wdog_core::prelude::*;
 
+use serde::Deserialize;
 use wdog_gen::interp::OpTable;
-use wdog_gen::ir::{ArgType, OpKind, ProgramBuilder, ProgramIr};
+use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
 
@@ -54,87 +56,19 @@ pub fn default_zk_options() -> WdOptions {
     }
 }
 
-/// Builds minizk's IR. The `snapshot_sync_loop` region reproduces Figure 2:
-/// `serialize_snapshot` → `serialize` → `serialize_node`, with the
-/// vulnerable `write_record` inside the per-node critical section.
+/// minizk's IR: the `ir` of `tests/snapshots/minizk.json`, the extraction
+/// of this crate's source that `extraction_matches_committed_snapshots`
+/// keeps byte-equal to what `wdog-analyze` reads from it today. Its
+/// `snapshot_sync_loop` region is Figure 2: `serialize_snapshot` writes
+/// each record inside the node lock `with_locked_data` takes.
 pub fn describe_ir() -> ProgramIr {
-    ProgramBuilder::new("minizk")
-        // Write pipeline.
-        .function("request_processor_loop", |f| {
-            f.long_running().call_in_loop("process_request")
-        })
-        .function("process_request", |f| {
-            f.compute("prep_request")
-                .call("sync_txn")
-                .call("final_apply")
-        })
-        .function("sync_txn", |f| {
-            f.op("txnlog_append", OpKind::DiskWrite, |o| {
-                o.resource("txnlog/")
-                    .in_loop()
-                    .arg("txn_payload", ArgType::Bytes)
-            })
-            // A second write to the same log (the epoch marker): similar to
-            // the append above, so reduction drops it.
-            .op("txnlog_marker", OpKind::DiskWrite, |o| {
-                o.resource("txnlog/")
-            })
-            .op("txnlog_sync", OpKind::DiskSync, |o| o.resource("txnlog/"))
-        })
-        .function("final_apply", |f| {
-            f.op("tree_write_lock", OpKind::LockAcquire, |o| {
-                o.resource("write_lock")
-            })
-            .compute("apply_node")
-            .compute("enqueue_commit")
-        })
-        // Commit broadcast.
-        .function("broadcast_loop", |f| {
-            f.long_running().call_in_loop("broadcast_commit")
-        })
-        .function("broadcast_commit", |f| {
-            f.op("commit_send", OpKind::NetSend, |o| {
-                o.resource("followers")
-                    .in_loop()
-                    .arg("commit_payload", ArgType::Bytes)
-            })
-        })
-        // Snapshot / follower sync: the Figure 2 chain.
-        .function("snapshot_sync_loop", |f| {
-            f.long_running().call_in_loop("serialize_snapshot")
-        })
-        .function("serialize_snapshot", |f| {
-            f.compute("reset_scount").call("serialize")
-        })
-        .function("serialize", |f| {
-            f.compute("init_path").call("serialize_node")
-        })
-        .function("serialize_node", |f| {
-            f.compute("get_node")
-                .op("node_lock", OpKind::LockAcquire, |o| {
-                    o.resource("znode").arg("node_path", ArgType::Str)
-                })
-                .op("write_record", OpKind::NetSend, |o| {
-                    o.resource("sync-target")
-                        .arg("node_path", ArgType::Str)
-                        .arg("node_data", ArgType::Bytes)
-                        .arg("sync_target", ArgType::Str)
-                })
-                // The ACL record travels the same link: similar, so dropped.
-                .op("write_acl_record", OpKind::NetSend, |o| {
-                    o.resource("sync-target").arg("sync_target", ArgType::Str)
-                })
-                .simple_op("node_unlock", OpKind::LockRelease)
-                .compute("append_children")
-                .call_in_loop("serialize_node")
-        })
-        // Initialization.
-        .function("startup_restore", |f| {
-            f.init_only()
-                .op("read_txnlog", OpKind::DiskRead, |o| o.resource("txnlog/"))
-                .compute("rebuild_tree")
-        })
-        .build()
+    #[derive(Deserialize)]
+    struct Extraction {
+        ir: ProgramIr,
+    }
+    let json = include_str!("../../../tests/snapshots/minizk.json");
+    let extraction: Extraction = serde_json::from_str(json).expect("minizk extraction parses");
+    extraction.ir
 }
 
 /// Runs the AutoWatchdog pipeline over minizk's IR.
@@ -148,10 +82,10 @@ pub fn op_table(cluster: &Cluster) -> OpTable {
     let shared = Arc::clone(cluster.shared());
     let mut table = OpTable::new();
 
-    // sync_txn#txnlog_append / txnlog_sync: probe file on the same volume.
+    // sync_txn#append / fsync: probe file on the same volume.
     {
         let s = Arc::clone(&shared);
-        table.register("sync_txn#txnlog_append", move |snap| {
+        table.register("sync_txn#append", move |snap| {
             let payload = snap
                 .get("txn_payload")
                 .and_then(|v| v.as_bytes())
@@ -168,7 +102,7 @@ pub fn op_table(cluster: &Cluster) -> OpTable {
     }
     {
         let s = Arc::clone(&shared);
-        table.register("sync_txn#txnlog_sync", move |_snap| {
+        table.register("sync_txn#fsync", move |_snap| {
             if !s.disk.exists(TXNLOG_PROBE_PATH) {
                 s.disk.append(TXNLOG_PROBE_PATH, b"")?;
             }
@@ -177,9 +111,11 @@ pub fn op_table(cluster: &Cluster) -> OpTable {
     }
 
     // final_apply#tree_write_lock: the 2201 detector — try the real lock.
-    {
+    // The snapshot holds the same lock (`serialize_snapshot#lock`, planned
+    // only when dedup is off).
+    for op_id in ["final_apply#tree_write_lock", "serialize_snapshot#lock"] {
         let s = Arc::clone(&shared);
-        table.register("final_apply#tree_write_lock", move |_snap| {
+        table.register(op_id, move |_snap| {
             match s.tree.write_lock.try_lock_for(Duration::from_millis(500)) {
                 Some(_guard) => Ok(()),
                 None => Err(BaseError::Timeout {
@@ -190,10 +126,10 @@ pub fn op_table(cluster: &Cluster) -> OpTable {
         });
     }
 
-    // broadcast_commit#commit_send: probe every follower link.
+    // broadcast_loop#send: probe every follower link.
     {
         let s = Arc::clone(&shared);
-        table.register("broadcast_commit#commit_send", move |_snap| {
+        table.register("broadcast_loop#send", move |_snap| {
             for f in &s.follower_addrs {
                 s.net.send(LEADER_ADDR, f, ZkMsg::WdProbe.encode())?;
             }
@@ -201,31 +137,10 @@ pub fn op_table(cluster: &Cluster) -> OpTable {
         });
     }
 
-    // Similar-op implementations, used only by no-dedup ablation plans.
+    // with_locked_data#lock: try the lock of the node being serialized.
     {
         let s = Arc::clone(&shared);
-        table.register("sync_txn#txnlog_marker", move |_snap| {
-            s.disk.append(TXNLOG_PROBE_PATH, b"marker")
-        });
-    }
-    {
-        let s = Arc::clone(&shared);
-        table.register("serialize_node#write_acl_record", move |snap| {
-            let Some(target) = snap
-                .get("sync_target")
-                .and_then(|v| v.as_str())
-                .map(str::to_owned)
-            else {
-                return Ok(());
-            };
-            s.net.send(LEADER_ADDR, &target, ZkMsg::WdProbe.encode())
-        });
-    }
-
-    // serialize_node#node_lock: try the lock of the node being serialized.
-    {
-        let s = Arc::clone(&shared);
-        table.register("serialize_node#node_lock", move |snap| {
+        table.register("with_locked_data#lock", move |snap| {
             let path = snap
                 .get("node_path")
                 .and_then(|v| v.as_str())
@@ -244,12 +159,12 @@ pub fn op_table(cluster: &Cluster) -> OpTable {
         });
     }
 
-    // serialize_node#write_record: probe the live sync link. If the link is
-    // wedged this call blocks — by design — and the driver's timeout path
-    // reports the checker stuck at exactly this operation.
+    // serialize_snapshot#write_record: probe the live sync link. If the
+    // link is wedged this call blocks — by design — and the driver's
+    // timeout path reports the checker stuck at exactly this operation.
     {
         let s = Arc::clone(&shared);
-        table.register("serialize_node#write_record", move |snap| {
+        table.register("serialize_snapshot#write_record", move |snap| {
             let target = snap
                 .get("sync_target")
                 .and_then(|v| v.as_str())
@@ -330,44 +245,21 @@ mod tests {
     use wdog_base::clock::RealClock;
 
     #[test]
-    fn ir_is_well_formed() {
-        let ir = describe_ir();
-        assert!(ir.dangling_callees().is_empty());
-        let long_running = ir.functions.values().filter(|f| f.long_running).count();
-        assert_eq!(long_running, 3);
-    }
-
-    #[test]
     fn figure2_chain_reduces_to_lock_and_write_record() {
         let plan = generate_zk_plan(&ReductionConfig::default());
         let snap = plan.checker_for("snapshot_sync_loop").expect("checker");
         let ids: Vec<&str> = snap.ops.iter().map(|o| o.op_id.as_str()).collect();
         assert_eq!(
             ids,
-            vec!["serialize_node#node_lock", "serialize_node#write_record"],
+            vec!["with_locked_data#lock", "serialize_snapshot#write_record"],
             "reduction must retain exactly the Figure 3 operations"
         );
-        // The generated hook sits before write_record in serialize_node,
-        // publishing into the region context — Figure 2 line 28.
-        assert!(plan.hooks.iter().any(|h| h.function == "serialize_node"
-            && h.before_op == "write_record"
-            && h.context_key == "snapshot_sync_loop"));
-    }
-
-    #[test]
-    fn op_table_covers_all_planned_ops() {
-        let cluster = Cluster::for_tests();
-        let table = op_table(&cluster);
-        let plan = generate_zk_plan(&ReductionConfig::default());
-        for c in &plan.checkers {
-            for op in &c.ops {
-                assert!(
-                    table.get(op.op_id.as_str()).is_some(),
-                    "missing {}",
-                    op.op_id
-                );
-            }
-        }
+        // The hook in the walk publishes the node being written into the
+        // region context — Figure 2 line 28.
+        assert_eq!(
+            snap.required_fields,
+            ["node_data", "node_path", "sync_target"]
+        );
     }
 
     #[test]

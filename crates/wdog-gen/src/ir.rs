@@ -1,12 +1,13 @@
 //! The program intermediate representation AutoWatchdog analyzes.
 //!
-//! Target systems *self-describe*: each system ships a `describe_ir()`
-//! function that builds a [`ProgramIr`] naming its functions, the operations
-//! they perform, their call edges, and which entry points run continuously.
-//! This plays the role Soot's bytecode model plays for the paper's Java
-//! prototype — the reduction pipeline downstream is representation-agnostic,
-//! exactly as the paper claims ("the proposed technique is not
-//! Java-specific").
+//! A [`ProgramIr`] names a program's functions, the operations they
+//! perform, their call edges, which entry points run continuously, and the
+//! context fields each hook key publishes. Target systems do not write it
+//! by hand: `wdog-analyze` extracts it from their Rust source, and each
+//! target's `describe_ir()` returns that committed extraction. This plays
+//! the role Soot's bytecode model plays for the paper's Java prototype —
+//! the reduction pipeline downstream is representation-agnostic, exactly
+//! as the paper claims ("the proposed technique is not Java-specific").
 //!
 //! The IR is linear per function: a [`Function`] is an ordered list of
 //! [`Operation`]s, where calls are operations of kind [`OpKind::Call`].
@@ -14,7 +15,7 @@
 //! reduction needs (a repeated vulnerable op reduces to one execution
 //! anyway).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -74,38 +75,6 @@ impl OpKind {
     }
 }
 
-/// The type of a context argument an operation consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ArgType {
-    /// Unsigned integer.
-    U64,
-    /// Text.
-    Str,
-    /// Raw bytes.
-    Bytes,
-    /// Flag.
-    Bool,
-}
-
-/// A named, typed argument an operation needs from its context.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ArgSpec {
-    /// Field name in the context slot.
-    pub name: String,
-    /// Expected type.
-    pub ty: ArgType,
-}
-
-impl ArgSpec {
-    /// Creates an argument spec.
-    pub fn new(name: impl Into<String>, ty: ArgType) -> Self {
-        Self {
-            name: name.into(),
-            ty,
-        }
-    }
-}
-
 /// One operation in a function body.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Operation {
@@ -113,8 +82,6 @@ pub struct Operation {
     pub name: String,
     /// Semantic class.
     pub kind: OpKind,
-    /// Context arguments the operation consumes.
-    pub args: Vec<ArgSpec>,
     /// The resource the operation touches (path prefix, lock name, peer);
     /// operations with the same kind **and** resource are "similar" and are
     /// deduplicated by reduction.
@@ -173,6 +140,10 @@ pub struct ProgramIr {
     pub name: String,
     /// Functions by name (deterministic iteration order).
     pub functions: BTreeMap<String, Function>,
+    /// Context keys the program's hooks fire, with the field names each
+    /// publishes: the checker of the region named by a key requires
+    /// exactly these fields.
+    pub regions_fired: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl ProgramIr {
@@ -211,7 +182,7 @@ impl ProgramIr {
 /// # Examples
 ///
 /// ```
-/// use wdog_gen::ir::{ArgType, OpKind, ProgramBuilder};
+/// use wdog_gen::ir::{OpKind, ProgramBuilder};
 ///
 /// let ir = ProgramBuilder::new("kvs")
 ///     .function("flusher_loop", |f| {
@@ -219,10 +190,9 @@ impl ProgramIr {
 ///             .call("flush_memtable")
 ///     })
 ///     .function("flush_memtable", |f| {
-///         f.op("wal_append", OpKind::DiskWrite, |o| {
-///             o.resource("wal/").arg("payload", ArgType::Bytes)
-///         })
+///         f.op("wal_append", OpKind::DiskWrite, |o| o.resource("wal/"))
 ///     })
+///     .fires("flusher_loop", &["payload"])
 ///     .build();
 /// assert_eq!(ir.functions.len(), 2);
 /// assert!(ir.dangling_callees().is_empty());
@@ -231,6 +201,7 @@ impl ProgramIr {
 pub struct ProgramBuilder {
     name: String,
     functions: BTreeMap<String, Function>,
+    regions_fired: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl ProgramBuilder {
@@ -239,6 +210,7 @@ impl ProgramBuilder {
         Self {
             name: name.into(),
             functions: BTreeMap::new(),
+            regions_fired: BTreeMap::new(),
         }
     }
 
@@ -253,11 +225,19 @@ impl ProgramBuilder {
         self
     }
 
+    /// Declares that a hook fires context key `key` with `fields`.
+    pub fn fires(mut self, key: impl Into<String>, fields: &[&str]) -> Self {
+        let set = self.regions_fired.entry(key.into()).or_default();
+        set.extend(fields.iter().map(|f| (*f).to_owned()));
+        self
+    }
+
     /// Finishes the program.
     pub fn build(self) -> ProgramIr {
         ProgramIr {
             name: self.name,
             functions: self.functions,
+            regions_fired: self.regions_fired,
         }
     }
 }
@@ -318,7 +298,6 @@ impl FunctionBuilder {
         self.f.ops.push(Operation {
             name: format!("call_{callee}"),
             kind: OpKind::Call { callee },
-            args: Vec::new(),
             resource: None,
             in_loop: false,
             annotated_vulnerable: false,
@@ -332,7 +311,6 @@ impl FunctionBuilder {
         self.f.ops.push(Operation {
             name: format!("call_{callee}"),
             kind: OpKind::Call { callee },
-            args: Vec::new(),
             resource: None,
             in_loop: true,
             annotated_vulnerable: false,
@@ -357,18 +335,11 @@ impl OperationBuilder {
             op: Operation {
                 name,
                 kind,
-                args: Vec::new(),
                 resource: None,
                 in_loop: false,
                 annotated_vulnerable: false,
             },
         }
-    }
-
-    /// Declares a context argument.
-    pub fn arg(mut self, name: impl Into<String>, ty: ArgType) -> Self {
-        self.op.args.push(ArgSpec::new(name, ty));
-        self
     }
 
     /// Names the touched resource (for similar-op dedup).
@@ -404,11 +375,9 @@ mod tests {
                 f.long_running().call_in_loop("handle_set").compute("route")
             })
             .function("handle_set", |f| {
-                f.op("wal_append", OpKind::DiskWrite, |o| {
-                    o.resource("wal/").arg("payload", ArgType::Bytes)
-                })
-                .compute("update_index")
-                .call("replicate")
+                f.op("wal_append", OpKind::DiskWrite, |o| o.resource("wal/"))
+                    .compute("update_index")
+                    .call("replicate")
             })
             .function("replicate", |f| {
                 f.op("send_replica", OpKind::NetSend, |o| o.resource("replica-1"))
@@ -416,6 +385,7 @@ mod tests {
             .function("startup", |f| {
                 f.init_only().op("load_manifest", OpKind::DiskRead, |o| o)
             })
+            .fires("main_loop", &["payload"])
             .build()
     }
 
@@ -460,7 +430,6 @@ mod tests {
         let a = Operation {
             name: "w1".into(),
             kind: OpKind::DiskWrite,
-            args: vec![],
             resource: Some("wal/".into()),
             in_loop: false,
             annotated_vulnerable: false,

@@ -18,19 +18,16 @@
 //! | extract code regions that may be executed continuously | [`regions`] |
 //! | retain operations vulnerable in production (I/O, sync, resource, communication; plus annotations) | [`vulnerable`] |
 //! | remove similar vulnerable operations; global reduction along call chains | [`reduce`] |
-//! | analyze the context required; generate context factory + hooks | [`plan`] |
+//! | analyze the context required; generate the checkers | [`plan`] |
 //! | enhance with runtime checks; package checkers into the driver | [`interp`] |
 //!
-//! The front end is the [`ir`]: target systems ship a hand-written
-//! self-description built with [`ir::ProgramBuilder`], and the
-//! `wdog-analyze` crate extracts the same IR directly from their Rust
-//! source using the shared [`patterns`] rule table (the stand-in for
-//! Soot-style bytecode analysis, see `DESIGN.md` §2). Its coverage matrix
-//! checks the plan generated from the description against that source,
-//! region by region, so the description cannot silently rot (`wdog-lint`
-//! fails on a disagreement). Everything downstream
-//! of the IR is the paper's algorithm, and the generated checkers execute
-//! *real* system operations through an [`interp::OpTable`].
+//! The front end is the [`ir`]: the `wdog-analyze` crate extracts it from
+//! each target's Rust source using the shared [`patterns`] rule table (the
+//! stand-in for Soot-style bytecode analysis, see `DESIGN.md` §2), and each
+//! target's `describe_ir()` returns that committed extraction. Tests build
+//! IRs by hand with [`ir::ProgramBuilder`]. Everything downstream of the IR
+//! is the paper's algorithm, and the generated checkers execute *real*
+//! system operations through an [`interp::OpTable`].
 //!
 //! [`pretty`] renders Figure 2/3-style before/after listings.
 
@@ -44,11 +41,11 @@ pub mod regions;
 pub mod vulnerable;
 
 pub use interp::OpTable;
-pub use ir::{ArgSpec, ArgType, Function, OpKind, Operation, ProgramBuilder, ProgramIr};
+pub use ir::{Function, OpKind, Operation, ProgramBuilder, ProgramIr};
 pub use patterns::{classify_callee, kind_for_label, resource_family, CalleeRule, CALLEE_RULES};
-pub use plan::{generate_plan, GeneratedChecker, HookPoint, WatchdogPlan};
+pub use plan::{generate_plan, GeneratedChecker, WatchdogPlan};
 pub use reduce::{
-    class_counts, reduce_program, ReducedFunction, ReducedProgram, ReductionConfig, ReductionStats,
+    reduce_program, ReducedFunction, ReducedProgram, ReductionConfig, ReductionStats,
 };
 pub use regions::{find_regions, Region};
 pub use vulnerable::{is_vulnerable, VulnClass};

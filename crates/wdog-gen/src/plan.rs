@@ -1,4 +1,4 @@
-//! Checker and hook generation (paper §4.1, steps 4–5).
+//! Checker generation (paper §4.1, steps 4–5).
 //!
 //! After reduction, each long-running region becomes one **generated mimic
 //! checker** whose operation list is the region's retained ops flattened
@@ -7,17 +7,17 @@
 //!
 //! "*C* at this point cannot be directly executed, however, due to
 //! uninitialized variables or parameters. So we further analyze the context
-//! required for the execution of *C*": context inference here is the union
-//! of the retained ops' argument specs. For every retained op with
-//! arguments, a [`HookPoint`] is planned *immediately before the op* in the
-//! original function (Figure 2, line 28), publishing those arguments into
-//! the region's context slot.
+//! required for the execution of *C*": here the hooks already sit in the
+//! program (Figure 2, line 28), and the IR records the fields each one
+//! fires into its context key. A checker requires exactly the fields
+//! fired into its region's key, so it runs only once the program has
+//! published every one of them.
 
 use serde::{Deserialize, Serialize};
 
 use wdog_base::ids::OpId;
 
-use crate::ir::{ArgSpec, OpKind, ProgramIr};
+use crate::ir::{OpKind, ProgramIr};
 use crate::reduce::{reduce_program, ReducedProgram, ReductionConfig};
 
 /// One operation scheduled into a generated checker.
@@ -31,8 +31,6 @@ pub struct PlannedOp {
     pub name: String,
     /// Semantic class.
     pub kind: OpKind,
-    /// Context arguments the op consumes.
-    pub args: Vec<ArgSpec>,
     /// The resource touched, if named.
     pub resource: Option<String>,
 }
@@ -46,23 +44,10 @@ pub struct GeneratedChecker {
     pub component: String,
     /// Context slot the checker reads (and its hooks publish).
     pub context_key: String,
-    /// Operations in call-chain order.
+    /// Operations in call-site order.
     pub ops: Vec<PlannedOp>,
-    /// Union of all context fields the ops require, sorted by name.
-    pub required_fields: Vec<ArgSpec>,
-}
-
-/// One instrumentation point to insert into the main program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HookPoint {
-    /// Function to instrument.
-    pub function: String,
-    /// The op immediately after the hook (the hook runs *before* it).
-    pub before_op: String,
-    /// Context slot the hook publishes into.
-    pub context_key: String,
-    /// Fields the hook publishes.
-    pub publishes: Vec<ArgSpec>,
+    /// The context fields the program fires into `context_key`, sorted.
+    pub required_fields: Vec<String>,
 }
 
 /// The complete generation output for one program.
@@ -72,8 +57,6 @@ pub struct WatchdogPlan {
     pub program: String,
     /// Generated checkers, one per region with retained ops.
     pub checkers: Vec<GeneratedChecker>,
-    /// Hook points to insert into the main program.
-    pub hooks: Vec<HookPoint>,
     /// The underlying reduction (for statistics and rendering).
     pub reduced: ReducedProgram,
 }
@@ -83,67 +66,47 @@ impl WatchdogPlan {
     pub fn checker_for(&self, entry: &str) -> Option<&GeneratedChecker> {
         self.checkers.iter().find(|c| c.context_key == entry)
     }
-
-    /// Returns the hooks that instrument `function`.
-    pub fn hooks_in(&self, function: &str) -> Vec<&HookPoint> {
-        self.hooks
-            .iter()
-            .filter(|h| h.function == function)
-            .collect()
-    }
 }
 
-/// Runs the full AutoWatchdog pipeline: reduction, context inference,
-/// checker and hook planning.
+/// Runs the full AutoWatchdog pipeline: reduction, context inference and
+/// checker planning.
 pub fn generate_plan(ir: &ProgramIr, config: &ReductionConfig) -> WatchdogPlan {
     let reduced = reduce_program(ir, config);
     let mut checkers = Vec::new();
-    let mut hooks = Vec::new();
 
     for region in &reduced.regions {
         let flat = reduced.flattened_ops(&region.entry);
         if flat.is_empty() {
             continue;
         }
-        let mut ops = Vec::new();
-        let mut required: Vec<ArgSpec> = Vec::new();
-        for (function, op) in flat {
-            ops.push(PlannedOp {
+        let ops = flat
+            .into_iter()
+            .map(|(function, op)| PlannedOp {
                 op_id: op.id_in(function),
                 function: function.to_owned(),
                 name: op.name.clone(),
                 kind: op.kind.clone(),
-                args: op.args.clone(),
                 resource: op.resource.clone(),
-            });
-            for arg in &op.args {
-                if !required.iter().any(|a| a.name == arg.name) {
-                    required.push(arg.clone());
-                }
-            }
-            if !op.args.is_empty() {
-                hooks.push(HookPoint {
-                    function: function.to_owned(),
-                    before_op: op.name.clone(),
-                    context_key: region.entry.clone(),
-                    publishes: op.args.clone(),
-                });
-            }
-        }
-        required.sort_by(|a, b| a.name.cmp(&b.name));
+            })
+            .collect();
         checkers.push(GeneratedChecker {
             name: format!("{}_checker", region.entry),
             component: format!("{}.{}", ir.name, region.entry),
             context_key: region.entry.clone(),
             ops,
-            required_fields: required,
+            required_fields: ir
+                .regions_fired
+                .get(&region.entry)
+                .into_iter()
+                .flatten()
+                .cloned()
+                .collect(),
         });
     }
 
     WatchdogPlan {
         program: ir.name.clone(),
         checkers,
-        hooks,
         reduced,
     }
 }
@@ -151,7 +114,7 @@ pub fn generate_plan(ir: &ProgramIr, config: &ReductionConfig) -> WatchdogPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{ArgType, ProgramBuilder};
+    use crate::ir::ProgramBuilder;
 
     fn ir() -> ProgramIr {
         ProgramBuilder::new("minizk")
@@ -165,11 +128,11 @@ mod tests {
                 f.op("node_lock", OpKind::LockAcquire, |o| o.resource("node"))
                     .op("write_record", OpKind::DiskWrite, |o| {
                         o.resource("snapshot/")
-                            .arg("record", ArgType::Bytes)
-                            .arg("node_path", ArgType::Str)
                     })
             })
             .function("idle_loop", |f| f.long_running().compute("tick"))
+            .fires("snapshot_loop", &["record", "node_path"])
+            .fires("idle_loop", &["tick_count"])
             .build()
     }
 
@@ -196,24 +159,16 @@ mod tests {
     }
 
     #[test]
-    fn required_fields_are_union_sorted() {
+    fn required_fields_are_the_fired_fields_sorted() {
         let plan = generate_plan(&ir(), &ReductionConfig::default());
-        let c = &plan.checkers[0];
-        let names: Vec<&str> = c.required_fields.iter().map(|a| a.name.as_str()).collect();
-        assert_eq!(names, vec!["node_path", "record"]);
-    }
-
-    #[test]
-    fn hooks_inserted_before_ops_with_args() {
-        let plan = generate_plan(&ir(), &ReductionConfig::default());
-        assert_eq!(plan.hooks.len(), 1, "lock op has no args, write does");
-        let h = &plan.hooks[0];
-        assert_eq!(h.function, "serialize_node");
-        assert_eq!(h.before_op, "write_record");
-        assert_eq!(h.context_key, "snapshot_loop");
-        assert_eq!(h.publishes.len(), 2);
-        assert_eq!(plan.hooks_in("serialize_node").len(), 1);
-        assert!(plan.hooks_in("serialize_snapshot").is_empty());
+        assert_eq!(plan.checkers[0].required_fields, ["node_path", "record"]);
+        let unfired = ProgramBuilder::new("p")
+            .function("main", |f| {
+                f.long_running().simple_op("w", OpKind::DiskWrite)
+            })
+            .build();
+        let plan = generate_plan(&unfired, &ReductionConfig::default());
+        assert!(plan.checkers[0].required_fields.is_empty());
     }
 
     #[test]

@@ -23,11 +23,20 @@ fn kind_note(kind: &OpKind, resource: Option<&str>) -> String {
 /// Renders one region's functions with keep/drop annotations (Figure 2).
 ///
 /// Retained ops are tagged `KEEP`, vulnerable-but-deduplicated ops
-/// `DROP(similar)`, deterministic code `DROP(deterministic)`, and planned
-/// hook points are shown inline as `+ hook -> context[...]` lines.
+/// `DROP(similar)` and deterministic code `DROP(deterministic)`; the
+/// fields the program's hooks fire into the region's context head the
+/// listing.
 pub fn render_region(ir: &ProgramIr, plan: &WatchdogPlan, entry: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "region `{entry}` of program `{}`:", plan.program);
+    if let Some(fields) = ir.regions_fired.get(entry) {
+        let fields: Vec<&str> = fields.iter().map(String::as_str).collect();
+        let _ = writeln!(
+            out,
+            "  hooks publish {{{}}} -> context[{entry}]",
+            fields.join(", ")
+        );
+    }
     let kept_ids: Vec<String> = plan
         .checker_for(entry)
         .map(|c| c.ops.iter().map(|o| o.op_id.as_str().to_owned()).collect())
@@ -45,18 +54,6 @@ pub fn render_region(ir: &ProgramIr, plan: &WatchdogPlan, entry: &str) -> String
             let id = op.id_in(&func.name);
             let note = kind_note(&op.kind, op.resource.as_deref());
             if kept_ids.iter().any(|k| k == id.as_str()) {
-                for h in plan.hooks_in(&func.name) {
-                    if h.before_op == op.name {
-                        let fields: Vec<&str> =
-                            h.publishes.iter().map(|a| a.name.as_str()).collect();
-                        let _ = writeln!(
-                            out,
-                            "    + hook: publish {{{}}} -> context[{}]",
-                            fields.join(", "),
-                            h.context_key
-                        );
-                    }
-                }
                 let _ = writeln!(out, "    [KEEP] {} ({note})", op.name);
             } else if is_vulnerable(op) {
                 let _ = writeln!(out, "    [DROP: similar/covered] {} ({note})", op.name);
@@ -82,20 +79,14 @@ pub fn render_checker(checker: &GeneratedChecker) -> String {
         checker.context_key
     );
     let _ = writeln!(out, "    if ctx.status != READY {{ return NotReady; }}");
-    for arg in &checker.required_fields {
-        let _ = writeln!(
-            out,
-            "    let {}: {:?} = ctx.args_getter(\"{}\");",
-            arg.name, arg.ty, arg.name
-        );
+    for field in &checker.required_fields {
+        let _ = writeln!(out, "    let {field} = ctx.args_getter(\"{field}\");");
     }
     for op in &checker.ops {
-        let args: Vec<&str> = op.args.iter().map(|a| a.name.as_str()).collect();
         let _ = writeln!(
             out,
-            "    exec {}({});    // {}",
+            "    exec {}(ctx);    // {}",
             op.op_id,
-            args.join(", "),
             kind_note(&op.kind, op.resource.as_deref())
         );
     }
@@ -120,12 +111,7 @@ pub fn render_summary(plan: &WatchdogPlan) -> String {
         s.ops_retained,
         s.retention_ratio() * 100.0
     );
-    let _ = writeln!(
-        out,
-        "generated {} checkers, {} hooks:",
-        plan.checkers.len(),
-        plan.hooks.len()
-    );
+    let _ = writeln!(out, "generated {} checkers:", plan.checkers.len());
     for c in &plan.checkers {
         let _ = writeln!(
             out,
@@ -141,7 +127,7 @@ pub fn render_summary(plan: &WatchdogPlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{ArgType, ProgramBuilder};
+    use crate::ir::ProgramBuilder;
     use crate::plan::generate_plan;
     use crate::reduce::ReductionConfig;
 
@@ -154,12 +140,13 @@ mod tests {
                 f.compute("get_node")
                     .op("node_lock", OpKind::LockAcquire, |o| o.resource("node"))
                     .op("write_record", OpKind::DiskWrite, |o| {
-                        o.resource("snapshot/").arg("record", ArgType::Bytes)
+                        o.resource("snapshot/")
                     })
                     .op("write_record_2", OpKind::DiskWrite, |o| {
                         o.resource("snapshot/")
                     })
             })
+            .fires("snapshot_loop", &["record"])
             .build();
         let plan = generate_plan(&ir, &ReductionConfig::default());
         (ir, plan)
@@ -173,7 +160,7 @@ mod tests {
         assert!(s.contains("[KEEP] write_record"), "{s}");
         assert!(s.contains("[DROP: similar/covered] write_record_2"), "{s}");
         assert!(s.contains("[DROP: deterministic] get_node"), "{s}");
-        assert!(s.contains("+ hook: publish {record} -> context[snapshot_loop]"));
+        assert!(s.contains("hooks publish {record} -> context[snapshot_loop]"));
     }
 
     #[test]
@@ -182,7 +169,7 @@ mod tests {
         let s = render_checker(&plan.checkers[0]);
         assert!(s.contains("checker snapshot_loop_checker"));
         assert!(s.contains("if ctx.status != READY { return NotReady; }"));
-        assert!(s.contains("exec serialize_node#write_record(record)"));
+        assert!(s.contains("exec serialize_node#write_record(ctx)"));
         assert!(s.contains("args_getter(\"record\")"));
     }
 
@@ -190,7 +177,7 @@ mod tests {
     fn summary_counts_match_plan() {
         let (_, plan) = setup();
         let s = render_summary(&plan);
-        assert!(s.contains("generated 1 checkers, 1 hooks"), "{s}");
+        assert!(s.contains("generated 1 checkers:"), "{s}");
         assert!(s.contains("minizk"));
     }
 }

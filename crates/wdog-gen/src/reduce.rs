@@ -16,13 +16,13 @@
 //! Both dedup steps are ablation switches on [`ReductionConfig`] so
 //! experiment E6 can measure the checker-count blow-up without them.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
 use crate::ir::{Operation, ProgramIr};
 use crate::regions::{find_regions, Region};
-use crate::vulnerable::{classify, is_vulnerable, VulnClass};
+use crate::vulnerable::is_vulnerable;
 
 /// Configuration for one reduction run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,8 +56,9 @@ pub struct ReducedFunction {
     pub dropped_vulnerable: usize,
     /// Non-vulnerable operations excluded (logically deterministic code).
     pub dropped_deterministic: usize,
-    /// Callees retained inside the same region, in call order.
-    pub callees: Vec<String>,
+    /// Callees inside the same region, in call order, each with the number
+    /// of kept ops that precede its first call site.
+    pub calls: Vec<(usize, String)>,
 }
 
 /// Aggregate statistics for one reduction run (experiment E3b).
@@ -110,33 +111,42 @@ impl ReducedProgram {
             .collect()
     }
 
-    /// Returns all retained ops of one region, flattened in DFS order as
-    /// `(function, op)` pairs — the op list of the region's mimic checker.
+    /// Returns all retained ops of one region as `(function, op)` pairs —
+    /// the op list of the region's mimic checker. A callee's ops sit where
+    /// its call sits, so the checker runs ops in the order the region's
+    /// thread reaches them (a write inside a closure passed to a lock
+    /// helper runs after that helper's lock).
     pub fn flattened_ops(&self, region: &str) -> Vec<(&str, &Operation)> {
-        self.functions_in(region)
-            .into_iter()
-            .flat_map(|f| f.kept_ops.iter().map(move |o| (f.name.as_str(), o)))
-            .collect()
+        let funcs = self.functions_in(region);
+        let mut visited = BTreeSet::new();
+        let mut out = Vec::new();
+        // The entry's chain first; then any function the chain does not
+        // reach (a callee of a function reduced in an earlier region).
+        for f in &funcs {
+            flatten(f, &funcs, &mut visited, &mut out);
+        }
+        out
     }
 }
 
-/// Counts retained operations per vulnerability class across the whole
-/// reduced program (each shared function counted once, as reduced).
-///
-/// This is the `ReductionStats`-level equivalence the extraction golden
-/// tests assert: two IRs of the same program — one hand-written, one
-/// source-extracted — may name ops differently, but after reduction they
-/// must retain the same number of ops per class.
-pub fn class_counts(reduced: &ReducedProgram) -> BTreeMap<VulnClass, usize> {
-    let mut counts = BTreeMap::new();
-    for func in &reduced.functions {
-        for op in &func.kept_ops {
-            if let Some(class) = classify(op) {
-                *counts.entry(class).or_insert(0) += 1;
-            }
+fn flatten<'a>(
+    f: &'a ReducedFunction,
+    funcs: &[&'a ReducedFunction],
+    visited: &mut BTreeSet<&'a str>,
+    out: &mut Vec<(&'a str, &'a Operation)>,
+) {
+    if !visited.insert(f.name.as_str()) {
+        return;
+    }
+    let mut next = 0;
+    for (at, callee) in &f.calls {
+        out.extend(f.kept_ops[next..*at].iter().map(|o| (f.name.as_str(), o)));
+        next = *at;
+        if let Some(c) = funcs.iter().find(|c| c.name == *callee) {
+            flatten(c, funcs, visited, out);
         }
     }
-    counts
+    out.extend(f.kept_ops[next..].iter().map(|o| (f.name.as_str(), o)));
 }
 
 /// Runs program logic reduction over `ir`.
@@ -173,12 +183,12 @@ pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgra
             let mut dropped_vulnerable = 0usize;
             let mut dropped_deterministic = 0usize;
             let mut local_seen: BTreeSet<(String, Option<String>)> = BTreeSet::new();
-            let mut callees: Vec<String> = Vec::new();
+            let mut calls: Vec<(usize, String)> = Vec::new();
 
             for op in &func.ops {
                 if let crate::ir::OpKind::Call { callee } = &op.kind {
-                    if region.contains(callee) && !callees.contains(callee) {
-                        callees.push(callee.clone());
+                    if region.contains(callee) && !calls.iter().any(|(_, c)| c == callee) {
+                        calls.push((kept.len(), callee.clone()));
                     }
                     continue;
                 }
@@ -206,7 +216,7 @@ pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgra
                 kept_ops: kept,
                 dropped_vulnerable,
                 dropped_deterministic,
-                callees,
+                calls,
             });
         }
     }
@@ -250,7 +260,7 @@ fn dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{ArgType, OpKind, ProgramBuilder};
+    use crate::ir::{OpKind, ProgramBuilder};
 
     /// The paper's Figure 2 shape: `serialize_snapshot` calls `serialize`
     /// calls `serialize_node`, which holds a lock and performs the
@@ -270,7 +280,7 @@ mod tests {
                 f.compute("get_node")
                     .op("node_lock", OpKind::LockAcquire, |o| o.resource("node"))
                     .op("write_record", OpKind::DiskWrite, |o| {
-                        o.resource("snapshot/").arg("record", ArgType::Bytes)
+                        o.resource("snapshot/")
                     })
                     .simple_op("node_unlock", OpKind::LockRelease)
                     .compute("append_path")
@@ -299,6 +309,31 @@ mod tests {
         let names: Vec<&str> = flat.iter().map(|(_, o)| o.name.as_str()).collect();
         assert_eq!(names, vec!["node_lock", "write_record"]);
         assert!(flat.iter().all(|(f, _)| *f == "serialize_node"));
+
+        // A caller whose own op comes after a call: the callee's lock runs
+        // first, where the call sits, not after the caller's write.
+        let ir = ProgramBuilder::new("minizk")
+            .function("snapshot_loop", |f| {
+                f.long_running().call_in_loop("serialize_snapshot")
+            })
+            .function("serialize_snapshot", |f| {
+                f.call("with_locked_data")
+                    .op("write_record", OpKind::NetSend, |o| o.resource("peer"))
+            })
+            .function("with_locked_data", |f| {
+                f.op("lock", OpKind::LockAcquire, |o| o.resource("znode"))
+            })
+            .build();
+        let reduced = reduce_program(&ir, &ReductionConfig::default());
+        let ids: Vec<String> = reduced
+            .flattened_ops("snapshot_loop")
+            .iter()
+            .map(|(f, o)| o.id_in(f).to_string())
+            .collect();
+        assert_eq!(
+            ids,
+            ["with_locked_data#lock", "serialize_snapshot#write_record"]
+        );
     }
 
     #[test]
@@ -416,15 +451,6 @@ mod tests {
             .map(|o| o.name.as_str())
             .collect();
         assert_eq!(names, vec!["checksum_partition"]);
-    }
-
-    #[test]
-    fn class_counts_tally_kept_ops() {
-        let reduced = reduce_program(&zk_like(), &ReductionConfig::default());
-        let counts = class_counts(&reduced);
-        assert_eq!(counts.get(&VulnClass::Io), Some(&1), "{counts:?}");
-        assert_eq!(counts.get(&VulnClass::Synchronization), Some(&1));
-        assert_eq!(counts.values().sum::<usize>(), reduced.stats.ops_retained);
     }
 
     #[test]

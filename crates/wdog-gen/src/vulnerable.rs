@@ -71,13 +71,11 @@ pub fn is_vulnerable(op: &Operation) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::ArgType;
 
     fn op(name: &str, kind: OpKind) -> Operation {
         Operation {
             name: name.into(),
             kind,
-            args: vec![crate::ir::ArgSpec::new("x", ArgType::U64)],
             resource: None,
             in_loop: false,
             annotated_vulnerable: false,

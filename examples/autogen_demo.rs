@@ -4,7 +4,8 @@
 //!
 //! Prints the minizk snapshot region annotated with what reduction keeps
 //! and drops (the paper's Figure 2), the generated checker (Figure 3), and
-//! the checker inventory for both target systems.
+//! the checker inventory for two target systems, all generated from the IR
+//! each target extracts from its own source.
 
 use watchdogs::gen::plan::generate_plan;
 use watchdogs::gen::pretty::{render_checker, render_region, render_summary};

@@ -51,20 +51,18 @@ fn main() {
     );
     for c in &plan.checkers {
         println!(
-            "  - {} ({} ops: {})",
+            "  - {} ({} ops: {}; reads {})",
             c.name,
             c.ops.len(),
             c.ops
                 .iter()
                 .map(|o| o.op_id.as_str())
                 .collect::<Vec<_>>()
-                .join(", ")
+                .join(", "),
+            c.required_fields.join(", ")
         );
     }
-    println!(
-        "plus {} hook points in the main program\n",
-        plan.hooks.len()
-    );
+    println!();
     driver.start().expect("start watchdog");
 
     // Background workload.

@@ -95,9 +95,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo doc: no broken or ambiguous intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline --locked
 
-# wdog-lint also exits 1 on a coverage violation (an uncovered source op, a
-# described op unmatched in its region's source, an unpaired region or an
-# unfired planned hook), a shared-mutation probe or a lock-order cycle; a
+# wdog-lint exits 1 on a shared-mutation probe or a lock-order cycle; a
 # weakened coverage row shows as a diff against the archived matrix.
 # tests/analyze_passes.rs reads the same results/analysis/{coverage,locks}_<t>.json,
 # so a coverage or lock-order change also fails tier-1 until
@@ -105,7 +103,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline --loc
 gate 1 "analysis" wdog-lint --target all
 
 # Program logic reduction (Figures 2-3) is a pure function of the three
-# targets' IR.
+# targets' source.
 gate 1 "reduction.json reduction.txt" reduction
 
 # The paper's own tables. Every scenario is a one-fault schedule played by

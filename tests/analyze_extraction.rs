@@ -7,14 +7,13 @@
 //!    Any change to a target's source or to the extractor shows up as a
 //!    reviewable snapshot diff. Regenerate with
 //!    `WDOG_UPDATE_SNAPSHOTS=1 cargo test --test analyze_extraction`.
-//! 2. **Reduction parity** — reducing the extracted IR yields the same
-//!    per-class vulnerable-op counts as reducing the hand-written
-//!    `describe_ir()`. The two IR sources agree not just op by op but
-//!    through the whole pipeline.
-//! 3. **The coverage gate** — deleting an op from a `describe_ir()` leaves
-//!    real source sites uncovered, and deleting the directive that names
-//!    minizk's request-path lock leaves the described lock unmatched in
-//!    its region: either makes `wdog-lint` exit non-zero in CI.
+//!    Each target's `describe_ir()` returns the snapshot's `ir`, so this
+//!    test is what keeps the shipped watchdog equal to its source.
+//! 2. **The shipped watchdog** — each target's default plan has exactly the
+//!    checkers and op ids pinned below, and every checker requires exactly
+//!    the fields source fires into its context key.
+//! 3. **The plan follows source** — dropping a `// wdog:` directive from a
+//!    target's source moves the plan generated from it.
 //! 4. **Line independence** — ops are named by callee + ordinal, never by
 //!    line: shifting every function of a target down by two lines leaves
 //!    every serialized analysis output byte-equal.
@@ -22,12 +21,12 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use harness::lint::{lint_targets, load_blind_spots, run_analysis, LintTarget};
-use wdog_analyze::{coverage_matrix, extract_model, extract_target, target_named, CoverageStatus};
-use wdog_gen::plan::generate_plan;
-use wdog_gen::reduce::{class_counts, reduce_program, ReductionConfig};
-
-const TARGETS: &[&str] = &["kvs", "minizk", "miniblock"];
+use harness::lint::{load_blind_spots, run_analysis};
+use wdog_analyze::extract::read_sources;
+use wdog_analyze::{extract_model, extract_target, target_named, TargetConfig, TARGETS};
+use wdog_gen::plan::{generate_plan, WatchdogPlan};
+use wdog_gen::reduce::ReductionConfig;
+use wdog_target::WatchdogTarget;
 
 fn snapshot_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -37,8 +36,8 @@ fn snapshot_path(name: &str) -> PathBuf {
 
 #[test]
 fn extraction_matches_committed_snapshots() {
-    for name in TARGETS {
-        let cfg = target_named(name).expect("builtin target");
+    for cfg in TARGETS {
+        let name = cfg.name;
         let extracted = extract_target(cfg).expect("workspace sources readable");
         let mut rendered = serde_json::to_string_pretty(&extracted).expect("extraction serializes");
         rendered.push('\n');
@@ -66,70 +65,114 @@ fn extraction_matches_committed_snapshots() {
     }
 }
 
-#[test]
-fn extracted_and_described_irs_reduce_to_the_same_class_counts() {
-    let cfg = ReductionConfig::default();
-    for t in lint_targets() {
-        let described = (t.describe)();
-        let extracted = extract_target(target_named(t.name).unwrap()).unwrap();
-        let described_counts = class_counts(&reduce_program(&described, &cfg));
-        let extracted_counts = class_counts(&reduce_program(&extracted.ir, &cfg));
-        assert_eq!(
-            described_counts, extracted_counts,
-            "per-class reduced op counts diverge for `{}`",
-            t.name
-        );
-    }
+/// A checker's name and its op ids, in the order it runs them.
+type Checker = (&'static str, &'static [&'static str]);
+
+/// Each target's default checkers, in plan order.
+const SHIPPED: &[(&str, &[Checker])] = &[
+    (
+        "kvs",
+        &[
+            (
+                "compaction_loop_checker",
+                &[
+                    "compact_once#lock",
+                    "read_sstable#read",
+                    "compact_once#sst_merge_write",
+                ],
+            ),
+            ("flusher_loop_checker", &["write_sstable#fsync"]),
+            ("listener_loop_checker", &["handle_request#index_put"]),
+            ("replication_loop_checker", &["replication_loop#send"]),
+            (
+                "wal_loop_checker",
+                &[
+                    "wal_loop#lock",
+                    "append_record#append",
+                    "append_record#fsync",
+                ],
+            ),
+        ],
+    ),
+    (
+        "minizk",
+        &[
+            ("broadcast_loop_checker", &["broadcast_loop#send"]),
+            (
+                "request_processor_loop_checker",
+                &[
+                    "sync_txn#append",
+                    "sync_txn#fsync",
+                    "final_apply#tree_write_lock",
+                ],
+            ),
+            (
+                "snapshot_sync_loop_checker",
+                &["with_locked_data#lock", "serialize_snapshot#write_record"],
+            ),
+        ],
+    ),
+    (
+        "miniblock",
+        &[
+            ("heartbeat_loop_checker", &["heartbeat_loop#send"]),
+            (
+                "ingest_loop_checker",
+                &["write_block#write_all", "write_block#fsync"],
+            ),
+            ("scanner_loop_checker", &["validate_path#read"]),
+        ],
+    ),
+];
+
+fn shipped_targets() -> [&'static dyn WatchdogTarget; 3] {
+    [
+        &kvs::target::KvsTarget,
+        &minizk::target::ZkTarget,
+        &miniblock::target::DnTarget,
+    ]
+}
+
+/// `plan`'s checkers as `(name, op ids)`.
+fn checker_ops(plan: &WatchdogPlan) -> Vec<(&str, Vec<&str>)> {
+    plan.checkers
+        .iter()
+        .map(|c| {
+            let ids = c.ops.iter().map(|o| o.op_id.as_str()).collect();
+            (c.name.as_str(), ids)
+        })
+        .collect()
 }
 
 #[test]
-fn deleting_a_described_op_names_the_missing_source_site() {
-    let mut described = kvs::wd::describe_ir();
-    let f = described
-        .functions
-        .get_mut("wal_write_record")
-        .expect("kvs describes wal_write_record");
-    let before = f.ops.len();
-    f.ops.retain(|o| o.name != "wal_append");
-    assert_eq!(f.ops.len(), before - 1, "wal_append was described");
-
-    let plan = generate_plan(&described, &ReductionConfig::default());
-    let extracted = extract_target(target_named("kvs").unwrap()).unwrap();
-    let matrix = coverage_matrix(&extracted, &plan, &[]);
-
-    let uncovered: Vec<&str> = matrix
-        .regions
-        .iter()
-        .flat_map(|r| &r.ops)
-        .filter(|o| o.status == CoverageStatus::Uncovered)
-        .map(|o| o.op_id.as_str())
-        .collect();
-    assert!(
-        !uncovered.is_empty(),
-        "deleted op must leave source uncovered"
-    );
-    let violations = matrix.violations();
-    for op in uncovered {
-        let site = extracted
-            .sites
-            .get(op)
-            .unwrap_or_else(|| panic!("uncovered row `{op}` keys no source site"));
-        assert!(
-            site.file.starts_with("crates/kvs/src/"),
-            "source site should be in the kvs crate, got {}",
-            site.file
-        );
-        assert!(
-            violations.iter().any(|v| v.contains(op)),
-            "the gate names `{op}`: {violations:?}"
-        );
+fn default_plans_ship_the_pinned_checkers_reading_what_source_fires() {
+    for target in shipped_targets() {
+        let ir = target.describe_ir();
+        let plan = generate_plan(&ir, &ReductionConfig::default());
+        let (_, pinned) = SHIPPED
+            .iter()
+            .find(|(name, _)| *name == target.name())
+            .expect("every target is pinned");
+        let pinned: Vec<(&str, Vec<&str>)> =
+            pinned.iter().map(|(c, ops)| (*c, ops.to_vec())).collect();
+        assert_eq!(checker_ops(&plan), pinned, "{}", target.name());
+        for c in &plan.checkers {
+            let fired: Vec<&str> = ir
+                .regions_fired
+                .get(&c.context_key)
+                .into_iter()
+                .flatten()
+                .map(String::as_str)
+                .collect();
+            assert_eq!(c.required_fields, fired, "{}.{}", target.name(), c.name);
+        }
     }
 }
 
 /// `target`'s sources with every line containing `needle` dropped from
 /// the file ending in `file`.
-fn without_line(target: &LintTarget, file: &str, needle: &str) -> Vec<(String, String)> {
-    let mut sources = target.sources().expect("workspace sources readable");
+fn without_line(target: &TargetConfig, file: &str, needle: &str) -> Vec<(String, String)> {
+    let mut sources = read_sources(target).expect("workspace sources readable");
     let (_, src) = sources
         .iter_mut()
         .find(|(path, _)| path.ends_with(file))
@@ -143,41 +186,39 @@ fn without_line(target: &LintTarget, file: &str, needle: &str) -> Vec<(String, S
     sources
 }
 
-fn minizk() -> LintTarget {
-    lint_targets()
-        .into_iter()
-        .find(|t| t.name == "minizk")
-        .expect("minizk is a lint target")
+/// The op ids of `checker` in the default plan of `target` over `sources`.
+fn ops_of(target: &TargetConfig, sources: &[(String, String)], checker: &str) -> Vec<String> {
+    let extracted = extract_model(target.name, target.model(sources, true));
+    let plan = generate_plan(&extracted.ir, &ReductionConfig::default());
+    let c = plan.checkers.iter().find(|c| c.name == checker);
+    c.map(|c| c.ops.iter().map(|o| o.op_id.to_string()).collect())
+        .unwrap_or_default()
 }
 
 #[test]
-fn the_2201_lock_must_be_matched_in_its_own_region() {
+fn the_2201_lock_comes_from_its_directive() {
     // Without its directive, extraction sees no lock in `final_apply`
-    // (`create`/`set_data` are ambiguous names). The snapshot region's
-    // `write_lock` acquisition must not stand in for it.
-    let t = minizk();
-    let sources = without_line(&t, "processors.rs", "wdog: vulnerable name=tree_write_lock");
-    let violations = run_analysis(&t, &sources, &[]).coverage.violations();
-    assert_eq!(
-        violations,
-        [
-            "request_processor_loop: described op final_apply#tree_write_lock has no same-kind, \
-          same-resource op in the region's source"
-        ]
-    );
+    // (`create`/`set_data` are ambiguous names), so the request path's
+    // checker loses the ZOOKEEPER-2201 detector.
+    let zk = target_named("minizk").unwrap();
+    let checker = "request_processor_loop_checker";
+    let lock = "final_apply#tree_write_lock";
+    let ops = ops_of(zk, &read_sources(zk).unwrap(), checker);
+    assert!(ops.iter().any(|o| o == lock), "{ops:?}");
+    let sources = without_line(zk, "processors.rs", "wdog: vulnerable name=tree_write_lock");
+    let ops = ops_of(zk, &sources, checker);
+    assert!(!ops.iter().any(|o| o == lock), "{ops:?}");
 }
 
 #[test]
-fn an_undescribed_source_region_fails_the_gate() {
-    let t = minizk();
-    let sources = without_line(&t, "quorum.rs", "wdog: ignore -- liveness responder");
-    let coverage = run_analysis(&t, &sources, &[]).coverage;
-    assert_eq!(coverage.not_described, ["responder_loop"]);
-    let violations = coverage.violations();
-    assert!(
-        violations.contains(&"source region `responder_loop` is not described".to_owned()),
-        "{violations:?}"
-    );
+fn the_wal_checker_keeps_its_ops_through_the_flushers_ignore_directives() {
+    // The flusher's region sorts before `wal_loop`: without the directive
+    // on its WAL rotation, global dedup hands the WAL write to it.
+    let kvs = target_named("kvs").unwrap();
+    let before = ops_of(kvs, &read_sources(kvs).unwrap(), "wal_loop_checker");
+    let sources = without_line(kvs, "flusher.rs", "wdog: ignore -- WAL rotation;");
+    let after = ops_of(kvs, &sources, "wal_loop_checker");
+    assert_eq!(after.len(), before.len() - 1, "{before:?} -> {after:?}");
 }
 
 /// `src` with a blank line and a `// shifted` comment inserted at the top
@@ -220,9 +261,8 @@ fn shifted(src: &str) -> String {
 #[test]
 fn analysis_is_invariant_under_line_shifts() {
     let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/chaos_corpus");
-    for t in lint_targets() {
-        let cfg = target_named(t.name).expect("builtin target");
-        let sources = t.sources().expect("workspace sources readable");
+    for t in TARGETS {
+        let sources = read_sources(t).expect("workspace sources readable");
         let moved: Vec<(String, String)> = sources
             .iter()
             .map(|(path, src)| (path.clone(), shifted(src)))
@@ -230,8 +270,8 @@ fn analysis_is_invariant_under_line_shifts() {
         assert_ne!(sources, moved, "{}: the shift moved no line", t.name);
         let spots = load_blind_spots(&corpus, t.name).expect("corpus parses");
         let render = |sources: &[(String, String)]| {
-            let b = run_analysis(&t, sources, &spots);
-            let extracted = extract_model(cfg.name, cfg.model(sources, true));
+            let b = run_analysis(t, sources, &spots);
+            let extracted = extract_model(t.name, t.model(sources, true));
             [
                 ("extraction", serde_json::to_string_pretty(&extracted)),
                 ("safety", serde_json::to_string_pretty(&b.safety)),

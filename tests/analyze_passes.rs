@@ -24,9 +24,9 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use harness::lint::{lint_targets, load_blind_spots, run_analysis, AnalysisBundle};
+use harness::lint::{load_blind_spots, run_analysis, AnalysisBundle};
 use wdog_analyze::extract::read_sources;
-use wdog_analyze::{extract_model, target_named, CallGraph, CoverageStatus};
+use wdog_analyze::{extract_model, target_named, CallGraph, CoverageStatus, TARGETS};
 use wdog_gen::ir::ProgramBuilder;
 
 fn archive_path(name: &str) -> PathBuf {
@@ -40,11 +40,11 @@ fn corpus_dir() -> PathBuf {
 }
 
 fn bundles() -> Vec<AnalysisBundle> {
-    lint_targets()
+    TARGETS
         .iter()
         .map(|t| {
             let spots = load_blind_spots(&corpus_dir(), t.name).expect("corpus parses");
-            let sources = t.sources().expect("workspace sources readable");
+            let sources = read_sources(t).expect("workspace sources readable");
             run_analysis(t, &sources, &spots)
         })
         .collect()

@@ -1,23 +1,44 @@
 //! Cross-crate checks on the AutoWatchdog pipeline: every target system's
-//! IR, plan, op table, and hook wiring must stay mutually consistent.
+//! IR, plan and op table must stay mutually consistent.
 
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use wdog_gen::plan::generate_plan;
+use simio::disk::SimDisk;
+use simio::net::SimNet;
+use wdog_base::clock::{RealClock, SharedClock};
+use wdog_gen::interp::{instantiate, InstantiateOptions};
+use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
+use wdog_target::WatchdogTarget;
 
-fn plans() -> Vec<(wdog_gen::ir::ProgramIr, wdog_gen::plan::WatchdogPlan)> {
-    let config = ReductionConfig::default();
-    vec![
-        (
-            kvs::wd::describe_ir(),
-            generate_plan(&kvs::wd::describe_ir(), &config),
-        ),
-        (
-            minizk::wd::describe_ir(),
-            generate_plan(&minizk::wd::describe_ir(), &config),
-        ),
+fn targets() -> [&'static dyn WatchdogTarget; 3] {
+    [
+        &kvs::target::KvsTarget,
+        &minizk::target::ZkTarget,
+        &miniblock::target::DnTarget,
     ]
+}
+
+/// The default configuration and the E6c ablation without either dedup.
+fn configs() -> [ReductionConfig; 2] {
+    [
+        ReductionConfig::default(),
+        ReductionConfig {
+            dedupe_similar: false,
+            global_reduction: false,
+        },
+    ]
+}
+
+fn plans() -> Vec<(wdog_gen::ir::ProgramIr, WatchdogPlan)> {
+    targets()
+        .into_iter()
+        .map(|t| {
+            let ir = t.describe_ir();
+            let plan = generate_plan(&ir, &ReductionConfig::default());
+            (ir, plan)
+        })
+        .collect()
 }
 
 #[test]
@@ -46,30 +67,6 @@ fn every_planned_op_exists_in_its_ir_function() {
                     ir.name,
                     op.name,
                     op.function
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn every_hook_sits_before_a_retained_op_with_matching_fields() {
-    for (ir, plan) in plans() {
-        for hook in &plan.hooks {
-            let func = ir.function(&hook.function).expect("hook function exists");
-            let op = func
-                .ops
-                .iter()
-                .find(|o| o.name == hook.before_op)
-                .expect("hook target op exists");
-            let op_args: BTreeSet<&str> = op.args.iter().map(|a| a.name.as_str()).collect();
-            for field in &hook.publishes {
-                assert!(
-                    op_args.contains(field.name.as_str()),
-                    "{}: hook before {} publishes {} which the op does not take",
-                    ir.name,
-                    hook.before_op,
-                    field.name
                 );
             }
         }
@@ -111,25 +108,17 @@ fn no_initialization_code_is_ever_checked() {
 }
 
 #[test]
-fn checker_required_fields_cover_every_op_arg() {
-    for (_, plan) in plans() {
+fn checker_required_fields_equal_the_fields_source_fires() {
+    for (ir, plan) in plans() {
         for checker in &plan.checkers {
-            let required: BTreeSet<&str> = checker
-                .required_fields
-                .iter()
-                .map(|a| a.name.as_str())
+            let fired: Vec<String> = ir
+                .regions_fired
+                .get(&checker.context_key)
+                .into_iter()
+                .flatten()
+                .cloned()
                 .collect();
-            for op in &checker.ops {
-                for arg in &op.args {
-                    assert!(
-                        required.contains(arg.name.as_str()),
-                        "{}: arg {} of {} missing from required fields",
-                        checker.name,
-                        arg.name,
-                        op.op_id
-                    );
-                }
-            }
+            assert_eq!(checker.required_fields, fired, "{}", checker.name);
         }
     }
 }
@@ -143,7 +132,12 @@ fn both_targets_generate_multiple_checkers_and_hooks() {
             ir.name,
             plan.checkers.len()
         );
-        assert!(!plan.hooks.is_empty(), "{}: no hooks", ir.name);
+        // Source hooks feed the checkers' contexts.
+        assert!(
+            plan.checkers.iter().any(|c| !c.required_fields.is_empty()),
+            "{}: no checker reads a hooked context",
+            ir.name
+        );
         // The reduction thesis: well under half of all ops survive.
         assert!(plan.reduced.stats.retention_ratio() < 0.5, "{}", ir.name);
     }
@@ -151,44 +145,54 @@ fn both_targets_generate_multiple_checkers_and_hooks() {
 
 #[test]
 fn dedup_ablation_strictly_increases_retained_ops() {
-    let full = ReductionConfig::default();
-    let off = ReductionConfig {
-        dedupe_similar: false,
-        global_reduction: false,
-    };
-    for ir in [kvs::wd::describe_ir(), minizk::wd::describe_ir()] {
+    let [full, off] = configs();
+    for t in targets() {
+        let ir = t.describe_ir();
         let a = generate_plan(&ir, &full).reduced.stats.ops_retained;
         let b = generate_plan(&ir, &off).reduced.stats.ops_retained;
         assert!(b > a, "{}: dedup had no effect ({a} vs {b})", ir.name);
     }
 }
 
+/// Every target's plan, in both reduction configurations, instantiates
+/// against the op table of a live system: no planned op lacks its real
+/// implementation.
 #[test]
 fn op_tables_cover_plans_for_running_systems() {
-    // kvs.
+    let clock: SharedClock = RealClock::shared();
     let server = kvs::KvsServer::for_tests();
-    let table = kvs::wd::op_table(&server);
-    let plan = generate_plan(&kvs::wd::describe_ir(), &ReductionConfig::default());
-    for c in &plan.checkers {
-        for op in &c.ops {
-            assert!(
-                table.get(op.op_id.as_str()).is_some(),
-                "kvs missing {}",
-                op.op_id
-            );
-        }
-    }
-    // minizk.
     let cluster = minizk::Cluster::for_tests();
-    let table = minizk::wd::op_table(&cluster);
-    let plan = generate_plan(&minizk::wd::describe_ir(), &ReductionConfig::default());
-    for c in &plan.checkers {
-        for op in &c.ops {
-            assert!(
-                table.get(op.op_id.as_str()).is_some(),
-                "minizk missing {}",
-                op.op_id
-            );
+    let dn = miniblock::DataNode::start(
+        miniblock::DataNodeConfig::default(),
+        Arc::clone(&clock),
+        SimDisk::for_tests(),
+        SimNet::for_tests(),
+    )
+    .expect("datanode boots");
+    let live = [
+        (
+            kvs::wd::describe_ir(),
+            kvs::wd::op_table(&server),
+            server.context(),
+        ),
+        (
+            minizk::wd::describe_ir(),
+            minizk::wd::op_table(&cluster),
+            cluster.context(),
+        ),
+        (
+            miniblock::wd::describe_ir(),
+            miniblock::wd::op_table(&dn),
+            dn.context(),
+        ),
+    ];
+    for (ir, table, context) in live {
+        for config in configs() {
+            let plan = generate_plan(&ir, &config);
+            let opts = InstantiateOptions::default();
+            let checkers = instantiate(&plan, &table, &context.reader(), &clock, &opts)
+                .unwrap_or_else(|e| panic!("{} {config:?}: {e}", ir.name));
+            assert_eq!(checkers.len(), plan.checkers.len(), "{}", ir.name);
         }
     }
 }

@@ -27,8 +27,8 @@ const NEVER_READY: &[(&str, &str)] = &[
     (
         "miniblock.heartbeat_loop_checker",
         "heartbeat_loop has no hook site, and global dedup kept \
-         heartbeat_send and dropped report_send, so miniblock's one \
-         net-send mimic never gets a context",
+         heartbeat_loop#send and dropped report_loop#send, so miniblock's \
+         one net-send mimic never gets a context",
     ),
 ];
 

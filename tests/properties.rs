@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use wdog_core::context::{ContextTable, CtxValue};
-use wdog_gen::ir::{ArgType, OpKind, ProgramBuilder, ProgramIr};
+use wdog_gen::ir::{OpKind, ProgramBuilder, ProgramIr};
 use wdog_gen::plan::generate_plan;
 use wdog_gen::reduce::{reduce_program, ReductionConfig};
 use wdog_gen::vulnerable::is_vulnerable;
@@ -45,6 +45,9 @@ fn program() -> impl Strategy<Value = ProgramIr> {
             let mut builder = ProgramBuilder::new("prop");
             for (i, ops) in ops_per_fn.iter().enumerate() {
                 let is_entry = long_running[i] || i == 0;
+                if is_entry {
+                    builder = builder.fires(format!("f{i}"), &["x"]);
+                }
                 let callees: Vec<String> = calls[i]
                     .iter()
                     .filter(|&&c| c > i && c < n)
@@ -59,7 +62,7 @@ fn program() -> impl Strategy<Value = ProgramIr> {
                         let resource = format!("r{res}");
                         let in_loop = *in_loop;
                         f = f.op(format!("op{j}"), kind.clone(), move |mut o| {
-                            o = o.resource(resource).arg("x", ArgType::U64);
+                            o = o.resource(resource);
                             if in_loop {
                                 o = o.in_loop();
                             }
@@ -137,7 +140,8 @@ proptest! {
     }
 
     /// Generated plans are internally consistent: ops exist in the IR,
-    /// hooks point at retained ops, required fields cover op args.
+    /// each checker runs every op its region retained, and requires the
+    /// fields the IR fires into its context key.
     #[test]
     fn plans_are_internally_consistent(ir in program()) {
         let plan = generate_plan(&ir, &ReductionConfig::default());
@@ -146,17 +150,18 @@ proptest! {
             for op in &checker.ops {
                 let f = ir.function(&op.function).expect("function exists");
                 prop_assert!(f.ops.iter().any(|o| o.name == op.name));
-                for arg in &op.args {
-                    prop_assert!(checker
-                        .required_fields
-                        .iter()
-                        .any(|a| a.name == arg.name));
-                }
             }
-        }
-        for hook in &plan.hooks {
-            let f = ir.function(&hook.function).expect("hook function exists");
-            prop_assert!(f.ops.iter().any(|o| o.name == hook.before_op));
+            let kept: usize = plan
+                .reduced
+                .functions_in(&checker.context_key)
+                .iter()
+                .map(|f| f.kept_ops.len())
+                .sum();
+            prop_assert_eq!(checker.ops.len(), kept);
+            prop_assert_eq!(
+                &checker.required_fields,
+                &ir.regions_fired[&checker.context_key].iter().cloned().collect::<Vec<_>>()
+            );
         }
     }
 
