@@ -42,29 +42,20 @@ pub struct MimicOp {
     pub op: OpId,
     /// The (reduced) function this operation came from.
     pub function: String,
-    /// Context fields that must be present before this op can run.
-    pub required_fields: Vec<String>,
     /// Latency above which a *successful* execution is reported `Slow`.
     pub slow_threshold: Option<Duration>,
     body: OpBody,
 }
 
 impl MimicOp {
-    /// Creates an operation with no required fields and no slow threshold.
+    /// Creates an operation with no slow threshold.
     pub fn new(op: impl Into<OpId>, function: impl Into<String>, body: OpBody) -> Self {
         Self {
             op: op.into(),
             function: function.into(),
-            required_fields: Vec::new(),
             slow_threshold: None,
             body,
         }
-    }
-
-    /// Declares context fields the op needs.
-    pub fn with_required_fields(mut self, fields: Vec<String>) -> Self {
-        self.required_fields = fields;
-        self
     }
 
     /// Sets the slow threshold.
@@ -79,7 +70,6 @@ impl std::fmt::Debug for MimicOp {
         f.debug_struct("MimicOp")
             .field("op", &self.op)
             .field("function", &self.function)
-            .field("required_fields", &self.required_fields)
             .finish()
     }
 }
@@ -90,6 +80,7 @@ pub struct MimicChecker {
     component: ComponentId,
     context_key: String,
     reader: ContextReader,
+    required_fields: Vec<String>,
     ops: Vec<MimicOp>,
     probe: Option<ExecutionProbe>,
     max_context_age: Option<Duration>,
@@ -112,6 +103,7 @@ impl MimicChecker {
             component: component.into(),
             context_key: context_key.into(),
             reader,
+            required_fields: Vec::new(),
             ops: Vec::new(),
             probe: None,
             max_context_age: None,
@@ -119,6 +111,12 @@ impl MimicChecker {
             timeout: None,
             trace: None,
         }
+    }
+
+    /// Declares the context fields that must be present before any op runs.
+    pub fn with_required_fields(mut self, fields: Vec<String>) -> Self {
+        self.required_fields = fields;
+        self
     }
 
     /// Appends an operation; ops execute in insertion order.
@@ -179,10 +177,12 @@ impl Checker for MimicChecker {
                 return CheckStatus::NotReady;
             }
         }
-        for op in &self.ops {
-            if op.required_fields.iter().any(|f| snapshot.get(f).is_none()) {
-                return CheckStatus::NotReady;
-            }
+        if self
+            .required_fields
+            .iter()
+            .any(|f| snapshot.get(f).is_none())
+        {
+            return CheckStatus::NotReady;
         }
 
         for op in &mut self.ops {
@@ -238,6 +238,7 @@ impl std::fmt::Debug for MimicChecker {
         f.debug_struct("MimicChecker")
             .field("id", &self.id)
             .field("context_key", &self.context_key)
+            .field("required_fields", &self.required_fields)
             .field("ops", &self.ops)
             .finish()
     }
@@ -276,10 +277,9 @@ mod tests {
     fn not_ready_with_missing_required_field() {
         let t = table();
         t.publish("flush", vec![("other".into(), CtxValue::U64(1))]);
-        let mut c = checker(&t).push_op(
-            MimicOp::new("w", "flush", Box::new(|_| Ok(())))
-                .with_required_fields(vec!["path".into()]),
-        );
+        let mut c = checker(&t)
+            .with_required_fields(vec!["path".into()])
+            .push_op(MimicOp::new("w", "flush", Box::new(|_| Ok(()))));
         assert_eq!(c.check(), CheckStatus::NotReady);
     }
 
