@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use kvs::target::KvsTarget;
 use kvs::wd::{
-    generate_kvs_plan, op_table, op_table_unsynced, publish_assumed_contexts, Families, WdOptions,
+    describe_ir, op_table, op_table_unsynced, publish_assumed_contexts, Families, WdOptions,
 };
 use kvs::{KvsConfig, KvsServer};
 use simio::{LatencyModel, SimClock, SimDisk};
@@ -30,6 +30,7 @@ use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
 use wdog_core::prelude::*;
 use wdog_gen::interp::{instantiate, InstantiateOptions};
+use wdog_gen::plan::generate_plan;
 use wdog_gen::reduce::ReductionConfig;
 use wdog_target::WatchdogTarget;
 
@@ -93,7 +94,7 @@ pub fn run_context_ablation() -> BaseResult<ContextAblation> {
         SimDisk::new(1 << 30, LatencyModel::zero(), Arc::clone(&clock)),
         None,
     )?;
-    let plan = generate_kvs_plan(&ReductionConfig::default());
+    let plan = generate_plan(&describe_ir(), &ReductionConfig::default());
     let opts = InstantiateOptions::default();
 
     let mut synced = instantiate(

@@ -103,11 +103,10 @@ pub fn run_analysis(
 ) -> AnalysisBundle {
     let extracted = extract_model(cfg.name, cfg.model(sources, true));
     let plan = generate_plan(&extracted.ir, &ReductionConfig::default());
-    let graph = CallGraph::build(&extracted.ir);
     AnalysisBundle {
         target: cfg.name.to_owned(),
-        callgraph: graph.summary(cfg.name),
-        locks: analyze_locks(&extracted.ir, &graph),
+        callgraph: CallGraph::summary(&extracted.ir),
+        locks: analyze_locks(&extracted.ir),
         safety: analyze_safety_model(cfg.name, &cfg.model(sources, false)),
         coverage: coverage_matrix(&extracted, &plan, blind_spots),
     }

@@ -74,10 +74,7 @@ pub fn run() -> ReductionResult {
     let zk_ir = minizk::wd::describe_ir();
     let bb_ir = miniblock::wd::describe_ir();
     let full = ReductionConfig::default();
-    let no_dedup = ReductionConfig {
-        dedupe_similar: false,
-        global_reduction: false,
-    };
+    let no_dedup = ReductionConfig { dedup: false };
 
     let stats = vec![
         stats_for(&kvs_ir, &full, "full"),

@@ -78,16 +78,15 @@ pub(crate) fn flush_once(
     let path = shared.partitions.next_path();
 
     // Hook before the vulnerable write: publish a sample of what is about
-    // to be written.
-    let sample: Vec<u8> = serde_json::to_vec(&entries)
-        .unwrap_or_default()
-        .into_iter()
-        .take(SAMPLE_BYTES)
-        .collect();
-    let entry_count = entries.len() as u64;
+    // to be written. The sample is encoded only while the hook is armed.
     if let Some(mut fire) = hook.fire() {
+        let sample: Vec<u8> = serde_json::to_vec(&entries)
+            .unwrap_or_default()
+            .into_iter()
+            .take(SAMPLE_BYTES)
+            .collect();
         fire.field("sst_payload", CtxValue::Bytes(sample))
-            .field("entry_count", CtxValue::U64(entry_count));
+            .field("entry_count", CtxValue::U64(entries.len() as u64));
     }
 
     let meta = write_sstable(&shared.disk, &path, &entries)?;

@@ -31,9 +31,8 @@ use wdog_checkers::signal::{
 };
 use wdog_core::prelude::*;
 
-use serde::Deserialize;
 use wdog_gen::interp::OpTable;
-use wdog_gen::ir::ProgramIr;
+use wdog_gen::ir::{Extraction, ProgramIr};
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
 
@@ -61,18 +60,10 @@ pub use wdog_target::{Families, WdOptions};
 /// this crate's source that `extraction_matches_committed_snapshots`
 /// keeps byte-equal to what `wdog-analyze` reads from it today.
 pub fn describe_ir() -> ProgramIr {
-    #[derive(Deserialize)]
-    struct Extraction {
-        ir: ProgramIr,
-    }
     let json = include_str!("../../../tests/snapshots/kvs.json");
-    let extraction: Extraction = serde_json::from_str(json).expect("kvs extraction parses");
-    extraction.ir
-}
-
-/// Runs the AutoWatchdog pipeline over kvs's IR.
-pub fn generate_kvs_plan(config: &ReductionConfig) -> WatchdogPlan {
-    generate_plan(&describe_ir(), config)
+    serde_json::from_str::<Extraction>(json)
+        .expect("kvs extraction parses")
+        .ir
 }
 
 fn probe_write(disk: &simio::disk::SimDisk, path: &str, payload: &[u8]) -> BaseResult<()> {
@@ -398,7 +389,7 @@ pub fn build_watchdog(
     server: &KvsServer,
     opts: &WdOptions,
 ) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
-    let plan = generate_kvs_plan(&ReductionConfig::default());
+    let plan = generate_plan(&describe_ir(), &ReductionConfig::default());
     let mut builder = wdog_target::watchdog_builder(
         opts,
         &server.shared().clock,
@@ -481,7 +472,7 @@ mod tests {
 
     #[test]
     fn plan_generates_checker_per_active_region() {
-        let plan = generate_kvs_plan(&ReductionConfig::default());
+        let plan = generate_plan(&describe_ir(), &ReductionConfig::default());
         assert_eq!(plan.checkers.len(), 5, "{:#?}", plan.checkers);
     }
 
@@ -572,7 +563,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let plan = generate_kvs_plan(&ReductionConfig::default());
+        let plan = generate_plan(&describe_ir(), &ReductionConfig::default());
         let clock: SharedClock = RealClock::shared();
 
         // Properly synchronized: contexts never become ready, no reports.

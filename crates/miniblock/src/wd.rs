@@ -8,9 +8,8 @@ use wdog_base::error::BaseResult;
 
 use wdog_core::prelude::*;
 
-use serde::Deserialize;
 use wdog_gen::interp::OpTable;
-use wdog_gen::ir::ProgramIr;
+use wdog_gen::ir::{Extraction, ProgramIr};
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
 
@@ -39,18 +38,10 @@ pub fn default_dn_options() -> WdOptions {
 /// `extraction_matches_committed_snapshots` keeps byte-equal to what
 /// `wdog-analyze` reads from it today.
 pub fn describe_ir() -> ProgramIr {
-    #[derive(Deserialize)]
-    struct Extraction {
-        ir: ProgramIr,
-    }
     let json = include_str!("../../../tests/snapshots/miniblock.json");
-    let extraction: Extraction = serde_json::from_str(json).expect("miniblock extraction parses");
-    extraction.ir
-}
-
-/// Runs the AutoWatchdog pipeline over the DataNode IR.
-pub fn generate_dn_plan(config: &ReductionConfig) -> WatchdogPlan {
-    generate_plan(&describe_ir(), config)
+    serde_json::from_str::<Extraction>(json)
+        .expect("miniblock extraction parses")
+        .ir
 }
 
 /// Builds the op table binding the DataNode's vulnerable IR ops to real,
@@ -132,7 +123,7 @@ pub fn build_watchdog(
     opts: &WdOptions,
 ) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
     let clock: SharedClock = Arc::clone(&dn.shared().clock);
-    let plan = generate_dn_plan(&ReductionConfig::default());
+    let plan = generate_plan(&describe_ir(), &ReductionConfig::default());
     let mut builder =
         wdog_target::watchdog_builder(opts, &clock, &dn.hooks(), &plan, &op_table(dn))?
             .checkers(wdog_target::inferred_checkers(opts, &dn.context().reader()));
@@ -165,7 +156,7 @@ mod tests {
 
     #[test]
     fn the_heartbeat_and_report_sends_dedupe_to_one() {
-        let plan = generate_dn_plan(&ReductionConfig::default());
+        let plan = generate_plan(&describe_ir(), &ReductionConfig::default());
         // Both sends target the NameNode; global reduction keeps one.
         let total_sends: usize = plan
             .checkers

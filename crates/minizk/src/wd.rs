@@ -24,9 +24,8 @@ use wdog_checkers::probe::ProbeChecker;
 use wdog_checkers::signal::QueueDepthChecker;
 use wdog_core::prelude::*;
 
-use serde::Deserialize;
 use wdog_gen::interp::OpTable;
-use wdog_gen::ir::ProgramIr;
+use wdog_gen::ir::{Extraction, ProgramIr};
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
 
@@ -62,18 +61,10 @@ pub fn default_zk_options() -> WdOptions {
 /// `snapshot_sync_loop` region is Figure 2: `serialize_snapshot` writes
 /// each record inside the node lock `with_locked_data` takes.
 pub fn describe_ir() -> ProgramIr {
-    #[derive(Deserialize)]
-    struct Extraction {
-        ir: ProgramIr,
-    }
     let json = include_str!("../../../tests/snapshots/minizk.json");
-    let extraction: Extraction = serde_json::from_str(json).expect("minizk extraction parses");
-    extraction.ir
-}
-
-/// Runs the AutoWatchdog pipeline over minizk's IR.
-pub fn generate_zk_plan(config: &ReductionConfig) -> WatchdogPlan {
-    generate_plan(&describe_ir(), config)
+    serde_json::from_str::<Extraction>(json)
+        .expect("minizk extraction parses")
+        .ir
 }
 
 /// Builds the op table binding minizk's vulnerable IR ops to real cluster
@@ -186,7 +177,7 @@ pub fn build_watchdog(
     opts: &WdOptions,
 ) -> BaseResult<(WatchdogDriver, WatchdogPlan)> {
     let clock: SharedClock = Arc::clone(&cluster.shared().clock);
-    let plan = generate_zk_plan(&ReductionConfig::default());
+    let plan = generate_plan(&describe_ir(), &ReductionConfig::default());
     let mut builder =
         wdog_target::watchdog_builder(opts, &clock, &cluster.hooks(), &plan, &op_table(cluster))?
             .checkers(wdog_target::inferred_checkers(
@@ -246,7 +237,7 @@ mod tests {
 
     #[test]
     fn figure2_chain_reduces_to_lock_and_write_record() {
-        let plan = generate_zk_plan(&ReductionConfig::default());
+        let plan = generate_plan(&describe_ir(), &ReductionConfig::default());
         let snap = plan.checker_for("snapshot_sync_loop").expect("checker");
         let ids: Vec<&str> = snap.ops.iter().map(|o| o.op_id.as_str()).collect();
         assert_eq!(

@@ -1,13 +1,14 @@
-//! Interprocedural call graph over an extracted (or described) IR.
+//! Interprocedural call graph over an extracted IR: its shape and its
+//! strongly connected components, as archived in the analysis reports.
 //!
-//! Every downstream analysis pass — lock ordering ([`crate::locks`]) and
-//! the coverage-gap matrix ([`crate::coverage`]) — walks the same graph,
-//! so it is built once, deterministically: nodes are every function in
-//! the IR, edges are the resolved `Call` ops (dangling callees are
-//! dropped; the IR validator reports those separately), and all node and
-//! neighbour iteration is in sorted order. The graph therefore depends
-//! only on the *set* of functions and calls, never on source-file
-//! ordering — a property the workspace proptests pin down.
+//! Reachability is not here: every pass walks calls with
+//! [`wdog_gen::regions::reachable`], the walk that defines the regions.
+//! The graph is built deterministically: nodes are every function in the
+//! IR, edges are the resolved `Call` ops (dangling callees are dropped;
+//! the IR validator reports those separately), and all node and neighbour
+//! iteration is in sorted order. It therefore depends only on the *set* of
+//! functions and calls, never on source-file ordering — a property the
+//! workspace proptests pin down.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,8 +22,6 @@ pub struct CallGraph {
     /// Adjacency: every function in the IR has an entry, even if it calls
     /// nothing. Only edges to functions that exist in the IR are kept.
     pub edges: BTreeMap<String, BTreeSet<String>>,
-    /// Long-running, non-init entry functions, sorted.
-    pub roots: Vec<String>,
 }
 
 impl CallGraph {
@@ -37,40 +36,12 @@ impl CallGraph {
                 }
             }
         }
-        let roots = ir
-            .functions
-            .values()
-            .filter(|f| f.long_running && !f.init_only)
-            .map(|f| f.name.clone())
-            .collect();
-        Self { edges, roots }
-    }
-
-    /// All node names, sorted.
-    pub fn nodes(&self) -> impl Iterator<Item = &str> {
-        self.edges.keys().map(String::as_str)
+        Self { edges }
     }
 
     /// Number of call edges.
     pub fn edge_count(&self) -> usize {
         self.edges.values().map(BTreeSet::len).sum()
-    }
-
-    /// Every function reachable from `entry` (including it), sorted.
-    pub fn reachable(&self, entry: &str) -> BTreeSet<String> {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![entry.to_owned()];
-        while let Some(name) = stack.pop() {
-            if !self.edges.contains_key(&name) || !seen.insert(name.clone()) {
-                continue;
-            }
-            for callee in &self.edges[&name] {
-                if !seen.contains(callee) {
-                    stack.push(callee.clone());
-                }
-            }
-        }
-        seen
     }
 
     /// Strongly connected components via iterative Tarjan, normalized for
@@ -202,14 +173,21 @@ impl CallGraph {
         seen == n
     }
 
-    /// Serializable summary for reports.
-    pub fn summary(&self, program: &str) -> CallGraphSummary {
+    /// Serializable summary for reports: the graph's shape plus `ir`'s
+    /// long-running entries, the roots of its regions.
+    pub fn summary(ir: &ProgramIr) -> CallGraphSummary {
+        let graph = Self::build(ir);
         CallGraphSummary {
-            program: program.to_owned(),
-            functions: self.edges.len(),
-            edges: self.edge_count(),
-            roots: self.roots.clone(),
-            cycles: self.cyclic_sccs(),
+            program: ir.name.clone(),
+            functions: graph.edges.len(),
+            edges: graph.edge_count(),
+            roots: ir
+                .functions
+                .values()
+                .filter(|f| f.long_running)
+                .map(|f| f.name.clone())
+                .collect(),
+            cycles: graph.cyclic_sccs(),
         }
     }
 }
@@ -239,17 +217,16 @@ mod tests {
             .function("main_loop", |f| f.long_running().call("work").call("log"))
             .function("work", |f| f.simple_op("w", OpKind::DiskWrite).call("log"))
             .function("log", |f| f.compute("fmt"))
-            .function("init", |f| f.init_only().call("work"))
+            .function("init", |f| f.call("work"))
             .function("lonely", |f| f.compute("idle"))
             .build()
     }
 
     #[test]
-    fn builds_sorted_edges_and_roots() {
+    fn builds_sorted_edges() {
         let g = CallGraph::build(&ir());
         assert_eq!(g.edges.len(), 5);
         assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.roots, vec!["main_loop"]);
         assert_eq!(
             g.edges["main_loop"].iter().collect::<Vec<_>>(),
             vec!["log", "work"]
@@ -264,17 +241,6 @@ mod tests {
                 .build(),
         );
         assert!(g.edges["a"].is_empty());
-    }
-
-    #[test]
-    fn reachability_closes_over_chains() {
-        let g = CallGraph::build(&ir());
-        let r = g.reachable("main_loop");
-        assert_eq!(
-            r.iter().collect::<Vec<_>>(),
-            vec!["log", "main_loop", "work"]
-        );
-        assert!(!r.contains("lonely"));
     }
 
     #[test]
@@ -308,10 +274,10 @@ mod tests {
 
     #[test]
     fn summary_is_stable() {
-        let g = CallGraph::build(&ir());
-        let s = g.summary("p");
+        let s = CallGraph::summary(&ir());
         assert_eq!(s.functions, 5);
         assert_eq!(s.edges, 4);
+        assert_eq!(s.roots, vec!["main_loop"]);
         assert!(s.cycles.is_empty());
     }
 }

@@ -3,9 +3,9 @@
 //! The paper argues watchdogs should mimic *every* vulnerable operation a
 //! long-running region performs; the chaos campaigns showed where the
 //! shipped checkers fall short empirically. This pass enumerates the same
-//! gaps statically: reachability from each long-running region of the
-//! extracted IR over the [`crate::callgraph`] to its vulnerable ops (per
-//! [`wdog_gen::vulnerable::classify`]), crossed against a
+//! gaps statically: the vulnerable ops (per
+//! [`wdog_gen::vulnerable::classify`]) of each long-running region of the
+//! extracted IR (per [`wdog_gen::regions`]) are crossed against a
 //! [`wdog_gen::WatchdogPlan`] — in `wdog-lint`, the default plan generated
 //! from the same IR, i.e. the checkers that ship.
 //!
@@ -187,7 +187,6 @@ pub fn coverage_matrix(
     blind_spots: &[BlindSpot],
 ) -> CoverageMatrix {
     let ir = &extracted.ir;
-    let graph = CallGraph::build(ir);
     let regions = find_regions(ir);
     let planned_key = |p: &wdog_gen::plan::PlannedOp| match_key(&p.kind, p.resource.as_deref());
 
@@ -326,7 +325,7 @@ pub fn coverage_matrix(
 
     CoverageMatrix {
         program: ir.name.clone(),
-        callgraph: graph.summary(&ir.name),
+        callgraph: CallGraph::summary(ir),
         regions: region_rows,
         uncovered_ranked,
         blind_spots,

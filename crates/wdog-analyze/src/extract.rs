@@ -6,10 +6,11 @@
 //! 1. **Entry discovery** — `spawn(move || ...)` sites become
 //!    continuously-executed entry functions: named spawn targets
 //!    (`spawn(move || worker_loop(..))`) mark the target; inline closures
-//!    become synthetic entries named after the hook context key they bind
-//!    (or a `// wdog: region <name>` annotation). Functions that fire a
-//!    hook key but are reachable from no entry are promoted to entries —
-//!    they run on caller threads (e.g. a request-path `write_block`).
+//!    become synthetic entries named after the hook context key they bind.
+//!    Functions that fire a hook key but are reachable from no entry are
+//!    promoted to entries — they run on caller threads (e.g. a
+//!    request-path `write_block`). Only functions an entry reaches are
+//!    extracted, so initialization code never enters the IR (paper §4.1).
 //! 2. **Operation classification** — every call site is matched against
 //!    the shared [`wdog_gen::patterns`] rule table; resources come from
 //!    string-literal arguments, crate consts, `// wdog: resource` function
@@ -21,8 +22,7 @@
 //!    Every other call is deterministic code: a [`OpKind::Compute`] op
 //!    named `det:<callee>`, in a namespace of its own so that no
 //!    vulnerable op's ordinal depends on it. Reduction drops them all.
-//! 4. **Loop tracking** — `loop`/`while`/`for` bodies set `in_loop`.
-//! 5. **Hook fires** — `fire` on a `site("key")` binding records the
+//! 4. **Hook fires** — `fire` on a `site("key")` binding records the
 //!    fields published into `key` ([`ProgramIr::regions_fired`]). A site
 //!    passed in as a parameter resolves through the argument of the
 //!    function's one call site.
@@ -34,7 +34,6 @@
 //! |---|---|
 //! | `vulnerable [name=N] [kind=K] [resource=R]` | next call becomes an op; without `kind=`, a custom (annotated) op |
 //! | `resource R` | above an `fn`: default resource for its resource-less ops |
-//! | `region NAME` | next `spawn` closure becomes entry `NAME` |
 //! | `ignore` | next `spawn` closure or call is invisible to extraction |
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -153,7 +152,6 @@ enum Directive {
         resource: Option<String>,
     },
     Resource(String),
-    Region(String),
     Ignore,
 }
 
@@ -162,7 +160,6 @@ fn parse_directive(body: &str) -> Option<Directive> {
     match words.next()? {
         "ignore" => Some(Directive::Ignore),
         "resource" => Some(Directive::Resource(words.next()?.to_owned())),
-        "region" => Some(Directive::Region(words.next()?.to_owned())),
         "vulnerable" => {
             let mut name = None;
             let mut kind = None;
@@ -346,14 +343,7 @@ impl Extractor {
                     i = close + 1;
                     continue;
                 }
-                let region =
-                    self.take_directive(file, spawn_line, 3, |d| matches!(d, Directive::Region(_)));
-                let entry_name = if let Some(Directive::Region(name)) = region {
-                    Some(name)
-                } else {
-                    self.closure_site_key(file, closure.clone())
-                };
-                if let Some(name) = entry_name {
+                if let Some(name) = self.closure_site_key(file, closure.clone()) {
                     synthetics.push(Unit {
                         name: name.clone(),
                         decl_name: name,
@@ -370,8 +360,8 @@ impl Extractor {
                     let parent = &self.units[u].name;
                     let name = format!("{parent}_spawn{}", synthetics.len());
                     self.notes.push(format!(
-                        "spawn in fn `{parent}` has no site, region annotation, \
-                         or named target; synthesized entry `{name}`"
+                        "spawn in fn `{parent}` has no site or named target; \
+                         synthesized entry `{name}`"
                     ));
                     synthetics.push(Unit {
                         name: name.clone(),
@@ -450,9 +440,6 @@ impl Extractor {
         let mut facts = UnitFacts::default();
         let mut local_sites: BTreeMap<String, String> = BTreeMap::new();
         let mut guard_sites: BTreeMap<String, String> = BTreeMap::new();
-        let mut depth = 0usize;
-        let mut loop_stack: Vec<usize> = Vec::new();
-        let mut pending_loop = false;
         let mut i = body.start;
         'walk: while i < body.end {
             for r in &skip {
@@ -464,22 +451,6 @@ impl Extractor {
             let toks = self.tokens(file);
             let t = &toks[i];
             match &t.tok {
-                Tok::Punct('{') => {
-                    depth += 1;
-                    if pending_loop {
-                        loop_stack.push(depth);
-                        pending_loop = false;
-                    }
-                }
-                Tok::Punct('}') => {
-                    if loop_stack.last() == Some(&depth) {
-                        loop_stack.pop();
-                    }
-                    depth = depth.saturating_sub(1);
-                }
-                Tok::Ident(name) if name == "loop" || name == "while" || name == "for" => {
-                    pending_loop = true;
-                }
                 Tok::Ident(_) if toks.get(i + 1).is_some_and(|t| t.is_punct('!')) => {
                     // Macro invocation: skip its delimited group.
                     if let Some(open) = (i + 2..(i + 3).min(toks.len())).next() {
@@ -509,7 +480,6 @@ impl Extractor {
                         &name,
                         i,
                         fn_default.as_deref(),
-                        !loop_stack.is_empty(),
                         &mut local_sites,
                         &mut guard_sites,
                         &mut facts,
@@ -536,7 +506,6 @@ impl Extractor {
         name: &str,
         i: usize,
         fn_default: Option<&str>,
-        in_loop: bool,
         local_sites: &mut BTreeMap<String, String>,
         guard_sites: &mut BTreeMap<String, String>,
         facts: &mut UnitFacts,
@@ -628,7 +597,6 @@ impl Extractor {
                     resource: resource
                         .or_else(|| fn_default.map(str::to_owned))
                         .map(|r| resource_family(&r).to_owned()),
-                    in_loop,
                     annotated_vulnerable: annotated,
                 },
             );
@@ -654,7 +622,6 @@ impl Extractor {
                     name: name.to_owned(),
                     kind: rule.kind.clone(),
                     resource: resource.map(|r| resource_family(&r).to_owned()),
-                    in_loop,
                     annotated_vulnerable: false,
                 },
             );
@@ -692,7 +659,6 @@ impl Extractor {
                         name: format!("call_{callee}"),
                         kind: OpKind::Call { callee },
                         resource: None,
-                        in_loop,
                         annotated_vulnerable: false,
                     },
                 );
@@ -704,7 +670,6 @@ impl Extractor {
                     name: format!("det:{name}"),
                     kind: OpKind::Compute,
                     resource: None,
-                    in_loop,
                     annotated_vulnerable: false,
                 },
             );
@@ -960,7 +925,6 @@ impl Extractor {
                     name: unit.name.clone(),
                     ops: facts[u].ops.clone(),
                     long_running: unit.entry,
-                    init_only: false,
                 },
             );
         }
@@ -995,8 +959,8 @@ fn push_op(facts: &mut UnitFacts, mut op: Operation) {
 
 /// Rust keywords that can stand before a `(` without calling anything.
 const NOT_CALLS: &[&str] = &[
-    "as", "crate", "else", "fn", "if", "impl", "in", "let", "match", "move", "mut", "pub", "ref",
-    "return", "self", "super", "unsafe", "where",
+    "as", "crate", "else", "fn", "for", "if", "impl", "in", "let", "match", "move", "mut", "pub",
+    "ref", "return", "self", "super", "unsafe", "where", "while",
 ];
 
 /// True if the ident at `i`, followed by `(`, calls code: not a keyword,
@@ -1221,7 +1185,6 @@ fn closure_body(tokens: &[Token], open: usize, close: usize) -> Option<std::ops:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     fn extract(srcs: &[(&str, &str)]) -> ExtractedProgram {
         let files = srcs
@@ -1271,7 +1234,6 @@ fn helper(shared: &Shared) {
         let ops = classified(f);
         let kinds: Vec<&str> = ops.iter().map(|o| o.kind.label()).collect();
         assert_eq!(kinds, vec!["disk-write", "disk-sync", "call"]);
-        assert!(ops[0].in_loop && ops[1].in_loop);
         assert_eq!(ops[0].resource.as_deref(), Some("wal/"));
         let h = ex.ir.function("helper").unwrap();
         assert_eq!(h.ops[0].kind.label(), "lock-acquire");
@@ -1409,7 +1371,6 @@ pub fn serve(s: Shared) {
         assert_eq!(op.name, "index_put");
         assert!(op.annotated_vulnerable);
         assert_eq!(op.resource.as_deref(), Some("index"));
-        assert!(op.in_loop);
     }
 
     #[test]
@@ -1467,13 +1428,13 @@ pub fn beat(s: Shared) {
     }
 
     #[test]
-    fn region_annotation_and_ignore_on_spawns() {
+    fn ignore_directive_hides_a_spawn() {
         let ex = extract(&[(
             "a.rs",
             r#"
 pub fn start(s: Shared) {
-    // wdog: region heartbeat_loop
     t.spawn(move || {
+        let hook = s.hooks.site("heartbeat_loop");
         loop { s.net.send(&s.id, "nn", m.encode()); }
     }).unwrap();
     // wdog: ignore
@@ -1483,11 +1444,12 @@ pub fn start(s: Shared) {
 }
 "#,
         )]);
-        let f = ex.ir.function("heartbeat_loop").expect("annotated region");
+        let f = ex.ir.function("heartbeat_loop").expect("site-named entry");
         assert!(f.long_running);
         assert_eq!(f.ops[0].kind, OpKind::NetSend);
         assert_eq!(f.ops[0].resource.as_deref(), Some("nn"));
         assert_eq!(ex.ir.functions.len(), 1, "{:?}", ex.ir.functions.keys());
+        assert_eq!(ex.notes, ["ignored spawn in fn `start`"]);
     }
 
     #[test]
@@ -1510,7 +1472,6 @@ pub fn start(s: Shared) {
         assert!(f.long_running);
         let ops = classified(f);
         assert_eq!(ops[0].kind, OpKind::DiskRead);
-        assert!(ops[0].in_loop);
         assert!(ex.ir.regions_fired["scanner_loop"].contains("block_path"));
     }
 
@@ -1662,24 +1623,26 @@ pub fn run(s: Shared) {
     }
 
     #[test]
-    fn loop_depth_tracks_nested_blocks() {
-        let (toks, _) = lex("while x { if y { f(); } } g();");
-        // Quick sanity on the walker's building block, via full extract:
+    fn loop_headers_are_not_calls() {
         let ex = extract(&[(
             "a.rs",
             r#"
 pub fn start() { t.spawn(move || run(s)).unwrap(); }
 pub fn run(s: Shared) {
-    while s.go() {
-        if s.ready() { s.disk.fsync("wal/log"); }
+    for (k, v) in s.pending() {
+        while (s.ready()) { s.disk.fsync("wal/log"); }
     }
-    s.disk.fsync("sst/tail");
 }
 "#,
         )]);
-        drop(toks);
-        let ops = classified(ex.ir.function("run").unwrap());
-        assert!(ops[0].in_loop);
-        assert!(!ops[1].in_loop);
+        let names: Vec<&str> = ex
+            .ir
+            .function("run")
+            .unwrap()
+            .ops
+            .iter()
+            .map(|o| o.name.as_str())
+            .collect();
+        assert_eq!(names, ["det:pending", "det:ready", "fsync"]);
     }
 }

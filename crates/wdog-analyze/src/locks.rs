@@ -24,6 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use wdog_gen::ir::{OpKind, ProgramIr};
+use wdog_gen::regions::reachable;
 
 use crate::callgraph::CallGraph;
 
@@ -106,17 +107,16 @@ fn own_acquires(ir: &ProgramIr, name: &str) -> BTreeSet<String> {
         .collect()
 }
 
-/// Runs the lock-order analysis over `ir` using `graph` for
-/// interprocedural closure.
-pub fn analyze_locks(ir: &ProgramIr, graph: &CallGraph) -> LockOrderReport {
+/// Runs the lock-order analysis over `ir`.
+pub fn analyze_locks(ir: &ProgramIr) -> LockOrderReport {
     // Transitive acquire sets: every lock a call into `f` may take.
     let mut transitive: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for name in graph.nodes() {
+    for name in ir.functions.keys() {
         let mut all = BTreeSet::new();
-        for r in graph.reachable(name) {
+        for r in reachable(ir, name) {
             all.extend(own_acquires(ir, &r));
         }
-        transitive.insert(name.to_owned(), all);
+        transitive.insert(name.clone(), all);
     }
 
     let mut sequences = Vec::new();
@@ -216,10 +216,7 @@ fn find_cycles(program: &str, edges: &[LockEdge]) -> Vec<DeadlockCycle> {
         adj.entry(e.from.clone()).or_default().insert(e.to.clone());
         adj.entry(e.to.clone()).or_default();
     }
-    let graph = CallGraph {
-        edges: adj,
-        roots: Vec::new(),
-    };
+    let graph = CallGraph { edges: adj };
     graph
         .cyclic_sccs()
         .into_iter()
@@ -251,7 +248,7 @@ mod tests {
     use wdog_gen::ir::ProgramBuilder;
 
     fn analyze(ir: &ProgramIr) -> LockOrderReport {
-        analyze_locks(ir, &CallGraph::build(ir))
+        analyze_locks(ir)
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! convention checkable:
 //!
 //! * probe bodies are discovered lexically in each target's `wd.rs`
-//!   (`table.register("fn#op", move |snap| {..})` closures and
-//!   `ProbeChecker::new("id", .., move || {..})` closures) plus the
+//!   (`table.register("fn#op", move |snap| {..})` closures, one per id
+//!   when the id is the variable of a `for id in ["a#x", "b#y"]` loop,
+//!   and `ProbeChecker::new("id", .., move || {..})` closures) plus the
 //!   `check` methods of configured hand-written checker files;
 //! * every *mutating* call in a body (a known I/O or state-mutation
 //!   method) must have a probe-tagged argument: a `__wd` string, a const
@@ -22,11 +23,6 @@
 //! * the class is then `read-only` (no mutations), `replica-write`
 //!   (every mutation tagged), or `shared-mutation` — which makes
 //!   `wdog-lint` exit 1.
-//!
-//! A `// wdog: replica <reason>` annotation inside a body is the audited
-//! escape hatch for isolation the lexical rules cannot see (e.g. a
-//! checker constructed over its own private store), like every other
-//! `// wdog:` directive: the exception ships next to the code it excuses.
 
 use std::collections::BTreeMap;
 
@@ -75,7 +71,7 @@ fn checker_files(target: &str) -> &'static [&'static str] {
 pub enum SafetyClass {
     /// The body performs no recognized mutation.
     ReadOnly,
-    /// Every mutation is probe-tagged (or annotation-excused).
+    /// Every mutation is probe-tagged.
     ReplicaWrite,
     /// At least one mutation reaches shared, untagged state.
     SharedMutation,
@@ -118,8 +114,6 @@ pub struct ProbeSafety {
     pub class: SafetyClass,
     /// Every mutating call found.
     pub mutations: Vec<MutationSite>,
-    /// The `// wdog: replica` justification, when one excuses the body.
-    pub replica_annotation: Option<String>,
 }
 
 /// The checker-safety report for one target.
@@ -355,12 +349,20 @@ fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<Probe
             i += 1;
             continue;
         };
-        // Probe id: the first string argument; otherwise one is
+        // Probe ids: the first string argument, or every literal of the
+        // `for` loop whose variable the first argument is; otherwise one is
         // synthesized from the enclosing function once all are found.
-        let literal_id = match &tokens[open + 1].tok {
-            crate::lexer::Tok::Str(s) => Some(s.clone()),
-            _ => None,
+        let mut literal_ids: Vec<Option<String>> = match &tokens[open + 1].tok {
+            crate::lexer::Tok::Str(s) => vec![Some(s.clone())],
+            crate::lexer::Tok::Ident(var) => loop_literals(tokens, i, var)
+                .into_iter()
+                .map(Some)
+                .collect(),
+            _ => Vec::new(),
         };
+        if literal_ids.is_empty() {
+            literal_ids.push(None);
+        }
         // The probe body: the closure's brace block inside the arg list.
         let mut j = open + 1;
         let mut body = None;
@@ -390,18 +392,50 @@ fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<Probe
             j += 1;
         }
         if let Some(body) = body {
-            units.push(ProbeUnit {
+            let function = enclosing_fn(model, file_idx, i).unwrap_or_default();
+            units.extend(literal_ids.into_iter().map(|literal_id| ProbeUnit {
                 literal_id,
                 file: file_idx,
-                function: enclosing_fn(model, file_idx, i)
-                    .unwrap_or_default()
-                    .to_owned(),
+                function: function.to_owned(),
                 start: i,
-                body,
-            });
+                body: body.clone(),
+            }));
         }
         i = close + 1;
     }
+}
+
+/// The string literals `var` takes in the innermost `for var in ["a#x",
+/// "b#y"] { .. }` loop whose body holds token `at`; empty when no such
+/// loop binds `var` to literals.
+fn loop_literals(tokens: &[Token], at: usize, var: &str) -> Vec<String> {
+    for f in (0..at).rev() {
+        let header = tokens[f].ident() == Some("for")
+            && tokens.get(f + 1).and_then(Token::ident) == Some(var)
+            && tokens.get(f + 2).and_then(Token::ident) == Some("in")
+            && tokens.get(f + 3).is_some_and(|t| t.is_punct('['));
+        if !header {
+            continue;
+        }
+        let Some(len) = tokens[f + 4..].iter().position(|t| t.is_punct(']')) else {
+            continue;
+        };
+        let open = f + 5 + len;
+        let encloses = tokens.get(open).is_some_and(|t| t.is_punct('{'))
+            && matching_brace(tokens, open).is_some_and(|end| at < end);
+        if encloses {
+            return tokens[f + 4..open - 1]
+                .iter()
+                .filter(|t| !t.is_punct(','))
+                .map(|t| match &t.tok {
+                    crate::lexer::Tok::Str(s) => Some(s.clone()),
+                    _ => None,
+                })
+                .collect::<Option<Vec<_>>>()
+                .unwrap_or_default();
+        }
+    }
+    Vec::new()
 }
 
 /// Classifies every probe body of the crate in `model` (which must be
@@ -449,29 +483,9 @@ pub fn analyze_safety_model(program: &str, model: &CrateModel) -> SafetyReport {
         });
         let tokens = &file.tokens;
         let mutations = scanner.scan_body(tokens, unit.body.clone(), &BTreeMap::new());
-
-        // `// wdog: replica <reason>` inside the body line range excuses
-        // untagged mutations — an audited, code-adjacent exception.
-        let body_lines = (
-            tokens.get(unit.body.start).map(|t| t.line).unwrap_or(0),
-            tokens
-                .get(unit.body.end.saturating_sub(1))
-                .map(|t| t.line)
-                .unwrap_or(u32::MAX),
-        );
-        let replica_annotation = file
-            .annotations
-            .iter()
-            .find(|a| {
-                a.body.starts_with("replica")
-                    && a.line >= body_lines.0.saturating_sub(1)
-                    && a.line <= body_lines.1
-            })
-            .map(|a| a.body.clone());
-
         let class = if mutations.is_empty() {
             SafetyClass::ReadOnly
-        } else if mutations.iter().all(|m| m.tagged) || replica_annotation.is_some() {
+        } else if mutations.iter().all(|m| m.tagged) {
             SafetyClass::ReplicaWrite
         } else {
             SafetyClass::SharedMutation
@@ -482,7 +496,6 @@ pub fn analyze_safety_model(program: &str, model: &CrateModel) -> SafetyReport {
             function: unit.function,
             class,
             mutations,
-            replica_annotation,
         });
     }
 
@@ -681,24 +694,31 @@ fn op_table_unsynced(s: &S) -> OpTable {
     }
 
     #[test]
-    fn replica_annotation_excuses_with_justification() {
+    fn an_id_looped_over_literals_registers_one_probe_per_literal() {
         let r = report(
             r#"
 fn op_table(s: &S) -> OpTable {
-    table.register("f#w", move |_snap| {
-        // wdog: replica probe store is checker-private
-        s.replica.write_all("data/block", b"x")
-    });
+    for op_id in ["a#lock", "b#lock"] {
+        table.register(op_id, move |_snap| { s.lock.try_lock() });
+    }
+    table.register("c#send", move |_snap| { s.net.send(SRC, DST, Msg::WdProbe) });
     table
 }
 "#,
         );
-        assert_eq!(r.probes[0].class, SafetyClass::ReplicaWrite);
-        assert!(r.probes[0]
-            .replica_annotation
-            .as_deref()
-            .unwrap()
-            .contains("checker-private"));
+        let got: Vec<(&str, &str, SafetyClass)> = r
+            .probes
+            .iter()
+            .map(|p| (p.id.as_str(), p.function.as_str(), p.class))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("a#lock", "op_table", SafetyClass::ReadOnly),
+                ("b#lock", "op_table", SafetyClass::ReadOnly),
+                ("c#send", "op_table", SafetyClass::ReplicaWrite),
+            ]
+        );
     }
 
     #[test]

@@ -4,16 +4,13 @@
 //! perform, their call edges, which entry points run continuously, and the
 //! context fields each hook key publishes. Target systems do not write it
 //! by hand: `wdog-analyze` extracts it from their Rust source, and each
-//! target's `describe_ir()` returns that committed extraction. This plays
+//! target's `describe_ir()` returns that committed [`Extraction`]. This plays
 //! the role Soot's bytecode model plays for the paper's Java prototype —
 //! the reduction pipeline downstream is representation-agnostic, exactly
 //! as the paper claims ("the proposed technique is not Java-specific").
 //!
 //! The IR is linear per function: a [`Function`] is an ordered list of
 //! [`Operation`]s, where calls are operations of kind [`OpKind::Call`].
-//! Loops are modelled with a per-operation `in_loop` flag, which is all the
-//! reduction needs (a repeated vulnerable op reduces to one execution
-//! anyway).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -86,8 +83,6 @@ pub struct Operation {
     /// operations with the same kind **and** resource are "similar" and are
     /// deduplicated by reduction.
     pub resource: Option<String>,
-    /// Whether the operation sits inside a loop body.
-    pub in_loop: bool,
     /// Developer annotation forcing this operation to be treated as
     /// vulnerable regardless of kind (paper: "we also support annotations
     /// for developers to tag customized vulnerable methods").
@@ -116,8 +111,6 @@ pub struct Function {
     /// Marked as an entry point that executes continuously (a thread main
     /// loop, a request-processing stage). Reduction starts from these.
     pub long_running: bool,
-    /// Initialization-stage code, excluded from checking (paper §4.1).
-    pub init_only: bool,
 }
 
 impl Function {
@@ -152,14 +145,6 @@ impl ProgramIr {
         self.functions.get(name)
     }
 
-    /// Total number of non-call operations across all functions.
-    pub fn total_ops(&self) -> usize {
-        self.functions
-            .values()
-            .map(|f| f.ops.iter().filter(|o| !o.kind.is_call()).count())
-            .sum()
-    }
-
     /// Validates referential integrity: every call edge targets a function
     /// that exists. Returns the list of dangling callee names.
     pub fn dangling_callees(&self) -> Vec<String> {
@@ -175,6 +160,15 @@ impl ProgramIr {
         out.dedup();
         out
     }
+}
+
+/// A committed extraction, `tests/snapshots/<target>.json`, as each
+/// target's `describe_ir()` loads it: the `ir` `wdog-analyze` read from the
+/// target's source. The extractor's `notes` beside it are not read.
+#[derive(Debug, Deserialize)]
+pub struct Extraction {
+    /// The extracted program.
+    pub ir: ProgramIr,
 }
 
 /// Fluent builder for [`ProgramIr`].
@@ -255,7 +249,6 @@ impl FunctionBuilder {
                 name,
                 ops: Vec::new(),
                 long_running: false,
-                init_only: false,
             },
         }
     }
@@ -263,12 +256,6 @@ impl FunctionBuilder {
     /// Marks the function as a continuously-executing entry point.
     pub fn long_running(mut self) -> Self {
         self.f.long_running = true;
-        self
-    }
-
-    /// Marks the function as initialization-stage code.
-    pub fn init_only(mut self) -> Self {
-        self.f.init_only = true;
         self
     }
 
@@ -299,20 +286,6 @@ impl FunctionBuilder {
             name: format!("call_{callee}"),
             kind: OpKind::Call { callee },
             resource: None,
-            in_loop: false,
-            annotated_vulnerable: false,
-        });
-        self
-    }
-
-    /// Appends a call edge inside a loop body.
-    pub fn call_in_loop(mut self, callee: impl Into<String>) -> Self {
-        let callee = callee.into();
-        self.f.ops.push(Operation {
-            name: format!("call_{callee}"),
-            kind: OpKind::Call { callee },
-            resource: None,
-            in_loop: true,
             annotated_vulnerable: false,
         });
         self
@@ -336,7 +309,6 @@ impl OperationBuilder {
                 name,
                 kind,
                 resource: None,
-                in_loop: false,
                 annotated_vulnerable: false,
             },
         }
@@ -345,12 +317,6 @@ impl OperationBuilder {
     /// Names the touched resource (for similar-op dedup).
     pub fn resource(mut self, r: impl Into<String>) -> Self {
         self.op.resource = Some(r.into());
-        self
-    }
-
-    /// Marks the operation as sitting inside a loop.
-    pub fn in_loop(mut self) -> Self {
-        self.op.in_loop = true;
         self
     }
 
@@ -372,7 +338,7 @@ mod tests {
     fn sample() -> ProgramIr {
         ProgramBuilder::new("kvs")
             .function("main_loop", |f| {
-                f.long_running().call_in_loop("handle_set").compute("route")
+                f.long_running().call("handle_set").compute("route")
             })
             .function("handle_set", |f| {
                 f.op("wal_append", OpKind::DiskWrite, |o| o.resource("wal/"))
@@ -382,9 +348,6 @@ mod tests {
             .function("replicate", |f| {
                 f.op("send_replica", OpKind::NetSend, |o| o.resource("replica-1"))
             })
-            .function("startup", |f| {
-                f.init_only().op("load_manifest", OpKind::DiskRead, |o| o)
-            })
             .fires("main_loop", &["payload"])
             .build()
     }
@@ -393,12 +356,12 @@ mod tests {
     fn builder_produces_expected_shape() {
         let ir = sample();
         assert_eq!(ir.name, "kvs");
-        assert_eq!(ir.functions.len(), 4);
+        assert_eq!(ir.functions.len(), 3);
         let h = ir.function("handle_set").unwrap();
         assert_eq!(h.ops.len(), 3);
         assert_eq!(h.callees(), vec!["replicate"]);
         assert!(ir.function("main_loop").unwrap().long_running);
-        assert!(ir.function("startup").unwrap().init_only);
+        assert!(!h.long_running);
     }
 
     #[test]
@@ -408,14 +371,6 @@ mod tests {
             .build();
         assert_eq!(ir.dangling_callees(), vec!["a -> missing"]);
         assert!(sample().dangling_callees().is_empty());
-    }
-
-    #[test]
-    fn total_ops_excludes_calls() {
-        let ir = sample();
-        // main_loop: route; handle_set: wal_append, update_index;
-        // replicate: send_replica; startup: load_manifest.
-        assert_eq!(ir.total_ops(), 5);
     }
 
     #[test]
@@ -431,7 +386,6 @@ mod tests {
             name: "w1".into(),
             kind: OpKind::DiskWrite,
             resource: Some("wal/".into()),
-            in_loop: false,
             annotated_vulnerable: false,
         };
         let mut b = a.clone();

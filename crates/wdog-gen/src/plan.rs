@@ -119,7 +119,7 @@ mod tests {
     fn ir() -> ProgramIr {
         ProgramBuilder::new("minizk")
             .function("snapshot_loop", |f| {
-                f.long_running().call_in_loop("serialize_snapshot")
+                f.long_running().call("serialize_snapshot")
             })
             .function("serialize_snapshot", |f| {
                 f.compute("prep").call("serialize_node")

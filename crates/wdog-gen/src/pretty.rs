@@ -133,9 +133,7 @@ mod tests {
 
     fn setup() -> (ProgramIr, WatchdogPlan) {
         let ir = ProgramBuilder::new("minizk")
-            .function("snapshot_loop", |f| {
-                f.long_running().call_in_loop("serialize_node")
-            })
+            .function("snapshot_loop", |f| f.long_running().call("serialize_node"))
             .function("serialize_node", |f| {
                 f.compute("get_node")
                     .op("node_lock", OpKind::LockAcquire, |o| o.resource("node"))

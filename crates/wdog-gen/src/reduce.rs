@@ -13,7 +13,7 @@
 //!    class already retained anywhere along the region's call graph is not
 //!    retained again in deeper callees.
 //!
-//! Both dedup steps are ablation switches on [`ReductionConfig`] so
+//! [`ReductionConfig::dedup`] turns both dedup steps off together, so
 //! experiment E6 can measure the checker-count blow-up without them.
 
 use std::collections::BTreeSet;
@@ -27,19 +27,15 @@ use crate::vulnerable::is_vulnerable;
 /// Configuration for one reduction run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReductionConfig {
-    /// Remove similar ops within a function (paper step; ablation switch).
-    pub dedupe_similar: bool,
-    /// Remove op classes already covered along the call chain
-    /// (paper step; ablation switch).
-    pub global_reduction: bool,
+    /// Remove similar ops within a function and op classes already
+    /// covered along the call chain (both paper steps; the E6 ablation
+    /// turns them off).
+    pub dedup: bool,
 }
 
 impl Default for ReductionConfig {
     fn default() -> Self {
-        Self {
-            dedupe_similar: true,
-            global_reduction: true,
-        }
+        Self { dedup: true }
     }
 }
 
@@ -153,7 +149,7 @@ fn flatten<'a>(
 pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgram {
     let regions = find_regions(ir);
     let mut functions: Vec<ReducedFunction> = Vec::new();
-    // Functions already reduced in an earlier region: with global reduction
+    // Functions already reduced in an earlier region: with dedup
     // a function shared between two regions is checked once, by the first.
     let mut globally_reduced: BTreeSet<String> = BTreeSet::new();
     // Op classes already retained anywhere along processed call chains.
@@ -171,7 +167,7 @@ pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgra
 
         for fname in order {
             region_functions.insert(fname.clone());
-            if config.global_reduction && globally_reduced.contains(&fname) {
+            if config.dedup && globally_reduced.contains(&fname) {
                 continue;
             }
             globally_reduced.insert(fname.clone());
@@ -182,7 +178,6 @@ pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgra
             let mut kept: Vec<Operation> = Vec::new();
             let mut dropped_vulnerable = 0usize;
             let mut dropped_deterministic = 0usize;
-            let mut local_seen: BTreeSet<(String, Option<String>)> = BTreeSet::new();
             let mut calls: Vec<(usize, String)> = Vec::new();
 
             for op in &func.ops {
@@ -198,13 +193,12 @@ pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgra
                 }
                 ops_vulnerable += 1;
                 let key = op.similarity_key();
-                let similar_here = config.dedupe_similar && local_seen.contains(&key);
-                let covered_globally = config.global_reduction && global_seen.contains(&key);
-                if similar_here || covered_globally {
+                // A class kept earlier in this function is in `global_seen`
+                // too: one set serves both dedup steps.
+                if config.dedup && global_seen.contains(&key) {
                     dropped_vulnerable += 1;
                     continue;
                 }
-                local_seen.insert(key.clone());
                 global_seen.insert(key);
                 kept.push(op.clone());
                 ops_retained += 1;
@@ -224,7 +218,12 @@ pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgra
     let stats = ReductionStats {
         functions_total: ir.functions.len(),
         functions_in_regions: region_functions.len(),
-        ops_total: ir.total_ops(),
+        ops_total: ir
+            .functions
+            .values()
+            .flat_map(|f| &f.ops)
+            .filter(|o| !o.kind.is_call())
+            .count(),
         ops_vulnerable,
         ops_retained,
         regions: regions.len(),
@@ -268,7 +267,7 @@ mod tests {
     fn zk_like() -> ProgramIr {
         ProgramBuilder::new("minizk")
             .function("snapshot_loop", |f| {
-                f.long_running().call_in_loop("serialize_snapshot")
+                f.long_running().call("serialize_snapshot")
             })
             .function("serialize_snapshot", |f| {
                 f.compute("reset_count").call("serialize")
@@ -284,7 +283,7 @@ mod tests {
                     })
                     .simple_op("node_unlock", OpKind::LockRelease)
                     .compute("append_path")
-                    .call_in_loop("serialize_node")
+                    .call("serialize_node")
             })
             .build()
     }
@@ -314,7 +313,7 @@ mod tests {
         // first, where the call sits, not after the caller's write.
         let ir = ProgramBuilder::new("minizk")
             .function("snapshot_loop", |f| {
-                f.long_running().call_in_loop("serialize_snapshot")
+                f.long_running().call("serialize_snapshot")
             })
             .function("serialize_snapshot", |f| {
                 f.call("with_locked_data")
@@ -341,7 +340,7 @@ mod tests {
         let ir = ProgramBuilder::new("p")
             .function("main", |f| {
                 f.long_running()
-                    .op("w1", OpKind::DiskWrite, |o| o.resource("wal/").in_loop())
+                    .op("w1", OpKind::DiskWrite, |o| o.resource("wal/"))
                     .op("w2", OpKind::DiskWrite, |o| o.resource("wal/"))
                     .op("w3", OpKind::DiskWrite, |o| o.resource("sst/"))
             })
@@ -362,10 +361,7 @@ mod tests {
                     .op("w2", OpKind::DiskWrite, |o| o.resource("wal/"))
             })
             .build();
-        let cfg = ReductionConfig {
-            dedupe_similar: false,
-            global_reduction: false,
-        };
+        let cfg = ReductionConfig { dedup: false };
         let reduced = reduce_program(&ir, &cfg);
         assert_eq!(reduced.functions[0].kept_ops.len(), 2);
     }
@@ -421,6 +417,8 @@ mod tests {
         assert_eq!(s.functions_total, 4);
         assert_eq!(s.functions_in_regions, 4);
         assert_eq!(s.regions, 1);
+        // Every non-call op: reset_count, init_path and serialize_node's 5.
+        assert_eq!(s.ops_total, 7);
         assert!(s.ops_retained <= s.ops_vulnerable);
         assert!(s.ops_vulnerable <= s.ops_total);
         assert!(s.retention_ratio() > 0.0 && s.retention_ratio() < 1.0);

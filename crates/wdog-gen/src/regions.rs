@@ -4,11 +4,11 @@
 //! this way, we exclude checking for code execution in the initialization
 //! stage. Multiple long running regions may be identified."
 //!
-//! A region is the set of functions reachable along call edges from one
-//! entry marked [`long_running`](crate::ir::Function::long_running),
-//! stopping at (and excluding) functions marked
-//! [`init_only`](crate::ir::Function::init_only). Call edges to functions
-//! that do not exist in the IR are ignored (the validator surfaces them
+//! A region is the set of functions [`reachable`] along call edges from
+//! one entry marked [`long_running`](crate::ir::Function::long_running).
+//! Initialization code has no region: extraction keeps only the functions
+//! a spawned or hook-firing entry reaches. Call edges to functions that do
+//! not exist in the IR are ignored (the validator surfaces them
 //! separately).
 
 use std::collections::BTreeSet;
@@ -35,37 +35,30 @@ impl Region {
 
 /// Finds all long-running regions of `ir`, sorted by entry name.
 pub fn find_regions(ir: &ProgramIr) -> Vec<Region> {
-    let mut regions = Vec::new();
-    for f in ir.functions.values() {
-        if !f.long_running || f.init_only {
-            continue;
-        }
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut stack = vec![f.name.clone()];
-        while let Some(name) = stack.pop() {
-            if seen.contains(&name) {
-                continue;
-            }
-            let Some(func) = ir.function(&name) else {
-                continue; // Dangling call edge; reported by the validator.
-            };
-            if func.init_only {
-                continue; // Initialization code is excluded from checking.
-            }
-            seen.insert(name);
-            for callee in func.callees() {
-                if !seen.contains(callee) {
-                    stack.push(callee.to_owned());
-                }
-            }
-        }
-        regions.push(Region {
+    ir.functions
+        .values()
+        .filter(|f| f.long_running)
+        .map(|f| Region {
             entry: f.name.clone(),
-            functions: seen,
-        });
+            functions: reachable(ir, &f.name),
+        })
+        .collect()
+}
+
+/// Every function of `ir` reachable along call edges from `from`
+/// (including it), sorted; empty when `from` is not in `ir`.
+pub fn reachable(ir: &ProgramIr, from: &str) -> BTreeSet<String> {
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut stack = vec![from];
+    while let Some(name) = stack.pop() {
+        let Some(func) = ir.function(name) else {
+            continue; // Dangling call edge; reported by the validator.
+        };
+        if seen.insert(name.to_owned()) {
+            stack.extend(func.callees());
+        }
     }
-    regions.sort_by(|a, b| a.entry.cmp(&b.entry));
-    regions
+    seen
 }
 
 #[cfg(test)]
@@ -80,8 +73,7 @@ mod tests {
             .function("shared", |f| f.simple_op("w", OpKind::DiskWrite))
             .function("a_only", |f| f.simple_op("s", OpKind::NetSend).call("deep"))
             .function("deep", |f| f.compute("calc"))
-            .function("init", |f| f.init_only().simple_op("r", OpKind::DiskRead))
-            .function("helper_called_from_init", |f| f.compute("h"))
+            .function("unreached", |f| f.simple_op("r", OpKind::DiskRead))
             .build()
     }
 
@@ -109,15 +101,13 @@ mod tests {
     }
 
     #[test]
-    fn init_only_functions_excluded() {
-        let regions = find_regions(
-            &ProgramBuilder::new("p")
-                .function("main", |f| f.long_running().call("init_helper"))
-                .function("init_helper", |f| f.init_only().compute("x"))
-                .build(),
+    fn reachable_closes_over_chains_from_any_function() {
+        let ir = ir();
+        assert_eq!(
+            reachable(&ir, "a_only").into_iter().collect::<Vec<_>>(),
+            vec!["a_only", "deep"]
         );
-        assert_eq!(regions.len(), 1);
-        assert!(!regions[0].contains("init_helper"));
+        assert!(reachable(&ir, "ghost").is_empty());
     }
 
     #[test]

@@ -77,7 +77,6 @@ mod tests {
             name: name.into(),
             kind,
             resource: None,
-            in_loop: false,
             annotated_vulnerable: false,
         }
     }

@@ -34,10 +34,7 @@ fn main() {
     println!("{}", render_summary(&kvs_plan));
 
     println!("=== Ablation: reduction disabled ===\n");
-    let no_dedup = ReductionConfig {
-        dedupe_similar: false,
-        global_reduction: false,
-    };
+    let no_dedup = ReductionConfig { dedup: false };
     let fat_plan = generate_plan(&kvs_ir, &no_dedup);
     println!(
         "kvs with dedup:    {} ops retained across {} checkers",

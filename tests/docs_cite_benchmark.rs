@@ -13,10 +13,12 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 /// real-clock scan gave way to archive comparison and clippy, the runtime's
 /// telemetry copies to the typed records they copied, settings nothing
 /// varied to constants, counters nothing read, the key-level drift lint
-/// and its allowlists to the coverage matrix's region-by-region gate, and
-/// that gate's hand-written descriptions to the IR extracted from source);
-/// neither docs nor CI may lean on them.
-const RETIRED: [&str; 66] = [
+/// and its allowlists to the coverage matrix's region-by-region gate,
+/// that gate's hand-written descriptions to the IR extracted from source,
+/// and the IR flags, dedup switches and directives that extraction made
+/// redundant to reachability and one dedup switch); neither docs nor CI may
+/// lean on them.
+const RETIRED: [&str; 75] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -83,6 +85,15 @@ const RETIRED: [&str; 66] = [
     "not_described",
     "not_in_source",
     "class_counts",
+    "in_loop",
+    "init_only",
+    "call_in_loop",
+    "total_ops",
+    "dedupe_similar",
+    "global_reduction",
+    "replica_annotation",
+    "wdog: region",
+    "wdog: replica",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];

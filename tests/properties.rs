@@ -33,10 +33,8 @@ fn program() -> impl Strategy<Value = ProgramIr> {
     let func_count = 2..8usize;
     func_count
         .prop_flat_map(|n| {
-            let ops_per_fn = proptest::collection::vec(
-                proptest::collection::vec((op_kind(), 0..4u8, any::<bool>()), 0..6),
-                n,
-            );
+            let ops_per_fn =
+                proptest::collection::vec(proptest::collection::vec((op_kind(), 0..4u8), 0..6), n);
             let long_running = proptest::collection::vec(any::<bool>(), n);
             let calls = proptest::collection::vec(proptest::collection::vec(0..n, 0..3), n);
             (Just(n), ops_per_fn, long_running, calls)
@@ -58,16 +56,9 @@ fn program() -> impl Strategy<Value = ProgramIr> {
                     if is_entry {
                         f = f.long_running();
                     }
-                    for (j, (kind, res, in_loop)) in ops.iter().enumerate() {
+                    for (j, (kind, res)) in ops.iter().enumerate() {
                         let resource = format!("r{res}");
-                        let in_loop = *in_loop;
-                        f = f.op(format!("op{j}"), kind.clone(), move |mut o| {
-                            o = o.resource(resource);
-                            if in_loop {
-                                o = o.in_loop();
-                            }
-                            o
-                        });
+                        f = f.op(format!("op{j}"), kind.clone(), |o| o.resource(resource));
                     }
                     for c in &callees {
                         f = f.call(c.clone());
@@ -124,10 +115,7 @@ proptest! {
     #[test]
     fn dedup_is_monotone(ir in program()) {
         let full = reduce_program(&ir, &ReductionConfig::default());
-        let off = reduce_program(&ir, &ReductionConfig {
-            dedupe_similar: false,
-            global_reduction: false,
-        });
+        let off = reduce_program(&ir, &ReductionConfig { dedup: false });
         prop_assert!(off.stats.ops_retained >= full.stats.ops_retained);
     }
 
