@@ -51,12 +51,12 @@ impl Request {
 
     /// Encodes the request for the WAL and the replication stream.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("request serialization is infallible")
+        crate::codec::encode_request(self)
     }
 
     /// Decodes a request from its wire form.
     pub fn decode(bytes: &[u8]) -> BaseResult<Self> {
-        serde_json::from_slice(bytes)
+        crate::codec::decode_request(bytes)
             .map_err(|e| BaseError::Corruption(format!("undecodable request: {e}")))
     }
 }

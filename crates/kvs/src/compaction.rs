@@ -70,7 +70,7 @@ pub(crate) fn compact_once(shared: &Arc<Shared>) -> wdog_base::error::BaseResult
     let (a, b) = (&tables[0], &tables[1]);
     let older = read_sstable(&shared.disk, &a.path)?;
     let newer = read_sstable(&shared.disk, &b.path)?;
-    let merged = merge_entries(&[older, newer]);
+    let merged = merge_entries(older, newer);
     let out_path = shared.partitions.next_path();
     // The merge output is compaction's own write: one op here, so the
     // flusher's region keeps the write_sstable it shares.

@@ -3,7 +3,8 @@
 //! Every `flush_interval`, if the WAL has grown since the last flush, the
 //! flusher snapshots the index into a fresh checksummed SSTable, registers
 //! it with the partition manager, and truncates the WAL. Its hook publishes
-//! a bounded sample of the flushed payload so the generated
+//! the first `SAMPLE_BYTES` of the flushed payload, in O(sample) work
+//! whatever the index size, so the generated
 //! `write_sstable#write_all` mimic op (planned when dedup is off) writes
 //! realistically sized data into the watchdog namespace.
 //!
@@ -17,6 +18,7 @@ use std::sync::Arc;
 
 use wdog_core::prelude::*;
 
+use crate::codec::entries_prefix;
 use crate::server::Shared;
 use crate::sstable::write_sstable;
 
@@ -77,14 +79,11 @@ pub(crate) fn flush_once(
     let entries = shared.index.snapshot();
     let path = shared.partitions.next_path();
 
-    // Hook before the vulnerable write: publish a sample of what is about
-    // to be written. The sample is encoded only while the hook is armed.
+    // Hook before the vulnerable write: publish the first bytes of what is
+    // about to be written, encoding only the entries they reach, and only
+    // while the hook is armed.
     if let Some(mut fire) = hook.fire() {
-        let sample: Vec<u8> = serde_json::to_vec(&entries)
-            .unwrap_or_default()
-            .into_iter()
-            .take(SAMPLE_BYTES)
-            .collect();
+        let sample = entries_prefix(&entries, SAMPLE_BYTES);
         fire.field("sst_payload", CtxValue::Bytes(sample))
             .field("entry_count", CtxValue::U64(entries.len() as u64));
     }
@@ -102,6 +101,7 @@ pub(crate) fn flush_once(
 
 #[cfg(test)]
 mod tests {
+    use super::SAMPLE_BYTES;
     use crate::config::KvsConfig;
     use crate::server::KvsServer;
     use simio::disk::SimDisk;
@@ -148,14 +148,44 @@ mod tests {
 
     #[test]
     fn flusher_context_published_with_payload_sample() {
+        // Enough keys that the flushed payload outgrows the sample.
+        const KEYS: usize = 200;
         let server = KvsServer::for_tests();
         let client = server.client();
-        client.set("k", "v").unwrap();
+        for i in 0..KEYS {
+            client
+                .set(
+                    &format!("key-{i:04}"),
+                    &format!("value \"{i}\" {}", "x".repeat(16)),
+                )
+                .unwrap();
+        }
         let ctx = server.context();
-        wait_for(|| ctx.is_ready("flusher_loop"), "flusher context");
+        let full_table = || {
+            let tables = server.shared().partitions.tables();
+            tables.into_iter().find(|t| t.entries == KEYS)
+        };
+        // Once a flush has covered every key, every later flush writes the
+        // same bytes, so the published sample and that table are final.
+        wait_for(
+            || {
+                ctx.is_ready("flusher_loop")
+                    && ctx
+                        .read("flusher_loop")
+                        .unwrap()
+                        .get("entry_count")
+                        .unwrap()
+                        .as_u64()
+                        == Some(KEYS as u64)
+                    && full_table().is_some()
+            },
+            "a flush of every key",
+        );
         let snap = ctx.read("flusher_loop").unwrap();
-        assert!(snap.get("sst_payload").unwrap().as_bytes().is_some());
-        assert!(snap.get("entry_count").unwrap().as_u64().unwrap() >= 1);
+        let sample = snap.get("sst_payload").unwrap().as_bytes().unwrap();
+        let raw = server.disk().read(&full_table().unwrap().path).unwrap();
+        assert!(raw.len() > 4 + SAMPLE_BYTES, "table of {} bytes", raw.len());
+        assert_eq!(sample, &raw[4..4 + SAMPLE_BYTES]);
     }
 
     #[test]

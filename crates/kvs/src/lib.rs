@@ -9,6 +9,8 @@
 //! - [`listener`]: a bounded request queue drained by worker threads;
 //! - [`index`]: the in-memory sharded indexer;
 //! - [`wal`]: a checksummed write-ahead log with a dedicated writer thread;
+//! - [`api`] and its record codec: requests and SSTable payloads in the
+//!   `serde_json` shim's bytes, without its value tree;
 //! - [`sstable`] + [`partition`]: checksummed on-disk partitions and their
 //!   manager;
 //! - [`flusher`]: the background disk flusher persisting index snapshots;
@@ -29,6 +31,7 @@
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod api;
+mod codec;
 pub mod compaction;
 pub mod config;
 pub mod flusher;

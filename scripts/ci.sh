@@ -165,6 +165,11 @@ cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 echo "==> benchmark workspace: one short gray-sim run"
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
     --workload gray-sim --seconds 5 --trace 0
+# gray-sim's request phase is minizk, so drive kvs's real-clock request path
+# too, every read checked against the value written.
+echo "==> benchmark workspace: one short kvs-read run"
+cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
+    --workload kvs-read --seed 42 --seconds 5 --trace 0
 
 # Nothing above may touch the archive or the test fixtures.
 echo "==> results/ and tests/ untouched"
