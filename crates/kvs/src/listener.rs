@@ -110,8 +110,9 @@ pub(crate) fn wal_loop(shared: Arc<Shared>, rx: ClockedQueue<Vec<u8>>) {
         };
         // Hook placed before the vulnerable append, publishing the payload
         // the mimic op will write into the redirected WAL.
-        let payload = record.clone();
-        hook.fire_kv("payload", CtxValue::Bytes(payload));
+        if let Some(mut fire) = hook.fire() {
+            fire.field("payload", CtxValue::Bytes(record.clone()));
+        }
         // In-place error handler: a failed append is caught, counted in
         // `errors_handled`, and its record dropped (never retried). The
         // handler mitigates; it does not assess overall health (Table 1).

@@ -42,8 +42,9 @@ pub(crate) fn replication_loop(
         let Some(op) = rx.pop_timeout(std::time::Duration::from_millis(10)) else {
             continue;
         };
-        let payload = op.clone();
-        hook.fire_kv("op_payload", CtxValue::Bytes(payload));
+        if let Some(mut fire) = hook.fire() {
+            fire.field("op_payload", CtxValue::Bytes(op.clone()));
+        }
         if net
             .send(&repl.src_addr, &repl.dst_addr, Bytes::from(op))
             .is_err()

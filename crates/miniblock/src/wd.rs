@@ -1,10 +1,17 @@
 //! Watchdog integration for miniblock's DataNode.
+//!
+//! Mirrors `kvs::wd`: the IR extracted from this crate's source, the op
+//! table binding each resource to a `wdog_target::templates` probe template
+//! (`blocks/` is a CRC-framed file set with one probe block per volume,
+//! validated like a real block; the NameNode link carries tagged frames),
+//! and the assembled watchdog with both generations of the hand-written
+//! disk checker.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use wdog_base::clock::SharedClock;
-use wdog_base::error::BaseResult;
+use wdog_base::error::{BaseError, BaseResult};
 
 use wdog_core::prelude::*;
 
@@ -12,6 +19,7 @@ use wdog_gen::interp::OpTable;
 use wdog_gen::ir::{Extraction, ProgramIr};
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
+use wdog_target::templates::{framed_files, link, Peers};
 
 use crate::datanode::DataNode;
 use crate::namenode::NAMENODE_ADDR;
@@ -45,74 +53,45 @@ pub fn describe_ir() -> ProgramIr {
 }
 
 /// Builds the op table binding the DataNode's vulnerable IR ops to real,
-/// isolated implementations.
+/// isolated implementations: one probe template per resource.
 pub fn op_table(dn: &DataNode) -> OpTable {
-    let shared = Arc::clone(dn.shared());
+    let s = Arc::clone(dn.shared());
     let mut table = OpTable::new();
-
-    // write_block#write_all: a checksummed probe block written through
-    // *every* volume with read-back validation — the HADOOP-13738 check,
-    // here as a *generated* operation. Probing all volumes mirrors the real
-    // ingest path, which round-robins across them: any single wedged or
-    // rotting volume is hit within one checking round.
-    {
-        let s = Arc::clone(&shared);
-        table.register("write_block#write_all", move |snap| {
-            let data = snap
-                .get("block_data")
-                .and_then(|v| v.as_bytes())
-                .unwrap_or(b"probe");
-            let mut file = Vec::with_capacity(4 + data.len());
-            file.extend_from_slice(&wdog_base::checksum::crc32(data).to_le_bytes());
-            file.extend_from_slice(data);
-            for volume in s.store.volumes() {
-                let path = format!("blocks/{volume}/__wd_probe");
-                s.store.disk().write_all(&path, &file)?;
-                s.store.validate_path(&path)?;
-            }
-            Ok(())
-        });
-    }
-    {
-        let s = Arc::clone(&shared);
-        table.register("write_block#fsync", move |_snap| {
-            for volume in s.store.volumes() {
-                let path = format!("blocks/{volume}/__wd_probe");
-                if !s.store.disk().exists(&path) {
-                    s.store.disk().write_all(&path, &0u32.to_le_bytes())?;
-                }
-                s.store.disk().fsync(&path)?;
-            }
-            Ok(())
-        });
-    }
-
-    // validate_path#read: validate the block the scanner last touched.
-    {
-        let s = Arc::clone(&shared);
-        table.register("validate_path#read", move |snap| {
-            let Some(path) = snap.get("block_path").and_then(|v| v.as_str()) else {
-                return Ok(());
-            };
-            match s.store.validate_path(path) {
-                // The block may have been deleted since the hook fired.
-                Err(wdog_base::error::BaseError::NotFound(_)) => Ok(()),
-                other => other,
-            }
-        });
-    }
-
-    // heartbeat_loop#send / report_loop#send (planned only without dedup):
-    // probe frames on the real NameNode link; the NameNode ignores
+    // The HADOOP-13738 check as a *generated* operation: a checksummed probe
+    // block on *every* volume, as the real ingest path round-robins across
+    // them, so any single wedged or rotting volume is hit within one round.
+    let (validator, live) = (Arc::clone(&s), Arc::clone(&s));
+    table.bind(
+        "blocks/",
+        framed_files(
+            s.store.disk(),
+            s.store
+                .volumes()
+                .iter()
+                .map(|volume| format!("blocks/{volume}/__wd_probe"))
+                .collect(),
+            move |_, path| validator.store.validate_path(path),
+            // The block the scanner last touched, which may have been
+            // deleted since the hook fired.
+            move |snap| match snap.get("block_path").and_then(|v| v.as_str()) {
+                Some(path) => match live.store.validate_path(path) {
+                    Err(BaseError::NotFound(_)) => Ok(()),
+                    other => other,
+                },
+                None => Ok(()),
+            },
+        ),
+    );
+    // Probe frames on the real NameNode link; the NameNode ignores
     // undecodable frames.
-    for op_id in ["heartbeat_loop#send", "report_loop#send"] {
-        let s = Arc::clone(&shared);
-        table.register(op_id, move |_snap| {
-            s.net
-                .send(&s.id, NAMENODE_ADDR, bytes::Bytes::from_static(b"__wd__"))
-        });
-    }
-
+    table.bind(
+        "bb-namenode",
+        link(
+            Some(s.net.clone()),
+            Peers::Pairs(vec![(s.id.clone(), NAMENODE_ADDR.to_owned())]),
+            |_| b"__wd__".to_vec(),
+        ),
+    );
     table
 }
 

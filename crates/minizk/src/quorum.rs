@@ -514,8 +514,9 @@ fn broadcast_loop(shared: Arc<ZkShared>, rx: ClockedQueue<(u64, WriteOp)>, alive
         };
         let msg = ZkMsg::Commit { zxid, path, data };
         let payload = msg.encode();
-        let hook_payload = payload.to_vec();
-        hook.fire_kv("commit_payload", CtxValue::Bytes(hook_payload));
+        if let Some(mut fire) = hook.fire() {
+            fire.field("commit_payload", CtxValue::Bytes(payload.to_vec()));
+        }
         for f in &shared.follower_addrs {
             let _ = shared.net.send(LEADER_ADDR, f, payload.clone());
         }

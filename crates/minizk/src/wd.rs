@@ -2,14 +2,18 @@
 //!
 //! Mirrors `kvs::wd`: the IR extracted from this crate's source (whose
 //! snapshot region is the paper's Figure 2 call chain), the op table
-//! executing real cluster operations, and the assembled watchdog. The
-//! operations that detect ZOOKEEPER-2201 are:
+//! binding each resource to a `wdog_target::templates` probe template over
+//! real cluster state (the txn log is an append log, `write_lock` and
+//! `znode` are labelled locks, `followers` and `sync-target` are links),
+//! and the assembled watchdog. The operations that detect ZOOKEEPER-2201
+//! are:
 //!
 //! - `final_apply#tree_write_lock` — try-locks the tree's real
 //!   write-serialization lock: wedged sync ⇒ timeout ⇒ `Stuck`;
 //! - `with_locked_data#lock` then `serialize_snapshot#write_record` — the
-//!   node lock the snapshot writes under, then a tagged probe frame on the
-//!   *same* leader→follower link the sync is using: wedged sync ⇒ the
+//!   lock of the node in `node_path`, which the snapshot writes under, then
+//!   a tagged probe frame on the *same* leader→follower link (the
+//!   `sync_target` field) the sync is using: wedged sync ⇒ the
 //!   checker itself hangs ⇒ the driver's timeout path reports `Stuck`
 //!   pinpointed at `with_locked_data#lock`, with the node path that was
 //!   being serialized as concrete context — the paper's §4.2 result.
@@ -18,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wdog_base::clock::SharedClock;
-use wdog_base::error::{BaseError, BaseResult};
+use wdog_base::error::BaseResult;
 
 use wdog_checkers::probe::ProbeChecker;
 use wdog_checkers::signal::QueueDepthChecker;
@@ -28,14 +32,13 @@ use wdog_gen::interp::OpTable;
 use wdog_gen::ir::{Extraction, ProgramIr};
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
+use wdog_target::templates::{append_log, labelled_lock, link, Peers};
 
 use crate::msg::ZkMsg;
 use crate::quorum::{Cluster, LEADER_ADDR};
 
 /// Probe file on the txn-log volume.
 pub const TXNLOG_PROBE_PATH: &str = "txnlog/__wd_probe";
-/// Probe files are reset once they grow past this.
-const PROBE_FILE_CAP: usize = 64 * 1024;
 
 /// Tunables for the assembled minizk watchdog — the shared options type;
 /// minizk's historical tuning lives in [`default_zk_options`].
@@ -68,105 +71,54 @@ pub fn describe_ir() -> ProgramIr {
 }
 
 /// Builds the op table binding minizk's vulnerable IR ops to real cluster
-/// operations.
+/// operations: one probe template per resource.
 pub fn op_table(cluster: &Cluster) -> OpTable {
-    let shared = Arc::clone(cluster.shared());
+    let s = Arc::clone(cluster.shared());
     let mut table = OpTable::new();
-
-    // sync_txn#append / fsync: probe file on the same volume.
-    {
-        let s = Arc::clone(&shared);
-        table.register("sync_txn#append", move |snap| {
-            let payload = snap
-                .get("txn_payload")
-                .and_then(|v| v.as_bytes())
-                .unwrap_or(b"probe");
-            if s.disk
-                .len(TXNLOG_PROBE_PATH)
-                .map(|l| l > PROBE_FILE_CAP)
-                .unwrap_or(false)
-            {
-                s.disk.write_all(TXNLOG_PROBE_PATH, &[])?;
-            }
-            s.disk.append(TXNLOG_PROBE_PATH, payload)
-        });
-    }
-    {
-        let s = Arc::clone(&shared);
-        table.register("sync_txn#fsync", move |_snap| {
-            if !s.disk.exists(TXNLOG_PROBE_PATH) {
-                s.disk.append(TXNLOG_PROBE_PATH, b"")?;
-            }
-            s.disk.fsync(TXNLOG_PROBE_PATH)
-        });
-    }
-
-    // final_apply#tree_write_lock: the 2201 detector — try the real lock.
-    // The snapshot holds the same lock (`serialize_snapshot#lock`, planned
-    // only when dedup is off).
-    for op_id in ["final_apply#tree_write_lock", "serialize_snapshot#lock"] {
-        let s = Arc::clone(&shared);
-        table.register(op_id, move |_snap| {
-            match s.tree.write_lock.try_lock_for(Duration::from_millis(500)) {
-                Some(_guard) => Ok(()),
-                None => Err(BaseError::Timeout {
-                    what: "tree write-serialization lock".into(),
-                    after_ms: 500,
-                }),
-            }
-        });
-    }
-
-    // broadcast_loop#send: probe every follower link.
-    {
-        let s = Arc::clone(&shared);
-        table.register("broadcast_loop#send", move |_snap| {
-            for f in &s.follower_addrs {
-                s.net.send(LEADER_ADDR, f, ZkMsg::WdProbe.encode())?;
-            }
-            Ok(())
-        });
-    }
-
-    // with_locked_data#lock: try the lock of the node being serialized.
-    {
-        let s = Arc::clone(&shared);
-        table.register("with_locked_data#lock", move |snap| {
-            let path = snap
-                .get("node_path")
-                .and_then(|v| v.as_str())
-                .unwrap_or("/")
-                .to_owned();
-            let Some(node) = s.tree.get_node(&path) else {
-                return Ok(()); // Node gone; nothing to probe.
-            };
-            match node.try_with_locked_data(Duration::from_millis(500), |_| ()) {
-                Some(()) => Ok(()),
-                None => Err(BaseError::Timeout {
-                    what: format!("znode lock for {path}"),
-                    after_ms: 500,
-                }),
-            }
-        });
-    }
-
-    // serialize_snapshot#write_record: probe the live sync link. If the
-    // link is wedged this call blocks — by design — and the driver's
-    // timeout path reports the checker stuck at exactly this operation.
-    {
-        let s = Arc::clone(&shared);
-        table.register("serialize_snapshot#write_record", move |snap| {
-            let target = snap
-                .get("sync_target")
-                .and_then(|v| v.as_str())
-                .map(str::to_owned);
-            let Some(target) = target else {
-                return Ok(()); // No sync in progress.
-            };
-            s.net.send(LEADER_ADDR, &target, ZkMsg::WdProbe.encode())
-        });
-    }
-
+    table.bind("txnlog/", append_log(&s.disk, TXNLOG_PROBE_PATH));
+    // The 2201 detector: the tree's write-serialization lock, which a
+    // wedged snapshot sync holds.
+    let tree = Arc::clone(&s.tree);
+    table.bind(
+        "write_lock",
+        labelled_lock("tree write-serialization lock", None, move |_, wait| {
+            tree.write_lock.try_lock_for(wait).is_some()
+        }),
+    );
+    // The lock of the node being serialized; a node gone since the hook
+    // fired leaves nothing to probe.
+    let tree = Arc::clone(&s.tree);
+    table.bind(
+        "znode",
+        labelled_lock("znode lock", Some("node_path"), move |path, wait| {
+            tree.get_node(path)
+                .is_none_or(|node| node.try_with_locked_data(wait, |_| ()).is_some())
+        }),
+    );
+    table.bind(
+        "followers",
+        link(
+            Some(s.net.clone()),
+            Peers::Pairs(
+                s.follower_addrs
+                    .iter()
+                    .map(|f| (LEADER_ADDR.to_owned(), f.clone()))
+                    .collect(),
+            ),
+            |_| ZkMsg::WdProbe.encode().to_vec(),
+        ),
+    );
+    // The live sync link: if it is wedged this send blocks — by design —
+    // and the driver's timeout path reports the checker stuck at exactly
+    // this operation.
+    table.bind(
+        "sync-target",
+        link(
+            Some(s.net.clone()),
+            Peers::Field(LEADER_ADDR.to_owned(), "sync_target"),
+            |_| ZkMsg::WdProbe.encode().to_vec(),
+        ),
+    );
     table
 }
 

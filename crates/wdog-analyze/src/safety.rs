@@ -11,15 +11,16 @@
 //! convention checkable:
 //!
 //! * probe bodies are discovered lexically in each target's `wd.rs`
-//!   (`table.register("fn#op", move |snap| {..})` closures, one per id
-//!   when the id is the variable of a `for id in ["a#x", "b#y"]` loop,
-//!   and `ProbeChecker::new("id", .., move || {..})` closures) plus the
-//!   `check` methods of configured hand-written checker files;
+//!   (`table.register("fn#op", move |snap| {..})` closures, the argument
+//!   lists of `table.bind("resource", template(..))` registrations, and
+//!   `ProbeChecker::new("id", .., move || {..})` closures) plus the `check`
+//!   methods of configured hand-written checker files;
 //! * every *mutating* call in a body (a known I/O or state-mutation
-//!   method) must have a probe-tagged argument: a `__wd` string, a const
-//!   resolving to one, the `WdProbe` variant, or a local whose
-//!   initializer is tagged. Bare calls to local helper functions are
-//!   followed one level (`probe_write(&disk, WAL_PROBE_PATH, ..)`);
+//!   method, or a template constructor that writes or sends) must have a
+//!   probe-tagged argument: a `__wd` string, a const resolving to one, the
+//!   `WdProbe` variant, or a local whose initializer is tagged. Bare calls
+//!   to local helper functions are followed one level
+//!   (`helper(&disk, PROBE_PATH, ..)`);
 //! * the class is then `read-only` (no mutations), `replica-write`
 //!   (every mutation tagged), or `shared-mutation` — which makes
 //!   `wdog-lint` exit 1.
@@ -34,15 +35,19 @@ use crate::model::{matching_brace, matching_paren, CrateModel};
 /// The probe-isolation marker every tagged resource carries.
 pub const PROBE_MARKER: &str = "__wd";
 
-/// Methods treated as mutations of shared state when untagged.
+/// Methods treated as mutations of shared state when untagged, and the
+/// `wdog_target::templates` constructors whose bodies write or send.
 const MUTATORS: &[&str] = &[
     "append",
+    "append_log",
     "append_record",
     "create",
     "del",
     "delete",
+    "framed_files",
     "fsync",
     "insert",
+    "link",
     "mkdir",
     "put",
     "remove",
@@ -325,48 +330,46 @@ fn enclosing_fn(model: &CrateModel, file: usize, at: usize) -> Option<&str> {
         .map(|f| f.name.as_str())
 }
 
-/// Finds `table.register("fn#op", move |..| { .. })` and
+/// Finds `table.register("fn#op", move |..| { .. })` closures,
+/// `table.bind("resource", ..)` argument lists and
 /// `ProbeChecker::new("id", .., move || { .. })` closures in file
 /// `file_idx` of `model`.
 fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<ProbeUnit>) {
     let tokens = &model.files[file_idx].tokens;
     let mut i = 0usize;
     while i < tokens.len() {
-        let is_register = tokens[i].ident() == Some("register")
-            && i > 0
-            && tokens[i - 1].is_punct('.')
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
+        let method = |name| {
+            tokens[i].ident() == Some(name)
+                && i > 0
+                && tokens[i - 1].is_punct('.')
+                && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
+        };
+        let is_register = method("register");
+        let is_bind = method("bind");
         let is_probe_new = tokens[i].ident() == Some("ProbeChecker")
             && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
             && tokens.get(i + 3).and_then(Token::ident) == Some("new")
             && tokens.get(i + 4).is_some_and(|t| t.is_punct('('));
-        if !is_register && !is_probe_new {
+        if !is_register && !is_bind && !is_probe_new {
             i += 1;
             continue;
         }
-        let open = if is_register { i + 1 } else { i + 4 };
+        let open = if is_probe_new { i + 4 } else { i + 1 };
         let Some(close) = matching_paren(tokens, open) else {
             i += 1;
             continue;
         };
-        // Probe ids: the first string argument, or every literal of the
-        // `for` loop whose variable the first argument is; otherwise one is
+        // The probe id: the first string argument; otherwise one is
         // synthesized from the enclosing function once all are found.
-        let mut literal_ids: Vec<Option<String>> = match &tokens[open + 1].tok {
-            crate::lexer::Tok::Str(s) => vec![Some(s.clone())],
-            crate::lexer::Tok::Ident(var) => loop_literals(tokens, i, var)
-                .into_iter()
-                .map(Some)
-                .collect(),
-            _ => Vec::new(),
+        let literal_id = match &tokens[open + 1].tok {
+            crate::lexer::Tok::Str(s) => Some(s.clone()),
+            _ => None,
         };
-        if literal_ids.is_empty() {
-            literal_ids.push(None);
-        }
-        // The probe body: the closure's brace block inside the arg list.
+        // The probe body: a template registration's whole argument list,
+        // else the closure's brace block inside it.
+        let mut body = is_bind.then(|| (open + 1)..close);
         let mut j = open + 1;
-        let mut body = None;
-        while j < close {
+        while body.is_none() && j < close {
             if tokens[j].is_punct('|') {
                 // Skip to the closing pipe of the parameter list.
                 let mut k = j + 1;
@@ -393,49 +396,16 @@ fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<Probe
         }
         if let Some(body) = body {
             let function = enclosing_fn(model, file_idx, i).unwrap_or_default();
-            units.extend(literal_ids.into_iter().map(|literal_id| ProbeUnit {
+            units.push(ProbeUnit {
                 literal_id,
                 file: file_idx,
                 function: function.to_owned(),
                 start: i,
-                body: body.clone(),
-            }));
+                body,
+            });
         }
         i = close + 1;
     }
-}
-
-/// The string literals `var` takes in the innermost `for var in ["a#x",
-/// "b#y"] { .. }` loop whose body holds token `at`; empty when no such
-/// loop binds `var` to literals.
-fn loop_literals(tokens: &[Token], at: usize, var: &str) -> Vec<String> {
-    for f in (0..at).rev() {
-        let header = tokens[f].ident() == Some("for")
-            && tokens.get(f + 1).and_then(Token::ident) == Some(var)
-            && tokens.get(f + 2).and_then(Token::ident) == Some("in")
-            && tokens.get(f + 3).is_some_and(|t| t.is_punct('['));
-        if !header {
-            continue;
-        }
-        let Some(len) = tokens[f + 4..].iter().position(|t| t.is_punct(']')) else {
-            continue;
-        };
-        let open = f + 5 + len;
-        let encloses = tokens.get(open).is_some_and(|t| t.is_punct('{'))
-            && matching_brace(tokens, open).is_some_and(|end| at < end);
-        if encloses {
-            return tokens[f + 4..open - 1]
-                .iter()
-                .filter(|t| !t.is_punct(','))
-                .map(|t| match &t.tok {
-                    crate::lexer::Tok::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .collect::<Option<Vec<_>>>()
-                .unwrap_or_default();
-        }
-    }
-    Vec::new()
 }
 
 /// Classifies every probe body of the crate in `model` (which must be
@@ -694,31 +664,33 @@ fn op_table_unsynced(s: &S) -> OpTable {
     }
 
     #[test]
-    fn an_id_looped_over_literals_registers_one_probe_per_literal() {
+    fn template_registrations_are_units_judged_by_their_tags() {
         let r = report(
             r#"
+const PROBE: &str = "wal/__wd_probe";
 fn op_table(s: &S) -> OpTable {
-    for op_id in ["a#lock", "b#lock"] {
-        table.register(op_id, move |_snap| { s.lock.try_lock() });
-    }
-    table.register("c#send", move |_snap| { s.net.send(SRC, DST, Msg::WdProbe) });
+    table.bind("wal/", append_log(&s.disk, PROBE));
+    table.bind("sst/", framed_files(&s.disk, vec!["sst/live".into()], check, |_| Ok(())));
+    table.bind("wal", labelled_lock("wal lock", None, move |_, t| s.wal.try_lock_for(t)));
+    table.bind("peer", link(net, Peers::Pairs(pairs), |_| b"__wd__".to_vec()));
+    table.bind("peer/2", link(net, Peers::Pairs(pairs), |p| p.to_vec()));
     table
 }
 "#,
         );
-        let got: Vec<(&str, &str, SafetyClass)> = r
-            .probes
-            .iter()
-            .map(|p| (p.id.as_str(), p.function.as_str(), p.class))
-            .collect();
+        let got: Vec<(&str, SafetyClass)> =
+            r.probes.iter().map(|p| (p.id.as_str(), p.class)).collect();
         assert_eq!(
             got,
             [
-                ("a#lock", "op_table", SafetyClass::ReadOnly),
-                ("b#lock", "op_table", SafetyClass::ReadOnly),
-                ("c#send", "op_table", SafetyClass::ReplicaWrite),
+                ("wal/", SafetyClass::ReplicaWrite),
+                ("sst/", SafetyClass::SharedMutation),
+                ("wal", SafetyClass::ReadOnly),
+                ("peer", SafetyClass::ReplicaWrite),
+                ("peer/2", SafetyClass::SharedMutation),
             ]
         );
+        assert_eq!(r.probes[1].mutations[0].method, "framed_files");
     }
 
     #[test]

@@ -67,6 +67,7 @@ use faults::spec::FaultKind;
 pub mod options;
 pub mod recovery;
 pub mod supervise;
+pub mod templates;
 pub mod workload;
 
 pub use options::{Families, WdOptions};

@@ -170,6 +170,11 @@ cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
 echo "==> benchmark workspace: one short kvs-read run"
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
     --workload kvs-read --seed 42 --seconds 5 --trace 0
+# gray-sim runs miniblock only under the sim clock: drive its armed
+# block writes and reads, and the disk mimics beside them, on the real one.
+echo "==> benchmark workspace: one short miniblock-rw run"
+cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
+    --workload miniblock-rw --seed 42 --seconds 5 --trace 0
 
 # Nothing above may touch the archive or the test fixtures.
 echo "==> results/ and tests/ untouched"
