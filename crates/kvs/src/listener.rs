@@ -11,6 +11,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use wdog_base::queue::ClockedQueue;
 
 use wdog_core::prelude::*;
@@ -42,15 +43,10 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, rx: ClockedQueue<RequestItem>) {
         // Reads carry no value and leave the last write's in place: an
         // empty one would have the mimic replay a put that corruption
         // cannot alter.
-        let key = req.key().to_owned();
-        let value = match &req {
-            Request::Set { value, .. } | Request::Append { value, .. } => Some(value.clone()),
-            _ => None,
-        };
         if let Some(mut fire) = listener_hook.fire() {
-            fire.field("probe_key", CtxValue::Str(key));
-            if let Some(value) = value {
-                fire.field("probe_val", CtxValue::Str(value));
+            fire.field("probe_key", CtxValue::Str(req.key().to_owned()));
+            if let Request::Set { value, .. } | Request::Append { value, .. } = &req {
+                fire.field("probe_val", CtxValue::Str(value.clone()));
             }
         }
         let resp = handle_request(&shared, req);
@@ -91,7 +87,8 @@ pub(crate) fn handle_request(shared: &Arc<Shared>, req: Request) -> Response {
         Request::Del { key } => Request::Del { key: key.clone() },
         Request::Get { .. } => unreachable!("gets returned above"),
     };
-    let encoded = logical.encode();
+    // One copy of the record, shared by both queues.
+    let encoded = Bytes::from(logical.encode());
     if shared.config.durable {
         let _ = shared.wal_q.push(encoded.clone());
     }
@@ -102,7 +99,7 @@ pub(crate) fn handle_request(shared: &Arc<Shared>, req: Request) -> Response {
 }
 
 /// Drains the WAL queue, making records durable one at a time.
-pub(crate) fn wal_loop(shared: Arc<Shared>, rx: ClockedQueue<Vec<u8>>) {
+pub(crate) fn wal_loop(shared: Arc<Shared>, rx: ClockedQueue<Bytes>) {
     let hook = shared.hooks.site("wal_loop");
     while shared.is_running() {
         let Some(record) = rx.pop_timeout(IDLE_WAIT) else {
@@ -111,7 +108,7 @@ pub(crate) fn wal_loop(shared: Arc<Shared>, rx: ClockedQueue<Vec<u8>>) {
         // Hook placed before the vulnerable append, publishing the payload
         // the mimic op will write into the redirected WAL.
         if let Some(mut fire) = hook.fire() {
-            fire.field("payload", CtxValue::Bytes(record.clone()));
+            fire.field("payload", CtxValue::Bytes(record.to_vec()));
         }
         // In-place error handler: a failed append is caught, counted in
         // `errors_handled`, and its record dropped (never retried). The

@@ -28,7 +28,7 @@ pub const WD_PROBE_PREFIX: &[u8] = b"__wd__:";
 // wdog: resource replica
 pub(crate) fn replication_loop(
     shared: Arc<Shared>,
-    rx: ClockedQueue<Vec<u8>>,
+    rx: ClockedQueue<Bytes>,
     alive: Arc<std::sync::atomic::AtomicBool>,
 ) {
     let Some(repl) = shared.config.replication.clone() else {
@@ -43,12 +43,9 @@ pub(crate) fn replication_loop(
             continue;
         };
         if let Some(mut fire) = hook.fire() {
-            fire.field("op_payload", CtxValue::Bytes(op.clone()));
+            fire.field("op_payload", CtxValue::Bytes(op.to_vec()));
         }
-        if net
-            .send(&repl.src_addr, &repl.dst_addr, Bytes::from(op))
-            .is_err()
-        {
+        if net.send(&repl.src_addr, &repl.dst_addr, op).is_err() {
             // In-place error handler: the op is dropped after logging.
             shared.stats.errors_handled.fetch_add(1, Ordering::Relaxed);
         }

@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use faults::ToggleSet;
 use simio::disk::SimDisk;
 use simio::net::SimNet;
@@ -80,9 +81,9 @@ pub(crate) struct Shared {
     pub(crate) index: MemIndex,
     /// Clock-visible: held across WAL disk appends and flush rotation.
     pub(crate) wal: ClockedMutex<Wal>,
-    pub(crate) wal_q: ClockedQueue<Vec<u8>>,
+    pub(crate) wal_q: ClockedQueue<Bytes>,
     /// Shared handle: a restarted replication loop resumes the same queue.
-    pub(crate) repl_q: ClockedQueue<Vec<u8>>,
+    pub(crate) repl_q: ClockedQueue<Bytes>,
     pub(crate) partitions: PartitionManager,
     /// Clock-visible: held across whole compaction merges (disk IO).
     pub(crate) compaction_lock: ClockedMutex<()>,
@@ -138,8 +139,8 @@ impl KvsServer {
             recover(&disk, &index, &partitions)?;
         }
 
-        let wal_q = ClockedQueue::<Vec<u8>>::unbounded(&clock);
-        let repl_q = ClockedQueue::<Vec<u8>>::unbounded(&clock);
+        let wal_q = ClockedQueue::<Bytes>::unbounded(&clock);
+        let repl_q = ClockedQueue::<Bytes>::unbounded(&clock);
         let request_q = ClockedQueue::bounded(&clock, crate::config::REQUEST_QUEUE_CAP);
 
         let wal = ClockedMutex::new(&clock, Wal::new(Arc::clone(&disk), "wal/current"));

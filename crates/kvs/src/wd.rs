@@ -12,7 +12,7 @@
 //!   and compaction locks are labelled locks try-locking the *same* mutex
 //!   the real writer or compactor holds; the replica is a link carrying
 //!   tagged frames that replicas skip. The index, which no template serves,
-//!   keeps one custom body, probing keys in the `__wd:` namespace;
+//!   binds one custom compute body, probing keys in the `__wd:` namespace;
 //! - [`probe_checkers`] / [`signal_checkers`] — the hand-written Table 2
 //!   complements to the generated mimic checkers;
 //! - [`build_watchdog`] — one call assembling the full in-process watchdog;
@@ -33,8 +33,8 @@ use wdog_checkers::signal::{
 };
 use wdog_core::prelude::*;
 
-use wdog_gen::interp::OpTable;
-use wdog_gen::ir::{Extraction, ProgramIr};
+use wdog_gen::interp::{OpTable, ResourceImpl};
+use wdog_gen::ir::{Extraction, OpKind, ProgramIr};
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
 use wdog_target::templates::{append_log, framed_files, labelled_lock, link, Peers};
@@ -68,8 +68,8 @@ pub fn describe_ir() -> ProgramIr {
 }
 
 /// Builds the op table binding every vulnerable kvs IR op to a real,
-/// isolated implementation: one probe template per resource, plus the
-/// index probe.
+/// isolated implementation: one probe template per resource, and a custom
+/// body for the index.
 pub fn op_table(server: &KvsServer) -> OpTable {
     let s = Arc::clone(server.shared());
     let mut table = OpTable::new();
@@ -119,24 +119,30 @@ pub fn op_table(server: &KvsServer) -> OpTable {
 
     // The index is in-memory state no template serves: put, read back, compare.
     let counter = AtomicU64::new(0);
-    table.register("handle_request#index_put", move |snap| {
-        let val = snap
-            .get("probe_val")
-            .and_then(|v| v.as_str())
-            .unwrap_or("probe-value");
-        let n = counter.fetch_add(1, Ordering::Relaxed);
-        let key = format!("{KEY_PROBE_PREFIX}put:{}", n % 8);
-        s.index.put(&key, val);
-        let got = s.index.get(&key);
-        if got.as_deref() != Some(val) {
-            return Err(BaseError::Corruption(format!(
-                "index put/get mismatch: wrote {:?}, read {:?}",
-                val, got
-            )));
-        }
-        s.index.remove(&key);
-        Ok(())
-    });
+    table.bind(
+        "index",
+        vec![(
+            OpKind::Compute,
+            Arc::new(move |snap: &ContextSnapshot, _: &[String]| {
+                let val = snap
+                    .get("probe_val")
+                    .and_then(|v| v.as_str())
+                    .unwrap_or("probe-value");
+                let n = counter.fetch_add(1, Ordering::Relaxed);
+                let key = format!("{KEY_PROBE_PREFIX}put:{}", n % 8);
+                s.index.put(&key, val);
+                let got = s.index.get(&key);
+                if got.as_deref() != Some(val) {
+                    return Err(BaseError::Corruption(format!(
+                        "index put/get mismatch: wrote {:?}, read {:?}",
+                        val, got
+                    )));
+                }
+                s.index.remove(&key);
+                Ok(())
+            }) as ResourceImpl,
+        )],
+    );
 
     table
 }
@@ -321,14 +327,20 @@ pub fn build_watchdog(
 pub fn op_table_unsynced(server: &KvsServer) -> OpTable {
     let mut table = op_table(server);
     let shared = Arc::clone(server.shared());
-    table.register("read_sstable#read", move |snap| {
-        let path = snap
-            .get("sst_path")
-            .and_then(|v| v.as_str())
-            .unwrap_or("sst/00000000")
-            .to_owned();
-        validate_sstable(&shared.disk, &path)
-    });
+    table.bind(
+        "sst/",
+        vec![(
+            OpKind::DiskRead,
+            Arc::new(move |snap: &ContextSnapshot, _: &[String]| {
+                let path = snap
+                    .get("sst_path")
+                    .and_then(|v| v.as_str())
+                    .unwrap_or("sst/00000000")
+                    .to_owned();
+                validate_sstable(&shared.disk, &path)
+            }) as ResourceImpl,
+        )],
+    );
     table
 }
 

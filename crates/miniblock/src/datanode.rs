@@ -319,7 +319,9 @@ fn report_loop(s: Arc<DnShared>) {
         s.clock.sleep(REPORT_INTERVAL);
         let blocks: Vec<u64> = s.blocks.read().keys().copied().collect();
         let count = blocks.len() as u64;
-        hook.fire_kv("block_count", CtxValue::U64(count));
+        if let Some(mut fire) = hook.fire() {
+            fire.field("block_count", count);
+        }
         let msg = NnMsg::BlockReport {
             datanode: s.id.clone(),
             blocks,
@@ -337,8 +339,9 @@ pub(crate) fn scanner_loop(s: Arc<DnShared>, alive: Arc<AtomicBool>) {
             if path.ends_with(".volume") || path.contains("__wd") {
                 continue;
             }
-            let p = path.clone();
-            hook.fire_kv("block_path", CtxValue::Str(p));
+            if let Some(mut fire) = hook.fire() {
+                fire.field("block_path", path.clone());
+            }
             // In-place error handler: a bad block is counted and scanning
             // continues.
             match s.store.validate_path(&path) {

@@ -22,10 +22,12 @@
 //!    Every other call is deterministic code: a [`OpKind::Compute`] op
 //!    named `det:<callee>`, in a namespace of its own so that no
 //!    vulnerable op's ordinal depends on it. Reduction drops them all.
-//! 4. **Hook fires** — `fire` on a `site("key")` binding records the
-//!    fields published into `key` ([`ProgramIr::regions_fired`]). A site
-//!    passed in as a parameter resolves through the argument of the
-//!    function's one call site.
+//! 4. **Hook fires** — `fire` on a `site("key")` binding marks the region
+//!    of `key`, and the `field("name", ..)` calls on its
+//!    `if let Some(mut g) = site.fire()` guard record the fields published
+//!    into it ([`ProgramIr::regions_fired`]). A site passed in as a
+//!    parameter resolves through the argument of the function's one call
+//!    site.
 //!
 //! Annotations (`// wdog: <directive>` on the line above, or up to two
 //! lines above, the item they govern):
@@ -532,7 +534,7 @@ impl Extractor {
             }
             return None;
         }
-        if (name == "fire" || name == "fire_kv") && is_method {
+        if name == "fire" && is_method {
             if let Some(owner) = chain.last() {
                 let key = local_sites
                     .get(owner)
@@ -540,20 +542,14 @@ impl Extractor {
                     .cloned()
                     .or_else(|| self.param_site(unit, owner));
                 if let Some(key) = key {
-                    let mut fields = fired_fields(toks, open, close);
-                    if name == "fire_kv" {
-                        // `site.fire_kv("name", value)`: one field, named by
-                        // the first argument.
-                        if let Some(Tok::Str(s)) = toks.get(open + 1).map(|t| &t.tok) {
-                            fields.insert(s.clone());
-                        }
-                    } else if let Some(guard) = fire_guard_binding(toks, i) {
-                        // Zero-alloc guard form: `if let Some(mut g) =
-                        // site.fire()` publishes through `g.field(..)` calls
-                        // seen later in the walk; remember the binding.
+                    // `if let Some(mut g) = site.fire()` publishes through
+                    // `g.field(..)` calls seen later in the walk; remember
+                    // the binding. A bare `site.fire()` still marks the
+                    // region.
+                    if let Some(guard) = fire_guard_binding(toks, i) {
                         guard_sites.insert(guard, key.clone());
                     }
-                    facts.fires.entry(key).or_default().extend(fields);
+                    facts.fires.entry(key).or_default();
                 } else {
                     self.notes.push(format!(
                         "unresolvable hook fire via `{owner}` in fn `{}`",
@@ -1135,24 +1131,6 @@ fn fire_guard_binding(tokens: &[Token], fire_idx: usize) -> Option<String> {
     Some(name)
 }
 
-/// Collects published field names inside a `fire(|| vec![("name".into(),
-/// ..)])` argument group: string literals immediately followed by
-/// `.into()` or `.to_string()`.
-fn fired_fields(tokens: &[Token], open: usize, close: usize) -> BTreeSet<String> {
-    let mut fields = BTreeSet::new();
-    for i in open + 1..close {
-        if let Tok::Str(s) = &tokens[i].tok {
-            if tokens.get(i + 1).is_some_and(|t| t.is_punct('.')) {
-                let m = tokens.get(i + 2).and_then(Token::ident);
-                if m == Some("into") || m == Some("to_string") {
-                    fields.insert(s.clone());
-                }
-            }
-        }
-    }
-    fields
-}
-
 /// Finds the closure body range inside a call argument group, if the call
 /// takes a closure: past `move`/`|params|`, either the braced block or the
 /// rest of the group.
@@ -1210,7 +1188,9 @@ pub fn start(shared: Arc<Shared>) {
 pub fn worker_loop(shared: Arc<Shared>) {
     let hook = shared.hooks.site("main_loop");
     while shared.running() {
-        hook.fire(|| vec![("payload".into(), CtxValue::Bytes(b.clone()))]);
+        if let Some(mut fire) = hook.fire() {
+            fire.field("payload", CtxValue::Bytes(b));
+        }
         shared.disk.append("wal/log", &frame);
         shared.disk.fsync("wal/log");
         helper(&shared);
@@ -1461,7 +1441,9 @@ pub fn start(s: Shared) {
     t.spawn(move || {
         let hook = s.hooks.site("scanner_loop");
         for path in s.store.blocks() {
-            hook.fire(|| vec![("block_path".into(), CtxValue::Str(p))]);
+            if let Some(mut fire) = hook.fire() {
+                fire.field("block_path", CtxValue::Str(p));
+            }
             s.disk.read(&path);
         }
     }).unwrap();
@@ -1484,7 +1466,9 @@ pub fn init(hooks: &Hooks) -> Shared {
     Shared { ingest_hook: hooks.site("ingest_loop"), n: 0 }
 }
 pub fn write_block(s: &Shared, data: &[u8]) {
-    s.ingest_hook.fire(|| vec![("block_data".into(), CtxValue::Bytes(d))]);
+    if let Some(mut fire) = s.ingest_hook.fire() {
+        fire.field("block_data", CtxValue::Bytes(d));
+    }
     s.store.put_block(data);
 }
 // wdog: resource blocks/
@@ -1551,24 +1535,6 @@ pub fn write_block(s: &Shared, data: &[u8]) {
         let f = ex.ir.function("ingest_loop").expect("promoted entry");
         assert!(f.long_running);
         assert!(ex.ir.regions_fired["ingest_loop"].contains("block_data"));
-    }
-
-    #[test]
-    fn fire_kv_records_single_field() {
-        let ex = extract(&[(
-            "a.rs",
-            r#"
-pub fn start() { t.spawn(move || wal_loop(s)).unwrap(); }
-pub fn wal_loop(s: Shared) {
-    let hook = s.hooks.site("wal_loop");
-    loop {
-        hook.fire_kv("payload", CtxValue::Bytes(record.clone()));
-        s.disk.append("wal/log", &record);
-    }
-}
-"#,
-        )]);
-        assert!(ex.ir.regions_fired["wal_loop"].contains("payload"));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! convention checkable:
 //!
 //! * probe bodies are discovered lexically in each target's `wd.rs`
-//!   (`table.register("fn#op", move |snap| {..})` closures, the argument
-//!   lists of `table.bind("resource", template(..))` registrations, and
+//!   (the argument lists of `table.bind("resource", ..)` calls, whether
+//!   they pass a template or an inline body, and
 //!   `ProbeChecker::new("id", .., move || {..})` closures) plus the `check`
 //!   methods of configured hand-written checker files;
 //! * every *mutating* call in a body (a known I/O or state-mutation
@@ -330,27 +330,22 @@ fn enclosing_fn(model: &CrateModel, file: usize, at: usize) -> Option<&str> {
         .map(|f| f.name.as_str())
 }
 
-/// Finds `table.register("fn#op", move |..| { .. })` closures,
-/// `table.bind("resource", ..)` argument lists and
+/// Finds `table.bind("resource", ..)` argument lists and
 /// `ProbeChecker::new("id", .., move || { .. })` closures in file
 /// `file_idx` of `model`.
 fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<ProbeUnit>) {
     let tokens = &model.files[file_idx].tokens;
     let mut i = 0usize;
     while i < tokens.len() {
-        let method = |name| {
-            tokens[i].ident() == Some(name)
-                && i > 0
-                && tokens[i - 1].is_punct('.')
-                && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-        };
-        let is_register = method("register");
-        let is_bind = method("bind");
+        let is_bind = tokens[i].ident() == Some("bind")
+            && i > 0
+            && tokens[i - 1].is_punct('.')
+            && tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
         let is_probe_new = tokens[i].ident() == Some("ProbeChecker")
             && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
             && tokens.get(i + 3).and_then(Token::ident) == Some("new")
             && tokens.get(i + 4).is_some_and(|t| t.is_punct('('));
-        if !is_register && !is_bind && !is_probe_new {
+        if !is_bind && !is_probe_new {
             i += 1;
             continue;
         }
@@ -365,35 +360,17 @@ fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<Probe
             crate::lexer::Tok::Str(s) => Some(s.clone()),
             _ => None,
         };
-        // The probe body: a template registration's whole argument list,
-        // else the closure's brace block inside it.
-        let mut body = is_bind.then(|| (open + 1)..close);
-        let mut j = open + 1;
-        while body.is_none() && j < close {
-            if tokens[j].is_punct('|') {
-                // Skip to the closing pipe of the parameter list.
-                let mut k = j + 1;
-                if tokens.get(k).is_some_and(|t| t.is_punct('|')) {
-                    k += 1; // `||` — empty parameter list
-                } else {
-                    while k < close && !tokens[k].is_punct('|') {
-                        k += 1;
-                    }
-                    k += 1;
-                }
-                // Body opens at the next brace (possibly after `-> Type`).
-                while k < close && !tokens[k].is_punct('{') {
-                    k += 1;
-                }
-                if k < close {
-                    if let Some(end) = matching_brace(tokens, k) {
-                        body = Some((k + 1)..end);
-                    }
-                }
-                break;
-            }
-            j += 1;
-        }
+        // The probe body: a bind's whole argument list, else the brace
+        // block of the closure argument (the first `{` past its `|`, after
+        // any `-> Type`).
+        let body = if is_bind {
+            Some((open + 1)..close)
+        } else {
+            (open + 1..close)
+                .find(|&j| tokens[j].is_punct('|'))
+                .and_then(|j| (j..close).find(|&k| tokens[k].is_punct('{')))
+                .and_then(|k| Some((k + 1)..matching_brace(tokens, k)?))
+        };
         if let Some(body) = body {
             let function = enclosing_fn(model, file_idx, i).unwrap_or_default();
             units.push(ProbeUnit {
@@ -499,15 +476,15 @@ mod tests {
         let r = report(
             r#"
 fn op_table(s: &S) -> OpTable {
-    table.register("f#read", move |_snap| {
+    table.bind("partitions", vec![(OpKind::DiskRead, Arc::new(move |_snap, _| {
         s.partitions.validate_all()
-    });
+    }))]);
     table
 }
 "#,
         );
         assert_eq!(r.probes.len(), 1);
-        assert_eq!(r.probes[0].id, "f#read");
+        assert_eq!(r.probes[0].id, "partitions");
         assert_eq!(r.probes[0].class, SafetyClass::ReadOnly);
         assert!(r.is_safe());
     }
@@ -518,10 +495,10 @@ fn op_table(s: &S) -> OpTable {
             r#"
 const PROBE: &str = "wal/__wd_probe";
 fn op_table(s: &S) -> OpTable {
-    table.register("f#w", move |_snap| {
+    table.bind("wal/", vec![(OpKind::DiskWrite, Arc::new(move |_snap, _| {
         s.disk.append(PROBE, b"x")?;
         s.disk.fsync(PROBE)
-    });
+    }))]);
     table
 }
 "#,
@@ -536,9 +513,9 @@ fn op_table(s: &S) -> OpTable {
         let r = report(
             r#"
 fn op_table(s: &S) -> OpTable {
-    table.register("f#w", move |_snap| {
+    table.bind("wal/", vec![(OpKind::DiskWrite, Arc::new(move |_snap, _| {
         s.disk.append("wal/log", b"x")
-    });
+    }))]);
     table
 }
 "#,
@@ -554,12 +531,12 @@ fn op_table(s: &S) -> OpTable {
             r#"
 const KEY_PREFIX: &str = "__wd:";
 fn op_table(s: &S) -> OpTable {
-    table.register("f#put", move |_snap| {
+    table.bind("index", vec![(OpKind::Compute, Arc::new(move |_snap, _| {
         let key = format!("{KEY_PREFIX}probe");
         s.index.put(&key, "v");
         s.index.remove(&key);
         Ok(())
-    });
+    }))]);
     table
 }
 "#,
@@ -576,9 +553,9 @@ fn probe_write(disk: &D, path: &str, payload: &[u8]) -> R {
     disk.append(path, payload)
 }
 fn op_table(s: &S) -> OpTable {
-    table.register("f#w", move |_snap| {
+    table.bind("wal/", vec![(OpKind::DiskWrite, Arc::new(move |_snap, _| {
         probe_write(&s.disk, PROBE, b"x")
-    });
+    }))]);
     table
 }
 "#,
@@ -595,9 +572,9 @@ fn write_everything(disk: &D) -> R {
     disk.write_all("data/live", b"x")
 }
 fn op_table(s: &S) -> OpTable {
-    table.register("f#w", move |_snap| {
+    table.bind("wal/", vec![(OpKind::DiskWrite, Arc::new(move |_snap, _| {
         write_everything(&s.disk)
-    });
+    }))]);
     table
 }
 "#,
@@ -632,16 +609,16 @@ fn build(s: &S) {
         let r = report(
             r#"
 fn op_table(s: &S) -> OpTable {
-    table.register("f#r", move |_snap| { s.disk.read("data/x") });
+    table.bind("data/", vec![(OpKind::DiskRead, Arc::new(move |_snap, _| { s.disk.read("data/x") }))]);
     for id in IDS {
-        table.register(id, move |_snap| { s.disk.read("data/y") });
+        table.bind(id, vec![(OpKind::DiskRead, Arc::new(move |_snap, _| { s.disk.read("data/y") }))]);
     }
     table
 }
 fn op_table_unsynced(s: &S) -> OpTable {
-    table.register("f#r", move |_snap| { s.disk.read("data/x") });
-    table.register(ID, move |_snap| { s.disk.read("data/y") });
-    table.register(ID, move |_snap| { s.disk.read("data/z") });
+    table.bind("data/", vec![(OpKind::DiskRead, Arc::new(move |_snap, _| { s.disk.read("data/x") }))]);
+    table.bind(ID, vec![(OpKind::DiskRead, Arc::new(move |_snap, _| { s.disk.read("data/y") }))]);
+    table.bind(ID, vec![(OpKind::DiskRead, Arc::new(move |_snap, _| { s.disk.read("data/z") }))]);
     table
 }
 "#,
@@ -654,9 +631,9 @@ fn op_table_unsynced(s: &S) -> OpTable {
         assert_eq!(
             got,
             [
-                ("f#r", "op_table"),
+                ("data/", "op_table"),
                 ("wd::op_table", "op_table"),
-                ("f#r", "op_table_unsynced"),
+                ("data/", "op_table_unsynced"),
                 ("wd::op_table_unsynced", "op_table_unsynced"),
                 ("wd::op_table_unsynced_2", "op_table_unsynced"),
             ]

@@ -16,6 +16,11 @@
 //!    straight into the site's context slot: no closure, no `Vec`, no
 //!    field-map allocation. Experiment E5 and `wdog-bench` measure this.
 //!
+//! A hook publishes in one way only, the guard idiom
+//! `if let Some(mut fire) = site.fire() { fire.field(..); }`: its field
+//! values are built inside the guard, so only an armed fire pays for them,
+//! and `wdog-analyze` reads the fired field names off the `field` calls.
+//!
 //! A site's fire count is its slot's [`ContextSlot::version`]: one bump per
 //! completed publish, exact and never lagging, so hooks keep no counter of
 //! their own.
@@ -157,13 +162,10 @@ impl HookSite {
     /// Opens a fire, or returns `None` while hooks are disabled.
     ///
     /// `None` short-circuits field capture entirely — in the
-    /// `if let Some(mut fire) = site.fire()` idiom (what [`wd_hook!`]
-    /// expands to) the field expressions are never evaluated, so a disabled
-    /// hook still costs one relaxed load. An open [`FireGuard`] writes each
-    /// field straight into the site's context slot and completes the
-    /// publish when dropped.
-    ///
-    /// [`wd_hook!`]: crate::wd_hook
+    /// `if let Some(mut fire) = site.fire()` idiom the field expressions are
+    /// never evaluated, so a disabled hook still costs one relaxed load. An
+    /// open [`FireGuard`] writes each field straight into the site's context
+    /// slot and completes the publish when dropped.
     #[inline]
     pub fn fire(&self) -> Option<FireGuard<'_>> {
         if !self.hooks.enabled.load(Ordering::Relaxed) {
@@ -185,15 +187,6 @@ impl HookSite {
             publish: Some(self.slot.begin_publish()),
             capture,
         })
-    }
-
-    /// Fires with exactly one field: sugar for the single-field sites that
-    /// dominate the instrumented programs.
-    #[inline]
-    pub fn fire_kv(&self, name: &str, value: impl Into<CtxValue>) {
-        if let Some(mut fire) = self.fire() {
-            fire.field(name, value);
-        }
     }
 
     /// Returns the context key this site publishes to.
@@ -270,36 +263,6 @@ impl std::fmt::Debug for FireGuard<'_> {
     }
 }
 
-/// Publishes fields through a [`HookSite`] with struct-literal syntax.
-///
-/// Expands to the [`HookSite::fire`] guard idiom: when hooks are disabled
-/// the guard is `None` and none of the value expressions run.
-///
-/// # Examples
-///
-/// ```
-/// use wdog_core::{context::ContextTable, hooks::Hooks, wd_hook};
-/// use wdog_base::clock::RealClock;
-///
-/// let table = ContextTable::new(RealClock::shared());
-/// let hooks = Hooks::new(table.clone());
-/// let site = hooks.site("compact");
-/// let level = 2u64;
-/// wd_hook!(site, { "level" => level, "input" => "sst/5" });
-/// assert_eq!(
-///     table.read("compact").unwrap().get("level").unwrap().as_u64(),
-///     Some(2),
-/// );
-/// ```
-#[macro_export]
-macro_rules! wd_hook {
-    ($site:expr, { $($name:literal => $value:expr),* $(,)? }) => {
-        if let Some(mut fire) = $site.fire() {
-            $(fire.field($name, $crate::context::CtxValue::from($value));)*
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,7 +291,10 @@ mod tests {
         let site = hooks.site("k");
         hooks.set_enabled(false);
         let mut evaluated = false;
-        wd_hook!(site, { "a" => { evaluated = true; 1u64 } });
+        if let Some(mut fire) = site.fire() {
+            evaluated = true;
+            fire.field("a", 1u64);
+        }
         assert!(!evaluated, "field expression ran while disabled");
         assert!(!table.is_ready("k"));
         assert_eq!(hooks.fired_count(), 0);
@@ -340,7 +306,9 @@ mod tests {
         let site = hooks.site("k");
         hooks.set_enabled(false);
         hooks.set_enabled(true);
-        site.fire_kv("a", true);
+        if let Some(mut fire) = site.fire() {
+            fire.field("a", true);
+        }
         assert!(table.is_ready("k"));
     }
 
@@ -371,12 +339,16 @@ mod tests {
         let hooks = Hooks::new(Arc::clone(&table));
         let site = hooks.site("flush");
         // Fires before attachment are not journaled.
-        site.fire_kv("len", 1u64);
+        if let Some(mut fire) = site.fire() {
+            fire.field("len", 1u64);
+        }
         let rec = crate::trace::TraceRecorder::new(clock.clone());
         hooks.attach_trace(Arc::clone(&rec));
         assert!(hooks.trace_attached());
         clock.sleep(std::time::Duration::from_millis(5));
-        wd_hook!(site, { "len" => 7u64, "path" => "wal/0" });
+        if let Some(mut fire) = site.fire() {
+            fire.field("len", 7u64).field("path", "wal/0");
+        }
         let events = rec.drain();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].key, "flush");
@@ -404,10 +376,14 @@ mod tests {
         let site = hooks.site("k");
         let rec = crate::trace::TraceRecorder::new(clock);
         hooks.attach_trace(Arc::clone(&rec));
-        site.fire_kv("a", 1u64);
+        if let Some(mut fire) = site.fire() {
+            fire.field("a", 1u64);
+        }
         hooks.detach_trace();
         assert!(!hooks.trace_attached());
-        site.fire_kv("a", 2u64);
+        if let Some(mut fire) = site.fire() {
+            fire.field("a", 2u64);
+        }
         assert_eq!(rec.drain().len(), 1);
     }
 
@@ -419,16 +395,20 @@ mod tests {
         let rec = crate::trace::TraceRecorder::new(clock);
         hooks.attach_trace(Arc::clone(&rec));
         hooks.set_enabled(false);
-        site.fire_kv("a", 1u64);
+        if let Some(mut fire) = site.fire() {
+            fire.field("a", 1u64);
+        }
         assert!(rec.is_empty());
     }
 
     #[test]
-    fn macro_builds_fields() {
+    fn chained_fields_publish_together() {
         let (table, hooks) = setup();
         let site = hooks.site("m");
         let n: u64 = 9;
-        wd_hook!(site, { "n" => n, "name" => "x" });
+        if let Some(mut fire) = site.fire() {
+            fire.field("n", n).field("name", "x");
+        }
         let snap = table.read("m").unwrap();
         assert_eq!(snap.get("n").unwrap().as_u64(), Some(9));
         assert_eq!(snap.get("name").unwrap().as_str(), Some("x"));
@@ -439,7 +419,9 @@ mod tests {
         let (table, hooks) = setup();
         let site = hooks.site("k");
         for i in 0..10u64 {
-            wd_hook!(site, { "i" => i, "tag" => "t" });
+            if let Some(mut fire) = site.fire() {
+                fire.field("i", i).field("tag", "t");
+            }
         }
         let snap = table.read("k").unwrap();
         assert_eq!(snap.version, 10);
@@ -456,7 +438,9 @@ mod tests {
                 let site = site.clone();
                 s.spawn(move || {
                     for i in 0..10_000u64 {
-                        wd_hook!(site, { "v" => t * 100_000 + i });
+                        if let Some(mut fire) = site.fire() {
+                            fire.field("v", t * 100_000 + i);
+                        }
                     }
                 });
             }

@@ -21,7 +21,6 @@ pub use crate::policy::SchedulePolicy;
 pub use crate::report::{FailureKind, FailureReport, FaultLocation};
 pub use crate::status::{ComponentHealth, HealthBoard};
 pub use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
-pub use crate::wd_hook;
 
 pub use wdog_base::clock::{Clock, RealClock, SharedClock};
 pub use wdog_base::error::{BaseError, BaseResult};

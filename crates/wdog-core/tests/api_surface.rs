@@ -55,7 +55,6 @@ const GOLDEN: &[&str] = &[
     "TraceRecorder",
     "WatchdogConfig",
     "WatchdogDriver",
-    "wd_hook",
 ];
 
 /// Extracts the identifiers re-exported by `pub use` statements.
@@ -133,5 +132,8 @@ fn prelude_identifiers_resolve() {
     let table = ContextTable::new(RealClock::shared());
     let hooks = Hooks::new(table);
     let site: HookSite = hooks.site("k");
-    wd_hook!(site, { "n" => 1u64 });
+    if let Some(mut fire) = site.fire() {
+        let _: &mut FireGuard = fire.field("n", 1u64);
+    }
+    assert_eq!(site.slot().version(), 1);
 }

@@ -6,8 +6,8 @@
 //! performing the *real reduced operation* on an isolated copy of that
 //! resource — a redirected `SimDisk` write, a probe send on the live
 //! `SimNet`, a bounded lock acquisition on the live mutex — taking its
-//! arguments from the checker's context snapshot. A body registered under
-//! one op id (`function#op`) overrides its resource's body for that op.
+//! arguments from the checker's context snapshot. Every planned op of that
+//! `(kind, resource)` runs that one body.
 //!
 //! [`instantiate`] then turns a [`WatchdogPlan`] into executable
 //! [`MimicChecker`]s ready to register with a [`WatchdogDriver`]. A planned
@@ -21,24 +21,20 @@ use std::time::Duration;
 use wdog_base::clock::SharedClock;
 use wdog_base::error::{BaseError, BaseResult};
 
-use wdog_checkers::mimic::{MimicChecker, MimicOp};
+use wdog_checkers::mimic::{MimicChecker, MimicOp, OpBody};
 use wdog_core::prelude::*;
 
 use crate::ir::OpKind;
 use crate::plan::{GeneratedChecker, PlannedOp, WatchdogPlan};
 
-/// The implementation of one mimicked operation.
-pub type OpImpl = Arc<dyn Fn(&ContextSnapshot) -> BaseResult<()> + Send + Sync>;
-
 /// The implementation of every planned op of one `(kind, resource)`: it
 /// runs with the context snapshot and the fields its checker requires.
 pub type ResourceImpl = Arc<dyn Fn(&ContextSnapshot, &[String]) -> BaseResult<()> + Send + Sync>;
 
-/// Registry binding planned ops to implementations: by op id
-/// (`function#op`) first, then by the op's `(kind, resource)`.
+/// Registry binding planned ops to implementations by their
+/// `(kind, resource)`.
 #[derive(Clone, Default)]
 pub struct OpTable {
-    map: HashMap<String, OpImpl>,
     by_resource: HashMap<(OpKind, String), ResourceImpl>,
 }
 
@@ -46,19 +42,6 @@ impl OpTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Registers an implementation for `op_id`, replacing any previous one.
-    pub fn register<F>(&mut self, op_id: impl Into<String>, f: F)
-    where
-        F: Fn(&ContextSnapshot) -> BaseResult<()> + Send + Sync + 'static,
-    {
-        self.map.insert(op_id.into(), Arc::new(f));
-    }
-
-    /// Looks up an implementation.
-    pub fn get(&self, op_id: &str) -> Option<OpImpl> {
-        self.map.get(op_id).cloned()
     }
 
     /// Binds one body per op kind to `resource`, replacing earlier bodies
@@ -69,27 +52,25 @@ impl OpTable {
         }
     }
 
-    /// The body `op` runs in checker `gc`: its op-id body if one is
-    /// registered, else its `(kind, resource)` body.
-    fn body_for(&self, gc: &GeneratedChecker, op: &PlannedOp) -> Option<OpImpl> {
-        if let Some(body) = self.get(op.op_id.as_str()) {
-            return Some(body);
-        }
+    /// The body `op` runs in checker `gc`: its `(kind, resource)` body,
+    /// called with the checker's required fields.
+    fn body_for(&self, gc: &GeneratedChecker, op: &PlannedOp) -> Option<OpBody> {
         let key = (op.kind.clone(), op.resource.clone()?);
         let body = Arc::clone(self.by_resource.get(&key)?);
         let fields = gc.required_fields.clone();
-        Some(Arc::new(move |snap: &ContextSnapshot| body(snap, &fields)))
+        Some(Box::new(move |snap: &ContextSnapshot| body(snap, &fields)))
     }
 }
 
 impl std::fmt::Debug for OpTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut ops: Vec<&String> = self.map.keys().collect();
-        ops.sort();
-        f.debug_struct("OpTable")
-            .field("ops", &ops)
-            .field("resources", &self.by_resource.len())
-            .finish()
+        let mut bound: Vec<String> = self
+            .by_resource
+            .keys()
+            .map(|(kind, resource)| format!("{} {resource}", kind.label()))
+            .collect();
+        bound.sort();
+        f.debug_struct("OpTable").field("bound", &bound).finish()
     }
 }
 
@@ -122,8 +103,8 @@ impl Default for InstantiateOptions {
 
 /// Builds executable [`MimicChecker`]s from a plan and an op table.
 ///
-/// Returns [`BaseError::NotFound`] naming every planned op that has
-/// neither an op-id nor a `(kind, resource)` body.
+/// Returns [`BaseError::NotFound`] naming every planned op that has no
+/// `(kind, resource)` body.
 pub fn instantiate(
     plan: &WatchdogPlan,
     table: &OpTable,
@@ -167,11 +148,7 @@ pub fn instantiate(
         }
         for planned in &gc.ops {
             let body = table.body_for(gc, planned).expect("bound above");
-            let mut op = MimicOp::new(
-                planned.op_id.clone(),
-                planned.function.clone(),
-                Box::new(move |snap: &ContextSnapshot| body(snap)),
-            );
+            let mut op = MimicOp::new(planned.op_id.clone(), planned.function.clone(), body);
             let io_like = matches!(
                 planned.kind,
                 OpKind::DiskRead
@@ -196,7 +173,6 @@ mod tests {
     use crate::ir::{OpKind, ProgramBuilder};
     use crate::plan::generate_plan;
     use crate::reduce::ReductionConfig;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use wdog_base::clock::RealClock;
 
     fn plan() -> WatchdogPlan {
@@ -211,14 +187,41 @@ mod tests {
         generate_plan(&ir, &ReductionConfig::default())
     }
 
+    fn ok() -> ResourceImpl {
+        Arc::new(|_, _| Ok(()))
+    }
+
+    fn bad_sector() -> ResourceImpl {
+        Arc::new(|_, _| Err(BaseError::Io("bad sector".into())))
+    }
+
+    /// A table binding the plan's two `wal/` ops to `write` and `sync`.
+    fn wal_table(write: ResourceImpl, sync: ResourceImpl) -> OpTable {
+        let mut table = OpTable::new();
+        table.bind(
+            "wal/",
+            vec![(OpKind::DiskWrite, write), (OpKind::DiskSync, sync)],
+        );
+        table
+    }
+
     fn instantiate_with(table: &OpTable, ctx: &Arc<ContextTable>) -> BaseResult<Vec<MimicChecker>> {
-        instantiate(
-            &plan(),
-            table,
-            &ctx.reader(),
-            &RealClock::shared(),
-            &InstantiateOptions::default(),
-        )
+        instantiate_opts(table, ctx, &InstantiateOptions::default())
+    }
+
+    fn instantiate_opts(
+        table: &OpTable,
+        ctx: &Arc<ContextTable>,
+        opts: &InstantiateOptions,
+    ) -> BaseResult<Vec<MimicChecker>> {
+        instantiate(&plan(), table, &ctx.reader(), &RealClock::shared(), opts)
+    }
+
+    fn publish_payload(ctx: &ContextTable) {
+        ctx.publish(
+            "flusher_loop",
+            vec![("payload".into(), CtxValue::Bytes(vec![0]))],
+        );
     }
 
     #[test]
@@ -232,134 +235,66 @@ mod tests {
 
         // A body for the op's kind on another resource, or for another kind
         // on its resource, does not bind it.
-        let ok: ResourceImpl = Arc::new(|_, _| Ok(()));
         let mut table = OpTable::new();
-        table.bind("wal/", vec![(OpKind::DiskWrite, Arc::clone(&ok))]);
-        table.bind("sst/", vec![(OpKind::DiskSync, ok)]);
+        table.bind("wal/", vec![(OpKind::DiskWrite, ok())]);
+        table.bind("sst/", vec![(OpKind::DiskSync, ok())]);
         let msg = instantiate_with(&table, &ctx).unwrap_err().to_string();
         assert!(!msg.contains("flush#wal_append"), "{msg}");
         assert!(msg.contains("flush#wal_sync"), "{msg}");
     }
 
     #[test]
-    fn op_id_body_wins_over_resource_body() {
+    fn instantiated_checkers_execute_bound_ops_with_required_fields() {
         let calls = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let log = |tag: &'static str| -> ResourceImpl {
             let calls = Arc::clone(&calls);
-            Arc::new(move |_, fields: &[String]| {
+            Arc::new(move |snap, fields: &[String]| {
+                assert!(snap.get("payload").is_some());
                 calls.lock().push(format!("{tag} {fields:?}"));
                 Ok(())
             })
         };
-        let mut table = OpTable::new();
-        table.bind(
-            "wal/",
-            vec![
-                (OpKind::DiskWrite, log("write")),
-                (OpKind::DiskSync, log("sync")),
-            ],
-        );
-        let c = Arc::clone(&calls);
-        table.register("flush#wal_sync", move |_| {
-            c.lock().push("override".into());
-            Ok(())
-        });
-        let ctx = ContextTable::new(RealClock::shared());
-        ctx.publish(
-            "flusher_loop",
-            vec![("payload".into(), CtxValue::Bytes(vec![1]))],
-        );
-        let mut checkers = instantiate_with(&table, &ctx).unwrap();
-        assert!(checkers[0].check().is_pass());
-        // The resource body runs with its checker's required fields.
-        assert_eq!(*calls.lock(), ["write [\"payload\"]", "override"]);
-    }
-
-    #[test]
-    fn instantiated_checkers_execute_registered_ops() {
-        let plan = plan();
-        let executed = Arc::new(AtomicU64::new(0));
-        let mut table = OpTable::new();
-        let e1 = Arc::clone(&executed);
-        table.register("flush#wal_append", move |snap| {
-            assert!(snap.get("payload").is_some());
-            e1.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        });
-        let e2 = Arc::clone(&executed);
-        table.register("flush#wal_sync", move |_| {
-            e2.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        });
-
+        let table = wal_table(log("write"), log("sync"));
         let ctx = ContextTable::new(RealClock::shared());
         ctx.publish(
             "flusher_loop",
             vec![("payload".into(), CtxValue::Bytes(vec![1, 2, 3]))],
         );
-        let clock: SharedClock = RealClock::shared();
-        let mut checkers = instantiate(
-            &plan,
-            &table,
-            &ctx.reader(),
-            &clock,
-            &InstantiateOptions::default(),
-        )
-        .unwrap();
+        let mut checkers = instantiate_with(&table, &ctx).unwrap();
         assert_eq!(checkers.len(), 1);
         assert!(checkers[0].check().is_pass());
-        assert_eq!(executed.load(Ordering::Relaxed), 2);
+        assert_eq!(*calls.lock(), ["write [\"payload\"]", "sync [\"payload\"]"]);
+    }
+
+    #[test]
+    fn rebinding_replaces_the_body() {
+        let mut table = wal_table(bad_sector(), ok());
+        table.bind("wal/", vec![(OpKind::DiskWrite, ok())]);
+        let ctx = ContextTable::new(RealClock::shared());
+        publish_payload(&ctx);
+        let mut checkers = instantiate_with(&table, &ctx).unwrap();
+        assert!(checkers[0].check().is_pass());
     }
 
     #[test]
     fn context_gates_execution_until_ready() {
-        let plan = plan();
-        let mut table = OpTable::new();
-        table.register("flush#wal_append", |_| Ok(()));
-        table.register("flush#wal_sync", |_| Ok(()));
+        let table = wal_table(ok(), ok());
         let ctx = ContextTable::new(RealClock::shared());
-        let clock: SharedClock = RealClock::shared();
-        let mut checkers = instantiate(
-            &plan,
-            &table,
-            &ctx.reader(),
-            &clock,
-            &InstantiateOptions::default(),
-        )
-        .unwrap();
+        let mut checkers = instantiate_with(&table, &ctx).unwrap();
         assert_eq!(checkers[0].check(), CheckStatus::NotReady);
         // Publishing the wrong field is still not ready (required field).
         ctx.publish("flusher_loop", vec![("other".into(), CtxValue::U64(1))]);
         assert_eq!(checkers[0].check(), CheckStatus::NotReady);
-        ctx.publish(
-            "flusher_loop",
-            vec![("payload".into(), CtxValue::Bytes(vec![0]))],
-        );
+        publish_payload(&ctx);
         assert!(checkers[0].check().is_pass());
     }
 
     #[test]
     fn failing_op_pinpoints_planned_id() {
-        let plan = plan();
-        let mut table = OpTable::new();
-        table.register("flush#wal_append", |_| {
-            Err(BaseError::Io("bad sector".into()))
-        });
-        table.register("flush#wal_sync", |_| Ok(()));
+        let table = wal_table(bad_sector(), ok());
         let ctx = ContextTable::new(RealClock::shared());
-        ctx.publish(
-            "flusher_loop",
-            vec![("payload".into(), CtxValue::Bytes(vec![0]))],
-        );
-        let clock: SharedClock = RealClock::shared();
-        let mut checkers = instantiate(
-            &plan,
-            &table,
-            &ctx.reader(),
-            &clock,
-            &InstantiateOptions::default(),
-        )
-        .unwrap();
+        publish_payload(&ctx);
+        let mut checkers = instantiate_with(&table, &ctx).unwrap();
         let CheckStatus::Fail(f) = checkers[0].check() else {
             panic!("expected failure");
         };
@@ -372,24 +307,15 @@ mod tests {
 
     #[test]
     fn traced_instantiation_journals_op_executions() {
-        let plan = plan();
-        let mut table = OpTable::new();
-        table.register("flush#wal_append", |_| Ok(()));
-        table.register("flush#wal_sync", |_| {
-            Err(BaseError::Io("bad sector".into()))
-        });
+        let table = wal_table(ok(), bad_sector());
         let ctx = ContextTable::new(RealClock::shared());
-        ctx.publish(
-            "flusher_loop",
-            vec![("payload".into(), CtxValue::Bytes(vec![0]))],
-        );
-        let clock: SharedClock = RealClock::shared();
-        let recorder = TraceRecorder::new(clock.clone());
+        publish_payload(&ctx);
+        let recorder = TraceRecorder::new(RealClock::shared());
         let opts = InstantiateOptions {
             trace: Some(Arc::clone(&recorder)),
             ..InstantiateOptions::default()
         };
-        let mut checkers = instantiate(&plan, &table, &ctx.reader(), &clock, &opts).unwrap();
+        let mut checkers = instantiate_opts(&table, &ctx, &opts).unwrap();
         assert!(matches!(checkers[0].check(), CheckStatus::Fail(_)));
         let events = recorder.drain();
         let ops: Vec<(String, bool)> = events
@@ -411,15 +337,11 @@ mod tests {
 
     #[test]
     fn op_table_introspection() {
-        let mut table = OpTable::new();
-        table.register("b#y", |_| Ok(()));
-        table.register("a#x", |_| Ok(()));
-        table.bind("wal/", vec![(OpKind::DiskSync, Arc::new(|_, _| Ok(())))]);
-        assert!(table.get("a#x").is_some());
-        assert!(table.get("zzz").is_none());
+        let mut table = wal_table(ok(), ok());
+        table.bind("sst/", vec![(OpKind::DiskRead, ok())]);
         assert_eq!(
             format!("{table:?}"),
-            r#"OpTable { ops: ["a#x", "b#y"], resources: 1 }"#
+            r#"OpTable { bound: ["disk-read sst/", "disk-sync wal/", "disk-write wal/"] }"#
         );
     }
 }

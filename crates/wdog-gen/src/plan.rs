@@ -159,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn required_fields_are_the_fired_fields_sorted() {
+    fn required_fields_are_what_source_fires_sorted() {
         let plan = generate_plan(&ir(), &ReductionConfig::default());
         assert_eq!(plan.checkers[0].required_fields, ["node_path", "record"]);
         let unfired = ProgramBuilder::new("p")

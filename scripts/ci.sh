@@ -176,6 +176,14 @@ echo "==> benchmark workspace: one short miniblock-rw run"
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
     --workload miniblock-rw --seed 42 --seconds 5 --trace 0
 
+# The six sim metrics (detection, blame, benign cleanliness, detection
+# latency, recovery, MTTR) come from virtual-time campaigns that take no run
+# length: every workload on seeds 1-10 must reproduce the newest archived
+# BENCH_<n>.json run for run, so a change that moves them on any seed fails
+# here and not first in the benchmark.
+echo "==> benchmark workspace: sim metrics equal the newest BENCH_<n>.json on seeds 1-10"
+python3 scripts/sim_metrics.py
+
 # Nothing above may touch the archive or the test fixtures.
 echo "==> results/ and tests/ untouched"
 if [ -n "$(git status --porcelain -- results tests)" ]; then

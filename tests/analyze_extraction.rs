@@ -10,8 +10,9 @@
 //!    Each target's `describe_ir()` returns the snapshot's `ir`, so this
 //!    test is what keeps the shipped watchdog equal to its source.
 //! 2. **The shipped watchdog** — each target's default plan has exactly the
-//!    checkers and op ids pinned below, and every checker requires exactly
-//!    the fields source fires into its context key.
+//!    checkers and op ids pinned below, every checker requires exactly the
+//!    fields source fires into its context key, and every hook site source
+//!    declares is a region the extractor saw fire.
 //! 3. **The plan follows source** — dropping a `// wdog:` directive from a
 //!    target's source moves the plan generated from it.
 //! 4. **Line independence** — ops are named by callee + ordinal, never by
@@ -24,6 +25,7 @@ use std::path::PathBuf;
 use harness::lint::{load_blind_spots, run_analysis};
 use wdog_analyze::extract::read_sources;
 use wdog_analyze::{extract_model, extract_target, target_named, TargetConfig, TARGETS};
+use wdog_gen::ir::OpKind;
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
 use wdog_target::WatchdogTarget;
@@ -167,6 +169,47 @@ fn default_plans_ship_the_pinned_checkers_reading_what_source_fires() {
             assert_eq!(c.required_fields, fired, "{}.{}", target.name(), c.name);
         }
     }
+}
+
+/// The context keys `src` passes to `.site("…")`.
+fn site_keys(src: &str) -> impl Iterator<Item = &str> {
+    src.split(".site(\"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+}
+
+#[test]
+fn every_hook_site_in_source_is_a_fired_region() {
+    // The extractor skips macro bodies: a site fired only where it cannot
+    // see would drop its region, and its checker, from the watchdog.
+    for target in shipped_targets() {
+        let cfg = target_named(target.name()).unwrap();
+        let sources = read_sources(cfg).expect("workspace sources readable");
+        let declared: BTreeSet<&str> = sources.iter().flat_map(|(_, src)| site_keys(src)).collect();
+        let ir = target.describe_ir();
+        let fired: BTreeSet<&str> = ir.regions_fired.keys().map(String::as_str).collect();
+        assert_eq!(declared, fired, "{}", target.name());
+    }
+}
+
+#[test]
+fn kvs_binds_cover_exactly_the_ops_they_are_written_for() {
+    // kvs's index body and E6's `op_table_unsynced` read body are bound to
+    // a `(kind, resource)`: each must match exactly the one op it copies.
+    let ir = kvs::wd::describe_ir();
+    let ops_on = |kind: OpKind, resource: &str| -> Vec<String> {
+        ir.functions
+            .values()
+            .flat_map(|f| f.ops.iter().map(move |o| (f, o)))
+            .filter(|(_, o)| o.kind == kind && o.resource.as_deref() == Some(resource))
+            .map(|(f, o)| format!("{}#{}", f.name, o.name))
+            .collect()
+    };
+    assert_eq!(
+        ops_on(OpKind::Compute, "index"),
+        ["handle_request#index_put"]
+    );
+    assert_eq!(ops_on(OpKind::DiskRead, "sst/"), ["read_sstable#read"]);
 }
 
 /// `target`'s sources with every line containing `needle` dropped from

@@ -67,7 +67,9 @@ proptest! {
         for op in &ops {
             match *op {
                 HookOp::Fire(i) => {
-                    sites[i].fire_kv("n", model[i]);
+                    if let Some(mut fire) = sites[i].fire() {
+                        fire.field("n", model[i]);
+                    }
                     if enabled {
                         model[i] += 1;
                     }
