@@ -5,32 +5,22 @@
 //! ```
 //!
 //! Extracts each target's IR from its Rust source (`wdog-analyze`) and
-//! runs the static passes per target — lock order, probe safety, and the
-//! coverage matrix of the plan generated from that IR, whose blind spots
-//! are the missed reproducers under `tests/chaos_corpus` — then archives
-//! deterministic JSON under `<out>/analysis/`.
+//! runs the two gated passes per target — lock order over the IR, probe
+//! safety over the source — then archives deterministic JSON under
+//! `<out>/analysis/`.
 //!
 //! The run exits 1 on any probe body classified `shared-mutation` (the
 //! paper's isolation requirement, mechanized) or any lock-order cycle. CI
-//! also compares the archived matrices byte for byte, so a weakened row
-//! shows as a diff.
-
-use std::path::Path;
+//! also compares the archived reports byte for byte.
 
 use harness::cli::{CampaignCli, EXIT_GATE, EXIT_USAGE};
-use harness::lint::{load_blind_spots, run_analysis, select_lint_targets, AnalysisBundle};
+use harness::lint::{run_analysis, select_lint_targets, AnalysisBundle};
 use wdog_analyze::extract::read_sources;
 
 const USAGE: &str = "[--target {kvs|minizk|miniblock|all}] [--out DIR]";
 
 fn render_analysis(b: &AnalysisBundle) {
-    println!(
-        "== {} analysis: {} fns, {} call edges, {} roots ==",
-        b.target,
-        b.callgraph.functions,
-        b.callgraph.edges,
-        b.callgraph.roots.len()
-    );
+    println!("== {} analysis ==", b.target);
     println!(
         "   locks: {} ordered pairs, {} cycle(s){}",
         b.locks.edges.len(),
@@ -62,42 +52,6 @@ fn render_analysis(b: &AnalysisBundle) {
     for v in b.safety.violations() {
         println!("     !! shared-mutation probe {} ({})", v.id, v.file);
     }
-    let t = &b.coverage.totals;
-    println!(
-        "   coverage: {} vulnerable ops — {} covered, {} weak, {} uncovered; {} region(s) without stuck coverage",
-        t.ops,
-        t.covered,
-        t.weak,
-        t.uncovered,
-        b.coverage
-            .regions
-            .iter()
-            .filter(|r| r.stuck_coverage != wdog_analyze::CoverageStatus::Covered)
-            .count()
-    );
-    for gap in b.coverage.uncovered_ranked.iter().take(5) {
-        println!(
-            "     #{} [{}] {} ({}, {})",
-            gap.rank,
-            gap.status.label(),
-            gap.op_id,
-            gap.region,
-            gap.kind
-        );
-    }
-    for spot in &b.coverage.blind_spots {
-        println!(
-            "   blind spot {} ({}): statically {} ({} evidence row(s))",
-            spot.id,
-            spot.fault,
-            if spot.statically_flagged {
-                "FLAGGED"
-            } else {
-                "not flagged"
-            },
-            spot.evidence.len()
-        );
-    }
 }
 
 fn main() {
@@ -118,18 +72,12 @@ fn main() {
             eprintln!("error: cannot analyze {}: {e}", target.name);
             std::process::exit(EXIT_USAGE);
         });
-        let corpus = Path::new("tests/chaos_corpus");
-        let spots = load_blind_spots(corpus, target.name).unwrap_or_else(|e| {
-            eprintln!("error: analysis passes failed for {}: {e}", target.name);
-            std::process::exit(EXIT_USAGE);
-        });
-        let bundle = run_analysis(target, &sources, &spots);
+        let bundle = run_analysis(target, &sources);
         render_analysis(&bundle);
         unsafe_probes += bundle.safety.violations().len();
         deadlock_cycles += bundle.locks.cycles.len();
 
         let t = &bundle.target;
-        harness::write_json_under(&analysis, &format!("coverage_{t}"), &bundle.coverage);
         harness::write_json_under(&analysis, &format!("locks_{t}"), &bundle.locks);
         harness::write_json_under(&analysis, &format!("safety_{t}"), &bundle.safety);
     }

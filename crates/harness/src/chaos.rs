@@ -253,13 +253,14 @@ pub fn run_schedule(
     Ok(score_schedule(schedule, &trace, opts.metrics.as_ref()))
 }
 
-/// Is `checker` a load-coupled signal checker (its [`checker_family`] is
-/// `signal`)? Signal checkers sample real resource levels — queue
-/// depth, memory, disk headroom — so whether one trips during a schedule
-/// depends on machine load at the sample instant, not on the injected
-/// severity. The campaign measures their reports in the [`ChaosMetrics`] sidecar
-/// but never scores them: a verdict they could flip would wobble between
-/// same-seed runs and break the byte-identical-report contract.
+/// Is `checker` a signal checker (its [`checker_family`] is `signal`)?
+/// Signal checkers sample resource levels — queue depth, memory, disk
+/// headroom — against fixed thresholds. Their reports are deterministic in
+/// virtual time, and the campaign counts them in the [`ChaosMetrics`]
+/// sidecar, which CI compares byte for byte. They stay unscored because no
+/// threshold has a designed false-alarm rate yet: a fixed threshold trips
+/// on load as readily as on a fault, so a verdict it flipped would say
+/// nothing about detection.
 pub fn is_signal_checker(checker: &str) -> bool {
     checker_family(checker) == "signal"
 }

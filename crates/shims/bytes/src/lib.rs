@@ -1,8 +1,10 @@
 //! Offline shim for the `bytes` crate.
 //!
 //! `Bytes` here is a cheaply-cloneable immutable byte buffer backed by
-//! `Arc<[u8]>`. The workspace only passes whole frames around (no
-//! split/advance), so the slicing machinery of the real crate is omitted.
+//! `Arc<Vec<u8>>`, so wrapping a `Vec` takes its buffer without copying,
+//! as the real crate does. The workspace only passes whole frames around
+//! (no split/advance), so the slicing machinery of the real crate is
+//! omitted.
 
 use std::fmt;
 use std::ops::Deref;
@@ -11,7 +13,7 @@ use std::sync::Arc;
 /// An immutable, reference-counted byte buffer.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
 }
 
 impl Bytes {
@@ -22,12 +24,12 @@ impl Bytes {
 
     /// Wraps a static byte slice.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes { data: bytes.into() }
+        Self::copy_from_slice(bytes)
     }
 
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Bytes { data: bytes.into() }
+        Bytes::from(bytes.to_vec())
     }
 
     /// Length in bytes.
@@ -56,7 +58,7 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes { data: v.into() }
+        Bytes { data: Arc::new(v) }
     }
 }
 
@@ -122,6 +124,15 @@ mod tests {
         assert_eq!(b, [1u8, 2, 3][..]);
         let c = b.clone();
         assert_eq!(b, c);
+    }
+
+    #[test]
+    fn wrapping_a_vec_keeps_its_buffer() {
+        let v = vec![7u8; 64];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at, "From<Vec<u8>> copied the buffer");
+        assert_eq!(b.clone().as_ptr(), at);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Interprocedural call graph over an extracted IR: its shape and its
-//! strongly connected components, as archived in the analysis reports.
+//! Interprocedural call graph over an extracted IR and its strongly
+//! connected components, which the lock-order pass walks.
 //!
 //! Reachability is not here: every pass walks calls with
 //! [`wdog_gen::regions::reachable`], the walk that defines the regions.
@@ -11,8 +11,6 @@
 //! workspace proptests pin down.
 
 use std::collections::{BTreeMap, BTreeSet};
-
-use serde::{Deserialize, Serialize};
 
 use wdog_gen::ir::ProgramIr;
 
@@ -37,11 +35,6 @@ impl CallGraph {
             }
         }
         Self { edges }
-    }
-
-    /// Number of call edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.values().map(BTreeSet::len).sum()
     }
 
     /// Strongly connected components via iterative Tarjan, normalized for
@@ -172,39 +165,6 @@ impl CallGraph {
         }
         seen == n
     }
-
-    /// Serializable summary for reports: the graph's shape plus `ir`'s
-    /// long-running entries, the roots of its regions.
-    pub fn summary(ir: &ProgramIr) -> CallGraphSummary {
-        let graph = Self::build(ir);
-        CallGraphSummary {
-            program: ir.name.clone(),
-            functions: graph.edges.len(),
-            edges: graph.edge_count(),
-            roots: ir
-                .functions
-                .values()
-                .filter(|f| f.long_running)
-                .map(|f| f.name.clone())
-                .collect(),
-            cycles: graph.cyclic_sccs(),
-        }
-    }
-}
-
-/// The call-graph shape, as archived in analysis artifacts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CallGraphSummary {
-    /// Program name.
-    pub program: String,
-    /// Node count.
-    pub functions: usize,
-    /// Edge count.
-    pub edges: usize,
-    /// Long-running entries.
-    pub roots: Vec<String>,
-    /// Cyclic SCCs (usually recursion groups), sorted.
-    pub cycles: Vec<Vec<String>>,
 }
 
 #[cfg(test)]
@@ -226,7 +186,7 @@ mod tests {
     fn builds_sorted_edges() {
         let g = CallGraph::build(&ir());
         assert_eq!(g.edges.len(), 5);
-        assert_eq!(g.edge_count(), 4);
+        assert_eq!(g.edges.values().map(BTreeSet::len).sum::<usize>(), 4);
         assert_eq!(
             g.edges["main_loop"].iter().collect::<Vec<_>>(),
             vec!["log", "work"]
@@ -270,14 +230,5 @@ mod tests {
         assert!(g.cyclic_sccs().is_empty());
         assert!(g.condensation_is_acyclic());
         assert_eq!(g.sccs().len(), 5);
-    }
-
-    #[test]
-    fn summary_is_stable() {
-        let s = CallGraph::summary(&ir());
-        assert_eq!(s.functions, 5);
-        assert_eq!(s.edges, 4);
-        assert_eq!(s.roots, vec!["main_loop"]);
-        assert!(s.cycles.is_empty());
     }
 }

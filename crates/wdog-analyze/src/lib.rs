@@ -12,10 +12,13 @@
 //!   The extraction is committed as `tests/snapshots/<target>.json`, and
 //!   each target's `describe_ir()` returns its `ir`; what the source
 //!   alone cannot say is a `// wdog:` directive in it;
-//! * [`coverage`] crosses the extracted vulnerable ops with the plan
-//!   generated from them, region by region: which op each checker
-//!   mimics, which only another region's checker does, and which
-//!   chaos-confirmed misses the gaps explain.
+//! * [`locks`] and [`safety`] are `wdog-lint`'s two gates over the same
+//!   source: lock-order cycles in the extracted IR (cyclic SCCs, found
+//!   with [`callgraph`]'s Tarjan) and probe bodies that mutate shared
+//!   state.
+//!
+//! Which checker covers which vulnerable op is not analyzed here: it is
+//! the reducer's decision, recorded by [`wdog_gen::reduce`].
 //!
 //! The extractor is deliberately conservative (see `DESIGN.md` §2 for
 //! the soundness limits): no macro expansion, no trait-object
@@ -23,15 +26,13 @@
 //! cover the places where that matters.
 
 pub mod callgraph;
-pub mod coverage;
 pub mod extract;
 pub mod lexer;
 pub mod locks;
 pub mod model;
 pub mod safety;
 
-pub use callgraph::{CallGraph, CallGraphSummary};
-pub use coverage::{coverage_matrix, BlindSpot, CoverageMatrix, CoverageStatus};
+pub use callgraph::CallGraph;
 pub use extract::{
     extract_model, extract_target, target_named, workspace_root, ExtractedProgram, TargetConfig,
     TARGETS,

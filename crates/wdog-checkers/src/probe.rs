@@ -132,19 +132,10 @@ where
                 }
                 CheckStatus::Pass
             }
-            Err(e) => {
-                let kind = if e.is_liveness() {
-                    FailureKind::Stuck
-                } else if matches!(e, wdog_base::error::BaseError::Corruption(_)) {
-                    FailureKind::Corruption
-                } else {
-                    FailureKind::Error
-                };
-                CheckStatus::Fail(
-                    CheckFailure::new(kind, self.location(), e.to_string())
-                        .with_latency_ms(elapsed.as_millis() as u64),
-                )
-            }
+            Err(e) => CheckStatus::Fail(
+                CheckFailure::new(FailureKind::from_error(&e), self.location(), e.to_string())
+                    .with_latency_ms(elapsed.as_millis() as u64),
+            ),
         }
     }
 }
@@ -179,28 +170,27 @@ mod tests {
     }
 
     #[test]
-    fn timeout_errors_classified_as_stuck() {
-        let mut c = ProbeChecker::new("p", "api", "set", RealClock::shared(), || {
-            Err(BaseError::Timeout {
-                what: "set".into(),
-                after_ms: 100,
-            })
-        });
-        let CheckStatus::Fail(f) = c.check() else {
-            panic!("expected failure");
-        };
-        assert_eq!(f.kind, FailureKind::Stuck);
-    }
-
-    #[test]
-    fn corruption_errors_classified_as_corruption() {
-        let mut c = ProbeChecker::new("p", "api", "get", RealClock::shared(), || {
-            Err(BaseError::Corruption("crc".into()))
-        });
-        let CheckStatus::Fail(f) = c.check() else {
-            panic!("expected failure");
-        };
-        assert_eq!(f.kind, FailureKind::Corruption);
+    fn errors_classified_as_from_error_says() {
+        let cases = [
+            (
+                BaseError::Timeout {
+                    what: "set".into(),
+                    after_ms: 100,
+                },
+                FailureKind::Stuck,
+            ),
+            (BaseError::Corruption("crc".into()), FailureKind::Corruption),
+            (BaseError::Io("eio".into()), FailureKind::Error),
+        ];
+        for (e, kind) in cases {
+            let mut c = ProbeChecker::new("p", "api", "set", RealClock::shared(), move || {
+                Err(e.clone())
+            });
+            let CheckStatus::Fail(f) = c.check() else {
+                panic!("expected failure");
+            };
+            assert_eq!(f.kind, kind, "{}", f.detail);
+        }
     }
 
     #[test]

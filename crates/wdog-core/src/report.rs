@@ -38,15 +38,19 @@ impl FailureKind {
     }
 
     /// Classifies a substrate error into a failure kind: timeouts and
-    /// disconnect-while-waiting map to liveness ([`FailureKind::Stuck`]),
-    /// integrity errors to [`FailureKind::Corruption`], everything else to
+    /// disconnect-while-waiting ([`BaseError::is_liveness`]) map to
+    /// [`FailureKind::Stuck`], integrity errors to
+    /// [`FailureKind::Corruption`], everything else to
     /// [`FailureKind::Error`].
+    ///
+    /// [`BaseError::is_liveness`]: wdog_base::error::BaseError::is_liveness
     pub fn from_error(e: &wdog_base::error::BaseError) -> Self {
-        use wdog_base::error::BaseError;
-        match e {
-            BaseError::Timeout { .. } => FailureKind::Stuck,
-            BaseError::Corruption(_) => FailureKind::Corruption,
-            _ => FailureKind::Error,
+        if e.is_liveness() {
+            FailureKind::Stuck
+        } else if matches!(e, wdog_base::error::BaseError::Corruption(_)) {
+            FailureKind::Corruption
+        } else {
+            FailureKind::Error
         }
     }
 
@@ -168,6 +172,26 @@ mod tests {
         assert!(FailureKind::Slow.is_liveness());
         assert!(!FailureKind::Error.is_liveness());
         assert!(!FailureKind::Corruption.is_liveness());
+    }
+
+    #[test]
+    fn errors_map_to_kinds_by_one_rule() {
+        use wdog_base::error::BaseError;
+        let cases = [
+            (
+                BaseError::Timeout {
+                    what: "recv".into(),
+                    after_ms: 5,
+                },
+                FailureKind::Stuck,
+            ),
+            (BaseError::Disconnected("peer".into()), FailureKind::Stuck),
+            (BaseError::Corruption("crc".into()), FailureKind::Corruption),
+            (BaseError::Io("eio".into()), FailureKind::Error),
+        ];
+        for (e, kind) in cases {
+            assert_eq!(FailureKind::from_error(&e), kind, "{e}");
+        }
     }
 
     #[test]

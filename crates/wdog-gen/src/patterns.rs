@@ -164,8 +164,10 @@ pub fn kind_for_label(label: &str) -> Option<OpKind> {
 
 /// Returns the *family* of a resource name: everything up to and including
 /// the first `/`, or the whole name. `wal/flushing` and `wal/log` both
-/// belong to family `wal/` — the granularity at which similarity dedup and
-/// coverage matching treat resources as interchangeable.
+/// belong to family `wal/`. Extraction normalises every resource it
+/// records to its family; the dedup key
+/// ([`Operation::similarity_key`](crate::ir::Operation::similarity_key))
+/// compares the recorded resource as is.
 pub fn resource_family(resource: &str) -> &str {
     match resource.find('/') {
         Some(i) => &resource[..=i],

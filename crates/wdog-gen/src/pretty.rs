@@ -11,7 +11,6 @@ use std::fmt::Write as _;
 
 use crate::ir::{OpKind, ProgramIr};
 use crate::plan::{GeneratedChecker, WatchdogPlan};
-use crate::vulnerable::is_vulnerable;
 
 fn kind_note(kind: &OpKind, resource: Option<&str>) -> String {
     match resource {
@@ -22,10 +21,10 @@ fn kind_note(kind: &OpKind, resource: Option<&str>) -> String {
 
 /// Renders one region's functions with keep/drop annotations (Figure 2).
 ///
-/// Retained ops are tagged `KEEP`, vulnerable-but-deduplicated ops
-/// `DROP(similar)` and deterministic code `DROP(deterministic)`; the
-/// fields the program's hooks fire into the region's context head the
-/// listing.
+/// Retained ops are tagged `KEEP`, the ops reduction recorded as covered
+/// by a kept similar op `DROP(similar)` and deterministic code
+/// `DROP(deterministic)`; the fields the program's hooks fire into the
+/// region's context head the listing.
 pub fn render_region(ir: &ProgramIr, plan: &WatchdogPlan, entry: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "region `{entry}` of program `{}`:", plan.program);
@@ -55,7 +54,7 @@ pub fn render_region(ir: &ProgramIr, plan: &WatchdogPlan, entry: &str) -> String
             let note = kind_note(&op.kind, op.resource.as_deref());
             if kept_ids.iter().any(|k| k == id.as_str()) {
                 let _ = writeln!(out, "    [KEEP] {} ({note})", op.name);
-            } else if is_vulnerable(op) {
+            } else if rf.dropped_vulnerable.iter().any(|(d, _)| *d == id) {
                 let _ = writeln!(out, "    [DROP: similar/covered] {} ({note})", op.name);
             } else {
                 let _ = writeln!(out, "    [DROP: deterministic] {} ({note})", op.name);
@@ -94,7 +93,8 @@ pub fn render_checker(checker: &GeneratedChecker) -> String {
     out
 }
 
-/// Renders a one-paragraph summary of a whole plan (checker inventory).
+/// Renders a one-paragraph summary of a whole plan (checker inventory):
+/// under each checker, the ops it covers for another region.
 pub fn render_summary(plan: &WatchdogPlan) -> String {
     let mut out = String::new();
     let s = &plan.reduced.stats;
@@ -120,6 +120,9 @@ pub fn render_summary(plan: &WatchdogPlan) -> String {
             c.ops.len(),
             c.required_fields.len()
         );
+        for (op, region, by) in plan.reduced.covered_for_others(&c.context_key) {
+            let _ = writeln!(out, "      covers {op} of `{region}` as {by}");
+        }
     }
     out
 }
@@ -177,5 +180,26 @@ mod tests {
         let s = render_summary(&plan);
         assert!(s.contains("generated 1 checkers:"), "{s}");
         assert!(s.contains("minizk"));
+        assert!(!s.contains("covers"), "one region covers no other: {s}");
+    }
+
+    #[test]
+    fn summary_lists_ops_covered_for_other_regions() {
+        let ir = ProgramBuilder::new("p")
+            .function("a_loop", |f| {
+                f.long_running()
+                    .op("w", OpKind::DiskWrite, |o| o.resource("d/"))
+            })
+            .function("b_loop", |f| {
+                f.long_running()
+                    .op("w", OpKind::DiskWrite, |o| o.resource("d/"))
+            })
+            .build();
+        let s = render_summary(&generate_plan(&ir, &ReductionConfig::default()));
+        let listed = concat!(
+            "  - a_loop_checker (1 ops, 0 context fields)\n",
+            "      covers b_loop#w of `b_loop` as a_loop#w\n",
+        );
+        assert!(s.contains(listed), "{s}");
     }
 }

@@ -13,12 +13,18 @@
 //!    class already retained anywhere along the region's call graph is not
 //!    retained again in deeper callees.
 //!
+//! Each vulnerable op a dedup step drops is recorded with the kept op whose
+//! class claimed it ([`ReducedFunction::dropped_vulnerable`]): that record
+//! is the one statement of which checker watches which op.
+//!
 //! [`ReductionConfig::dedup`] turns both dedup steps off together, so
 //! experiment E6 can measure the checker-count blow-up without them.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
+
+use wdog_base::ids::OpId;
 
 use crate::ir::{Operation, ProgramIr};
 use crate::regions::{find_regions, Region};
@@ -48,8 +54,9 @@ pub struct ReducedFunction {
     pub region: String,
     /// Operations retained for checking, in original order.
     pub kept_ops: Vec<Operation>,
-    /// Vulnerable operations dropped as similar/covered.
-    pub dropped_vulnerable: usize,
+    /// Vulnerable operations dropped as similar/covered, in original
+    /// order, each paired with the kept op of the same similarity class.
+    pub dropped_vulnerable: Vec<(OpId, OpId)>,
     /// Non-vulnerable operations excluded (logically deterministic code).
     pub dropped_deterministic: usize,
     /// Callees inside the same region, in call order, each with the number
@@ -123,6 +130,27 @@ impl ReducedProgram {
         }
         out
     }
+
+    /// The vulnerable ops of other regions that `region`'s checker covers:
+    /// `(dropped op, its region, the kept op that covers it)`, in
+    /// reduction order.
+    pub fn covered_for_others(&self, region: &str) -> Vec<(&OpId, &str, &OpId)> {
+        let kept: BTreeSet<OpId> = self
+            .functions_in(region)
+            .iter()
+            .flat_map(|f| f.kept_ops.iter().map(|o| o.id_in(&f.name)))
+            .collect();
+        self.functions
+            .iter()
+            .filter(|f| f.region != region)
+            .flat_map(|f| {
+                f.dropped_vulnerable
+                    .iter()
+                    .filter(|(_, by)| kept.contains(by))
+                    .map(|(op, by)| (op, f.region.as_str(), by))
+            })
+            .collect()
+    }
 }
 
 fn flatten<'a>(
@@ -152,8 +180,9 @@ pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgra
     // Functions already reduced in an earlier region: with dedup
     // a function shared between two regions is checked once, by the first.
     let mut globally_reduced: BTreeSet<String> = BTreeSet::new();
-    // Op classes already retained anywhere along processed call chains.
-    let mut global_seen: BTreeSet<(String, Option<String>)> = BTreeSet::new();
+    // Op classes already retained anywhere along processed call chains,
+    // each with the op that retained it.
+    let mut global_seen: BTreeMap<(String, Option<String>), OpId> = BTreeMap::new();
 
     let mut ops_vulnerable = 0usize;
     let mut ops_retained = 0usize;
@@ -176,7 +205,7 @@ pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgra
                 .expect("region functions exist in the IR");
 
             let mut kept: Vec<Operation> = Vec::new();
-            let mut dropped_vulnerable = 0usize;
+            let mut dropped_vulnerable = Vec::new();
             let mut dropped_deterministic = 0usize;
             let mut calls: Vec<(usize, String)> = Vec::new();
 
@@ -194,12 +223,14 @@ pub fn reduce_program(ir: &ProgramIr, config: &ReductionConfig) -> ReducedProgra
                 ops_vulnerable += 1;
                 let key = op.similarity_key();
                 // A class kept earlier in this function is in `global_seen`
-                // too: one set serves both dedup steps.
-                if config.dedup && global_seen.contains(&key) {
-                    dropped_vulnerable += 1;
-                    continue;
+                // too: one map serves both dedup steps.
+                if config.dedup {
+                    if let Some(by) = global_seen.get(&key) {
+                        dropped_vulnerable.push((op.id_in(&fname), by.clone()));
+                        continue;
+                    }
                 }
-                global_seen.insert(key);
+                global_seen.insert(key, op.id_in(&fname));
                 kept.push(op.clone());
                 ops_retained += 1;
             }
@@ -349,7 +380,10 @@ mod tests {
         let main = &reduced.functions[0];
         let names: Vec<&str> = main.kept_ops.iter().map(|o| o.name.as_str()).collect();
         assert_eq!(names, vec!["w1", "w3"], "same-resource writes dedupe");
-        assert_eq!(main.dropped_vulnerable, 1);
+        assert_eq!(
+            main.dropped_vulnerable,
+            vec![(OpId::new("main#w2"), OpId::new("main#w1"))]
+        );
     }
 
     #[test]
@@ -389,6 +423,38 @@ mod tests {
             .unwrap();
         let names: Vec<&str> = helper.kept_ops.iter().map(|o| o.name.as_str()).collect();
         assert_eq!(names, vec!["send"], "covered write must be dropped");
+        assert_eq!(
+            helper.dropped_vulnerable,
+            vec![(OpId::new("helper#w_deep"), OpId::new("main#w"))]
+        );
+        assert!(reduced.covered_for_others("main").is_empty(), "same region");
+    }
+
+    #[test]
+    fn cross_region_drop_names_the_covering_region() {
+        // Both regions write `wal/log`; shadow_loop sorts first, so its
+        // checker keeps the probe and covers writer_loop's write.
+        let ir = ProgramBuilder::new("p")
+            .function("writer_loop", |f| {
+                f.long_running()
+                    .op("wal_append", OpKind::DiskWrite, |o| o.resource("wal/log"))
+            })
+            .function("shadow_loop", |f| {
+                f.long_running()
+                    .op("wal_mirror", OpKind::DiskWrite, |o| o.resource("wal/log"))
+            })
+            .build();
+        let reduced = reduce_program(&ir, &ReductionConfig::default());
+        let (op, region, by) = (
+            OpId::new("writer_loop#wal_append"),
+            "writer_loop",
+            OpId::new("shadow_loop#wal_mirror"),
+        );
+        assert_eq!(
+            reduced.covered_for_others("shadow_loop"),
+            vec![(&op, region, &by)]
+        );
+        assert!(reduced.covered_for_others("writer_loop").is_empty());
     }
 
     #[test]

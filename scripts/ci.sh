@@ -15,8 +15,25 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# `stage NAME` opens a stage: it closes the open one, printing its wall
+# seconds, then prints NAME as a `==>` header. A bare `stage` only closes,
+# so the log carries each stage's cost, a failed one's included.
+stage_name=""
+stage_start=0
+stage() {
+    if [ -n "$stage_name" ]; then
+        echo "<== $((SECONDS - stage_start)) s: $stage_name"
+    fi
+    stage_name="${1:-}"
+    stage_start=$SECONDS
+    if [ -n "$stage_name" ]; then
+        echo "==> $stage_name"
+    fi
+}
+trap stage EXIT
+
 replay_corpus() {
-    echo "==> chaos regression corpus: every archived reproducer reruns to its recorded verdict (sim, first attempt)"
+    stage "chaos regression corpus: every archived reproducer reruns to its recorded verdict (sim, first attempt)"
     local found=0
     for artifact in tests/chaos_corpus/*.json; do
         [ -e "$artifact" ] || continue
@@ -37,7 +54,7 @@ replay_corpus() {
 # results/. The scratch dirs persist across gates, so a later campaign can
 # read an earlier one's fresh output. CI never writes under results/.
 scratch="$(mktemp -d)"
-trap 'rm -rf "$scratch"' EXIT
+trap 'stage; rm -rf "$scratch"' EXIT
 # `same OLD NEW` is silent when they are equal; otherwise it prints the
 # first 80 lines of their diff, so the log shows which rows moved.
 same() {
@@ -50,7 +67,7 @@ gate() {
     local runs=$1 artifacts=$2 bin=$3
     shift 3
     local cmd="cargo run --release -p harness --bin $bin${*:+ -- $*}" i a
-    echo "==> $bin${*:+ $*}: ${runs}x, equal to results/{${artifacts// /,}}"
+    stage "$bin${*:+ $*}: ${runs}x, equal to results/{${artifacts// /,}}"
     for ((i = 1; i <= runs; i++)); do
         cargo run --offline -q --release -p harness --bin "$bin" -- "$@" --out "$scratch/run$i" >/dev/null
     done
@@ -68,11 +85,12 @@ gate() {
 
 if [ "${1:-}" = "--replay" ]; then
     replay_corpus
+    stage
     echo "REPLAY OK"
     exit 0
 fi
 
-echo "==> no stale error sidecars tracked in git"
+stage "no stale error sidecars tracked in git"
 # Campaign bins delete their results/<name>.err sidecar on success, so a
 # tracked one is a fossil of a failed run that was committed by accident.
 if git ls-files -- 'results/*.err' 'results/**/*.err' | grep -q .; then
@@ -81,7 +99,7 @@ if git ls-files -- 'results/*.err' 'results/**/*.err' | grep -q .; then
     exit 1
 fi
 
-echo "==> cargo fmt --check"
+stage "cargo fmt --check"
 cargo fmt --check
 
 # Clippy is also the real-clock gate: crates/clippy.toml disallows raw
@@ -89,17 +107,17 @@ cargo fmt --check
 # crates/ (shims excepted), and each sanctioned wall-time site carries an
 # #[expect] with its reason — the virtual-time campaigns' determinism rests
 # on every other sleep and deadline going through Clock.
-echo "==> cargo clippy --workspace --all-targets -D warnings"
+stage "cargo clippy --workspace --all-targets -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc: no broken or ambiguous intra-doc links"
+stage "cargo doc: no broken or ambiguous intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline --locked
 
-# wdog-lint exits 1 on a shared-mutation probe or a lock-order cycle; a
-# weakened coverage row shows as a diff against the archived matrix.
-# tests/analyze_passes.rs reads the same results/analysis/{coverage,locks}_<t>.json,
-# so a coverage or lock-order change also fails tier-1 until
-# `wdog-lint --target all` is rerun and its output committed.
+# wdog-lint has two gates: it exits 1 on a shared-mutation probe or a
+# lock-order cycle. Its archived lock and safety reports compare byte for
+# byte, and tests/analyze_passes.rs reads the same
+# results/analysis/locks_<t>.json, so a lock-order change also fails tier-1
+# until `wdog-lint --target all` is rerun and its output committed.
 gate 1 "analysis" wdog-lint --target all
 
 # Program logic reduction (Figures 2-3) is a pure function of the three
@@ -144,35 +162,35 @@ gate 2 "inferred" wdog-infer --target all
 
 replay_corpus
 
-echo "==> tier-1: cargo build --release && cargo test"
+stage "tier-1: cargo build --release && cargo test"
 cargo build --release --offline
 cargo test --offline -q
 
 # The root package's integration tests already ran in tier-1.
-echo "==> workspace crate tests"
+stage "workspace crate tests"
 cargo test --offline --workspace --exclude watchdogs -q
 
 # benchmark/ is its own workspace, so nothing above compiles it: an API
 # break under crates/ would otherwise first show when the benchmark runs.
 # --locked: its Cargo.lock pins the dependency list of every crate it
 # builds, so this also fails if one of their [dependencies] tables moved.
-echo "==> benchmark workspace: build + tests against the current crates"
+stage "benchmark workspace: build + tests against the current crates"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Run it too, on the workload that drives every target: wdog-bench exits
 # nonzero on a failed request, a wrong value read back or a replay mismatch.
-echo "==> benchmark workspace: one short gray-sim run"
+stage "benchmark workspace: one short gray-sim run"
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
     --workload gray-sim --seconds 5 --trace 0
 # gray-sim's request phase is minizk, so drive kvs's real-clock request path
 # too, every read checked against the value written.
-echo "==> benchmark workspace: one short kvs-read run"
+stage "benchmark workspace: one short kvs-read run"
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
     --workload kvs-read --seed 42 --seconds 5 --trace 0
 # gray-sim runs miniblock only under the sim clock: drive its armed
 # block writes and reads, and the disk mimics beside them, on the real one.
-echo "==> benchmark workspace: one short miniblock-rw run"
+stage "benchmark workspace: one short miniblock-rw run"
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
     --workload miniblock-rw --seed 42 --seconds 5 --trace 0
 
@@ -181,15 +199,16 @@ cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
 # length: every workload on seeds 1-10 must reproduce the newest archived
 # BENCH_<n>.json run for run, so a change that moves them on any seed fails
 # here and not first in the benchmark.
-echo "==> benchmark workspace: sim metrics equal the newest BENCH_<n>.json on seeds 1-10"
+stage "benchmark workspace: sim metrics equal the newest BENCH_<n>.json on seeds 1-10"
 python3 scripts/sim_metrics.py
 
 # Nothing above may touch the archive or the test fixtures.
-echo "==> results/ and tests/ untouched"
+stage "results/ and tests/ untouched"
 if [ -n "$(git status --porcelain -- results tests)" ]; then
     echo "CI modified tracked archive or test files:"
     git status --porcelain -- results tests
     exit 1
 fi
 
+stage
 echo "CI OK"

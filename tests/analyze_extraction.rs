@@ -22,7 +22,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use harness::lint::{load_blind_spots, run_analysis};
+use harness::lint::run_analysis;
 use wdog_analyze::extract::read_sources;
 use wdog_analyze::{extract_model, extract_target, target_named, TargetConfig, TARGETS};
 use wdog_gen::ir::OpKind;
@@ -303,7 +303,6 @@ fn shifted(src: &str) -> String {
 
 #[test]
 fn analysis_is_invariant_under_line_shifts() {
-    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/chaos_corpus");
     for t in TARGETS {
         let sources = read_sources(t).expect("workspace sources readable");
         let moved: Vec<(String, String)> = sources
@@ -311,15 +310,13 @@ fn analysis_is_invariant_under_line_shifts() {
             .map(|(path, src)| (path.clone(), shifted(src)))
             .collect();
         assert_ne!(sources, moved, "{}: the shift moved no line", t.name);
-        let spots = load_blind_spots(&corpus, t.name).expect("corpus parses");
         let render = |sources: &[(String, String)]| {
-            let b = run_analysis(t, sources, &spots);
+            let b = run_analysis(t, sources);
             let extracted = extract_model(t.name, t.model(sources, true));
             [
                 ("extraction", serde_json::to_string_pretty(&extracted)),
                 ("safety", serde_json::to_string_pretty(&b.safety)),
                 ("locks", serde_json::to_string_pretty(&b.locks)),
-                ("coverage", serde_json::to_string_pretty(&b.coverage)),
             ]
             .map(|(what, json)| (what, json.expect("analysis output serializes")))
         };

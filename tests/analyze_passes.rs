@@ -2,16 +2,13 @@
 //!
 //! Four guarantees, layered:
 //!
-//! 1. **Archive** — the coverage-gap matrix and lock-order report for
-//!    each target match the archived `results/analysis/coverage_<t>.json`
-//!    and `locks_<t>.json`. Any change to a target's source, its checkers,
-//!    or the analysis passes shows up as a reviewable diff. Regenerate with
-//!    `cargo run --release -p harness --bin wdog-lint -- --target all`.
-//! 2. **Acceptance pins** — the chaos-confirmed blind spots (kvs
-//!    background-task-stuck, miniblock replication-link-wedged) are
-//!    statically flagged by the matrix; every shipped probe classifies as
-//!    read-only or replica-write; the lock graphs are cycle-free; and the
-//!    whole bundle serializes byte-identically across repeated runs.
+//! 1. **Archive** — the lock-order report for each target matches the
+//!    archived `results/analysis/locks_<t>.json`. Any change to a target's
+//!    source or to the lock pass shows up as a reviewable diff. Regenerate
+//!    with `cargo run --release -p harness --bin wdog-lint -- --target all`.
+//! 2. **Acceptance pins** — every shipped probe classifies as read-only or
+//!    replica-write; the lock graphs are cycle-free; and the whole bundle
+//!    serializes byte-identically across repeated runs.
 //! 3. **File-order stability** — extracting a target from its source
 //!    files in reversed order yields the identical call graph.
 //! 4. **Properties** — on random call topologies (cycles included), call
@@ -24,9 +21,9 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use harness::lint::{load_blind_spots, run_analysis, AnalysisBundle};
+use harness::lint::{run_analysis, AnalysisBundle};
 use wdog_analyze::extract::read_sources;
-use wdog_analyze::{extract_model, target_named, CallGraph, CoverageStatus, TARGETS};
+use wdog_analyze::{extract_model, target_named, CallGraph, TARGETS};
 use wdog_gen::ir::ProgramBuilder;
 
 fn archive_path(name: &str) -> PathBuf {
@@ -35,17 +32,12 @@ fn archive_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
-fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/chaos_corpus")
-}
-
 fn bundles() -> Vec<AnalysisBundle> {
     TARGETS
         .iter()
         .map(|t| {
-            let spots = load_blind_spots(&corpus_dir(), t.name).expect("corpus parses");
             let sources = read_sources(t).expect("workspace sources readable");
-            run_analysis(t, &sources, &spots)
+            run_analysis(t, &sources)
         })
         .collect()
 }
@@ -73,10 +65,6 @@ fn check_archive(name: &str, rendered: String) {
 fn coverage_and_lock_reports_match_committed_snapshots() {
     for b in bundles() {
         check_archive(
-            &format!("coverage_{}", b.target),
-            serde_json::to_string_pretty(&b.coverage).expect("matrix serializes"),
-        );
-        check_archive(
             &format!("locks_{}", b.target),
             serde_json::to_string_pretty(&b.locks).expect("lock report serializes"),
         );
@@ -94,61 +82,6 @@ fn analysis_bundles_are_byte_identical_across_runs() {
         .map(|b| serde_json::to_string(b).unwrap())
         .collect();
     assert_eq!(first, second, "analysis output varies run-to-run");
-}
-
-#[test]
-fn chaos_confirmed_blind_spots_are_statically_flagged() {
-    let bundles = bundles();
-    let by_target = |t: &str| {
-        bundles
-            .iter()
-            .find(|b| b.target == t)
-            .expect("bundle exists")
-    };
-
-    // kvs background-task-stuck: the compaction region has no liveness
-    // coverage (mimic checkers go NotReady, not Fail, when a region stops
-    // publishing context).
-    let kvs = by_target("kvs");
-    let stuck = kvs
-        .coverage
-        .blind_spots
-        .iter()
-        .find(|s| s.id == "chaos-42-038")
-        .expect("kvs corpus reproducer loaded");
-    assert!(stuck.statically_flagged, "{stuck:?}");
-    assert!(
-        stuck.evidence.iter().any(|e| e.contains("compaction_loop")),
-        "{stuck:?}"
-    );
-
-    // miniblock replication-link-wedged: global dedup left report_loop
-    // without its own net probe, so its send row is weak.
-    let mb = by_target("miniblock");
-    for id in ["chaos-7-000", "chaos-7-002"] {
-        let spot = mb
-            .coverage
-            .blind_spots
-            .iter()
-            .find(|s| s.id == id)
-            .expect("miniblock corpus reproducer loaded");
-        assert!(spot.statically_flagged, "{spot:?}");
-        assert!(
-            spot.evidence.iter().any(|e| e.contains("report_loop")),
-            "{spot:?}"
-        );
-    }
-}
-
-#[test]
-fn coverage_matrix_round_trips_through_json() {
-    // The archived `results/analysis/coverage_<t>.json` is the matrix CI
-    // compares byte for byte; reading it back must lose nothing.
-    for b in bundles() {
-        let json = serde_json::to_string_pretty(&b.coverage).unwrap();
-        let back: wdog_analyze::CoverageMatrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, b.coverage, "{}: matrix round trip lossy", b.target);
-    }
 }
 
 #[test]
@@ -173,25 +106,6 @@ fn shipped_lock_graphs_are_cycle_free() {
             b.target,
             b.locks.cycles
         );
-    }
-}
-
-#[test]
-fn no_region_has_stuck_coverage_yet() {
-    // Pins the static signature of the kvs chaos miss: until a liveness
-    // checker ships, *every* region must report its stuck dimension as
-    // uncovered — if this starts failing, the matrix (and the corpus
-    // reproducer) need re-recording together.
-    for b in bundles() {
-        for r in &b.coverage.regions {
-            assert_eq!(
-                r.stuck_coverage,
-                CoverageStatus::Uncovered,
-                "{}/{}",
-                b.target,
-                r.entry
-            );
-        }
     }
 }
 

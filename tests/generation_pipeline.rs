@@ -177,6 +177,50 @@ fn dedup_ablation_strictly_increases_retained_ops() {
     }
 }
 
+/// The one vulnerable op per target that reduction drops because another
+/// region's checker keeps a similar op, and the checker that covers it.
+#[test]
+fn each_target_covers_one_op_for_another_region() {
+    let pinned = [
+        (
+            "kvs",
+            "compaction_loop_checker",
+            "write_sstable#write_all",
+            "compact_once#sst_merge_write",
+        ),
+        (
+            "minizk",
+            "request_processor_loop_checker",
+            "serialize_snapshot#lock",
+            "final_apply#tree_write_lock",
+        ),
+        (
+            "miniblock",
+            "heartbeat_loop_checker",
+            "report_loop#send",
+            "heartbeat_loop#send",
+        ),
+    ];
+    for ((ir, plan), (name, checker, op, by)) in plans().into_iter().zip(pinned) {
+        assert_eq!(ir.name, name);
+        let rows: Vec<(&str, String, String)> = plan
+            .checkers
+            .iter()
+            .flat_map(|c| {
+                plan.reduced
+                    .covered_for_others(&c.context_key)
+                    .into_iter()
+                    .map(|(o, _, b)| (c.name.as_str(), o.to_string(), b.to_string()))
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            vec![(checker, op.to_owned(), by.to_owned())],
+            "{name}"
+        );
+    }
+}
+
 /// Every target's plan, in both reduction configurations, instantiates
 /// against the op table of a live system: no planned op lacks its real
 /// implementation.

@@ -1,8 +1,11 @@
 //! Property-based tests over the core data structures and the reduction
 //! pipeline, run on randomly generated programs and inputs.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 
+use wdog_base::ids::OpId;
 use wdog_core::context::{ContextTable, CtxValue};
 use wdog_gen::ir::{OpKind, ProgramBuilder, ProgramIr};
 use wdog_gen::plan::generate_plan;
@@ -91,7 +94,7 @@ proptest! {
     fn every_vulnerable_class_is_represented(ir in program()) {
         let config = ReductionConfig::default();
         let reduced = reduce_program(&ir, &config);
-        let mut region_classes = std::collections::BTreeSet::new();
+        let mut region_classes = BTreeSet::new();
         for region in &reduced.regions {
             for fname in &region.functions {
                 let f = ir.function(fname).unwrap();
@@ -102,13 +105,59 @@ proptest! {
                 }
             }
         }
-        let mut retained_classes = std::collections::BTreeSet::new();
+        let mut retained_classes = BTreeSet::new();
         for rf in &reduced.functions {
             for op in &rf.kept_ops {
                 retained_classes.insert(op.similarity_key());
             }
         }
         prop_assert_eq!(region_classes, retained_classes);
+    }
+
+    /// Every vulnerable op of every region is kept exactly once, or is
+    /// dropped naming a kept op of its similarity class reduced before it.
+    #[test]
+    fn every_vulnerable_op_is_kept_once_or_covered_by_an_earlier_kept_op(ir in program()) {
+        let reduced = reduce_program(&ir, &ReductionConfig::default());
+        let mut kept_before: BTreeMap<OpId, (String, Option<String>)> = BTreeMap::new();
+        let mut reduced_fns = BTreeSet::new();
+        for rf in &reduced.functions {
+            prop_assert!(reduced_fns.insert(rf.name.as_str()), "{} reduced twice", rf.name);
+            let f = ir.function(&rf.name).expect("reduced functions exist");
+            for op in f.ops.iter().filter(|o| !o.kind.is_call() && is_vulnerable(o)) {
+                let id = op.id_in(&rf.name);
+                let kept = rf.kept_ops.iter().any(|k| k.name == op.name);
+                let covers: Vec<&OpId> = rf
+                    .dropped_vulnerable
+                    .iter()
+                    .filter(|(d, _)| *d == id)
+                    .map(|(_, by)| by)
+                    .collect();
+                match (kept, covers.as_slice()) {
+                    (true, []) => {
+                        prop_assert!(kept_before.insert(id, op.similarity_key()).is_none());
+                    }
+                    (false, [by]) => {
+                        prop_assert_eq!(kept_before.get(*by), Some(&op.similarity_key()), "{}", id);
+                    }
+                    _ => prop_assert!(false, "{} kept: {}, covered by {:?}", id, kept, covers),
+                }
+            }
+        }
+        for region in &reduced.regions {
+            for fname in &region.functions {
+                prop_assert!(reduced_fns.contains(fname.as_str()), "{} never reduced", fname);
+            }
+        }
+    }
+
+    /// Without dedup, reduction drops no vulnerable op.
+    #[test]
+    fn no_dedup_drops_nothing(ir in program()) {
+        let reduced = reduce_program(&ir, &ReductionConfig { dedup: false });
+        for rf in &reduced.functions {
+            prop_assert!(rf.dropped_vulnerable.is_empty(), "{}: {:?}", rf.name, rf.dropped_vulnerable);
+        }
     }
 
     /// Disabling dedup never retains fewer ops.
