@@ -11,7 +11,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::pretty::{render_checker, render_region, render_summary};
 use wdog_gen::reduce::ReductionConfig;
@@ -68,13 +67,14 @@ pub struct ReductionResult {
     pub figure3: String,
     /// What each shipped checker covers for another region, per program.
     pub covered: Vec<CoveredOp>,
+    /// The rendered checker inventory of every program's default plan.
+    pub inventory: String,
 }
 
-fn stats_for(ir: &ProgramIr, config: &ReductionConfig, label: &str) -> ProgramReductionStats {
-    let plan = generate_plan(ir, config);
+fn stats_for(plan: &WatchdogPlan, label: &str) -> ProgramReductionStats {
     let s = plan.reduced.stats;
     ProgramReductionStats {
-        program: ir.name.clone(),
+        program: plan.program.clone(),
         config: label.to_owned(),
         functions: s.functions_total,
         regions: s.regions,
@@ -105,43 +105,45 @@ fn covered_ops(plan: &WatchdogPlan) -> Vec<CoveredOp> {
         .collect()
 }
 
-/// Runs E3b over the three target systems.
+/// Runs E3b over the three target systems, building each plan once.
 pub fn run() -> ReductionResult {
-    let kvs_ir = kvs::wd::describe_ir();
-    let zk_ir = minizk::wd::describe_ir();
-    let bb_ir = miniblock::wd::describe_ir();
-    let full = ReductionConfig::default();
-    let no_dedup = ReductionConfig { dedup: false };
-
-    let stats = vec![
-        stats_for(&kvs_ir, &full, "full"),
-        stats_for(&kvs_ir, &no_dedup, "no-dedup"),
-        stats_for(&zk_ir, &full, "full"),
-        stats_for(&zk_ir, &no_dedup, "no-dedup"),
-        stats_for(&bb_ir, &full, "full"),
-        stats_for(&bb_ir, &no_dedup, "no-dedup"),
+    let irs = [
+        kvs::wd::describe_ir(),
+        minizk::wd::describe_ir(),
+        miniblock::wd::describe_ir(),
     ];
+    let plans = irs
+        .each_ref()
+        .map(|ir| generate_plan(ir, &ReductionConfig::default()));
 
-    let zk_plan = generate_plan(&zk_ir, &full);
-    let figure2 = render_region(&zk_ir, &zk_plan, "snapshot_sync_loop");
+    let stats = irs
+        .iter()
+        .zip(&plans)
+        .flat_map(|(ir, plan)| {
+            let no_dedup = generate_plan(ir, &ReductionConfig { dedup: false });
+            [stats_for(plan, "full"), stats_for(&no_dedup, "no-dedup")]
+        })
+        .collect();
+
+    let (zk_ir, zk_plan) = (&irs[1], &plans[1]);
+    let figure2 = render_region(zk_ir, zk_plan, "snapshot_sync_loop");
     let figure3 = zk_plan
         .checker_for("snapshot_sync_loop")
         .map(render_checker)
         .unwrap_or_default();
-    let covered = [
-        generate_plan(&kvs_ir, &full),
-        zk_plan,
-        generate_plan(&bb_ir, &full),
-    ]
-    .iter()
-    .flat_map(covered_ops)
-    .collect();
+    let covered = plans.iter().flat_map(covered_ops).collect();
+    let inventory = plans
+        .iter()
+        .map(render_summary)
+        .collect::<Vec<_>>()
+        .join("\n");
 
     ReductionResult {
         stats,
         figure2,
         figure3,
         covered,
+        inventory,
     }
 }
 
@@ -177,22 +179,8 @@ pub fn render(result: &ReductionResult) -> String {
     out.push_str(&result.figure2);
     out.push_str("\n--- Figure 3 analog: the generated checker ---\n\n");
     out.push_str(&result.figure3);
-    // Also print the per-program checker inventories.
     out.push_str("\n--- Checker inventory ---\n\n");
-    out.push_str(&render_summary(&generate_plan(
-        &kvs::wd::describe_ir(),
-        &ReductionConfig::default(),
-    )));
-    out.push('\n');
-    out.push_str(&render_summary(&generate_plan(
-        &minizk::wd::describe_ir(),
-        &ReductionConfig::default(),
-    )));
-    out.push('\n');
-    out.push_str(&render_summary(&generate_plan(
-        &miniblock::wd::describe_ir(),
-        &ReductionConfig::default(),
-    )));
+    out.push_str(&result.inventory);
     out
 }
 

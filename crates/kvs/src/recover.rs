@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wdog_base::clock::spawn_on;
-use wdog_base::error::{BaseError, BaseResult};
+use wdog_base::error::BaseError;
 
 use wdog_target::{Handle, RecoveryMap, Verifier};
 
@@ -43,10 +43,6 @@ pub fn recovery_map(server: &Arc<KvsServer>) -> RecoveryMap {
     let on = |name: &'static str, act: fn(&Arc<Shared>)| {
         let s = Arc::clone(s);
         Handle::new(name, move || act(&s))
-    };
-    let probe = |id: &'static str, check: fn(&Shared) -> BaseResult<()>| {
-        let s = Arc::clone(s);
-        Verifier::new(id, move || check(&s))
     };
 
     // Restarts retire the component's generation and spawn a fresh one;
@@ -99,8 +95,9 @@ pub fn recovery_map(server: &Arc<KvsServer>) -> RecoveryMap {
 
     // The compaction mimic blames a held lock; recovered means the real
     // lock is takeable again.
-    let lock = probe("kvs.verify.compaction", |s| {
-        s.compaction_lock
+    let s2 = Arc::clone(s);
+    let lock = Verifier::new("kvs.verify.compaction", move || {
+        s2.compaction_lock
             .try_lock_for(VERIFY_LOCK_WAIT)
             .map(drop)
             .ok_or_else(|| BaseError::Timeout {
@@ -110,15 +107,17 @@ pub fn recovery_map(server: &Arc<KvsServer>) -> RecoveryMap {
     });
     // A probe write + sync on the WAL volume: wedges under a disk fault
     // exactly like the real flusher.
-    let wal = probe("kvs.verify.flusher", |s| {
-        s.disk
+    let s2 = Arc::clone(s);
+    let wal = Verifier::new("kvs.verify.flusher", move || {
+        s2.disk
             .append(WAL_PROBE_PATH, b"rv")
-            .and_then(|()| s.disk.fsync(WAL_PROBE_PATH))
+            .and_then(|()| s2.disk.fsync(WAL_PROBE_PATH))
     });
     // A tagged probe frame on the real link; blocks while the link is
     // wedged, fails while it errors.
-    let link = probe("kvs.verify.replication", |s| {
-        let (Some(repl), Some(net)) = (&s.config.replication, &s.net) else {
+    let s2 = Arc::clone(s);
+    let link = Verifier::new("kvs.verify.replication", move || {
+        let (Some(repl), Some(net)) = (&s2.config.replication, &s2.net) else {
             return Err(BaseError::InvalidState("replication disabled".into()));
         };
         let mut frame = WD_PROBE_PREFIX.to_vec();
@@ -148,7 +147,7 @@ pub fn recovery_map(server: &Arc<KvsServer>) -> RecoveryMap {
     });
 
     let (durable, replicated) = (s.config.durable, s.config.replication.is_some());
-    RecoveryMap::default()
+    RecoveryMap::new(Arc::clone(&s.clock))
         .with(
             &["kvs.compaction_loop"],
             durable.then_some(&compaction),

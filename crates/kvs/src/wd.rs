@@ -27,10 +27,8 @@ use std::time::Duration;
 use wdog_base::clock::SharedClock;
 use wdog_base::error::{BaseError, BaseResult};
 
-use wdog_checkers::probe::ProbeChecker;
-use wdog_checkers::signal::{
-    DiskSpaceChecker, MemoryWatermarkChecker, QueueDepthChecker, SleepDriftChecker,
-};
+use wdog_checkers::probe_checker;
+use wdog_checkers::signal::{disk_space, memory_watermark, queue_depth, sleep_drift};
 use wdog_core::prelude::*;
 
 use wdog_gen::interp::{OpTable, ResourceImpl};
@@ -156,85 +154,76 @@ pub fn probe_checkers(server: &KvsServer, opts: &WdOptions) -> Vec<Box<dyn Check
     {
         let client = server.client();
         let n = AtomicU64::new(0);
-        v.push(Box::new(
-            ProbeChecker::new(
-                "kvs.probe.set_get",
-                "kvs.api",
-                "set_get",
-                Arc::clone(&clock),
-                move || -> BaseResult<()> {
-                    let i = n.fetch_add(1, Ordering::Relaxed);
-                    let key = format!("{KEY_PROBE_PREFIX}probe:{}", i % 4);
-                    let val = format!("probe-{i}");
-                    client.set(&key, &val)?;
-                    let got = client.get(&key)?;
-                    if got.as_deref() != Some(val.as_str()) {
-                        return Err(BaseError::Corruption(format!(
-                            "probe read back {:?}, expected {:?}",
-                            got, val
-                        )));
-                    }
-                    Ok(())
-                },
-            )
-            .with_slow_threshold(opts.probe_slow_threshold)
-            .with_timeout(opts.checker_timeout),
-        ));
+        v.push(Box::new(probe_checker(
+            "kvs.probe.set_get",
+            "kvs.api",
+            "set_get",
+            Arc::clone(&clock),
+            Some(opts.probe_slow_threshold),
+            move || -> BaseResult<()> {
+                let i = n.fetch_add(1, Ordering::Relaxed);
+                let key = format!("{KEY_PROBE_PREFIX}probe:{}", i % 4);
+                let val = format!("probe-{i}");
+                client.set(&key, &val)?;
+                let got = client.get(&key)?;
+                if got.as_deref() != Some(val.as_str()) {
+                    return Err(BaseError::Corruption(format!(
+                        "probe read back {:?}, expected {:?}",
+                        got, val
+                    )));
+                }
+                Ok(())
+            },
+        )));
     }
 
     // DEL contract: delete then read must observe absence.
     {
         let client = server.client();
-        v.push(Box::new(
-            ProbeChecker::new(
-                "kvs.probe.del",
-                "kvs.api",
-                "del",
-                Arc::clone(&clock),
-                move || -> BaseResult<()> {
-                    let key = format!("{KEY_PROBE_PREFIX}probe:del");
-                    client.set(&key, "x")?;
-                    client.del(&key)?;
-                    if client.get(&key)?.is_some() {
-                        return Err(BaseError::Corruption(
-                            "deleted probe key still readable".into(),
-                        ));
-                    }
-                    Ok(())
-                },
-            )
-            .with_slow_threshold(opts.probe_slow_threshold)
-            .with_timeout(opts.checker_timeout),
-        ));
+        v.push(Box::new(probe_checker(
+            "kvs.probe.del",
+            "kvs.api",
+            "del",
+            Arc::clone(&clock),
+            Some(opts.probe_slow_threshold),
+            move || -> BaseResult<()> {
+                let key = format!("{KEY_PROBE_PREFIX}probe:del");
+                client.set(&key, "x")?;
+                client.del(&key)?;
+                if client.get(&key)?.is_some() {
+                    return Err(BaseError::Corruption(
+                        "deleted probe key still readable".into(),
+                    ));
+                }
+                Ok(())
+            },
+        )));
     }
 
     // APPEND contract.
     {
         let client = server.client();
-        v.push(Box::new(
-            ProbeChecker::new(
-                "kvs.probe.append",
-                "kvs.api",
-                "append",
-                clock,
-                move || -> BaseResult<()> {
-                    let key = format!("{KEY_PROBE_PREFIX}probe:app");
-                    client.set(&key, "a")?;
-                    client.append(&key, "b")?;
-                    let got = client.get(&key)?;
-                    if got.as_deref() != Some("ab") {
-                        return Err(BaseError::Corruption(format!(
-                            "append probe read back {:?}",
-                            got
-                        )));
-                    }
-                    client.del(&key)?;
-                    Ok(())
-                },
-            )
-            .with_slow_threshold(opts.probe_slow_threshold)
-            .with_timeout(opts.checker_timeout),
-        ));
+        v.push(Box::new(probe_checker(
+            "kvs.probe.append",
+            "kvs.api",
+            "append",
+            clock,
+            Some(opts.probe_slow_threshold),
+            move || -> BaseResult<()> {
+                let key = format!("{KEY_PROBE_PREFIX}probe:app");
+                client.set(&key, "a")?;
+                client.append(&key, "b")?;
+                let got = client.get(&key)?;
+                if got.as_deref() != Some("ab") {
+                    return Err(BaseError::Corruption(format!(
+                        "append probe read back {:?}",
+                        got
+                    )));
+                }
+                client.del(&key)?;
+                Ok(())
+            },
+        )));
     }
 
     v
@@ -245,27 +234,27 @@ pub fn signal_checkers(server: &KvsServer, opts: &WdOptions) -> Vec<Box<dyn Chec
     let monitor = server.monitor();
     let clock: SharedClock = Arc::clone(&server.shared().clock);
     let mut v: Vec<Box<dyn Checker>> = vec![
-        Box::new(MemoryWatermarkChecker::new(
+        Box::new(memory_watermark(
             "kvs.signal.memory",
             "kvs",
             monitor.clone(),
             opts.memory_watermark,
         )),
-        Box::new(QueueDepthChecker::new(
+        Box::new(queue_depth(
             "kvs.signal.request_queue",
             "kvs.listener",
             monitor.clone(),
             "requests",
             opts.queue_threshold,
         )),
-        Box::new(QueueDepthChecker::new(
+        Box::new(queue_depth(
             "kvs.signal.wal_queue",
             "kvs.flusher",
             monitor.clone(),
             "wal",
             opts.queue_threshold,
         )),
-        Box::new(SleepDriftChecker::new(
+        Box::new(sleep_drift(
             "kvs.signal.sleep_drift",
             "kvs",
             Arc::clone(&clock),
@@ -273,7 +262,7 @@ pub fn signal_checkers(server: &KvsServer, opts: &WdOptions) -> Vec<Box<dyn Chec
             Duration::from_millis(10),
             Duration::from_millis(500),
         )),
-        Box::new(DiskSpaceChecker::new(
+        Box::new(disk_space(
             "kvs.signal.disk_space",
             "kvs",
             server.disk(),
@@ -281,7 +270,7 @@ pub fn signal_checkers(server: &KvsServer, opts: &WdOptions) -> Vec<Box<dyn Chec
         )),
     ];
     if server.config().replication.is_some() {
-        v.push(Box::new(QueueDepthChecker::new(
+        v.push(Box::new(queue_depth(
             "kvs.signal.repl_queue",
             "kvs.replication",
             monitor,

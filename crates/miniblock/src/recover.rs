@@ -14,7 +14,7 @@ use wdog_base::clock::spawn_on;
 use wdog_target::{Handle, RecoveryMap, Verifier};
 
 use crate::datanode::{heartbeat_loop, scanner_loop, DataNode};
-use crate::namenode::{NnMsg, NAMENODE_ADDR};
+use crate::namenode::NAMENODE_ADDR;
 
 /// Volume path the disk verifier probes (skipped by the scanner).
 const RECOVER_PROBE_PATH: &str = "blocks/vol1/__wd_recover";
@@ -46,16 +46,16 @@ pub fn recovery_map(datanode: &Arc<DataNode>) -> RecoveryMap {
         disk.append(RECOVER_PROBE_PATH, b"rv")
             .and_then(|()| disk.fsync(RECOVER_PROBE_PATH))
     });
-    // NameNode-link blame: a real heartbeat frame on the same link.
+    // NameNode-link blame: the op table's probe frame on the same link.
+    // The NameNode ignores it, so verifying never refreshes its liveness
+    // view of this DataNode the way a real heartbeat would.
     let s2 = Arc::clone(s);
     let link = Verifier::new("miniblock.verify.link", move || {
-        let msg = NnMsg::Heartbeat {
-            datanode: s2.id.clone(),
-        };
-        s2.net.send(&s2.id, NAMENODE_ADDR, msg.encode())
+        let frame = bytes::Bytes::from_static(b"__wd__");
+        s2.net.send(&s2.id, NAMENODE_ADDR, frame)
     });
 
-    RecoveryMap::default()
+    RecoveryMap::new(Arc::clone(&s.clock))
         .with(
             &["miniblock.scanner_loop"],
             Some(&scanner),
@@ -80,7 +80,7 @@ pub fn recovery_map(datanode: &Arc<DataNode>) -> RecoveryMap {
 mod tests {
     use super::*;
     use crate::datanode::DataNodeConfig;
-    use crate::namenode::NameNode;
+    use crate::namenode::{NameNode, NnMsg};
     use simio::net::{LinkRule, NetFault, SimNet};
     use std::time::Duration;
     use wdog_base::clock::RealClock;
@@ -178,6 +178,33 @@ mod tests {
         assert!(!checker.check().is_pass());
         disk.clear(handle);
         assert!(checker.check().is_pass());
+    }
+
+    #[test]
+    fn link_verifier_leaves_the_namenode_liveness_view_alone() {
+        // The verifier is a probe: it must not heartbeat on the DataNode's
+        // behalf. Shed the heartbeat loop and silence the block reports
+        // (they refresh liveness too), then wait past `suspect_after`.
+        let (dn, nn) = node();
+        wait_for(|| nn.datanode_alive(dn.id()), "a first heartbeat");
+        let surface = recovery_map(&dn).surface();
+        let heartbeat = ComponentId::new("miniblock.heartbeat_loop");
+        surface.degrade.degrade(&heartbeat);
+        dn.crash();
+        wait_for(|| !nn.datanode_alive(dn.id()), "the NameNode to suspect dn");
+
+        let mut checker = (surface.verifier)(&heartbeat).unwrap();
+        assert!(checker.check().is_pass());
+        // The NameNode's mailbox is FIFO: once a later heartbeat from
+        // another sender lands, the verifier's frame has been handled.
+        let fence = NnMsg::Heartbeat {
+            datanode: "fence".into(),
+        };
+        dn.net()
+            .send("fence", NAMENODE_ADDR, fence.encode())
+            .unwrap();
+        wait_for(|| nn.datanode_alive("fence"), "the fence heartbeat");
+        assert!(!nn.datanode_alive(dn.id()), "the verifier heartbeated dn");
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub fn recovery_map(cluster: &Arc<Cluster>) -> RecoveryMap {
         }
     });
 
-    RecoveryMap::default()
+    RecoveryMap::new(Arc::clone(&cluster.shared().clock))
         .with(
             &["minizk.broadcast_loop", "minizk.quorum"],
             Some(&restart),

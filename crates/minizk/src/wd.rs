@@ -24,8 +24,8 @@ use std::time::Duration;
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
 
-use wdog_checkers::probe::ProbeChecker;
-use wdog_checkers::signal::QueueDepthChecker;
+use wdog_checkers::probe_checker;
+use wdog_checkers::signal::queue_depth;
 use wdog_core::prelude::*;
 
 use wdog_gen::interp::OpTable;
@@ -140,35 +140,32 @@ pub fn build_watchdog(
     if opts.families.probes {
         // Probe checker: a read of the root node on the tree's read path.
         let tree = cluster.tree();
-        builder = builder.checker(Box::new(
-            ProbeChecker::new(
-                "minizk.probe.write",
-                "minizk.api",
-                "set_data",
-                Arc::clone(&clock),
-                move || -> BaseResult<()> {
-                    // A write through the pipeline from inside the process
-                    // risks self-deadlock during the 2201 hang, so the probe
-                    // only reads `/`, which takes no write-serialization
-                    // lock and stays live through that hang.
-                    tree.get_data("/").map(|_| ())
-                },
-            )
-            .with_slow_threshold(opts.probe_slow_threshold)
-            .with_timeout(opts.checker_timeout),
-        ));
+        builder = builder.checker(Box::new(probe_checker(
+            "minizk.probe.write",
+            "minizk.api",
+            "set_data",
+            Arc::clone(&clock),
+            Some(opts.probe_slow_threshold),
+            move || -> BaseResult<()> {
+                // A write through the pipeline from inside the process
+                // risks self-deadlock during the 2201 hang, so the probe
+                // only reads `/`, which takes no write-serialization
+                // lock and stays live through that hang.
+                tree.get_data("/").map(|_| ())
+            },
+        )));
     }
 
     if opts.families.signals {
         // Signal checkers: pipeline and broadcast backlogs.
-        builder = builder.checker(Box::new(QueueDepthChecker::new(
+        builder = builder.checker(Box::new(queue_depth(
             "minizk.signal.pipeline",
             "minizk.processors",
             cluster.monitor(),
             "pipeline",
             opts.queue_threshold,
         )));
-        builder = builder.checker(Box::new(QueueDepthChecker::new(
+        builder = builder.checker(Box::new(queue_depth(
             "minizk.signal.broadcast",
             "minizk.quorum",
             cluster.monitor(),

@@ -10,11 +10,12 @@
 //! `WdProbe` wire variant that peers ignore. This pass makes the
 //! convention checkable:
 //!
-//! * probe bodies are discovered lexically in each target's `wd.rs`
-//!   (the argument lists of `table.bind("resource", ..)` calls, whether
-//!   they pass a template or an inline body, and
-//!   `ProbeChecker::new("id", .., move || {..})` closures) plus the `check`
-//!   methods of configured hand-written checker files;
+//! * probe bodies are discovered lexically in each target's `wd.rs` and
+//!   `recover.rs` (the argument lists of `table.bind("resource", ..)`
+//!   calls, whether they pass a template or an inline body, and the
+//!   closures of `probe_checker("id", .., move || {..})` and
+//!   `Verifier::new("id", move || {..})` calls) plus the `check` methods
+//!   of configured hand-written checker files;
 //! * every *mutating* call in a body (a known I/O or state-mutation
 //!   method, or a template constructor that writes or sends) must have a
 //!   probe-tagged argument: a `__wd` string, a const resolving to one, the
@@ -30,7 +31,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::lexer::Token;
-use crate::model::{matching_brace, matching_paren, CrateModel};
+use crate::model::{matching_paren, CrateModel};
 
 /// The probe-isolation marker every tagged resource carries.
 pub const PROBE_MARKER: &str = "__wd";
@@ -330,26 +331,34 @@ fn enclosing_fn(model: &CrateModel, file: usize, at: usize) -> Option<&str> {
         .map(|f| f.name.as_str())
 }
 
-/// Finds `table.bind("resource", ..)` argument lists and
-/// `ProbeChecker::new("id", .., move || { .. })` closures in file
-/// `file_idx` of `model`.
+/// Finds `table.bind("resource", ..)` argument lists and the closures of
+/// `probe_checker("id", .., move || { .. })` and
+/// `Verifier::new("id", move || { .. })` calls in file `file_idx` of
+/// `model`.
 fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<ProbeUnit>) {
     let tokens = &model.files[file_idx].tokens;
     let mut i = 0usize;
     while i < tokens.len() {
-        let is_bind = tokens[i].ident() == Some("bind")
-            && i > 0
-            && tokens[i - 1].is_punct('.')
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
-        let is_probe_new = tokens[i].ident() == Some("ProbeChecker")
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(i + 3).and_then(Token::ident) == Some("new")
-            && tokens.get(i + 4).is_some_and(|t| t.is_punct('('));
-        if !is_bind && !is_probe_new {
+        let is_bind = tokens[i].ident() == Some("bind") && i > 0 && tokens[i - 1].is_punct('.');
+        // The token that opens the call's argument list.
+        let open = match tokens[i].ident() {
+            Some("bind") if is_bind => i + 1,
+            Some("probe_checker") => i + 1,
+            Some("Verifier")
+                if tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
+                    && tokens.get(i + 3).and_then(Token::ident) == Some("new") =>
+            {
+                i + 4
+            }
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        if !tokens.get(open).is_some_and(|t| t.is_punct('(')) {
             i += 1;
             continue;
         }
-        let open = if is_probe_new { i + 4 } else { i + 1 };
         let Some(close) = matching_paren(tokens, open) else {
             i += 1;
             continue;
@@ -360,16 +369,14 @@ fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<Probe
             crate::lexer::Tok::Str(s) => Some(s.clone()),
             _ => None,
         };
-        // The probe body: a bind's whole argument list, else the brace
-        // block of the closure argument (the first `{` past its `|`, after
-        // any `-> Type`).
+        // The probe body: a bind's whole argument list, else the closure
+        // argument, from its first `|` to the end of the call.
         let body = if is_bind {
             Some((open + 1)..close)
         } else {
             (open + 1..close)
                 .find(|&j| tokens[j].is_punct('|'))
-                .and_then(|j| (j..close).find(|&k| tokens[k].is_punct('{')))
-                .and_then(|k| Some((k + 1)..matching_brace(tokens, k)?))
+                .map(|j| j..close)
         };
         if let Some(body) = body {
             let function = enclosing_fn(model, file_idx, i).unwrap_or_default();
@@ -391,7 +398,7 @@ pub fn analyze_safety_model(program: &str, model: &CrateModel) -> SafetyReport {
     let mut units = Vec::new();
     for (idx, file) in model.files.iter().enumerate() {
         let fname = file.rel_path.rsplit('/').next().unwrap_or(&file.rel_path);
-        if fname == "wd.rs" {
+        if fname == "wd.rs" || fname == "recover.rs" {
             find_closure_units(model, idx, &mut units);
         }
         if checker_files(program).contains(&fname) {
@@ -587,11 +594,12 @@ fn op_table(s: &S) -> OpTable {
         let r = report(
             r#"
 fn build(s: &S) {
-    b.checker(Box::new(ProbeChecker::new(
+    b.checker(Box::new(probe_checker(
         "x.probe.send",
         "x.api",
         "send",
         clock,
+        Some(opts.probe_slow_threshold),
         move || -> R {
             s.net.send(SRC, DST, Msg::WdProbe.encode())
         },
@@ -602,6 +610,41 @@ fn build(s: &S) {
         assert_eq!(r.probes.len(), 1);
         assert_eq!(r.probes[0].id, "x.probe.send");
         assert_eq!(r.probes[0].class, SafetyClass::ReplicaWrite);
+    }
+
+    #[test]
+    fn recovery_verifiers_in_recover_rs_are_units() {
+        let src = r#"
+const PROBE: &str = "wal/__wd_probe";
+fn recovery_map(s: &S) -> RecoveryMap {
+    let s2 = Arc::clone(s);
+    let wal = Verifier::new("x.verify.wal", move || s2.disk.append(PROBE, b"rv"));
+    let link = Verifier::new("x.verify.link", move || {
+        let msg = Msg::Heartbeat { node: s.id.clone() };
+        s.net.send(&s.id, LEADER, msg.encode())
+    });
+    let restart = Handle::new("loop", move || s.restart());
+    RecoveryMap::new(clock).with(&["x.loop"], Some(&restart), None, &wal)
+}
+"#;
+        let model = CrateModel::build(vec![SourceFile::parse(
+            "crates/x/src/recover.rs",
+            src,
+            false,
+        )]);
+        let r = analyze_safety_model("x", &model);
+        let got: Vec<(&str, &str, SafetyClass)> = r
+            .probes
+            .iter()
+            .map(|p| (p.id.as_str(), p.function.as_str(), p.class))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("x.verify.wal", "recovery_map", SafetyClass::ReplicaWrite),
+                ("x.verify.link", "recovery_map", SafetyClass::SharedMutation),
+            ]
+        );
     }
 
     #[test]

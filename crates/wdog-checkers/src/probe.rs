@@ -7,8 +7,10 @@
 //! software provides — but its completeness is weak (it sees only the API
 //! surface with canned inputs) and it cannot localize what caused a failure.
 //!
-//! Accordingly, [`ProbeChecker`] reports failures at the API level only: the
-//! fault location names the public entry point, never an internal operation.
+//! Accordingly, [`probe_checker`] reports failures at the API level only:
+//! the fault location names the public entry point, never an internal
+//! operation. Recovery verifiers (`wdog_target::Verifier`) are probes too
+//! and run through the same rule.
 
 use std::time::Duration;
 
@@ -21,123 +23,63 @@ use wdog_core::prelude::*;
 /// A checker that exercises one public API call with pre-supplied input.
 ///
 /// The probe closure returns `Ok(())` when the contract held. The checker
-/// times the call; an error becomes [`FailureKind::Error`] (or
-/// [`FailureKind::Stuck`]/[`FailureKind::Corruption`] if the error class says
-/// so), and a latency above `slow_threshold` becomes [`FailureKind::Slow`].
+/// times the call on `clock`; an error becomes a failure of the kind
+/// [`FailureKind::from_error`] gives it at `(component, api)`, and a
+/// success slower than `slow_threshold` becomes [`FailureKind::Slow`].
 ///
 /// # Examples
 ///
 /// ```
-/// use wdog_checkers::ProbeChecker;
+/// use wdog_checkers::probe_checker;
 /// use wdog_core::prelude::*;
 /// use wdog_base::clock::RealClock;
 ///
-/// let mut checker = ProbeChecker::new(
+/// let mut checker = probe_checker(
 ///     "kvs.probe.set-get",
 ///     "kvs.api",
 ///     "set_get",
 ///     RealClock::shared(),
+///     None,
 ///     || Ok(()), // would submit SET then GET and compare
 /// );
 /// assert!(checker.check().is_pass());
 /// ```
-pub struct ProbeChecker<F> {
-    id: CheckerId,
-    component: ComponentId,
-    api_name: String,
+pub fn probe_checker(
+    id: impl Into<CheckerId>,
+    component: impl Into<ComponentId>,
+    api: impl Into<String>,
     clock: SharedClock,
-    probe: F,
     slow_threshold: Option<Duration>,
-    timeout: Option<Duration>,
-}
-
-impl<F> ProbeChecker<F>
-where
-    F: FnMut() -> BaseResult<()> + Send,
-{
-    /// Creates a probe checker for the given public API entry point.
-    pub fn new(
-        id: impl Into<CheckerId>,
-        component: impl Into<ComponentId>,
-        api_name: impl Into<String>,
-        clock: SharedClock,
-        probe: F,
-    ) -> Self {
-        Self {
-            id: id.into(),
-            component: component.into(),
-            api_name: api_name.into(),
-            clock,
-            probe,
-            slow_threshold: None,
-            timeout: None,
-        }
-    }
-
-    /// Reports [`FailureKind::Slow`] when a successful probe exceeds `t`.
-    pub fn with_slow_threshold(mut self, t: Duration) -> Self {
-        self.slow_threshold = Some(t);
-        self
-    }
-
-    /// Sets the execution timeout enforced by the driver.
-    pub fn with_timeout(mut self, t: Duration) -> Self {
-        self.timeout = Some(t);
-        self
-    }
-
-    fn location(&self) -> FaultLocation {
-        // API level only: probes cannot pinpoint internal operations.
-        FaultLocation::new(self.component.clone(), self.api_name.clone())
-    }
-}
-
-impl<F> Checker for ProbeChecker<F>
-where
-    F: FnMut() -> BaseResult<()> + Send,
-{
-    fn id(&self) -> CheckerId {
-        self.id.clone()
-    }
-
-    fn component(&self) -> ComponentId {
-        self.component.clone()
-    }
-
-    fn timeout(&self) -> Option<Duration> {
-        self.timeout
-    }
-
-    fn check(&mut self) -> CheckStatus {
-        let start = self.clock.now();
-        let result = (self.probe)();
-        let elapsed = self.clock.now().saturating_sub(start);
-        match result {
-            Ok(()) => {
-                if let Some(threshold) = self.slow_threshold {
-                    if elapsed > threshold {
-                        return CheckStatus::Fail(
-                            CheckFailure::new(
-                                FailureKind::Slow,
-                                self.location(),
-                                format!(
-                                    "probe succeeded but took {} ms (threshold {} ms)",
-                                    elapsed.as_millis(),
-                                    threshold.as_millis()
-                                ),
-                            )
-                            .with_latency_ms(elapsed.as_millis() as u64),
-                        );
-                    }
-                }
-                CheckStatus::Pass
-            }
-            Err(e) => CheckStatus::Fail(
-                CheckFailure::new(FailureKind::from_error(&e), self.location(), e.to_string())
-                    .with_latency_ms(elapsed.as_millis() as u64),
+    mut probe: impl FnMut() -> BaseResult<()> + Send,
+) -> FnChecker<impl FnMut() -> CheckStatus + Send> {
+    let component = component.into();
+    // API level only: probes cannot pinpoint internal operations.
+    let location = FaultLocation::new(component.clone(), api.into());
+    FnChecker::new(id, component, move || {
+        let start = clock.now();
+        let result = probe();
+        let elapsed = clock.now().saturating_sub(start);
+        let latency_ms = elapsed.as_millis() as u64;
+        match (result, slow_threshold) {
+            (Err(e), _) => CheckStatus::Fail(
+                CheckFailure::new(FailureKind::from_error(&e), location.clone(), e.to_string())
+                    .with_latency_ms(latency_ms),
             ),
+            (Ok(()), Some(threshold)) if elapsed > threshold => CheckStatus::Fail(
+                CheckFailure::new(
+                    FailureKind::Slow,
+                    location.clone(),
+                    format!(
+                        "probe succeeded but took {} ms (threshold {} ms)",
+                        elapsed.as_millis(),
+                        threshold.as_millis()
+                    ),
+                )
+                .with_latency_ms(latency_ms),
+            ),
+            (Ok(()), _) => CheckStatus::Pass,
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -148,13 +90,13 @@ mod tests {
 
     #[test]
     fn successful_probe_passes() {
-        let mut c = ProbeChecker::new("p", "api", "get", RealClock::shared(), || Ok(()));
+        let mut c = probe_checker("p", "api", "get", RealClock::shared(), None, || Ok(()));
         assert!(c.check().is_pass());
     }
 
     #[test]
     fn failing_probe_reports_error_at_api_level() {
-        let mut c = ProbeChecker::new("p", "kvs.api", "set", RealClock::shared(), || {
+        let mut c = probe_checker("p", "kvs.api", "set", RealClock::shared(), None, || {
             Err(BaseError::Io("write failed".into()))
         });
         let CheckStatus::Fail(f) = c.check() else {
@@ -183,7 +125,7 @@ mod tests {
             (BaseError::Io("eio".into()), FailureKind::Error),
         ];
         for (e, kind) in cases {
-            let mut c = ProbeChecker::new("p", "api", "set", RealClock::shared(), move || {
+            let mut c = probe_checker("p", "api", "set", RealClock::shared(), None, move || {
                 Err(e.clone())
             });
             let CheckStatus::Fail(f) = c.check() else {
@@ -196,11 +138,17 @@ mod tests {
     #[test]
     fn slow_probe_flagged_when_threshold_set() {
         let clock = RealClock::shared();
-        let mut c = ProbeChecker::new("p", "api", "get", clock, || {
-            std::thread::sleep(Duration::from_millis(20));
-            Ok(())
-        })
-        .with_slow_threshold(Duration::from_millis(1));
+        let mut c = probe_checker(
+            "p",
+            "api",
+            "get",
+            clock,
+            Some(Duration::from_millis(1)),
+            || {
+                std::thread::sleep(Duration::from_millis(20));
+                Ok(())
+            },
+        );
         let CheckStatus::Fail(f) = c.check() else {
             panic!("expected slow failure");
         };
@@ -210,17 +158,23 @@ mod tests {
 
     #[test]
     fn fast_probe_not_flagged_with_threshold() {
-        let mut c = ProbeChecker::new("p", "api", "get", RealClock::shared(), || Ok(()))
-            .with_slow_threshold(Duration::from_secs(10));
+        let mut c = probe_checker(
+            "p",
+            "api",
+            "get",
+            RealClock::shared(),
+            Some(Duration::from_secs(10)),
+            || Ok(()),
+        );
         assert!(c.check().is_pass());
     }
 
     #[test]
     fn metadata_exposed() {
-        let c = ProbeChecker::new("p", "api", "get", RealClock::shared(), || Ok(()))
-            .with_timeout(Duration::from_secs(2));
+        let c = probe_checker("p", "api", "get", RealClock::shared(), None, || Ok(()));
         assert_eq!(c.id(), CheckerId::new("p"));
         assert_eq!(c.component(), ComponentId::new("api"));
-        assert_eq!(Checker::timeout(&c), Some(Duration::from_secs(2)));
+        // The driver's default timeout applies: a probe sets none of its own.
+        assert_eq!(Checker::timeout(&c), None);
     }
 }

@@ -28,108 +28,51 @@ fn indicator_location(component: &ComponentId, indicator: &str) -> FaultLocation
 
 /// Fails when accounted memory exceeds a watermark (the "enough memory
 /// remains" ad-hoc check from §3, made systematic).
-pub struct MemoryWatermarkChecker {
-    id: CheckerId,
-    component: ComponentId,
+pub fn memory_watermark(
+    id: impl Into<CheckerId>,
+    component: impl Into<ComponentId>,
     monitor: ResourceMonitor,
     max_bytes: u64,
-}
-
-impl MemoryWatermarkChecker {
-    /// Creates a checker that fires above `max_bytes` of accounted memory.
-    pub fn new(
-        id: impl Into<CheckerId>,
-        component: impl Into<ComponentId>,
-        monitor: ResourceMonitor,
-        max_bytes: u64,
-    ) -> Self {
-        Self {
-            id: id.into(),
-            component: component.into(),
-            monitor,
-            max_bytes,
-        }
-    }
-}
-
-impl Checker for MemoryWatermarkChecker {
-    fn id(&self) -> CheckerId {
-        self.id.clone()
-    }
-
-    fn component(&self) -> ComponentId {
-        self.component.clone()
-    }
-
-    fn check(&mut self) -> CheckStatus {
-        let used = self.monitor.memory_bytes();
-        if used > self.max_bytes {
+) -> FnChecker<impl FnMut() -> CheckStatus + Send> {
+    let component = component.into();
+    let location = indicator_location(&component, "memory");
+    FnChecker::new(id, component, move || {
+        let used = monitor.memory_bytes();
+        if used > max_bytes {
             CheckStatus::Fail(CheckFailure::new(
                 FailureKind::AssertViolation,
-                indicator_location(&self.component, "memory"),
-                format!("memory {used} B above watermark {} B", self.max_bytes),
+                location.clone(),
+                format!("memory {used} B above watermark {max_bytes} B"),
             ))
         } else {
             CheckStatus::Pass
         }
-    }
+    })
 }
 
-/// Fails when a named queue is deeper than a threshold.
+/// Fails when the queue registered as `queue` is deeper than `max_depth`.
 ///
 /// This is the paper's canonical weak-accuracy example: "when the checker
 /// finds kvs's request queue is full ... kvs might in fact be processing a
 /// continuous stream of requests without error."
-pub struct QueueDepthChecker {
-    id: CheckerId,
-    component: ComponentId,
+pub fn queue_depth(
+    id: impl Into<CheckerId>,
+    component: impl Into<ComponentId>,
     monitor: ResourceMonitor,
-    queue: String,
+    queue: impl Into<String>,
     max_depth: usize,
-}
-
-impl QueueDepthChecker {
-    /// Creates a checker over the queue registered as `queue`.
-    pub fn new(
-        id: impl Into<CheckerId>,
-        component: impl Into<ComponentId>,
-        monitor: ResourceMonitor,
-        queue: impl Into<String>,
-        max_depth: usize,
-    ) -> Self {
-        Self {
-            id: id.into(),
-            component: component.into(),
-            monitor,
-            queue: queue.into(),
-            max_depth,
-        }
-    }
-}
-
-impl Checker for QueueDepthChecker {
-    fn id(&self) -> CheckerId {
-        self.id.clone()
-    }
-
-    fn component(&self) -> ComponentId {
-        self.component.clone()
-    }
-
-    fn check(&mut self) -> CheckStatus {
-        match self.monitor.queue_depth(&self.queue) {
-            None => CheckStatus::NotReady,
-            Some(depth) if depth > self.max_depth => CheckStatus::Fail(CheckFailure::new(
-                FailureKind::AssertViolation,
-                indicator_location(&self.component, &format!("queue:{}", self.queue)),
-                format!(
-                    "queue '{}' depth {depth} above threshold {}",
-                    self.queue, self.max_depth
-                ),
-            )),
-            Some(_) => CheckStatus::Pass,
-        }
-    }
+) -> FnChecker<impl FnMut() -> CheckStatus + Send> {
+    let (component, queue) = (component.into(), queue.into());
+    let location = indicator_location(&component, &format!("queue:{queue}"));
+    FnChecker::new(id, component, move || match monitor.queue_depth(&queue) {
+        None => CheckStatus::NotReady,
+        Some(depth) if depth > max_depth => CheckStatus::Fail(CheckFailure::new(
+            FailureKind::AssertViolation,
+            location.clone(),
+            format!("queue '{queue}' depth {depth} above threshold {max_depth}"),
+        )),
+        Some(_) => CheckStatus::Pass,
+    })
 }
 
 /// Detects process-wide pauses by measuring sleep drift (§3.3's GC-pause
@@ -140,59 +83,30 @@ impl Checker for QueueDepthChecker {
 /// stop-the-world pause or severe scheduling delay. The sleep passes through
 /// the process's [`StallPoint`] so that injected pauses affect the checker
 /// exactly as they affect worker threads — a deliberate fate-sharing design.
-pub struct SleepDriftChecker {
-    id: CheckerId,
-    component: ComponentId,
+pub fn sleep_drift(
+    id: impl Into<CheckerId>,
+    component: impl Into<ComponentId>,
     clock: SharedClock,
     stall: StallPoint,
     requested: Duration,
     max_drift: Duration,
-}
-
-impl SleepDriftChecker {
-    /// Creates a drift checker sleeping `requested` with tolerance `max_drift`.
-    pub fn new(
-        id: impl Into<CheckerId>,
-        component: impl Into<ComponentId>,
-        clock: SharedClock,
-        stall: StallPoint,
-        requested: Duration,
-        max_drift: Duration,
-    ) -> Self {
-        Self {
-            id: id.into(),
-            component: component.into(),
-            clock,
-            stall,
-            requested,
-            max_drift,
-        }
-    }
-}
-
-impl Checker for SleepDriftChecker {
-    fn id(&self) -> CheckerId {
-        self.id.clone()
-    }
-
-    fn component(&self) -> ComponentId {
-        self.component.clone()
-    }
-
-    fn check(&mut self) -> CheckStatus {
-        let start = self.clock.now();
-        self.clock.sleep(self.requested);
-        self.stall.pass(self.clock.as_ref());
-        let elapsed = self.clock.now().saturating_sub(start);
-        let drift = elapsed.saturating_sub(self.requested);
-        if drift > self.max_drift {
+) -> FnChecker<impl FnMut() -> CheckStatus + Send> {
+    let component = component.into();
+    let location = indicator_location(&component, "scheduling");
+    FnChecker::new(id, component, move || {
+        let start = clock.now();
+        clock.sleep(requested);
+        stall.pass(clock.as_ref());
+        let elapsed = clock.now().saturating_sub(start);
+        let drift = elapsed.saturating_sub(requested);
+        if drift > max_drift {
             CheckStatus::Fail(
                 CheckFailure::new(
                     FailureKind::Slow,
-                    indicator_location(&self.component, "scheduling"),
+                    location.clone(),
                     format!(
                         "worker slept {} ms but woke after {} ms: likely runtime pause",
-                        self.requested.as_millis(),
+                        requested.as_millis(),
                         elapsed.as_millis()
                     ),
                 )
@@ -201,61 +115,36 @@ impl Checker for SleepDriftChecker {
         } else {
             CheckStatus::Pass
         }
-    }
+    })
 }
 
-/// Fails when disk usage crosses a fraction of capacity.
-pub struct DiskSpaceChecker {
-    id: CheckerId,
-    component: ComponentId,
+/// Fails when disk usage crosses `max_used_frac` of capacity (e.g. `0.9`).
+pub fn disk_space(
+    id: impl Into<CheckerId>,
+    component: impl Into<ComponentId>,
     disk: Arc<SimDisk>,
     max_used_frac: f64,
-}
-
-impl DiskSpaceChecker {
-    /// Creates a checker that fires above `max_used_frac` (e.g. `0.9`).
-    pub fn new(
-        id: impl Into<CheckerId>,
-        component: impl Into<ComponentId>,
-        disk: Arc<SimDisk>,
-        max_used_frac: f64,
-    ) -> Self {
-        Self {
-            id: id.into(),
-            component: component.into(),
-            disk,
-            max_used_frac,
-        }
-    }
-}
-
-impl Checker for DiskSpaceChecker {
-    fn id(&self) -> CheckerId {
-        self.id.clone()
-    }
-
-    fn component(&self) -> ComponentId {
-        self.component.clone()
-    }
-
-    fn check(&mut self) -> CheckStatus {
-        let used = self.disk.used() as f64;
-        let cap = self.disk.capacity().max(1) as f64;
+) -> FnChecker<impl FnMut() -> CheckStatus + Send> {
+    let component = component.into();
+    let location = indicator_location(&component, "disk-space");
+    FnChecker::new(id, component, move || {
+        let used = disk.used() as f64;
+        let cap = disk.capacity().max(1) as f64;
         let frac = used / cap;
-        if frac > self.max_used_frac {
+        if frac > max_used_frac {
             CheckStatus::Fail(CheckFailure::new(
                 FailureKind::AssertViolation,
-                indicator_location(&self.component, "disk-space"),
+                location.clone(),
                 format!(
                     "disk {:.1}% full (threshold {:.1}%)",
                     frac * 100.0,
-                    self.max_used_frac * 100.0
+                    max_used_frac * 100.0
                 ),
             ))
         } else {
             CheckStatus::Pass
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -266,7 +155,7 @@ mod tests {
     #[test]
     fn memory_watermark_boundary() {
         let m = ResourceMonitor::new();
-        let mut c = MemoryWatermarkChecker::new("m", "proc", m.clone(), 100);
+        let mut c = memory_watermark("m", "proc", m.clone(), 100);
         m.alloc(100);
         assert!(c.check().is_pass(), "at watermark is still healthy");
         m.alloc(1);
@@ -276,7 +165,7 @@ mod tests {
     #[test]
     fn queue_depth_not_ready_without_registration() {
         let m = ResourceMonitor::new();
-        let mut c = QueueDepthChecker::new("q", "proc", m, "requests", 5);
+        let mut c = queue_depth("q", "proc", m, "requests", 5);
         assert_eq!(c.check(), CheckStatus::NotReady);
     }
 
@@ -289,7 +178,7 @@ mod tests {
             "requests",
             Arc::new(move || d2.load(std::sync::atomic::Ordering::Relaxed)),
         );
-        let mut c = QueueDepthChecker::new("q", "proc", m, "requests", 5);
+        let mut c = queue_depth("q", "proc", m, "requests", 5);
         assert!(c.check().is_pass());
         depth.store(6, std::sync::atomic::Ordering::Relaxed);
         let CheckStatus::Fail(f) = c.check() else {
@@ -301,7 +190,7 @@ mod tests {
 
     #[test]
     fn sleep_drift_quiet_process_passes() {
-        let mut c = SleepDriftChecker::new(
+        let mut c = sleep_drift(
             "d",
             "proc",
             RealClock::shared(),
@@ -315,7 +204,7 @@ mod tests {
     #[test]
     fn sleep_drift_detects_stall() {
         let stall = StallPoint::new();
-        let mut c = SleepDriftChecker::new(
+        let mut c = sleep_drift(
             "d",
             "proc",
             RealClock::shared(),
@@ -341,7 +230,7 @@ mod tests {
     #[test]
     fn disk_space_fires_when_nearly_full() {
         let disk = SimDisk::new(100, simio::LatencyModel::zero(), RealClock::shared());
-        let mut c = DiskSpaceChecker::new("ds", "proc", Arc::clone(&disk), 0.8);
+        let mut c = disk_space("ds", "proc", Arc::clone(&disk), 0.8);
         disk.append("f", &[0u8; 70]).unwrap();
         assert!(c.check().is_pass());
         disk.append("f", &[0u8; 15]).unwrap();

@@ -173,7 +173,6 @@ pub trait Checker: Send {
 pub struct FnChecker<F> {
     id: CheckerId,
     component: ComponentId,
-    timeout: Option<Duration>,
     f: F,
 }
 
@@ -186,15 +185,8 @@ where
         Self {
             id: id.into(),
             component: component.into(),
-            timeout: None,
             f,
         }
-    }
-
-    /// Sets a per-checker timeout.
-    pub fn with_timeout(mut self, t: Duration) -> Self {
-        self.timeout = Some(t);
-        self
     }
 }
 
@@ -208,10 +200,6 @@ where
 
     fn component(&self) -> ComponentId {
         self.component.clone()
-    }
-
-    fn timeout(&self) -> Option<Duration> {
-        self.timeout
     }
 
     fn check(&mut self) -> CheckStatus {
@@ -238,13 +226,6 @@ mod tests {
         assert!(c.check().is_pass());
         assert_eq!(c.id(), CheckerId::new("c"));
         assert_eq!(c.component(), ComponentId::new("comp"));
-    }
-
-    #[test]
-    fn fn_checker_timeout_configurable() {
-        let c = FnChecker::new("c", "comp", || CheckStatus::Pass)
-            .with_timeout(Duration::from_millis(250));
-        assert_eq!(c.timeout(), Some(Duration::from_millis(250)));
     }
 
     #[test]

@@ -64,7 +64,6 @@ use crate::action::{Action, LogAction};
 use crate::checker::{CheckStatus, Checker, ExecutionProbe};
 use crate::policy::SchedulePolicy;
 use crate::report::{FailureKind, FailureReport, FaultLocation};
-use crate::status::HealthBoard;
 
 /// Driver-wide configuration.
 #[derive(Debug, Clone)]
@@ -73,7 +72,8 @@ pub struct WatchdogConfig {
     pub policy: SchedulePolicy,
     /// Execution timeout applied to checkers that do not set their own.
     pub default_timeout: Duration,
-    /// How long failure evidence keeps a component unhealthy.
+    /// Read by nothing. The field survives only because `benchmark/` names
+    /// it in a struct literal; it goes when that workspace may change.
     pub health_window: Duration,
     /// When set, executors spawn in a seed-derived permutation of
     /// registration order instead of registration order itself. Verdicts
@@ -259,7 +259,6 @@ pub struct WatchdogDriver {
     clock: SharedClock,
     pending: Vec<Pending>,
     actions: Vec<Arc<dyn Action>>,
-    board: Arc<HealthBoard>,
     log: Arc<LogAction>,
     stats: Arc<StatsInner>,
     shutdown: Arc<AtomicBool>,
@@ -274,14 +273,12 @@ impl WatchdogDriver {
     /// [`DriverBuilder::build`] is the only entry point, so every driver is
     /// validated exactly once before it can start.
     fn new(config: WatchdogConfig, clock: SharedClock) -> Self {
-        let board = HealthBoard::new(Arc::clone(&clock), config.health_window);
         Self {
             config,
             wake: clock.waiter(),
             clock,
             pending: Vec::new(),
             actions: Vec::new(),
-            board,
             log: LogAction::new(),
             stats: Arc::new(StatsInner::default()),
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -299,11 +296,6 @@ impl WatchdogDriver {
     /// see [`DriverBuilder::action`]).
     fn add_action(&mut self, action: Arc<dyn Action>) {
         self.actions.push(action);
-    }
-
-    /// Returns the health board fed by this driver.
-    pub fn board(&self) -> Arc<HealthBoard> {
-        Arc::clone(&self.board)
     }
 
     /// Returns the built-in report log.
@@ -362,7 +354,6 @@ impl WatchdogDriver {
                         observed_latency_ms: f.observed_latency_ms,
                         at_ms: now_ms,
                     };
-                    self.board.record(&report);
                     self.log.on_failure(&report);
                     for a in &self.actions {
                         a.on_failure(&report);
@@ -430,7 +421,6 @@ impl WatchdogDriver {
             slots,
             env,
             action_queue,
-            board: Arc::clone(&self.board),
             log: Arc::clone(&self.log),
             stats: Arc::clone(&self.stats),
             interval: self.config.policy.interval,
@@ -663,7 +653,6 @@ struct SchedulerCtx {
     slots: Vec<ExecSlot>,
     env: ExecEnv,
     action_queue: ClockedQueue<FailureReport>,
-    board: Arc<HealthBoard>,
     log: Arc<LogAction>,
     stats: Arc<StatsInner>,
     /// Time between the starts of consecutive rounds.
@@ -673,7 +662,6 @@ struct SchedulerCtx {
 
 impl SchedulerCtx {
     fn emit(&self, report: FailureReport) {
-        self.board.record(&report);
         self.log.on_failure(&report);
         // Actions run on the wdog-actions thread; if its queue is full the
         // report is counted as dropped rather than blocking the scheduler.
@@ -869,7 +857,7 @@ mod tests {
     }
 
     #[test]
-    fn failing_checker_produces_reports_and_unhealthy_board() {
+    fn failing_checker_produces_reports() {
         let mut d = WatchdogDriver::builder()
             .config(fast_config(10, 500))
             .checker(Box::new(FnChecker::new("bad", "kvs.wal", || {
@@ -887,10 +875,7 @@ mod tests {
         let report = &d.log().reports()[0];
         assert_eq!(report.kind, FailureKind::Error);
         assert_eq!(report.location.function, "append");
-        assert_eq!(
-            d.board().component(&ComponentId::new("kvs.wal")),
-            crate::status::ComponentHealth::Failing
-        );
+        assert_eq!(report.location.component, ComponentId::new("kvs.wal"));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   that do not exist in the main program (§3.1, "state synchronization");
 //! - [`report::FailureReport`] — what a detection looks like: the failure
 //!   kind plus a pinpointed [`report::FaultLocation`] and the captured
-//!   payload, precise enough to expedite diagnosis and reproduction (§1);
-//! - [`status::HealthBoard`] — the definitive, per-component assessment of
-//!   whether the software is still functioning (§2, Table 1).
+//!   payload, precise enough to expedite diagnosis and reproduction (§1).
+//!   [`driver::WatchdogDriver::log`] keeps every report of a run in order;
+//!   it is the one record of which component failed, how and where.
 //!
 //! The "strong isolation" of §3.2 is not a module of its own: contexts are
 //! replicated on read ([`context::ContextSlot::snapshot`] hands checkers a
@@ -38,7 +38,6 @@ pub mod hooks;
 pub mod policy;
 pub mod prelude;
 pub mod report;
-pub mod status;
 pub mod trace;
 
 pub use action::{Action, CallbackAction, LogAction};
@@ -50,5 +49,4 @@ pub use driver::{DriverBuilder, DriverStats, WatchdogConfig, WatchdogDriver};
 pub use hooks::{FireGuard, HookSite, Hooks};
 pub use policy::SchedulePolicy;
 pub use report::{FailureKind, FailureReport, FaultLocation};
-pub use status::{ComponentHealth, HealthBoard};
 pub use trace::{TraceEvent, TraceEventKind, TraceRecorder};

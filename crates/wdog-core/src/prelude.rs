@@ -19,7 +19,6 @@ pub use crate::driver::{DriverBuilder, DriverStats, WatchdogConfig, WatchdogDriv
 pub use crate::hooks::{FireGuard, HookSite, Hooks};
 pub use crate::policy::SchedulePolicy;
 pub use crate::report::{FailureKind, FailureReport, FaultLocation};
-pub use crate::status::{ComponentHealth, HealthBoard};
 pub use crate::trace::{TraceEvent, TraceEventKind, TraceRecorder};
 
 pub use wdog_base::clock::{Clock, RealClock, SharedClock};

@@ -21,7 +21,6 @@ const GOLDEN: &[&str] = &[
     "Checker",
     "CheckerId",
     "Clock",
-    "ComponentHealth",
     "ComponentId",
     "ContextReader",
     "ContextSlot",
@@ -38,7 +37,6 @@ const GOLDEN: &[&str] = &[
     "FaultLocation",
     "FireGuard",
     "FnChecker",
-    "HealthBoard",
     "HistogramSummary",
     "HookSite",
     "Hooks",

@@ -9,8 +9,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
 use wdog_base::ids::ComponentId;
+use wdog_checkers::probe_checker;
 use wdog_core::prelude::*;
 
 use crate::RecoverySurface;
@@ -67,10 +69,21 @@ pub struct Handles {
 }
 
 /// A target's recovery map, keyed by exact component id.
-#[derive(Default)]
-pub struct RecoveryMap(BTreeMap<ComponentId, Handles>);
+pub struct RecoveryMap {
+    /// The clock verifier probes are timed on.
+    clock: SharedClock,
+    rows: BTreeMap<ComponentId, Handles>,
+}
 
 impl RecoveryMap {
+    /// An empty map whose verifiers run on `clock`.
+    pub fn new(clock: SharedClock) -> Self {
+        Self {
+            clock,
+            rows: BTreeMap::new(),
+        }
+    }
+
     /// Maps each of `ids` to the same handles.
     pub fn with(
         mut self,
@@ -85,19 +98,19 @@ impl RecoveryMap {
                 shed: shed.cloned(),
                 verifier: verifier.clone(),
             };
-            self.0.insert(ComponentId::new(*id), handles);
+            self.rows.insert(ComponentId::new(*id), handles);
         }
         self
     }
 
     /// The handles of exactly `component`.
     pub fn get(&self, component: &ComponentId) -> Option<&Handles> {
-        self.0.get(component)
+        self.rows.get(component)
     }
 
     /// Every mapped id, in order.
     pub fn ids(&self) -> impl Iterator<Item = &ComponentId> {
-        self.0.keys()
+        self.rows.keys()
     }
 
     /// The coordinator's view of the map.
@@ -111,19 +124,18 @@ impl RecoveryMap {
         }
     }
 
-    /// A fresh checker running `component`'s verifier probe.
+    /// A fresh probe checker running `component`'s verifier at the API
+    /// `recovery_verify`, with no slow threshold.
     fn verifier(&self, component: &ComponentId) -> Option<Box<dyn Checker>> {
         let Verifier { id, probe } = self.get(component)?.verifier.clone();
-        let comp = component.clone();
-        let check = move || match probe() {
-            Ok(()) => CheckStatus::Pass,
-            Err(e) => CheckStatus::Fail(CheckFailure::new(
-                FailureKind::from_error(&e),
-                FaultLocation::new(comp.clone(), "recovery_verify"),
-                e.to_string(),
-            )),
-        };
-        Some(Box::new(FnChecker::new(id, component.clone(), check)))
+        Some(Box::new(probe_checker(
+            id,
+            component.clone(),
+            "recovery_verify",
+            Arc::clone(&self.clock),
+            None,
+            move || probe(),
+        )))
     }
 }
 

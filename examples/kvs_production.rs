@@ -86,7 +86,7 @@ fn main() {
 
     std::thread::sleep(Duration::from_secs(1));
     println!("t=1s  healthy: stats {:?}", driver.stats());
-    println!("      board: {:?}\n", driver.board().overall());
+    println!("      reports: {}\n", driver.log().len());
 
     let faults = [
         (
@@ -136,6 +136,14 @@ fn main() {
     }
 
     println!("final stats: {:?}", driver.stats());
-    println!("problem components seen: {:?}", driver.board().problems());
+    let mut blamed: Vec<String> = driver
+        .log()
+        .reports()
+        .iter()
+        .map(|r| r.location.component.to_string())
+        .collect();
+    blamed.sort();
+    blamed.dedup();
+    println!("components blamed: {blamed:?}");
     driver.stop();
 }

@@ -80,7 +80,7 @@ fn main() {
     match reports.first() {
         Some(r) => {
             println!("  DETECTED: {}", r.summary());
-            println!("  health board: {:?}", driver.board());
+            println!("  watchdog stats: {:?}", driver.stats());
         }
         None => println!("  (no detection yet)"),
     }

@@ -16,10 +16,12 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 /// and its allowlists to the coverage matrix's region-by-region gate,
 /// that gate's hand-written descriptions to the IR extracted from source,
 /// the IR flags, dedup switches and directives that extraction made
-/// redundant to reachability and one dedup switch, and the coverage matrix
-/// itself to the reducer's record of what each checker covers); neither
-/// docs nor CI may lean on them.
-const RETIRED: [&str; 82] = [
+/// redundant to reachability and one dedup switch, the coverage matrix
+/// itself to the reducer's record of what each checker covers, the probe
+/// and signal checker structs to constructor functions returning
+/// `FnChecker`, and the health board nothing read to the report log);
+/// neither docs nor CI may lean on them.
+const RETIRED: [&str; 89] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -102,6 +104,13 @@ const RETIRED: [&str; 82] = [
     "load_blind_spots",
     "stuck_coverage",
     "CallGraphSummary",
+    "ProbeChecker",
+    "MemoryWatermarkChecker",
+    "QueueDepthChecker",
+    "SleepDriftChecker",
+    "DiskSpaceChecker",
+    "HealthBoard",
+    "ComponentHealth",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];
