@@ -339,10 +339,9 @@ fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<Probe
     let tokens = &model.files[file_idx].tokens;
     let mut i = 0usize;
     while i < tokens.len() {
-        let is_bind = tokens[i].ident() == Some("bind") && i > 0 && tokens[i - 1].is_punct('.');
         // The token that opens the call's argument list.
         let open = match tokens[i].ident() {
-            Some("bind") if is_bind => i + 1,
+            Some("bind") if i > 0 && tokens[i - 1].is_punct('.') => i + 1,
             Some("probe_checker") => i + 1,
             Some("Verifier")
                 if tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
@@ -355,6 +354,7 @@ fn find_closure_units(model: &CrateModel, file_idx: usize, units: &mut Vec<Probe
                 continue;
             }
         };
+        let is_bind = tokens[i].ident() == Some("bind");
         if !tokens.get(open).is_some_and(|t| t.is_punct('(')) {
             i += 1;
             continue;
