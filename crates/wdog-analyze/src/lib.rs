@@ -13,8 +13,8 @@
 //!   each target's `describe_ir()` returns its `ir`; what the source
 //!   alone cannot say is a `// wdog:` directive in it;
 //! * [`locks`] and [`safety`] are `wdog-lint`'s two gates over the same
-//!   source: lock-order cycles in the extracted IR (cyclic SCCs, found
-//!   with [`callgraph`]'s Tarjan) and probe bodies that mutate shared
+//!   source: lock-order cycles in the extracted IR (locks that each reach
+//!   the other in the lock graph) and probe bodies that mutate shared
 //!   state.
 //!
 //! Which checker covers which vulnerable op is not analyzed here: it is
@@ -25,14 +25,12 @@
 //! resolution — ambiguous calls are skipped, and `// wdog:` annotations
 //! cover the places where that matters.
 
-pub mod callgraph;
 pub mod extract;
 pub mod lexer;
 pub mod locks;
 pub mod model;
 pub mod safety;
 
-pub use callgraph::CallGraph;
 pub use extract::{
     extract_model, extract_target, target_named, workspace_root, ExtractedProgram, TargetConfig,
     TARGETS,

@@ -1,5 +1,5 @@
 //! Lock-order analysis: acquisition sequences, the global lock graph,
-//! and deadlock cycles as candidate watchdog checkers.
+//! and its deadlock cycles.
 //!
 //! The IR already carries `LockAcquire`/`LockRelease` ops with named
 //! resources (the extractor derives them from receiver chains, the
@@ -14,10 +14,9 @@
 //! branch-sensitivity) and `LockRelease` is only extracted where the
 //! source drops guards explicitly, the analysis is deliberately
 //! *pessimistic*: it may report an ordering edge a real execution never
-//! takes, but it cannot miss one that the IR witnesses. Each cycle is
-//! also emitted as a **candidate deadlock-watchdog checker**: an ordered
-//! bounded `try_lock` probe over the cycle's resources, the shape every
-//! hand-written lock checker in the target crates already takes.
+//! takes, but it cannot miss one that the IR witnesses. Two locks share a
+//! cycle when each reaches the other in the lock graph; `wdog-lint` fails
+//! on any such cycle.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,8 +24,6 @@ use serde::{Deserialize, Serialize};
 
 use wdog_gen::ir::{OpKind, ProgramIr};
 use wdog_gen::regions::reachable;
-
-use crate::callgraph::CallGraph;
 
 /// Lock resources acquired by one function, in op order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,28 +46,13 @@ pub struct LockEdge {
     pub witnesses: Vec<String>,
 }
 
-/// A potential-deadlock cycle and its derived checker spec.
+/// A potential-deadlock cycle.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeadlockCycle {
     /// The cycle's lock resources, sorted.
     pub resources: Vec<String>,
     /// Witnesses of every edge inside the cycle.
     pub witnesses: Vec<String>,
-    /// The candidate checker emitted for this cycle.
-    pub checker: CandidateLockChecker,
-}
-
-/// A candidate deadlock-watchdog checker: bounded try-locks in a fixed
-/// global order. If every probe acquires within its bound, no thread is
-/// wedged inside the cycle; a timeout names the wedged resource.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CandidateLockChecker {
-    /// Checker name, `{program}.deadlock.{joined resources}`.
-    pub name: String,
-    /// Component the checker reports against.
-    pub component: String,
-    /// Ordered probe ops, `try_lock:{resource}`.
-    pub ops: Vec<String>,
 }
 
 /// The complete lock-order analysis for one program.
@@ -86,13 +68,6 @@ pub struct LockOrderReport {
     pub cycles: Vec<DeadlockCycle>,
     /// `LockAcquire` ops with no named resource, skipped (`function#op`).
     pub unnamed_acquires: Vec<String>,
-}
-
-impl LockOrderReport {
-    /// True when no deadlock cycle was found.
-    pub fn is_cycle_free(&self) -> bool {
-        self.cycles.is_empty()
-    }
 }
 
 /// Lock resources acquired anywhere in `f` itself.
@@ -195,7 +170,7 @@ pub fn analyze_locks(ir: &ProgramIr) -> LockOrderReport {
         })
         .collect();
 
-    let cycles = find_cycles(&ir.name, &edges);
+    let cycles = find_cycles(&edges);
 
     LockOrderReport {
         program: ir.name.clone(),
@@ -206,40 +181,47 @@ pub fn analyze_locks(ir: &ProgramIr) -> LockOrderReport {
     }
 }
 
-/// SCCs of the lock graph with more than one lock (self-edges are
-/// filtered at edge construction: re-acquiring the same named resource is
-/// reported by the targets' own reentrancy, not this pass).
-fn find_cycles(program: &str, edges: &[LockEdge]) -> Vec<DeadlockCycle> {
-    // Reuse the call-graph SCC machinery by shaping locks as a graph.
-    let mut adj: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+/// The lock graph's cycles: groups of two or more locks that each reach
+/// every other, members sorted, groups ordered by their first member.
+/// Self-edges are filtered at edge construction: re-acquiring the same
+/// named resource is reported by the targets' own reentrancy, not here.
+fn find_cycles(edges: &[LockEdge]) -> Vec<DeadlockCycle> {
+    let mut next: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for e in edges {
-        adj.entry(e.from.clone()).or_default().insert(e.to.clone());
-        adj.entry(e.to.clone()).or_default();
+        next.entry(&e.from).or_default().insert(&e.to);
+        next.entry(&e.to).or_default();
     }
-    let graph = CallGraph { edges: adj };
-    graph
-        .cyclic_sccs()
-        .into_iter()
-        .map(|resources| {
-            let inside: BTreeSet<&str> = resources.iter().map(String::as_str).collect();
-            let mut witnesses: BTreeSet<String> = BTreeSet::new();
-            for e in edges {
-                if inside.contains(e.from.as_str()) && inside.contains(e.to.as_str()) {
-                    witnesses.extend(e.witnesses.iter().cloned());
-                }
-            }
-            let checker = CandidateLockChecker {
-                name: format!("{program}.deadlock.{}", resources.join("_")),
-                component: format!("{program}.locks"),
-                ops: resources.iter().map(|r| format!("try_lock:{r}")).collect(),
-            };
-            DeadlockCycle {
-                resources,
-                witnesses: witnesses.into_iter().collect(),
-                checker,
-            }
-        })
-        .collect()
+    let mut reach: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for &from in next.keys() {
+        let mut seen = BTreeSet::new();
+        let mut todo = vec![from];
+        while let Some(lock) = todo.pop() {
+            todo.extend(next[lock].iter().copied().filter(|&n| seen.insert(n)));
+        }
+        reach.insert(from, seen);
+    }
+    let mut cycles: Vec<DeadlockCycle> = Vec::new();
+    for (&lock, to) in &reach {
+        let resources: Vec<String> = reach
+            .iter()
+            .filter(|&(&other, back)| to.contains(other) && back.contains(lock))
+            .map(|(&other, _)| other.to_owned())
+            .collect();
+        // Keys iterate sorted, so a group is built once: at its first member.
+        if resources.len() < 2 || resources[0] != lock {
+            continue;
+        }
+        let witnesses: BTreeSet<String> = edges
+            .iter()
+            .filter(|e| resources.contains(&e.from) && resources.contains(&e.to))
+            .flat_map(|e| e.witnesses.iter().cloned())
+            .collect();
+        cycles.push(DeadlockCycle {
+            resources,
+            witnesses: witnesses.into_iter().collect(),
+        });
+    }
+    cycles
 }
 
 #[cfg(test)]
@@ -268,7 +250,7 @@ mod tests {
         assert_eq!(r.edges.len(), 1);
         assert_eq!((&*r.edges[0].from, &*r.edges[0].to), ("la", "lb"));
         assert_eq!(r.edges[0].witnesses, vec!["f"]);
-        assert!(r.is_cycle_free());
+        assert!(r.cycles.is_empty());
     }
 
     #[test]
@@ -302,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn abba_cycle_yields_candidate_checker() {
+    fn abba_cycle_is_reported() {
         let ir = ProgramBuilder::new("p")
             .function("f", |f| {
                 f.op("a", OpKind::LockAcquire, |o| o.resource("la")).op(
@@ -324,9 +306,60 @@ mod tests {
         let c = &r.cycles[0];
         assert_eq!(c.resources, vec!["la", "lb"]);
         assert_eq!(c.witnesses, vec!["f", "g"]);
-        assert_eq!(c.checker.name, "p.deadlock.la_lb");
-        assert_eq!(c.checker.ops, vec!["try_lock:la", "try_lock:lb"]);
-        assert!(!r.is_cycle_free());
+    }
+
+    /// One function per `(held, acquired)` pair, named `{held}{acquired}`.
+    fn ordered(pairs: &[(&str, &str)]) -> ProgramIr {
+        let mut b = ProgramBuilder::new("p");
+        for &(x, y) in pairs {
+            b = b.function(format!("{x}{y}"), |f| {
+                f.op("x", OpKind::LockAcquire, |o| o.resource(x)).op(
+                    "y",
+                    OpKind::LockAcquire,
+                    |o| o.resource(y),
+                )
+            });
+        }
+        b.build()
+    }
+
+    fn cycles(pairs: &[(&str, &str)]) -> Vec<(Vec<String>, Vec<String>)> {
+        analyze(&ordered(pairs))
+            .cycles
+            .into_iter()
+            .map(|c| (c.resources, c.witnesses))
+            .collect()
+    }
+
+    fn strs(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn three_lock_ring_is_one_cycle() {
+        assert_eq!(
+            cycles(&[("c", "a"), ("a", "b"), ("b", "c")]),
+            vec![(strs(&["a", "b", "c"]), strs(&["ab", "bc", "ca"]))]
+        );
+    }
+
+    #[test]
+    fn disjoint_abba_pairs_are_two_cycles_in_order() {
+        assert_eq!(
+            cycles(&[("y", "x"), ("b", "a"), ("x", "y"), ("a", "b")]),
+            vec![
+                (strs(&["a", "b"]), strs(&["ab", "ba"])),
+                (strs(&["x", "y"]), strs(&["xy", "yx"])),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_tail_edge_is_not_part_of_the_ring() {
+        assert_eq!(
+            cycles(&[("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")]),
+            vec![(strs(&["b", "c"]), strs(&["bc", "cb"]))]
+        );
     }
 
     #[test]
@@ -342,7 +375,7 @@ mod tests {
             .build();
         let r = analyze(&ir);
         assert!(r.edges.is_empty());
-        assert!(r.is_cycle_free());
+        assert!(r.cycles.is_empty());
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl SafetyReport {
             .filter(|p| p.class == SafetyClass::SharedMutation)
             .collect()
     }
-
-    /// True when no probe mutates shared state.
-    pub fn is_safe(&self) -> bool {
-        self.violations().is_empty()
-    }
 }
 
 /// What one level of helper-function analysis needs to know.
@@ -493,7 +488,7 @@ fn op_table(s: &S) -> OpTable {
         assert_eq!(r.probes.len(), 1);
         assert_eq!(r.probes[0].id, "partitions");
         assert_eq!(r.probes[0].class, SafetyClass::ReadOnly);
-        assert!(r.is_safe());
+        assert!(r.violations().is_empty());
     }
 
     #[test]
@@ -529,7 +524,6 @@ fn op_table(s: &S) -> OpTable {
         );
         assert_eq!(r.probes[0].class, SafetyClass::SharedMutation);
         assert_eq!(r.violations().len(), 1);
-        assert!(!r.is_safe());
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Cheap, copyable identifiers shared across the workspace.
 //!
-//! Each identifier wraps a small string or integer and exists so that function
+//! Each identifier wraps a small string and exists so that function
 //! signatures say what they mean (`CheckerId` rather than `String`) and so that
 //! serialized experiment artifacts stay self-describing.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -64,35 +63,6 @@ string_id! {
     OpId
 }
 
-/// Identifies a node (process) in a simulated cluster.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
-pub struct NodeId(pub u32);
-
-impl NodeId {
-    /// Creates a node id from a raw integer.
-    pub const fn new(v: u32) -> Self {
-        Self(v)
-    }
-}
-
-impl fmt::Display for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "node-{}", self.0)
-    }
-}
-
-static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
-
-/// Returns a process-unique monotonically increasing token.
-///
-/// Used for request ids, context versions seeds, and anywhere a cheap unique
-/// value is needed without threading a counter through every constructor.
-pub fn unique_token() -> u64 {
-    NEXT_TOKEN.fetch_add(1, Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,19 +74,6 @@ mod tests {
         assert_eq!(c.as_str(), "kvs.flusher.mimic");
         let c2: CheckerId = "kvs.flusher.mimic".into();
         assert_eq!(c, c2);
-    }
-
-    #[test]
-    fn node_ids_display_with_prefix() {
-        assert_eq!(NodeId::new(3).to_string(), "node-3");
-    }
-
-    #[test]
-    fn unique_tokens_are_unique() {
-        let a = unique_token();
-        let b = unique_token();
-        let c = unique_token();
-        assert!(a < b && b < c);
     }
 
     #[test]

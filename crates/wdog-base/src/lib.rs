@@ -26,7 +26,7 @@ pub use clock::{
     Waiter,
 };
 pub use error::{BaseError, BaseResult};
-pub use ids::{CheckerId, ComponentId, NodeId, OpId};
+pub use ids::{CheckerId, ComponentId, OpId};
 pub use join::{join_all_timeout, join_timeout};
 pub use queue::ClockedQueue;
 pub use sync::{ClockedMutex, ClockedMutexGuard};

@@ -85,7 +85,6 @@ pub struct MimicChecker {
     probe: Option<ExecutionProbe>,
     max_context_age: Option<Duration>,
     clock: SharedClock,
-    timeout: Option<Duration>,
     trace: Option<std::sync::Arc<TraceRecorder>>,
 }
 
@@ -108,7 +107,6 @@ impl MimicChecker {
             probe: None,
             max_context_age: None,
             clock,
-            timeout: None,
             trace: None,
         }
     }
@@ -131,12 +129,6 @@ impl MimicChecker {
         self
     }
 
-    /// Sets the execution timeout enforced by the driver.
-    pub fn with_timeout(mut self, t: Duration) -> Self {
-        self.timeout = Some(t);
-        self
-    }
-
     /// Journals every op execution into `recorder` (for `wdog-infer`).
     pub fn with_trace(mut self, recorder: std::sync::Arc<TraceRecorder>) -> Self {
         self.trace = Some(recorder);
@@ -156,10 +148,6 @@ impl Checker for MimicChecker {
 
     fn component(&self) -> ComponentId {
         self.component.clone()
-    }
-
-    fn timeout(&self) -> Option<Duration> {
-        self.timeout
     }
 
     fn attach_probe(&mut self, probe: ExecutionProbe) {

@@ -174,7 +174,5 @@ mod tests {
         let c = probe_checker("p", "api", "get", RealClock::shared(), None, || Ok(()));
         assert_eq!(c.id(), CheckerId::new("p"));
         assert_eq!(c.component(), ComponentId::new("api"));
-        // The driver's default timeout applies: a probe sets none of its own.
-        assert_eq!(Checker::timeout(&c), None);
     }
 }

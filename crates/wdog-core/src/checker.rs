@@ -14,7 +14,6 @@
 //! ready before executing it".
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -138,14 +137,6 @@ pub trait Checker: Send {
 
     /// The component of the main program this checker inspects.
     fn component(&self) -> ComponentId;
-
-    /// Per-checker execution timeout; `None` uses the driver default.
-    ///
-    /// When the timeout expires the driver reports the checker as stuck at
-    /// the location its [`ExecutionProbe`] last recorded.
-    fn timeout(&self) -> Option<Duration> {
-        None
-    }
 
     /// Receives the probe before the first execution; default ignores it.
     fn attach_probe(&mut self, probe: ExecutionProbe) {

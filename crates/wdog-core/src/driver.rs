@@ -70,7 +70,7 @@ use crate::report::{FailureKind, FailureReport, FaultLocation};
 pub struct WatchdogConfig {
     /// Scheduling policy for checking rounds.
     pub policy: SchedulePolicy,
-    /// Execution timeout applied to checkers that do not set their own.
+    /// Execution timeout applied to every checker.
     pub default_timeout: Duration,
     /// Read by nothing. The field survives only because `benchmark/` names
     /// it in a struct literal; it goes when that workspace may change.
@@ -221,7 +221,6 @@ impl ExecSignal {
 struct ExecSlot {
     id: CheckerId,
     component: ComponentId,
-    timeout: Duration,
     probe: ExecutionProbe,
     signal: Arc<ExecSignal>,
     result_rx: Receiver<CheckStatus>,
@@ -232,10 +231,10 @@ struct ExecSlot {
 impl ExecSlot {
     /// The next instant this slot needs the scheduler: the timeout of a
     /// busy checker not yet reported stuck.
-    fn next_event(&self) -> Option<Duration> {
+    fn next_event(&self, timeout: Duration) -> Option<Duration> {
         self.busy_since
             .filter(|_| !self.reported_stuck)
-            .map(|since| since + self.timeout)
+            .map(|since| since + timeout)
     }
 }
 
@@ -591,7 +590,6 @@ fn spawn_executor(p: Pending, env: &ExecEnv) -> ExecSlot {
     let Pending { mut checker, probe } = p;
     let id = checker.id();
     let component = checker.component();
-    let timeout = checker.timeout().unwrap_or(env.default_timeout);
     let signal = ExecSignal::new(Arc::clone(&env.dispatch));
     let (result_tx, result_rx) = bounded::<CheckStatus>(1);
     let wake = Arc::clone(&env.wake);
@@ -630,7 +628,6 @@ fn spawn_executor(p: Pending, env: &ExecEnv) -> ExecSlot {
     ExecSlot {
         id,
         component,
-        timeout,
         probe,
         signal,
         result_rx,
@@ -724,13 +721,14 @@ impl SchedulerCtx {
     fn detect_stuck(&mut self) {
         let now = self.env.clock.now();
         let now_ms = self.env.clock.now_millis();
+        let timeout = self.env.default_timeout;
         let mut reports = Vec::new();
         for slot in &mut self.slots {
             let Some(since) = slot.busy_since else {
                 continue;
             };
             let elapsed = now.saturating_sub(since);
-            if slot.reported_stuck || elapsed < slot.timeout {
+            if slot.reported_stuck || elapsed < timeout {
                 continue;
             }
             slot.reported_stuck = true;
@@ -744,7 +742,7 @@ impl SchedulerCtx {
                 location,
                 detail: format!(
                     "checker execution exceeded timeout of {} ms",
-                    slot.timeout.as_millis()
+                    timeout.as_millis()
                 ),
                 payload: Vec::new(),
                 observed_latency_ms: Some(elapsed.as_millis() as u64),
@@ -785,7 +783,7 @@ impl SchedulerCtx {
         let wake_at = self
             .slots
             .iter()
-            .filter_map(ExecSlot::next_event)
+            .filter_map(|slot| slot.next_event(self.env.default_timeout))
             .fold(deadline, Duration::min);
         let now = self.env.clock.now();
         self.env.wake.wait_timeout(wake_at.saturating_sub(now));

@@ -75,10 +75,8 @@ impl std::fmt::Debug for OpTable {
 }
 
 /// Tunables applied to every instantiated checker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InstantiateOptions {
-    /// Per-checker execution timeout handed to the driver.
-    pub timeout: Option<Duration>,
     /// Maximum tolerated context age before a checker reports `NotReady`.
     pub max_context_age: Option<Duration>,
     /// Latency above which a successful I/O or communication op is
@@ -88,17 +86,6 @@ pub struct InstantiateOptions {
     /// When set, every checker journals its op executions into this
     /// recorder (test-time mode, consumed by `wdog-infer`).
     pub trace: Option<Arc<TraceRecorder>>,
-}
-
-impl Default for InstantiateOptions {
-    fn default() -> Self {
-        Self {
-            timeout: Some(Duration::from_secs(5)),
-            max_context_age: None,
-            slow_threshold: None,
-            trace: None,
-        }
-    }
 }
 
 /// Builds executable [`MimicChecker`]s from a plan and an op table.
@@ -139,9 +126,6 @@ pub fn instantiate(
         .with_required_fields(gc.required_fields.clone());
         if let Some(age) = opts.max_context_age {
             checker = checker.with_max_context_age(age);
-        }
-        if let Some(t) = opts.timeout {
-            checker = checker.with_timeout(t);
         }
         if let Some(trace) = &opts.trace {
             checker = checker.with_trace(Arc::clone(trace));

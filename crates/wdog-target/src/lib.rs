@@ -115,7 +115,6 @@ pub fn watchdog_builder(
             &hooks.table().reader(),
             clock,
             &InstantiateOptions {
-                timeout: Some(opts.checker_timeout),
                 max_context_age: opts.max_context_age,
                 slow_threshold: Some(opts.slow_threshold),
                 trace: opts.trace.clone(),
