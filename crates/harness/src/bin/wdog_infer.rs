@@ -19,10 +19,10 @@
 //! function of the journals. CI runs the pipeline twice and `cmp`s both
 //! against the archive.
 //!
-//! A recording whose trace recorder dropped events always fails the run
-//! (the artifact's `dropped_events` header field says how many) and leaves
-//! `<out>/inferred.err` behind: a corpus mined from truncated journals must
-//! not pass for a clean one.
+//! A recording whose trace recorder dropped an event fails that target's
+//! run like any other error: nothing is written for it and the bin exits 1,
+//! since a corpus mined from truncated journals must not pass for a clean
+//! one.
 
 use harness::cli::{CampaignCli, EXIT_GATE};
 use harness::infer::{self, InferOptions};
@@ -39,7 +39,6 @@ fn main() {
     };
 
     let mut failed = false;
-    let mut truncated = Vec::new();
     for target in cli.targets("kvs") {
         let artifact = match infer::run_pipeline(target.as_ref(), &opts) {
             Ok(a) => a,
@@ -55,20 +54,6 @@ fn main() {
             &format!("inferred_{}", target.name()),
             &artifact,
         );
-
-        if artifact.dropped_events > 0 {
-            truncated.push(format!(
-                "wdog-infer [{}]: trace recorder dropped {} events; corpus mined from truncated journals",
-                target.name(),
-                artifact.dropped_events
-            ));
-        }
-    }
-    if !truncated.is_empty() {
-        let text = truncated.join("\n");
-        eprintln!("{text}");
-        harness::write_err_sidecar_under(&out, "inferred", &text);
-        failed = true;
     }
     if failed {
         std::process::exit(EXIT_GATE);

@@ -43,11 +43,10 @@ use faults::schedule::{compose_schedule, ComposeOptions, FaultSchedule};
 use faults::spec::FaultKind;
 use faults::Scenario;
 use simio::SimClock;
-use wdog_base::clock::{RealClock, SharedClock};
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_core::report::FailureReport;
 use wdog_target::{WatchdogTarget, WdOptions};
-use wdog_telemetry::{checker_family, ChaosMetrics};
+use wdog_telemetry::ChaosMetrics;
 
 use crate::scenario::{blames, RunnerOptions};
 use crate::session::{self, RunSpec, Trace};
@@ -88,10 +87,10 @@ pub struct ChaosOptions {
     /// Measurement sidecar: detection latencies, signal-checker reports and
     /// the substrate's I/O ledger.
     pub metrics: Option<ChaosMetrics>,
-    /// Pinned `true`: every schedule runs on a fresh discrete-event
+    /// Read by nothing: every schedule runs on a fresh discrete-event
     /// `SimClock`, which is what makes the report byte-identical by
     /// construction. The field survives only because `benchmark/` names it
-    /// in a struct literal; it is read once, in [`run_schedule`].
+    /// in a struct literal; it goes when that workspace may change.
     pub sim: bool,
 }
 
@@ -235,11 +234,6 @@ pub fn run_schedule(
     opts: &ChaosOptions,
 ) -> BaseResult<ScheduleOutcome> {
     schedule.validate().map_err(BaseError::InvalidState)?;
-    let clock: SharedClock = if opts.sim {
-        SimClock::shared()
-    } else {
-        RealClock::shared()
-    };
     let spec = RunSpec {
         wd: opts.wd.clone(),
         workload: RunnerOptions::default().workload,
@@ -249,20 +243,20 @@ pub fn run_schedule(
         io_metrics: opts.metrics.clone(),
         ..RunSpec::default()
     };
-    let trace = session::run(target, clock, schedule, &spec)?;
+    let trace = session::run(target, SimClock::shared(), schedule, &spec)?;
     Ok(score_schedule(schedule, &trace, opts.metrics.as_ref()))
 }
 
-/// Is `checker` a signal checker (its [`checker_family`] is `signal`)?
-/// Signal checkers sample resource levels — queue depth, memory, disk
-/// headroom — against fixed thresholds. Their reports are deterministic in
-/// virtual time, and the campaign counts them in the [`ChaosMetrics`]
-/// sidecar, which CI compares byte for byte. They stay unscored because no
-/// threshold has a designed false-alarm rate yet: a fixed threshold trips
-/// on load as readily as on a fault, so a verdict it flipped would say
-/// nothing about detection.
+/// Is `checker` a signal checker (`<t>.signal.<name>`)? Signal checkers
+/// sample resource levels — queue depth, memory, disk headroom — against
+/// fixed thresholds. Their reports are deterministic in virtual time, and
+/// the campaign counts them in the [`ChaosMetrics`] sidecar, which CI
+/// compares byte for byte. They stay unscored because no threshold has a
+/// designed false-alarm rate yet: a fixed threshold trips on load as
+/// readily as on a fault, so a verdict it flipped would say nothing about
+/// detection.
 pub fn is_signal_checker(checker: &str) -> bool {
-    checker_family(checker) == "signal"
+    checker.contains(".signal.")
 }
 
 /// Scores a replayed schedule from its trace's report log.

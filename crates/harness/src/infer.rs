@@ -18,7 +18,9 @@
 //!
 //! The artifact (`results/inferred/inferred_<target>.json`) carries the
 //! mined set, the emitted specs, and the flip ledger, and is deterministic
-//! for a `(target, seed)` pair by construction.
+//! for a `(target, seed)` pair by construction. A recording whose trace
+//! recorder dropped an event fails the run: no corpus is mined from a
+//! truncated journal.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -30,7 +32,7 @@ use simio::SimClock;
 use wdog_base::error::{BaseError, BaseResult};
 use wdog_checkers::InferredSpec;
 use wdog_core::TraceRecorder;
-use wdog_infer::{infer, InferenceReport, MinerConfig, TraceJournal, SCHEMA};
+use wdog_infer::{infer, InferenceReport, MinerConfig, TraceJournal};
 use wdog_target::{WatchdogTarget, WdOptions};
 
 use crate::chaos::{self, ChaosOptions, ChaosReport, DETECTED, MISSED};
@@ -98,19 +100,12 @@ pub struct InferScore {
 /// The full `results/inferred/` artifact for one target.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InferArtifact {
-    /// Always `wdog-infer/v1`.
-    pub schema: String,
-    /// Target name.
-    pub target: String,
     /// Pipeline base seed.
     pub seed: u64,
     /// Recording runs taken.
     pub runs: u64,
-    /// Events the trace recorders dropped across all recording runs. Must
-    /// be zero for the corpus to stand: anything else means the invariants
-    /// below were mined from truncated journals, and `wdog-infer` fails.
-    pub dropped_events: u64,
-    /// Mined invariants and emitted specs.
+    /// Mined invariants and emitted specs, under the schema tag and the
+    /// target name.
     pub inference: InferenceReport,
     /// Chaos re-scoring ledger; absent when no archive was found.
     pub score: Option<InferScore>,
@@ -119,7 +114,9 @@ pub struct InferArtifact {
 /// Records one benign sim execution of `target` and returns its journal.
 ///
 /// Runs as a fault-free schedule through [`session::run`]: boot, workload,
-/// and observation all happen at deterministic virtual instants.
+/// and observation all happen at deterministic virtual instants. A
+/// recorder that dropped any event is an error naming the target, the
+/// label and the count.
 pub fn record_journal(
     target: &dyn WatchdogTarget,
     seed: u64,
@@ -174,11 +171,16 @@ fn record_with(
     let mut events = recorder.drain();
     events.retain(|e| e.at_us < deadline_us);
 
-    // A full buffer drops silently on the hot path; the count travels with
-    // the journal so the pipeline can refuse a truncated corpus.
-    let mut journal = TraceJournal::new(target.name(), label, seed, events);
-    journal.dropped = recorder.dropped();
-    Ok(journal)
+    // A full buffer drops silently on the hot path; a truncated journal
+    // must not pass for a clean one.
+    let dropped = recorder.dropped();
+    if dropped > 0 {
+        return Err(BaseError::Exhausted(format!(
+            "{} {label}: trace recorder dropped {dropped} events",
+            target.name()
+        )));
+    }
+    Ok(TraceJournal::new(target.name(), label, seed, events))
 }
 
 /// Records `opts.runs` benign executions with derived seeds.
@@ -278,7 +280,7 @@ pub fn run_pipeline(target: &dyn WatchdogTarget, opts: &InferOptions) -> BaseRes
         "[wdog-infer] {}: {} events -> {} invariants -> {} specs",
         target.name(),
         inference.events,
-        inference.mined.invariants.len(),
+        inference.mined.len(),
         inference.specs.len()
     );
     let score = match archive {
@@ -303,11 +305,8 @@ pub fn run_pipeline(target: &dyn WatchdogTarget, opts: &InferOptions) -> BaseRes
         }
     };
     Ok(InferArtifact {
-        schema: SCHEMA.to_owned(),
-        target: target.name().to_owned(),
         seed: opts.seed,
         runs: opts.runs,
-        dropped_events: journals.iter().map(|j| j.dropped).sum(),
         inference,
         score,
     })
@@ -339,11 +338,11 @@ pub fn render(artifact: &InferArtifact) -> String {
     format!(
         "Inferred checkers [{}] seed {}: {} journals, {} events, \
          {} invariants -> {} registered checkers\n{}\n\n{}",
-        artifact.target,
+        artifact.inference.target,
         artifact.seed,
         artifact.inference.journals.len(),
         artifact.inference.events,
-        artifact.inference.mined.invariants.len(),
+        artifact.inference.mined.len(),
         artifact.inference.specs.len(),
         score_line,
         t.render()
@@ -359,7 +358,6 @@ mod tests {
     fn recording_a_benign_run_yields_a_mineable_journal() {
         let journal = record_journal(&KvsTarget, 7, "unit", Duration::from_secs(3)).unwrap();
         assert_eq!(journal.target, "kvs");
-        assert_eq!(journal.schema, SCHEMA);
         assert!(
             journal.publishes().count() > 20,
             "only {} publishes journaled",
@@ -399,7 +397,6 @@ mod tests {
             .all(|s| s.id.starts_with("kvs.inferred.")));
         let rendered = render(&artifact);
         assert!(rendered.contains("registered checkers"));
-        assert_eq!(artifact.dropped_events, 0, "default capacity must fit");
     }
 
     #[test]
@@ -421,14 +418,17 @@ mod tests {
 
     #[test]
     fn a_recorder_that_overflows_is_reported_not_hidden() {
-        let journal = record_with(&KvsTarget, 7, "tiny", Duration::from_secs(1), |clock| {
+        let run = record_with(&KvsTarget, 7, "tiny", Duration::from_secs(1), |clock| {
             TraceRecorder::with_capacity(clock, 16)
-        })
-        .unwrap();
-        assert!(journal.events.len() <= 16);
-        assert!(
-            journal.dropped > 0,
-            "a 16-event buffer cannot hold 1 s of kvs"
-        );
+        });
+        let err = run.expect_err("a 16-event buffer cannot hold 1 s of kvs");
+        let msg = err.to_string();
+        let dropped: u64 = msg
+            .split("dropped ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no dropped count in {msg:?}"));
+        assert!(msg.contains("kvs tiny"), "target and label named: {msg}");
+        assert!(dropped > 0);
     }
 }

@@ -86,21 +86,15 @@ pub fn write_json_under(dir: &std::path::Path, name: &str, value: &impl serde::S
     }
 }
 
-/// Writes `<dir>/<name>.err`: the mark a failed run leaves beside an
-/// artifact that was archived anyway and must not be trusted.
-pub fn write_err_sidecar_under(dir: &std::path::Path, name: &str, text: &str) {
-    write_under(dir, &format!("{name}.err"), text);
-}
-
 /// Removes a stale `<dir>/<name>.err` sidecar after a successful run.
 ///
 /// `.err` files are stderr redirects external runners leave next to the
-/// JSON artifacts when a bin fails (only `wdog-infer` writes one itself,
-/// through [`write_err_sidecar_under`]), so nothing deleted them either — a
-/// sidecar from a long-fixed failure could sit beside a fresh, successful
-/// artifact forever. Every artifact bin calls this on success so a
-/// committed sidecar always describes the *latest* run; CI additionally
-/// refuses to pass while any `.err` is tracked in the repo.
+/// JSON artifacts when a bin fails (no bin writes one itself), so nothing
+/// deleted them either — a sidecar from a long-fixed failure could sit
+/// beside a fresh, successful artifact forever. Every artifact bin calls
+/// this on success so a committed sidecar always describes the *latest*
+/// run; CI additionally refuses to pass while any `.err` is tracked in the
+/// repo.
 pub fn clear_err_sidecar_under(dir: &std::path::Path, name: &str) {
     let path = dir.join(format!("{name}.err"));
     if !path.exists() {
@@ -217,8 +211,13 @@ mod tests {
     fn clearing_a_sidecar_leaves_other_directories_alone() {
         let root = std::env::temp_dir().join(format!("harness-sidecar-{}", std::process::id()));
         let (archive, scratch) = (root.join("results"), root.join("scratch"));
-        write_err_sidecar_under(&archive, "recovery", "archived run failed");
-        write_err_sidecar_under(&scratch, "recovery", "scratch run failed");
+        for (dir, text) in [
+            (&archive, "archived run failed"),
+            (&scratch, "scratch run failed"),
+        ] {
+            std::fs::create_dir_all(dir).unwrap();
+            std::fs::write(dir.join("recovery.err"), text).unwrap();
+        }
 
         clear_err_sidecar_under(&scratch, "recovery");
 

@@ -33,7 +33,6 @@ use faults::schedule::{FaultSchedule, ScheduledFault};
 use faults::spec::FaultKind;
 use faults::Scenario;
 use simio::SimClock;
-use wdog_base::clock::{RealClock, SharedClock};
 use wdog_base::error::BaseResult;
 use wdog_base::rng::derive_seed;
 use wdog_recover::{Incident, RecoveryOutcome, RecoveryPolicy};
@@ -56,10 +55,10 @@ pub struct RecoveryOptions {
     pub max_wait: Duration,
     /// Base seed.
     pub seed: u64,
-    /// Pinned `true`: every scenario runs on a fresh discrete-event
+    /// Read by nothing: every scenario runs on a fresh discrete-event
     /// `SimClock`, so the closed loop's every wait is a deterministic
     /// virtual instant. The field survives only because `benchmark/` names
-    /// it in a struct literal; it is read once, in [`run_recovery_scenario`].
+    /// it in a struct literal; it goes when that workspace may change.
     pub sim: bool,
 }
 
@@ -166,11 +165,6 @@ pub fn run_recovery_scenario(
     scenario: &Scenario,
     opts: &RecoveryOptions,
 ) -> BaseResult<ScenarioRecovery> {
-    let clock: SharedClock = if opts.sim {
-        SimClock::shared()
-    } else {
-        RealClock::shared()
-    };
     let hold = harness_clears(&scenario.kind).then_some(opts.fault_hold);
     let schedule = FaultSchedule {
         id: scenario.id.clone(),
@@ -190,7 +184,7 @@ pub fn run_recovery_scenario(
         coordinator: Some(RecoveryPolicy::fast()),
         ..RunSpec::default()
     };
-    let trace = session::run(target, clock, &schedule, &spec)?;
+    let trace = session::run(target, SimClock::shared(), &schedule, &spec)?;
     let incidents = &trace.incidents;
     let count = |o: RecoveryOutcome| incidents.iter().filter(|i| i.outcome == o).count() as u64;
     let sum = |f: fn(&Incident) -> u32| incidents.iter().map(|i| u64::from(f(i))).sum();

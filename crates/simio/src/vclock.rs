@@ -78,54 +78,6 @@ struct State {
     /// Actors ready to run, in wake/registration order.
     ready: VecDeque<u64>,
     waiters: HashMap<u64, WaiterState>,
-    /// Run-token handoffs since creation — the stall monitor's progress
-    /// signal (virtual time alone can stall legitimately at a busy instant).
-    steps: u64,
-}
-
-/// Renders one-line-per-actor state (shared by `dump` and the stall
-/// monitor).
-fn render_state(st: &State) -> String {
-    let mut out = format!(
-        "SimClock now={:?} steps={} running={:?}\n",
-        st.now, st.steps, st.running
-    );
-    for (id, a) in &st.actors {
-        out.push_str(&format!("  [{id}] {} {:?}\n", a.name, a.status));
-    }
-    out
-}
-
-/// Watches a core for lack of progress and dumps actor state to stderr.
-/// Armed by `WDOG_SIM_STALL_DUMP_MS`; exits when the clock is dropped.
-/// The classic stall this catches is an actor blocked on something the
-/// clock cannot see (an OS futex) while holding the run token — the dump's
-/// `running` actor is the culprit.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the stall monitor watches a frozen virtual clock, so it must run on the real one"
-)]
-fn spawn_stall_monitor(core: std::sync::Weak<Core>, interval: Duration) {
-    std::thread::Builder::new()
-        .name("sim-stall-monitor".into())
-        .spawn(move || {
-            let mut last: Option<(Duration, u64)> = None;
-            loop {
-                std::thread::sleep(interval);
-                let Some(core) = core.upgrade() else { return };
-                let st = core.state.lock();
-                let cur = (st.now, st.steps);
-                if last == Some(cur) && !st.actors.is_empty() {
-                    eprintln!(
-                        "[sim-stall] no progress for {interval:?}\n{}",
-                        render_state(&st)
-                    );
-                }
-                drop(st);
-                last = Some(cur);
-            }
-        })
-        .expect("spawn sim-stall-monitor");
 }
 
 struct Core {
@@ -164,7 +116,6 @@ impl Core {
     /// called with the state lock held and `running == None`.
     fn schedule(&self, st: &mut State) {
         debug_assert!(st.running.is_none());
-        st.steps = st.steps.wrapping_add(1);
         if let Some(next) = st.ready.pop_front() {
             st.running = Some(next);
             if let Some(actor) = st.actors.get(&next) {
@@ -312,30 +263,15 @@ impl SimClock {
                 running: None,
                 ready: VecDeque::new(),
                 waiters: HashMap::new(),
-                steps: 0,
             }),
             spectators: Condvar::new(),
         });
-        if let Some(ms) = std::env::var("WDOG_SIM_STALL_DUMP_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            spawn_stall_monitor(Arc::downgrade(&core), Duration::from_millis(ms.max(100)));
-        }
         Self { core }
     }
 
     /// Creates a shared handle to a fresh clock.
     pub fn shared() -> SharedClock {
         Arc::new(Self::new())
-    }
-
-    /// One-line-per-actor state dump — which actor holds the run token and
-    /// what everyone else is blocked on. For diagnosing a run that makes no
-    /// progress: the running actor is the one blocked on something the
-    /// clock cannot see.
-    pub fn dump(&self) -> String {
-        render_state(&self.core.state.lock())
     }
 }
 

@@ -7,8 +7,12 @@
 //! program publishes while its own tests run, mines value-level invariants
 //! from the journals — numeric ranges, payload length bounds, per-publish
 //! deltas, first-publish orderings, staleness windows — and lowers the
-//! survivors into [`InferredSpec`]s. An [`InferredChecker`] evaluates one
-//! such spec against the live context table.
+//! survivors into [`InferredSpec`]s. [`inferred_checker`] evaluates one such
+//! spec against the live context table.
+//!
+//! [`InferredPredicate`] is the one list of invariant kinds: the miner
+//! records each observation as one, with the observed bounds, and the
+//! emitter widens it into the enforced spec.
 //!
 //! Inferred checkers are value-level where mimics are operation-level: a
 //! wedged background loop whose mimic ops still succeed, a counter that
@@ -22,13 +26,10 @@ use serde::{Deserialize, Serialize};
 use wdog_base::ids::{CheckerId, ComponentId};
 use wdog_core::prelude::*;
 
-/// The family tag inferred checkers carry in campaign attribution.
-pub const FAMILY: &str = "inferred";
-
-/// One mined invariant, in checkable form.
+/// One invariant kind with its bounds.
 ///
-/// Slack is folded in by the emitter: the bounds here are the *enforced*
-/// bounds, not the raw observed extrema.
+/// In a spec the bounds are the *enforced* ones, slack folded in by the
+/// emitter; in the miner's record they are the raw observed extrema.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum InferredPredicate {
     /// Numeric field stays within `[min, max]`.
@@ -59,9 +60,9 @@ impl InferredPredicate {
 
 /// A registrable inferred checker: identity plus the mined predicate.
 ///
-/// Produced by the `wdog-infer` emitter, serialized under the
-/// `wdog-infer/v1` corpus schema, and instantiated by each target's
-/// `build_watchdog` when the inferred family is enabled.
+/// Produced by the `wdog-infer` emitter, archived in its corpus, and
+/// instantiated by each target's `build_watchdog` when the inferred family
+/// is enabled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InferredSpec {
     /// Checker id, e.g. `kvs.inferred.staleness.compaction_loop`.
@@ -76,50 +77,9 @@ pub struct InferredSpec {
     pub predicate: InferredPredicate,
 }
 
-/// Evaluates one [`InferredSpec`] against the live context table.
-///
-/// Follows the mimic family's readiness discipline: a missing key, a missing
-/// field, or an unexpectedly-typed value is `NotReady`, never a failure —
-/// inferred checkers must not report failures that do not exist in the main
-/// program.
-pub struct InferredChecker {
-    spec: InferredSpec,
-    reader: ContextReader,
-    /// Last `(version, value)` a delta predicate compared against.
-    last: Option<(u64, i64)>,
-}
-
-impl InferredChecker {
-    /// Creates a checker for `spec` reading through `reader`.
-    pub fn new(spec: InferredSpec, reader: ContextReader) -> Self {
-        Self {
-            spec,
-            reader,
-            last: None,
-        }
-    }
-
-    /// Returns the spec this checker enforces.
-    pub fn spec(&self) -> &InferredSpec {
-        &self.spec
-    }
-
-    fn location(&self) -> FaultLocation {
-        FaultLocation::new(
-            ComponentId::from(self.spec.component.as_str()),
-            format!("inferred:{}:{}", self.spec.predicate.kind(), self.spec.key),
-        )
-    }
-
-    fn fail(&self, kind: FailureKind, snapshot: &ContextSnapshot, msg: String) -> CheckStatus {
-        CheckStatus::Fail(
-            CheckFailure::new(kind, self.location(), msg).with_payload(snapshot.render_payload()),
-        )
-    }
-}
-
-/// Extracts a numeric field as `i64` (the miner's common numeric domain).
-fn as_i64(value: &CtxValue) -> Option<i64> {
+/// Extracts a numeric field as `i64`, the common numeric domain of the
+/// miner and the checker.
+pub fn as_i64(value: &CtxValue) -> Option<i64> {
     match value {
         CtxValue::U64(v) => Some((*v).min(i64::MAX as u64) as i64),
         CtxValue::I64(v) => Some(*v),
@@ -128,7 +88,7 @@ fn as_i64(value: &CtxValue) -> Option<i64> {
 }
 
 /// Extracts a length-bearing field's length in bytes.
-fn len_of(value: &CtxValue) -> Option<u64> {
+pub fn len_of(value: &CtxValue) -> Option<u64> {
     match value {
         CtxValue::Str(s) => Some(s.len() as u64),
         CtxValue::Bytes(b) => Some(b.len() as u64),
@@ -136,28 +96,43 @@ fn len_of(value: &CtxValue) -> Option<u64> {
     }
 }
 
-impl Checker for InferredChecker {
-    fn id(&self) -> CheckerId {
-        CheckerId::from(self.spec.id.as_str())
-    }
-
-    fn component(&self) -> ComponentId {
-        ComponentId::from(self.spec.component.as_str())
-    }
-
-    fn check(&mut self) -> CheckStatus {
-        let Some(snapshot) = self.reader.read(&self.spec.key) else {
+/// Builds the checker that evaluates `spec` against the live context table
+/// read through `reader`.
+///
+/// Follows the mimic family's readiness discipline: a missing key, a missing
+/// field, or an unexpectedly-typed value is `NotReady`, never a failure —
+/// inferred checkers must not report failures that do not exist in the main
+/// program.
+pub fn inferred_checker(
+    spec: InferredSpec,
+    reader: ContextReader,
+) -> FnChecker<impl FnMut() -> CheckStatus + Send> {
+    let id = CheckerId::from(spec.id.as_str());
+    let component = ComponentId::from(spec.component.as_str());
+    let location = FaultLocation::new(
+        component.clone(),
+        format!("inferred:{}:{}", spec.predicate.kind(), spec.key),
+    );
+    // Last `(version, value)` a delta predicate compared against.
+    let mut last: Option<(u64, i64)> = None;
+    FnChecker::new(id, component, move || {
+        let Some(snapshot) = reader.read(&spec.key) else {
             return CheckStatus::NotReady;
         };
-        match &self.spec.predicate {
+        let fail = |kind, msg: String| {
+            CheckStatus::Fail(
+                CheckFailure::new(kind, location.clone(), msg)
+                    .with_payload(snapshot.render_payload()),
+            )
+        };
+        match &spec.predicate {
             InferredPredicate::Range { field, min, max } => {
                 let Some(v) = snapshot.get(field).and_then(as_i64) else {
                     return CheckStatus::NotReady;
                 };
                 if v < *min || v > *max {
-                    return self.fail(
+                    return fail(
                         FailureKind::AssertViolation,
-                        &snapshot,
                         format!("{field} = {v} outside inferred range [{min}, {max}]"),
                     );
                 }
@@ -167,9 +142,8 @@ impl Checker for InferredChecker {
                     return CheckStatus::NotReady;
                 };
                 if len > *max_len {
-                    return self.fail(
+                    return fail(
                         FailureKind::AssertViolation,
-                        &snapshot,
                         format!("{field} is {len} B, above inferred bound {max_len} B"),
                     );
                 }
@@ -178,7 +152,7 @@ impl Checker for InferredChecker {
                 let Some(v) = snapshot.get(field).and_then(as_i64) else {
                     return CheckStatus::NotReady;
                 };
-                let prev = self.last.replace((snapshot.version, v));
+                let prev = last.replace((snapshot.version, v));
                 if let Some((prev_version, prev_v)) = prev {
                     let publishes = snapshot.version.saturating_sub(prev_version);
                     if publishes > 0 {
@@ -187,9 +161,8 @@ impl Checker for InferredChecker {
                         let allowed = (*max_step as i128) * (publishes as i128);
                         let step = (v as i128 - prev_v as i128).abs();
                         if step > allowed {
-                            return self.fail(
+                            return fail(
                                 FailureKind::AssertViolation,
-                                &snapshot,
                                 format!(
                                     "{field} jumped {step} over {publishes} publishes \
                                      (inferred step bound {max_step}/publish)"
@@ -202,39 +175,29 @@ impl Checker for InferredChecker {
             InferredPredicate::Staleness { max_gap_us } => {
                 let age_us = snapshot.age.as_micros() as u64;
                 if age_us > *max_gap_us {
-                    return self.fail(
+                    return fail(
                         FailureKind::Stuck,
-                        &snapshot,
                         format!(
                             "{} stale for {age_us} us (inferred republish window {max_gap_us} us)",
-                            self.spec.key
+                            spec.key
                         ),
                     );
                 }
             }
             InferredPredicate::Order { prerequisite } => {
-                if !self.reader.is_ready(prerequisite) {
-                    return self.fail(
+                if !reader.is_ready(prerequisite) {
+                    return fail(
                         FailureKind::AssertViolation,
-                        &snapshot,
                         format!(
                             "{} published before its inferred prerequisite {prerequisite}",
-                            self.spec.key
+                            spec.key
                         ),
                     );
                 }
             }
         }
         CheckStatus::Pass
-    }
-}
-
-impl std::fmt::Debug for InferredChecker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InferredChecker")
-            .field("spec", &self.spec)
-            .finish()
-    }
+    })
 }
 
 #[cfg(test)]
@@ -260,9 +223,34 @@ mod tests {
     }
 
     #[test]
+    fn identity_and_location_come_from_the_spec() {
+        let t = table();
+        let mut c = inferred_checker(
+            spec(
+                "k",
+                InferredPredicate::Range {
+                    field: "n".into(),
+                    min: 0,
+                    max: 5,
+                },
+            ),
+            t.reader(),
+        );
+        assert_eq!(c.id().as_str(), "t.inferred.range.k");
+        assert_eq!(c.component().as_str(), "t.k");
+        t.publish("k", vec![("n".into(), CtxValue::U64(6))]);
+        let CheckStatus::Fail(f) = c.check() else {
+            panic!("expected range violation");
+        };
+        assert_eq!(f.location.component.as_str(), "t.k");
+        assert_eq!(f.location.function, "inferred:range:k");
+        assert_eq!(f.detail, "n = 6 outside inferred range [0, 5]");
+    }
+
+    #[test]
     fn unpublished_key_is_not_ready() {
         let t = table();
-        let mut c = InferredChecker::new(
+        let mut c = inferred_checker(
             spec(
                 "k",
                 InferredPredicate::Range {
@@ -279,7 +267,7 @@ mod tests {
     #[test]
     fn range_passes_inside_and_fails_outside() {
         let t = table();
-        let mut c = InferredChecker::new(
+        let mut c = inferred_checker(
             spec(
                 "k",
                 InferredPredicate::Range {
@@ -303,7 +291,7 @@ mod tests {
     #[test]
     fn missing_or_mistyped_field_is_not_ready() {
         let t = table();
-        let mut c = InferredChecker::new(
+        let mut c = inferred_checker(
             spec(
                 "k",
                 InferredPredicate::Range {
@@ -323,7 +311,7 @@ mod tests {
     #[test]
     fn len_bound_checks_strings_and_bytes() {
         let t = table();
-        let mut c = InferredChecker::new(
+        let mut c = inferred_checker(
             spec(
                 "k",
                 InferredPredicate::LenBound {
@@ -342,7 +330,7 @@ mod tests {
     #[test]
     fn delta_scales_with_publish_count() {
         let t = table();
-        let mut c = InferredChecker::new(
+        let mut c = inferred_checker(
             spec(
                 "k",
                 InferredPredicate::Delta {
@@ -370,7 +358,7 @@ mod tests {
     fn staleness_fires_once_age_exceeds_window() {
         let clock = SimClock::shared();
         let t = ContextTable::new(clock.clone());
-        let mut c = InferredChecker::new(
+        let mut c = inferred_checker(
             spec(
                 "k",
                 InferredPredicate::Staleness {
@@ -393,7 +381,7 @@ mod tests {
     #[test]
     fn order_fires_only_when_prerequisite_missing() {
         let t = table();
-        let mut c = InferredChecker::new(
+        let mut c = inferred_checker(
             spec(
                 "b",
                 InferredPredicate::Order {

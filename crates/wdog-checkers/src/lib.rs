@@ -35,6 +35,6 @@ pub mod mimic;
 pub mod probe;
 pub mod signal;
 
-pub use inferred::{InferredChecker, InferredPredicate, InferredSpec};
+pub use inferred::{inferred_checker, InferredPredicate, InferredSpec};
 pub use mimic::{MimicChecker, MimicOp, OpBody};
 pub use probe::probe_checker;

@@ -3,10 +3,11 @@
 //! The miner reports exact observed envelopes; running those raw as
 //! checkers would flag the first execution that strays one unit past what
 //! the recorded tests happened to do. The emitter folds in slack — wider
-//! for looser invariant kinds — and tags each spec with the id and
-//! component conventions the rest of the stack expects:
+//! for looser invariant kinds — and names each spec by the conventions the
+//! rest of the stack expects:
 //!
-//! * id: `{target}.inferred.{kind}.{key}[.{field}]`
+//! * id: `{target}.inferred.{id}`, where `{id}` is the mined invariant's
+//!   [`MinedInvariant::id`];
 //! * component: `{target}.{key}`, the component id of the loop that owns
 //!   the key, which a scenario's blamed ids name exactly.
 //!
@@ -15,7 +16,7 @@
 
 use wdog_checkers::{InferredPredicate, InferredSpec};
 
-use crate::miner::{Invariant, InvariantSet};
+use crate::miner::MinedInvariant;
 
 /// Range widens each side by `max(1, span / RANGE_SLACK_DIVISOR)`.
 const RANGE_SLACK_DIVISOR: i64 = 4;
@@ -31,116 +32,88 @@ const STALENESS_PAD_US: u64 = 250_000;
 /// Lowers every mined invariant into an [`InferredSpec`] for `target`,
 /// slack folded in.
 ///
-/// Output order follows the input set's (id-sorted) order, so the emitted
+/// Output order follows the input's (id-sorted) order, so the emitted
 /// corpus is deterministic whenever mining is.
-pub fn emit(set: &InvariantSet, target: &str) -> Vec<InferredSpec> {
-    set.invariants
+pub fn emit(mined: &[MinedInvariant], target: &str) -> Vec<InferredSpec> {
+    mined
         .iter()
-        .map(|mined| {
-            let key = mined.invariant.key().to_owned();
-            let (id, predicate) = match &mined.invariant {
-                Invariant::Range {
-                    key,
-                    field,
-                    min,
-                    max,
-                } => {
-                    let span = max.saturating_sub(*min);
-                    let slack = (span / RANGE_SLACK_DIVISOR).max(1);
-                    (
-                        format!("{target}.inferred.range.{key}.{field}"),
-                        InferredPredicate::Range {
-                            field: field.clone(),
-                            min: min.saturating_sub(slack),
-                            max: max.saturating_add(slack),
-                        },
-                    )
-                }
-                Invariant::Len {
-                    key,
-                    field,
-                    max_len,
-                } => {
-                    let slack = (max_len / LEN_SLACK_DIVISOR).max(1);
-                    (
-                        format!("{target}.inferred.len.{key}.{field}"),
-                        InferredPredicate::LenBound {
-                            field: field.clone(),
-                            max_len: max_len.saturating_add(slack),
-                        },
-                    )
-                }
-                Invariant::Delta {
-                    key,
-                    field,
-                    max_step,
-                } => (
-                    format!("{target}.inferred.delta.{key}.{field}"),
-                    InferredPredicate::Delta {
-                        field: field.clone(),
-                        max_step: max_step.saturating_mul(DELTA_MULTIPLIER).saturating_add(1),
-                    },
-                ),
-                Invariant::Order { first, then } => (
-                    format!("{target}.inferred.order.{then}.{first}"),
-                    InferredPredicate::Order {
-                        prerequisite: first.clone(),
-                    },
-                ),
-                Invariant::Staleness { key, max_gap_us } => (
-                    format!("{target}.inferred.staleness.{key}"),
-                    InferredPredicate::Staleness {
-                        max_gap_us: max_gap_us
-                            .saturating_mul(STALENESS_MULTIPLIER)
-                            .saturating_add(STALENESS_PAD_US),
-                    },
-                ),
-            };
-            InferredSpec {
-                id,
-                component: format!("{target}.{key}"),
-                key,
-                support: mined.support,
-                predicate,
-            }
+        .map(|m| InferredSpec {
+            id: format!("{target}.inferred.{}", m.id()),
+            component: format!("{target}.{}", m.key),
+            key: m.key.clone(),
+            support: m.support,
+            predicate: widen(m.predicate.clone()),
         })
         .collect()
+}
+
+/// Folds slack into an observed predicate; an ordering has none to fold.
+fn widen(observed: InferredPredicate) -> InferredPredicate {
+    match observed {
+        InferredPredicate::Range { field, min, max } => {
+            let slack = (max.saturating_sub(min) / RANGE_SLACK_DIVISOR).max(1);
+            InferredPredicate::Range {
+                field,
+                min: min.saturating_sub(slack),
+                max: max.saturating_add(slack),
+            }
+        }
+        InferredPredicate::LenBound { field, max_len } => InferredPredicate::LenBound {
+            field,
+            max_len: max_len.saturating_add((max_len / LEN_SLACK_DIVISOR).max(1)),
+        },
+        InferredPredicate::Delta { field, max_step } => InferredPredicate::Delta {
+            field,
+            max_step: max_step.saturating_mul(DELTA_MULTIPLIER).saturating_add(1),
+        },
+        InferredPredicate::Staleness { max_gap_us } => InferredPredicate::Staleness {
+            max_gap_us: max_gap_us
+                .saturating_mul(STALENESS_MULTIPLIER)
+                .saturating_add(STALENESS_PAD_US),
+        },
+        order @ InferredPredicate::Order { .. } => order,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::miner::MinedInvariant;
+
+    fn mined(key: &str, predicate: InferredPredicate, support: u64) -> MinedInvariant {
+        MinedInvariant {
+            key: key.into(),
+            predicate,
+            support,
+        }
+    }
 
     #[test]
     fn emits_slacked_specs_with_id_and_component_conventions() {
-        let set = InvariantSet {
-            invariants: vec![
-                MinedInvariant {
-                    invariant: Invariant::Range {
-                        key: "flusher_loop".into(),
-                        field: "entry_count".into(),
-                        min: 10,
-                        max: 18,
-                    },
-                    support: 9,
+        let set = vec![
+            mined(
+                "flusher_loop",
+                InferredPredicate::Range {
+                    field: "entry_count".into(),
+                    min: 10,
+                    max: 18,
                 },
-                MinedInvariant {
-                    invariant: Invariant::Staleness {
-                        key: "compaction_loop".into(),
-                        max_gap_us: 100_000,
-                    },
-                    support: 4,
+                9,
+            ),
+            mined(
+                "compaction_loop",
+                InferredPredicate::Staleness {
+                    max_gap_us: 100_000,
                 },
-                MinedInvariant {
-                    invariant: Invariant::Order {
-                        first: "wal_loop".into(),
-                        then: "flusher_loop".into(),
-                    },
-                    support: 2,
+                4,
+            ),
+            mined(
+                "flusher_loop",
+                InferredPredicate::Order {
+                    prerequisite: "wal_loop".into(),
                 },
-            ],
-        };
+                2,
+            ),
+        ];
         let specs = emit(&set, "kvs");
         assert_eq!(specs.len(), 3);
 
@@ -177,18 +150,40 @@ mod tests {
     }
 
     #[test]
-    fn tight_envelopes_still_get_minimum_slack() {
-        let set = InvariantSet {
-            invariants: vec![MinedInvariant {
-                invariant: Invariant::Range {
-                    key: "k".into(),
-                    field: "f".into(),
-                    min: 5,
-                    max: 5,
+    fn spec_ids_are_the_target_prefix_and_the_mined_id() {
+        let set = vec![
+            mined(
+                "wal_loop",
+                InferredPredicate::LenBound {
+                    field: "payload".into(),
+                    max_len: 53,
                 },
-                support: 3,
-            }],
-        };
+                6,
+            ),
+            mined(
+                "compaction_loop",
+                InferredPredicate::Order {
+                    prerequisite: "flusher_loop".into(),
+                },
+                3,
+            ),
+        ];
+        for (m, spec) in set.iter().zip(emit(&set, "kvs")) {
+            assert_eq!(spec.id, format!("kvs.inferred.{}", m.id()));
+        }
+    }
+
+    #[test]
+    fn tight_envelopes_still_get_minimum_slack() {
+        let set = vec![mined(
+            "k",
+            InferredPredicate::Range {
+                field: "f".into(),
+                min: 5,
+                max: 5,
+            },
+            3,
+        )];
         let specs = emit(&set, "kvs");
         assert_eq!(
             specs[0].predicate,

@@ -1,4 +1,4 @@
-//! On-disk trace journal format (`wdog-infer/v1`).
+//! The in-memory trace journal the miner consumes.
 //!
 //! A [`TraceJournal`] is one recorded execution: the events a
 //! [`TraceRecorder`](wdog_core::TraceRecorder) drained after a target's
@@ -6,19 +6,14 @@
 //! the execution (test name, chaos schedule, load profile) and the seed it
 //! booted with. Journals are the unit the miner consumes — invariants are
 //! judged per-journal (orderings, staleness) or across all journals
-//! (bounds, deltas), so keeping executions separate matters.
+//! (bounds, deltas), so keeping executions separate matters. Journals are
+//! never written to disk: only the mined report is archived.
 
-use serde::{Deserialize, Serialize};
 use wdog_core::{TraceEvent, TraceEventKind};
 
-/// Schema tag written into every journal and corpus artifact.
-pub const SCHEMA: &str = "wdog-infer/v1";
-
 /// One recorded execution of an instrumented target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceJournal {
-    /// Format tag; always [`SCHEMA`] for journals this crate writes.
-    pub schema: String,
     /// Target program that produced the trace (`kvs`, `minizk`, ...).
     pub target: String,
     /// Human label for the execution the trace came from.
@@ -27,15 +22,10 @@ pub struct TraceJournal {
     pub seed: u64,
     /// Drained recorder events, in sequence order.
     pub events: Vec<TraceEvent>,
-    /// Events the recorder discarded because its buffer was full
-    /// ([`TraceRecorder::dropped`](wdog_core::TraceRecorder::dropped)):
-    /// non-zero means `events` is a truncated view of the execution.
-    #[serde(default)]
-    pub dropped: u64,
 }
 
 impl TraceJournal {
-    /// Wraps drained recorder events into a schema-tagged journal.
+    /// Wraps drained recorder events into a journal.
     pub fn new(
         target: impl Into<String>,
         label: impl Into<String>,
@@ -43,12 +33,10 @@ impl TraceJournal {
         events: Vec<TraceEvent>,
     ) -> Self {
         Self {
-            schema: SCHEMA.to_owned(),
             target: target.into(),
             label: label.into(),
             seed,
             events,
-            dropped: 0,
         }
     }
 
@@ -76,20 +64,17 @@ mod tests {
     use super::*;
     use wdog_core::CtxValue;
 
-    fn publish(seq: u64, at_us: u64, key: &str) -> TraceEvent {
-        TraceEvent {
-            seq,
-            at_us,
-            key: key.into(),
-            kind: TraceEventKind::Publish {
-                fields: vec![("n".into(), CtxValue::U64(seq))],
-            },
-        }
-    }
-
     #[test]
-    fn journal_round_trips_and_exposes_publishes() {
-        let mut j = TraceJournal::new("kvs", "unit", 7, vec![publish(1, 10, "wal_loop")]);
+    fn journal_exposes_publishes_and_its_end() {
+        let publish = TraceEvent {
+            seq: 1,
+            at_us: 10,
+            key: "wal_loop".into(),
+            kind: TraceEventKind::Publish {
+                fields: vec![("n".into(), CtxValue::U64(1))],
+            },
+        };
+        let mut j = TraceJournal::new("kvs", "unit", 7, vec![publish]);
         j.events.push(TraceEvent {
             seq: 2,
             at_us: 25,
@@ -99,11 +84,7 @@ mod tests {
                 ok: true,
             },
         });
-        assert_eq!(j.schema, SCHEMA);
         assert_eq!(j.publishes().count(), 1);
         assert_eq!(j.end_us(), 25);
-        let json = serde_json::to_string(&j).unwrap();
-        let back: TraceJournal = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, j);
     }
 }

@@ -12,11 +12,15 @@
 //! The pipeline is record → mine → emit → score:
 //!
 //! ```text
-//! tests ──TraceRecorder──▶ TraceJournal (wdog-infer/v1)
-//!       ──mine(journals)──▶ InvariantSet  (bounds, deltas, orders, staleness)
-//!       ──emit(set)───────▶ Vec<InferredSpec>  (slack folded in)
+//! tests ──TraceRecorder──▶ TraceJournal (in memory)
+//!       ──mine(journals)──▶ Vec<MinedInvariant>  (observed bounds)
+//!       ──emit(mined)─────▶ Vec<InferredSpec>    (slack folded in)
 //!       ──WdOptions.inferred──▶ scored in chaos sim beside mimics
 //! ```
+//!
+//! Both halves speak one vocabulary, `wdog_checkers::InferredPredicate`:
+//! a mined invariant is a predicate with its observed bounds, and emitting
+//! it only widens the bounds and names the spec.
 //!
 //! Everything downstream of recording is a pure function of the journals,
 //! and journals recorded on the simulation substrate are themselves
@@ -27,10 +31,13 @@ pub mod journal;
 pub mod miner;
 
 pub use emit::emit;
-pub use journal::{TraceJournal, SCHEMA};
-pub use miner::{holds_on, mine, Invariant, InvariantSet, MinedInvariant, MinerConfig};
+pub use journal::TraceJournal;
+pub use miner::{holds_on, mine, MinedInvariant, MinerConfig};
 
 use wdog_checkers::InferredSpec;
+
+/// Schema tag of every archived [`InferenceReport`].
+pub const SCHEMA: &str = "wdog-infer/v1";
 
 /// Record-side output of one mining run: the mined set plus the specs it
 /// lowered to, under one schema tag. This is the shape the corpus
@@ -45,8 +52,8 @@ pub struct InferenceReport {
     pub journals: Vec<String>,
     /// Total trace events consumed.
     pub events: u64,
-    /// Invariants that survived the confidence floors.
-    pub mined: InvariantSet,
+    /// Invariants that survived the confidence floors, sorted by id.
+    pub mined: Vec<MinedInvariant>,
     /// Registrable checker specs, slack folded in.
     pub specs: Vec<InferredSpec>,
 }
@@ -89,7 +96,7 @@ mod tests {
         assert_eq!(report.schema, SCHEMA);
         assert_eq!(report.events, 5);
         assert_eq!(report.journals, vec!["unit".to_owned()]);
-        assert_eq!(report.mined.invariants.len(), report.specs.len());
+        assert_eq!(report.mined.len(), report.specs.len());
         assert!(report
             .specs
             .iter()

@@ -1,26 +1,29 @@
 //! Invariant mining over trace journals.
 //!
 //! The miner replays [`TraceJournal`]s and proposes value-level invariants
-//! the recorded executions never violated:
+//! the recorded executions never violated, each an [`InferredPredicate`]
+//! over one context key with the observed (unwidened) bounds:
 //!
 //! * **Range** — a numeric context field stayed within `[min, max]`.
 //! * **Len** — a string/bytes field never exceeded `max_len`.
 //! * **Delta** — a numeric field never moved more than `max_step` between
 //!   consecutive publishes of its key within one execution.
-//! * **Order** — in every execution where both keys published, `first`'s
-//!   first publish preceded `then`'s first publish.
+//! * **Order** — in every execution where both keys published, the
+//!   prerequisite's first publish preceded the key's first publish.
 //! * **Staleness** — a key never went longer than `max_gap_us` between
 //!   publishes (including the tail gap to the end of the recording).
 //!
 //! Every invariant carries a *support* count (how many observations backed
 //! it); [`MinerConfig`] sets the confidence floors below which candidates
 //! are discarded. All aggregation is order-independent and the output is
-//! sorted by invariant id, so mining is deterministic under any reordering
-//! of the input journals.
+//! sorted by [`MinedInvariant::id`], so mining is deterministic under any
+//! reordering of the input journals.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
+use wdog_checkers::inferred::{as_i64, len_of};
+use wdog_checkers::InferredPredicate;
 use wdog_core::CtxValue;
 
 use crate::journal::TraceJournal;
@@ -47,100 +50,32 @@ impl Default for MinerConfig {
     }
 }
 
-/// One invariant the recorded executions never violated, without slack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Invariant {
-    /// Numeric field of `key` stayed within `[min, max]`.
-    Range {
-        key: String,
-        field: String,
-        min: i64,
-        max: i64,
-    },
-    /// Str/Bytes field of `key` never exceeded `max_len`.
-    Len {
-        key: String,
-        field: String,
-        max_len: u64,
-    },
-    /// Numeric field of `key` never stepped more than `max_step` between
-    /// consecutive publishes within one execution.
-    Delta {
-        key: String,
-        field: String,
-        max_step: u64,
-    },
-    /// `first`'s first publish preceded `then`'s in every co-appearance.
-    Order { first: String, then: String },
-    /// `key` never went more than `max_gap_us` between publishes.
-    Staleness { key: String, max_gap_us: u64 },
-}
-
-impl Invariant {
-    /// Stable identifier used for sorting, dedup and corpus diffs.
-    pub fn id(&self) -> String {
-        match self {
-            Invariant::Range { key, field, .. } => format!("range.{key}.{field}"),
-            Invariant::Len { key, field, .. } => format!("len.{key}.{field}"),
-            Invariant::Delta { key, field, .. } => format!("delta.{key}.{field}"),
-            Invariant::Order { first, then } => format!("order.{then}.after.{first}"),
-            Invariant::Staleness { key, .. } => format!("staleness.{key}"),
-        }
-    }
-
-    /// The context key the invariant constrains (the *dependent* key for
-    /// orderings — the one whose checker would fire).
-    pub fn key(&self) -> &str {
-        match self {
-            Invariant::Range { key, .. }
-            | Invariant::Len { key, .. }
-            | Invariant::Delta { key, .. }
-            | Invariant::Staleness { key, .. } => key,
-            Invariant::Order { then, .. } => then,
-        }
-    }
-}
-
-/// An invariant plus the evidence behind it.
+/// One invariant the recorded executions never violated, without slack,
+/// plus the evidence behind it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MinedInvariant {
-    pub invariant: Invariant,
+    /// The context key the invariant constrains (for an ordering, the key
+    /// whose checker would fire).
+    pub key: String,
+    /// What held, with the observed bounds.
+    pub predicate: InferredPredicate,
     /// Observation count: publishes seen (range/len), consecutive pairs
     /// (delta/staleness gaps), or co-appearing journals (order).
     pub support: u64,
 }
 
-/// The miner's output: invariants sorted by [`Invariant::id`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct InvariantSet {
-    pub invariants: Vec<MinedInvariant>,
-}
-
-impl InvariantSet {
-    /// Looks up a mined invariant by id.
-    pub fn get(&self, id: &str) -> Option<&MinedInvariant> {
-        self.invariants.iter().find(|m| m.invariant.id() == id)
-    }
-
-    /// The sorted list of invariant ids.
-    pub fn ids(&self) -> Vec<String> {
-        self.invariants.iter().map(|m| m.invariant.id()).collect()
-    }
-}
-
-fn numeric(v: &CtxValue) -> Option<i64> {
-    match v {
-        CtxValue::U64(u) => Some((*u).min(i64::MAX as u64) as i64),
-        CtxValue::I64(i) => Some(*i),
-        _ => None,
-    }
-}
-
-fn length(v: &CtxValue) -> Option<u64> {
-    match v {
-        CtxValue::Str(s) => Some(s.len() as u64),
-        CtxValue::Bytes(b) => Some(b.len() as u64),
-        _ => None,
+impl MinedInvariant {
+    /// Stable identifier used for sorting and corpus diffs:
+    /// `{kind}.{key}[.{field}]`, and `order.{key}.{prerequisite}`.
+    pub fn id(&self) -> String {
+        let (kind, key) = (self.predicate.kind(), &self.key);
+        match &self.predicate {
+            InferredPredicate::Range { field, .. }
+            | InferredPredicate::LenBound { field, .. }
+            | InferredPredicate::Delta { field, .. } => format!("{kind}.{key}.{field}"),
+            InferredPredicate::Order { prerequisite } => format!("{kind}.{key}.{prerequisite}"),
+            InferredPredicate::Staleness { .. } => format!("{kind}.{key}"),
+        }
     }
 }
 
@@ -171,8 +106,9 @@ struct GapStat {
     min_publishes_per_journal: u64,
 }
 
-/// Mines every invariant the journals support at the configured floors.
-pub fn mine(journals: &[TraceJournal], cfg: &MinerConfig) -> InvariantSet {
+/// Mines every invariant the journals support at the configured floors,
+/// sorted by [`MinedInvariant::id`].
+pub fn mine(journals: &[TraceJournal], cfg: &MinerConfig) -> Vec<MinedInvariant> {
     let mut ranges: BTreeMap<(String, String), NumStat> = BTreeMap::new();
     let mut lens: BTreeMap<(String, String), LenStat> = BTreeMap::new();
     let mut deltas: BTreeMap<(String, String), DeltaStat> = BTreeMap::new();
@@ -203,7 +139,7 @@ pub fn mine(journals: &[TraceJournal], cfg: &MinerConfig) -> InvariantSet {
             }
             for (field, value) in fields {
                 let slot = (event.key.clone(), field.clone());
-                if let Some(n) = numeric(value) {
+                if let Some(n) = as_i64(value) {
                     let stat = ranges.entry(slot.clone()).or_insert(NumStat {
                         min: n,
                         max: n,
@@ -218,7 +154,7 @@ pub fn mine(journals: &[TraceJournal], cfg: &MinerConfig) -> InvariantSet {
                         stat.pairs += 1;
                     }
                 }
-                if let Some(len) = length(value) {
+                if let Some(len) = len_of(value) {
                     let stat = lens.entry(slot).or_default();
                     stat.max_len = stat.max_len.max(len);
                     stat.count += 1;
@@ -268,54 +204,49 @@ pub fn mine(journals: &[TraceJournal], cfg: &MinerConfig) -> InvariantSet {
     }
 
     let mut out = Vec::new();
+    let mut push = |key: &str, predicate, support| {
+        out.push(MinedInvariant {
+            key: key.to_owned(),
+            predicate,
+            support,
+        })
+    };
     for ((key, field), stat) in &ranges {
         if stat.count >= cfg.min_support {
-            out.push(MinedInvariant {
-                invariant: Invariant::Range {
-                    key: key.clone(),
-                    field: field.clone(),
-                    min: stat.min,
-                    max: stat.max,
-                },
-                support: stat.count,
-            });
+            let (field, min, max) = (field.clone(), stat.min, stat.max);
+            push(
+                key,
+                InferredPredicate::Range { field, min, max },
+                stat.count,
+            );
         }
     }
     for ((key, field), stat) in &lens {
         if stat.count >= cfg.min_support {
-            out.push(MinedInvariant {
-                invariant: Invariant::Len {
-                    key: key.clone(),
-                    field: field.clone(),
-                    max_len: stat.max_len,
-                },
-                support: stat.count,
-            });
+            let (field, max_len) = (field.clone(), stat.max_len);
+            push(
+                key,
+                InferredPredicate::LenBound { field, max_len },
+                stat.count,
+            );
         }
     }
     for ((key, field), stat) in &deltas {
         if stat.pairs >= cfg.min_support {
-            out.push(MinedInvariant {
-                invariant: Invariant::Delta {
-                    key: key.clone(),
-                    field: field.clone(),
-                    max_step: stat.max_step,
-                },
-                support: stat.pairs,
-            });
+            let (field, max_step) = (field.clone(), stat.max_step);
+            push(
+                key,
+                InferredPredicate::Delta { field, max_step },
+                stat.pairs,
+            );
         }
     }
     for (key, stat) in &gaps {
         if stat.gaps >= cfg.min_support
             && stat.min_publishes_per_journal >= cfg.min_staleness_publishes
         {
-            out.push(MinedInvariant {
-                invariant: Invariant::Staleness {
-                    key: key.clone(),
-                    max_gap_us: stat.max_gap_us,
-                },
-                support: stat.gaps,
-            });
+            let max_gap_us = stat.max_gap_us;
+            push(key, InferredPredicate::Staleness { max_gap_us }, stat.gaps);
         }
     }
     for ((first, then), forward) in &before {
@@ -324,64 +255,47 @@ pub fn mine(journals: &[TraceJournal], cfg: &MinerConfig) -> InvariantSet {
             .copied()
             .unwrap_or(0);
         if reverse == 0 && *forward >= cfg.min_order_journals {
-            out.push(MinedInvariant {
-                invariant: Invariant::Order {
-                    first: first.clone(),
-                    then: then.clone(),
-                },
-                support: *forward,
-            });
+            let prerequisite = first.clone();
+            push(then, InferredPredicate::Order { prerequisite }, *forward);
         }
     }
 
-    out.sort_by_key(|a| a.invariant.id());
-    InvariantSet { invariants: out }
+    out.sort_by_key(MinedInvariant::id);
+    out
 }
 
-/// Returns whether `invariant` holds on `journal`.
+/// Returns whether `mined` holds on `journal`.
 ///
 /// This is the ground-truth re-check the property tests lean on: anything
 /// [`mine`] emits must hold on every journal it was mined from. Invariants
 /// about keys or fields the journal never publishes hold vacuously.
-pub fn holds_on(invariant: &Invariant, journal: &TraceJournal) -> bool {
-    match invariant {
-        Invariant::Range {
-            key,
-            field,
-            min,
-            max,
-        } => field_values(journal, key, field)
-            .filter_map(numeric)
+pub fn holds_on(mined: &MinedInvariant, journal: &TraceJournal) -> bool {
+    let key = mined.key.as_str();
+    match &mined.predicate {
+        InferredPredicate::Range { field, min, max } => field_values(journal, key, field)
+            .filter_map(as_i64)
             .all(|n| n >= *min && n <= *max),
-        Invariant::Len {
-            key,
-            field,
-            max_len,
-        } => field_values(journal, key, field)
-            .filter_map(length)
+        InferredPredicate::LenBound { field, max_len } => field_values(journal, key, field)
+            .filter_map(len_of)
             .all(|len| len <= *max_len),
-        Invariant::Delta {
-            key,
-            field,
-            max_step,
-        } => {
+        InferredPredicate::Delta { field, max_step } => {
             let values: Vec<i64> = field_values(journal, key, field)
-                .filter_map(numeric)
+                .filter_map(as_i64)
                 .collect();
             values.windows(2).all(|w| w[0].abs_diff(w[1]) <= *max_step)
         }
-        Invariant::Order { first, then } => {
-            let fa = first_publish_at(journal, first);
-            let fb = first_publish_at(journal, then);
+        InferredPredicate::Order { prerequisite } => {
+            let fa = first_publish_at(journal, prerequisite);
+            let fb = first_publish_at(journal, key);
             match (fa, fb) {
                 (Some(a), Some(b)) => a < b,
                 _ => true,
             }
         }
-        Invariant::Staleness { key, max_gap_us } => {
+        InferredPredicate::Staleness { max_gap_us } => {
             let times: Vec<u64> = journal
                 .publishes()
-                .filter(|(e, _)| e.key == *key)
+                .filter(|(e, _)| e.key == key)
                 .map(|(e, _)| e.at_us)
                 .collect();
             if times.len() < 2 {
@@ -436,6 +350,10 @@ mod tests {
         }
     }
 
+    fn by_id<'a>(mined: &'a [MinedInvariant], id: &str) -> Option<&'a MinedInvariant> {
+        mined.iter().find(|m| m.id() == id)
+    }
+
     fn counter_journal(label: &str, values: &[u64]) -> TraceJournal {
         let events = values
             .iter()
@@ -458,33 +376,29 @@ mod tests {
             &[counter_journal("a", &[10, 12, 13, 17, 15])],
             &MinerConfig::default(),
         );
-        let range = set.get("range.flusher_loop.entry_count").unwrap();
+        let range = by_id(&set, "range.flusher_loop.entry_count").unwrap();
+        assert_eq!(range.key, "flusher_loop");
         assert_eq!(
-            range.invariant,
-            Invariant::Range {
-                key: "flusher_loop".into(),
+            range.predicate,
+            InferredPredicate::Range {
                 field: "entry_count".into(),
                 min: 10,
                 max: 17,
             }
         );
         assert_eq!(range.support, 5);
-        let delta = set.get("delta.flusher_loop.entry_count").unwrap();
+        let delta = by_id(&set, "delta.flusher_loop.entry_count").unwrap();
         assert_eq!(
-            delta.invariant,
-            Invariant::Delta {
-                key: "flusher_loop".into(),
+            delta.predicate,
+            InferredPredicate::Delta {
                 field: "entry_count".into(),
                 max_step: 4,
             }
         );
-        let stale = set.get("staleness.flusher_loop").unwrap();
+        let stale = by_id(&set, "staleness.flusher_loop").unwrap();
         assert_eq!(
-            stale.invariant,
-            Invariant::Staleness {
-                key: "flusher_loop".into(),
-                max_gap_us: 1_000,
-            }
+            stale.predicate,
+            InferredPredicate::Staleness { max_gap_us: 1_000 }
         );
     }
 
@@ -504,11 +418,11 @@ mod tests {
             &[TraceJournal::new("kvs", "t", 1, events)],
             &MinerConfig::default(),
         );
-        let len = set.get("len.wal_loop.payload").unwrap();
+        let len = by_id(&set, "len.wal_loop.payload").unwrap();
+        assert_eq!(len.key, "wal_loop");
         assert_eq!(
-            len.invariant,
-            Invariant::Len {
-                key: "wal_loop".into(),
+            len.predicate,
+            InferredPredicate::LenBound {
                 field: "payload".into(),
                 max_len: 32,
             }
@@ -536,8 +450,15 @@ mod tests {
             ],
         );
         let set = mine(&[ab.clone(), ba.clone()], &MinerConfig::default());
-        assert!(set.get("order.b.after.a").is_some(), "consistent pair kept");
-        assert!(set.get("order.c.after.b").is_some());
+        let ab_order = by_id(&set, "order.b.a").expect("consistent pair kept");
+        assert_eq!(ab_order.key, "b");
+        assert_eq!(
+            ab_order.predicate,
+            InferredPredicate::Order {
+                prerequisite: "a".into()
+            }
+        );
+        assert!(by_id(&set, "order.c.b").is_some());
         // Flip b/c in a third journal: the pair becomes inconsistent.
         let cb = TraceJournal::new(
             "kvs",
@@ -549,8 +470,8 @@ mod tests {
             ],
         );
         let set = mine(&[ab, ba, cb], &MinerConfig::default());
-        assert!(set.get("order.c.after.b").is_none(), "inconsistent dropped");
-        assert!(set.get("order.b.after.c").is_none());
+        assert!(by_id(&set, "order.c.b").is_none(), "inconsistent dropped");
+        assert!(by_id(&set, "order.b.c").is_none());
     }
 
     #[test]
@@ -567,8 +488,8 @@ mod tests {
             ],
         );
         let set = mine(&[tie], &MinerConfig::default());
-        assert!(set.get("order.b.after.a").is_none());
-        assert!(set.get("order.a.after.b").is_none());
+        assert!(by_id(&set, "order.b.a").is_none());
+        assert!(by_id(&set, "order.a.b").is_none());
     }
 
     #[test]
@@ -580,9 +501,9 @@ mod tests {
                 ..MinerConfig::default()
             },
         );
-        assert!(set.get("range.flusher_loop.entry_count").is_none());
+        assert!(by_id(&set, "range.flusher_loop.entry_count").is_none());
         let set = mine(&[counter_journal("a", &[5, 6, 7])], &MinerConfig::default());
-        assert!(set.get("range.flusher_loop.entry_count").is_some());
+        assert!(by_id(&set, "range.flusher_loop.entry_count").is_some());
     }
 
     #[test]
@@ -590,10 +511,10 @@ mod tests {
         let steady = counter_journal("steady", &[1, 2, 3, 4, 5, 6]);
         let one_shot = counter_journal("one-shot", &[9]);
         let set = mine(std::slice::from_ref(&steady), &MinerConfig::default());
-        assert!(set.get("staleness.flusher_loop").is_some());
+        assert!(by_id(&set, "staleness.flusher_loop").is_some());
         let set = mine(&[steady, one_shot], &MinerConfig::default());
         assert!(
-            set.get("staleness.flusher_loop").is_none(),
+            by_id(&set, "staleness.flusher_loop").is_none(),
             "a journal where the key fired once kills the cadence claim"
         );
     }
@@ -614,13 +535,13 @@ mod tests {
             counter_journal("b", &[11, 14, 13, 12, 20, 21]),
         ];
         let set = mine(&journals, &MinerConfig::default());
-        assert!(!set.invariants.is_empty());
-        for mined in &set.invariants {
+        assert!(!set.is_empty());
+        for mined in &set {
             for journal in &journals {
                 assert!(
-                    holds_on(&mined.invariant, journal),
+                    holds_on(mined, journal),
                     "{} violated on {}",
-                    mined.invariant.id(),
+                    mined.id(),
                     journal.label
                 );
             }

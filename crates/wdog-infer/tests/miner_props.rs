@@ -1,17 +1,18 @@
-//! Property coverage for the invariant miner (ISSUE 10 satellite):
+//! Property coverage for the invariant miner:
 //!
 //! 1. every mined invariant holds on every journal it was mined from;
 //! 2. mining is deterministic under any reordering of the input journals;
 //! 3. invariant sets only shrink under trace union — more evidence can
 //!    kill an invariant, never invent one;
-//! 4. emitted specs never tighten the mined envelope.
+//! 4. emitted specs never tighten the mined envelope, keep its kind, key
+//!    and support, and are named `{target}.inferred.{mined id}`.
 
 use proptest::prelude::*;
 
 use wdog_core::{CtxValue, TraceEvent, TraceEventKind};
 use wdog_infer::emit::emit;
 use wdog_infer::journal::TraceJournal;
-use wdog_infer::miner::{holds_on, mine, Invariant, MinerConfig};
+use wdog_infer::miner::{holds_on, mine, MinerConfig};
 
 const KEYS: [&str; 3] = ["alpha_loop", "beta_loop", "gamma_loop"];
 
@@ -64,7 +65,7 @@ fn low_floors() -> MinerConfig {
 }
 
 fn ids(journals: &[TraceJournal], cfg: &MinerConfig) -> Vec<String> {
-    mine(journals, cfg).ids()
+    mine(journals, cfg).iter().map(|m| m.id()).collect()
 }
 
 proptest! {
@@ -75,12 +76,12 @@ proptest! {
         journals in proptest::collection::vec(journal_strategy(), 1..4),
     ) {
         let set = mine(&journals, &low_floors());
-        for mined in &set.invariants {
+        for mined in &set {
             for journal in &journals {
                 prop_assert!(
-                    holds_on(&mined.invariant, journal),
+                    holds_on(mined, journal),
                     "{} violated on source journal {}",
-                    mined.invariant.id(),
+                    mined.id(),
                     journal.label,
                 );
             }
@@ -133,25 +134,30 @@ proptest! {
     ) {
         let set = mine(&journals, &low_floors());
         let specs = emit(&set, "prop");
-        prop_assert_eq!(specs.len(), set.invariants.len());
-        for (mined, spec) in set.invariants.iter().zip(&specs) {
+        prop_assert_eq!(specs.len(), set.len());
+        for (mined, spec) in set.iter().zip(&specs) {
+            prop_assert_eq!(&spec.id, &format!("prop.inferred.{}", mined.id()));
+            prop_assert_eq!(&spec.key, &mined.key);
             prop_assert_eq!(spec.support, mined.support);
             use wdog_checkers::InferredPredicate as P;
-            match (&mined.invariant, &spec.predicate) {
-                (Invariant::Range { min, max, .. }, P::Range { min: emin, max: emax, .. }) => {
+            match (&mined.predicate, &spec.predicate) {
+                (P::Range { field, min, max }, P::Range { field: efield, min: emin, max: emax }) => {
+                    prop_assert_eq!(efield, field);
                     prop_assert!(emin < min && emax > max);
                 }
-                (Invariant::Len { max_len, .. }, P::LenBound { max_len: elen, .. }) => {
+                (P::LenBound { field, max_len }, P::LenBound { field: efield, max_len: elen }) => {
+                    prop_assert_eq!(efield, field);
                     prop_assert!(elen > max_len);
                 }
-                (Invariant::Delta { max_step, .. }, P::Delta { max_step: estep, .. }) => {
+                (P::Delta { field, max_step }, P::Delta { field: efield, max_step: estep }) => {
+                    prop_assert_eq!(efield, field);
                     prop_assert!(estep > max_step);
                 }
-                (Invariant::Staleness { max_gap_us, .. }, P::Staleness { max_gap_us: egap }) => {
+                (P::Staleness { max_gap_us }, P::Staleness { max_gap_us: egap }) => {
                     prop_assert!(egap > max_gap_us);
                 }
-                (Invariant::Order { first, .. }, P::Order { prerequisite }) => {
-                    prop_assert_eq!(prerequisite, first);
+                (P::Order { .. }, P::Order { .. }) => {
+                    prop_assert_eq!(&spec.predicate, &mined.predicate);
                 }
                 (inv, pred) => prop_assert!(false, "kind mismatch: {:?} vs {:?}", inv, pred),
             }

@@ -143,7 +143,7 @@ pub fn inferred_checkers(opts: &WdOptions, reader: &ContextReader) -> Vec<Box<dy
     opts.inferred
         .iter()
         .map(|spec| {
-            Box::new(wdog_checkers::InferredChecker::new(
+            Box::new(wdog_checkers::inferred_checker(
                 spec.clone(),
                 reader.clone(),
             )) as Box<dyn Checker>

@@ -29,5 +29,5 @@ mod snapshot;
 
 pub use chaos::ChaosMetrics;
 pub use metrics::{AtomicHistogram, Counter, HistogramSummary};
-pub use registry::{checker_family, TelemetryRegistry};
+pub use registry::TelemetryRegistry;
 pub use snapshot::{CounterEntry, HistogramEntry, TelemetrySnapshot};

@@ -17,24 +17,6 @@ use crate::snapshot::{CounterEntry, HistogramEntry, TelemetrySnapshot};
 /// (checker id, hook-site key, component, ...). Empty label means unlabeled.
 type MetricKey = (String, String);
 
-/// Classifies a checker id into its generation family by the id
-/// conventions every family follows: `<t>.probe.<name>` for API probes,
-/// `<t>.signal.<name>` for resource signals, `<t>.inferred.<kind>.<key>`
-/// for trace-mined invariant checkers, and everything else is a
-/// structural mimic. The chaos campaign uses it to set load-coupled signal
-/// reports apart from its deterministic scoring.
-pub fn checker_family(checker: &str) -> &'static str {
-    if checker.contains(".inferred.") {
-        "inferred"
-    } else if checker.contains(".signal.") {
-        "signal"
-    } else if checker.contains(".probe.") {
-        "probe"
-    } else {
-        "mimic"
-    }
-}
-
 /// A named store of counters and histograms.
 ///
 /// One registry serves one chaos campaign: [`crate::ChaosMetrics`] records

@@ -3,7 +3,8 @@
 //! A fenced block tagged `archive:results/<file>.txt` in a doc holds lines
 //! of that archive verbatim, and they must occur in it as one contiguous
 //! run of lines: a table that drifts from the run that produced it fails
-//! here, not in a reader's hands.
+//! here, not in a reader's hands. README's `wdog-infer` console lines are
+//! rendered again from the inference archive and compared.
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
@@ -61,4 +62,45 @@ fn quoted_archive_blocks_occur_verbatim_in_their_archives() {
             "no doc quotes {archive}"
         );
     }
+}
+
+/// README's `[wdog-infer] <target>: …` console lines, rendered again from
+/// `results/inferred/inferred_<target>.json`: every number they quote is
+/// the archive's.
+#[test]
+fn readme_quotes_the_inference_archive() {
+    let readme = read("README.md");
+    let mut quoted = 0;
+    for line in readme.lines() {
+        let Some((_, rest)) = line.split_once("[wdog-infer] ") else {
+            continue;
+        };
+        let (target, text) = rest
+            .split_once(": ")
+            .unwrap_or_else(|| panic!("README line without `<target>: `: {line}"));
+        let archive = format!("results/inferred/inferred_{target}.json");
+        let artifact: harness::infer::InferArtifact = serde_json::from_str(&read(&archive))
+            .unwrap_or_else(|e| panic!("{archive} does not parse: {e}"));
+        let inference = &artifact.inference;
+        let mut lines = vec![format!(
+            "{} events -> {} invariants -> {} specs",
+            inference.events,
+            inference.mined.len(),
+            inference.specs.len()
+        )];
+        if let Some(score) = &artifact.score {
+            lines.push(format!(
+                "{} missed schedules archived, {} rescored, {} fault flips",
+                score.missed_schedules,
+                score.rescored,
+                score.flips.len()
+            ));
+        }
+        assert!(
+            lines.iter().any(|l| l == text),
+            "README quotes `{text}` for {target}; {archive} renders {lines:#?}"
+        );
+        quoted += 1;
+    }
+    assert!(quoted > 0, "README quotes no `[wdog-infer]` line");
 }

@@ -1,4 +1,4 @@
-//! Golden tests for the `wdog-infer` corpus (ISSUE 10 satellite).
+//! Golden tests for the `wdog-infer` corpus.
 //!
 //! Each target gets a fixed synthetic trace-set — deterministic journals
 //! shaped like that target's loops — and the [`InferenceReport`] mined
@@ -146,9 +146,12 @@ fn corpus_is_byte_stable_and_covers_every_invariant_family() {
             );
         }
         assert!(
-            report.mined.invariants.len() >= 10,
+            report.mined.len() >= 10,
             "only {} invariants for `{target}`",
-            report.mined.invariants.len()
+            report.mined.len()
         );
+        for (mined, spec) in report.mined.iter().zip(&report.specs) {
+            assert_eq!(spec.id, format!("{target}.inferred.{}", mined.id()));
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! executor spawn order feeds sim determinism, so a reshuffle is a
 //! behaviour change even when every checker is still there), and where the
 //! assembly, the campaign protocol, the substrate boot and the workload are
-//! allowed to live. Assembling at
+//! allowed to live (campaigns run on the sim clock only). Assembling at
 //! all also proves the target's op table implements every planned op:
 //! `instantiate` refuses a plan with an unbound one.
 
@@ -150,6 +150,29 @@ fn the_campaign_protocol_lives_in_session_rs_only() {
     assert!(
         offenders.is_empty(),
         "campaign protocol spelled outside harness::session: {offenders:#?}"
+    );
+}
+
+#[test]
+fn campaigns_run_on_the_sim_clock_only() {
+    let root = format!("{}/crates/harness/src", env!("CARGO_MANIFEST_DIR"));
+    let mut offenders = Vec::new();
+    for dir in [root.clone(), format!("{root}/bin")] {
+        for entry in std::fs::read_dir(&dir).expect("harness sources are readable") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("source is readable");
+            let non_test = text.split("#[cfg(test)]").next().unwrap_or_default();
+            if non_test.contains("RealClock") {
+                offenders.push(path.display().to_string());
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "campaign code that can run on the real clock: {offenders:#?}"
     );
 }
 
