@@ -21,8 +21,6 @@ pub struct ExpectedDetection {
     /// report blames the fault when its location's component or operation
     /// is one of them.
     pub blames: Vec<String>,
-    /// Whether the fault is liveness-flavoured (never signals explicitly).
-    pub liveness: bool,
 }
 
 /// One named fault scenario.
@@ -40,11 +38,13 @@ pub struct Scenario {
     pub expected: ExpectedDetection,
 }
 
-/// Where in the target system faults should land.
+/// Where in a target system faults land, and which faults it takes.
 ///
-/// Defaults match the `kvs` target; the `minizk` experiments construct their
-/// own profile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Every target boots on the simulated disk and network and has a crash
+/// hook, so the substrate scenarios and the crash baseline apply to all of
+/// them; the cooperative ones only to a target whose profile has a
+/// [`Cooperative`] section. Each target's `target.rs` builds its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetProfile {
     /// WAL path prefix on the target's disk.
     pub wal_prefix: String,
@@ -54,6 +54,25 @@ pub struct TargetProfile {
     pub replica_src: String,
     /// Replication link destination address.
     pub replica_dst: String,
+    /// Ids a WAL-volume fault is blamed on.
+    pub wal_blames: Vec<String>,
+    /// Ids a data-volume (SSTable) fault is blamed on.
+    pub sst_blames: Vec<String>,
+    /// Ids a replication-link fault is blamed on.
+    pub replication_blames: Vec<String>,
+    /// Ids a whole-process fault is blamed on: every component the
+    /// target's recovery map holds.
+    pub process_blames: Vec<String>,
+    /// The target's cooperative fault surface, `None` when its code polls
+    /// no fault toggles and has no stall point.
+    pub cooperative: Option<Cooperative>,
+}
+
+/// Fault toggles a target's own code polls, with the ids each fault is
+/// blamed on; a target with this section also wires a process stall point
+/// (the runtime-pause analog).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cooperative {
     /// Toggle name for the stuck-background-task scenario.
     pub stuck_task_toggle: String,
     /// Toggle name for the busy-loop scenario.
@@ -62,21 +81,12 @@ pub struct TargetProfile {
     pub corruption_toggle: String,
     /// Toggle name for the memory-leak scenario.
     pub leak_toggle: String,
-    /// Ids a WAL-volume fault is blamed on.
-    pub wal_blames: Vec<String>,
-    /// Ids a data-volume (SSTable) fault is blamed on.
-    pub sst_blames: Vec<String>,
-    /// Ids a replication-link fault is blamed on.
-    pub replication_blames: Vec<String>,
     /// Ids a compaction fault is blamed on.
     pub compaction_blames: Vec<String>,
     /// Ids an index-corruption fault is blamed on.
     pub index_blames: Vec<String>,
     /// Ids a memory leak is blamed on.
     pub memory_blames: Vec<String>,
-    /// Ids a whole-process fault is blamed on: every component the
-    /// target's recovery map holds.
-    pub process_blames: Vec<String>,
 }
 
 /// Owned copies of `ids`, for a profile's blame lists.
@@ -84,46 +94,11 @@ pub fn ids(list: &[&str]) -> Vec<String> {
     list.iter().map(|&id| id.to_owned()).collect()
 }
 
-impl Default for TargetProfile {
-    fn default() -> Self {
-        Self {
-            wal_prefix: "wal/".into(),
-            sst_prefix: "sst/".into(),
-            replica_src: "kvs-primary".into(),
-            replica_dst: "kvs-replica".into(),
-            stuck_task_toggle: "kvs.compaction.stuck".into(),
-            busy_loop_toggle: "kvs.compaction.busyloop".into(),
-            corruption_toggle: "kvs.indexer.corrupt".into(),
-            leak_toggle: "kvs.listener.leak".into(),
-            wal_blames: ids(&["kvs.wal_loop", "kvs.flusher"]),
-            sst_blames: ids(&[
-                "write_sstable#fsync",
-                "read_sstable#read",
-                "compact_once#sst_merge_write",
-            ]),
-            replication_blames: ids(&["kvs.replication_loop", "kvs.replication"]),
-            compaction_blames: ids(&["kvs.compaction_loop"]),
-            index_blames: ids(&["kvs.listener_loop"]),
-            memory_blames: ids(&["kvs"]),
-            process_blames: ids(&[
-                "kvs",
-                "kvs.api",
-                "kvs.compaction_loop",
-                "kvs.flusher",
-                "kvs.flusher_loop",
-                "kvs.listener",
-                "kvs.listener_loop",
-                "kvs.replication",
-                "kvs.replication_loop",
-                "kvs.wal_loop",
-            ]),
-        }
-    }
-}
-
-/// Builds the standard gray-failure catalogue for a target.
+/// Builds the gray-failure catalogue for a target: the substrate
+/// scenarios, then the cooperative ones when `p` has that section, then the
+/// crash baseline.
 pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
-    vec![
+    let mut catalog = vec![
         Scenario {
             id: "partial-disk-stuck".into(),
             description: "WAL volume I/O hangs; data volume healthy".into(),
@@ -134,7 +109,6 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             expected: ExpectedDetection {
                 failure_class: "stuck".into(),
                 blames: p.wal_blames.clone(),
-                liveness: true,
             },
         },
         Scenario {
@@ -148,7 +122,6 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             expected: ExpectedDetection {
                 failure_class: "slow".into(),
                 blames: p.sst_blames.clone(),
-                liveness: true,
             },
         },
         Scenario {
@@ -161,7 +134,6 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             expected: ExpectedDetection {
                 failure_class: "error".into(),
                 blames: p.wal_blames.clone(),
-                liveness: false,
             },
         },
         Scenario {
@@ -174,7 +146,6 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             expected: ExpectedDetection {
                 failure_class: "corruption".into(),
                 blames: p.sst_blames.clone(),
-                liveness: false,
             },
         },
         Scenario {
@@ -188,7 +159,6 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             expected: ExpectedDetection {
                 failure_class: "stuck".into(),
                 blames: p.replication_blames.clone(),
-                liveness: true,
             },
         },
         Scenario {
@@ -203,94 +173,150 @@ pub fn gray_failure_catalog(p: &TargetProfile) -> Vec<Scenario> {
             expected: ExpectedDetection {
                 failure_class: "slow".into(),
                 blames: p.replication_blames.clone(),
-                liveness: true,
             },
         },
-        Scenario {
-            id: "background-task-stuck".into(),
-            description: "compaction silently stops making progress".into(),
-            citation: "paper §1 (Cassandra SSTable compaction stuck)".into(),
-            kind: FaultKind::TaskStuck {
-                toggle: p.stuck_task_toggle.clone(),
+    ];
+    if let Some(c) = &p.cooperative {
+        catalog.extend([
+            Scenario {
+                id: "background-task-stuck".into(),
+                description: "compaction silently stops making progress".into(),
+                citation: "paper §1 (Cassandra SSTable compaction stuck)".into(),
+                kind: FaultKind::TaskStuck {
+                    toggle: c.stuck_task_toggle.clone(),
+                },
+                expected: ExpectedDetection {
+                    failure_class: "stuck".into(),
+                    blames: c.compaction_blames.clone(),
+                },
             },
-            expected: ExpectedDetection {
-                failure_class: "stuck".into(),
-                blames: p.compaction_blames.clone(),
-                liveness: true,
+            Scenario {
+                id: "busy-loop".into(),
+                description: "compaction spins in an infinite loop".into(),
+                citation: "paper §2 (WDT error targets)".into(),
+                kind: FaultKind::TaskBusyLoop {
+                    toggle: c.busy_loop_toggle.clone(),
+                },
+                expected: ExpectedDetection {
+                    failure_class: "stuck".into(),
+                    blames: c.compaction_blames.clone(),
+                },
             },
+            Scenario {
+                id: "state-corruption".into(),
+                description: "indexer starts writing corrupt entries".into(),
+                citation: "practical hardening (ATC '12); CFI (CCS '05)".into(),
+                kind: FaultKind::LogicCorruption {
+                    toggle: c.corruption_toggle.clone(),
+                },
+                expected: ExpectedDetection {
+                    failure_class: "corruption".into(),
+                    blames: c.index_blames.clone(),
+                },
+            },
+            Scenario {
+                id: "memory-leak".into(),
+                description: "request path leaks allocations".into(),
+                citation: "HBASE-21228".into(),
+                kind: FaultKind::MemoryLeak {
+                    toggle: c.leak_toggle.clone(),
+                },
+                expected: ExpectedDetection {
+                    failure_class: "assert".into(),
+                    blames: c.memory_blames.clone(),
+                },
+            },
+            Scenario {
+                id: "runtime-pause".into(),
+                description: "8-second stop-the-world pause (GC analog)".into(),
+                citation: "IGNITE-6171; paper §3.3".into(),
+                kind: FaultKind::RuntimePause { millis: 8_000 },
+                expected: ExpectedDetection {
+                    failure_class: "slow".into(),
+                    blames: p.process_blames.clone(),
+                },
+            },
+        ]);
+    }
+    catalog.push(Scenario {
+        id: "process-crash".into(),
+        description: "whole process stops (fail-stop baseline)".into(),
+        citation: "Chandra-Toueg failure detectors (JACM '96)".into(),
+        kind: FaultKind::ProcessCrash,
+        expected: ExpectedDetection {
+            failure_class: "stuck".into(),
+            blames: p.process_blames.clone(),
         },
-        Scenario {
-            id: "busy-loop".into(),
-            description: "compaction spins in an infinite loop".into(),
-            citation: "paper §2 (WDT error targets)".into(),
-            kind: FaultKind::TaskBusyLoop {
-                toggle: p.busy_loop_toggle.clone(),
-            },
-            expected: ExpectedDetection {
-                failure_class: "stuck".into(),
-                blames: p.compaction_blames.clone(),
-                liveness: true,
-            },
-        },
-        Scenario {
-            id: "state-corruption".into(),
-            description: "indexer starts writing corrupt entries".into(),
-            citation: "practical hardening (ATC '12); CFI (CCS '05)".into(),
-            kind: FaultKind::LogicCorruption {
-                toggle: p.corruption_toggle.clone(),
-            },
-            expected: ExpectedDetection {
-                failure_class: "corruption".into(),
-                blames: p.index_blames.clone(),
-                liveness: false,
-            },
-        },
-        Scenario {
-            id: "memory-leak".into(),
-            description: "request path leaks allocations".into(),
-            citation: "HBASE-21228".into(),
-            kind: FaultKind::MemoryLeak {
-                toggle: p.leak_toggle.clone(),
-            },
-            expected: ExpectedDetection {
-                failure_class: "assert".into(),
-                blames: p.memory_blames.clone(),
-                liveness: false,
-            },
-        },
-        Scenario {
-            id: "runtime-pause".into(),
-            description: "8-second stop-the-world pause (GC analog)".into(),
-            citation: "IGNITE-6171; paper §3.3".into(),
-            kind: FaultKind::RuntimePause { millis: 8_000 },
-            expected: ExpectedDetection {
-                failure_class: "slow".into(),
-                blames: p.process_blames.clone(),
-                liveness: true,
-            },
-        },
-        Scenario {
-            id: "process-crash".into(),
-            description: "whole process stops (fail-stop baseline)".into(),
-            citation: "Chandra-Toueg failure detectors (JACM '96)".into(),
-            kind: FaultKind::ProcessCrash,
-            expected: ExpectedDetection {
-                failure_class: "stuck".into(),
-                blames: p.process_blames.clone(),
-                liveness: true,
-            },
-        },
-    ]
+    });
+    catalog
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A profile on a kvs-like layout, with or without a cooperative
+    /// section.
+    pub(crate) fn profile(cooperative: bool) -> TargetProfile {
+        TargetProfile {
+            wal_prefix: "wal/".into(),
+            sst_prefix: "sst/".into(),
+            replica_src: "primary".into(),
+            replica_dst: "replica".into(),
+            wal_blames: ids(&["wal_loop"]),
+            sst_blames: ids(&["write_sstable#fsync"]),
+            replication_blames: ids(&["replication_loop"]),
+            process_blames: ids(&["api", "wal_loop"]),
+            cooperative: cooperative.then(|| Cooperative {
+                stuck_task_toggle: "compaction.stuck".into(),
+                busy_loop_toggle: "compaction.busyloop".into(),
+                corruption_toggle: "indexer.corrupt".into(),
+                leak_toggle: "listener.leak".into(),
+                compaction_blames: ids(&["compaction_loop"]),
+                index_blames: ids(&["listener_loop"]),
+                memory_blames: ids(&["api"]),
+            }),
+        }
+    }
+
+    fn scenario_ids(p: &TargetProfile) -> Vec<String> {
+        gray_failure_catalog(p).into_iter().map(|s| s.id).collect()
+    }
+
+    const SUBSTRATE: [&str; 6] = [
+        "partial-disk-stuck",
+        "disk-fail-slow",
+        "disk-error",
+        "disk-bit-rot",
+        "replication-link-wedged",
+        "replication-fail-slow",
+    ];
+
+    #[test]
+    fn without_a_cooperative_section_only_substrate_and_crash_remain() {
+        let mut expected = SUBSTRATE.to_vec();
+        // The crash baseline applies to every target.
+        expected.push("process-crash");
+        assert_eq!(scenario_ids(&profile(false)), expected);
+    }
+
+    #[test]
+    fn a_cooperative_section_adds_its_five_before_the_crash() {
+        let mut expected = SUBSTRATE.to_vec();
+        expected.extend([
+            "background-task-stuck",
+            "busy-loop",
+            "state-corruption",
+            "memory-leak",
+            "runtime-pause",
+            "process-crash",
+        ]);
+        assert_eq!(scenario_ids(&profile(true)), expected);
+    }
 
     #[test]
     fn catalogue_has_all_failure_families() {
-        let cat = gray_failure_catalog(&TargetProfile::default());
-        assert!(cat.len() >= 10, "catalogue too small: {}", cat.len());
+        let cat = gray_failure_catalog(&profile(true));
         let labels: Vec<&str> = cat.iter().map(|s| s.kind.label()).collect();
         for family in [
             "disk-stuck",
@@ -311,34 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_unique() {
-        let cat = gray_failure_catalog(&TargetProfile::default());
-        let mut ids: Vec<&str> = cat.iter().map(|s| s.id.as_str()).collect();
-        ids.sort();
-        let before = ids.len();
-        ids.dedup();
-        assert_eq!(ids.len(), before);
-    }
-
-    #[test]
     fn exactly_one_non_gray_scenario() {
-        let cat = gray_failure_catalog(&TargetProfile::default());
-        let non_gray = cat.iter().filter(|s| !s.kind.is_gray()).count();
-        assert_eq!(non_gray, 1, "only the crash baseline is non-gray");
-    }
-
-    #[test]
-    fn liveness_scenarios_have_liveness_classes() {
-        let cat = gray_failure_catalog(&TargetProfile::default());
-        for s in &cat {
-            if s.expected.liveness {
-                assert!(
-                    s.expected.failure_class == "stuck" || s.expected.failure_class == "slow",
-                    "{}: liveness scenario with class {}",
-                    s.id,
-                    s.expected.failure_class
-                );
-            }
+        for cooperative in [false, true] {
+            let cat = gray_failure_catalog(&profile(cooperative));
+            let non_gray = cat.iter().filter(|s| !s.kind.is_gray()).count();
+            assert_eq!(non_gray, 1, "only the crash baseline is non-gray");
         }
     }
 
@@ -346,7 +349,7 @@ mod tests {
     fn profile_reaches_into_scenarios() {
         let p = TargetProfile {
             wal_prefix: "journal/".into(),
-            ..TargetProfile::default()
+            ..profile(true)
         };
         let cat = gray_failure_catalog(&p);
         let stuck = cat.iter().find(|s| s.id == "partial-disk-stuck").unwrap();
@@ -356,11 +359,13 @@ mod tests {
                 path_prefix: "journal/".into()
             }
         );
+        let leak = cat.iter().find(|s| s.id == "memory-leak").unwrap();
+        assert_eq!(leak.expected.blames, ["api"]);
     }
 
     #[test]
     fn scenarios_serialize_roundtrip() {
-        let cat = gray_failure_catalog(&TargetProfile::default());
+        let cat = gray_failure_catalog(&profile(true));
         let json = serde_json::to_string(&cat).unwrap();
         let back: Vec<Scenario> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cat);

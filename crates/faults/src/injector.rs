@@ -15,10 +15,10 @@ use crate::toggle::ToggleSet;
 /// A cleared-able handle to one armed fault.
 #[derive(Debug)]
 pub enum ArmedFault {
-    /// Disk fault handle(s).
-    Disk(Vec<simio::disk::FaultHandle>),
-    /// Network fault handle(s).
-    Net(Vec<simio::net::NetFaultHandle>),
+    /// A disk fault rule.
+    Disk(simio::disk::FaultHandle),
+    /// A network fault rule.
+    Net(simio::net::NetFaultHandle),
     /// A set toggle, cleared by name.
     Toggle(String),
     /// The process stall gate.
@@ -118,7 +118,7 @@ impl Injector {
                     vec![DiskOpKind::Read, DiskOpKind::Write, DiskOpKind::Sync],
                     DiskFault::Stuck,
                 ));
-                Ok(ArmedFault::Disk(vec![h]))
+                Ok(ArmedFault::Disk(h))
             }
             FaultKind::DiskSlow {
                 path_prefix,
@@ -129,7 +129,7 @@ impl Injector {
                     vec![DiskOpKind::Read, DiskOpKind::Write, DiskOpKind::Sync],
                     DiskFault::Slow { factor: *factor },
                 ));
-                Ok(ArmedFault::Disk(vec![h]))
+                Ok(ArmedFault::Disk(h))
             }
             FaultKind::DiskError { path_prefix } => {
                 let h = self.disk()?.inject(FaultRule::scoped(
@@ -139,7 +139,7 @@ impl Injector {
                         message: "injected i/o error".into(),
                     },
                 ));
-                Ok(ArmedFault::Disk(vec![h]))
+                Ok(ArmedFault::Disk(h))
             }
             FaultKind::DiskCorruptWrites { path_prefix } => {
                 let h = self.disk()?.inject(FaultRule::scoped(
@@ -147,7 +147,7 @@ impl Injector {
                     vec![DiskOpKind::Write],
                     DiskFault::CorruptWrites,
                 ));
-                Ok(ArmedFault::Disk(vec![h]))
+                Ok(ArmedFault::Disk(h))
             }
             FaultKind::NetBlockSend { src, dst } => {
                 let h = self.net()?.inject(LinkRule::link(
@@ -155,13 +155,13 @@ impl Injector {
                     dst.clone(),
                     NetFault::BlockSend,
                 ));
-                Ok(ArmedFault::Net(vec![h]))
+                Ok(ArmedFault::Net(h))
             }
             FaultKind::NetDrop { src, dst } => {
                 let h =
                     self.net()?
                         .inject(LinkRule::link(src.clone(), dst.clone(), NetFault::Drop));
-                Ok(ArmedFault::Net(vec![h]))
+                Ok(ArmedFault::Net(h))
             }
             FaultKind::NetSlow { src, dst, factor } => {
                 let h = self.net()?.inject(LinkRule::link(
@@ -169,7 +169,7 @@ impl Injector {
                     dst.clone(),
                     NetFault::Slow { factor: *factor },
                 ));
-                Ok(ArmedFault::Net(vec![h]))
+                Ok(ArmedFault::Net(h))
             }
             FaultKind::RuntimePause { millis } => {
                 let stall = self.stall.as_ref().ok_or_else(|| {
@@ -203,18 +203,14 @@ impl Injector {
     /// Clears one armed fault (crashes cannot be cleared).
     pub fn clear(&self, armed: &ArmedFault) {
         match armed {
-            ArmedFault::Disk(handles) => {
+            ArmedFault::Disk(h) => {
                 if let Some(disk) = &self.disk {
-                    for h in handles {
-                        disk.clear(*h);
-                    }
+                    disk.clear(*h);
                 }
             }
-            ArmedFault::Net(handles) => {
+            ArmedFault::Net(h) => {
                 if let Some(net) = &self.net {
-                    for h in handles {
-                        net.clear(*h);
-                    }
+                    net.clear(*h);
                 }
             }
             ArmedFault::Toggle(name) => {

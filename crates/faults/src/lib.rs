@@ -27,7 +27,7 @@ pub mod schedule;
 pub mod spec;
 pub mod toggle;
 
-pub use catalog::{gray_failure_catalog, ExpectedDetection, Scenario, TargetProfile};
+pub use catalog::{gray_failure_catalog, Cooperative, ExpectedDetection, Scenario, TargetProfile};
 pub use injector::{ArmedFault, Injector};
 pub use schedule::{
     compose_schedule, ComposeOptions, FaultSchedule, ScheduleEvent, ScheduledFault,

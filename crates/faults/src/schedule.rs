@@ -405,10 +405,11 @@ impl FaultSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{gray_failure_catalog, TargetProfile};
+    use crate::catalog::gray_failure_catalog;
+    use crate::catalog::tests::profile;
 
     fn catalog() -> Vec<Scenario> {
-        gray_failure_catalog(&TargetProfile::default())
+        gray_failure_catalog(&profile(true))
             .into_iter()
             .filter(|s| s.kind.is_gray())
             .collect()

@@ -6,9 +6,32 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use faults::catalog::{gray_failure_catalog, TargetProfile};
+use faults::catalog::{gray_failure_catalog, ids, Cooperative, Scenario, TargetProfile};
 use faults::schedule::{compose_schedule, ComposeOptions, FaultSchedule};
 use faults::spec::{FaultKind, FaultSpec};
+
+/// The catalogue on a kvs-like layout, every scenario family included.
+fn catalog() -> Vec<Scenario> {
+    gray_failure_catalog(&TargetProfile {
+        wal_prefix: "wal/".into(),
+        sst_prefix: "sst/".into(),
+        replica_src: "primary".into(),
+        replica_dst: "replica".into(),
+        wal_blames: ids(&["wal_loop"]),
+        sst_blames: ids(&["sst"]),
+        replication_blames: ids(&["replication_loop"]),
+        process_blames: ids(&["api"]),
+        cooperative: Some(Cooperative {
+            stuck_task_toggle: "stuck".into(),
+            busy_loop_toggle: "busyloop".into(),
+            corruption_toggle: "corrupt".into(),
+            leak_toggle: "leak".into(),
+            compaction_blames: ids(&["compaction_loop"]),
+            index_blames: ids(&["index"]),
+            memory_blames: ids(&["api"]),
+        }),
+    })
+}
 
 fn kind_strategy() -> impl Strategy<Value = FaultKind> {
     prop_oneof![
@@ -101,7 +124,7 @@ proptest! {
         seed in 0..1_000_000u64,
         index in 0..64u64,
     ) {
-        let catalog = gray_failure_catalog(&TargetProfile::default());
+        let catalog = catalog();
         let opts = ComposeOptions::default();
         let s = compose_schedule(&catalog, seed, index, &opts).unwrap();
         s.validate().unwrap();
@@ -116,7 +139,7 @@ proptest! {
         seed in 0..1_000_000u64,
         index in 0..64u64,
     ) {
-        let catalog = gray_failure_catalog(&TargetProfile::default());
+        let catalog = catalog();
         let s = compose_schedule(&catalog, seed, index, &ComposeOptions::default()).unwrap();
         assert_shrink_closure(&s, 3);
     }

@@ -102,8 +102,6 @@ pub struct InferScore {
 pub struct InferArtifact {
     /// Pipeline base seed.
     pub seed: u64,
-    /// Recording runs taken.
-    pub runs: u64,
     /// Mined invariants and emitted specs, under the schema tag and the
     /// target name.
     pub inference: InferenceReport,
@@ -306,7 +304,6 @@ pub fn run_pipeline(target: &dyn WatchdogTarget, opts: &InferOptions) -> BaseRes
     };
     Ok(InferArtifact {
         seed: opts.seed,
-        runs: opts.runs,
         inference,
         score,
     })

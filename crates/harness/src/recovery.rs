@@ -116,7 +116,8 @@ pub struct ScenarioRecovery {
     pub degraded: u64,
     /// Incidents that ended escalated.
     pub escalated: u64,
-    /// Whether the flap breaker pinned any component.
+    /// Whether the flap breaker pinned a component; it pins one only
+    /// inside the incident it closes, so this is any incident's `pinned`.
     pub pinned: bool,
     /// Reports dropped at the coordinator inbox.
     pub dropped_reports: u64,
@@ -204,7 +205,7 @@ pub fn run_recovery_scenario(
         verified: count(RecoveryOutcome::VerifiedRecovered),
         degraded: count(RecoveryOutcome::Degraded),
         escalated: count(RecoveryOutcome::Escalated),
-        pinned: incidents.iter().any(|i| i.pinned) || !trace.pinned.is_empty(),
+        pinned: incidents.iter().any(|i| i.pinned),
         dropped_reports: trace.dropped_reports,
         coordinator_idle: trace.coordinator_idle,
         crashed: trace.crashed,

@@ -33,7 +33,6 @@ use faults::injector::Injector;
 use faults::schedule::{FaultSchedule, ScheduleEvent};
 use wdog_base::clock::{ActorGuard, SharedClock};
 use wdog_base::error::BaseResult;
-use wdog_base::ids::ComponentId;
 use wdog_base::rng::derive_seed;
 use wdog_core::prelude::{Action, FailureReport, WatchdogDriver};
 use wdog_recover::{Incident, RecoveryCoordinator, RecoveryPolicy};
@@ -235,8 +234,6 @@ pub struct Trace {
     pub incidents: Vec<Incident>,
     /// Whether the attached coordinator drained to idle after the stop.
     pub coordinator_idle: bool,
-    /// Components its flap breaker pinned.
-    pub pinned: Vec<ComponentId>,
     /// Reports dropped at its inbox.
     pub dropped_reports: u64,
     /// `(ok, failed)` workload requests.
@@ -390,7 +387,6 @@ pub fn run(
         trace.coordinator_idle = c.wait_idle(Duration::from_secs(2));
         c.stop();
         trace.incidents = c.incidents();
-        trace.pinned = c.pinned_components();
         trace.dropped_reports = c.dropped_reports();
     }
     trace.workload = session.workload.as_ref().map_or((0, 0), |w| w.counters());
@@ -438,7 +434,7 @@ mod tests {
         }
     }
 
-    /// `FaultSurface` filters each catalogue and the target's `injector()`
+    /// Each target's profile picks its catalogue and its `injector()`
     /// binds the surfaces: every listed scenario must arm and clear through
     /// a session's injector, every shared scenario left out must be refused,
     /// and the crash arms last.

@@ -31,7 +31,6 @@ pub(crate) const WAL_ROTATED_PATH: &str = "wal/flushing";
 /// Background flusher thread body; `alive` is this generation's
 /// supervision flag — a restart retires it and spawns a fresh loop.
 pub(crate) fn flusher_loop(shared: Arc<Shared>, alive: Arc<AtomicBool>) {
-    let hook = shared.hooks.site("flusher_loop");
     while shared.is_running() && alive.load(Ordering::Relaxed) {
         shared.clock.sleep(shared.config.flush_interval);
         shared.stall.pass(shared.clock.as_ref());
@@ -42,7 +41,7 @@ pub(crate) fn flusher_loop(shared: Arc<Shared>, alive: Arc<AtomicBool>) {
         }
         // In-place error handler: flush failures are caught and retried on
         // the next interval.
-        if flush_once(&shared, &hook).is_err() {
+        if flush_once(&shared).is_err() {
             shared
                 .stats
                 .errors_handled
@@ -53,10 +52,7 @@ pub(crate) fn flusher_loop(shared: Arc<Shared>, alive: Arc<AtomicBool>) {
 
 /// Performs one flush cycle; errors are surfaced to the caller (and show up
 /// as a growing WAL for signal checkers) rather than crashing the loop.
-pub(crate) fn flush_once(
-    shared: &Arc<Shared>,
-    hook: &HookSite,
-) -> wdog_base::error::BaseResult<()> {
+pub(crate) fn flush_once(shared: &Arc<Shared>) -> wdog_base::error::BaseResult<()> {
     // Rotate the WAL first, under the WAL lock so no append straddles the
     // boundary. The index snapshot taken *after* rotation necessarily
     // covers every record in the rotated file, so deleting that file once
@@ -82,7 +78,7 @@ pub(crate) fn flush_once(
     // Hook before the vulnerable write: publish the first bytes of what is
     // about to be written, encoding only the entries they reach, and only
     // while the hook is armed.
-    if let Some(mut fire) = hook.fire() {
+    if let Some(mut fire) = shared.flusher_hook.fire() {
         let sample = entries_prefix(&entries, SAMPLE_BYTES);
         fire.field("sst_payload", CtxValue::Bytes(sample))
             .field("entry_count", CtxValue::U64(entries.len() as u64));

@@ -91,6 +91,9 @@ pub(crate) struct Shared {
     pub(crate) index_rebuilds: AtomicU64,
     pub(crate) running: AtomicBool,
     pub(crate) hooks: Hooks,
+    /// The flusher's hook, resolved once so `flush_once` publishes
+    /// through its cached slot.
+    pub(crate) flusher_hook: HookSite,
     pub(crate) context: Arc<ContextTable>,
     pub(crate) stats: StatsInner,
 }
@@ -162,6 +165,7 @@ impl KvsServer {
             supervisor: Supervisor::new(),
             index_rebuilds: AtomicU64::new(0),
             running: AtomicBool::new(true),
+            flusher_hook: hooks.site("flusher_loop"),
             hooks,
             context,
             stats: StatsInner::default(),

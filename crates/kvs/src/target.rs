@@ -2,9 +2,9 @@
 //!
 //! kvs is the one system wired to the *full* fault surface: simulated disk
 //! and network, a stall point for runtime pauses, cooperative toggles in
-//! the compaction/indexer/listener paths, and a crash hook. Its catalogue
-//! is therefore the entire shared gray-failure catalogue, and the default
-//! [`TargetProfile`] already describes its layout.
+//! the compaction/indexer/listener paths, and a crash hook. Its profile is
+//! the only one with a cooperative section, so its catalogue is the entire
+//! shared gray-failure catalogue.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,7 +12,7 @@ use std::time::Duration;
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
 
-use faults::catalog::{Scenario, TargetProfile};
+use faults::catalog::{gray_failure_catalog, ids, Cooperative, Scenario, TargetProfile};
 use faults::injector::Injector;
 
 use wdog_core::prelude::*;
@@ -20,13 +20,52 @@ use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
-    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoveryMap, RequestFn,
-    SimSubstrate, TargetInstance, WatchdogTarget, WdOptions, WorkloadProfile,
+    ApiProbe, CrashSignal, LivenessProbe, RecoveryMap, RequestFn, SimSubstrate, TargetInstance,
+    WatchdogTarget, WdOptions, WorkloadProfile,
 };
 
 use crate::config::KvsConfig;
 use crate::replication::Replica;
 use crate::server::KvsServer;
+
+/// Scenario locations mapped onto kvs's layout, with its cooperative
+/// toggles.
+fn kvs_profile() -> TargetProfile {
+    TargetProfile {
+        wal_prefix: "wal/".into(),
+        sst_prefix: "sst/".into(),
+        replica_src: "kvs-primary".into(),
+        replica_dst: "kvs-replica".into(),
+        wal_blames: ids(&["kvs.wal_loop", "kvs.flusher"]),
+        sst_blames: ids(&[
+            "write_sstable#fsync",
+            "read_sstable#read",
+            "compact_once#sst_merge_write",
+        ]),
+        replication_blames: ids(&["kvs.replication_loop", "kvs.replication"]),
+        process_blames: ids(&[
+            "kvs",
+            "kvs.api",
+            "kvs.compaction_loop",
+            "kvs.flusher",
+            "kvs.flusher_loop",
+            "kvs.listener",
+            "kvs.listener_loop",
+            "kvs.replication",
+            "kvs.replication_loop",
+            "kvs.wal_loop",
+        ]),
+        cooperative: Some(Cooperative {
+            stuck_task_toggle: "kvs.compaction.stuck".into(),
+            busy_loop_toggle: "kvs.compaction.busyloop".into(),
+            corruption_toggle: "kvs.indexer.corrupt".into(),
+            leak_toggle: "kvs.listener.leak".into(),
+            compaction_blames: ids(&["kvs.compaction_loop"]),
+            index_blames: ids(&["kvs.listener_loop"]),
+            memory_blames: ids(&["kvs"]),
+        }),
+    }
+}
 
 /// The kvs target: replicated LSM store on simulated disk + network.
 #[derive(Debug, Default, Clone, Copy)]
@@ -46,7 +85,7 @@ impl WatchdogTarget for KvsTarget {
     }
 
     fn catalog(&self) -> Vec<Scenario> {
-        catalog_for(&TargetProfile::default(), FaultSurface::Cooperative)
+        gray_failure_catalog(&kvs_profile())
     }
 
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {

@@ -14,7 +14,7 @@ use std::time::Duration;
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
 
-use faults::catalog::{ids, Scenario, TargetProfile};
+use faults::catalog::{gray_failure_catalog, ids, Scenario, TargetProfile};
 use faults::injector::Injector;
 
 use wdog_core::prelude::*;
@@ -22,8 +22,8 @@ use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::WatchdogPlan;
 
 use wdog_target::{
-    catalog_for, ApiProbe, CrashSignal, FaultSurface, LivenessProbe, RecoveryMap, RequestFn,
-    SimSubstrate, TargetInstance, WatchdogTarget, WdOptions, WorkloadProfile,
+    ApiProbe, CrashSignal, LivenessProbe, RecoveryMap, RequestFn, SimSubstrate, TargetInstance,
+    WatchdogTarget, WdOptions, WorkloadProfile,
 };
 
 use crate::datanode::{DataNode, DataNodeConfig};
@@ -54,7 +54,7 @@ fn dn_profile() -> TargetProfile {
             "miniblock.ingest_loop",
             "miniblock.scanner_loop",
         ]),
-        ..TargetProfile::default()
+        cooperative: None,
     }
 }
 
@@ -72,7 +72,7 @@ impl WatchdogTarget for DnTarget {
     }
 
     fn catalog(&self) -> Vec<Scenario> {
-        catalog_for(&dn_profile(), FaultSurface::Substrate)
+        gray_failure_catalog(&dn_profile())
     }
 
     fn start_on(&self, seed: u64, clock: SharedClock) -> BaseResult<Box<dyn TargetInstance>> {

@@ -22,12 +22,13 @@
 //!    Every other call is deterministic code: a [`OpKind::Compute`] op
 //!    named `det:<callee>`, in a namespace of its own so that no
 //!    vulnerable op's ordinal depends on it. Reduction drops them all.
-//! 4. **Hook fires** — `fire` on a `site("key")` binding marks the region
-//!    of `key`, and the `field("name", ..)` calls on its
-//!    `if let Some(mut g) = site.fire()` guard record the fields published
-//!    into it ([`ProgramIr::regions_fired`]). A site passed in as a
-//!    parameter resolves through the argument of the function's one call
-//!    site.
+//! 4. **Hook fires** — `fire` on a `site("key")` binding, a local
+//!    (`let hook = hooks.site("key")`) or a struct field
+//!    (`txn_hook: hooks.site("key")`), marks the region of `key`, and the
+//!    `field("name", ..)` calls on its `if let Some(mut g) = site.fire()`
+//!    guard record the fields published into it
+//!    ([`ProgramIr::regions_fired`]). A site reached any other way (a
+//!    parameter, say) is unresolved and noted.
 //!
 //! Annotations (`// wdog: <directive>` on the line above, or up to two
 //! lines above, the item they govern):
@@ -47,7 +48,7 @@ use wdog_gen::ir::{Function, OpKind, Operation, ProgramIr};
 use wdog_gen::patterns::{classify_callee, kind_for_label, resource_family};
 
 use crate::lexer::{Tok, Token};
-use crate::model::{matching_brace, matching_paren, CrateModel, FnDecl, SourceFile};
+use crate::model::{matching_brace, matching_paren, CrateModel, SourceFile};
 
 /// Scope configuration for one target crate.
 #[derive(Debug, Clone)]
@@ -539,8 +540,7 @@ impl Extractor {
                 let key = local_sites
                     .get(owner)
                     .or_else(|| self.field_sites.get(owner))
-                    .cloned()
-                    .or_else(|| self.param_site(unit, owner));
+                    .cloned();
                 if let Some(key) = key {
                     // `if let Some(mut g) = site.fire()` publishes through
                     // `g.field(..)` calls seen later in the walk; remember
@@ -671,69 +671,6 @@ impl Extractor {
             );
         }
         None
-    }
-
-    /// The hook key behind `owner` when it is a parameter of `unit`'s
-    /// function (`fn flush_once(shared: .., hook: &HookSite)`): the one
-    /// call site of the function in the crate passes, at the parameter's
-    /// position, a caller local bound by `let hook = ...site("key")`.
-    fn param_site(&self, unit: usize, owner: &str) -> Option<String> {
-        let u = &self.units[unit];
-        if u.synthetic {
-            return None;
-        }
-        let toks = self.tokens(u.file);
-        let fn_tok = (0..u.body.start).rev().find(|&j| {
-            toks[j].ident() == Some("fn")
-                && toks.get(j + 1).and_then(Token::ident) == Some(u.decl_name.as_str())
-        })?;
-        let open = (fn_tok..u.body.start).find(|&j| toks[j].is_punct('('))?;
-        let position = top_level_args(toks, open, matching_paren(toks, open)?)
-            .into_iter()
-            .position(|arg| {
-                let mut idents = toks[arg].iter().skip_while(|t| t.ident() == Some("mut"));
-                idents.next().and_then(Token::ident) == Some(owner)
-            })?;
-
-        let mut call_sites: Vec<(&FnDecl, usize)> = Vec::new();
-        for decl in self.model.fns.iter() {
-            let toks = self.tokens(decl.file);
-            for j in decl.body.clone() {
-                // A nested fn's body lies inside its parent's: count once.
-                if toks[j].ident() == Some(u.decl_name.as_str())
-                    && toks.get(j + 1).is_some_and(|t| t.is_punct('('))
-                    && !toks[j - 1].is_punct('.')
-                    && toks[j - 1].ident() != Some("fn")
-                    && !call_sites
-                        .iter()
-                        .any(|(d, k)| d.file == decl.file && *k == j)
-                {
-                    call_sites.push((decl, j));
-                }
-            }
-        }
-        let [(caller, call)] = call_sites.as_slice() else {
-            return None;
-        };
-        let toks = self.tokens(caller.file);
-        let arg = top_level_args(toks, call + 1, matching_paren(toks, call + 1)?)
-            .into_iter()
-            .nth(position)?;
-        let [var] = toks[arg]
-            .iter()
-            .filter(|t| !t.is_punct('&'))
-            .collect::<Vec<_>>()[..]
-        else {
-            return None;
-        };
-        let var = var.ident()?;
-        caller.body.clone().find_map(|j| {
-            if toks[j].ident() != Some("site") {
-                return None;
-            }
-            let (key, _) = site_call_key(toks, j)?;
-            matches!(site_binding(toks, j), Some(Binding::Local(v)) if v == var).then_some(key)
-        })
     }
 
     /// First string literal, else first const-resolving ident, anywhere in
@@ -1304,33 +1241,6 @@ pub fn drain(s: Shared) {
         // `let (`, `Some(` and `fn drain(` call nothing; the channel sends
         // count apart from the network send, whose id stays `send`.
         assert_eq!(names, ["det:split", "det:send", "send", "det:send_2"]);
-    }
-
-    #[test]
-    fn a_site_parameter_resolves_through_its_one_caller() {
-        let ex = extract(&[(
-            "a.rs",
-            r#"
-pub fn start() { t.spawn(move || flusher_loop(s)).unwrap(); }
-pub fn flusher_loop(shared: Arc<Shared>) {
-    let hook = shared.hooks.site("flusher_loop");
-    loop { flush_once(&shared, &hook); }
-}
-pub fn flush_once(shared: &Arc<Shared>, hook: &HookSite) {
-    if let Some(mut fire) = hook.fire() {
-        fire.field("sst_payload", CtxValue::Bytes(sample))
-            .field("entry_count", CtxValue::U64(n));
-    }
-    shared.disk.fsync("sst/1");
-}
-"#,
-        )]);
-        let fired: Vec<&str> = ex.ir.regions_fired["flusher_loop"]
-            .iter()
-            .map(String::as_str)
-            .collect();
-        assert_eq!(fired, ["entry_count", "sst_payload"]);
-        assert!(ex.notes.is_empty(), "{:?}", ex.notes);
     }
 
     #[test]

@@ -56,20 +56,14 @@ pub struct RecoveryCoordinatorBuilder {
     clock: SharedClock,
     surface: RecoverySurface,
     default_policy: RecoveryPolicy,
-    escalation: Option<Arc<dyn Action>>,
     seed: u64,
 }
 
 impl RecoveryCoordinatorBuilder {
-    /// Overrides the policy every component's incidents walk.
+    /// Overrides the policy every component's incidents walk
+    /// ([`RecoveryPolicy::fast`] until set).
     pub fn default_policy(mut self, policy: RecoveryPolicy) -> Self {
         self.default_policy = policy;
-        self
-    }
-
-    /// Sets the action fired when an incident escalates.
-    pub fn escalation(mut self, action: Arc<dyn Action>) -> Self {
-        self.escalation = Some(action);
         self
     }
 
@@ -85,7 +79,6 @@ impl RecoveryCoordinatorBuilder {
         let shared = Arc::new(CoordShared {
             state: Mutex::new(CoordState::default()),
             dropped: AtomicU64::new(0),
-            pinned_hits: AtomicU64::new(0),
             outstanding: AtomicUsize::new(0),
             idle: self.clock.waiter(),
         });
@@ -94,7 +87,6 @@ impl RecoveryCoordinatorBuilder {
             clock: Arc::clone(&self.clock),
             surface: self.surface,
             policy: self.default_policy,
-            escalation: self.escalation,
             seed: self.seed,
             shared: Arc::clone(&shared),
             backlog: VecDeque::new(),
@@ -123,7 +115,6 @@ struct CoordShared {
     state: Mutex<CoordState>,
     /// Inbox overflow.
     dropped: AtomicU64,
-    pinned_hits: AtomicU64,
     /// Reports accepted by the inbox and not yet consumed by `handle` or
     /// `coalesce` — queued, backlogged, or in the worker's hands.
     outstanding: AtomicUsize,
@@ -158,8 +149,7 @@ impl RecoveryCoordinator {
         RecoveryCoordinatorBuilder {
             clock,
             surface,
-            default_policy: RecoveryPolicy::default(),
-            escalation: None,
+            default_policy: RecoveryPolicy::fast(),
             seed: 0,
         }
     }
@@ -172,18 +162,6 @@ impl RecoveryCoordinator {
     /// Returns reports dropped because the inbox was full.
     pub fn dropped_reports(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Returns reports ignored because their component is pinned.
-    pub fn pinned_reports(&self) -> u64 {
-        self.shared.pinned_hits.load(Ordering::Relaxed)
-    }
-
-    /// Returns the components currently pinned in degraded mode.
-    pub fn pinned_components(&self) -> Vec<ComponentId> {
-        let mut v: Vec<ComponentId> = self.shared.state.lock().pinned.iter().cloned().collect();
-        v.sort();
-        v
     }
 
     /// Returns `true` when no report is queued or being processed.
@@ -248,7 +226,6 @@ struct Worker {
     clock: SharedClock,
     surface: RecoverySurface,
     policy: RecoveryPolicy,
-    escalation: Option<Arc<dyn Action>>,
     seed: u64,
     shared: Arc<CoordShared>,
     /// Reports for *other* components received while a ladder was running.
@@ -279,7 +256,6 @@ impl Worker {
     fn handle(&mut self, report: FailureReport) {
         let component = report.location.component.clone();
         if self.shared.state.lock().pinned.contains(&component) {
-            self.shared.pinned_hits.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let policy = self.policy.clone();
@@ -392,10 +368,8 @@ impl Worker {
             return RecoveryOutcome::Degraded;
         }
 
-        // Rung 4 — escalate: nothing helped, hand off.
-        if let Some(esc) = &self.escalation {
-            esc.on_failure(report);
-        }
+        // Rung 4 — escalate: nothing helped and the policy forbids
+        // degrading; the incident closes escalated, for an operator.
         RecoveryOutcome::Escalated
     }
 
@@ -686,21 +660,15 @@ mod tests {
     #[test]
     fn degrade_disallowed_escalates() {
         let fx = Fixture::new(false, u64::MAX);
-        let escalated = Arc::new(AtomicU64::new(0));
-        let esc = Arc::clone(&escalated);
         let mut policy = RecoveryPolicy::fast();
         policy.allow_degrade = false;
         let c = RecoveryCoordinator::builder(RealClock::shared(), fx.surface())
             .default_policy(policy)
-            .escalation(Arc::new(CallbackAction::new(move |_r: &FailureReport| {
-                esc.fetch_add(1, Ordering::Relaxed);
-            })))
             .start();
         c.on_failure(&report("minizk.broadcast", FailureKind::Stuck));
         assert!(c.wait_idle(Duration::from_secs(10)));
         let i = &c.incidents()[0];
         assert_eq!(i.outcome, RecoveryOutcome::Escalated);
-        assert_eq!(escalated.load(Ordering::Relaxed), 1);
         assert!(fx.degraded.lock().is_empty());
         c.stop();
     }
@@ -721,13 +689,13 @@ mod tests {
             c.on_failure(&report("kvs.flusher", FailureKind::Error));
             assert!(c.wait_idle(Duration::from_secs(5)));
         }
-        assert_eq!(c.pinned_components(), vec![ComponentId::new("kvs.flusher")]);
         let incidents = c.incidents();
+        // Reports after pinning open no incident.
+        assert_eq!(incidents.len(), 3, "the 4th and 5th reports are ignored");
         let pinned: Vec<&Incident> = incidents.iter().filter(|i| i.pinned).collect();
         assert_eq!(pinned.len(), 1, "breaker trips exactly once");
+        assert_eq!(pinned[0].component, "kvs.flusher");
         assert_eq!(pinned[0].outcome, RecoveryOutcome::Degraded);
-        // Reports after pinning are counted, not laddered.
-        assert!(c.pinned_reports() >= 1);
         c.stop();
     }
 

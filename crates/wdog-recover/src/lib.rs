@@ -16,8 +16,9 @@
 //! 3. **Degrade** — shed the component's workload through
 //!    [`Degradable`](wdog_core::action::Degradable) so the rest of the
 //!    process keeps running;
-//! 4. **Escalate** — hand off to an operator action; nothing on the ladder
-//!    helped.
+//! 4. **Escalate** — when the policy forbids degrading, the incident closes
+//!    [`Escalated`](RecoveryOutcome::Escalated): nothing on the ladder
+//!    helped, and it is an operator's.
 //!
 //! Recovery is **verified**, and the ladder *parks on* the verification
 //! instead of sleeping and then polling: an incident launches a fresh

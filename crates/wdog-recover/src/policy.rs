@@ -26,17 +26,6 @@ pub struct BackoffPolicy {
     pub jitter_frac: f64,
 }
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        Self {
-            base: Duration::from_millis(50),
-            factor: 2.0,
-            max: Duration::from_secs(2),
-            jitter_frac: 0.25,
-        }
-    }
-}
-
 impl BackoffPolicy {
     /// Returns the delay before retry `attempt` (0-based) for an incident
     /// identified by `seed`.
@@ -83,23 +72,10 @@ pub struct RecoveryPolicy {
     pub flap_window: Duration,
 }
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            backoff: BackoffPolicy::default(),
-            max_restarts: 2,
-            settle: Duration::from_millis(100),
-            allow_degrade: true,
-            verify_timeout: Duration::from_secs(2),
-            flap_threshold: 4,
-            flap_window: Duration::from_secs(60),
-        }
-    }
-}
-
 impl RecoveryPolicy {
-    /// A fast policy for tests and tightly-timed campaigns.
+    /// The one preset, tuned to the targets' tens-of-milliseconds loops:
+    /// what the coordinator's builder starts from, what every recovery
+    /// campaign walks, and the base callers override field by field.
     pub fn fast() -> Self {
         Self {
             max_retries: 2,

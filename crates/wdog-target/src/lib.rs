@@ -60,9 +60,8 @@ use wdog_gen::interp::{instantiate, InstantiateOptions, OpTable};
 use wdog_gen::ir::ProgramIr;
 use wdog_gen::plan::WatchdogPlan;
 
-use faults::catalog::{gray_failure_catalog, Scenario, TargetProfile};
+use faults::catalog::Scenario;
 use faults::injector::Injector;
-use faults::spec::FaultKind;
 
 pub mod options;
 pub mod recovery;
@@ -167,58 +166,6 @@ pub type WorkloadObserver = Arc<dyn Fn(bool) + Send + Sync>;
 /// process-level activity.
 pub type CrashSignal = Arc<dyn Fn() + Send + Sync>;
 
-/// Which fault classes a target's testbed can physically apply.
-///
-/// Used to filter the shared gray-failure catalogue down to scenarios a
-/// target can actually run: filtering is by *injectability* only —
-/// whether a detector catches the fault stays an experimental outcome,
-/// never a reason to drop a scenario. Every target boots on the simulated
-/// disk and network and has a crash hook, so substrate faults and
-/// `ProcessCrash` land everywhere; targets differ only in whether their
-/// own code is cooperative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultSurface {
-    /// Substrate faults plus crash only — targets without cooperative
-    /// toggles or a stall point.
-    Substrate,
-    /// Substrate faults and crash, plus cooperative fault toggles
-    /// (task-stuck, busy-loop, logic-corruption, memory-leak) polled by the
-    /// target's code and a wired process stall point (runtime-pause
-    /// analog) — the `kvs` reference target.
-    Cooperative,
-}
-
-impl FaultSurface {
-    /// Whether `kind` can be applied on this surface.
-    pub fn supports(&self, kind: &FaultKind) -> bool {
-        match kind {
-            FaultKind::ProcessCrash
-            | FaultKind::DiskStuck { .. }
-            | FaultKind::DiskSlow { .. }
-            | FaultKind::DiskError { .. }
-            | FaultKind::DiskCorruptWrites { .. }
-            | FaultKind::NetBlockSend { .. }
-            | FaultKind::NetDrop { .. }
-            | FaultKind::NetSlow { .. } => true,
-            FaultKind::RuntimePause { .. }
-            | FaultKind::TaskStuck { .. }
-            | FaultKind::TaskBusyLoop { .. }
-            | FaultKind::LogicCorruption { .. }
-            | FaultKind::MemoryLeak { .. } => *self == Self::Cooperative,
-        }
-    }
-}
-
-/// The shared gray-failure catalogue specialized to a target: scenario
-/// locations come from `profile`, and scenarios whose fault class the
-/// target's `surface` cannot apply are dropped.
-pub fn catalog_for(profile: &TargetProfile, surface: FaultSurface) -> Vec<Scenario> {
-    gray_failure_catalog(profile)
-        .into_iter()
-        .filter(|s| surface.supports(&s.kind))
-        .collect()
-}
-
 /// The seeded simulated network and disk one testbed runs on, with the
 /// clock that paces them.
 #[derive(Clone)]
@@ -285,9 +232,11 @@ pub trait WatchdogTarget: Send + Sync {
     /// target's historical per-system options struct defaulted to.
     fn default_options(&self) -> WdOptions;
 
-    /// The gray-failure scenarios this target can run, with locations
-    /// (path prefixes, link addresses, toggles, blamed ids) mapped onto
-    /// this target's layout.
+    /// The gray-failure scenarios this target can run: the shared
+    /// catalogue built from the target's own `TargetProfile`, whose
+    /// locations (path prefixes, link addresses, toggles, blamed ids) map
+    /// onto its layout and whose cooperative section says whether it takes
+    /// the toggle and pause faults.
     fn catalog(&self) -> Vec<Scenario>;
 
     /// Boots one isolated testbed instance seeded with `seed`, with every
@@ -346,56 +295,4 @@ pub trait TargetInstance: Send {
     /// Stops the system's own threads (replicas, pipelines, servers).
     /// Idempotent.
     fn teardown(&mut self);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn surfaces_gate_fault_kinds() {
-        let substrate = FaultSurface::Substrate;
-        assert!(FaultSurface::Cooperative.supports(&FaultKind::RuntimePause { millis: 1 }));
-        assert!(!substrate.supports(&FaultKind::RuntimePause { millis: 1 }));
-        assert!(!substrate.supports(&FaultKind::TaskStuck { toggle: "t".into() }));
-        assert!(substrate.supports(&FaultKind::ProcessCrash));
-        assert!(substrate.supports(&FaultKind::DiskStuck {
-            path_prefix: String::new()
-        }));
-    }
-
-    #[test]
-    fn substrate_catalog_is_a_strict_subset() {
-        let p = TargetProfile::default();
-        let ids = |surface| -> Vec<String> {
-            catalog_for(&p, surface).into_iter().map(|s| s.id).collect()
-        };
-        let substrate = [
-            "partial-disk-stuck",
-            "disk-fail-slow",
-            "disk-error",
-            "disk-bit-rot",
-            "replication-link-wedged",
-            "replication-fail-slow",
-            // The crash baseline must survive substrate filtering.
-            "process-crash",
-        ];
-        let cooperative = [
-            "partial-disk-stuck",
-            "disk-fail-slow",
-            "disk-error",
-            "disk-bit-rot",
-            "replication-link-wedged",
-            "replication-fail-slow",
-            "background-task-stuck",
-            "busy-loop",
-            "state-corruption",
-            "memory-leak",
-            "runtime-pause",
-            "process-crash",
-        ];
-        assert_eq!(gray_failure_catalog(&p).len(), 12);
-        assert_eq!(ids(FaultSurface::Cooperative), cooperative);
-        assert_eq!(ids(FaultSurface::Substrate), substrate);
-    }
 }

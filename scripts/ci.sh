@@ -99,6 +99,11 @@ if git ls-files -- 'results/*.err' 'results/**/*.err' | grep -q .; then
     exit 1
 fi
 
+# Informational only: the non-test line count under crates/, by the one
+# rule in scripts/count_lines.sh. It gates nothing.
+stage "non-test lines under crates/ (informational)"
+echo "    $(scripts/count_lines.sh)"
+
 stage "cargo fmt --check"
 cargo fmt --check
 

@@ -25,9 +25,11 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 /// call graph and deadlock-checker specs to a reachability rule in the lock
 /// pass, the miner's own invariant list to the checker's predicate, the
 /// recorder-drop sidecar to a failed recording, the stall monitor nothing
-/// armed to the deadlock panic, and the family classifier to its one
-/// marker test); neither docs nor CI may lean on them.
-const RETIRED: [&str; 98] = [
+/// armed to the deadlock panic, the family classifier to its one marker
+/// test, the fault-surface enum to each target's profile, and the recovery
+/// coordinator's pin accessors to the incidents' own flags); neither docs
+/// nor CI may lean on them.
+const RETIRED: [&str; 100] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -70,8 +72,8 @@ const RETIRED: [&str; 98] = [
     "shrink_budget",
     "max_reproducers",
     "max_rescore",
-    "FaultSurface::FULL",
-    "FaultSurface::SUBSTRATE",
+    "FaultSurface",
+    "catalog_for",
     "op_start",
     "op_end",
     "inflight_ops",
@@ -126,6 +128,8 @@ const RETIRED: [&str; 98] = [
     "checker_family",
     "dropped_events",
     "inferred.err",
+    "pinned_reports",
+    "pinned_components",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];
