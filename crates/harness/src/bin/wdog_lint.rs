@@ -1,17 +1,15 @@
-//! `wdog-lint` — the static gates over each target's source.
+//! `wdog-lint` — the static gate over each target's source.
 //!
 //! ```text
 //! wdog-lint [--target {kvs|minizk|miniblock|all}] [--out DIR]
 //! ```
 //!
-//! Extracts each target's IR from its Rust source (`wdog-analyze`) and
-//! runs the two gated passes per target — lock order over the IR, probe
-//! safety over the source — then archives deterministic JSON under
+//! Extracts each target's IR from its Rust source (`wdog-analyze`), runs
+//! the lock-order pass over it, and archives deterministic JSON under
 //! `<out>/analysis/`.
 //!
-//! The run exits 1 on any probe body classified `shared-mutation` (the
-//! paper's isolation requirement, mechanized) or any lock-order cycle. CI
-//! also compares the archived reports byte for byte.
+//! The run exits 1 on any lock-order cycle. CI also compares the archived
+//! reports byte for byte.
 
 use harness::cli::{CampaignCli, EXIT_GATE, EXIT_USAGE};
 use harness::lint::{run_analysis, select_lint_targets, AnalysisBundle};
@@ -39,19 +37,6 @@ fn render_analysis(b: &AnalysisBundle) {
             )
         }
     );
-    let count = |class: wdog_analyze::SafetyClass| {
-        b.safety.probes.iter().filter(|p| p.class == class).count()
-    };
-    println!(
-        "   safety: {} probes ({} read-only, {} replica-write, {} SHARED-MUTATION)",
-        b.safety.probes.len(),
-        count(wdog_analyze::SafetyClass::ReadOnly),
-        count(wdog_analyze::SafetyClass::ReplicaWrite),
-        count(wdog_analyze::SafetyClass::SharedMutation),
-    );
-    for v in b.safety.violations() {
-        println!("     !! shared-mutation probe {} ({})", v.id, v.file);
-    }
 }
 
 fn main() {
@@ -64,7 +49,6 @@ fn main() {
         std::process::exit(EXIT_USAGE);
     };
 
-    let mut unsafe_probes = 0usize;
     let mut deadlock_cycles = 0usize;
 
     for target in &targets {
@@ -74,26 +58,14 @@ fn main() {
         });
         let bundle = run_analysis(target, &sources);
         render_analysis(&bundle);
-        unsafe_probes += bundle.safety.violations().len();
         deadlock_cycles += bundle.locks.cycles.len();
 
         let t = &bundle.target;
         harness::write_json_under(&analysis, &format!("locks_{t}"), &bundle.locks);
-        harness::write_json_under(&analysis, &format!("safety_{t}"), &bundle.safety);
     }
 
-    let failures = [
-        (unsafe_probes, "shared-mutation probe(s)"),
-        (deadlock_cycles, "lock-order cycle(s)"),
-    ];
-    let mut failed = false;
-    for (count, what) in failures {
-        if count > 0 {
-            eprintln!("\nwdog-lint: {count} {what}; failing");
-            failed = true;
-        }
-    }
-    if failed {
+    if deadlock_cycles > 0 {
+        eprintln!("\nwdog-lint: {deadlock_cycles} lock-order cycle(s); failing");
         std::process::exit(EXIT_GATE);
     }
 }

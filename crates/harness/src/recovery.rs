@@ -6,8 +6,8 @@
 //! with a recovery coordinator attached to the driver, and measures what
 //! the paper's §5.2 promises: pinpointed blame makes recovery cheap, so each
 //! scenario should end in a *terminal* disposition — verified-recovered (a
-//! component-scoped mitigation passed its re-check), degraded (the
-//! component was shed), or escalated — with a finite time-to-terminal,
+//! component-scoped mitigation passed its re-check) or degraded (the
+//! component was shed) — with a finite time-to-terminal,
 //! never a wedged coordinator. The schedule's horizon is `fault_hold`; the
 //! coordinator ends the run in the `max_wait` tail, at the first wake it is
 //! idle with a closed incident.
@@ -22,7 +22,7 @@
 //!   only the coordinator's component restart does, which is exactly the
 //!   §5.2 claim under test.
 //! - **Runtime pause** self-clears and **process crash** is fail-stop; an
-//!   in-process coordinator can only shed or escalate those, and the
+//!   in-process coordinator can only shed those, and the
 //!   campaign records that honestly.
 
 use std::time::Duration;
@@ -83,8 +83,6 @@ pub fn disposition_label(incidents: &[Incident]) -> &'static str {
         "verified-recovered"
     } else if any(RecoveryOutcome::Degraded) {
         "degraded"
-    } else if any(RecoveryOutcome::Escalated) {
-        "escalated"
     } else {
         "not-detected"
     }
@@ -97,7 +95,7 @@ pub struct ScenarioRecovery {
     pub scenario: String,
     /// Expected failure class from the catalogue.
     pub expected_class: String,
-    /// `verified-recovered`, `degraded`, `escalated`, or `not-detected`.
+    /// `verified-recovered`, `degraded`, or `not-detected`.
     pub disposition: String,
     /// Incidents the coordinator closed during the run.
     pub incidents: u64,
@@ -114,8 +112,6 @@ pub struct ScenarioRecovery {
     pub verified: u64,
     /// Incidents that ended degraded.
     pub degraded: u64,
-    /// Incidents that ended escalated.
-    pub escalated: u64,
     /// Whether the flap breaker pinned a component; it pins one only
     /// inside the incident it closes, so this is any incident's `pinned`.
     pub pinned: bool,
@@ -204,7 +200,6 @@ pub fn run_recovery_scenario(
         verifications: sum(|i| i.verifications),
         verified: count(RecoveryOutcome::VerifiedRecovered),
         degraded: count(RecoveryOutcome::Degraded),
-        escalated: count(RecoveryOutcome::Escalated),
         pinned: incidents.iter().any(|i| i.pinned),
         dropped_reports: trace.dropped_reports,
         coordinator_idle: trace.coordinator_idle,

@@ -5,6 +5,9 @@
 //! failure: while set, every stored value has its first byte flipped — a
 //! logic bug that returns success, so only a checker that *reads back and
 //! compares* (the generated `index_put` mimic op) can catch it.
+//!
+//! `put`, `append` and `remove` refuse an untagged key inside a checker scope
+//! ([`wdog_base::isolation`]): a checker stores only `__wd:` keys.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,6 +16,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use simio::resource::ResourceMonitor;
+use wdog_base::isolation;
 
 const SHARDS: usize = 8;
 
@@ -60,6 +64,7 @@ impl MemIndex {
 
     /// Stores `value` under `key`, returning the previous value.
     pub fn put(&self, key: &str, value: &str) -> Option<String> {
+        isolation::assert_tagged(key);
         let value = if self.corrupt_flag.load(Ordering::Relaxed) {
             corrupt(value)
         } else {
@@ -77,6 +82,7 @@ impl MemIndex {
 
     /// Appends `suffix` to the value under `key`, creating it if absent.
     pub fn append(&self, key: &str, suffix: &str) {
+        isolation::assert_tagged(key);
         let suffix = if self.corrupt_flag.load(Ordering::Relaxed) {
             corrupt(suffix)
         } else {
@@ -100,6 +106,7 @@ impl MemIndex {
 
     /// Removes `key`, returning its value.
     pub fn remove(&self, key: &str) -> Option<String> {
+        isolation::assert_tagged(key);
         let old = self.shards[shard_of(key)].write().remove(key);
         if let Some(old) = &old {
             self.monitor.free((key.len() + old.len()) as u64);

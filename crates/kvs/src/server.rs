@@ -23,6 +23,7 @@ use simio::resource::{ResourceMonitor, StallPoint};
 
 use wdog_base::clock::{spawn_on, SharedClock};
 use wdog_base::error::{BaseError, BaseResult};
+use wdog_base::isolation;
 use wdog_base::queue::ClockedQueue;
 use wdog_base::sync::ClockedMutex;
 
@@ -436,7 +437,14 @@ impl KvsClient {
     /// [`BaseError::Timeout`] when no response arrives in time (the
     /// observable behaviour of a crashed or wedged server). The wait is
     /// clock-paced, so a simulated clock sees it as a discrete-event wait.
+    /// Inside a checker scope, a set, append or del of an untagged key
+    /// panics before it is queued ([`wdog_base::isolation`]).
     pub fn request(&self, req: Request) -> BaseResult<Response> {
+        if let Request::Set { key, .. } | Request::Append { key, .. } | Request::Del { key } = &req
+        {
+            // wdog: ignore -- the checker-isolation guard, not program I/O
+            isolation::assert_tagged(key);
+        }
         let reply = ClockedQueue::<Response>::bounded(&self.clock, 1);
         self.q
             .push((req, reply.clone()))

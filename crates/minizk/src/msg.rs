@@ -44,8 +44,6 @@ pub enum ZkMsg {
         /// Number of records sent.
         records: u64,
     },
-    /// Watchdog probe frame; receivers ignore it.
-    WdProbe,
 }
 
 impl ZkMsg {
@@ -81,7 +79,6 @@ mod tests {
                 data: vec![1, 2],
             },
             ZkMsg::SnapDone { records: 10 },
-            ZkMsg::WdProbe,
         ];
         for m in msgs {
             assert_eq!(ZkMsg::decode(&m.encode()).unwrap(), m);

@@ -21,6 +21,7 @@ use simio::resource::ResourceMonitor;
 
 use wdog_base::clock::{spawn_on, SharedClock};
 use wdog_base::error::{BaseError, BaseResult};
+use wdog_base::isolation;
 use wdog_base::queue::ClockedQueue;
 
 use wdog_core::prelude::*;
@@ -162,7 +163,7 @@ impl Follower {
                         s.fetch_add(1, Ordering::Relaxed);
                     }
                     ZkMsg::SnapDone { .. } => {}
-                    ZkMsg::Pong { .. } | ZkMsg::CommitAck { .. } | ZkMsg::WdProbe => {}
+                    ZkMsg::Pong { .. } | ZkMsg::CommitAck { .. } => {}
                 }
             }
         });
@@ -314,7 +315,11 @@ impl Cluster {
         .expect("test cluster")
     }
 
+    /// Queues `op` on the write pipeline and waits for its zxid. Inside a
+    /// checker scope, an op on an untagged path panics before it is queued
+    /// ([`wdog_base::isolation`]).
     fn submit(&self, op: WriteOp) -> BaseResult<u64> {
+        isolation::assert_tagged(op.path());
         let reply = ClockedQueue::<BaseResult<u64>>::bounded(&self.shared.clock, 1);
         self.pipeline_q
             .push((op, reply.clone()))

@@ -13,10 +13,10 @@
 use std::sync::Arc;
 
 use wdog_base::error::BaseError;
+use wdog_base::isolation::PROBE_FRAME;
 
 use wdog_target::{Handle, RecoveryMap, Verifier};
 
-use crate::msg::ZkMsg;
 use crate::quorum::{follower_addr, Cluster, LEADER_ADDR};
 use crate::wd::TXNLOG_PROBE_PATH;
 
@@ -36,7 +36,7 @@ pub fn recovery_map(cluster: &Arc<Cluster>) -> RecoveryMap {
     let link = Verifier::new("minizk.verify.link", move || {
         shared
             .net
-            .send(LEADER_ADDR, &follower_addr(0), ZkMsg::WdProbe.encode())
+            .send(LEADER_ADDR, &follower_addr(0), PROBE_FRAME.into())
     });
     // The pipeline's vulnerable ops are the txnlog append + fsync; a probe
     // write on the same volume wedges or errors while the disk fault is

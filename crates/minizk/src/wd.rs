@@ -23,6 +23,7 @@ use std::time::Duration;
 
 use wdog_base::clock::SharedClock;
 use wdog_base::error::BaseResult;
+use wdog_base::isolation::PROBE_FRAME;
 
 use wdog_checkers::probe_checker;
 use wdog_checkers::signal::queue_depth;
@@ -34,7 +35,6 @@ use wdog_gen::plan::{generate_plan, WatchdogPlan};
 use wdog_gen::reduce::ReductionConfig;
 use wdog_target::templates::{append_log, labelled_lock, link, Peers};
 
-use crate::msg::ZkMsg;
 use crate::quorum::{Cluster, LEADER_ADDR};
 
 /// Probe file on the txn-log volume.
@@ -105,7 +105,7 @@ pub fn op_table(cluster: &Cluster) -> OpTable {
                     .map(|f| (LEADER_ADDR.to_owned(), f.clone()))
                     .collect(),
             ),
-            |_| ZkMsg::WdProbe.encode().to_vec(),
+            |_| PROBE_FRAME.to_vec(),
         ),
     );
     // The live sync link: if it is wedged this send blocks — by design —
@@ -116,7 +116,7 @@ pub fn op_table(cluster: &Cluster) -> OpTable {
         link(
             Some(s.net.clone()),
             Peers::Field(LEADER_ADDR.to_owned(), "sync_target"),
-            |_| ZkMsg::WdProbe.encode().to_vec(),
+            |_| PROBE_FRAME.to_vec(),
         ),
     );
     table

@@ -22,6 +22,11 @@
 //!
 //! The disk also supports [`SimDisk::crash`], which discards all writes not
 //! yet covered by an `fsync`, enabling WAL-replay durability tests.
+//!
+//! Its six mutators (`create`, `append`, `write_all`, `fsync`, `remove`,
+//! `rename`) are the checker-isolation choke point for files: inside a
+//! checker scope each refuses, before it counts, draws latency or locks,
+//! a path without the probe tag ([`wdog_base::isolation::assert_tagged`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,6 +37,7 @@ use parking_lot::{Mutex, RwLock};
 
 use wdog_base::clock::SharedClock;
 use wdog_base::error::{BaseError, BaseResult};
+use wdog_base::isolation;
 
 use crate::latency::LatencyModel;
 
@@ -334,6 +340,7 @@ impl SimDisk {
 
     /// Creates an empty file, failing if it already exists.
     pub fn create(&self, path: &str) -> BaseResult<()> {
+        isolation::assert_tagged(path);
         self.gate(path, DiskOpKind::Meta)?;
         let mut inner = self.inner.lock();
         if inner.files.contains_key(path) {
@@ -345,6 +352,7 @@ impl SimDisk {
 
     /// Appends `data` to `path`, creating the file if needed.
     pub fn append(&self, path: &str, data: &[u8]) -> BaseResult<()> {
+        isolation::assert_tagged(path);
         let corrupt_write = self.gate(path, DiskOpKind::Write)?;
         let mut inner = self.inner.lock();
         if inner.used + data.len() as u64 > self.capacity {
@@ -367,6 +375,7 @@ impl SimDisk {
 
     /// Overwrites the file at `path` with `data`, creating it if needed.
     pub fn write_all(&self, path: &str, data: &[u8]) -> BaseResult<()> {
+        isolation::assert_tagged(path);
         let corrupt_write = self.gate(path, DiskOpKind::Write)?;
         let mut inner = self.inner.lock();
         let old_len = inner.files.get(path).map_or(0, |f| f.data.len()) as u64;
@@ -417,6 +426,7 @@ impl SimDisk {
 
     /// Makes all bytes of `path` durable against [`SimDisk::crash`].
     pub fn fsync(&self, path: &str) -> BaseResult<()> {
+        isolation::assert_tagged(path);
         self.gate(path, DiskOpKind::Sync)?;
         let mut inner = self.inner.lock();
         let file = inner
@@ -429,6 +439,7 @@ impl SimDisk {
 
     /// Removes the file at `path`.
     pub fn remove(&self, path: &str) -> BaseResult<()> {
+        isolation::assert_tagged(path);
         self.gate(path, DiskOpKind::Meta)?;
         let mut inner = self.inner.lock();
         match inner.files.remove(path) {
@@ -442,6 +453,8 @@ impl SimDisk {
 
     /// Atomically renames `from` to `to`, replacing any existing `to`.
     pub fn rename(&self, from: &str, to: &str) -> BaseResult<()> {
+        isolation::assert_tagged(from);
+        isolation::assert_tagged(to);
         self.gate(from, DiskOpKind::Meta)?;
         let mut inner = self.inner.lock();
         let file = inner

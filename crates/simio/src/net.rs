@@ -17,6 +17,11 @@
 //!
 //! [`SimNet::op_stats`] counts every send and receive call, and every send a
 //! fault shaped.
+//!
+//! [`SimNet::send`] is the checker-isolation choke point for messages:
+//! inside a checker scope it refuses, before it counts or draws latency, a
+//! payload that is not a probe frame
+//! ([`wdog_base::isolation::assert_tagged_frame`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,6 +33,7 @@ use parking_lot::{Mutex, RwLock};
 
 use wdog_base::clock::{SharedClock, Waiter};
 use wdog_base::error::{BaseError, BaseResult};
+use wdog_base::isolation;
 
 use crate::disk::{OpCounters, OpStats};
 use crate::latency::LatencyModel;
@@ -238,6 +244,7 @@ impl SimNet {
     /// [`NetFault::BlockSend`] is armed. Returns an error if `dst` was never
     /// registered.
     pub fn send(&self, src: &str, dst: &str, payload: Bytes) -> BaseResult<()> {
+        isolation::assert_tagged_frame(&payload);
         self.shared.send_ops.call();
         let mut faulted = false;
 

@@ -122,18 +122,13 @@ pub fn read_sources(cfg: &TargetConfig) -> std::io::Result<Vec<(String, String)>
 
 impl TargetConfig {
     /// The crate model over `sources` (as [`read_sources`] returns them).
-    /// With `exclusions`, the files in [`TargetConfig::exclude`] are
-    /// scanned for consts only.
-    pub fn model(&self, sources: &[(String, String)], exclusions: bool) -> CrateModel {
+    /// The files in [`TargetConfig::exclude`] are scanned for consts only.
+    pub fn model(&self, sources: &[(String, String)]) -> CrateModel {
         let files = sources
             .iter()
             .map(|(rel, src)| {
                 let fname = rel.rsplit('/').next().unwrap_or(rel);
-                SourceFile::parse(
-                    rel.clone(),
-                    src,
-                    exclusions && self.exclude.contains(&fname),
-                )
+                SourceFile::parse(rel.clone(), src, self.exclude.contains(&fname))
             })
             .collect();
         CrateModel::build(files)
@@ -143,7 +138,7 @@ impl TargetConfig {
 /// Reads and extracts a builtin or custom target from disk.
 pub fn extract_target(cfg: &TargetConfig) -> std::io::Result<ExtractedProgram> {
     let sources = read_sources(cfg)?;
-    Ok(extract_model(cfg.name, cfg.model(&sources, true)))
+    Ok(extract_model(cfg.name, cfg.model(&sources)))
 }
 
 /// A parsed `// wdog:` directive.

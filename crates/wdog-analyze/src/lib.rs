@@ -12,10 +12,13 @@
 //!   The extraction is committed as `tests/snapshots/<target>.json`, and
 //!   each target's `describe_ir()` returns its `ir`; what the source
 //!   alone cannot say is a `// wdog:` directive in it;
-//! * [`locks`] and [`safety`] are `wdog-lint`'s two gates over the same
-//!   source: lock-order cycles in the extracted IR (locks that each reach
-//!   the other in the lock graph) and probe bodies that mutate shared
-//!   state.
+//! * [`locks`] is `wdog-lint`'s gate over the same source: lock-order
+//!   cycles in the extracted IR (locks that each reach the other in the
+//!   lock graph).
+//!
+//! Whether a checker body mutates the program it watches is not judged
+//! here: the substrate and state choke points refuse an untagged mutation
+//! inside a checker at run time (`wdog_base::isolation`).
 //!
 //! Which checker covers which vulnerable op is not analyzed here: it is
 //! the reducer's decision, recorded by [`wdog_gen::reduce`].
@@ -29,7 +32,6 @@ pub mod extract;
 pub mod lexer;
 pub mod locks;
 pub mod model;
-pub mod safety;
 
 pub use extract::{
     extract_model, extract_target, target_named, workspace_root, ExtractedProgram, TargetConfig,
@@ -37,4 +39,3 @@ pub use extract::{
 };
 pub use locks::{analyze_locks, LockOrderReport};
 pub use model::{CrateModel, SourceFile};
-pub use safety::{analyze_safety_model, SafetyClass, SafetyReport};

@@ -8,6 +8,8 @@
 //! - [`ids`]: cheap, copyable identifiers used across crates.
 //! - [`error`]: the workspace-wide error vocabulary.
 //! - [`rng`]: deterministic, seedable random number helpers.
+//! - [`isolation`]: the checker scope and the probe-tag guard every
+//!   mutation of the watched program passes.
 
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
@@ -15,6 +17,7 @@ pub mod checksum;
 pub mod clock;
 pub mod error;
 pub mod ids;
+pub mod isolation;
 pub mod join;
 pub mod queue;
 pub mod rng;

@@ -124,8 +124,8 @@ pub trait Restartable: Send + Sync {
 
 /// A component whose workload can be shed when recovery fails.
 ///
-/// Degrading is the rung between restart and escalation on the recovery
-/// ladder: the component stops doing (and accepting) its work so the rest of
+/// Degrading is the recovery ladder's last rung, after restart: the
+/// component stops doing (and accepting) its work so the rest of
 /// the process keeps running without it — e.g. compaction pauses, a
 /// replication link goes silent — instead of a chronically failing component
 /// flapping forever or forcing a whole-process restart.

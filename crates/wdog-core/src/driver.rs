@@ -30,7 +30,10 @@
 //! - a **panicked checker** — caught with `catch_unwind` on the executor
 //!   thread and reported as
 //!   [`FailureKind::CheckerPanic`];
-//!   the main program is never affected (isolation, §3.2).
+//!   the main program is never affected (isolation, §3.2). Every body runs
+//!   inside [`wdog_base::isolation::scope`], so an untagged write, send or
+//!   state change it attempts panics before it takes effect and is reported
+//!   the same way.
 //!
 //! A checker still busy when the next round begins is simply not
 //! re-dispatched — a hung checker is reported `Stuck` once and runs again
@@ -335,7 +338,11 @@ impl WatchdogDriver {
         let now_ms = self.clock.now_millis();
         for p in &mut self.pending {
             self.stats.runs.fetch_add(1, Ordering::Relaxed);
-            match p.checker.check() {
+            let status = {
+                let _isolated = wdog_base::isolation::scope();
+                p.checker.check()
+            };
+            match status {
                 CheckStatus::Pass => {
                     self.stats.passes.fetch_add(1, Ordering::Relaxed);
                 }
@@ -599,8 +606,10 @@ fn spawn_executor(p: Pending, env: &ExecEnv) -> ExecSlot {
     let thread_id = id.clone();
     spawn_on(&env.clock, &format!("wdog-exec-{id}"), move || {
         while thread_signal.next_run() {
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| checker.check()));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _isolated = wdog_base::isolation::scope();
+                checker.check()
+            }));
             let status = match outcome {
                 Ok(s) => s,
                 Err(payload) => {

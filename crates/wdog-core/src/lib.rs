@@ -25,8 +25,10 @@
 //!
 //! The "strong isolation" of §3.2 is not a module of its own: contexts are
 //! replicated on read ([`context::ContextSlot::snapshot`] hands checkers a
-//! deep copy), and each target's op table redirects checker I/O to
-//! `__wd_probe` paths beside the real data.
+//! deep copy), each target's op table redirects checker I/O to
+//! `__wd_probe` paths beside the real data, and the driver runs every
+//! checker inside [`wdog_base::isolation::scope`], where an untagged
+//! mutation panics at the substrate before it takes effect.
 
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 

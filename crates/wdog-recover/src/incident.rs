@@ -10,8 +10,6 @@ pub enum RecoveryOutcome {
     VerifiedRecovered,
     /// The component's workload was shed; the process runs without it.
     Degraded,
-    /// Nothing on the ladder helped; handed to the escalation action.
-    Escalated,
 }
 
 impl RecoveryOutcome {
@@ -20,7 +18,6 @@ impl RecoveryOutcome {
         match self {
             RecoveryOutcome::VerifiedRecovered => "verified-recovered",
             RecoveryOutcome::Degraded => "degraded",
-            RecoveryOutcome::Escalated => "escalated",
         }
     }
 }
@@ -29,7 +26,7 @@ impl RecoveryOutcome {
 /// report, closed when the ladder reached a terminal state.
 ///
 /// MTTR is defined as `closed_at_ms - opened_at_ms` and is recorded for
-/// *every* outcome — a degraded or escalated component still has a finite
+/// *every* outcome — a degraded component still has a finite
 /// time-to-terminal, which is what a campaign must bound.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Incident {
@@ -77,7 +74,6 @@ mod tests {
             "verified-recovered"
         );
         assert_eq!(RecoveryOutcome::Degraded.label(), "degraded");
-        assert_eq!(RecoveryOutcome::Escalated.label(), "escalated");
     }
 
     #[test]

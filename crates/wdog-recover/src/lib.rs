@@ -13,12 +13,10 @@
 //!    exponential backoff;
 //! 2. **Restart** — component-scoped restart through
 //!    [`Restartable`](wdog_core::action::Restartable);
-//! 3. **Degrade** — shed the component's workload through
-//!    [`Degradable`](wdog_core::action::Degradable) so the rest of the
-//!    process keeps running;
-//! 4. **Escalate** — when the policy forbids degrading, the incident closes
-//!    [`Escalated`](RecoveryOutcome::Escalated): nothing on the ladder
-//!    helped, and it is an operator's.
+//! 3. **Degrade** — when neither helped, shed the component's workload
+//!    through [`Degradable`](wdog_core::action::Degradable) so the rest of
+//!    the process keeps running; the incident closes
+//!    [`Degraded`](RecoveryOutcome::Degraded).
 //!
 //! Recovery is **verified**, and the ladder *parks on* the verification
 //! instead of sleeping and then polling: an incident launches a fresh

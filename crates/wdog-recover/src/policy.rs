@@ -58,8 +58,6 @@ pub struct RecoveryPolicy {
     /// Window after a restart in which a `Fail` is slept out before the
     /// component is asked again; a `Pass` closes the incident inside it.
     pub settle: Duration,
-    /// Whether the degrade rung is permitted for this component.
-    pub allow_degrade: bool,
     /// How long past the settle window a restart waits for a verdict before
     /// the verifier is abandoned (a wedged verifier must not wedge the
     /// coordinator), and how long a look the policy grants no window waits
@@ -87,7 +85,6 @@ impl RecoveryPolicy {
             },
             max_restarts: 2,
             settle: Duration::from_millis(30),
-            allow_degrade: true,
             verify_timeout: Duration::from_millis(500),
             flap_threshold: 4,
             flap_window: Duration::from_secs(30),

@@ -118,11 +118,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 stage "cargo doc: no broken or ambiguous intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline --locked
 
-# wdog-lint has two gates: it exits 1 on a shared-mutation probe or a
-# lock-order cycle. Its archived lock and safety reports compare byte for
-# byte, and tests/analyze_passes.rs reads the same
-# results/analysis/locks_<t>.json, so a lock-order change also fails tier-1
-# until `wdog-lint --target all` is rerun and its output committed.
+# wdog-lint has one gate: it exits 1 on a lock-order cycle. Its archived
+# lock reports compare byte for byte, and tests/analyze_passes.rs reads the
+# same results/analysis/locks_<t>.json, so a lock-order change also fails
+# tier-1 until `wdog-lint --target all` is rerun and its output committed.
+# Checker isolation is not linted: the disk, network and target choke points
+# refuse an untagged mutation inside a checker at run time, and every
+# campaign below runs every checker that way.
 gate 1 "analysis" wdog-lint --target all
 
 # Program logic reduction (Figures 2-3) is a pure function of the three

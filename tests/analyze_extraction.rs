@@ -231,7 +231,7 @@ fn without_line(target: &TargetConfig, file: &str, needle: &str) -> Vec<(String,
 
 /// The op ids of `checker` in the default plan of `target` over `sources`.
 fn ops_of(target: &TargetConfig, sources: &[(String, String)], checker: &str) -> Vec<String> {
-    let extracted = extract_model(target.name, target.model(sources, true));
+    let extracted = extract_model(target.name, target.model(sources));
     let plan = generate_plan(&extracted.ir, &ReductionConfig::default());
     let c = plan.checkers.iter().find(|c| c.name == checker);
     c.map(|c| c.ops.iter().map(|o| o.op_id.to_string()).collect())
@@ -312,10 +312,9 @@ fn analysis_is_invariant_under_line_shifts() {
         assert_ne!(sources, moved, "{}: the shift moved no line", t.name);
         let render = |sources: &[(String, String)]| {
             let b = run_analysis(t, sources);
-            let extracted = extract_model(t.name, t.model(sources, true));
+            let extracted = extract_model(t.name, t.model(sources));
             [
                 ("extraction", serde_json::to_string_pretty(&extracted)),
-                ("safety", serde_json::to_string_pretty(&b.safety)),
                 ("locks", serde_json::to_string_pretty(&b.locks)),
             ]
             .map(|(what, json)| (what, json.expect("analysis output serializes")))

@@ -6,9 +6,8 @@
 //!    archived `results/analysis/locks_<t>.json`. Any change to a target's
 //!    source or to the lock pass shows up as a reviewable diff. Regenerate
 //!    with `cargo run --release -p harness --bin wdog-lint -- --target all`.
-//! 2. **Acceptance pins** — every shipped probe classifies as read-only or
-//!    replica-write; the lock graphs are cycle-free; and the whole bundle
-//!    serializes byte-identically across repeated runs.
+//! 2. **Acceptance pins** — the lock graphs are cycle-free, and the whole
+//!    bundle serializes byte-identically across repeated runs.
 //! 3. **File-order stability** — extracting a target from its source
 //!    files in reversed order yields the same callees for every function.
 
@@ -78,19 +77,6 @@ fn analysis_bundles_are_byte_identical_across_runs() {
 }
 
 #[test]
-fn every_shipped_probe_is_read_only_or_replica_write() {
-    for b in bundles() {
-        assert!(!b.safety.probes.is_empty(), "{}: no probes found", b.target);
-        assert!(
-            b.safety.violations().is_empty(),
-            "{}: shared-mutation probes: {:?}",
-            b.target,
-            b.safety.violations()
-        );
-    }
-}
-
-#[test]
 fn shipped_lock_graphs_are_cycle_free() {
     for b in bundles() {
         assert!(
@@ -108,7 +94,7 @@ fn extraction_callgraph_is_stable_under_file_order() {
         let cfg = target_named(t).expect("builtin target");
         let sources = read_sources(cfg).expect("workspace sources readable");
         let load = |sources: &[(String, String)]| -> BTreeMap<String, BTreeSet<String>> {
-            let ir = extract_model(cfg.name, cfg.model(sources, true)).ir;
+            let ir = extract_model(cfg.name, cfg.model(sources)).ir;
             ir.functions
                 .values()
                 .map(|f| {

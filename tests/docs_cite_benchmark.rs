@@ -26,10 +26,12 @@ const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 /// pass, the miner's own invariant list to the checker's predicate, the
 /// recorder-drop sidecar to a failed recording, the stall monitor nothing
 /// armed to the deadlock panic, the family classifier to its one marker
-/// test, the fault-surface enum to each target's profile, and the recovery
-/// coordinator's pin accessors to the incidents' own flags); neither docs
-/// nor CI may lean on them.
-const RETIRED: [&str; 100] = [
+/// test, the fault-surface enum to each target's profile, the recovery
+/// coordinator's pin accessors to the incidents' own flags, the static
+/// checker-safety pass to the run-time isolation guard, and the degrade
+/// switch no campaign turned off to an unconditional degrade rung); neither
+/// docs nor CI may lean on them.
+const RETIRED: [&str; 104] = [
     "wdog-load",
     "cargo bench",
     "--bench-guard",
@@ -130,6 +132,10 @@ const RETIRED: [&str; 100] = [
     "inferred.err",
     "pinned_reports",
     "pinned_components",
+    "analyze_safety_model",
+    "SafetyReport",
+    "SafetyClass",
+    "allow_degrade",
 ];
 
 const FILE_SUFFIXES: [&str; 5] = [".rs", ".json", ".toml", ".sh", ".md"];

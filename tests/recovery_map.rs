@@ -8,12 +8,18 @@
 //! The components and plans are read off the watchdog as every campaign
 //! assembles it: at the target's `default_options()` and at
 //! `RunnerOptions::default().wd`.
+//!
+//! Each distinct verifier also runs once on the fault-free instance, inside
+//! the isolation scope the coordinator gives it, and must pass: a verifier
+//! that writes, sends or stores anything untagged panics there instead.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use faults::FaultKind;
 use harness::scenario::RunnerOptions;
 use wdog_base::clock::RealClock;
+use wdog_base::ids::ComponentId;
+use wdog_base::isolation;
 use wdog_gen::regions::find_regions;
 use wdog_target::WatchdogTarget;
 
@@ -53,6 +59,25 @@ fn assert_map(target: &dyn WatchdogTarget, golden: &[Row]) {
             )
         })
         .collect();
+    let surface = map.surface();
+    let mut verified = BTreeSet::new();
+    for (id, &(_, _, verifier)) in &rows {
+        if !verified.insert(verifier) {
+            continue;
+        }
+        let mut check =
+            (surface.verifier)(&ComponentId::new(id.as_str())).expect("a mapped id has a verifier");
+        let status = {
+            let _isolated = isolation::scope();
+            check.check()
+        };
+        assert!(
+            status.is_pass(),
+            "{}: {verifier} fails on a fault-free instance: {status:?}",
+            target.name()
+        );
+    }
+    drop(surface);
     inst.teardown();
 
     let mapped: BTreeSet<String> = rows.keys().cloned().collect();

@@ -20,7 +20,6 @@ fn sample_campaign() -> RecoveryCampaign {
             verifications: 3,
             verified: 1,
             degraded: 0,
-            escalated: 0,
             pinned: false,
             dropped_reports: 0,
             coordinator_idle: true,
@@ -58,7 +57,6 @@ fn recovery_json_campaign_shape_is_stable() {
             "degraded",
             "disposition",
             "dropped_reports",
-            "escalated",
             "expected_class",
             "incidents",
             "mttr_ms",
@@ -113,7 +111,7 @@ fn archived_recovery_results_parse_when_present() {
             assert!(
                 matches!(
                     s.disposition.as_str(),
-                    "verified-recovered" | "degraded" | "escalated" | "not-detected"
+                    "verified-recovered" | "degraded" | "not-detected"
                 ),
                 "{path}: unknown disposition {:?}",
                 s.disposition
