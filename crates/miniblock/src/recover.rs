@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use wdog_base::clock::spawn_on;
+use wdog_base::isolation::PROBE_FRAME;
 
 use wdog_target::{Handle, RecoveryMap, Verifier};
 
@@ -51,8 +52,7 @@ pub fn recovery_map(datanode: &Arc<DataNode>) -> RecoveryMap {
     // view of this DataNode the way a real heartbeat would.
     let s2 = Arc::clone(s);
     let link = Verifier::new("miniblock.verify.link", move || {
-        let frame = bytes::Bytes::from_static(b"__wd__");
-        s2.net.send(&s2.id, NAMENODE_ADDR, frame)
+        s2.net.send(&s2.id, NAMENODE_ADDR, PROBE_FRAME.into())
     });
 
     RecoveryMap::new(Arc::clone(&s.clock))

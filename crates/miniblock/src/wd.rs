@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use wdog_base::clock::SharedClock;
 use wdog_base::error::{BaseError, BaseResult};
+use wdog_base::isolation::PROBE_FRAME;
 
 use wdog_core::prelude::*;
 
@@ -89,7 +90,7 @@ pub fn op_table(dn: &DataNode) -> OpTable {
         link(
             Some(s.net.clone()),
             Peers::Pairs(vec![(s.id.clone(), NAMENODE_ADDR.to_owned())]),
-            |_| b"__wd__".to_vec(),
+            |_| PROBE_FRAME.to_vec(),
         ),
     );
     table
